@@ -27,15 +27,6 @@ TOL_JET_FD = 1e-4
 EINSTEIN_ENTRIES = ("heis(1)", "heis(2)", "l0(1)", "l1", "l2")
 ALL_ENTRIES = EINSTEIN_ENTRIES + ("l3",)
 
-_REPORTS: dict[str, qc.QcReport] = {}
-
-
-def _report(name: str) -> qc.QcReport:
-    if name not in _REPORTS:
-        _REPORTS[name] = qc.analyze(catalog(name), name)
-    return _REPORTS[name]
-
-
 _BUILDS: dict[str, dict] = {}
 
 
@@ -58,7 +49,7 @@ def criterion_2():
             "l1": Fraction(-1, 2), "l2": Fraction(-1, 4), "l3": Fraction(-1)}
     problems = []
     for name, expected in want.items():
-        rep = _report(name)
+        rep = qc.catalog_report(name)
         if rep.S != expected:
             problems.append(f"{name}: S={rep.S} != {expected}")
         if not rep.scalar_crosscheck_ok:
@@ -87,13 +78,13 @@ def criterion_3():
     """sp(1) connection 1-forms match their published closed forms."""
     problems = []
     for name in ("heis(1)", "l0(1)", "l1", "l2", "l3"):
-        rep = _report(name)
+        rep = qc.catalog_report(name)
         want = _expected_alphas(name, rep.sp1.alphas[0].dim)
         for s in (1, 2, 3):
             if rep.sp1.alphas[s - 1] != want[s - 1]:
                 problems.append(f"{name}: alpha_{s} = {rep.sp1.alphas[s - 1]} != {want[s - 1]}")
     # parametrized flat rotation: third form scales with the parameter
-    rep = qc.analyze(catalog("l0(-2/3)"), "l0(-2/3)")
+    rep = qc.catalog_report("l0(-2/3)")
     if rep.sp1.alphas[2] != Fraction(-2, 3) * KForm.basis(7, 4):
         problems.append("l0(c): alpha_3 does not scale with c")
     return not problems, "; ".join(problems) or "connection forms exact on all entries"
@@ -103,10 +94,10 @@ def criterion_4():
     """Torsion parts: zero except the stated symmetric tensor of l3."""
     problems = []
     for name in EINSTEIN_ENTRIES:
-        rep = _report(name)
+        rep = qc.catalog_report(name)
         if not rep.torsion.is_einstein():
             problems.append(f"{name}: torsion endomorphism should vanish")
-    rep = _report("l3")
+    rep = qc.catalog_report("l3")
     spec = catalog("l3")
     psi = Fraction(-1, 4) * (KForm.basis(7, 1, 2) - KForm.basis(7, 3, 4))
     psi_m = qc._form_matrix(psi, spec.horizontal)
@@ -124,15 +115,15 @@ def criterion_5():
     """Curvature of the canonical connection at the published entries."""
     problems = []
     for name in ("heis(1)", "heis(2)", "l0(1)"):
-        if not _report(name).curvature.is_zero():
+        if not qc.catalog_report(name).curvature.is_zero():
             problems.append(f"{name}: connection should be flat")
-    r1 = _report("l1").curvature
+    r1 = qc.catalog_report("l1").curvature
     for a in range(1, 5):
         for b in range(1, 5):
             if a != b and r1.entry(a, b, a, b) != 1:
                 problems.append(f"l1: R({a},{b},{a},{b}) != 1")
     for name in ("l2", "l3"):
-        if _report(name).curvature.entry(1, 2, 3, 4) != Fraction(-1, 2):
+        if qc.catalog_report(name).curvature.entry(1, 2, 3, 4) != Fraction(-1, 2):
             problems.append(f"{name}: R(1,2,3,4) != -1/2")
     return not problems, "; ".join(problems) or "curvature entries exact"
 
@@ -140,10 +131,10 @@ def criterion_5():
 def criterion_6():
     """Conformal curvature: flat for l1, the stated nonzero entry for l2, l3."""
     problems = []
-    if not _report("l1").wqc_zero:
+    if not qc.catalog_report("l1").wqc_zero:
         problems.append("l1: W != 0")
     for name in ("l2", "l3"):
-        rep = _report(name)
+        rep = qc.catalog_report(name)
         if rep.wqc_zero or rep.wqc_sample != Fraction(-1, 2):
             problems.append(f"{name}: W(1,2,3,4) = {rep.wqc_sample} != -1/2")
     return not problems, "; ".join(problems) or "conformal curvature verdicts exact"
@@ -154,13 +145,13 @@ def criterion_7():
     combination closed on every entry including l3."""
     problems = []
     for name in EINSTEIN_ENTRIES:
-        rep = _report(name)
+        rep = qc.catalog_report(name)
         if not (rep.omega4_closed and rep.omegaQ_closed):
             problems.append(f"{name}: fundamental forms not closed")
     for name in ALL_ENTRIES:
-        if not _report(name).lemma_closed:
+        if not qc.catalog_report(name).lemma_closed:
             problems.append(f"{name}: mixed combination not closed")
-    if _report("l3").omega4_closed:
+    if qc.catalog_report("l3").omega4_closed:
         problems.append("l3: fundamental form unexpectedly closed")
     return not problems, "; ".join(problems) or "closedness verdicts exact"
 
@@ -339,7 +330,7 @@ def criterion_14():
 
     # prescribed torsion reproduced exactly
     spec = catalog("l2")
-    rep = _report("l2")
+    rep = qc.catalog_report("l2")
     want = qc.assemble_torsion_tensor(spec, rep.torsion)
     have = rep.connection.torsion(spec.algebra)
     if want != have:

@@ -62,13 +62,19 @@ class FrameAlgebra:
     def bracket(self, a: int, b: int) -> FrameVector:
         return FrameVector(tuple(self.bracket_coeff(c, a, b) for c in range(1, self.dim + 1)))
 
+    def bracket_terms(self):
+        """(c, a, b, <e^c, [e_a, e_b]>) for every nonzero bracket, 0-based,
+        with both orders of a and b."""
+        for c, form in enumerate(self.diff):
+            for (a, b), coeff in form.terms.items():
+                yield c, a - 1, b - 1, -coeff
+                yield c, b - 1, a - 1, coeff
+
     def _build_brackets(self):
         n = self.dim
         table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for c in range(1, n + 1):
-            for (i, j), coeff in self.diff[c - 1].terms.items():
-                table[c - 1][i - 1][j - 1] = -coeff
-                table[c - 1][j - 1][i - 1] = coeff
+        for c, a, b, value in self.bracket_terms():
+            table[c][a][b] = value
         self._brackets = table
 
     def mc_differential(self, form: KForm) -> KForm:
@@ -189,8 +195,8 @@ class QcFrameSpec:
             if self.eta(s) != KForm.basis(self.dim, self.vertical[s - 1]):
                 raise ValueError("eta_s must be a vertical coframe element")
         k = len(self.horizontal)
-        i1, i2, i3 = (self.complex_structure(s) for s in (1, 2, 3))
-        minus_id = tuple(tuple(-Fraction(1) if r == c else Fraction(0) for c in range(k)) for r in range(k))
+        i1, i2, i3 = ([list(row) for row in self.complex_structure(s)] for s in (1, 2, 3))
+        minus_id = _mat_lin((-1, _identity(k)))
         for s, mat in enumerate((i1, i2, i3), start=1):
             if _mat_mul(mat, mat) != minus_id:
                 raise ValueError(f"I_{s}^2 is not -id; check omega_{s}")
@@ -200,21 +206,42 @@ class QcFrameSpec:
                         raise ValueError(f"I_{s} is not metric compatible")
         if _mat_mul(i1, i2) != i3:
             raise ValueError("I_1 I_2 != I_3; quaternion relations fail")
-        if _mat_mul(i2, i1) != _mat_neg(i3):
+        if _mat_mul(i2, i1) != _mat_lin((-1, i3)):
             raise ValueError("I_2 I_1 != -I_3; quaternion relations fail")
         return self
 
 
+# -- exact matrix helpers (lists of rows) -------------------------------------
+
+
 def _mat_mul(a, b):
-    k = len(a)
-    return tuple(
-        tuple(sum(a[r][m] * b[m][c] for m in range(k)) for c in range(k))
-        for r in range(k)
-    )
+    """Matrix product over the nonzero entries of both factors; the
+    complex structures are signed permutations, so their products are
+    quadratic rather than cubic."""
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for row, acc in zip(a, out):
+        for x, brow in zip(row, b):
+            if x:
+                for c, y in enumerate(brow):
+                    if y:
+                        acc[c] += x * y
+    return out
 
 
-def _mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
+def _mat_t(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _mat_lin(*terms):
+    """Linear combination sum c * A over (c, A) pairs of equal shape,
+    skipping zero entries."""
+    coeffs = [c for c, _ in terms]
+    return [[sum((c * x for c, x in zip(coeffs, xs) if x), Fraction(0)) for xs in zip(*rows)]
+            for rows in zip(*(a for _, a in terms))]
+
+
+def _identity(k):
+    return [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
 
 
 # ---------------------------------------------------------------------------

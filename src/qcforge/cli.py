@@ -37,7 +37,8 @@ EXIT_STRUCTURAL = 3
 EXIT_DOMAIN = 4
 
 _PARSE_ERRORS = (AlgebraSyntaxError, DuplicateDifferential, IndexOutOfRange,
-                 UnknownName, ValueError)
+                 UnknownName, ValueError, OSError)
+_QC_ERRORS = (qc.InconsistentScalar, qc.DecompositionResidual, qc.ConsistencyError)
 
 
 def _sha256(text: str) -> str:
@@ -97,6 +98,16 @@ def _fmt(value):
     return str(value)
 
 
+def _structural(message) -> int:
+    print(f"structural precondition failed: {message}", file=sys.stderr)
+    return EXIT_STRUCTURAL
+
+
+def _violation_text(violation) -> str:
+    a, (b, c, d), value = violation
+    return f"d.d e{a} on (e{b},e{c},e{d}) = {value}"
+
+
 def _load_source(args):
     if getattr(args, "catalog", None):
         spec = catalog(args.catalog)
@@ -135,8 +146,7 @@ def cmd_check_algebra(args) -> int:
     results = {
         "dim": alg.dim,
         "jacobi_ok": rep.ok,
-        "violations": [f"d.d e{a} on (e{b},e{c},e{d}) = {v}"
-                       for a, (b, c, d), v in rep.violations[:10]],
+        "violations": [_violation_text(v) for v in rep.violations[:10]],
     }
     _emit(_report("check-algebra", source, text, {}, rep.ok, results), args.format)
     return EXIT_OK if rep.ok else EXIT_VERIFICATION
@@ -151,8 +161,17 @@ def cmd_qc_report(args) -> int:
     if not hasattr(spec, "omega"):
         print("input has no qc block", file=sys.stderr)
         return EXIT_STRUCTURAL
-    spec.validate()
-    report = qc.analyze(spec, source)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        return _structural(exc)
+    jacobi = jacobi_check(spec.algebra)
+    if not jacobi.ok:
+        return _structural(f"Jacobi identity fails: {_violation_text(jacobi.violations[0])}")
+    try:
+        report = qc.analyze(spec, source)
+    except _QC_ERRORS as exc:
+        return _structural(exc)
     if not report.reeb_ok:
         results = {"reeb_ok": False, "violations": report.reeb_violations}
         _emit(_report("qc-report", source, text, {}, False, results), args.format)
@@ -184,8 +203,7 @@ def cmd_build(args) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except NotEinsteinBase as exc:
-        print(f"structural precondition failed: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+        return _structural(exc)
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

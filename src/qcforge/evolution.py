@@ -34,17 +34,8 @@ class NotEinsteinBase(ValueError):
     """The base coframe is not qc Einstein with the family's scalar."""
 
 
-_BASE_CACHE: dict[str, qc.QcReport] = {}
-
-
-def _base_report(name: str) -> qc.QcReport:
-    if name not in _BASE_CACHE:
-        _BASE_CACHE[name] = qc.analyze(catalog(name), name)
-    return _BASE_CACHE[name]
-
-
 def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
-    rep = _base_report(name)
+    rep = qc.catalog_report(name)
     if not rep.einstein:
         raise NotEinsteinBase(f"base {name} has non-vanishing torsion endomorphism")
     if rep.S != S:

@@ -13,10 +13,12 @@ compared exactly.
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import QcFrameSpec
+from .algebra import QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog
 from .forms import FrameVector, KForm
 from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
@@ -37,56 +39,23 @@ class ConsistencyError(ValueError):
     """Two independent routes to the same tensor disagree."""
 
 
-# -- small exact matrix helpers (dense, tiny dimensions) ---------------------
-
-
-def _zeros(k):
-    return [[Fraction(0)] * k for _ in range(k)]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def _mat_mul(a, b):
-    k = len(a)
-    return [[sum(a[r][m] * b[m][c] for m in range(k)) for c in range(k)] for r in range(k)]
-
-
-def _mat_t(a):
-    k = len(a)
-    return [[a[c][r] for c in range(k)] for r in range(k)]
-
-
-def _mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
-
-
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _identity(k):
-    return [[Fraction(1) if r == c else Fraction(0) for c in range(k)] for r in range(k)]
+# -- small exact matrix helpers (tiny dimensions) -----------------------------
 
 
 def _trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
+def _sparse(a) -> list:
+    """Nonzero entries (p, q, A[p][q]) of a matrix."""
+    return [(p, q, x) for p, row in enumerate(a) for q, x in enumerate(row) if x]
+
+
 def _form_matrix(form: KForm, indices):
     """Antisymmetric matrix B[p][q] = form(e_{indices[p]}, e_{indices[q]})."""
     pos = {a: i for i, a in enumerate(indices)}
     k = len(indices)
-    mat = _zeros(k)
+    mat = [[Fraction(0)] * k for _ in range(k)]
     for (a, b), coeff in form.terms.items():
         if a in pos and b in pos:
             mat[pos[a]][pos[b]] = coeff
@@ -253,7 +222,7 @@ class TorsionData:
     Tvv: dict           # (i, j) -> FrameVector, i < j
 
     def is_einstein(self) -> bool:
-        return _mat_is_zero(self.T0) and _mat_is_zero(self.U)
+        return not any(map(any, self.T0 + self.U))
 
 
 def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
@@ -265,59 +234,53 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     """
     k = len(spec.horizontal)
     S = sp1.S
+    ident = _identity(k)
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     ps = [_form_matrix(sp1.rho_h[l - 1], spec.horizontal) for l in (1, 2, 3)]
 
+    def conj(m, a):
+        """I^T A I, a signed permutation of the entries of A."""
+        return _mat_mul(_mat_t(m), _mat_mul(a, m))
+
     ds = []
     for l in (1, 2, 3):
-        d = _mat_scale(Fraction(-2), _mat_add(_mat_mul(ps[l - 1], mats[l - 1]),
-                                              _mat_scale(S, _identity(k))))
-        if not _mat_eq(d, _mat_t(d)):
+        d = _mat_lin((-2, _mat_mul(ps[l - 1], mats[l - 1])), (-2 * S, ident))
+        if d != _mat_t(d):
             raise DecompositionResidual(f"D_{l} is not symmetric; input is not qc")
         ds.append(d)
 
-    q = _mat_add(_mat_add(ds[0], ds[1]), ds[2])
-    avg = q
-    for m in mats:
-        avg = _mat_add(avg, _mat_mul(_mat_t(m), _mat_mul(q, m)))
-    avg = _mat_scale(Fraction(1, 4), avg)
-    u = _mat_scale(Fraction(1, 12), avg)
-    t0 = _mat_scale(Fraction(1, 2), _mat_sub(q, _mat_scale(Fraction(12), u)))
+    q = _mat_lin(*((1, d) for d in ds))
+    # U = Avg(Q)/12 with Avg(Q) = (Q + sum_s I_s^T Q I_s)/4
+    u = _mat_lin((Fraction(1, 48), q), *((Fraction(1, 48), conj(m, q)) for m in mats))
+    t0 = _mat_lin((Fraction(1, 2), q), (-6, u))
 
-    if spec.n == 1 and not _mat_is_zero(u):
+    if spec.n == 1 and any(map(any, u)):
         raise DecompositionResidual("the invariant part U must vanish in dimension 7")
     if _trace(t0) != 0 or _trace(u) != 0:
         raise DecompositionResidual("torsion parts are not trace-free")
     # symmetry class checks
-    acc = [row[:] for row in t0]
-    for m in mats:
-        acc = _mat_add(acc, _mat_mul(_mat_t(m), _mat_mul(t0, m)))
-    if not _mat_is_zero(acc):
+    if any(map(any, _mat_lin((1, t0), *((1, conj(m, t0)) for m in mats)))):
         raise DecompositionResidual("T0 fails its invariant symmetry identity")
     for m in mats:
-        if not _mat_eq(u, _mat_mul(_mat_t(m), _mat_mul(u, m))):
+        if u != conj(m, u):
             raise DecompositionResidual("U is not invariant under the complex structures")
 
-    # reconstruct rho_l and compare: rho_l(X, I_l Y) = -T0/2 - (T0 o I_l)/2 - 2U - S g
+    # reconstruct rho_l and compare: rho_l(X, I_l Y) = -T0/2 - (T0 o I_l)/2 - 2U - S g,
+    # so rho_l = (T0/2 + (T0 o I_l)/2 + 2U + S g) . M_l since M_l^2 = -id
+    half = Fraction(1, 2)
     for l in (1, 2, 3):
         m = mats[l - 1]
-        rhs = _mat_scale(Fraction(-1, 2),
-                         _mat_add(t0, _mat_mul(_mat_t(m), _mat_mul(t0, m))))
-        rhs = _mat_sub(rhs, _mat_scale(Fraction(2), u))
-        rhs = _mat_sub(rhs, _mat_scale(S, _identity(k)))
-        # rho_l = -rhs . M_l since M_l^2 = -id
-        rec = _mat_scale(Fraction(-1), _mat_mul(rhs, m))
-        if not _mat_eq(rec, ps[l - 1]):
+        rec = _mat_mul(_mat_lin((half, t0), (half, conj(m, t0)), (2, u), (S, ident)), m)
+        if rec != ps[l - 1]:
             raise DecompositionResidual(f"rho_{l} reconstruction failed; input is not qc")
 
     # torsion endomorphisms: g(T0_{xi_s} X, Y) = -(1/4)[T0(I_s X, Y) + T0(X, I_s Y)]
     txi = []
-    for s in (1, 2, 3):
-        m = mats[s - 1]
-        sym = _mat_scale(Fraction(-1, 4),
-                         _mat_add(_mat_mul(_mat_t(m), t0), _mat_mul(t0, m)))
-        endo = _mat_t(sym)  # E[b][a] = sym[a][b]
-        endo = _mat_add(endo, _mat_mul(m, u))  # skew part I_s u
+    for s, m in enumerate(mats, start=1):
+        sym = _mat_lin((Fraction(-1, 4), _mat_mul(_mat_t(m), t0)),
+                       (Fraction(-1, 4), _mat_mul(t0, m)))
+        # E[b][a] = sym[a][b], plus the skew part I_s u
+        endo = _mat_lin((1, _mat_t(sym)), (1, _mat_mul(m, u)))
         if _trace(endo) != 0 or _trace(_mat_mul(endo, m)) != 0:
             raise DecompositionResidual(f"T_xi_{s} is not completely trace-free")
         txi.append(endo)
@@ -346,16 +309,13 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData):
     """Full torsion component table T^c_{ab} over the frame (0-based)."""
     n = spec.dim
-    alg = spec.algebra
     t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     hpos = {a: i for i, a in enumerate(spec.horizontal)}
     vpos = {a: s for s, a in enumerate(spec.vertical, start=1)}
 
-    for a in spec.horizontal:
-        for b in spec.horizontal:
-            bracket = alg.bracket(a, b)
-            for v in spec.vertical:
-                t[a - 1][b - 1][v - 1] = -bracket.components[v - 1]
+    for c, a, b, x in spec.algebra.bracket_terms():
+        if a + 1 in hpos and b + 1 in hpos and c + 1 in vpos:
+            t[a][b][c] = -x
     for v in spec.vertical:
         s = vpos[v]
         endo = torsion.Txi[s - 1]
@@ -378,23 +338,19 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
     derivatives are compared against the rotation rule
     nabla xi_i = -alpha_j . xi_k + alpha_k . xi_j as a consistency gate."""
     alg = spec.algebra
-    lc = koszul_levi_civita(alg)
-    conn = adjust_by_torsion(lc, assemble_torsion_tensor(spec, torsion))
+    want = assemble_torsion_tensor(spec, torsion)
+    conn = adjust_by_torsion(koszul_levi_civita(alg), want)
 
     if not conn.is_metric():
         raise ConsistencyError("assembled connection is not metric")
-    want = assemble_torsion_tensor(spec, torsion)
-    have = conn.torsion(alg)
-    if want != have:
+    if conn.torsion(alg) != want:
         raise ConsistencyError("assembled connection does not reproduce its torsion")
 
-    hset = set(spec.horizontal)
-    for a in range(1, spec.dim + 1):
-        for b in range(1, spec.dim + 1):
-            for c in range(1, spec.dim + 1):
-                if (b in hset) != (c in hset) and conn.coeff(c, a, b) != 0:
-                    raise ConsistencyError(
-                        f"connection does not preserve the splitting: Gamma^{c}_{a}{b} != 0")
+    hset = {a - 1 for a in spec.horizontal}
+    for a, b, c, _ in conn.nonzeros():
+        if (b in hset) != (c in hset):
+            raise ConsistencyError(
+                f"connection does not preserve the splitting: Gamma^{c + 1}_{a + 1}{b + 1} != 0")
 
     for i in (1, 2, 3):
         j, k = _CYCLIC[i]
@@ -411,23 +367,16 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
 
 def qc_ricci_forms(spec: QcFrameSpec, curv: CurvatureTensor) -> tuple:
     """Ricci 2-forms over the full frame: 4n rho_s(A,B) = R(A,B,e_a,I_s e_a)."""
-    n = spec.dim
-    k = len(spec.horizontal)
-    coef = Fraction(1, k)  # 1/(4n)
+    hpos = {a - 1: i for i, a in enumerate(spec.horizontal)}
+    coef = Fraction(1, len(hpos))  # 1/(4n)
     rhos = []
     for s in (1, 2, 3):
         m = spec.complex_structure(s)
-        terms = {}
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                val = Fraction(0)
-                for p, hp in enumerate(spec.horizontal):
-                    for q, hq in enumerate(spec.horizontal):
-                        if m[q][p] != 0:
-                            val += curv.entry(a, b, hp, hq) * m[q][p]
-                if val != 0:
-                    terms[(a, b)] = coef * val
-        rhos.append(KForm(n, 2, terms))
+        terms = defaultdict(Fraction)
+        for (a, b, c, d), x in curv.r.items():
+            if a < b and c in hpos and d in hpos and m[hpos[d]][hpos[c]]:
+                terms[a + 1, b + 1] += x * m[hpos[d]][hpos[c]]
+        rhos.append(KForm(spec.dim, 2, {idx: coef * v for idx, v in terms.items()}))
     return tuple(rhos)
 
 
@@ -436,67 +385,71 @@ def qc_ricci_forms(spec: QcFrameSpec, curv: CurvatureTensor) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor):
-    """Horizontal conformal curvature 4-tensor.
+def _add_kn(w, a, b):
+    """w += a . b, the Kulkarni-Nomizu product
+    (a . b)(x,y,z,v) = a(x,z)b(y,v) + a(y,v)b(x,z) - a(y,z)b(x,v) - a(x,v)b(y,z)."""
+    b_nonzero = _sparse(b)
+    for p, q, x in _sparse(a):
+        for r, t, y in b_nonzero:
+            xy = x * y
+            w[p, r, q, t] += xy
+            w[r, p, t, q] += xy
+            w[r, p, q, t] -= xy
+            w[p, r, t, q] -= xy
 
-    Implements, entry by entry over exact rationals, the expression of the
-    conformal tensor through the curvature, the torsion parts, and the
-    fundamental forms (Kulkarni-Nomizu products and the scalar term).
+
+def _add_outer(w, a, b):
+    """w += a (x) b, with (a (x) b)(x,y,z,v) = a(x,y) b(z,v)."""
+    b_nonzero = _sparse(b)
+    for p, q, x in _sparse(a):
+        for r, t, y in b_nonzero:
+            w[p, q, r, t] += x * y
+
+
+def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -> dict:
+    """Horizontal conformal curvature 4-tensor, as a dict of its nonzero
+    entries keyed by horizontal positions (x, y, z, v), 0-based.
+
+    With L0 = T0/2 + U, (I_s L0)(X,Y) = -L0(X, I_s Y), A_s = T0(., I_s .) -
+    T0(I_s ., .), the Kulkarni-Nomizu product . and the outer product (x):
+
+        W = R|_H + g . (L0 + S/4 g)
+            + sum_s [omega_s . (I_{s-1} L0 + S/4 omega_s)
+                     + omega_s (x) (S omega_s - A_s/2)
+                     + (2 U(., I_s .) - A_s/2) (x) omega_s],
+
+    each product summed over the nonzero entries of its factors, in exact
+    rationals.
     """
     hor = spec.horizontal
-    k = len(hor)
+    hpos = {a - 1: i for i, a in enumerate(hor)}
     S = torsion.S
-    t0 = torsion.T0
-    u = torsion.U
+    t0, u = torsion.T0, torsion.U
+    w = defaultdict(Fraction)
+    for (a, b, c, d), x in curv.r.items():
+        if a in hpos and b in hpos and c in hpos and d in hpos:
+            w[hpos[a], hpos[b], hpos[c], hpos[d]] += x
+    g = _identity(len(hor))
+    l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
+    _add_kn(w, g, _mat_lin((1, l0), (S / 4, g)))
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
-    omegas = [_form_matrix(spec.omega[s - 1], hor) for s in (1, 2, 3)]
-    g = _identity(k)
-
-    # L0 = T0/2 + U and its rotations (I_s L0)(X,Y) = -L0(X, I_s Y)
-    l0 = _mat_add(_mat_scale(Fraction(1, 2), t0), u)
-    isl0 = [_mat_scale(Fraction(-1), _mat_mul(l0, mats[s - 1])) for s in range(3)]
-    # T0(X, I_s Y) and T0(I_s X, Y) tables
-    t0_xi = [_mat_mul(t0, m) for m in mats]
-    t0_ix = [_mat_mul(_mat_t(m), t0) for m in mats]
-    u_xi = [_mat_mul(u, m) for m in mats]
-
-    def kn(a_mat, b_mat, x, y, z, v):
-        return (a_mat[x][z] * b_mat[y][v] + a_mat[y][v] * b_mat[x][z]
-                - a_mat[y][z] * b_mat[x][v] - a_mat[x][v] * b_mat[y][z])
-
-    quarter_s = S / 4
-    w = [[[[Fraction(0)] * k for _ in range(k)] for _ in range(k)] for _ in range(k)]
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                for v in range(k):
-                    val = curv.entry(hor[x], hor[y], hor[z], hor[v])
-                    val += kn(g, l0, x, y, z, v)
-                    for s in range(3):
-                        val += kn(omegas[s], isl0[s], x, y, z, v)
-                        val -= Fraction(1, 2) * (
-                            omegas[s][x][y] * (t0_xi[s][z][v] - t0_ix[s][z][v])
-                            + omegas[s][z][v] * (t0_xi[s][x][y] - t0_ix[s][x][y]
-                                                 - 4 * u_xi[s][x][y]))
-                        val += quarter_s * (kn(omegas[s], omegas[s], x, y, z, v)
-                                            + 4 * omegas[s][x][y] * omegas[s][z][v])
-                    val += quarter_s * kn(g, g, x, y, z, v)
-                    w[x][y][z][v] = val
-    return w
+    for s, m in enumerate(mats, start=1):
+        omega = _form_matrix(spec.omega[s - 1], hor)
+        half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
+                          (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))  # -A_s/2
+        # omega_s is paired with the rotation of L0 by I_{s-1} (cyclically)
+        _add_kn(w, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega)))
+        _add_outer(w, omega, _mat_lin((S, omega), (1, half_a)))
+        _add_outer(w, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)
+    return {key: x for key, x in w.items() if x}
 
 
-def wqc_is_zero(w) -> bool:
-    return all(x == 0 for a in w for b in a for c in b for x in c)
+def wqc_is_zero(w: dict) -> bool:
+    return not w
 
 
-def wqc_max_abs(w) -> Fraction:
-    worst = Fraction(0)
-    for a in w:
-        for b in a:
-            for c in b:
-                for x in c:
-                    worst = max(worst, abs(x))
-    return worst
+def wqc_max_abs(w: dict) -> Fraction:
+    return max(map(abs, w.values()), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +570,12 @@ def matrix_to_entries(mat) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def catalog_report(name: str) -> QcReport:
+    """The analysis of a catalog entry, computed once per process."""
+    return analyze(catalog(name), name)
+
+
 def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     """Run the complete pipeline with every built-in cross-check enabled."""
     reeb = reeb_check(spec)
@@ -639,10 +598,9 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
 
     # scalar invariant cross-check: 8n(n+2) S = sum R(e_b, e_a, e_a, e_b)
     n = spec.n
-    total = Fraction(0)
-    for a in spec.horizontal:
-        for b in spec.horizontal:
-            total += curv.entry(b, a, a, b)
+    hset = {a - 1 for a in spec.horizontal}
+    total = sum((x for (b, a, c, d), x in curv.r.items()
+                 if a == c and b == d and a in hset and b in hset), Fraction(0))
     scalar_ok = total == 8 * n * (n + 2) * sp1.S
 
     rho_full = qc_ricci_forms(spec, curv)
@@ -650,22 +608,19 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
         rho_full[s - 1].restrict(spec.horizontal) == sp1.rho_h[s - 1]
         for s in (1, 2, 3))
 
-    # sp(1) part of the curvature: R(A, B, xi_i, xi_j) = 2 rho_k(A, B)
+    # sp(1) part of the curvature: R(A, B, xi_i, xi_j) = 2 rho_k(A, B); R is
+    # antisymmetric in A, B (checked above), so it is compared as a 2-form
     sp1curv_ok = True
     for k in (1, 2, 3):
-        i, j = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[k]
-        vi, vj = spec.vertical[i - 1], spec.vertical[j - 1]
-        for a in range(1, spec.dim + 1):
-            for b in range(1, spec.dim + 1):
-                lhs = curv.entry(a, b, vi, vj)
-                ea = FrameVector.basis(spec.dim, a)
-                eb = FrameVector.basis(spec.dim, b)
-                if lhs != 2 * rho_full[k - 1].evaluate([ea, eb]):
-                    sp1curv_ok = False
+        i, j = _CYCLIC[k]
+        vij = (spec.vertical[i - 1] - 1, spec.vertical[j - 1] - 1)
+        part = {(a + 1, b + 1): x for (a, b, c, d), x in curv.r.items()
+                if a < b and (c, d) == vij}
+        if KForm(spec.dim, 2, part) != 2 * rho_full[k - 1]:
+            sp1curv_ok = False
 
     w = wqc_tensor(spec, torsion, curv)
-    hpos = {a: i for i, a in enumerate(spec.horizontal)}
-    sample = w[hpos[spec.horizontal[0]]][hpos[spec.horizontal[1]]][hpos[spec.horizontal[2]]][hpos[spec.horizontal[3]]]
+    sample = w.get((0, 1, 2, 3), Fraction(0))  # W(e1, e2, e3, e4) on the first horizontals
 
     fund = fundamental_forms_check(spec, rho_full)
 

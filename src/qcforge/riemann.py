@@ -4,7 +4,12 @@ Two computation paths share this module.  The exact path works over an
 invariant coframe with the identity frame metric: Koszul's formula gives
 the Levi-Civita connection from brackets, a torsion adjustment produces
 any prescribed-torsion metric connection, and curvature follows from the
-constant-coefficient commutator formula, all in exact rationals.
+constant-coefficient commutator formula, all in exact rationals.  Every
+exact kernel runs over nonzero entries only: the connection and torsion
+are built from the nonzero brackets and torsion components, the curvature
+contracts the nonzero connection coefficients with each other (indexed by
+the summed index) and with the nonzero brackets, and is stored as a dict
+of its nonzero entries.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
@@ -16,6 +21,7 @@ bound for the holonomy algebra).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,86 +58,83 @@ class ConnectionTable:
         """Gamma^c_{ab}, 1-based indices."""
         return self.gamma[a - 1][b - 1][c - 1]
 
+    def nonzeros(self) -> list:
+        """(a, b, c, Gamma^c_{ab}) for every nonzero coefficient, 0-based."""
+        return _nonzeros3(self.gamma)
+
     def is_metric(self) -> bool:
-        n = self.dim
         g = self.gamma
-        return all(
-            g[a][b][c] == -g[a][c][b]
-            for a in range(n) for b in range(n) for c in range(n)
-        )
+        return all(g[a][c][b] == -x for a, b, c, x in self.nonzeros())
 
     def torsion(self, alg: FrameAlgebra):
         """T(e_a, e_b) components: T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} - <e^c,[e_a,e_b]>."""
-        n = self.dim
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    out[a][b][c] = (
-                        self.gamma[a][b][c]
-                        - self.gamma[b][a][c]
-                        - alg.bracket_coeff(c + 1, a + 1, b + 1)
-                    )
+        out = _zeros3(self.dim)
+        for a, b, c, x in self.nonzeros():
+            out[a][b][c] += x
+            out[b][a][c] -= x
+        for c, a, b, x in alg.bracket_terms():
+            out[a][b][c] -= x
         return out
 
 
+_ZERO = Fraction(0)
+
+
 class CurvatureTensor:
-    """Fully covariant curvature table R_{abcd} = g(R(e_a,e_b)e_c, e_d)."""
+    """Fully covariant curvature R_{abcd} = g(R(e_a,e_b)e_c, e_d), stored as
+    a dict of its nonzero entries keyed by 0-based (a, b, c, d)."""
 
     __slots__ = ("dim", "r")
 
-    def __init__(self, dim: int, r):
+    def __init__(self, dim: int, r: dict):
         self.dim = dim
         self.r = r
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return self.r[a - 1][b - 1][c - 1][d - 1]
+        return self.r.get((a - 1, b - 1, c - 1, d - 1), _ZERO)
 
     def is_zero(self) -> bool:
-        n = self.dim
-        return all(
-            self.r[a][b][c][d] == 0
-            for a in range(n) for b in range(n) for c in range(n) for d in range(n)
-        )
+        return not self.r
 
     def check_pair_antisymmetry(self) -> bool:
-        n = self.dim
+        # a failing pair always contains a nonzero entry
         r = self.r
-        return all(
-            r[a][b][c][d] == -r[b][a][c][d] and r[a][b][c][d] == -r[a][b][d][c]
-            for a in range(n) for b in range(n) for c in range(n) for d in range(n)
-        )
+        return all(r.get((b, a, c, d), 0) == -x and r.get((a, b, d, c), 0) == -x
+                   for (a, b, c, d), x in r.items())
 
     def first_bianchi_residual(self) -> Fraction:
-        """max |R_{[abc]d}| over all index choices (zero for torsion-free)."""
-        n = self.dim
-        worst = Fraction(0)
+        """max |R_{[abc]d}| over all index choices (zero for torsion-free);
+        a nonzero cyclic sum contains a nonzero entry."""
         r = self.r
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        v = r[a][b][c][d] + r[b][c][a][d] + r[c][a][b][d]
-                        worst = max(worst, abs(v))
-        return worst
+        return max((abs(x + r.get((b, c, a, d), 0) + r.get((c, a, b, d), 0))
+                    for (a, b, c, d), x in r.items()), default=_ZERO)
+
+
+def _zeros3(n):
+    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+
+
+def _nonzeros3(table) -> list:
+    return [(a, b, c, x) for a, plane in enumerate(table)
+            for b, row in enumerate(plane) for c, x in enumerate(row) if x]
+
+
+def _add_contorsion(gamma, terms):
+    """gamma[a][b][c] += (1/2)(X^c_{ab} - X^a_{bc} + X^b_{ca}) for the
+    nonzero components (c, a, b, X^c_{ab}) of a skew frame tensor X."""
+    half = Fraction(1, 2)
+    for c, a, b, x in terms:
+        h = half * x
+        gamma[a][b][c] += h
+        gamma[c][a][b] -= h
+        gamma[b][c][a] += h
+    return gamma
 
 
 def koszul_levi_civita(alg: FrameAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the identity frame metric from brackets:
     2 g(nabla_A B, C) = g([A,B],C) - g([B,C],A) + g([C,A],B)."""
-    n = alg.dim
-    half = Fraction(1, 2)
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                val = half * (
-                    alg.bracket_coeff(c, a, b)
-                    - alg.bracket_coeff(a, b, c)
-                    + alg.bracket_coeff(b, c, a)
-                )
-                gamma[a - 1][b - 1][c - 1] = val
-    return ConnectionTable(n, gamma)
+    return ConnectionTable(alg.dim, _add_contorsion(_zeros3(alg.dim), alg.bracket_terms()))
 
 
 def adjust_by_torsion(lc: ConnectionTable, torsion) -> ConnectionTable:
@@ -141,41 +144,40 @@ def adjust_by_torsion(lc: ConnectionTable, torsion) -> ConnectionTable:
 
     ``torsion[a][b]`` holds the components of T(e_a, e_b) (0-based).
     """
-    n = lc.dim
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if torsion[a][b][c] != -torsion[b][a][c]:
-                    raise NonAntisymmetricTorsion(
-                        f"T(e{a + 1}, e{b + 1}) != -T(e{b + 1}, e{a + 1})")
-    half = Fraction(1, 2)
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                gamma[a][b][c] = lc.gamma[a][b][c] + half * (
-                    torsion[a][b][c] - torsion[b][c][a] + torsion[c][a][b]
-                )
-    return ConnectionTable(n, gamma)
+    nonzero = _nonzeros3(torsion)
+    for a, b, c, x in nonzero:
+        if torsion[b][a][c] != -x:
+            raise NonAntisymmetricTorsion(
+                f"T(e{a + 1}, e{b + 1}) != -T(e{b + 1}, e{a + 1})")
+    gamma = [[row[:] for row in plane] for plane in lc.gamma]
+    return ConnectionTable(lc.dim, _add_contorsion(gamma, ((c, a, b, x) for a, b, c, x in nonzero)))
 
 
 def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor:
     """R(e_a,e_b)e_c = nabla_a nabla_b e_c - nabla_b nabla_a e_c - nabla_{[e_a,e_b]} e_c
-    for constant frame connection coefficients."""
-    n = conn.dim
-    g = conn.gamma
-    r = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    val = Fraction(0)
-                    for m in range(n):
-                        val += g[b][c][m] * g[a][m][d]
-                        val -= g[a][c][m] * g[b][m][d]
-                        val -= alg.bracket_coeff(m + 1, a + 1, b + 1) * g[m][c][d]
-                    r[a][b][c][d] = val
-    return CurvatureTensor(n, r)
+    for constant frame connection coefficients:
+
+        R_{abcd} = Gamma^m_{bc} Gamma^d_{am} - Gamma^m_{ac} Gamma^d_{bm}
+                   - <e^m,[e_a,e_b]> Gamma^d_{mc},
+
+    summed over pairs of nonzero factors only."""
+    nonzero = conn.nonzeros()
+    by_first = defaultdict(list)  # m -> (c, d, Gamma^d_{mc})
+    by_middle = defaultdict(list)  # m -> (a, d, Gamma^d_{am})
+    for a, b, c, x in nonzero:
+        by_first[a].append((b, c, x))
+        by_middle[b].append((a, c, x))
+    r = defaultdict(Fraction)
+    for a, c, m, g1 in nonzero:
+        for b, d, g2 in by_middle[m]:
+            # Gamma^m_{ac} Gamma^d_{bm} enters R_{bacd} and -R_{abcd}
+            p = g1 * g2
+            r[b, a, c, d] += p
+            r[a, b, c, d] -= p
+    for m, a, b, beta in alg.bracket_terms():
+        for c, d, g in by_first[m]:
+            r[a, b, c, d] -= beta * g
+    return CurvatureTensor(conn.dim, {key: v for key, v in r.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +376,6 @@ def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> Curvatu
         for d in range(n):
             total = 0.0
             for a in range(n):
-                if a + 1 == d + 1:
-                    pass
                 lo, hi = min(a + 1, d + 1), max(a + 1, d + 1)
                 if lo == hi:
                     continue

@@ -104,6 +104,42 @@ omega3 = e1^e4 + e2^e3
         code, _, err = run(capsys, "qc-report", "--file", str(f))
         assert code == 3
 
+    def _heis1_file(self, tmp_path, old, new):
+        text = importlib.resources.files("qcforge.data").joinpath("heis1.alg").read_text()
+        assert old in text
+        f = tmp_path / "edited.alg"
+        f.write_text(text.replace(old, new))
+        return str(f)
+
+    def test_reeb_failure_of_integrable_file(self, tmp_path, capsys):
+        path = self._heis1_file(tmp_path, "d e5 = 2 e1^e2 + 2 e3^e4",
+                                "d e5 = 4 e1^e2 + 4 e3^e4")
+        code, out, _ = run(capsys, "qc-report", "--file", path)
+        assert code == 3
+        assert "d eta_1|_H != 2 omega_1" in out
+
+    def test_jacobi_violating_file_exit_three(self, tmp_path, capsys):
+        path = self._heis1_file(tmp_path, "d e7 = 2 e1^e4 + 2 e2^e3",
+                                "d e7 = 2 e1^e4 + 2 e2^e3 + e5^e6")
+        code, out, err = run(capsys, "qc-report", "--file", path)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Jacobi identity fails: d.d e7" in err
+
+    def test_broken_quaternion_relations_exit_three(self, tmp_path, capsys):
+        path = self._heis1_file(tmp_path, "omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 - e2^e3")
+        code, out, err = run(capsys, "qc-report", "--file", path)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "structural precondition failed" in err
+
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        for command in ("qc-report", "check-algebra"):
+            code, out, err = run(capsys, command, "--file", str(tmp_path / "absent.alg"))
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "absent.alg" in err
+
 
 class TestBuild:
     def test_qk_l2(self, capsys):

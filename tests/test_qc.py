@@ -201,8 +201,9 @@ class TestConformalCurvature:
                 for y in range(k):
                     for z in range(k):
                         for v in range(k):
-                            assert w[x][y][z][v] == -w[y][x][z][v]
-                            assert w[x][y][z][v] == -w[x][y][v][z]
+                            entry = w.get((x, y, z, v), 0)
+                            assert entry == -w.get((y, x, z, v), 0)
+                            assert entry == -w.get((x, y, v, z), 0)
 
     def test_flat_model_has_zero_wqc(self):
         assert report("heis(1)").wqc_zero
@@ -241,3 +242,13 @@ class TestReportSerialization:
         d = report("heis(2)").to_dict()
         assert d["s"] == "0"
         assert d["wqc_zero"] is True
+
+
+class TestHeisenbergScaling:
+    def test_heis3_flat_einstein(self):
+        rep = qc.analyze(catalog("heis(3)"), "heis(3)")
+        assert rep.reeb_ok and rep.S == 0
+        assert rep.einstein and rep.wqc_zero and rep.wqc_max_abs == 0
+        assert rep.curvature.is_zero()
+        assert rep.scalar_crosscheck_ok and rep.rho_crosscheck_ok and rep.sp1curv_ok
+        assert rep.omega4_closed and rep.omegaQ_closed and rep.lemma_closed

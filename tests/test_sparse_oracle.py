@@ -1,0 +1,182 @@
+"""Dense reference implementations of the exact kernels.
+
+The library sums curvature, the conformal curvature W^qc and the torsion
+products over nonzero entries only.  The references below visit every index
+tuple with the original dense formulas: R_{abcd} as an n^5 contraction and
+W^qc entry by entry through Kulkarni-Nomizu products.  Zero factors are
+skipped in ``_mul`` only so that Fraction arithmetic on zeros does not
+dominate the run time; no index tuple is left out.  Both sides must return
+identical Fractions.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcforge import qc
+from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog
+from qcforge.forms import KForm
+from qcforge.riemann import frame_curvature, koszul_levi_civita
+
+
+def _mul(x, y):
+    return x * y if x and y else 0
+
+
+def _matmul(a, b):
+    k = len(a)
+    return [[sum(_mul(a[r][m], b[m][c]) for m in range(k)) for c in range(k)] for r in range(k)]
+
+
+def _transpose(a):
+    return [[a[c][r] for c in range(len(a))] for r in range(len(a))]
+
+
+def _combine(*terms):
+    k = len(terms[0][1])
+    return [[sum(_mul(c, a[r][q]) for c, a in terms) for q in range(k)] for r in range(k)]
+
+
+def _bracket_table(alg):
+    n = alg.dim
+    r = range(n)
+    return [[[alg.bracket_coeff(c + 1, a + 1, b + 1) for b in r] for a in r] for c in r]
+
+
+def dense_levi_civita(alg):
+    """gamma[a][b][c] = (1/2)(<e^c,[e_a,e_b]> - <e^a,[e_b,e_c]> + <e^b,[e_c,e_a]>)."""
+    n = alg.dim
+    br = _bracket_table(alg)
+    half = Fraction(1, 2)
+    return [[[half * (br[c][a][b] - br[a][b][c] + br[b][c][a]) for c in range(n)]
+             for b in range(n)] for a in range(n)]
+
+
+def dense_torsion(conn, alg):
+    n = conn.dim
+    g = conn.gamma
+    br = _bracket_table(alg)
+    return [[[g[a][b][c] - g[b][a][c] - br[c][a][b] for c in range(n)]
+             for b in range(n)] for a in range(n)]
+
+
+def dense_curvature(conn, alg) -> dict:
+    """Nonzero R_{abcd}, 0-based, from the n^5 constant-coefficient formula."""
+    n = conn.dim
+    g = conn.gamma
+    br = _bracket_table(alg)
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    val = 0
+                    for m in range(n):
+                        val += _mul(g[b][c][m], g[a][m][d])
+                        val -= _mul(g[a][c][m], g[b][m][d])
+                        val -= _mul(br[m][a][b], g[m][c][d])
+                    if val:
+                        out[a, b, c, d] = Fraction(val)
+    return out
+
+
+def dense_wqc(spec, torsion, curv) -> dict:
+    """Nonzero W^qc entries over horizontal positions, one entry at a time."""
+    hor = spec.horizontal
+    k = len(hor)
+    S = torsion.S
+    t0, u = torsion.T0, torsion.U
+    mats = [[list(row) for row in spec.complex_structure(s)] for s in (1, 2, 3)]
+    omegas = [qc._form_matrix(spec.omega[s - 1], hor) for s in (1, 2, 3)]
+    g = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+
+    l0 = _combine((Fraction(1, 2), t0), (1, u))
+    # omega_s pairs with the rotation of L0 by I_{s-1}, cyclically
+    isl0 = [_combine((-1, _matmul(l0, mats[s - 1]))) for s in range(3)]
+    t0_xi = [_matmul(t0, m) for m in mats]
+    t0_ix = [_matmul(_transpose(m), t0) for m in mats]
+    u_xi = [_matmul(u, m) for m in mats]
+
+    def kn(a_mat, b_mat, x, y, z, v):
+        return (_mul(a_mat[x][z], b_mat[y][v]) + _mul(a_mat[y][v], b_mat[x][z])
+                - _mul(a_mat[y][z], b_mat[x][v]) - _mul(a_mat[x][v], b_mat[y][z]))
+
+    quarter_s = S / 4
+    out = {}
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                for v in range(k):
+                    val = curv.entry(hor[x], hor[y], hor[z], hor[v])
+                    val += kn(g, l0, x, y, z, v)
+                    for s in range(3):
+                        om = omegas[s]
+                        val += kn(om, isl0[s], x, y, z, v)
+                        val -= Fraction(1, 2) * (
+                            _mul(om[x][y], t0_xi[s][z][v] - t0_ix[s][z][v])
+                            + _mul(om[z][v], t0_xi[s][x][y] - t0_ix[s][x][y]
+                                   - 4 * u_xi[s][x][y]))
+                        val += _mul(quarter_s, kn(om, om, x, y, z, v)
+                                    + 4 * _mul(om[x][y], om[z][v]))
+                    val += _mul(quarter_s, kn(g, g, x, y, z, v))
+                    if val:
+                        out[x, y, z, v] = Fraction(val)
+    return out
+
+
+def assert_matches_dense(spec):
+    alg = spec.algebra
+    rep = qc.analyze(spec)
+    assert rep.curvature.r == dense_curvature(rep.connection, alg)
+    assert all(type(x) is Fraction for x in rep.curvature.r.values())
+    assert rep.connection.torsion(alg) == dense_torsion(rep.connection, alg)
+    w = qc.wqc_tensor(spec, rep.torsion, rep.curvature)
+    assert w == dense_wqc(spec, rep.torsion, rep.curvature)
+    assert rep.wqc_zero == (not w)
+    assert rep.wqc_sample == w.get((0, 1, 2, 3), 0)
+    assert rep.wqc_max_abs == max((abs(x) for x in w.values()), default=0)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)",))
+def test_catalog_matches_dense(name):
+    assert_matches_dense(catalog(name))
+
+
+@pytest.mark.parametrize("name", ("l1", "l2", "l3"))
+def test_levi_civita_matches_dense(name):
+    alg = catalog(name).algebra
+    lc = koszul_levi_civita(alg)
+    assert lc.gamma == dense_levi_civita(alg)
+    assert frame_curvature(lc, alg).r == dense_curvature(lc, alg)
+
+
+def relabel(spec, perm) -> QcFrameSpec:
+    """The same coframe with frame index a renamed perm[a - 1]."""
+    n = spec.dim
+
+    def move(form):
+        out = KForm(n, form.degree)
+        for idx, coeff in form.terms.items():
+            out = out + coeff * KForm.basis(n, *(perm[a - 1] for a in idx))
+        return out
+
+    diff = [None] * n
+    for a, form in enumerate(spec.algebra.diff, start=1):
+        diff[perm[a - 1] - 1] = move(form)
+    alg = FrameAlgebra(spec.algebra.name, n, diff)
+    return QcFrameSpec(alg, [perm[a - 1] for a in spec.horizontal],
+                       [perm[a - 1] for a in spec.vertical],
+                       [move(w) for w in spec.omega])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
+def test_relabelled_frames_match_dense(name, perm):
+    spec = relabel(catalog(name), perm)
+    assert_matches_dense(spec)
+    # every field that does not name frame indices is unchanged
+    moved = ("name", "alphas", "rho_horizontal")
+    have, want = qc.analyze(spec).to_dict(), qc.catalog_report(name).to_dict()
+    assert {k: v for k, v in have.items() if k not in moved} == \
+        {k: v for k, v in want.items() if k not in moved}
