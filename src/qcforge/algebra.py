@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import FrameMismatch, FrameVector, KForm, parse_form, format_form
+from .forms import FrameVector, KForm, exterior_d, parse_form, format_form
 from .scalars import parse_rational
 
 
@@ -80,23 +80,7 @@ class FrameAlgebra:
     def mc_differential(self, form: KForm) -> KForm:
         """Extend d e^a to all invariant forms as an anti-derivation;
         scalars are closed."""
-        if form.dim != self.dim:
-            raise FrameMismatch(f"form lives on dim {form.dim}, algebra on {self.dim}")
-        out = KForm(self.dim, form.degree + 1)
-        for idx, coeff in form.terms.items():
-            for pos, a in enumerate(idx):
-                rest_front = idx[:pos]
-                rest_back = idx[pos + 1:]
-                piece = self.diff[a - 1]
-                if not rest_front:
-                    front = piece
-                else:
-                    front = KForm.basis(self.dim, *rest_front).wedge(piece)
-                if rest_back:
-                    front = front.wedge(KForm.basis(self.dim, *rest_back))
-                sign = -1 if pos % 2 else 1
-                out = out + (sign * coeff) * front
-        return out
+        return exterior_d(form, self.diff)
 
     def __repr__(self):
         return f"FrameAlgebra({self.name!r}, dim={self.dim})"
@@ -116,10 +100,6 @@ def jacobi_check(alg: FrameAlgebra) -> JacobiReport:
         for (b, c, d), value in dd.terms.items():
             violations.append((a, (b, c, d), value))
     return JacobiReport(ok=not violations, violations=violations)
-
-
-def mc_differential(alg: FrameAlgebra, form: KForm) -> KForm:
-    return alg.mc_differential(form)
 
 
 # ---------------------------------------------------------------------------

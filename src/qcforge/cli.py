@@ -27,7 +27,6 @@ from .algebra import (AlgebraSyntaxError, DuplicateDifferential,
                       IndexOutOfRange, UnknownName, catalog, format_algebra,
                       jacobi_check, parse_algebra)
 from .evolution import FAMILIES, NotEinsteinBase, build_family
-from .poly import Poly
 from .scalars import DomainError
 
 EXIT_OK = 0
@@ -219,7 +218,7 @@ def cmd_build(args) -> int:
             verdicts["not_closed_ok"] = result["dform_residual"] > 1e-3
         else:
             verdicts["closed_ok"] = result["dform_residual"] < tol_res
-        if fam.kind == "spin7":
+        if fam.kind.startswith("spin7"):
             verdicts["ricci_flat_ok"] = result["ricci_max_abs"] < tol_ric
         if "einstein_expected" in result:
             want = result["einstein_expected"]
@@ -238,81 +237,11 @@ def cmd_build(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-_SYMBOLIC_TARGETS = ("closedqc", "qk-closure", "spin7-closure", "triaxial",
-                     "hypo-evolution")
-
-
 def cmd_symbolic(args) -> int:
-    target = args.target
-    results: dict = {}
-    ok = True
-    f, h = Poly.symbol("f"), Poly.symbol("h")
-    fp, fpp = Poly.symbol("f'"), Poly.symbol("f''")
-    s = Poly.symbol("S")
-    if target == "closedqc":
-        residual = dga.verify_closedqc()
-        ok = residual.is_zero()
-        results["d_combination"] = str(residual)
-    elif target == "qk-closure":
-        r = dga.verify_qk_closure()
-        results["omega_omega_dt"] = str(r["omega_omega_dt"])
-        results["mixed"] = str(r["mixed"])
-        results["after_h_substitution"] = str(r["factored"])
-        ok = (r["omega_omega_dt_sub"].is_zero()
-              and r["factored"] == fp * (f * fpp - fp * fp + s * f))
-    elif target == "spin7-closure":
-        r = dga.verify_spin7_closure()
-        results["omega_omega_dt"] = str(r["omega_omega_dt"])
-        results["mixed"] = str(r["mixed"])
-        results["after_h_substitution"] = str(r["factored"])
-        ok = (r["omega_omega_dt_sub"].is_zero()
-              and (-27) * r["factored"] == fp * (3 * f * fpp + fp * fp - 9 * s * f))
-    elif target == "triaxial":
-        t = dga.verify_triaxial_systems()
-        results["qk_first"] = str(t["qk_first"])
-        results["qk_rows"] = [str(p) for p in t["qk_rows"]]
-        results["spin7_first"] = str(t["spin7_first"])
-        results["spin7_rows"] = [str(p) for p in t["spin7_rows"]]
-        results["ideal_rows"] = [str(p) for p in t["ideal_rows"]]
-        ok = _triaxial_ok(t)
-    elif target == "hypo-evolution":
-        hy = dga.verify_hypo_evolution()
-        qk_r = dga.verify_qk_closure()
-        results["v_coeff"] = str(hy["v_coeff"])
-        results["mixed"] = [str(m) for m in hy["mixed"]]
-        ok = (hy["v_coeff"] == 3 * qk_r["omega_omega_dt"]
-              and all(m == qk_r["mixed"] for m in hy["mixed"]))
-    else:
-        print(f"unknown target {target!r}; known: {', '.join(_SYMBOLIC_TARGETS)}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    _emit(_report("symbolic", f"target:{target}", target, {}, ok, results),
+    ok, results = dga.SYMBOLIC_TARGETS[args.target]()
+    _emit(_report("symbolic", f"target:{args.target}", args.target, {}, ok, results),
           args.format)
     return EXIT_OK if ok else EXIT_VERIFICATION
-
-
-def _triaxial_ok(t) -> bool:
-    f = t["f"]
-    fs = t["fs"]
-    prod, fsum = t["prod"], t["fsum"]
-    fp, s = Poly.symbol("f'"), Poly.symbol("S")
-    if t["qk_first"] != 2 * f * (3 * fp - 2 * fsum):
-        return False
-    if t["spin7_first"] != 2 * f * (fp - 2 * fsum):
-        return False
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
-        fjp, fkp = Poly.symbol(f"f{j}'"), Poly.symbol(f"f{k}'")
-        d_ffjfk = fp * fj * fk + f * fjp * fk + f * fj * fkp
-        if t["qk_rows"][i - 1] != 2 * (d_ffjfk - s * f * (fi - fj - fk) - 6 * prod):
-            return False
-        if t["spin7_rows"][i - 1] != -2 * (d_ffjfk - 2 * prod):
-            return False
-        rel = (f * (fjp * fk + fj * fkp) - fp * fj * fk + 2 * prod
-               - 2 * fj * fk * (fj + fk) + s * f * (fj + fk) - s * f * fi)
-        if t["ideal_rows"][i - 1] != f * rel:
-            return False
-    return True
 
 
 def cmd_sweep(args) -> int:
@@ -363,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("symbolic", help="symbolic coefficient-system checks")
-    p.add_argument("target", choices=_SYMBOLIC_TARGETS)
+    p.add_argument("target", choices=tuple(dga.SYMBOLIC_TARGETS))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_symbolic)
 
@@ -373,8 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_samples(argv) -> list:
+    """Glue each ``--samples`` to its value, so that a list starting with a
+    negative point is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--samples":
+            value = next(tokens, None)
+            tok = tok if value is None else f"--samples={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_samples(argv))
     return args.func(args)
 
 

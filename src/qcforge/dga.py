@@ -335,24 +335,21 @@ def verify_closedqc() -> DgaElement:
     return dga_d(closedqc_combination(), with_time=False)
 
 
-def _diag_qk_triple(f: Poly, h: Poly) -> list:
+def _triaxial_triple(kind: str, f: Poly, fs: list) -> list:
+    """The evolved 2-form triple with vertical coefficients ``fs``; the
+    diagonal families pass [h, h, h]."""
     forms = []
     for i in (1, 2, 3):
         j, k = _CYCLIC[i]
-        forms.append(f * OMEGA[i - 1]
-                     + (h * h) * (ETA[j - 1] * ETA[k - 1])
-                     - h * (ETA[i - 1] * DT))
-    return forms
-
-
-def _diag_spin7_triple(f: Poly, h: Poly) -> list:
-    forms = []
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
-        sign = Poly.const(1 if i == 3 else -1)
-        forms.append(f * OMEGA[i - 1]
-                     + sign * (h * h) * (ETA[j - 1] * ETA[k - 1])
-                     + sign * h * (ETA[i - 1] * DT))
+        if kind == "qk":
+            forms.append(f * OMEGA[i - 1]
+                         + (fs[j - 1] * fs[k - 1]) * (ETA[j - 1] * ETA[k - 1])
+                         - fs[i - 1] * (ETA[i - 1] * DT))
+        else:
+            sign = Poly.const(1 if i == 3 else -1)
+            forms.append(f * OMEGA[i - 1]
+                         + sign * (fs[j - 1] * fs[k - 1]) * (ETA[j - 1] * ETA[k - 1])
+                         + sign * fs[i - 1] * (ETA[i - 1] * DT))
     return forms
 
 
@@ -383,7 +380,7 @@ def verify_qk_closure() -> dict:
     coefficient left after the substitution h = f'/2.
     """
     f, h = sym("f"), sym("h")
-    forms = _diag_qk_triple(f, h)
+    forms = _triaxial_triple("qk", f, [h, h, h])
     phi = DgaElement.zero()
     for fo in forms:
         phi = phi + fo * fo
@@ -405,7 +402,7 @@ def verify_spin7_closure() -> dict:
     """Closedness obstruction of the diagonal self-dual 4-form, with the
     reduction forced by h = f'/6."""
     f, h = sym("f"), sym("h")
-    forms = _diag_spin7_triple(f, h)
+    forms = _triaxial_triple("spin7", f, [h, h, h])
     psi = forms[0] * forms[0] + forms[1] * forms[1] - forms[2] * forms[2]
     dpsi = dga_d(psi)
     c_v, mixed = _extract_system(dpsi)
@@ -421,24 +418,6 @@ def verify_spin7_closure() -> dict:
     }
 
 
-def _triaxial_triple(kind: str) -> list:
-    f = sym("f")
-    fs = [sym("f1"), sym("f2"), sym("f3")]
-    forms = []
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
-        if kind == "qk":
-            forms.append(f * OMEGA[i - 1]
-                         + (fs[j - 1] * fs[k - 1]) * (ETA[j - 1] * ETA[k - 1])
-                         - fs[i - 1] * (ETA[i - 1] * DT))
-        else:
-            sign = Poly.const(1 if i == 3 else -1)
-            forms.append(f * OMEGA[i - 1]
-                         + sign * (fs[j - 1] * fs[k - 1]) * (ETA[j - 1] * ETA[k - 1])
-                         + sign * fs[i - 1] * (ETA[i - 1] * DT))
-    return forms
-
-
 def verify_triaxial_systems() -> dict:
     """Coefficient systems of the triaxial evolutions under the diagonal
     structure equations (alpha_s = -S eta_s substituted before
@@ -450,7 +429,7 @@ def verify_triaxial_systems() -> dict:
 
     # quaternion-type 4-form, S symbolic; the specialization is applied
     # after differentiating since the generic rules reintroduce alphas
-    forms = _triaxial_triple("qk")
+    forms = _triaxial_triple("qk", f, fs)
     phi = DgaElement.zero()
     for fo in forms:
         phi = phi + fo * fo
@@ -461,7 +440,7 @@ def verify_triaxial_systems() -> dict:
 
     # self-dual 4-form at S = 0
     s_zero = {"S": Poly.const(0)}
-    forms7 = _triaxial_triple("spin7")
+    forms7 = _triaxial_triple("spin7", f, fs)
     psi = forms7[0] * forms7[0] + forms7[1] * forms7[1] - forms7[2] * forms7[2]
     dpsi = specialize_diagonal(dga_d(psi)).subs(s_zero)
     c_v7, mixed7 = _extract_system(dpsi)
@@ -485,13 +464,13 @@ def verify_triaxial_systems() -> dict:
             raise AssertionError(f"ideal reduction left extra monomials: {stray}")
         ideal_rows.append(coeff)  # equals f * (relation for component i)
 
+    # the expected polynomials are in _target_triaxial below
     return {
-        "qk_first": qk_first,          # 2 f (3 f' - 2 (f1+f2+f3))
-        "qk_rows": qk_rows,            # 2 [(f fj fk)' - S f (fi-fj-fk) - 6 f1 f2 f3]
-        "spin7_first": c_v7,           # 2 f (f' - 2 (f1+f2+f3))
-        "spin7_rows": mixed7,          # -2 [(f fj fk)' - 2 f1 f2 f3]
-        "ideal_rows": ideal_rows,      # f * [f (fj fk)' - f' fj fk + 2 f1 f2 f3
-                                       #      - 2 fj fk (fj+fk) + S f (fj+fk) - S f fi]
+        "qk_first": qk_first,
+        "qk_rows": qk_rows,
+        "spin7_first": c_v7,
+        "spin7_rows": mixed7,
+        "ideal_rows": ideal_rows,  # f times the relation of each component
         "f": f, "fs": fs, "prod": prod, "fsum": fsum,
     }
 
@@ -520,3 +499,84 @@ def verify_hypo_evolution() -> dict:
         j, k = _CYCLIC[i]
         mixed.append(residual.coefficient((f"eta{j}", f"eta{k}"), f"omega{i}"))
     return {"residual": residual, "v_coeff": c_v, "mixed": mixed}
+
+
+# ---------------------------------------------------------------------------
+# The published coefficient systems, one check per symbolic target
+# ---------------------------------------------------------------------------
+
+_F, _H, _FP, _FPP, _HP = (sym(n) for n in ("f", "h", "f'", "f''", "h'"))
+
+
+def _closure_results(r: dict) -> dict:
+    return {"omega_omega_dt": str(r["omega_omega_dt"]), "mixed": str(r["mixed"]),
+            "after_h_substitution": str(r["factored"])}
+
+
+def _target_closedqc():
+    residual = verify_closedqc()
+    return residual.is_zero(), {"d_combination": str(residual)}
+
+
+def _target_qk_closure():
+    r = verify_qk_closure()
+    ok = (r["omega_omega_dt"] == 2 * _F * _FP - 4 * _F * _H
+          and r["mixed"] == (2 * (_FP * _H * _H + 2 * _F * _H * _HP)
+                             + 2 * _S * _F * _H - 12 * _H**3)
+          and r["omega_omega_dt_sub"].is_zero()
+          and r["factored"] == _FP * (_F * _FPP - _FP * _FP + _S * _F))
+    return ok, _closure_results(r)
+
+
+def _target_spin7_closure():
+    r = verify_spin7_closure()
+    ok = (r["omega_omega_dt"] == 2 * _F * _FP - 12 * _F * _H
+          and r["mixed"] == -(2 * (_FP * _H * _H + 2 * _F * _H * _HP)
+                              - 2 * _S * _F * _H - 4 * _H**3)
+          and r["omega_omega_dt_sub"].is_zero()
+          and (-27) * r["factored"] == _FP * (3 * _F * _FPP + _FP * _FP - 9 * _S * _F))
+    return ok, _closure_results(r)
+
+
+def _target_triaxial():
+    t = verify_triaxial_systems()
+    f, fs, prod, fsum = t["f"], t["fs"], t["prod"], t["fsum"]
+    ok = (t["qk_first"] == 2 * f * (3 * _FP - 2 * fsum)
+          and t["spin7_first"] == 2 * f * (_FP - 2 * fsum))
+    for i in (1, 2, 3):
+        j, k = _CYCLIC[i]
+        fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
+        fjp, fkp = sym(f"f{j}'"), sym(f"f{k}'")
+        d_ffjfk = _FP * fj * fk + f * fjp * fk + f * fj * fkp
+        rel = (f * (fjp * fk + fj * fkp) - _FP * fj * fk + 2 * prod
+               - 2 * fj * fk * (fj + fk) + _S * f * (fj + fk) - _S * f * fi)
+        ok = (ok and t["qk_rows"][i - 1] == 2 * (d_ffjfk - _S * f * (fi - fj - fk) - 6 * prod)
+              and t["spin7_rows"][i - 1] == -2 * (d_ffjfk - 2 * prod)
+              and t["ideal_rows"][i - 1] == f * rel)
+    results = {
+        "qk_first": str(t["qk_first"]),
+        "qk_rows": [str(p) for p in t["qk_rows"]],
+        "spin7_first": str(t["spin7_first"]),
+        "spin7_rows": [str(p) for p in t["spin7_rows"]],
+        "ideal_rows": [str(p) for p in t["ideal_rows"]],
+    }
+    return ok, results
+
+
+def _target_hypo_evolution():
+    hy = verify_hypo_evolution()
+    qk = verify_qk_closure()
+    ok = (hy["v_coeff"] == 3 * qk["omega_omega_dt"]
+          and all(m == qk["mixed"] for m in hy["mixed"]))
+    return ok, {"v_coeff": str(hy["v_coeff"]), "mixed": [str(m) for m in hy["mixed"]]}
+
+
+# target name -> check returning (ok, printable results); each check calls
+# its verify_* function and compares against the published polynomials
+SYMBOLIC_TARGETS = {
+    "closedqc": _target_closedqc,
+    "qk-closure": _target_qk_closure,
+    "spin7-closure": _target_spin7_closure,
+    "triaxial": _target_triaxial,
+    "hypo-evolution": _target_hypo_evolution,
+}

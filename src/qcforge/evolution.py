@@ -11,6 +11,14 @@ Each catalog family stores closed-form coefficient functions in its own
 coordinate x together with the factor w = dt/dx relating x to the
 arc-length parameter t in which the ansatz
 ``F_i = f omega_i + h_j h_k eta_j ^ eta_k - h_i eta_i ^ dt`` is written.
+
+One builder, :func:`build_triaxial`, evolves every family: a diagonal
+family passes its one vertical coefficient as [h, h, h].  The ``spin7``
+pattern adds the 3-form/4-form pair checks; a sample where a vertical
+coefficient vanishes is skipped for Ricci and counted, and
+:func:`build_family` raises :class:`DomainError` when no sample is left.
+:func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
+structure equations and the jet derivative times dx.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from . import qc
 from .algebra import QcFrameSpec, catalog
-from .forms import KForm
+from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
 from .scalars import (Const, DomainError, Jet, Pow, ScalarFunction, U, cosh,
                       exp, sinh, sqrt)
@@ -55,29 +63,12 @@ def _extend(form: KForm, dim_ext: int) -> KForm:
 def extended_d(base, form: KForm) -> KForm:
     """d on the product of the base coframe with a line: Maurer-Cartan
     structure terms plus jet derivatives of the coefficients times dx.
-    The dx direction is the last index of the extended frame."""
-    dim_ext = base.dim + 1
-    if form.dim != dim_ext:
-        raise ValueError("form must live on the extended frame")
-    out = KForm(dim_ext, form.degree + 1)
-    dx = KForm.basis(dim_ext, dim_ext)
-    for idx, coeff in form.terms.items():
-        cj = coeff if isinstance(coeff, Jet) else Jet.const(coeff)
-        dc = cj.derivative()
-        if not dc.is_zero():
-            out = out + dc * dx.wedge(KForm.basis(dim_ext, *idx))
-        for pos, a in enumerate(idx):
-            if a == dim_ext:
-                continue  # d(dx) = 0
-            piece = _extend(base.diff[a - 1], dim_ext)
-            front = idx[:pos]
-            back = idx[pos + 1:]
-            if front:
-                piece = KForm.basis(dim_ext, *front).wedge(piece)
-            if back:
-                piece = piece.wedge(KForm.basis(dim_ext, *back))
-            out = out + (cj * (-1.0 if pos % 2 else 1.0)) * piece
-    return out
+    The dx direction is the last index of the extended frame; d(dx) = 0."""
+    n = base.dim + 1
+    dx = KForm.basis(n, n)
+    generators = [_extend(g, n) for g in base.diff] + [KForm(n, 2)]
+    return exterior_d(form, generators,
+                      lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() * dx)
 
 
 def _jet_or_raise(fn: ScalarFunction, x: float) -> Jet:
@@ -173,11 +164,14 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
-                   h: ScalarFunction, w: ScalarFunction, samples,
-                   kind: str) -> dict:
-    """Evolve the structure diagonally (one vertical coefficient) and
-    collect residuals, Ricci data, and the curvature-span rank."""
+def build_triaxial(spec: QcFrameSpec, f: ScalarFunction, fs, w: ScalarFunction,
+                   samples, kind: str) -> dict:
+    """Evolve the structure with vertical coefficients f1, f2, f3 (a
+    diagonal family passes [h, h, h]) and collect residuals, Ricci data,
+    the curvature-span rank and, for the ``spin7`` pattern, the checks of
+    the 3-form/4-form pair.  A sample where a vertical coefficient
+    vanishes carries no metric: it is skipped for Ricci and counted in
+    ``degenerate_samples``."""
     dim_ext = spec.dim + 1
     base = spec.algebra
     dform_worst = 0.0
@@ -190,9 +184,8 @@ def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
     ricci_list = []
     for x in samples:
         fj = _jet_or_raise(f, x)
-        hj = _jet_or_raise(h, x)
+        hs = [_jet_or_raise(fn, x) for fn in fs]
         wj = _jet_or_raise(w, x)
-        hs = [hj, hj, hj]
         nondegenerate = _check_positive(fj, hs, wj, x)
         forms = _form_triple(spec, fj, hs, wj, kind)
         dforms = [extended_d(base, fo) for fo in forms]
@@ -208,7 +201,7 @@ def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
         ideal_worst = max(ideal_worst, _ideal_residual(forms, dforms, dim_ext))
 
         if kind == "spin7":
-            g2, star_g2 = _g2_pair(spec, fj, hj, dim_ext)
+            g2, star_g2 = _g2_pair(spec, fj, hs, dim_ext)
             two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(KForm.basis(dim_ext, dim_ext))
             psi_consistency = max(psi_consistency, (phi - two_star).max_abs())
             cocal = extended_d(base, star_g2)
@@ -241,8 +234,6 @@ def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
         ricci_dev = max(ricci_dev, float(np.abs(ric - lam * np.eye(dim_total)).max()))
         ricci_abs = max(ricci_abs, float(np.abs(ric).max()))
     out = {
-        "kind": kind,
-        "samples": list(samples),
         "dform_residual": dform_worst,
         "ideal_residual": ideal_worst,
         "einstein_const": const_list[len(const_list) // 2] if const_list else None,
@@ -250,6 +241,7 @@ def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
         "ricci_max_abs": ricci_abs if const_list else None,
         "curvature_rank": rank_max if const_list else None,
         "structure_residual": struct_worst,
+        "degenerate_samples": len(samples) - len(ricci_list),
     }
     if kind == "spin7":
         out["psi_consistency"] = psi_consistency
@@ -258,78 +250,23 @@ def build_diagonal(spec: QcFrameSpec, S: Fraction, f: ScalarFunction,
     return out
 
 
-def _g2_pair(spec: QcFrameSpec, fj: Jet, hj: Jet, dim_ext: int):
+def _g2_pair(spec: QcFrameSpec, fj: Jet, hs, dim_ext: int):
     """The 3-form and its dual 4-form of the evolved structure."""
     v = spec.vertical
     g2 = KForm(dim_ext, 3)
     star = (0.5 * fj * fj) * _extend(spec.omega[0].wedge(spec.omega[0]), dim_ext)
     for i, j, k in _CYCLIC:
-        g2 = g2 + (fj * hj) * _extend(spec.omega[i - 1], dim_ext).wedge(
+        g2 = g2 + (fj * hs[i - 1]) * _extend(spec.omega[i - 1], dim_ext).wedge(
             KForm.basis(dim_ext, v[i - 1]))
-        star = star - (fj * hj * hj) * _extend(spec.omega[i - 1], dim_ext).wedge(
+        star = star - (fj * hs[j - 1] * hs[k - 1]) * _extend(spec.omega[i - 1], dim_ext).wedge(
             KForm.basis(dim_ext, v[j - 1], v[k - 1]))
-    g2 = g2 - (hj * hj * hj) * KForm.basis(dim_ext, v[0], v[1], v[2])
+    g2 = g2 - (hs[0] * hs[1] * hs[2]) * KForm.basis(dim_ext, v[0], v[1], v[2])
     return g2, star
 
 
-def build_qk(spec: QcFrameSpec, S: Fraction, f, h, w, samples) -> dict:
-    return build_diagonal(spec, S, f, h, w, samples, "qk")
-
-
-def build_spin7(spec: QcFrameSpec, S: Fraction, f, h, w, samples) -> dict:
-    return build_diagonal(spec, S, f, h, w, samples, "spin7")
-
-
-def build_triaxial(spec: QcFrameSpec, f, fs, w, samples, kind: str,
-                   with_ricci: bool = True) -> dict:
-    """Triaxial evolution: independent vertical coefficients f1, f2, f3."""
-    dim_ext = spec.dim + 1
-    base = spec.algebra
-    dform_worst = 0.0
-    ideal_worst = 0.0
-    rank_max = 0
-    einstein_dev = 0.0
-    ricci_abs = 0.0
-    struct_worst = 0.0
-    for x in samples:
-        fj = _jet_or_raise(f, x)
-        hs = [_jet_or_raise(fn, x) for fn in fs]
-        wj = _jet_or_raise(w, x)
-        if not _check_positive(fj, hs, wj, x):
-            raise DomainError(f"vertical coefficient vanishes at x={x}")
-        forms = _form_triple(spec, fj, hs, wj, kind)
-        dforms = [extended_d(base, fo) for fo in forms]
-        if kind == "qk":
-            phi = KForm(dim_ext, 4)
-            for fo in forms:
-                phi = phi + fo.wedge(fo)
-        else:
-            phi = forms[0].wedge(forms[0]) + forms[1].wedge(forms[1]) \
-                - forms[2].wedge(forms[2])
-        dform_worst = max(dform_worst, extended_d(base, phi).max_abs())
-        ideal_worst = max(ideal_worst, _ideal_residual(forms, dforms, dim_ext))
-        if with_ricci:
-            summary = ricci_and_rank(_coframe(spec, fj, hs, wj))
-            struct_worst = max(struct_worst, summary.structure_residual,
-                               summary.antisymmetry_residual)
-            rank_max = max(rank_max, summary.curvature_rank)
-            ric = summary.ricci
-            lam = float(np.trace(ric)) / (spec.dim + 1)
-            einstein_dev = max(einstein_dev,
-                               float(np.abs(ric - lam * np.eye(spec.dim + 1)).max()))
-            ricci_abs = max(ricci_abs, float(np.abs(ric).max()))
-    out = {
-        "kind": f"{kind}_triaxial",
-        "samples": list(samples),
-        "dform_residual": dform_worst,
-        "ideal_residual": ideal_worst,
-        "structure_residual": struct_worst,
-    }
-    if with_ricci:
-        out["einstein_deviation"] = einstein_dev
-        out["ricci_max_abs"] = ricci_abs
-        out["curvature_rank"] = rank_max
-    return out
+def _axes(funcs: dict) -> list:
+    """The three vertical coefficient functions; diagonal families repeat h."""
+    return [funcs.get(k) or funcs["h"] for k in ("f1", "f2", "f3")]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +308,7 @@ def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
             continue
         f = _jet_or_raise(funcs["f"], x)
         # diagonal families satisfy the triaxial systems with f1 = f2 = f3 = h
-        fs = [_jet_or_raise(funcs.get(k) or funcs["h"], x) for k in ("f1", "f2", "f3")]
+        fs = [_jet_or_raise(fn, x) for fn in _axes(funcs)]
         df = _dt(f, w)
         prod = fs[0] * fs[1] * fs[2]
         res = []
@@ -696,20 +633,12 @@ def build_family(name: str, params=None, samples=None) -> dict:
         return result
 
     spec = require_einstein_base(fam.base, fam.S)
-    if fam.kind == "qk":
-        built = build_qk(spec, fam.S, funcs["f"], funcs["h"], funcs["w"], pts)
-    elif fam.kind == "spin7":
-        built = build_spin7(spec, fam.S, funcs["f"], funcs["h"], funcs["w"], pts)
-    elif fam.kind in ("qk_triaxial", "ideal"):
-        built = build_triaxial(spec, funcs["f"],
-                               [funcs["f1"], funcs["f2"], funcs["f3"]],
-                               funcs["w"], pts, "qk")
-    elif fam.kind == "spin7_triaxial":
-        built = build_triaxial(spec, funcs["f"],
-                               [funcs["f1"], funcs["f2"], funcs["f3"]],
-                               funcs["w"], pts, "spin7")
-    else:
-        raise ValueError(f"unhandled family kind {fam.kind}")
+    pattern = "spin7" if fam.kind.startswith("spin7") else "qk"
+    built = build_triaxial(spec, funcs["f"], _axes(funcs), funcs["w"], pts, pattern)
+    if built["einstein_const"] is None:
+        raise DomainError(f"every sample of {fam.name} is degenerate "
+                          f"(a vertical coefficient vanishes at each of {pts})")
+    result["kind"] = "qk_triaxial" if fam.kind == "ideal" else fam.kind
     result.update(built)
     if fam.einstein_const is not None:
         result["einstein_expected"] = fam.einstein_const(p)

@@ -286,6 +286,44 @@ class KForm:
         return f"KForm({self.dim}, {self.degree}, {format_form(self)!r})"
 
 
+def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
+    """The anti-derivation fixed by ``d e^a = generator_d[a-1]``.
+
+    Without ``coeff_d`` the coefficients are closed (invariant forms);
+    with it, each coefficient c also contributes ``coeff_d(c) ^ e^I``,
+    where ``coeff_d`` returns a 1-form.  Terms are summed in the order
+    coefficient derivative first, then the positions of I left to right.
+    """
+    if len(generator_d) != form.dim:
+        raise FrameMismatch(f"form lives on dim {form.dim}, "
+                            f"{len(generator_d)} generator differentials given")
+    res = {}
+
+    def add(idx, c):
+        s = res.get(idx, 0) + c
+        if is_zero_scalar(s):
+            res.pop(idx, None)
+        else:
+            res[idx] = s
+
+    for idx, coeff in form.terms.items():
+        if coeff_d is not None:
+            for didx, dc in coeff_d(coeff).terms.items():
+                merged, sign = _sort_indices(didx + idx)
+                if sign:
+                    add(merged, dc if sign > 0 else -dc)
+        for pos, a in enumerate(idx):
+            c = coeff * (-1 if pos % 2 else 1)
+            front, back = idx[:pos], idx[pos + 1:]
+            for gidx, g in generator_d[a - 1].terms.items():
+                merged, sign = _sort_indices(front + gidx + back)
+                if sign:
+                    add(merged, c * (g if sign > 0 else -g))
+    out = KForm(form.dim, form.degree + 1)
+    out.terms = res
+    return out
+
+
 def _permutation_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)

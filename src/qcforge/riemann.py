@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FrameAlgebra
-from .forms import KForm
+from .forms import KForm, exterior_d
 from .scalars import Jet
 
 
@@ -234,33 +234,6 @@ class CoframeWithJets:
         out.append(KForm(n, 2))  # d(w dx) = w' dx ^ dx = 0
         return out
 
-    def ext_d(self, form: KForm, dhats=None) -> KForm:
-        """Exterior derivative on the extended frame of a jet-coefficient
-        form: base structure terms plus coefficient derivatives times dx."""
-        n = self.dim
-        if form.dim != n:
-            raise ValueError("form does not live on the extended frame")
-        if dhats is None:
-            dhats = self.coframe_differentials()
-        out = KForm(n, form.degree + 1)
-        dx_row = KForm.basis(n, n)
-        for idx, coeff in form.terms.items():
-            cj = coeff if isinstance(coeff, Jet) else Jet.const(coeff)
-            dc = cj.derivative()
-            if not dc.is_zero():
-                out = out + (dc / self.w) * dx_row.wedge(KForm.basis(n, *idx))
-            for pos, a in enumerate(idx):
-                front = idx[:pos]
-                back = idx[pos + 1:]
-                piece = dhats[a - 1]
-                if front:
-                    piece = KForm.basis(n, *front).wedge(piece)
-                if back:
-                    piece = piece.wedge(KForm.basis(n, *back))
-                sign = -1.0 if pos % 2 else 1.0
-                out = out + (cj * sign) * piece
-        return out
-
 
 @dataclass
 class CartanConnection:
@@ -329,14 +302,29 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     return CartanConnection(n, forms, struct, anti)
 
 
+def frame_d(cof: CoframeWithJets, dhats: list):
+    """d over the orthonormal jet coframe, as a function of a form:
+    d hat-e^a = dhats[a-1], and a coefficient c contributes
+    dc = c'(x) dx = (c'/w) hat-e^n."""
+    n = cof.dim
+    dx = KForm.basis(n, n)
+    inv_w = cof.w.reciprocal()
+
+    def coeff_d(c):
+        c = c if isinstance(c, Jet) else Jet.const(c)
+        return (c.derivative() * inv_w) * dx
+
+    return lambda form: exterior_d(form, dhats, coeff_d)
+
+
 def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> list:
     """Curvature 2-forms Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b."""
     n = cof.dim
-    dhats = cof.coframe_differentials()
+    d = frame_d(cof, cof.coframe_differentials())
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            omega = cof.ext_d(conn.forms[a][b], dhats)
+            omega = d(conn.forms[a][b])
             for c in range(n):
                 omega = omega + conn.forms[a][c].wedge(conn.forms[c][b])
             out[a][b] = omega

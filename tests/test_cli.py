@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -194,6 +195,33 @@ class TestBuild:
         assert code == 1
         assert "FAIL" in out
 
+    def test_every_sample_degenerate_exit_four(self, capsys):
+        # h = sinh(0)/4 = 0: no metric at the only sample
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-l1",
+                             "--samples", "0")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("domain error: every sample of qk-l1 is degenerate")
+        assert err.count("\n") == 1
+
+    def test_degenerate_samples_counted(self, capsys):
+        code, out, _ = run(capsys, "build", "qk", "--family", "qk-l1",
+                           "--samples", "0,1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["degenerate_samples"] == 1
+
+    def test_negative_first_sample(self, capsys):
+        code, out, _ = run(capsys, "build", "qk", "--family", "qk-l1",
+                           "--samples", "-0.5,0.5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["samples"] == [-0.5, 0.5]
+
+    def test_spin7_triaxial_ricci_flat_verdict(self, capsys):
+        code, out, _ = run(capsys, "build", "spin7", "--family", "spin7-triaxial",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["verdicts"]["ricci_flat_ok"] is True
+
 
 class TestSymbolic:
     @pytest.mark.parametrize("target", ["closedqc", "qk-closure",
@@ -213,3 +241,26 @@ class TestSymbolic:
         doc = json.loads(out)
         jsonschema.validate(doc, schema())
         assert doc["ok"] is True
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_ARGV = {
+    **{f"qc-report_{e}.json": ["qc-report", "--catalog", e, "--format", "json"]
+       for e in ("heis(1)", "heis(2)", "l0(1)", "l1", "l2", "l3")},
+    **{f"symbolic_{t}.json": ["symbolic", t, "--format", "json"]
+       for t in ("closedqc", "qk-closure", "spin7-closure", "triaxial", "hypo-evolution")},
+}
+
+
+class TestGoldenOutputs:
+    """The exact reports are pinned byte for byte: rationals, polynomials,
+    verdicts and exit codes must not move."""
+
+    def test_every_golden_file_is_checked(self):
+        assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_ARGV)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_output_matches(self, capsys, name):
+        code, out, _ = run(capsys, *GOLDEN_ARGV[name])
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()

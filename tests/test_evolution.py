@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
                                extended_d, ode_residual, require_einstein_base)
@@ -73,11 +74,12 @@ class TestDiagonalBuilds:
         # constant f with the vertical coefficient shut off: the triple is
         # just f omega_i, so the 4-form is constant horizontal and closed
         # (no metric is built: the product degenerates)
-        from qcforge.evolution import build_qk
+        from qcforge.evolution import build_triaxial
         from qcforge.scalars import Const
         spec = catalog("heis(1)")
-        r = build_qk(spec, Fraction(0), Const(1), Const(0), Const(1),
-                     [0.0, 0.5])
+        h = Const(0)
+        r = build_triaxial(spec, Const(1), [h, h, h], Const(1),
+                           [0.0, 0.5], "qk")
         assert r["dform_residual"] < TOL
         assert r["einstein_const"] is None
 
@@ -100,6 +102,15 @@ class TestTriaxial:
         assert r["dform_residual"] < TOL
         assert r["ricci_max_abs"] < 1e-8
         assert r["curvature_rank"] == 21
+
+    @pytest.mark.parametrize("params", [None, {"a1": 1, "a2": Fraction(6, 5),
+                                                "a3": -1, "C": 2}])
+    def test_spin7_triaxial_pair_checks(self, params):
+        r = build_family("spin7-triaxial", params=params)
+        assert r["psi_consistency"] < TOL_RESIDUAL
+        assert r["cocalibration_residual"] < TOL_RESIDUAL
+        assert r["hitchin_residual"] < TOL_RESIDUAL
+        assert r["degenerate_samples"] == 0
 
     def test_spin7_triaxial_reduction_matches_single_parameter_family(self):
         # a2 = a1, a3 = -a1 collapses the three vertical coefficients to a

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcforge.algebra import catalog
 from qcforge.forms import (ArityMismatch, BadOrientation, FrameMismatch,
-                           FrameVector, KForm, format_form, parse_form)
+                           FrameVector, KForm, exterior_d, format_form,
+                           parse_form)
+from qcforge.scalars import Jet
 
 
 def e(*idx, dim=7):
@@ -111,6 +114,50 @@ class TestInterior:
             lhs = a.wedge(b).interior(vec)
             rhs = a.interior(vec).wedge(b) + ((-1) ** a.degree) * a.wedge(b.interior(vec))
             assert lhs == rhs
+
+
+class TestExteriorD:
+    # the l1 structure equations on the product with a line, dx = e^8
+    GENERATORS = [KForm(8, 2, g.terms) for g in catalog("l1").algebra.diff] + [KForm(8, 2)]
+
+    @staticmethod
+    def coeff_d(c):
+        return c.derivative() * KForm.basis(8, 8)
+
+    @staticmethod
+    def random_jet_form(rng, x, degree):
+        form = KForm(8, degree)
+        for _ in range(4):
+            pick = tuple(rng.sample(range(1, 9), degree))
+            coeff = (x * rng.uniform(-1, 1)).exp() * rng.uniform(-2, 2)
+            form = form + coeff * KForm.basis(8, *pick)
+        return form
+
+    def test_leibniz_rule_with_jet_coefficients(self):
+        rng = random.Random(5)
+        d = lambda form: exterior_d(form, self.GENERATORS, self.coeff_d)
+        for _ in range(10):
+            x = Jet.variable(rng.uniform(0.5, 1.5))
+            a = self.random_jet_form(rng, x, rng.randint(1, 2))
+            b = self.random_jet_form(rng, x, rng.randint(1, 2))
+            lhs = d(a.wedge(b))
+            rhs = d(a).wedge(b) + ((-1) ** a.degree) * a.wedge(d(b))
+            assert (lhs - rhs).max_abs() < 1e-12
+            assert not lhs.is_zero()
+
+    def test_coefficient_derivative_times_dx(self):
+        x = Jet.variable(0.7)
+        form = KForm(8, 1, {(8,): x.exp()}) + KForm(8, 1, {(3,): x * x})
+        d = exterior_d(form, self.GENERATORS, self.coeff_d)
+        # d(x^2 e^3) = 2x dx ^ e^3 + x^2 d e^3; d(e^x dx) = 0
+        assert abs(d.terms[(3, 8)].value + 1.4) < 1e-15
+        want = exterior_d(KForm(8, 1, {(3,): Fraction(1)}), self.GENERATORS)
+        for idx, c in want.terms.items():
+            assert abs(d.terms[idx].value - 0.49 * float(c)) < 1e-15
+
+    def test_generator_count_must_match(self):
+        with pytest.raises(FrameMismatch):
+            exterior_d(e(1), self.GENERATORS)
 
 
 class TestHodge:

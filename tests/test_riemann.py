@@ -7,8 +7,9 @@ import pytest
 from qcforge.algebra import catalog, parse_algebra
 from qcforge.riemann import (CoframeWithJets, NonAntisymmetricTorsion,
                              SingularCoframe, adjust_by_torsion,
-                             cartan_connection, frame_curvature,
+                             cartan_connection, frame_curvature, frame_d,
                              koszul_levi_civita, ricci_and_rank)
+from qcforge.forms import KForm
 from qcforge.scalars import Jet
 
 SU2 = "algebra su2 dim 3\nd e1 = -1 e2^e3\nd e2 = -1 e3^e1\nd e3 = -1 e1^e2\n"
@@ -105,6 +106,28 @@ class TestCartan:
             conn = cartan_connection(cof)
             assert conn.structure_residual < 1e-12
             assert conn.antisymmetry_residual < 1e-12
+
+    def test_frame_d_squares_to_zero_on_spin7_l1(self):
+        # the d that curvature_forms applies to the connection forms, on the
+        # spin7-l1 coframe at a sample point
+        from qcforge.evolution import FAMILIES
+        funcs = FAMILIES["spin7-l1"].functions()
+        x = 0.8
+        fj, hj = funcs["f"].jet(x), funcs["h"].jet(x)
+        cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3,
+                              funcs["w"].jet(x))
+        d = frame_d(cof, cof.coframe_differentials())
+        conn = cartan_connection(cof)
+        checked = 0
+        for row in conn.forms:
+            for omega in row:
+                if omega.is_zero():
+                    continue
+                assert d(d(omega)).max_abs() < 1e-12
+                checked += 1
+        assert checked > 0
+        for a in range(1, cof.dim + 1):
+            assert d(d(KForm.basis(cof.dim, a))).max_abs() < 1e-12
 
     def test_singular_coframe_rejected(self):
         alg = catalog("heis(1)").algebra
