@@ -20,14 +20,12 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
-
 from . import __version__, acceptance, dga, qc
 from .algebra import (AlgebraSyntaxError, DuplicateDifferential,
                       IndexOutOfRange, UnknownName, catalog, format_algebra,
                       jacobi_check, parse_algebra)
 from .evolution import FAMILIES, NotEinsteinBase, build_family
-from .scalars import DomainError
+from .scalars import DomainError, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -124,7 +122,7 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param needs name=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = Fraction(value.strip())
+        out[key.strip()] = parse_rational(value)
     return out
 
 

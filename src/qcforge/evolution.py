@@ -13,16 +13,20 @@ arc-length parameter t in which the ansatz
 ``F_i = f omega_i + h_j h_k eta_j ^ eta_k - h_i eta_i ^ dt`` is written.
 
 One builder, :func:`build_triaxial`, evolves every family: a diagonal
-family passes its one vertical coefficient as [h, h, h].  The ``spin7``
-pattern adds the 3-form/4-form pair checks; a sample where a vertical
-coefficient vanishes is skipped for Ricci and counted, and
-:func:`build_family` raises :class:`DomainError` when no sample is left.
-:func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
-structure equations and the jet derivative times dx.
+family passes its one vertical coefficient as [h, h, h].  It evaluates
+all samples in one pass: the jets carry float64 arrays of shape (N,), one
+entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
+``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
+vertical coefficient vanishes is skipped for Ricci and counted, and
+:func:`build_family` raises :class:`DomainError` when no sample is left
+or a sample is not finite.  :func:`extended_d` is
+:func:`~qcforge.forms.exterior_d` bound to the base structure equations
+and the jet derivative times dx.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +37,7 @@ from .algebra import QcFrameSpec, catalog
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
 from .scalars import (Const, DomainError, Jet, Pow, ScalarFunction, U, cosh,
-                      exp, sinh, sqrt)
+                      exp, sinh, sqrt, worst_abs)
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -71,17 +75,24 @@ def extended_d(base, form: KForm) -> KForm:
                       lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() * dx)
 
 
-def _jet_or_raise(fn: ScalarFunction, x: float) -> Jet:
+def _jet_or_raise(fn: ScalarFunction, xs: np.ndarray) -> Jet:
+    """The jet of ``fn`` at the samples; an evaluation error names the
+    first sample that raises it."""
     try:
-        return fn.jet(x)
+        return fn.jet(xs)
     except DomainError:
         raise
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot evaluate {fn} at {x}: {exc}") from exc
+    except (ValueError, OverflowError, ZeroDivisionError):
+        for x in xs.tolist():
+            try:
+                fn.jet(x)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise DomainError(f"cannot evaluate {fn} at {x}: {exc}") from exc
+        raise
 
 
 def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> list:
-    """The three 2-forms of the evolved structure at one sample.
+    """The three 2-forms of the evolved structure at the samples.
 
     ``hs`` holds the jets of the three vertical coefficient functions;
     for ``kind=='qk'`` the triple is
@@ -107,18 +118,27 @@ def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> lis
     return out
 
 
-def _check_positive(fj: Jet, hs, w: Jet, x: float) -> bool:
-    """Guard the sample; returns False when a vertical coefficient vanishes
-    (the forms still make sense but the metric degenerates there)."""
-    if not fj.value > 0.0:
-        raise DomainError(f"horizontal coefficient not positive at x={x}: {fj.value}")
-    if w.value == 0.0:
-        raise DomainError(f"dt/dx vanishes at x={x}")
-    return all(h.value != 0.0 for h in hs)
+def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
+    """Guard the samples; the mask returned is False where a vertical
+    coefficient vanishes (the forms still make sense but the metric
+    degenerates there).  An error names the first failing sample."""
+    f_vals = np.broadcast_to(fj.value, xs.shape)
+    bad = np.logical_not(f_vals > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"horizontal coefficient not positive at x={xs[i]}: {f_vals[i]}")
+    bad = np.broadcast_to(w.value == 0.0, xs.shape)
+    if bad.any():
+        raise DomainError(f"dt/dx vanishes at x={xs[int(np.argmax(bad))]}")
+    keep = np.ones(xs.shape, dtype=bool)
+    for h in hs:
+        keep &= h.value != 0.0
+    return keep
 
 
 def _abs_jet(j: Jet) -> Jet:
-    return j if j.value >= 0 else -j
+    sign = np.where(j.value >= 0, 1.0, -1.0)
+    return Jet(tuple(c * sign for c in j.c))
 
 
 def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
@@ -131,32 +151,37 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
     return CoframeWithJets(spec.algebra, scalings, _abs_jet(w))
 
 
-def _ideal_residual(forms: list, dforms: list, dim_ext: int) -> float:
+def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
-    multipliers beta_j, maximized over i."""
+    multipliers beta_j, maximized over i and the ``count`` samples (one
+    least-squares solve per sample and i)."""
     triples = [(a, b, c)
                for a in range(1, dim_ext + 1)
                for b in range(a + 1, dim_ext + 1)
                for c in range(b + 1, dim_ext + 1)]
     row_of = {t: r for r, t in enumerate(triples)}
-    cols = []
+    rows, cols, vals = [], [], []
     for j in range(3):
         for m in range(1, dim_ext + 1):
-            col = np.zeros(len(triples))
             prod = KForm.basis(dim_ext, m).wedge(forms[j])
             for idx, coeff in prod.terms.items():
-                col[row_of[idx]] = float(getattr(coeff, "value", coeff))
-            cols.append(col)
-    a_mat = np.column_stack(cols)
-    worst = 0.0
+                rows.append(row_of[idx])
+                cols.append(j * dim_ext + m - 1)
+                vals.append(np.broadcast_to(getattr(coeff, "value", coeff), (count,)))
+    vals = np.array(vals).reshape(len(rows), count)
+    b_vec = np.zeros((3, count, len(triples)))
     for i in range(3):
-        b_vec = np.zeros(len(triples))
         for idx, coeff in dforms[i].terms.items():
-            b_vec[row_of[idx]] = float(getattr(coeff, "value", coeff))
-        sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        resid = a_mat @ sol - b_vec
-        worst = max(worst, float(np.abs(resid).max()))
-    return worst
+            b_vec[i, :, row_of[idx]] = getattr(coeff, "value", coeff)
+    resids = []
+    for s in range(count):
+        # one dense matrix at a time: the batch of them outweighs the forms
+        a_mat = np.zeros((len(triples), 3 * dim_ext))
+        a_mat[rows, cols] = vals[:, s]
+        for i in range(3):
+            sol, *_ = np.linalg.lstsq(a_mat, b_vec[i, s], rcond=None)
+            resids.append(a_mat @ sol - b_vec[i, s])
+    return worst_abs(resids)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +189,7 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
 def build_triaxial(spec: QcFrameSpec, f: ScalarFunction, fs, w: ScalarFunction,
                    samples, kind: str) -> dict:
     """Evolve the structure with vertical coefficients f1, f2, f3 (a
@@ -174,80 +200,67 @@ def build_triaxial(spec: QcFrameSpec, f: ScalarFunction, fs, w: ScalarFunction,
     ``degenerate_samples``."""
     dim_ext = spec.dim + 1
     base = spec.algebra
-    dform_worst = 0.0
-    ideal_worst = 0.0
-    struct_worst = 0.0
-    psi_consistency = 0.0
-    cocal_worst = 0.0
-    hitchin_worst = 0.0
-    rank_max = 0
-    ricci_list = []
-    for x in samples:
-        fj = _jet_or_raise(f, x)
-        hs = [_jet_or_raise(fn, x) for fn in fs]
-        wj = _jet_or_raise(w, x)
-        nondegenerate = _check_positive(fj, hs, wj, x)
-        forms = _form_triple(spec, fj, hs, wj, kind)
-        dforms = [extended_d(base, fo) for fo in forms]
-        if kind == "qk":
-            phi = KForm(dim_ext, 4)
-            for fo in forms:
-                phi = phi + fo.wedge(fo)
-        else:
-            phi = forms[0].wedge(forms[0]) + forms[1].wedge(forms[1]) \
-                - forms[2].wedge(forms[2])
-        dphi = extended_d(base, phi)
-        dform_worst = max(dform_worst, dphi.max_abs())
-        ideal_worst = max(ideal_worst, _ideal_residual(forms, dforms, dim_ext))
-
-        if kind == "spin7":
-            g2, star_g2 = _g2_pair(spec, fj, hs, dim_ext)
-            two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(KForm.basis(dim_ext, dim_ext))
-            psi_consistency = max(psi_consistency, (phi - two_star).max_abs())
-            cocal = extended_d(base, star_g2)
-            # cocalibration: the base part of d(*phi) at the frozen sample
-            cocal_base = cocal.restrict(range(1, spec.dim + 1))
-            cocal_worst = max(cocal_worst, cocal_base.max_abs())
-            # evolution equation forced by d(Psi) = 0 together with the
-            # cocalibration: the t-derivative of the dual 4-form matches the
-            # base differential of the 3-form (sign fixed by our dx
-            # orientation; reversing the parameter flips it)
-            flow = star_g2.map_coefficients(
-                lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() / wj)
-            dphi_base = extended_d(base, g2).restrict(range(1, spec.dim + 1))
-            hitchin_worst = max(hitchin_worst, (flow - dphi_base).max_abs())
-
-        if nondegenerate:
-            summary = ricci_and_rank(_coframe(spec, fj, hs, wj))
-            struct_worst = max(struct_worst, summary.structure_residual,
-                               summary.antisymmetry_residual)
-            rank_max = max(rank_max, summary.curvature_rank)
-            ricci_list.append(summary.ricci)
-
-    dim_total = spec.dim + 1
-    ricci_dev = 0.0
-    const_list = []
-    ricci_abs = 0.0
-    for ric in ricci_list:
-        lam = float(np.trace(ric)) / dim_total
-        const_list.append(lam)
-        ricci_dev = max(ricci_dev, float(np.abs(ric - lam * np.eye(dim_total)).max()))
-        ricci_abs = max(ricci_abs, float(np.abs(ric).max()))
+    xs = np.asarray(samples, dtype=float)
+    fj = _jet_or_raise(f, xs)
+    hs = [_jet_or_raise(fn, xs) for fn in fs]
+    wj = _jet_or_raise(w, xs)
+    keep = _check_positive(fj, hs, wj, xs)
+    # Ricci first: its curvature forms are the largest objects of a build,
+    # so none of the forms below should be alive beside them
+    ricci = _ricci_fields(spec, fj, hs, wj, keep)
+    forms = _form_triple(spec, fj, hs, wj, kind)
+    dforms = [extended_d(base, fo) for fo in forms]
+    if kind == "qk":
+        phi = KForm(dim_ext, 4)
+        for fo in forms:
+            phi = phi + fo.wedge(fo)
+    else:
+        phi = forms[0].wedge(forms[0]) + forms[1].wedge(forms[1]) \
+            - forms[2].wedge(forms[2])
     out = {
-        "dform_residual": dform_worst,
-        "ideal_residual": ideal_worst,
-        "einstein_const": const_list[len(const_list) // 2] if const_list else None,
-        "einstein_deviation": ricci_dev if const_list else None,
-        "ricci_max_abs": ricci_abs if const_list else None,
-        "curvature_rank": rank_max if const_list else None,
-        "structure_residual": struct_worst,
-        "degenerate_samples": len(samples) - len(ricci_list),
+        "dform_residual": extended_d(base, phi).max_abs(),
+        "ideal_residual": _ideal_residual(forms, dforms, dim_ext, len(xs)),
+        **ricci,
+        "degenerate_samples": len(xs) - int(keep.sum()),
     }
+
     if kind == "spin7":
-        out["psi_consistency"] = psi_consistency
-        out["cocalibration_residual"] = cocal_worst
-        out["hitchin_residual"] = hitchin_worst
+        g2, star_g2 = _g2_pair(spec, fj, hs, dim_ext)
+        two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(KForm.basis(dim_ext, dim_ext))
+        out["psi_consistency"] = (phi - two_star).max_abs()
+        cocal = extended_d(base, star_g2)
+        # cocalibration: the base part of d(*phi) at the frozen sample
+        out["cocalibration_residual"] = cocal.restrict(range(1, spec.dim + 1)).max_abs()
+        # evolution equation forced by d(Psi) = 0 together with the
+        # cocalibration: the t-derivative of the dual 4-form matches the
+        # base differential of the 3-form (sign fixed by our dx
+        # orientation; reversing the parameter flips it)
+        flow = star_g2.map_coefficients(
+            lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() / wj)
+        dphi_base = extended_d(base, g2).restrict(range(1, spec.dim + 1))
+        out["hitchin_residual"] = (flow - dphi_base).max_abs()
     return out
+
+
+def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> dict:
+    """Einstein constant (the middle sample's), deviation, |Ricci|, rank and
+    structure residual over the samples that ``keep`` selects."""
+    if not keep.any():
+        return {"einstein_const": None, "einstein_deviation": None,
+                "ricci_max_abs": None, "curvature_rank": None, "structure_residual": 0.0}
+    n = spec.dim + 1
+    summary = ricci_and_rank(_coframe(spec, fj.take(keep), [h.take(keep) for h in hs],
+                                      wj.take(keep)))
+    ricci = np.broadcast_to(summary.ricci, (int(keep.sum()), n, n))
+    consts = [float(np.trace(ric)) / n for ric in ricci]
+    return {
+        "einstein_const": consts[len(consts) // 2],
+        "einstein_deviation": worst_abs(ric - lam * np.eye(n) for ric, lam in zip(ricci, consts)),
+        "ricci_max_abs": worst_abs(ricci),
+        "curvature_rank": int(np.max(summary.curvature_rank)),
+        "structure_residual": worst_abs([summary.structure_residual,
+                                         summary.antisymmetry_residual]),
+    }
 
 
 def _g2_pair(spec: QcFrameSpec, fj: Jet, hs, dim_ext: int):
@@ -282,6 +295,7 @@ def _dt(j: Jet, w: Jet) -> Jet:
 ODE_SYSTEMS = ("solqk7", "sol7", "erealqk", "ereal7", "clideal", "ideal_sys")
 
 
+@np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
 def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
     """Max absolute residual of the named governing system on the samples.
 
@@ -292,57 +306,54 @@ def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
     if kind not in ODE_SYSTEMS:
         raise ValueError(f"unknown system {kind!r}")
     s_val = float(S)
-    worst = 0.0
-    for x in samples:
-        w = _jet_or_raise(funcs["w"], x)
-        if kind in ("solqk7", "sol7"):
-            f = _jet_or_raise(funcs["f"], x)
-            h = _jet_or_raise(funcs["h"], x)
-            df = _dt(f, w)
-            ddf = _dt(df, w)
-            if kind == "solqk7":
-                res = [f * ddf - df * df + s_val * f, h - 0.5 * df]
-            else:
-                res = [3.0 * f * ddf + df * df - 9.0 * s_val * f, h - df * (1.0 / 6.0)]
-            worst = max(worst, *(abs(r.value) for r in res))
-            continue
-        f = _jet_or_raise(funcs["f"], x)
-        # diagonal families satisfy the triaxial systems with f1 = f2 = f3 = h
-        fs = [_jet_or_raise(fn, x) for fn in _axes(funcs)]
+    xs = np.asarray(samples, dtype=float)
+    w = _jet_or_raise(funcs["w"], xs)
+    if kind in ("solqk7", "sol7"):
+        f = _jet_or_raise(funcs["f"], xs)
+        h = _jet_or_raise(funcs["h"], xs)
         df = _dt(f, w)
-        prod = fs[0] * fs[1] * fs[2]
-        res = []
-        if kind == "erealqk":
-            res.append(3.0 * df - 2.0 * (fs[0] + fs[1] + fs[2]))
-            for i, j, k in _CYCLIC:
-                lhs = _dt(f * fs[j - 1] * fs[k - 1], w)
-                lhs = lhs - s_val * f * (fs[i - 1] - fs[j - 1] - fs[k - 1])
-                res.append(lhs - 6.0 * prod)
-        elif kind == "ereal7":
-            res.append(df - 2.0 * (fs[0] + fs[1] + fs[2]))
-            for i, j, k in _CYCLIC:
-                res.append(_dt(f * fs[j - 1] * fs[k - 1], w) - 2.0 * prod)
-        elif kind == "clideal":
-            # differential-ideal condition for the triaxial ansatz
-            for i, j, k in _CYCLIC:
-                fj_, fk_ = fs[j - 1], fs[k - 1]
-                term = f * _dt(fj_ * fk_, w) - df * fj_ * fk_ + 2.0 * prod \
-                    - 2.0 * fj_ * fk_ * (fj_ + fk_) \
-                    + s_val * f * (fj_ + fk_) - s_val * f * fs[i - 1]
-                res.append(term)
-        elif kind == "ideal_sys":
-            # f_i = exp((u_j + u_k - u_i)/2) and f_i = (Du_j + Du_k)/4
-            # with u_i = ln(f_j f_k)
-            us = []
-            for i, j, k in _CYCLIC:
-                us.append((fs[j - 1] * fs[k - 1]).log())
-            dus = [_dt(u, w) for u in us]
-            for i, j, k in _CYCLIC:
-                res.append(fs[i - 1]
-                           - ((us[j - 1] + us[k - 1] - us[i - 1]) * 0.5).exp())
-                res.append(fs[i - 1] - 0.25 * (dus[j - 1] + dus[k - 1]))
-        worst = max(worst, *(abs(r.value) for r in res))
-    return worst
+        ddf = _dt(df, w)
+        if kind == "solqk7":
+            res = [f * ddf - df * df + s_val * f, h - 0.5 * df]
+        else:
+            res = [3.0 * f * ddf + df * df - 9.0 * s_val * f, h - df * (1.0 / 6.0)]
+        return worst_abs(r.value for r in res)
+    f = _jet_or_raise(funcs["f"], xs)
+    # diagonal families satisfy the triaxial systems with f1 = f2 = f3 = h
+    fs = [_jet_or_raise(fn, xs) for fn in _axes(funcs)]
+    df = _dt(f, w)
+    prod = fs[0] * fs[1] * fs[2]
+    res = []
+    if kind == "erealqk":
+        res.append(3.0 * df - 2.0 * (fs[0] + fs[1] + fs[2]))
+        for i, j, k in _CYCLIC:
+            lhs = _dt(f * fs[j - 1] * fs[k - 1], w)
+            lhs = lhs - s_val * f * (fs[i - 1] - fs[j - 1] - fs[k - 1])
+            res.append(lhs - 6.0 * prod)
+    elif kind == "ereal7":
+        res.append(df - 2.0 * (fs[0] + fs[1] + fs[2]))
+        for i, j, k in _CYCLIC:
+            res.append(_dt(f * fs[j - 1] * fs[k - 1], w) - 2.0 * prod)
+    elif kind == "clideal":
+        # differential-ideal condition for the triaxial ansatz
+        for i, j, k in _CYCLIC:
+            fj_, fk_ = fs[j - 1], fs[k - 1]
+            term = f * _dt(fj_ * fk_, w) - df * fj_ * fk_ + 2.0 * prod \
+                - 2.0 * fj_ * fk_ * (fj_ + fk_) \
+                + s_val * f * (fj_ + fk_) - s_val * f * fs[i - 1]
+            res.append(term)
+    elif kind == "ideal_sys":
+        # f_i = exp((u_j + u_k - u_i)/2) and f_i = (Du_j + Du_k)/4
+        # with u_i = ln(f_j f_k)
+        us = []
+        for i, j, k in _CYCLIC:
+            us.append((fs[j - 1] * fs[k - 1]).log())
+        dus = [_dt(u, w) for u in us]
+        for i, j, k in _CYCLIC:
+            res.append(fs[i - 1]
+                       - ((us[j - 1] + us[k - 1] - us[i - 1]) * 0.5).exp())
+            res.append(fs[i - 1] - 0.25 * (dus[j - 1] + dus[k - 1]))
+    return worst_abs(r.value for r in res)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +629,9 @@ def build_family(name: str, params=None, samples=None) -> dict:
     p = fam.params_with_defaults(params)
     funcs = fam.functions(params)
     pts = list(samples) if samples else fam.default_samples(params)
+    for x in pts:
+        if not math.isfinite(x):
+            raise DomainError(f"sample {x} is not a finite number")
 
     result = {
         "family": fam.name,

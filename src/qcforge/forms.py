@@ -14,7 +14,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .scalars import parse_rational
+from .scalars import parse_rational, worst_abs
 
 
 class FrameMismatch(ValueError):
@@ -272,12 +272,9 @@ class KForm:
         return out
 
     def max_abs(self) -> float:
-        """Largest |value| over coefficients (floats/jets), for residuals."""
-        worst = 0.0
-        for c in self.terms.values():
-            v = getattr(c, "value", c)
-            worst = max(worst, abs(float(v)))
-        return worst
+        """Largest |value| over coefficients (floats/jets) and their
+        samples, for residuals; a NaN is returned, not skipped."""
+        return worst_abs(getattr(c, "value", c) for c in self.terms.values())
 
     def __str__(self):
         return format_form(self)

@@ -16,7 +16,10 @@ evolution parameter: the first structure equation is solved for the
 connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, both
 defining conditions are re-verified after solving, and curvature 2-forms
 give Ricci and the rank of the curvature span (an Ambrose-Singer lower
-bound for the holonomy algebra).
+bound for the holonomy algebra).  Jet components are floats or float64
+arrays of shape (N,), so one pass serves N samples: guards hold per
+sample, residuals are maxima over the samples, and Ricci and the ranks
+carry a leading sample axis.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor
 class CoframeWithJets:
     """Orthonormal coframe p_a(x) e^a on algebra x R, plus w(x) dx.
 
-    ``scalings`` holds the jets of the p_a at the sample point (all values
+    ``scalings`` holds the jets of the p_a at the sample points (all values
     strictly positive), ``w`` the jet of the dx coefficient.  The extended
     frame has dimension base.dim + 1 with the dx direction last.
     """
@@ -202,9 +205,11 @@ class CoframeWithJets:
         if len(self.scalings) != base.dim:
             raise ValueError("one scaling jet per base coframe element")
         for a, s in enumerate(self.scalings, start=1):
-            if not s.value > 0.0:
-                raise SingularCoframe(f"scaling of e{a} is not positive: {s.value}")
-        if self.w.value == 0.0:
+            bad = np.logical_not(s.value > 0.0)
+            if bad.any():
+                value = s.value[np.argmax(bad)] if bad.ndim else s.value
+                raise SingularCoframe(f"scaling of e{a} is not positive: {value}")
+        if np.any(self.w.value == 0.0):
             raise SingularCoframe("dx coefficient vanishes")
 
     @property
@@ -338,6 +343,10 @@ def _pair_index(n):
 
 @dataclass
 class CurvatureSummary:
+    """Ricci (n x n), scalar curvature and curvature-span rank of each
+    sample, with a leading sample axis for a batch (plain numbers for
+    float jets); the two residuals are maxima over the samples."""
+
     ricci: np.ndarray
     scalar: float
     curvature_rank: int
@@ -346,20 +355,13 @@ class CurvatureSummary:
     curvature_matrix: np.ndarray = field(repr=False, default=None)
 
 
-def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> CurvatureSummary:
-    """Ricci tensor, scalar curvature, and the dimension of the span of
-    the curvature 2-forms at the sample point.
-
-    The rank uses a singular-value cutoff relative to the largest singular
-    value; with the coframe orthonormal the Ricci comparison metric is the
-    identity.
-    """
-    conn = cartan_connection(cof)
-    omegas = curvature_forms(cof, conn)
-    n = cof.dim
-
+def _curvature_arrays(omegas: list, batch: tuple):
+    """Ricci and the matrix whose rows are the curvature 2-forms Omega^a_b
+    (a < b) over the basis 2-forms, each with the leading ``batch`` axes.
+    Takes the only reference to ``omegas``."""
+    n = len(omegas)
     # Ricci_{bd} = sum_a Omega^a_b(e_a, e_d); sphere-positive convention.
-    ric = np.zeros((n, n))
+    ric = np.zeros(batch + (n, n))
     for b in range(n):
         for d in range(n):
             total = 0.0
@@ -372,26 +374,40 @@ def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> Curvatu
                     continue
                 v = coeff.value
                 total += v if a + 1 < d + 1 else -v
-            ric[b, d] = total
+            ric[..., b, d] = total
 
     index, pairs = _pair_index(n)
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            row = np.zeros(len(pairs))
-            for idx, coeff in omegas[a][b].terms.items():
-                row[index[idx]] = coeff.value
-            rows.append(row)
-    mat = np.array(rows)
-    if np.allclose(mat, 0.0):
-        rank = 0
-    else:
-        svals = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(svals > svd_threshold * svals[0]))
+    entries = [(row, index[idx], coeff.value) for row, (a, b) in enumerate(pairs)
+               for idx, coeff in omegas[a - 1][b - 1].terms.items()]
+    del omegas  # with a batch the forms outweigh the matrix: free them first
+    mat = np.zeros(batch + (len(pairs), len(pairs)))
+    for row, col, value in entries:
+        mat[..., row, col] = value
+    return ric, mat
+
+
+def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> CurvatureSummary:
+    """Ricci tensor, scalar curvature, and the dimension of the span of
+    the curvature 2-forms at each sample point.
+
+    The rank uses a singular-value cutoff relative to the largest singular
+    value; with the coframe orthonormal the Ricci comparison metric is the
+    identity.  One stacked SVD gives the ranks of all samples.
+    """
+    conn = cartan_connection(cof)
+    batch = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).shape
+    ric, mat = _curvature_arrays(curvature_forms(cof, conn), batch)
+    # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
+    flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    rank = np.where(flat, 0, np.sum(svals > svd_threshold * svals[..., :1], axis=-1))
+    scalar = np.trace(ric, axis1=-2, axis2=-1)
+    if not batch:
+        scalar, rank = float(scalar), int(rank)
 
     return CurvatureSummary(
         ricci=ric,
-        scalar=float(np.trace(ric)),
+        scalar=scalar,
         curvature_rank=rank,
         structure_residual=conn.structure_residual,
         antisymmetry_residual=conn.antisymmetry_residual,

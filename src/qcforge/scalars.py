@@ -4,8 +4,9 @@ Every frame computation in this package is generic over its scalar ring.
 Two rings matter: exact rationals (``fractions.Fraction``) for invariant
 coframes, and :class:`Jet` for coframes whose coefficients depend on an
 evolution parameter.  A :class:`ScalarFunction` is a closed expression
-tree in one variable; evaluating it at a point yields the jet of the
-function there, so reports can always print the function that was used.
+tree in one variable; evaluating it at a point, or at an array of sample
+points, yields the jet of the function there, so reports can always print
+the function that was used.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 Rational = Fraction
 
@@ -36,19 +39,55 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def _each(fn, x):
+    """``fn`` on a float, or on each sample of an array through Python
+    floats: numpy's ufuncs may round differently from libm, and a batch
+    must agree bit for bit with its scalar jets."""
+    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
+
+
+def _fail_if(bad, value, message: str):
+    """Raise DomainError when ``bad`` holds at any sample; ``message``
+    is formatted with the value at the first such sample."""
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        value = float(value[np.argmax(bad)])
+    elif not bad:
+        return
+    raise DomainError(message.format(value))
+
+
+def worst_abs(values) -> float:
+    """max |v| over the values and their samples, 0.0 for none; unlike
+    ``max``, a NaN anywhere is returned rather than skipped."""
+    worst = 0.0
+    for v in values:
+        m = float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(float(v))
+        if m != m:
+            return m
+        worst = max(worst, m)
+    return worst
+
+
 class Jet:
     """Taylor data (v, v', v'', v''') of a scalar function at a point.
 
     Ring operations obey the Leibniz rule through third order; elementary
-    functions propagate via the chain rule.  Components are binary floats:
-    the coefficient functions these jets carry involve sinh and fractional
-    powers, so exactness is not on the table here.
+    functions propagate via the chain rule.  Each component is a binary
+    float or a float64 array of shape (N,), one entry per sample, so one
+    jet carries a whole batch of samples and a float jet is a batch of
+    one.  Ring operations broadcast; the guards of ``reciprocal``, ``pow``
+    and ``log`` fail when any sample fails.  The coefficient functions
+    these jets carry involve sinh and fractional powers, so exactness is
+    not on the table here.
     """
 
     __slots__ = ("c",)
+    __array_ufunc__ = None  # numpy defers to the jet's reflected operators
 
     def __init__(self, components):
-        c = tuple(float(x) for x in components)
+        c = tuple(x if isinstance(x, np.ndarray) else float(x) for x in components)
         if len(c) != JET_LEN:
             raise ValueError(f"jet needs {JET_LEN} components, got {len(c)}")
         self.c = c
@@ -59,14 +98,21 @@ class Jet:
 
     @classmethod
     def variable(cls, point) -> "Jet":
-        return cls((float(point), 1.0, 0.0, 0.0))
+        """The jet of u at a point, or at an array of sample points."""
+        p = np.asarray(point, dtype=float)
+        return cls((p if p.ndim else float(p), 1.0, 0.0, 0.0))
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.c[0]
 
     def is_zero(self) -> bool:
-        return all(x == 0.0 for x in self.c)
+        """Zero at every sample."""
+        return all(not x.any() if isinstance(x, np.ndarray) else x == 0.0 for x in self.c)
+
+    def take(self, mask) -> "Jet":
+        """The jet at the samples selected by ``mask``."""
+        return Jet(tuple(x[mask] if isinstance(x, np.ndarray) else x for x in self.c))
 
     def derivative(self) -> "Jet":
         """Jet of the derivative function; the top component is lost."""
@@ -126,20 +172,20 @@ class Jet:
     def compose(self, outer) -> "Jet":
         """Chain rule: ``outer`` is the Taylor data of the outer function
         at ``self.value``."""
-        d = tuple(float(x) for x in outer)
+        d = tuple(x if isinstance(x, np.ndarray) else float(x) for x in outer)
         g1, g2, g3 = self.c[1], self.c[2], self.c[3]
         return Jet((
             d[0],
             d[1] * g1,
             d[2] * g1 * g1 + d[1] * g2,
-            d[3] * g1 ** 3 + 3.0 * d[2] * g1 * g2 + d[1] * g3,
+            d[3] * _each(lambda v: v ** 3, g1) + 3.0 * d[2] * g1 * g2 + d[1] * g3,
         ))
 
     def reciprocal(self) -> "Jet":
         y = self.c[0]
-        if y == 0.0:
-            raise DomainError("division by a jet with zero value")
-        return self.compose((1.0 / y, -1.0 / y**2, 2.0 / y**3, -6.0 / y**4))
+        _fail_if(y == 0.0, y, "division by a jet with zero value")
+        p = [_each(lambda v: v ** k, y) for k in (2, 3, 4)]
+        return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1], -6.0 / p[2]))
 
     def pow(self, exponent) -> "Jet":
         r = Fraction(exponent)
@@ -152,33 +198,33 @@ class Jet:
                 return out
             return self.pow(-n).reciprocal()
         y = self.c[0]
-        if y <= 0.0:
-            raise DomainError(f"fractional power {r} of non-positive base {y}")
+        _fail_if(y <= 0.0, y, f"fractional power {r} of non-positive base {{}}")
         rf = float(r)
+        p = [_each(lambda v: v ** (rf - k), y) for k in (0.0, 1.0, 2.0, 3.0)]
         return self.compose((
-            y**rf,
-            rf * y ** (rf - 1.0),
-            rf * (rf - 1.0) * y ** (rf - 2.0),
-            rf * (rf - 1.0) * (rf - 2.0) * y ** (rf - 3.0),
+            p[0],
+            rf * p[1],
+            rf * (rf - 1.0) * p[2],
+            rf * (rf - 1.0) * (rf - 2.0) * p[3],
         ))
 
     def exp(self) -> "Jet":
-        e = math.exp(self.c[0])
+        e = _each(math.exp, self.c[0])
         return self.compose((e, e, e, e))
 
     def sinh(self) -> "Jet":
-        s, c = math.sinh(self.c[0]), math.cosh(self.c[0])
+        s, c = _each(math.sinh, self.c[0]), _each(math.cosh, self.c[0])
         return self.compose((s, c, s, c))
 
     def cosh(self) -> "Jet":
-        s, c = math.sinh(self.c[0]), math.cosh(self.c[0])
+        s, c = _each(math.sinh, self.c[0]), _each(math.cosh, self.c[0])
         return self.compose((c, s, c, s))
 
     def log(self) -> "Jet":
         y = self.c[0]
-        if y <= 0.0:
-            raise DomainError(f"log of non-positive value {y}")
-        return self.compose((math.log(y), 1.0 / y, -1.0 / y**2, 2.0 / y**3))
+        _fail_if(y <= 0.0, y, "log of non-positive value {}")
+        p = [_each(lambda v: v ** k, y) for k in (2, 3)]
+        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / p[0], 2.0 / p[1]))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))
@@ -205,7 +251,8 @@ class ScalarFunction:
 
     Kept as an expression tree rather than a bare callable so the exact
     function can be printed in reports and round-tripped through config
-    files.  ``jet(x)`` evaluates the full order-3 Taylor data at ``x``.
+    files.  ``jet(x)`` evaluates the full order-3 Taylor data at ``x``, a
+    float or a float64 array of sample points.
     """
 
     def jet(self, point: float) -> Jet:

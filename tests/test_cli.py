@@ -222,6 +222,25 @@ class TestBuild:
         assert code == 0
         assert json.loads(out)["results"]["verdicts"]["ricci_flat_ok"] is True
 
+    @pytest.mark.parametrize("kind,family,samples", [
+        ("qk", "qk-3sas", "nan"),            # ode-only: passed with both residuals 0
+        ("spin7", "spin7-3sas", "nan"),
+        ("qk", "ideal-family", "-0.5,nan"),  # base-backed: LAPACK failure, exit 2
+        ("qk", "qk-l1", "inf"),              # LAPACK noise, then exit 2
+    ])
+    def test_non_finite_sample_exit_four(self, capfd, kind, family, samples):
+        code, out, err = run(capfd, "build", kind, "--family", family, "--samples", samples)
+        assert code == 4
+        assert out == ""
+        bad = "nan" if "nan" in samples else "inf"
+        assert err == f"domain error: sample {bad} is not a finite number\n"
+
+    def test_zero_denominator_in_a_parameter(self, capsys):
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-l1", "--param", "b=1/0")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: bad rational literal '1/0'\n"
+
 
 class TestSymbolic:
     @pytest.mark.parametrize("target", ["closedqc", "qk-closure",
@@ -249,12 +268,18 @@ GOLDEN_ARGV = {
        for e in ("heis(1)", "heis(2)", "l0(1)", "l1", "l2", "l3")},
     **{f"symbolic_{t}.json": ["symbolic", t, "--format", "json"]
        for t in ("closedqc", "qk-closure", "spin7-closure", "triaxial", "hypo-evolution")},
+    # jet builds at default parameters: every float of the report is pinned
+    **{f"build_{f}.json": ["build", "spin7" if f.startswith("spin7") else "qk",
+                           "--family", f, "--format", "json"]
+       for f in ("qk-heis", "qk-heis2", "qk-l1", "qk-l2", "qk-3sas", "qk-triaxial",
+                 "ideal-family", "spin7-heis", "spin7-l1", "spin7-l2", "spin7-3sas",
+                 "spin7-triaxial")},
 }
 
 
 class TestGoldenOutputs:
-    """The exact reports are pinned byte for byte: rationals, polynomials,
-    verdicts and exit codes must not move."""
+    """The reports are pinned byte for byte: rationals, polynomials, the
+    floats of the jet builds, verdicts and exit codes must not move."""
 
     def test_every_golden_file_is_checked(self):
         assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_ARGV)

@@ -7,9 +7,10 @@ import pytest
 from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
-                               extended_d, ode_residual, require_einstein_base)
+                               build_triaxial, extended_d, ode_residual,
+                               require_einstein_base)
 from qcforge.forms import KForm
-from qcforge.scalars import DomainError, Jet
+from qcforge.scalars import Const, DomainError, Jet, U
 
 TOL = 1e-10
 
@@ -162,7 +163,48 @@ class TestDomainGuards:
             require_einstein_base("l1", Fraction(0))
 
 
+class TestBatchedBuild:
+    """One build over N samples is the per-sample builds aggregated."""
+
+    @pytest.mark.parametrize("name", ["qk-l1", "spin7-l1"])
+    def test_batch_matches_per_sample_builds(self, name):
+        fam = FAMILIES[name]
+        spec = require_einstein_base(fam.base, fam.S)
+        funcs = fam.functions()
+        pattern = "spin7" if name.startswith("spin7") else "qk"
+        args = (spec, funcs["f"], [funcs["h"]] * 3, funcs["w"])
+        pts = fam.default_samples()
+        batch = build_triaxial(*args, pts, pattern)
+        singles = [build_triaxial(*args, [x], pattern) for x in pts]
+        for key, value in batch.items():
+            per_sample = [r[key] for r in singles]
+            if key == "einstein_const":
+                assert value == per_sample[len(pts) // 2]
+            elif key == "degenerate_samples":
+                assert value == sum(per_sample) == 0
+            else:
+                assert value == max(per_sample), key
+
+    def test_degenerate_point_in_a_mixed_batch(self):
+        # qk-l1 at x = 0: h = sinh(0)/4 = 0, so that point carries no metric
+        fam = FAMILIES["qk-l1"]
+        spec = require_einstein_base(fam.base, fam.S)
+        funcs = fam.functions()
+        args = (spec, funcs["f"], [funcs["h"]] * 3, funcs["w"])
+        mixed = build_triaxial(*args, [0.0, 1.0, 2.0], "qk")
+        alone = build_triaxial(*args, [1.0, 2.0], "qk")
+        assert mixed["degenerate_samples"] == 1 and alone["degenerate_samples"] == 0
+        for key in ("einstein_const", "einstein_deviation", "ricci_max_abs",
+                    "curvature_rank", "structure_residual"):
+            assert mixed[key] == alone[key], key
+
+
 class TestOdeSystems:
+    def test_nan_inside_the_computation_is_returned(self):
+        # h - f'/2 is NaN at every sample; a max that skips NaN would give 1.0
+        funcs = {"f": U, "h": Const(float("nan")), "w": Const(1)}
+        assert math.isnan(ode_residual("solqk7", funcs, Fraction(0), [1.0, 2.0]))
+
     def test_every_family_satisfies_its_systems(self):
         for name, fam in FAMILIES.items():
             funcs = fam.functions()

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,3 +228,10 @@ class TestLiterals:
         for text in ("e1^", "2 +", "e1^e9", "7", "e1 @ e2"):
             with pytest.raises(ValueError):
                 parse_form(text, 7)
+
+
+def test_max_abs_returns_nan_instead_of_skipping_it():
+    form = KForm(3, 1, {(1,): Jet.const(float("nan")), (2,): Jet.const(2.0)})
+    assert math.isnan(form.max_abs())
+    batch = KForm(3, 1, {(1,): Jet((np.array([1.0, -3.0]), 0.0, 0.0, 0.0))})
+    assert batch.max_abs() == 3.0

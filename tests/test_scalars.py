@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +102,72 @@ def test_jet_matches_finite_differences(x):
         for k in (1, 2, 3):
             fd = (plus.c[k - 1] - minus.c[k - 1]) / (2 * step)
             assert abs(fd - base.c[k]) <= 1e-6 * max(1.0, abs(base.c[k]))
+
+
+_POS = st.floats(min_value=0.25, max_value=2.5)
+_ANY = st.floats(min_value=-2.0, max_value=2.0)
+_SAMPLE = st.tuples(_POS, _ANY, _ANY, _ANY)
+_BATCH_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "reciprocal": lambda a, b: a.reciprocal(),
+    "pow 3 of a negative base": lambda a, b: (-a).pow(3),
+    "pow -2": lambda a, b: a.pow(-2),
+    "pow 1/3": lambda a, b: a.pow(Fraction(1, 3)),
+    "pow -3/4": lambda a, b: b.pow(Fraction(-3, 4)),
+    "exp": lambda a, b: (a - b).exp(),
+    "sinh": lambda a, b: b.sinh(),
+    "cosh": lambda a, b: (a * b).cosh(),
+    "log": lambda a, b: a.log(),
+    "compose": lambda a, b: a.compose(b.c),
+    "derivative": lambda a, b: (a * b).derivative(),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_SAMPLE, _SAMPLE), min_size=1, max_size=6))
+def test_batched_jets_match_scalar_jets_bit_for_bit(samples):
+    """A jet with array components is the batch of its per-sample jets."""
+    n = len(samples)
+    a, b = (Jet(tuple(np.array([s[side][k] for s in samples]) for k in range(4)))
+            for side in (0, 1))
+    for name, op in _BATCH_OPS.items():
+        batched = op(a, b)
+        for i, (sa, sb) in enumerate(samples):
+            single = op(Jet(sa), Jet(sb))
+            for k in range(4):
+                got = np.broadcast_to(batched.c[k], (n,))[i]
+                assert _bits(got) == _bits(single.c[k]), (name, i, k)
+
+
+class TestBatchedJets:
+    def test_variable_at_an_array_of_points(self):
+        j = jet_eval(U**2, 1.0)
+        batch = (U**2).jet(np.array([1.0, 3.0]))
+        assert list(batch.c[0]) == [1.0, 9.0] and list(batch.c[1]) == [2.0, 6.0]
+        assert j.c == (1.0, 2.0, 2.0, 0.0)
+
+    def test_is_zero_means_every_sample(self):
+        assert not Jet((np.array([0.0, 1e-300]), 0.0, 0.0, 0.0)).is_zero()
+        assert Jet((np.zeros(3), 0.0, np.zeros(3), 0.0)).is_zero()
+
+    def test_guards_fail_when_any_sample_fails(self):
+        with pytest.raises(DomainError, match="base -1.0$"):
+            sqrt(U).jet(np.array([4.0, -1.0, -2.0]))
+        with pytest.raises(DomainError, match="log of non-positive value 0.0"):
+            ln(U).jet(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="division by a jet with zero value"):
+            (1 / U).jet(np.array([1.0, 0.0]))
+
+    def test_take_selects_samples(self):
+        j = Jet.variable([1.0, 2.0, 3.0]).take(np.array([True, False, True]))
+        assert list(j.c[0]) == [1.0, 3.0] and j.c[1:] == (1.0, 0.0, 0.0)
 
 
 class TestParser:
