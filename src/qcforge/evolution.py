@@ -18,10 +18,10 @@ all samples in one pass: the jets carry float64 arrays of shape (N,), one
 entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
 vertical coefficient vanishes is skipped for Ricci and counted, and
-:func:`build_family` raises :class:`DomainError` when no sample is left
-or a sample is not finite.  :func:`extended_d` is
-:func:`~qcforge.forms.exterior_d` bound to the base structure equations
-and the jet derivative times dx.
+:func:`build_family` raises :class:`DomainError` when no sample is left,
+a sample is not finite, or the jet arithmetic overflows at a sample.
+:func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
+structure equations and the jet derivative times dx.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qc
-from .algebra import QcFrameSpec, catalog
+from .algebra import QcFrameSpec
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
 from .scalars import (Const, DomainError, Jet, Pow, ScalarFunction, U, cosh,
@@ -47,12 +47,15 @@ class NotEinsteinBase(ValueError):
 
 
 def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
+    """The catalog coframe ``name`` once its memoized analysis shows it qc
+    Einstein with scalar ``S``; the spec is the one analysed, shared by
+    every caller."""
     rep = qc.catalog_report(name)
     if not rep.einstein:
         raise NotEinsteinBase(f"base {name} has non-vanishing torsion endomorphism")
     if rep.S != S:
         raise NotEinsteinBase(f"base {name} has scalar {rep.S}, family expects {S}")
-    return catalog(name)
+    return rep.spec
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,8 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
 def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
     multipliers beta_j, maximized over i and the ``count`` samples (one
-    least-squares solve per sample and i)."""
+    least-squares solve per sample and i).  Raises OverflowError before
+    the solves when a coefficient is not finite."""
     triples = [(a, b, c)
                for a in range(1, dim_ext + 1)
                for b in range(a + 1, dim_ext + 1)
@@ -173,6 +177,8 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     for i in range(3):
         for idx, coeff in dforms[i].terms.items():
             b_vec[i, :, row_of[idx]] = getattr(coeff, "value", coeff)
+    if not (np.isfinite(vals).all() and np.isfinite(b_vec).all()):
+        raise OverflowError("the forms are not finite")
     resids = []
     for s in range(count):
         # one dense matrix at a time: the batch of them outweighs the forms
@@ -197,7 +203,8 @@ def build_triaxial(spec: QcFrameSpec, f: ScalarFunction, fs, w: ScalarFunction,
     the curvature-span rank and, for the ``spin7`` pattern, the checks of
     the 3-form/4-form pair.  A sample where a vertical coefficient
     vanishes carries no metric: it is skipped for Ricci and counted in
-    ``degenerate_samples``."""
+    ``degenerate_samples``.  Jet arithmetic that overflows, or leaves the
+    curvature or a form not finite, raises OverflowError."""
     dim_ext = spec.dim + 1
     base = spec.algebra
     xs = np.asarray(samples, dtype=float)
@@ -620,6 +627,20 @@ _register(MetricFamily(
     make=_fam_spin7_triaxial, domain=_triaxial_window, systems=("ereal7",)))
 
 
+def _blame_sample(run, samples):
+    """``run(samples)``; an overflow or a failed LAPACK solve becomes
+    DomainError naming the first sample at which ``run([x])`` fails."""
+    try:
+        return run(samples)
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        for x in samples:
+            try:
+                run([x])
+            except (OverflowError, np.linalg.LinAlgError) as err:
+                raise DomainError(f"jet arithmetic breaks down at x={x}: {err}") from exc
+        raise DomainError(f"jet arithmetic breaks down on the samples {samples}: {exc}") from exc
+
+
 def build_family(name: str, params=None, samples=None) -> dict:
     """Build and verify a catalog family; families without a shipped base
     frame are checked through their governing systems only."""
@@ -640,7 +661,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
         "ode_residuals": {},
     }
     for system in fam.systems:
-        result["ode_residuals"][system] = ode_residual(system, funcs, fam.S, pts)
+        result["ode_residuals"][system] = _blame_sample(
+            lambda xs: ode_residual(system, funcs, fam.S, xs), pts)
 
     if fam.base is None:
         result["kind"] = "ode-only"
@@ -648,7 +670,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
 
     spec = require_einstein_base(fam.base, fam.S)
     pattern = "spin7" if fam.kind.startswith("spin7") else "qk"
-    built = build_triaxial(spec, funcs["f"], _axes(funcs), funcs["w"], pts, pattern)
+    built = _blame_sample(
+        lambda xs: build_triaxial(spec, funcs["f"], _axes(funcs), funcs["w"], xs, pattern), pts)
     if built["einstein_const"] is None:
         raise DomainError(f"every sample of {fam.name} is degenerate "
                           f"(a vertical coefficient vanishes at each of {pts})")

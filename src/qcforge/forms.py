@@ -36,6 +36,17 @@ def is_zero_scalar(c) -> bool:
     return c == 0
 
 
+def _accumulate(res: dict, idx, c):
+    """res[idx] += c, dropping a zero sum; a new monomial starts from c
+    itself rather than from 0 + c."""
+    old = res.get(idx)
+    s = c if old is None else old + c
+    if is_zero_scalar(s):
+        res.pop(idx, None)
+    else:
+        res[idx] = s
+
+
 def _sort_indices(indices):
     """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats."""
     idx = list(indices)
@@ -126,11 +137,7 @@ class KForm:
             raise ValueError("cannot add forms of different degree")
         res = dict(self.terms)
         for idx, c in other.terms.items():
-            s = res.get(idx, 0) + c
-            if is_zero_scalar(s):
-                res.pop(idx, None)
-            else:
-                res[idx] = s
+            _accumulate(res, idx, c)
         out = KForm(self.dim, self.degree)
         out.terms = res
         return out
@@ -171,12 +178,7 @@ class KForm:
                 idx, sign = _merge_sorted(ia, ib)
                 if sign == 0:
                     continue
-                c = ca * cb if sign > 0 else -(ca * cb)
-                s = res.get(idx, 0) + c
-                if is_zero_scalar(s):
-                    res.pop(idx, None)
-                else:
-                    res[idx] = s
+                _accumulate(res, idx, ca * cb if sign > 0 else -(ca * cb))
         out.terms = res
         return out
 
@@ -219,13 +221,7 @@ class KForm:
                     continue
                 rest = idx[:pos] + idx[pos + 1:]
                 c = comp * coeff
-                if pos % 2:
-                    c = -c
-                s = res.get(rest, 0) + c
-                if is_zero_scalar(s):
-                    res.pop(rest, None)
-                else:
-                    res[rest] = s
+                _accumulate(res, rest, -c if pos % 2 else c)
         out.terms = res
         return out
 
@@ -253,12 +249,7 @@ class KForm:
             comp = tuple(sorted(full - set(idx)))
             _, sign = _sort_indices(idx + comp)
             sign *= orient_sign
-            c = coeff if sign > 0 else -coeff
-            s = res.get(comp, 0) + c
-            if is_zero_scalar(s):
-                res.pop(comp, None)
-            else:
-                res[comp] = s
+            _accumulate(res, comp, coeff if sign > 0 else -coeff)
         out.terms = res
         return out
 
@@ -295,27 +286,19 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
         raise FrameMismatch(f"form lives on dim {form.dim}, "
                             f"{len(generator_d)} generator differentials given")
     res = {}
-
-    def add(idx, c):
-        s = res.get(idx, 0) + c
-        if is_zero_scalar(s):
-            res.pop(idx, None)
-        else:
-            res[idx] = s
-
     for idx, coeff in form.terms.items():
         if coeff_d is not None:
             for didx, dc in coeff_d(coeff).terms.items():
                 merged, sign = _sort_indices(didx + idx)
                 if sign:
-                    add(merged, dc if sign > 0 else -dc)
+                    _accumulate(res, merged, dc if sign > 0 else -dc)
         for pos, a in enumerate(idx):
             c = coeff * (-1 if pos % 2 else 1)
             front, back = idx[:pos], idx[pos + 1:]
             for gidx, g in generator_d[a - 1].terms.items():
                 merged, sign = _sort_indices(front + gidx + back)
                 if sign:
-                    add(merged, c * (g if sign > 0 else -g))
+                    _accumulate(res, merged, c * (g if sign > 0 else -g))
     out = KForm(form.dim, form.degree + 1)
     out.terms = res
     return out

@@ -512,6 +512,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full=None) -> FundamentalForm
 @dataclass
 class QcReport:
     name: str
+    spec: QcFrameSpec             # the coframe analysed
     n: int
     reeb_ok: bool
     S: Fraction
@@ -581,7 +582,7 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     reeb = reeb_check(spec)
     if not reeb.ok:
         return QcReport(
-            name=name, n=spec.n, reeb_ok=False, S=Fraction(0), einstein=False,
+            name=name, spec=spec, n=spec.n, reeb_ok=False, S=Fraction(0), einstein=False,
             wqc_zero=False, wqc_sample=Fraction(0), wqc_max_abs=Fraction(0),
             omega4_closed=False, omegaQ_closed=False, lemma_closed=False,
             torsion=None, sp1=None, connection=None, curvature=None,
@@ -632,7 +633,7 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
                     "Einstein flag set but rho_s is not the expected multiple of omega_s")
 
     return QcReport(
-        name=name, n=spec.n, reeb_ok=True, S=sp1.S, einstein=einstein,
+        name=name, spec=spec, n=spec.n, reeb_ok=True, S=sp1.S, einstein=einstein,
         wqc_zero=wqc_is_zero(w), wqc_sample=sample, wqc_max_abs=wqc_max_abs(w),
         omega4_closed=fund.omega4_closed, omegaQ_closed=fund.omegaQ_closed,
         lemma_closed=fund.lemma_closed, torsion=torsion, sp1=sp1,

@@ -13,8 +13,9 @@ of its nonzero entries.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
-connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, both
-defining conditions are re-verified after solving, and curvature 2-forms
+connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, from
+the nonzero structure functions only, both defining conditions are
+re-verified after solving, and curvature 2-forms
 give Ricci and the rank of the curvature span (an Ambrose-Singer lower
 bound for the holonomy algebra).  Jet components are floats or float64
 arrays of shape (N,), so one pass serves N samples: guards hold per
@@ -248,6 +249,7 @@ class CartanConnection:
     forms: list  # forms[a][b] 0-based, KForm degree 1, omega^a_b
     structure_residual: float
     antisymmetry_residual: float
+    dhats: list  # d of the coframe elements, as the equation was solved with
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
@@ -258,39 +260,29 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     their residuals reported.
     """
     n = cof.dim
-    dhats = cof.coframe_differentials()
-    zero = Jet.const(0.0)
-
     # structure functions: d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
-    def cfun(a, b, c):
-        if b == c:
-            return zero
-        if b < c:
-            coeff = dhats[a - 1].terms.get((b, c))
-            sign = -1.0
-        else:
-            coeff = dhats[a - 1].terms.get((c, b))
-            sign = 1.0
-        if coeff is None:
-            return zero
-        return coeff * sign
+    dhats = cof.coframe_differentials()
+    struct = {}
+    for a, dhat in enumerate(dhats, start=1):
+        for (b, c), coeff in dhat.terms.items():
+            struct[a, b, c] = -coeff
+            struct[a, c, b] = coeff
 
-    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]  # gamma[c][a][b] = Gamma^a_{cb}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                val = (cfun(a, c, b) + cfun(b, a, c) - cfun(c, b, a)) * 0.5
-                gamma[c - 1][a - 1][b - 1] = val
-
-    forms = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            terms = {}
-            for c in range(n):
-                coeff = gamma[c][a][b]
-                if not coeff.is_zero():
-                    terms[(c + 1,)] = coeff
-            forms[a][b] = KForm(n, 1, terms)
+    # Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} + C^c_{ab})/2 is the c-th coefficient
+    # of omega^a_b.  Only triples where one of the three structure functions
+    # is nonzero are visited; those present are summed in this order.  The
+    # monomials of each form come in increasing c, the order that later sums
+    # over them round in.
+    triples = set()
+    for a, b, c in struct:
+        triples.update(((a, c, b), (b, a, c), (b, c, a)))
+    forms = [[KForm(n, 1) for _ in range(n)] for _ in range(n)]
+    for a, b, c in sorted(triples):
+        present = [x for x in (struct.get((a, c, b)), struct.get((b, a, c)), struct.get((c, a, b)))
+                   if x is not None]
+        coeff = sum(present[1:], present[0]) * 0.5
+        if not coeff.is_zero():
+            forms[a - 1][b - 1].terms[(c,)] = coeff
 
     # verification: first structure equation and antisymmetry
     anti = 0.0
@@ -298,13 +290,13 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
         for b in range(n):
             diffform = forms[a][b] + forms[b][a]
             anti = max(anti, diffform.max_abs())
-    struct = 0.0
+    residual = 0.0
     for a in range(n):
         resid = dhats[a]
         for b in range(n):
             resid = resid + forms[a][b].wedge(KForm.basis(n, b + 1))
-        struct = max(struct, resid.max_abs())
-    return CartanConnection(n, forms, struct, anti)
+        residual = max(residual, resid.max_abs())
+    return CartanConnection(n, forms, residual, anti, dhats)
 
 
 def frame_d(cof: CoframeWithJets, dhats: list):
@@ -325,13 +317,14 @@ def frame_d(cof: CoframeWithJets, dhats: list):
 def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> list:
     """Curvature 2-forms Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b."""
     n = cof.dim
-    d = frame_d(cof, cof.coframe_differentials())
+    d = frame_d(cof, conn.dhats)
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             omega = d(conn.forms[a][b])
             for c in range(n):
-                omega = omega + conn.forms[a][c].wedge(conn.forms[c][b])
+                if conn.forms[a][c].terms and conn.forms[c][b].terms:
+                    omega = omega + conn.forms[a][c].wedge(conn.forms[c][b])
             out[a][b] = omega
     return out
 
@@ -392,11 +385,14 @@ def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> Curvatu
 
     The rank uses a singular-value cutoff relative to the largest singular
     value; with the coframe orthonormal the Ricci comparison metric is the
-    identity.  One stacked SVD gives the ranks of all samples.
+    identity.  One stacked SVD gives the ranks of all samples.  Raises
+    OverflowError, before the SVD, when the curvature is not finite.
     """
     conn = cartan_connection(cof)
     batch = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).shape
     ric, mat = _curvature_arrays(curvature_forms(cof, conn), batch)
+    if not np.isfinite(mat).all():
+        raise OverflowError("the curvature is not finite")
     # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
     flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
     svals = np.linalg.svd(mat, compute_uv=False)

@@ -94,7 +94,7 @@ class Jet:
 
     @classmethod
     def const(cls, value) -> "Jet":
-        return cls((float(value), 0.0, 0.0, 0.0))
+        return _jet((float(value), 0.0, 0.0, 0.0))
 
     @classmethod
     def variable(cls, point) -> "Jet":
@@ -108,52 +108,74 @@ class Jet:
 
     def is_zero(self) -> bool:
         """Zero at every sample."""
-        return all(not x.any() if isinstance(x, np.ndarray) else x == 0.0 for x in self.c)
+        for x in self.c:
+            if x.any() if isinstance(x, np.ndarray) else x != 0.0:
+                return False
+        return True
 
     def take(self, mask) -> "Jet":
         """The jet at the samples selected by ``mask``."""
-        return Jet(tuple(x[mask] if isinstance(x, np.ndarray) else x for x in self.c))
+        return _jet(tuple(x[mask] if isinstance(x, np.ndarray) else x for x in self.c))
 
     def derivative(self) -> "Jet":
         """Jet of the derivative function; the top component is lost."""
-        return Jet((self.c[1], self.c[2], self.c[3], 0.0))
+        return _jet((self.c[1], self.c[2], self.c[3], 0.0))
 
     # -- ring operations ---------------------------------------------------
+    # A plain number q acts on the components directly: no constant jet and
+    # no Leibniz product is built, and x(+-1) multiplies nothing.  The value
+    # component comes out as with Jet.const(q); a derivative component can
+    # differ only in the sign of a zero, which the constant's zero
+    # derivatives would have added.
 
     def __add__(self, other):
-        o = _as_jet(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(tuple(a + b for a, b in zip(self.c, o.c)))
+        a = self.c
+        if isinstance(other, Jet):
+            b = other.c
+            return _jet((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        if isinstance(other, _NUMBERS):
+            return _jet((a[0] + float(other), a[1], a[2], a[3]))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-a for a in self.c))
+        a = self.c
+        return _jet((-a[0], -a[1], -a[2], -a[3]))
 
     def __sub__(self, other):
-        o = _as_jet(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(tuple(a - b for a, b in zip(self.c, o.c)))
+        a = self.c
+        if isinstance(other, Jet):
+            b = other.c
+            return _jet((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        if isinstance(other, _NUMBERS):
+            return _jet((a[0] - float(other), a[1], a[2], a[3]))
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = _as_jet(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+        if isinstance(other, _NUMBERS):
+            a = self.c
+            return _jet((float(other) - a[0], -a[1], -a[2], -a[3]))
+        return NotImplemented
 
     def __mul__(self, other):
-        o = _as_jet(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self.c, o.c
-        return Jet((
-            a[0] * b[0],
-            a[1] * b[0] + a[0] * b[1],
-            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],
-            a[3] * b[0] + 3.0 * a[2] * b[1] + 3.0 * a[1] * b[2] + a[0] * b[3],
-        ))
+        a = self.c
+        if isinstance(other, Jet):
+            b = other.c
+            return _jet((
+                a[0] * b[0],
+                a[1] * b[0] + a[0] * b[1],
+                a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],
+                a[3] * b[0] + 3.0 * a[2] * b[1] + 3.0 * a[1] * b[2] + a[0] * b[3],
+            ))
+        if isinstance(other, _NUMBERS):
+            q = float(other)
+            if q == 1.0:
+                return self
+            if q == -1.0:
+                return -self
+            return _jet((a[0] * q, a[1] * q, a[2] * q, a[3] * q))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -174,7 +196,7 @@ class Jet:
         at ``self.value``."""
         d = tuple(x if isinstance(x, np.ndarray) else float(x) for x in outer)
         g1, g2, g3 = self.c[1], self.c[2], self.c[3]
-        return Jet((
+        return _jet((
             d[0],
             d[1] * g1,
             d[2] * g1 * g1 + d[1] * g2,
@@ -233,11 +255,23 @@ class Jet:
         return f"Jet{self.c!r}"
 
 
+_NUMBERS = (int, float, Fraction)
+_new = object.__new__
+
+
+def _jet(components: tuple) -> Jet:
+    """A jet from components that are already floats or float64 arrays,
+    as ring operations produce them: no per-component check."""
+    j = _new(Jet)
+    j.c = components
+    return j
+
+
 def _as_jet(x):
     if isinstance(x, Jet):
         return x
-    if isinstance(x, (int, float, Fraction)):
-        return Jet.const(float(x))
+    if isinstance(x, _NUMBERS):
+        return Jet.const(x)
     return NotImplemented
 
 

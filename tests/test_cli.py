@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from qcforge.cli import main
@@ -118,6 +119,10 @@ omega3 = e1^e4 + e2^e3
         code, out, _ = run(capsys, "qc-report", "--file", path)
         assert code == 3
         assert "d eta_1|_H != 2 omega_1" in out
+        code, out, _ = run(capsys, "qc-report", "--file", path, "--format", "json")
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema())
+        assert code == 3 and doc["results"]["reeb_ok"] is False
 
     def test_jacobi_violating_file_exit_three(self, tmp_path, capsys):
         path = self._heis1_file(tmp_path, "d e7 = 2 e1^e4 + 2 e2^e3",
@@ -235,6 +240,30 @@ class TestBuild:
         bad = "nan" if "nan" in samples else "inf"
         assert err == f"domain error: sample {bad} is not a finite number\n"
 
+    @pytest.mark.parametrize("kind,family,samples,bad", [
+        ("qk", "qk-heis", "300", "300.0"),      # f = exp(2u): sqrt(f) overflows
+        ("qk", "qk-heis", "100,200", "100.0"),
+        ("qk", "qk-l1", "1,1e-100", "1e-100"),  # inf curvature: LAPACK failure, exit 2
+        ("spin7", "spin7-heis", "1e60", "1e+60"),  # overflow in the ODE residual
+    ])
+    def test_jet_overflow_exit_four(self, capfd, kind, family, samples, bad):
+        code, out, err = run(capfd, "build", kind, "--family", family, f"--samples={samples}")
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"domain error: jet arithmetic breaks down at x={bad}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_least_squares_exit_four(self, capfd, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        code, out, err = run(capfd, "build", "qk", "--family", "qk-l1", "--samples", "1,2")
+        assert code == 4
+        assert out == ""
+        assert err == ("domain error: jet arithmetic breaks down at x=1.0: "
+                       "SVD did not converge in Linear Least Squares\n")
+
     def test_zero_denominator_in_a_parameter(self, capsys):
         code, out, err = run(capsys, "build", "qk", "--family", "qk-l1", "--param", "b=1/0")
         assert code == 2
@@ -274,6 +303,15 @@ GOLDEN_ARGV = {
        for f in ("qk-heis", "qk-heis2", "qk-l1", "qk-l2", "qk-3sas", "qk-triaxial",
                  "ideal-family", "spin7-heis", "spin7-l1", "spin7-l2", "spin7-3sas",
                  "spin7-triaxial")},
+    # 16-sample batches, as the benchmark builds them, at parameters it draws
+    "build16_qk-triaxial.json": [
+        "build", "qk", "--family", "qk-triaxial", "--param", "a1=1/2", "--param", "a2=1",
+        "--param", "a3=3", "--format", "json", "--samples",
+        "-0.2,-0.04,0.12,0.28,0.44,0.6,0.76,0.92,1.08,1.24,1.4,1.56,1.72,1.88,2.04,2.2"],
+    "build16_spin7-triaxial.json": [
+        "build", "spin7", "--family", "spin7-triaxial", "--param", "a1=1", "--param", "a2=6/5",
+        "--param", "a3=-1", "--param", "C=2", "--format", "json", "--samples",
+        "-3.5,-3.4,-3.3,-3.2,-3.1,-3.0,-2.9,-2.8,-2.7,-2.6,-2.5,-2.4,-2.3,-2.2,-2.1,-2.0"],
 }
 
 
@@ -283,6 +321,21 @@ class TestGoldenOutputs:
 
     def test_every_golden_file_is_checked(self):
         assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_ARGV)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_golden_file_fits_the_schema(self, name):
+        jsonschema.validate(json.loads((GOLDEN / name).read_text()), schema())
+
+    def test_schema_constrains_qc_report_results(self):
+        doc = json.loads((GOLDEN / "qc-report_l1.json").read_text())
+        for broken in ({"s": 0.5}, {"einstein": "yes"}, {"torsion_t0": {"1;1": "1"}},
+                       {"extra": 1}, {"reeb_ok": False}):
+            bad = {**doc, "results": {**doc["results"], **broken}}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema())
+        bad = {**doc, "results": {k: v for k, v in doc["results"].items() if k != "alphas"}}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema())
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
     def test_output_matches(self, capsys, name):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcforge import algebra, evolution, qc
 from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
@@ -161,6 +162,22 @@ class TestDomainGuards:
             require_einstein_base("l3", Fraction(-1))
         with pytest.raises(NotEinsteinBase):
             require_einstein_base("l1", Fraction(0))
+
+    def test_base_is_parsed_once(self, monkeypatch):
+        require_einstein_base("l1", Fraction(-1, 2))  # analysed and memoized
+        calls = []
+
+        def counting(name):
+            calls.append(name)
+            return catalog(name)
+
+        for module in (algebra, qc, evolution):
+            if getattr(module, "catalog", None) is catalog:
+                monkeypatch.setattr(module, "catalog", counting)
+        first = require_einstein_base("l1", Fraction(-1, 2))
+        second = require_einstein_base("l1", Fraction(-1, 2))
+        assert calls == []
+        assert second is first is qc.catalog_report("l1").spec
 
 
 class TestBatchedBuild:

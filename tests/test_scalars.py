@@ -146,6 +146,39 @@ def test_batched_jets_match_scalar_jets_bit_for_bit(samples):
                 assert _bits(got) == _bits(single.c[k]), (name, i, k)
 
 
+_FINITE = st.floats(min_value=-1e6, max_value=1e6)
+_COMPONENT = st.one_of(_FINITE, st.lists(_FINITE, min_size=3, max_size=3).map(np.array))
+_NUMBER = st.one_of(st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, Fraction(0), Fraction(1),
+                                     Fraction(-1)]),
+                    st.integers(-10, 10), _FINITE, st.fractions(-10, 10, max_denominator=12))
+_NUMBER_OPS = {  # (with the plain number q, with the constant jet c = Jet.const(q))
+    "j * q": (lambda j, q: j * q, lambda j, c: j * c),
+    "q * j": (lambda j, q: q * j, lambda j, c: c * j),
+    "j + q": (lambda j, q: j + q, lambda j, c: j + c),
+    "q + j": (lambda j, q: q + j, lambda j, c: c + j),
+    "j - q": (lambda j, q: j - q, lambda j, c: j - c),
+    "q - j": (lambda j, q: q - j, lambda j, c: c - j),
+    "-j": (lambda j, q: -j, lambda j, c: j * Jet.const(-1)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT), _NUMBER)
+def test_plain_numbers_act_as_constant_jets(components, q):
+    """A plain number acts as its constant jet, at every sample.  The value
+    component agrees bit for bit; a derivative component agrees as a float:
+    the constant's zero derivatives may only have changed the sign of a
+    zero there, or broadcast a float component to the batch."""
+    j = Jet(components)
+    for name, (fast, reference) in _NUMBER_OPS.items():
+        got, want = fast(j, q), reference(j, Jet.const(q))
+        for k in range(4):
+            x, y = np.broadcast_arrays(got.c[k], want.c[k])
+            if k == 0:
+                assert _bits(x).tolist() == _bits(y).tolist(), name
+            assert np.array_equal(x, y), (name, k)
+
+
 class TestBatchedJets:
     def test_variable_at_an_array_of_points(self):
         j = jet_eval(U**2, 1.0)

@@ -1,4 +1,4 @@
-"""Dense reference implementations of the exact kernels.
+"""Dense reference implementations of the sparse kernels.
 
 The library sums curvature, the conformal curvature W^qc and the torsion
 products over nonzero entries only.  The references below visit every index
@@ -7,17 +7,25 @@ W^qc entry by entry through Kulkarni-Nomizu products.  Zero factors are
 skipped in ``_mul`` only so that Fraction arithmetic on zeros does not
 dominate the run time; no index tuple is left out.  Both sides must return
 identical Fractions.
+
+The jet path solves the first structure equation for Gamma over the
+triples where a structure function is nonzero; its reference is the dense
+n^3 loop over every triple, with a zero jet standing in for the absent
+structure functions.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcforge import qc
 from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog
+from qcforge.evolution import FAMILIES, _axes, _coframe, require_einstein_base
 from qcforge.forms import KForm
-from qcforge.riemann import frame_curvature, koszul_levi_civita
+from qcforge.riemann import cartan_connection, frame_curvature, koszul_levi_civita
+from qcforge.scalars import Jet
 
 
 def _mul(x, y):
@@ -180,3 +188,65 @@ def test_relabelled_frames_match_dense(name, perm):
     have, want = qc.analyze(spec).to_dict(), qc.catalog_report(name).to_dict()
     assert {k: v for k, v in have.items() if k not in moved} == \
         {k: v for k, v in want.items() if k not in moved}
+
+
+def dense_cartan_forms(cof) -> list:
+    """omega^a_b with c-th coefficient Gamma^a_{cb} = (C^a_{cb} + C^b_{ac}
+    - C^c_{ba})/2, evaluated at every triple (a, b, c)."""
+    n = cof.dim
+    dhats = cof.coframe_differentials()
+    zero = Jet.const(0.0)
+
+    def cfun(a, b, c):  # d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
+        if b == c:
+            return zero
+        coeff = dhats[a - 1].terms.get((min(b, c), max(b, c)))
+        if coeff is None:
+            return zero
+        return coeff * (-1.0 if b < c else 1.0)
+
+    forms = [[None] * n for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            terms = {}
+            for c in range(1, n + 1):
+                val = (cfun(a, c, b) + cfun(b, a, c) - cfun(c, b, a)) * 0.5
+                if not val.is_zero():
+                    terms[(c,)] = val
+            forms[a - 1][b - 1] = terms
+    return forms
+
+
+def family_coframe(name: str, count: int):
+    fam = FAMILIES[name]
+    spec = require_einstein_base(fam.base, fam.S)
+    funcs = fam.functions()
+    xs = np.array(fam.default_samples(count=count))
+    return _coframe(spec, funcs["f"].jet(xs), [fn.jet(xs) for fn in _axes(funcs)],
+                    funcs["w"].jet(xs))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", ("qk-heis2", "qk-l1", "spin7-triaxial"))
+def test_sparse_cartan_matches_dense(name):
+    """Every omega^a_b has the same monomials in the same order, and each
+    coefficient the same components at every sample: the values bit for
+    bit, the derivatives as floats (the zero jet of the dense sum may
+    flip the sign of a zero derivative)."""
+    cof = family_coframe(name, 16)
+    sparse = cartan_connection(cof).forms
+    dense = dense_cartan_forms(cof)
+    n = cof.dim
+    for a in range(n):
+        for b in range(n):
+            have, want = sparse[a][b].terms, dense[a][b]
+            assert list(have) == list(want), (a, b)  # same monomials, same order
+            for idx, coeff in have.items():
+                for k in range(4):
+                    x, y = np.broadcast_arrays(coeff.c[k], want[idx].c[k])
+                    assert x.shape == (16,) and np.array_equal(x, y), (a, b, idx, k)
+                    if k == 0:
+                        assert (_bits(x) == _bits(y)).all(), (a, b, idx)
