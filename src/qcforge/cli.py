@@ -170,8 +170,7 @@ def cmd_qc_report(args) -> int:
     except _QC_ERRORS as exc:
         return _structural(exc)
     if not report.reeb_ok:
-        results = {"reeb_ok": False, "violations": report.reeb_violations}
-        _emit(_report("qc-report", source, text, {}, False, results), args.format)
+        _emit(_report("qc-report", source, text, {}, False, report.to_dict()), args.format)
         return EXIT_STRUCTURAL
     ok = all((report.scalar_crosscheck_ok, report.rho_crosscheck_ok,
               report.sp1curv_ok, report.lemma_closed))
@@ -196,7 +195,7 @@ def cmd_build(args) -> int:
         params = _parse_params(args.param)
         result = build_family(args.family, params=params or None,
                               samples=_parse_samples(args.samples))
-    except DomainError as exc:
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except NotEinsteinBase as exc:

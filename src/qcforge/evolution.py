@@ -19,7 +19,8 @@ entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
 vertical coefficient vanishes is skipped for Ricci and counted, and
 :func:`build_family` raises :class:`DomainError` when no sample is left,
-a sample is not finite, or the jet arithmetic overflows at a sample.
+a sample is not finite, or the jet arithmetic breaks down at a sample (a
+guard fails, a value overflows or a solve fails), naming that sample.
 :func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
 structure equations and the jet derivative times dx.
 """
@@ -79,19 +80,14 @@ def extended_d(base, form: KForm) -> KForm:
 
 
 def _jet_or_raise(fn: ScalarFunction, xs: np.ndarray) -> Jet:
-    """The jet of ``fn`` at the samples; an evaluation error names the
-    first sample that raises it."""
+    """The jet of ``fn`` at the samples; an evaluation error names ``fn``
+    (:func:`build_family` names the sample)."""
     try:
         return fn.jet(xs)
     except DomainError:
         raise
-    except (ValueError, OverflowError, ZeroDivisionError):
-        for x in xs.tolist():
-            try:
-                fn.jet(x)
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise DomainError(f"cannot evaluate {fn} at {x}: {exc}") from exc
-        raise
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot evaluate {fn}: {exc}") from exc
 
 
 def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> list:
@@ -124,15 +120,14 @@ def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> lis
 def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
     """Guard the samples; the mask returned is False where a vertical
     coefficient vanishes (the forms still make sense but the metric
-    degenerates there).  An error names the first failing sample."""
+    degenerates there).  An error names the first failing value
+    (:func:`build_family` names the sample)."""
     f_vals = np.broadcast_to(fj.value, xs.shape)
     bad = np.logical_not(f_vals > 0.0)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"horizontal coefficient not positive at x={xs[i]}: {f_vals[i]}")
-    bad = np.broadcast_to(w.value == 0.0, xs.shape)
-    if bad.any():
-        raise DomainError(f"dt/dx vanishes at x={xs[int(np.argmax(bad))]}")
+        raise DomainError(f"horizontal coefficient not positive: {f_vals[int(np.argmax(bad))]}")
+    if np.any(w.value == 0.0):
+        raise DomainError("dt/dx vanishes")
     keep = np.ones(xs.shape, dtype=bool)
     for h in hs:
         keep &= h.value != 0.0
@@ -627,16 +622,20 @@ _register(MetricFamily(
     make=_fam_spin7_triaxial, domain=_triaxial_window, systems=("ereal7",)))
 
 
+_BREAKDOWNS = (DomainError, OverflowError, np.linalg.LinAlgError)
+
+
 def _blame_sample(run, samples):
-    """``run(samples)``; an overflow or a failed LAPACK solve becomes
-    DomainError naming the first sample at which ``run([x])`` fails."""
+    """``run(samples)``; a guard's DomainError, an overflow or a failed
+    LAPACK solve becomes DomainError naming the first sample at which
+    ``run([x])`` fails."""
     try:
         return run(samples)
-    except (OverflowError, np.linalg.LinAlgError) as exc:
+    except _BREAKDOWNS as exc:
         for x in samples:
             try:
                 run([x])
-            except (OverflowError, np.linalg.LinAlgError) as err:
+            except _BREAKDOWNS as err:
                 raise DomainError(f"jet arithmetic breaks down at x={x}: {err}") from exc
         raise DomainError(f"jet arithmetic breaks down on the samples {samples}: {exc}") from exc
 

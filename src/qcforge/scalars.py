@@ -1,4 +1,4 @@
-"""Scalar rings: exact rationals and order-3 truncated Taylor jets.
+"""Scalar rings: exact rationals and order-2 truncated Taylor jets.
 
 Every frame computation in this package is generic over its scalar ring.
 Two rings matter: exact rationals (``fractions.Fraction``) for invariant
@@ -6,7 +6,8 @@ coframes, and :class:`Jet` for coframes whose coefficients depend on an
 evolution parameter.  A :class:`ScalarFunction` is a closed expression
 tree in one variable; evaluating it at a point, or at an array of sample
 points, yields the jet of the function there, so reports can always print
-the function that was used.
+the function that was used.  Curvature applies the exterior derivative
+twice, so a jet keeps the value and the first two derivatives and no more.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 Rational = Fraction
 
-JET_LEN = 4  # value plus derivatives through third order
+JET_LEN = 3  # value plus derivatives through second order
 
 
 class DomainError(ValueError):
@@ -71,9 +72,10 @@ def worst_abs(values) -> float:
 
 
 class Jet:
-    """Taylor data (v, v', v'', v''') of a scalar function at a point.
+    """Taylor data (v, v', v'') of a scalar function at a point.
 
-    Ring operations obey the Leibniz rule through third order; elementary
+    Curvature is d applied twice to the coframe, so no report needs v'''.
+    Ring operations obey the Leibniz rule through second order; elementary
     functions propagate via the chain rule.  Each component is a binary
     float or a float64 array of shape (N,), one entry per sample, so one
     jet carries a whole batch of samples and a float jet is a batch of
@@ -94,13 +96,13 @@ class Jet:
 
     @classmethod
     def const(cls, value) -> "Jet":
-        return _jet((float(value), 0.0, 0.0, 0.0))
+        return _jet((float(value), 0.0, 0.0))
 
     @classmethod
     def variable(cls, point) -> "Jet":
         """The jet of u at a point, or at an array of sample points."""
         p = np.asarray(point, dtype=float)
-        return cls((p if p.ndim else float(p), 1.0, 0.0, 0.0))
+        return cls((p if p.ndim else float(p), 1.0, 0.0))
 
     @property
     def value(self):
@@ -119,7 +121,7 @@ class Jet:
 
     def derivative(self) -> "Jet":
         """Jet of the derivative function; the top component is lost."""
-        return _jet((self.c[1], self.c[2], self.c[3], 0.0))
+        return _jet((self.c[1], self.c[2], 0.0))
 
     # -- ring operations ---------------------------------------------------
     # A plain number q acts on the components directly: no constant jet and
@@ -132,30 +134,30 @@ class Jet:
         a = self.c
         if isinstance(other, Jet):
             b = other.c
-            return _jet((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+            return _jet((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
         if isinstance(other, _NUMBERS):
-            return _jet((a[0] + float(other), a[1], a[2], a[3]))
+            return _jet((a[0] + float(other), a[1], a[2]))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self.c
-        return _jet((-a[0], -a[1], -a[2], -a[3]))
+        return _jet((-a[0], -a[1], -a[2]))
 
     def __sub__(self, other):
         a = self.c
         if isinstance(other, Jet):
             b = other.c
-            return _jet((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+            return _jet((a[0] - b[0], a[1] - b[1], a[2] - b[2]))
         if isinstance(other, _NUMBERS):
-            return _jet((a[0] - float(other), a[1], a[2], a[3]))
+            return _jet((a[0] - float(other), a[1], a[2]))
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBERS):
             a = self.c
-            return _jet((float(other) - a[0], -a[1], -a[2], -a[3]))
+            return _jet((float(other) - a[0], -a[1], -a[2]))
         return NotImplemented
 
     def __mul__(self, other):
@@ -166,7 +168,6 @@ class Jet:
                 a[0] * b[0],
                 a[1] * b[0] + a[0] * b[1],
                 a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],
-                a[3] * b[0] + 3.0 * a[2] * b[1] + 3.0 * a[1] * b[2] + a[0] * b[3],
             ))
         if isinstance(other, _NUMBERS):
             q = float(other)
@@ -174,7 +175,7 @@ class Jet:
                 return self
             if q == -1.0:
                 return -self
-            return _jet((a[0] * q, a[1] * q, a[2] * q, a[3] * q))
+            return _jet((a[0] * q, a[1] * q, a[2] * q))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -195,19 +196,14 @@ class Jet:
         """Chain rule: ``outer`` is the Taylor data of the outer function
         at ``self.value``."""
         d = tuple(x if isinstance(x, np.ndarray) else float(x) for x in outer)
-        g1, g2, g3 = self.c[1], self.c[2], self.c[3]
-        return _jet((
-            d[0],
-            d[1] * g1,
-            d[2] * g1 * g1 + d[1] * g2,
-            d[3] * _each(lambda v: v ** 3, g1) + 3.0 * d[2] * g1 * g2 + d[1] * g3,
-        ))
+        g1, g2 = self.c[1], self.c[2]
+        return _jet((d[0], d[1] * g1, d[2] * g1 * g1 + d[1] * g2))
 
     def reciprocal(self) -> "Jet":
         y = self.c[0]
         _fail_if(y == 0.0, y, "division by a jet with zero value")
-        p = [_each(lambda v: v ** k, y) for k in (2, 3, 4)]
-        return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1], -6.0 / p[2]))
+        p = [_each(lambda v: v ** k, y) for k in (2, 3)]
+        return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1]))
 
     def pow(self, exponent) -> "Jet":
         r = Fraction(exponent)
@@ -222,31 +218,25 @@ class Jet:
         y = self.c[0]
         _fail_if(y <= 0.0, y, f"fractional power {r} of non-positive base {{}}")
         rf = float(r)
-        p = [_each(lambda v: v ** (rf - k), y) for k in (0.0, 1.0, 2.0, 3.0)]
-        return self.compose((
-            p[0],
-            rf * p[1],
-            rf * (rf - 1.0) * p[2],
-            rf * (rf - 1.0) * (rf - 2.0) * p[3],
-        ))
+        p = [_each(lambda v: v ** (rf - k), y) for k in (0.0, 1.0, 2.0)]
+        return self.compose((p[0], rf * p[1], rf * (rf - 1.0) * p[2]))
 
     def exp(self) -> "Jet":
         e = _each(math.exp, self.c[0])
-        return self.compose((e, e, e, e))
+        return self.compose((e, e, e))
 
     def sinh(self) -> "Jet":
         s, c = _each(math.sinh, self.c[0]), _each(math.cosh, self.c[0])
-        return self.compose((s, c, s, c))
+        return self.compose((s, c, s))
 
     def cosh(self) -> "Jet":
         s, c = _each(math.sinh, self.c[0]), _each(math.cosh, self.c[0])
-        return self.compose((c, s, c, s))
+        return self.compose((c, s, c))
 
     def log(self) -> "Jet":
         y = self.c[0]
         _fail_if(y <= 0.0, y, "log of non-positive value {}")
-        p = [_each(lambda v: v ** k, y) for k in (2, 3)]
-        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / p[0], 2.0 / p[1]))
+        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / _each(lambda v: v ** 2, y)))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))
@@ -285,8 +275,9 @@ class ScalarFunction:
 
     Kept as an expression tree rather than a bare callable so the exact
     function can be printed in reports and round-tripped through config
-    files.  ``jet(x)`` evaluates the full order-3 Taylor data at ``x``, a
-    float or a float64 array of sample points.
+    files.  ``jet(x)`` evaluates the order-2 Taylor data at ``x``, a float
+    or a float64 array of sample points: all that curvature, d applied
+    twice, reads.
     """
 
     def jet(self, point: float) -> Jet:
@@ -476,7 +467,8 @@ def const(q) -> ScalarFunction:
 
 
 def jet_eval(fn: ScalarFunction, point: float) -> Jet:
-    """Taylor data of ``fn`` at ``point`` through order 3."""
+    """Taylor data of ``fn`` at ``point`` through order 2, the order
+    curvature needs."""
     return fn.jet(float(point))
 
 

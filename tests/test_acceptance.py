@@ -6,7 +6,9 @@ criteria from the command line.
 
 import pytest
 
+from qcforge import acceptance
 from qcforge.acceptance import CRITERIA
+from qcforge.scalars import JET_LEN, Jet
 
 
 @pytest.mark.parametrize("number,title,fn", CRITERIA,
@@ -15,3 +17,25 @@ def test_criterion(number, title, fn):
     ok, detail = fn()
     print(f"criterion {number:2d} [{'PASS' if ok else 'FAIL'}] {title}: {detail}")
     assert ok, f"criterion {number} failed: {detail}"
+
+
+NAN = float("nan")
+
+
+def _nan_build(name, **kw):
+    """A build whose every residual is NaN and whose other fields pass."""
+    return {"dform_residual": NAN, "ideal_residual": NAN, "ricci_max_abs": NAN,
+            "einstein_deviation": NAN, "einstein_const": -16.0,
+            "einstein_expected": -16.0, "curvature_rank": 21}
+
+
+@pytest.mark.parametrize("criterion", ["criterion_8", "criterion_9", "criterion_10",
+                                       "criterion_12", "criterion_14"])
+def test_nan_fails_the_criterion(monkeypatch, criterion):
+    """A NaN is over every tolerance: builds, ODE residuals and the jets
+    of the finite-difference check that return NaN fail their criterion."""
+    monkeypatch.setattr(acceptance, "_build", _nan_build)
+    monkeypatch.setattr(acceptance, "ode_residual", lambda *args: NAN)
+    monkeypatch.setattr(acceptance, "jet_eval", lambda fn, x: Jet((NAN,) * JET_LEN))
+    ok, detail = getattr(acceptance, criterion)()
+    assert not ok, detail

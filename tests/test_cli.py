@@ -123,6 +123,7 @@ omega3 = e1^e4 + e2^e3
         doc = json.loads(out)
         jsonschema.validate(doc, schema())
         assert code == 3 and doc["results"]["reeb_ok"] is False
+        assert doc["results"]["name"] == f"file:{path}"
 
     def test_jacobi_violating_file_exit_three(self, tmp_path, capsys):
         path = self._heis1_file(tmp_path, "d e7 = 2 e1^e4 + 2 e2^e3",
@@ -242,7 +243,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("kind,family,samples,bad", [
         ("qk", "qk-heis", "300", "300.0"),      # f = exp(2u): sqrt(f) overflows
-        ("qk", "qk-heis", "100,200", "100.0"),
+        ("qk", "qk-heis", "100,200", "200.0"),  # x=100 succeeds: blame skips it
         ("qk", "qk-l1", "1,1e-100", "1e-100"),  # inf curvature: LAPACK failure, exit 2
         ("spin7", "spin7-heis", "1e60", "1e+60"),  # overflow in the ODE residual
     ])
@@ -252,6 +253,23 @@ class TestBuild:
         assert out == ""
         assert err.startswith(f"domain error: jet arithmetic breaks down at x={bad}: ")
         assert err.count("\n") == 1
+
+    def test_jet_guard_names_the_sample(self, capfd):
+        # u^2 overflows, so w = 1/(2 sqrt(u + u^2)) is 0 and d/dt divides by it
+        code, out, err = run(capfd, "build", "qk", "--family", "qk-3sas", "--samples", "1,1e160")
+        assert code == 4
+        assert out == ""
+        assert err == ("domain error: jet arithmetic breaks down at x=1e+160: "
+                       "division by a jet with zero value\n")
+
+    @pytest.mark.parametrize("param", ["a1=1e400", "C=0"])
+    def test_parameter_out_of_domain_exit_four(self, capfd, param):
+        code, out, err = run(capfd, "build", "spin7", "--family", "spin7-triaxial",
+                             "--param", param)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_failed_least_squares_exit_four(self, capfd, monkeypatch):
         def fail(*args, **kwargs):

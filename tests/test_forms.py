@@ -233,5 +233,5 @@ class TestLiterals:
 def test_max_abs_returns_nan_instead_of_skipping_it():
     form = KForm(3, 1, {(1,): Jet.const(float("nan")), (2,): Jet.const(2.0)})
     assert math.isnan(form.max_abs())
-    batch = KForm(3, 1, {(1,): Jet((np.array([1.0, -3.0]), 0.0, 0.0, 0.0))})
+    batch = KForm(3, 1, {(1,): Jet((np.array([1.0, -3.0]), 0.0, 0.0))})
     assert batch.max_abs() == 3.0

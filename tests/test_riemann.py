@@ -154,8 +154,7 @@ class TestCartan:
                 fv = lambda y: math.exp(2 * b * y)
                 f = Jet((fv(x),
                          (fv(x + step) - fv(x - step)) / (2 * step),
-                         (fv(x + step) - 2 * fv(x) + fv(x - step)) / step**2,
-                         0.0))
+                         (fv(x + step) - 2 * fv(x) + fv(x - step)) / step**2))
                 h = f * b
             return [f.sqrt()] * 4 + [h] * 3
 

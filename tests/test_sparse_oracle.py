@@ -245,7 +245,7 @@ def test_sparse_cartan_matches_dense(name):
             have, want = sparse[a][b].terms, dense[a][b]
             assert list(have) == list(want), (a, b)  # same monomials, same order
             for idx, coeff in have.items():
-                for k in range(4):
+                for k in range(3):
                     x, y = np.broadcast_arrays(coeff.c[k], want[idx].c[k])
                     assert x.shape == (16,) and np.array_equal(x, y), (a, b, idx, k)
                     if k == 0:
