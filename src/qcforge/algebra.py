@@ -15,25 +15,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import FrameVector, KForm, exterior_d, parse_form, format_form
-from .scalars import parse_rational
+from .scalars import InputError, NotQcError, parse_rational
 
 
-class AlgebraSyntaxError(ValueError):
+class AlgebraSyntaxError(InputError):
     def __init__(self, message: str, line: int, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
 
-class DuplicateDifferential(ValueError):
+class DuplicateDifferential(InputError):
     pass
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(InputError):
     pass
 
 
-class UnknownName(ValueError):
+class UnknownName(InputError):
     pass
 
 
@@ -123,17 +123,17 @@ class QcFrameSpec:
         self.vertical = tuple(vertical)
         self.omega = tuple(omega)
         if len(self.vertical) != 3 or len(self.omega) != 3:
-            raise ValueError("need three vertical directions and three fundamental forms")
+            raise InputError("need three vertical directions and three fundamental forms")
         if len(self.horizontal) % 4 != 0 or not self.horizontal:
-            raise ValueError("horizontal rank must be a positive multiple of 4")
+            raise InputError("horizontal rank must be a positive multiple of 4")
         used = set(self.horizontal) | set(self.vertical)
         if len(used) != algebra.dim or used != set(range(1, algebra.dim + 1)):
-            raise ValueError("horizontal and vertical indices must partition the frame")
+            raise InputError("horizontal and vertical indices must partition the frame")
         for w in self.omega:
             if w.dim != algebra.dim or w.degree != 2:
-                raise ValueError("fundamental forms must be 2-forms over the full frame")
+                raise InputError("fundamental forms must be 2-forms over the full frame")
             if any(set(idx) - set(self.horizontal) for idx in w.terms):
-                raise ValueError("fundamental forms must be horizontal")
+                raise InputError("fundamental forms must be horizontal")
         self._imat = None
 
     @property
@@ -173,21 +173,21 @@ class QcFrameSpec:
         """Quaternion relations and metric compatibility of the induced I_s."""
         for s in (1, 2, 3):
             if self.eta(s) != KForm.basis(self.dim, self.vertical[s - 1]):
-                raise ValueError("eta_s must be a vertical coframe element")
+                raise NotQcError("eta_s must be a vertical coframe element")
         k = len(self.horizontal)
         i1, i2, i3 = ([list(row) for row in self.complex_structure(s)] for s in (1, 2, 3))
         minus_id = _mat_lin((-1, _identity(k)))
         for s, mat in enumerate((i1, i2, i3), start=1):
             if _mat_mul(mat, mat) != minus_id:
-                raise ValueError(f"I_{s}^2 is not -id; check omega_{s}")
+                raise NotQcError(f"I_{s}^2 is not -id; check omega_{s}")
             for r in range(k):
                 for c in range(k):
                     if mat[r][c] != -mat[c][r]:
-                        raise ValueError(f"I_{s} is not metric compatible")
+                        raise NotQcError(f"I_{s} is not metric compatible")
         if _mat_mul(i1, i2) != i3:
-            raise ValueError("I_1 I_2 != I_3; quaternion relations fail")
+            raise NotQcError("I_1 I_2 != I_3; quaternion relations fail")
         if _mat_mul(i2, i1) != _mat_lin((-1, i3)):
-            raise ValueError("I_2 I_1 != -I_3; quaternion relations fail")
+            raise NotQcError("I_2 I_1 != -I_3; quaternion relations fail")
         return self
 
 
@@ -349,7 +349,7 @@ def heisenberg_source(n: int) -> str:
     """Structure-equation text of the 4n+3 dimensional quaternionic
     Heisenberg coframe with its standard qc block."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     dim = 4 * n + 3
     pair_rows = {
         1: [(4 * q + 1, 4 * q + 2) for q in range(n)] + [(4 * q + 3, 4 * q + 4) for q in range(n)],
@@ -385,7 +385,10 @@ def catalog(name: str) -> QcFrameSpec:
     base, arg = m.group(1), m.group(2)
 
     if base == "heis":
-        n = int(arg) if arg else 1
+        try:
+            n = int(arg) if arg else 1
+        except ValueError:
+            raise UnknownName(f"bad catalog name {name!r}") from None
         if n in (1, 2):
             source = _data_text(f"heis{n}.alg")
         else:
@@ -406,7 +409,7 @@ def catalog(name: str) -> QcFrameSpec:
     spec.validate()
     report = jacobi_check(alg)
     if not report.ok:
-        raise ValueError(f"catalog entry {name!r} violates the Jacobi identity: {report.violations[:3]}")
+        raise NotQcError(f"catalog entry {name!r} violates the Jacobi identity: {report.violations[:3]}")
     return spec
 
 

@@ -11,7 +11,9 @@ symbolic        run a symbolic coefficient-system verification
 sweep           run the complete acceptance suite
 
 Exit codes: 0 pass, 1 verification failure, 2 parse error, 3 structural
-precondition failure, 4 domain error.
+precondition failure, 4 domain error.  Every refusal is an ``InputError``
+(2), ``NotQcError`` (3) or ``DomainError`` (4), and :func:`main` alone
+turns it into its exit code and one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,21 +23,13 @@ import hashlib
 import json
 import sys
 from . import __version__, acceptance, dga, qc
-from .algebra import (AlgebraSyntaxError, DuplicateDifferential,
-                      IndexOutOfRange, UnknownName, catalog, format_algebra,
-                      jacobi_check, parse_algebra)
-from .evolution import FAMILIES, NotEinsteinBase, build_family
-from .scalars import DomainError, parse_rational
+from .algebra import catalog, format_algebra, jacobi_check, parse_algebra
+from .evolution import FAMILIES, build_family
+from .scalars import DomainError, InputError, NotQcError, parse_float, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
-EXIT_PARSE = 2
 EXIT_STRUCTURAL = 3
-EXIT_DOMAIN = 4
-
-_PARSE_ERRORS = (AlgebraSyntaxError, DuplicateDifferential, IndexOutOfRange,
-                 UnknownName, ValueError, OSError)
-_QC_ERRORS = (qc.InconsistentScalar, qc.DecompositionResidual, qc.ConsistencyError)
 
 
 def _sha256(text: str) -> str:
@@ -95,23 +89,21 @@ def _fmt(value):
     return str(value)
 
 
-def _structural(message) -> int:
-    print(f"structural precondition failed: {message}", file=sys.stderr)
-    return EXIT_STRUCTURAL
-
-
 def _violation_text(violation) -> str:
     a, (b, c, d), value = violation
     return f"d.d e{a} on (e{b},e{c},e{d}) = {value}"
 
 
 def _load_source(args):
-    if getattr(args, "catalog", None):
+    if args.catalog is not None:
         spec = catalog(args.catalog)
         return f"catalog:{args.catalog}", format_algebra(spec.algebra, spec), spec
     path = args.file
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise InputError(exc) from exc
     alg, spec = parse_algebra(text)
     return f"file:{path}", text, (spec if spec is not None else alg)
 
@@ -120,24 +112,18 @@ def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise ValueError(f"--param needs name=value, got {pair!r}")
+            raise InputError(f"--param needs name=value, got {pair!r}")
         key, _, value = pair.partition("=")
         out[key.strip()] = parse_rational(value)
     return out
 
 
 def _parse_samples(text):
-    if not text:
-        return None
-    return [float(x) for x in text.replace(",", " ").split()]
+    return [parse_float(x) for x in text.replace(",", " ").split()] if text else None
 
 
 def cmd_check_algebra(args) -> int:
-    try:
-        source, text, spec_or_alg = _load_source(args)
-    except _PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    source, text, spec_or_alg = _load_source(args)
     alg = spec_or_alg.algebra if hasattr(spec_or_alg, "algebra") else spec_or_alg
     rep = jacobi_check(alg)
     results = {
@@ -150,25 +136,14 @@ def cmd_check_algebra(args) -> int:
 
 
 def cmd_qc_report(args) -> int:
-    try:
-        source, text, spec = _load_source(args)
-    except _PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    source, text, spec = _load_source(args)
     if not hasattr(spec, "omega"):
-        print("input has no qc block", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    try:
-        spec.validate()
-    except ValueError as exc:
-        return _structural(exc)
+        raise NotQcError("input has no qc block")
+    spec.validate()
     jacobi = jacobi_check(spec.algebra)
     if not jacobi.ok:
-        return _structural(f"Jacobi identity fails: {_violation_text(jacobi.violations[0])}")
-    try:
-        report = qc.analyze(spec, source)
-    except _QC_ERRORS as exc:
-        return _structural(exc)
+        raise NotQcError(f"Jacobi identity fails: {_violation_text(jacobi.violations[0])}")
+    report = qc.analyze(spec, source)
     if not report.reeb_ok:
         _emit(_report("qc-report", source, text, {}, False, report.to_dict()), args.format)
         return EXIT_STRUCTURAL
@@ -181,31 +156,14 @@ def cmd_qc_report(args) -> int:
 def cmd_build(args) -> int:
     fam = FAMILIES.get(args.family)
     if fam is None:
-        print(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    kind_ok = fam.kind.startswith(args.kind) or (args.kind == "qk" and fam.kind == "ideal")
-    if not kind_ok:
-        print(f"family {args.family} is not of kind {args.kind}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.tol_residual <= 0 or args.tol_ricci <= 0:
-        print("tolerances must be positive", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        params = _parse_params(args.param)
-        result = build_family(args.family, params=params or None,
-                              samples=_parse_samples(args.samples))
-    except (DomainError, OverflowError, ZeroDivisionError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NotEinsteinBase as exc:
-        return _structural(exc)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    tol_res = args.tol_residual
-    tol_ric = args.tol_ricci
+        raise InputError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
+    if not (fam.kind.startswith(args.kind) or (args.kind == "qk" and fam.kind == "ideal")):
+        raise InputError(f"family {args.family} is not of kind {args.kind}")
+    tol_res, tol_ric = args.tol_residual, args.tol_ricci
+    if not (tol_res > 0 and tol_ric > 0):  # NaN is refused too
+        raise InputError("tolerances must be positive")
+    result = build_family(args.family, params=_parse_params(args.param) or None,
+                          samples=_parse_samples(args.samples))
     verdicts = {}
     for system, value in result.get("ode_residuals", {}).items():
         verdicts[f"ode_{system}_ok"] = value < tol_res
@@ -315,7 +273,11 @@ def _join_samples(argv) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_samples(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, NotQcError, DomainError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -113,9 +113,6 @@ class DgaElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_parts(self) -> set:
-        return {len(m[0]) + _DEG_EVEN[m[1]] for m in self.terms}
-
     def __add__(self, other):
         o = _as_element(other)
         res = dict(self.terms)

@@ -18,9 +18,10 @@ all samples in one pass: the jets carry float64 arrays of shape (N,), one
 entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
 vertical coefficient vanishes is skipped for Ricci and counted, and
-:func:`build_family` raises :class:`DomainError` when no sample is left,
-a sample is not finite, or the jet arithmetic breaks down at a sample (a
-guard fails, a value overflows or a solve fails), naming that sample.
+:func:`build_family` raises :class:`DomainError` when the parameters leave
+no finite real window or fail in exact arithmetic, when no sample is
+left, a sample is not finite, or the jet arithmetic breaks down at a
+sample (a guard fails, a value overflows or a solve fails), naming it.
 :func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
 structure equations and the jet derivative times dx.
 """
@@ -37,13 +38,13 @@ from . import qc
 from .algebra import QcFrameSpec
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
-from .scalars import (Const, DomainError, Jet, Pow, ScalarFunction, U, cosh,
-                      exp, sinh, sqrt, worst_abs)
+from .scalars import (Const, DomainError, InputError, Jet, NotQcError, Pow,
+                      ScalarFunction, U, cosh, exp, sinh, sqrt, worst_abs)
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
-class NotEinsteinBase(ValueError):
+class NotEinsteinBase(NotQcError):
     """The base coframe is not qc Einstein with the family's scalar."""
 
 
@@ -386,15 +387,22 @@ class MetricFamily:
         if params:
             unknown = set(params) - set(self.defaults)
             if unknown:
-                raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
+                raise InputError(f"unknown parameters for {self.name}: {sorted(unknown)}")
             merged.update({k: Fraction(v) for k, v in params.items()})
         return merged
 
     def functions(self, params=None) -> dict:
         return self.make(self.params_with_defaults(params))
 
+    def refuse(self, params, why: str) -> DomainError:
+        """No metric at ``params``: name them, not their values (maybe 400 digits)."""
+        names = ", ".join(sorted(params))
+        return DomainError(f"{self.name} is undefined for the parameters {names}: {why}")
+
     def default_samples(self, params=None, count: int = 5) -> list:
         lo, hi = self.domain(self.params_with_defaults(params))
+        if not all(isinstance(v, float) and math.isfinite(v) for v in (lo, hi)):
+            raise self.refuse(params, "no finite real sample window")
         width = hi - lo
         lo2, hi2 = lo + 0.1 * width, hi - 0.1 * width
         if count == 1:
@@ -647,8 +655,13 @@ def build_family(name: str, params=None, samples=None) -> dict:
     if fam is None:
         raise KeyError(f"unknown family {name!r}")
     p = fam.params_with_defaults(params)
-    funcs = fam.functions(params)
-    pts = list(samples) if samples else fam.default_samples(params)
+    try:
+        funcs = fam.functions(params)
+        pts = list(samples) if samples else fam.default_samples(params)
+    except ZeroDivisionError as exc:
+        raise fam.refuse(params, "division by zero") from exc
+    except ArithmeticError as exc:
+        raise fam.refuse(params, "a value overflows") from exc
     for x in pts:
         if not math.isfinite(x):
             raise DomainError(f"sample {x} is not a finite number")

@@ -23,19 +23,20 @@ from .forms import FrameVector, KForm
 from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
+from .scalars import NotQcError
 
 _CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
-class InconsistentScalar(ValueError):
+class InconsistentScalar(NotQcError):
     """The three trace routes to the scalar invariant disagree."""
 
 
-class DecompositionResidual(ValueError):
+class DecompositionResidual(NotQcError):
     """Reconstructed Ricci 2-forms fail to reproduce the input."""
 
 
-class ConsistencyError(ValueError):
+class ConsistencyError(NotQcError):
     """Two independent routes to the same tensor disagree."""
 
 

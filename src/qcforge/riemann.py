@@ -33,14 +33,14 @@ import numpy as np
 
 from .algebra import FrameAlgebra
 from .forms import KForm, exterior_d
-from .scalars import Jet
+from .scalars import DomainError, Jet, NotQcError
 
 
-class NonAntisymmetricTorsion(ValueError):
+class NonAntisymmetricTorsion(NotQcError):
     pass
 
 
-class SingularCoframe(ValueError):
+class SingularCoframe(DomainError):
     pass
 
 

@@ -23,21 +23,42 @@ Rational = Fraction
 JET_LEN = 3  # value plus derivatives through second order
 
 
+class InputError(ValueError):
+    """Input that does not parse or names nothing known.  InputError,
+    NotQcError and DomainError are the bases of every error that bad input
+    raises; each carries its CLI exit code and the label of its message."""
+    exit_code, label = 2, "parse error"
+
+
+class NotQcError(ValueError):
+    """Input that parses but fails a structural precondition: it is not a
+    qc coframe, or not the one a family needs."""
+    exit_code, label = 3, "structural precondition failed"
+
+
 class DomainError(ValueError):
     """Evaluation outside a function's domain (log of a non-positive
     number, fractional power of a negative base, division by zero)."""
+    exit_code, label = 4, "domain error"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
+    """Parse 'p/q' or 'p' into an exact rational; a literal such as 1e5000
+    whose value has too many digits to print in a report is refused."""
     try:
-        return Fraction(text.strip())
+        q = Fraction(text.strip())
+        str(q)
+        return q
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+        raise InputError(f"bad rational literal {text!r}") from exc
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+def parse_float(text: str) -> float:
+    """Parse a float literal; inf and nan parse too."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InputError(exc) from exc
 
 
 def _each(fn, x):

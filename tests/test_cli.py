@@ -1,11 +1,17 @@
+import contextlib
 import importlib.resources
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcforge import cli
 from qcforge.cli import main
 
 
@@ -147,6 +153,13 @@ omega3 = e1^e4 + e2^e3
             assert out == ""
             assert err.count("\n") == 1 and "absent.alg" in err
 
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_empty_catalog_name_exit_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--catalog", "")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: bad catalog name ''\n"
+
 
 class TestBuild:
     def test_qk_l2(self, capsys):
@@ -268,8 +281,33 @@ class TestBuild:
                              "--param", param)
         assert code == 4
         assert out == ""
-        assert err.startswith("domain error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err.startswith("domain error: spin7-triaxial ") and err.count("\n") == 1
+        assert f"parameters {param.split('=')[0]}:" in err
+        assert not re.search(r"\d{20}", err)  # names a1, not its 401 digits
+
+    @pytest.mark.parametrize("family,param", [
+        ("spin7-l1", "b"), ("spin7-l2", "b"), ("spin7-3sas", "a")])
+    def test_negative_window_exit_four(self, capsys, family, param):
+        # the window end float(p) ** 0.6 is complex for p < 0
+        code, out, err = run(capsys, "build", "spin7", "--family", family, "--param", f"{param}=-1")
+        assert code == 4
+        assert out == ""
+        assert err == (f"domain error: {family} is undefined for the parameters {param}: "
+                       "no finite real sample window\n")
+
+    @pytest.mark.parametrize("option", ["--tol-residual", "--tol-ricci"])
+    def test_nan_tolerance_exit_two(self, capsys, option):
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-l1", option, "nan")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: tolerances must be positive\n"
+
+    def test_unprintable_parameter_exit_two(self, capsys):
+        # 10**5000 has more digits than Python prints, and the report prints it
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-l1", "--param", "b=1e5000")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: bad rational literal '1e5000'\n"
 
     def test_failed_least_squares_exit_four(self, capfd, monkeypatch):
         def fail(*args, **kwargs):
@@ -287,6 +325,91 @@ class TestBuild:
         assert code == 2
         assert out == ""
         assert err == "parse error: bad rational literal '1/0'\n"
+
+
+_ODD_NUMBER = st.one_of(
+    st.sampled_from(["0", "-1", "-1/2", "1/0", "1e400", "-1e400", "1e-400", "1e5000",
+                     "nan", "inf", "-inf", "", "x", "3/-2", " 2 "]),
+    st.fractions().map(str), st.floats().map(repr), st.text(max_size=6))
+_CHEAP_FAMILIES = [("qk", "qk-3sas"), ("spin7", "spin7-3sas"), ("qk", "qk-l1"),
+                   ("spin7", "spin7-l1"), ("spin7", "spin7-triaxial")]
+_CATALOG_NAME = st.one_of(
+    st.sampled_from(["", "heis(x)", "heis(0)", "heis(-1)", "heis(1.5)", "l0(1/0)", "l0(abc)",
+                     "l0(1e5000)", "l0(-2/3)", "l1(2)", "l9", "heis(", "(", " l1 "]),
+    st.text(max_size=8))
+_SOURCE_COMMAND = st.sampled_from(["qc-report", "check-algebra"])
+_L3 = importlib.resources.files("qcforge.data").joinpath("l3.alg").read_text().splitlines()
+_L3_BODY = [k for k, line in enumerate(_L3) if line.startswith(("d e", "qc", "omega"))]
+_L3_SWAPS = [(" + ", " - "), (" - ", " + "), ("2 e", "3 e"), ("1/2", "1/3"), ("e1", "e2"),
+             ("e4", "e6"), ("e5", "e7"), ("e5,e6", "e4,e6"), ("= e", "= 2 e")]
+
+
+# Each strategy draws (argv, text): text, when not None, is written to a
+# file that the argv names with --file.  Every option is glued to its value,
+# so no draw becomes an argparse usage error.
+@st.composite
+def _build_case(draw):
+    kind, family = draw(st.sampled_from(_CHEAP_FAMILIES))
+    argv = ["build", kind, f"--family={family}"]
+    for name in draw(st.lists(st.sampled_from(sorted(cli.FAMILIES[family].defaults)),
+                              max_size=2)):
+        argv.append(f"--param={name}={draw(_ODD_NUMBER)}")
+    if draw(st.booleans()):
+        argv.append("--samples=" + ",".join(draw(st.lists(_ODD_NUMBER, max_size=3))))
+    return argv, None
+
+
+@st.composite
+def _catalog_case(draw):
+    return [draw(_SOURCE_COMMAND), f"--catalog={draw(_CATALOG_NAME)}"], None
+
+
+@st.composite
+def _mutated_l3_case(draw):
+    lines = list(_L3)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(_L3_BODY))
+        if draw(st.booleans()):  # still parses, may break Jacobi, I_s or Reeb
+            old, new = draw(st.sampled_from(_L3_SWAPS))
+            lines[k] = lines[k].replace(old, new, 1)
+            continue
+        pos = draw(st.integers(0, len(lines[k])))
+        token = draw(st.sampled_from(["", "e1", "e9", "^", "+", "-", "/", "0", "1/0", "2",
+                                      ",", ";", "..", "=", "#", "1e5000", "\n"]))
+        cut = draw(st.integers(0, 3))
+        lines[k] = lines[k][:pos] + token + lines[k][pos + cut:]
+    return [draw(_SOURCE_COMMAND)], "\n".join(lines) + "\n"
+
+
+class TestExitContract:
+    """Every input ends in a verdict or in a documented exit code with one
+    line on stderr; anything else that escapes ``main`` is a bug."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.one_of(_build_case(), _catalog_case(), _mutated_l3_case()))
+    def test_fuzzed_argv_keep_the_contract(self, case):
+        argv, text = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if text is not None:
+                path = Path(tmp) / "mutated.alg"
+                path.write_text(text)
+                argv = argv + [f"--file={path}"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1
+        # a report on stdout, or one line on stderr saying why there is none
+        assert bool(lines) == (out.getvalue() == "")
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not a refusal")
+
+        monkeypatch.setattr(cli, "build_family", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["build", "qk", "--family", "qk-l1"])
 
 
 class TestSymbolic:
