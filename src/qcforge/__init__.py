@@ -3,7 +3,7 @@ the special-holonomy metric families they generate."""
 
 __version__ = "0.1.0"
 
-from .scalars import DomainError, Jet, Rational, ScalarFunction, jet_eval, parse_scalar_function
+from .scalars import DomainError, Jet, Rational
 from .forms import FrameVector, KForm, hodge_star, interior, parse_form, wedge
 from .algebra import FrameAlgebra, QcFrameSpec, catalog, jacobi_check, parse_algebra
 
@@ -15,12 +15,10 @@ __all__ = [
     "KForm",
     "QcFrameSpec",
     "Rational",
-    "ScalarFunction",
     "catalog",
     "hodge_star",
     "interior",
     "jacobi_check",
-    "jet_eval",
     "parse_algebra",
     "parse_form",
     "wedge",

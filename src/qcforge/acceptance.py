@@ -16,7 +16,7 @@ from .algebra import catalog, jacobi_check
 from .evolution import FAMILIES, build_family, extended_d, ode_residual
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
-from .scalars import Jet, jet_eval, parse_scalar_function
+from .scalars import Jet
 
 TOL_RESIDUAL = 1e-10
 TOL_RICCI = 1e-8
@@ -36,7 +36,7 @@ def _not_below(value, bound) -> bool:
 
 
 def _build(name: str, **kw) -> dict:
-    key = name + repr(sorted((kw.get("params") or {}).items()))
+    key = name + repr(sorted((kw.get("params") or {}).items())) + repr(kw.get("samples"))
     if key not in _BUILDS:
         _BUILDS[key] = build_family(name, **kw)
     return _BUILDS[key]
@@ -253,6 +253,15 @@ def _random_rational_form(rng, dim, degree, density=4):
     return form
 
 
+# the functions whose jets criterion 14 checks, keyed by their closed forms
+_FD_FUNCTIONS = {
+    "u^2 * exp(u)": lambda u: u.pow(2) * u.exp(),
+    "cosh(u) / (1 + u^2)": lambda u: u.cosh() / (1 + u.pow(2)),
+    "u^(5/3) - ln(u)": lambda u: u.pow(Fraction(5, 3)) - u.log(),
+    "sinh(u) * u^(-1/2)": lambda u: u.sinh() * u.pow(Fraction(-1, 2)),
+}
+
+
 def criterion_14():
     """Property battery: nilpotency of d, the Hodge sign law, prescribed
     torsion, the structure-equation residuals, and jets against finite
@@ -308,25 +317,19 @@ def criterion_14():
     fam = FAMILIES["spin7-l1"]
     funcs = fam.functions()
     for x in fam.default_samples():
-        fj = funcs["f"].jet(x)
-        hj = funcs["h"].jet(x)
-        scal = [fj.sqrt()] * 4 + [hj] * 3
-        cof = CoframeWithJets(catalog("l1").algebra, scal, funcs["w"].jet(x))
+        u = Jet.variable(x)
+        fj, hj, wj = (funcs[k](u) for k in ("f", "h", "w"))
+        cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3, wj)
         conn = cartan_connection(cof)
         if (_not_below(conn.structure_residual, TOL_STRUCTURE)
                 or _not_below(conn.antisymmetry_residual, TOL_STRUCTURE)):
             problems.append(f"connection solver residual at x={x}")
 
     # jets against central finite differences
-    exprs = ("u^2 * exp(u)", "cosh(u) / (1 + u^2)", "u^(5/3) - ln(u)",
-             "sinh(u) * u^(-1/2)")
     step = 1e-5
-    for text in exprs:
-        fn = parse_scalar_function(text)
+    for text, fn in _FD_FUNCTIONS.items():
         for x in (0.7, 1.3, 2.1):
-            base = jet_eval(fn, x)
-            plus = jet_eval(fn, x + step)
-            minus = jet_eval(fn, x - step)
+            base, plus, minus = (fn(Jet.variable(p)) for p in (x, x + step, x - step))
             for k in (1, 2):
                 fd = (plus.c[k - 1] - minus.c[k - 1]) / (2 * step)
                 if _not_below(abs(fd - base.c[k]) / max(abs(base.c[k]), 1e-12), TOL_JET_FD):

@@ -375,9 +375,9 @@ def catalog(name: str) -> QcFrameSpec:
     """Load a named coframe with its qc data.
 
     Names: heis, heis(n), l0, l0(c), l1, l2, l3.  Entries are parsed from
-    the shipped structure-equation files (the Heisenberg family is
-    generated through the same text grammar), validated against the
-    quaternion relations, and integrability-checked.
+    the shipped structure-equation files (the Heisenberg coframes are
+    generated in the same text grammar by :func:`heisenberg_source`),
+    validated against the quaternion relations, and integrability-checked.
     """
     m = _NAME.match(name.strip())
     if not m:
@@ -389,10 +389,7 @@ def catalog(name: str) -> QcFrameSpec:
             n = int(arg) if arg else 1
         except ValueError:
             raise UnknownName(f"bad catalog name {name!r}") from None
-        if n in (1, 2):
-            source = _data_text(f"heis{n}.alg")
-        else:
-            source = heisenberg_source(n)
+        source = heisenberg_source(n)
     elif base == "l0":
         c = parse_rational(arg) if arg else Fraction(1)
         source = _data_text("l0.alg.in").replace("{c}", str(c))

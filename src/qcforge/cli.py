@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--samples", help="comma-separated sample points")
-    p.add_argument("--tol-residual", type=float, default=1e-10)
-    p.add_argument("--tol-ricci", type=float, default=1e-8)
+    p.add_argument("--tol-residual", type=float, default=acceptance.TOL_RESIDUAL)
+    p.add_argument("--tol-ricci", type=float, default=acceptance.TOL_RICCI)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_build)
 

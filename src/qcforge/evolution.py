@@ -7,13 +7,14 @@ the fundamental 4-form, membership of the dF_i in the differential ideal
 of the triple, Ricci behaviour of the associated metric, the rank of the
 curvature span, and the residuals of each family's governing ODE system.
 
-Each catalog family stores closed-form coefficient functions in its own
-coordinate x together with the factor w = dt/dx relating x to the
-arc-length parameter t in which the ansatz
+Each catalog family stores closed-form coefficient functions of its own
+coordinate x, written as Python functions from the jet of x to a jet,
+together with the factor w = dt/dx relating x to the arc-length
+parameter t in which the ansatz
 ``F_i = f omega_i + h_j h_k eta_j ^ eta_k - h_i eta_i ^ dt`` is written.
 
 One builder, :func:`build_triaxial`, evolves every family: a diagonal
-family passes its one vertical coefficient as [h, h, h].  It evaluates
+family's one vertical coefficient h stands for all three.  It evaluates
 all samples in one pass: the jets carry float64 arrays of shape (N,), one
 entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
@@ -38,8 +39,7 @@ from . import qc
 from .algebra import QcFrameSpec
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
-from .scalars import (Const, DomainError, InputError, Jet, NotQcError, Pow,
-                      ScalarFunction, U, cosh, exp, sinh, sqrt, worst_abs)
+from .scalars import DomainError, InputError, Jet, NotQcError, worst_abs
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -80,15 +80,17 @@ def extended_d(base, form: KForm) -> KForm:
                       lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() * dx)
 
 
-def _jet_or_raise(fn: ScalarFunction, xs: np.ndarray) -> Jet:
-    """The jet of ``fn`` at the samples; an evaluation error names ``fn``
-    (:func:`build_family` names the sample)."""
-    try:
-        return fn.jet(xs)
-    except DomainError:
-        raise
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot evaluate {fn}: {exc}") from exc
+def _jet_or_raise(funcs: dict, xs: np.ndarray) -> dict:
+    """The jet of each coefficient function at the samples, by key; an
+    evaluation error names the key (:func:`build_family` names the sample)."""
+    u = Jet.variable(xs)
+    jets = {}
+    for key, fn in funcs.items():
+        try:
+            jets[key] = fn(u)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot evaluate {key}: {exc}") from exc
+    return jets
 
 
 def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> list:
@@ -192,21 +194,19 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
 
 
 @np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
-def build_triaxial(spec: QcFrameSpec, f: ScalarFunction, fs, w: ScalarFunction,
-                   samples, kind: str) -> dict:
-    """Evolve the structure with vertical coefficients f1, f2, f3 (a
-    diagonal family passes [h, h, h]) and collect residuals, Ricci data,
-    the curvature-span rank and, for the ``spin7`` pattern, the checks of
-    the 3-form/4-form pair.  A sample where a vertical coefficient
-    vanishes carries no metric: it is skipped for Ricci and counted in
-    ``degenerate_samples``.  Jet arithmetic that overflows, or leaves the
+def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
+    """Evolve the structure with the coefficient functions ``funcs`` (f, w
+    and the vertical f1, f2, f3, or h for a diagonal family) and collect
+    residuals, Ricci data, the curvature-span rank and, for the ``spin7``
+    pattern, the checks of the 3-form/4-form pair.  A sample where a
+    vertical coefficient vanishes carries no metric: it is skipped for
+    Ricci and counted in ``degenerate_samples``.  Jet arithmetic that overflows, or leaves the
     curvature or a form not finite, raises OverflowError."""
     dim_ext = spec.dim + 1
     base = spec.algebra
     xs = np.asarray(samples, dtype=float)
-    fj = _jet_or_raise(f, xs)
-    hs = [_jet_or_raise(fn, xs) for fn in fs]
-    wj = _jet_or_raise(w, xs)
+    jets = _jet_or_raise(funcs, xs)
+    fj, hs, wj = jets["f"], _axes(jets), jets["w"]
     keep = _check_positive(fj, hs, wj, xs)
     # Ricci first: its curvature forms are the largest objects of a build,
     # so none of the forms below should be alive beside them
@@ -281,7 +281,7 @@ def _g2_pair(spec: QcFrameSpec, fj: Jet, hs, dim_ext: int):
 
 
 def _axes(funcs: dict) -> list:
-    """The three vertical coefficient functions; diagonal families repeat h."""
+    """The three vertical coefficients; diagonal families repeat h."""
     return [funcs.get(k) or funcs["h"] for k in ("f1", "f2", "f3")]
 
 
@@ -302,18 +302,17 @@ ODE_SYSTEMS = ("solqk7", "sol7", "erealqk", "ereal7", "clideal", "ideal_sys")
 def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
     """Max absolute residual of the named governing system on the samples.
 
-    ``funcs`` maps names to ScalarFunctions: diagonal systems need f, h, w;
-    triaxial and ideal systems need f, f1, f2, f3, w.  Derivatives are in
-    the arc parameter t with dt/dx = w.
+    ``funcs`` maps keys to coefficient functions: diagonal systems need f,
+    h, w; triaxial and ideal systems need f, f1, f2, f3 (or h), w.
+    Derivatives are in the arc parameter t with dt/dx = w.
     """
     if kind not in ODE_SYSTEMS:
         raise ValueError(f"unknown system {kind!r}")
     s_val = float(S)
-    xs = np.asarray(samples, dtype=float)
-    w = _jet_or_raise(funcs["w"], xs)
+    jets = _jet_or_raise(funcs, np.asarray(samples, dtype=float))
+    f, w = jets["f"], jets["w"]
     if kind in ("solqk7", "sol7"):
-        f = _jet_or_raise(funcs["f"], xs)
-        h = _jet_or_raise(funcs["h"], xs)
+        h = jets["h"]
         df = _dt(f, w)
         ddf = _dt(df, w)
         if kind == "solqk7":
@@ -321,9 +320,8 @@ def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
         else:
             res = [3.0 * f * ddf + df * df - 9.0 * s_val * f, h - df * (1.0 / 6.0)]
         return worst_abs(r.value for r in res)
-    f = _jet_or_raise(funcs["f"], xs)
     # diagonal families satisfy the triaxial systems with f1 = f2 = f3 = h
-    fs = [_jet_or_raise(fn, xs) for fn in _axes(funcs)]
+    fs = _axes(jets)
     df = _dt(f, w)
     prod = fs[0] * fs[1] * fs[2]
     res = []
@@ -375,7 +373,7 @@ class MetricFamily:
     base: str | None
     S: Fraction | None
     defaults: dict
-    make: callable = field(repr=False)   # params -> dict of ScalarFunction
+    make: callable = field(repr=False)   # params -> {key: function Jet -> Jet}
     domain: callable = field(repr=False)  # params -> (lo, hi)
     systems: tuple = ()
     einstein_const: callable | None = field(repr=False, default=None)
@@ -410,103 +408,98 @@ class MetricFamily:
         return [lo2 + (hi2 - lo2) * i / (count - 1) for i in range(count)]
 
 
+# Coefficient functions map the jet u of the coordinate to a jet.  A
+# parameter becomes a constant jet once, when the family is made, so one
+# past the float range is refused there; anything that can fail for some
+# parameter values (a root, a reciprocal) is left to evaluation.
+
+_ONE = Jet.const(1)
+_ROOT2 = Jet.const(2).sqrt()
+
+
 def _fam_qk_heis(params):
-    b = Const(params["b"])
-    f = exp(2 * b * U)
-    return {"f": f, "h": b * f, "w": Const(1)}
+    b = Jet.const(params["b"])
+    f = lambda u: (2 * b * u).exp()
+    return {"f": f, "h": lambda u: b * f(u), "w": lambda u: _ONE}
 
 
-def _fam_qk_l1(params):
-    b = Const(params["b"])
-    return {
-        "f": (1 + cosh(U)) / (2 * b * b),
-        "h": sinh(U) / (4 * b),
-        "w": 1 / b,
-    }
-
-
-def _fam_qk_l2(params):
-    b = Const(params["b"])
-    root2 = Pow(Const(2), Fraction(1, 2))
-    return {
-        "f": (1 + cosh(U)) / (2 * b * b),
-        "h": sinh(U) / (4 * b * root2),
-        "w": root2 / b,
-    }
+def _fam_qk_l(scale):
+    """The families over l1 (``scale`` 1) and l2 (``scale`` sqrt 2)."""
+    def make(params):
+        b = Jet.const(params["b"])
+        return {"f": lambda u: (1 + u.cosh()) / (2 * b * b),
+                "h": lambda u: u.sinh() / (4 * b * scale),
+                "w": lambda u: scale / b}
+    return make
 
 
 def _fam_qk_3sas(params):
-    a = Const(params["a"])
-    h = sqrt(U + a * U**2)
-    return {"f": U, "h": h, "w": 1 / (2 * h)}
+    a = Jet.const(params["a"])
+    h = lambda u: (u + a * u.pow(2)).sqrt()
+    return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (2 * h(u))}
 
 
 def _fam_spin7_heis(params):
-    a = Const(params["a"])
-    return {"f": U**3, "h": (a / 4) / U, "w": (2 / a) * U**3}
+    a = Jet.const(params["a"])
+    return {"f": lambda u: u.pow(3), "h": lambda u: (a / 4) / u,
+            "w": lambda u: (2 / a) * u.pow(3)}
 
 
-def _spin7_h(S: Fraction, params):
-    b = Const(params["b"])
-    num = (b - U ** Fraction(5, 3)) if S < 0 else (U ** Fraction(5, 3) - Const(params["a"]))
-    if S == Fraction(-1, 2):
-        return sqrt(num / (20 * U ** Fraction(2, 3)))
-    if S == Fraction(-1, 4):
-        return sqrt(num / (40 * U ** Fraction(2, 3)))
-    raise ValueError("unsupported scalar for this family shape")
+def _spin7_family(num, k: int) -> dict:
+    """f = u and h = sqrt(num(u) / (k u^(2/3))), the one-parameter Spin(7)
+    families."""
+    h = lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt()
+    return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (6 * h(u))}
 
 
-def _fam_spin7_l1(params):
-    h = _spin7_h(Fraction(-1, 2), params)
-    return {"f": U, "h": h, "w": 1 / (6 * h)}
-
-
-def _fam_spin7_l2(params):
-    h = _spin7_h(Fraction(-1, 4), params)
-    return {"f": U, "h": h, "w": 1 / (6 * h)}
+def _fam_spin7_l(k: int):
+    """The families over l1 (``k`` 20) and l2 (``k`` 40)."""
+    def make(params):
+        b = Jet.const(params["b"])
+        return _spin7_family(lambda u: b - u.pow(Fraction(5, 3)), k)
+    return make
 
 
 def _fam_spin7_3sas(params):
-    a = Const(params["a"])
-    h = sqrt((U ** Fraction(5, 3) - a) / (5 * U ** Fraction(2, 3)))
-    return {"f": U, "h": h, "w": 1 / (6 * h)}
+    a = Jet.const(params["a"])
+    return _spin7_family(lambda u: u.pow(Fraction(5, 3)) - a, 5)
 
 
 def _fam_qk_triaxial(params):
-    a = [Const(params[k]) for k in ("a1", "a2", "a3")]
+    a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
     c = params["C"]
-    prod = (U + a[0]) * (U + a[1]) * (U + a[2])
-    f = Const(c) * Pow(prod, Fraction(1, 9))
-    fs = {}
-    for i, j, k in _CYCLIC:
-        expr = ((U + a[j - 1]) ** 4 * (U + a[k - 1]) ** 4) / (U + a[i - 1]) ** 5
-        fs[f"f{i}"] = Pow(Const(Fraction(6) / c), Fraction(1, 2)) * Pow(expr, Fraction(1, 9))
-    w = Pow(Const(c / 6), Fraction(3, 2)) * Pow(prod, Fraction(-1, 3))
-    return {"f": f, **fs, "w": w}
+    cj, ratio, scale = Jet.const(c), Jet.const(Fraction(6) / c), Jet.const(c / 6)
+    prod = lambda u: (u + a[0]) * (u + a[1]) * (u + a[2])
+
+    def axis(i, j, k):
+        return lambda u: ratio.sqrt() * (
+            ((u + a[j - 1]).pow(4) * (u + a[k - 1]).pow(4)) / (u + a[i - 1]).pow(5)
+        ).pow(Fraction(1, 9))
+    return {"f": lambda u: cj * prod(u).pow(Fraction(1, 9)),
+            **{f"f{i}": axis(i, j, k) for i, j, k in _CYCLIC},
+            "w": lambda u: scale.pow(Fraction(3, 2)) * prod(u).pow(Fraction(-1, 3))}
 
 
 def _fam_spin7_triaxial(params):
-    a1, a2, a3 = (Const(params[k]) for k in ("a1", "a2", "a3"))
+    a1, a2, a3 = (Jet.const(params[k]) for k in ("a1", "a2", "a3"))
     c = params["C"]
-    prod = (U + a1) * (U + a2) * (a3 - U)
-    root = Pow(Const(Fraction(2) / c), Fraction(1, 2))
-    return {
-        "f": Const(c) * prod,
-        "f1": root / (U + a1),
-        "f2": root / (U + a2),
-        "f3": -1 * (root / (a3 - U)),
-        "w": Pow(Const(c**3 / 8), Fraction(1, 2)) * prod,
-    }
+    cj, ratio, scale = Jet.const(c), Jet.const(Fraction(2) / c), Jet.const(c**3 / 8)
+    prod = lambda u: (u + a1) * (u + a2) * (a3 - u)
+    return {"f": lambda u: cj * prod(u),
+            "f1": lambda u: ratio.sqrt() / (u + a1),
+            "f2": lambda u: ratio.sqrt() / (u + a2),
+            "f3": lambda u: -(ratio.sqrt() / (a3 - u)),
+            "w": lambda u: scale.sqrt() * prod(u)}
 
 
 def _fam_ideal(params):
-    a = [Const(params[k]) for k in ("a1", "a2", "a3")]
-    fs = {}
-    for i, j, k in _CYCLIC:
-        fs[f"f{i}"] = (Pow(a[j - 1] - U, Fraction(1, 4)) * Pow(a[k - 1] - U, Fraction(1, 4))
-                       / Pow(a[i - 1] - U, Fraction(3, 4)))
-    w = Fraction(1, 4) * Pow((a[0] - U) * (a[1] - U) * (a[2] - U), Fraction(-1, 4))
-    return {"f": Const(1), **fs, "w": w}
+    a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
+
+    def axis(i, j, k):
+        return lambda u: ((a[j - 1] - u).pow(Fraction(1, 4)) * (a[k - 1] - u).pow(Fraction(1, 4))
+                          / (a[i - 1] - u).pow(Fraction(3, 4)))
+    w = lambda u: 0.25 * ((a[0] - u) * (a[1] - u) * (a[2] - u)).pow(Fraction(-1, 4))
+    return {"f": lambda u: _ONE, **{f"f{i}": axis(i, j, k) for i, j, k in _CYCLIC}, "w": w}
 
 
 def _triaxial_window(params) -> tuple:
@@ -570,13 +563,13 @@ _register(MetricFamily(
 
 _register(MetricFamily(
     name="qk-l1", kind="qk", base="l1", S=Fraction(-1, 2),
-    defaults={"b": Fraction(1)}, make=_fam_qk_l1,
+    defaults={"b": Fraction(1)}, make=_fam_qk_l(1),
     domain=lambda p: (0.0, 3.0), systems=("solqk7", "clideal"),
     einstein_const=lambda p: -4.0 * float(p["b"]) ** 2))
 
 _register(MetricFamily(
     name="qk-l2", kind="qk", base="l2", S=Fraction(-1, 4),
-    defaults={"b": Fraction(1)}, make=_fam_qk_l2,
+    defaults={"b": Fraction(1)}, make=_fam_qk_l(_ROOT2),
     domain=lambda p: (0.0, 3.0), systems=("solqk7", "clideal"),
     einstein_const=lambda p: -2.0 * float(p["b"]) ** 2))
 
@@ -608,13 +601,13 @@ _register(MetricFamily(
 
 _register(MetricFamily(
     name="spin7-l1", kind="spin7", base="l1", S=Fraction(-1, 2),
-    defaults={"b": Fraction(2)}, make=_fam_spin7_l1,
+    defaults={"b": Fraction(2)}, make=_fam_spin7_l(20),
     domain=lambda p: (0.0, float(p["b"]) ** 0.6), systems=("sol7",),
     rank_min=16))
 
 _register(MetricFamily(
     name="spin7-l2", kind="spin7", base="l2", S=Fraction(-1, 4),
-    defaults={"b": Fraction(2)}, make=_fam_spin7_l2,
+    defaults={"b": Fraction(2)}, make=_fam_spin7_l(40),
     domain=lambda p: (0.0, float(p["b"]) ** 0.6), systems=("sol7",),
     rank_min=16, rank_exact=21))
 
@@ -683,7 +676,7 @@ def build_family(name: str, params=None, samples=None) -> dict:
     spec = require_einstein_base(fam.base, fam.S)
     pattern = "spin7" if fam.kind.startswith("spin7") else "qk"
     built = _blame_sample(
-        lambda xs: build_triaxial(spec, funcs["f"], _axes(funcs), funcs["w"], xs, pattern), pts)
+        lambda xs: build_triaxial(spec, funcs, xs, pattern), pts)
     if built["einstein_const"] is None:
         raise DomainError(f"every sample of {fam.name} is degenerate "
                           f"(a vertical coefficient vanishes at each of {pts})")

@@ -113,10 +113,6 @@ class KForm:
                     self.terms[idx] = coeff
 
     @classmethod
-    def zero(cls, dim: int, degree: int) -> "KForm":
-        return cls(dim, degree)
-
-    @classmethod
     def basis(cls, dim: int, *indices) -> "KForm":
         """Basis monomial e^{i1...ik}; indices may come in any order."""
         idx, sign = _sort_indices(indices)

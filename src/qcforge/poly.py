@@ -74,13 +74,6 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms[_ONE]
 
-    def symbols(self) -> set:
-        out = set()
-        for m in self.terms:
-            for sym, _ in m:
-                out.add(sym)
-        return out
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):

@@ -26,7 +26,7 @@ carry a leading sample axis.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -336,16 +336,14 @@ def _pair_index(n):
 
 @dataclass
 class CurvatureSummary:
-    """Ricci (n x n), scalar curvature and curvature-span rank of each
-    sample, with a leading sample axis for a batch (plain numbers for
-    float jets); the two residuals are maxima over the samples."""
+    """Ricci (n x n) and curvature-span rank of each sample, with a leading
+    sample axis for a batch (a plain rank for float jets); the two
+    residuals are maxima over the samples."""
 
     ricci: np.ndarray
-    scalar: float
     curvature_rank: int
     structure_residual: float
     antisymmetry_residual: float
-    curvature_matrix: np.ndarray = field(repr=False, default=None)
 
 
 def _curvature_arrays(omegas: list, batch: tuple):
@@ -380,8 +378,8 @@ def _curvature_arrays(omegas: list, batch: tuple):
 
 
 def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> CurvatureSummary:
-    """Ricci tensor, scalar curvature, and the dimension of the span of
-    the curvature 2-forms at each sample point.
+    """Ricci tensor and the dimension of the span of the curvature 2-forms
+    at each sample point.
 
     The rank uses a singular-value cutoff relative to the largest singular
     value; with the coframe orthonormal the Ricci comparison metric is the
@@ -397,15 +395,12 @@ def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> Curvatu
     flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = np.where(flat, 0, np.sum(svals > svd_threshold * svals[..., :1], axis=-1))
-    scalar = np.trace(ric, axis1=-2, axis2=-1)
     if not batch:
-        scalar, rank = float(scalar), int(rank)
+        rank = int(rank)
 
     return CurvatureSummary(
         ricci=ric,
-        scalar=scalar,
         curvature_rank=rank,
         structure_residual=conn.structure_residual,
         antisymmetry_residual=conn.antisymmetry_residual,
-        curvature_matrix=mat,
     )

@@ -3,17 +3,17 @@
 Every frame computation in this package is generic over its scalar ring.
 Two rings matter: exact rationals (``fractions.Fraction``) for invariant
 coframes, and :class:`Jet` for coframes whose coefficients depend on an
-evolution parameter.  A :class:`ScalarFunction` is a closed expression
-tree in one variable; evaluating it at a point, or at an array of sample
-points, yields the jet of the function there, so reports can always print
-the function that was used.  Curvature applies the exterior derivative
-twice, so a jet keeps the value and the first two derivatives and no more.
+evolution parameter.  A coefficient function is a plain Python function
+of a jet: applied to ``Jet.variable(x)``, for a point or an array of
+sample points, it returns the jet of the function there.  Curvature
+applies the exterior derivative twice, so a jet keeps the value and the
+first two derivatives and no more.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +44,14 @@ class DomainError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact rational; a literal such as 1e5000
-    whose value has too many digits to print in a report is refused."""
+    whose value has too many digits to print in a report is refused.  An
+    exponent past the same digit limit is refused before ``Fraction``
+    computes 10**N, which can take minutes."""
     try:
+        exponent = text.lower().partition("e")[2]
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent)) > limit:
+            raise ValueError("exponent too large")
         q = Fraction(text.strip())
         str(q)
         return q
@@ -284,334 +290,3 @@ def _as_jet(x):
     if isinstance(x, _NUMBERS):
         return Jet.const(x)
     return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# Scalar functions as expression trees
-# ---------------------------------------------------------------------------
-
-
-class ScalarFunction:
-    """Closed-form function of one variable ``u``.
-
-    Kept as an expression tree rather than a bare callable so the exact
-    function can be printed in reports and round-tripped through config
-    files.  ``jet(x)`` evaluates the order-2 Taylor data at ``x``, a float
-    or a float64 array of sample points: all that curvature, d applied
-    twice, reads.
-    """
-
-    def jet(self, point: float) -> Jet:
-        raise NotImplementedError
-
-    def __call__(self, point: float) -> float:
-        return self.jet(point).value
-
-    # operator sugar for building trees
-    def __add__(self, other):
-        return Add(self, _as_sf(other))
-
-    def __radd__(self, other):
-        return Add(_as_sf(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_sf(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_sf(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_sf(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_sf(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_sf(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_sf(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, exponent):
-        return Pow(self, Fraction(exponent))
-
-
-def _as_sf(x) -> ScalarFunction:
-    if isinstance(x, ScalarFunction):
-        return x
-    if isinstance(x, (int, Fraction, float)):
-        return Const(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a scalar function")
-
-
-class Const(ScalarFunction):
-    def __init__(self, value):
-        self.value = value if isinstance(value, (Fraction, int)) else float(value)
-
-    def jet(self, point):
-        return Jet.const(float(self.value))
-
-    def __str__(self):
-        v = self.value
-        if isinstance(v, Fraction) and v.denominator != 1:
-            return f"({v})"
-        if (isinstance(v, (int, Fraction)) and v < 0) or (isinstance(v, float) and v < 0):
-            return f"({v})"
-        return str(v)
-
-
-class Var(ScalarFunction):
-    def jet(self, point):
-        return Jet.variable(point)
-
-    def __str__(self):
-        return "u"
-
-
-U = Var()
-
-
-class _Binary(ScalarFunction):
-    op = "?"
-
-    def __init__(self, a: ScalarFunction, b: ScalarFunction):
-        self.a = a
-        self.b = b
-
-    def __str__(self):
-        return f"({self.a} {self.op} {self.b})"
-
-
-class Add(_Binary):
-    op = "+"
-
-    def jet(self, point):
-        return self.a.jet(point) + self.b.jet(point)
-
-
-class Sub(_Binary):
-    op = "-"
-
-    def jet(self, point):
-        return self.a.jet(point) - self.b.jet(point)
-
-
-class Mul(_Binary):
-    op = "*"
-
-    def jet(self, point):
-        return self.a.jet(point) * self.b.jet(point)
-
-
-class Div(_Binary):
-    op = "/"
-
-    def jet(self, point):
-        return self.a.jet(point) / self.b.jet(point)
-
-
-class Neg(ScalarFunction):
-    def __init__(self, a: ScalarFunction):
-        self.a = a
-
-    def jet(self, point):
-        return -self.a.jet(point)
-
-    def __str__(self):
-        return f"(-{self.a})"
-
-
-class Pow(ScalarFunction):
-    def __init__(self, base: ScalarFunction, exponent):
-        self.base = base
-        self.exponent = Fraction(exponent)
-
-    def jet(self, point):
-        return self.base.jet(point).pow(self.exponent)
-
-    def __str__(self):
-        e = self.exponent
-        es = str(e.numerator) if e.denominator == 1 and e >= 0 else f"({e})"
-        return f"{self.base}^{es}"
-
-
-class Call(ScalarFunction):
-    FUNCS = ("exp", "sinh", "cosh", "ln", "sqrt")
-
-    def __init__(self, name: str, arg: ScalarFunction):
-        if name not in self.FUNCS:
-            raise ValueError(f"unknown function {name!r}")
-        self.name = name
-        self.arg = arg
-
-    def jet(self, point):
-        j = self.arg.jet(point)
-        if self.name == "exp":
-            return j.exp()
-        if self.name == "sinh":
-            return j.sinh()
-        if self.name == "cosh":
-            return j.cosh()
-        if self.name == "ln":
-            return j.log()
-        return j.sqrt()
-
-    def __str__(self):
-        return f"{self.name}({self.arg})"
-
-
-def exp(a) -> ScalarFunction:
-    return Call("exp", _as_sf(a))
-
-
-def sinh(a) -> ScalarFunction:
-    return Call("sinh", _as_sf(a))
-
-
-def cosh(a) -> ScalarFunction:
-    return Call("cosh", _as_sf(a))
-
-
-def ln(a) -> ScalarFunction:
-    return Call("ln", _as_sf(a))
-
-
-def sqrt(a) -> ScalarFunction:
-    return Call("sqrt", _as_sf(a))
-
-
-def const(q) -> ScalarFunction:
-    return Const(Fraction(q)) if isinstance(q, (int, str, Fraction)) else Const(q)
-
-
-def jet_eval(fn: ScalarFunction, point: float) -> Jet:
-    """Taylor data of ``fn`` at ``point`` through order 2, the order
-    curvature needs."""
-    return fn.jet(float(point))
-
-
-# ---------------------------------------------------------------------------
-# Expression parser: u, + - * /, ^(rational), exp/sinh/cosh/ln/sqrt, parens
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in expression at offset {pos}: {text[pos:pos + 8]!r}")
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            value = Fraction(num) if "." not in num else float(num)
-            tokens.append(("num", value))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", op))
-        pos = m.end()
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> ScalarFunction:
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing tokens at position {self.pos}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return Pow(base, self.exponent())
-        return base
-
-    def exponent(self) -> Fraction:
-        kind, val = self.peek()
-        if kind == "op" and val == "(":
-            self.take()
-            sign = 1
-            while self.peek() == ("op", "-"):
-                self.take()
-                sign = -sign
-            kind, val = self.take()
-            if kind != "num" or not isinstance(val, Fraction):
-                raise ValueError("exponent must be a rational literal")
-            self.expect_op(")")
-            return sign * val
-        if kind == "num" and isinstance(val, Fraction):
-            self.take()
-            return val
-        raise ValueError("exponent must be a rational literal")
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            if val == "u":
-                return Var()
-            if val in Call.FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            raise ValueError(f"unknown identifier {val!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ValueError(f"unexpected token {val!r}")
-
-
-def parse_scalar_function(text: str) -> ScalarFunction:
-    """Parse the expression syntax used in config files and reports."""
-    return _ExprParser(_tokenize(text)).parse()

@@ -36,6 +36,16 @@ def test_nan_fails_the_criterion(monkeypatch, criterion):
     of the finite-difference check that return NaN fail their criterion."""
     monkeypatch.setattr(acceptance, "_build", _nan_build)
     monkeypatch.setattr(acceptance, "ode_residual", lambda *args: NAN)
-    monkeypatch.setattr(acceptance, "jet_eval", lambda fn, x: Jet((NAN,) * JET_LEN))
+    monkeypatch.setattr(acceptance, "_FD_FUNCTIONS", dict.fromkeys(
+        acceptance._FD_FUNCTIONS, lambda u: Jet((NAN,) * JET_LEN)))
     ok, detail = getattr(acceptance, criterion)()
     assert not ok, detail
+
+
+def test_build_memo_keys_on_the_samples():
+    """Criterion 11 builds ideal-family at its own samples; a later build at
+    the default samples must not get that build back."""
+    chosen = acceptance._build("ideal-family", samples=[0.0, 0.5])
+    default = acceptance._build("ideal-family")
+    assert chosen["samples"] == [0.0, 0.5]
+    assert default["samples"] != chosen["samples"]

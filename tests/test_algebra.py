@@ -4,8 +4,7 @@ import pytest
 
 from qcforge.algebra import (AlgebraSyntaxError, DuplicateDifferential,
                              IndexOutOfRange, UnknownName, catalog,
-                             format_algebra, heisenberg_source, jacobi_check,
-                             parse_algebra)
+                             format_algebra, jacobi_check, parse_algebra)
 from qcforge.forms import FrameVector, KForm
 
 
@@ -42,13 +41,6 @@ def test_heisenberg_family_differentials():
     # two-step nilpotency: every horizontal coframe element is closed
     for a in range(1, 9):
         assert alg.mc_differential(KForm.basis(11, a)).is_zero()
-
-
-def test_heisenberg_generator_matches_shipped_files():
-    for n in (1, 2):
-        spec = catalog(f"heis({n})")
-        alg2, spec2 = parse_algebra(heisenberg_source(n))
-        assert format_algebra(spec.algebra, spec) == format_algebra(alg2, spec2)
 
 
 def test_l0_parameter_substitution():

@@ -2,7 +2,10 @@ import contextlib
 import importlib.resources
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcforge import cli
+from qcforge.algebra import heisenberg_source
 from qcforge.cli import main
 
 
@@ -113,7 +117,7 @@ omega3 = e1^e4 + e2^e3
         assert code == 3
 
     def _heis1_file(self, tmp_path, old, new):
-        text = importlib.resources.files("qcforge.data").joinpath("heis1.alg").read_text()
+        text = heisenberg_source(1)
         assert old in text
         f = tmp_path / "edited.alg"
         f.write_text(text.replace(old, new))
@@ -308,6 +312,45 @@ class TestBuild:
         assert code == 2
         assert out == ""
         assert err == "parse error: bad rational literal '1e5000'\n"
+
+    @pytest.mark.parametrize("argv,literal", [
+        (["build", "qk", "--family", "qk-l1", "--param", "b=1e100000000"], "1e100000000"),
+        (["build", "qk", "--family", "qk-l1", "--param", "b=1e-100000000"], "1e-100000000"),
+        (["qc-report", "--catalog", "l0(1e100000000)"], "1e100000000"),
+    ])
+    def test_huge_exponent_refused_without_computing_it(self, argv, literal):
+        # Fraction would compute 10**100000000 first; in a subprocess, so
+        # that a regression fails at the timeout instead of hanging
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-m", "qcforge.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"parse error: bad rational literal '{literal}'\n"
+
+    @pytest.mark.parametrize("kind,family,param", [
+        ("qk", "qk-l1", "b=1e400"), ("qk", "qk-heis", "b=-1e400"), ("qk", "qk-3sas", "a=1e400"),
+        ("spin7", "spin7-heis", "a=-1e400"), ("qk", "ideal-family", "a1=1e400"),
+        ("qk", "qk-triaxial", "C=-1e400")])
+    def test_huge_parameter_named_not_printed(self, capfd, kind, family, param):
+        code, out, err = run(capfd, "build", kind, "--family", family, "--param", param)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and family in err
+        assert not re.search(r"\d{20}", err)
+
+    @pytest.mark.parametrize("kind,family,key", [
+        ("qk", "qk-heis", "f"),  # exp(2e160) overflows
+        ("spin7", "spin7-l1", "h"),  # (k u^(2/3))^3 overflows in the reciprocal
+    ])
+    def test_failed_evaluation_names_sample_and_key(self, capfd, kind, family, key):
+        code, out, err = run(capfd, "build", kind, "--family", family, "--samples=1e160")
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"domain error: jet arithmetic breaks down at x=1e+160: "
+                              f"cannot evaluate {key}: ")
+        assert err.count("\n") == 1
 
     def test_failed_least_squares_exit_four(self, capfd, monkeypatch):
         def fail(*args, **kwargs):

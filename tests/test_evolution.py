@@ -11,7 +11,7 @@ from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
                                build_triaxial, extended_d, ode_residual,
                                require_einstein_base)
 from qcforge.forms import KForm
-from qcforge.scalars import Const, DomainError, Jet, U
+from qcforge.scalars import DomainError, Jet
 
 TOL = 1e-10
 
@@ -76,11 +76,9 @@ class TestDiagonalBuilds:
         # constant f with the vertical coefficient shut off: the triple is
         # just f omega_i, so the 4-form is constant horizontal and closed
         # (no metric is built: the product degenerates)
-        from qcforge.evolution import build_triaxial
-        from qcforge.scalars import Const
         spec = catalog("heis(1)")
-        h = Const(0)
-        r = build_triaxial(spec, Const(1), [h, h, h], Const(1),
+        one = lambda u: Jet.const(1)
+        r = build_triaxial(spec, {"f": one, "h": lambda u: Jet.const(0), "w": one},
                            [0.0, 0.5], "qk")
         assert r["dform_residual"] < TOL
         assert r["einstein_const"] is None
@@ -122,11 +120,12 @@ class TestTriaxial:
         a_val = math.sqrt(32.0)
         for u in (-2.5, -2.0, -1.6):
             v = -(u + 1.0)
-            f3 = [funcs[k].jet(u).value for k in ("f1", "f2", "f3")]
+            x = Jet.variable(u)
+            f3 = [funcs[k](x).value for k in ("f1", "f2", "f3")]
             assert max(f3) - min(f3) < 1e-12
-            assert abs(funcs["f"].jet(u).value - v**3) < 1e-12
+            assert abs(funcs["f"](x).value - v**3) < 1e-12
             assert abs(abs(f3[0]) - a_val / 4 / v) < 1e-12
-            assert abs(funcs["w"].jet(u).value - (2 / a_val) * v**3) < 1e-12
+            assert abs(funcs["w"](x).value - (2 / a_val) * v**3) < 1e-12
 
     def test_ideal_family(self):
         r = build_family("ideal-family", samples=[0.0, 0.5])
@@ -189,10 +188,9 @@ class TestBatchedBuild:
         spec = require_einstein_base(fam.base, fam.S)
         funcs = fam.functions()
         pattern = "spin7" if name.startswith("spin7") else "qk"
-        args = (spec, funcs["f"], [funcs["h"]] * 3, funcs["w"])
         pts = fam.default_samples()
-        batch = build_triaxial(*args, pts, pattern)
-        singles = [build_triaxial(*args, [x], pattern) for x in pts]
+        batch = build_triaxial(spec, funcs, pts, pattern)
+        singles = [build_triaxial(spec, funcs, [x], pattern) for x in pts]
         for key, value in batch.items():
             per_sample = [r[key] for r in singles]
             if key == "einstein_const":
@@ -207,9 +205,8 @@ class TestBatchedBuild:
         fam = FAMILIES["qk-l1"]
         spec = require_einstein_base(fam.base, fam.S)
         funcs = fam.functions()
-        args = (spec, funcs["f"], [funcs["h"]] * 3, funcs["w"])
-        mixed = build_triaxial(*args, [0.0, 1.0, 2.0], "qk")
-        alone = build_triaxial(*args, [1.0, 2.0], "qk")
+        mixed = build_triaxial(spec, funcs, [0.0, 1.0, 2.0], "qk")
+        alone = build_triaxial(spec, funcs, [1.0, 2.0], "qk")
         assert mixed["degenerate_samples"] == 1 and alone["degenerate_samples"] == 0
         for key in ("einstein_const", "einstein_deviation", "ricci_max_abs",
                     "curvature_rank", "structure_residual"):
@@ -219,7 +216,8 @@ class TestBatchedBuild:
 class TestOdeSystems:
     def test_nan_inside_the_computation_is_returned(self):
         # h - f'/2 is NaN at every sample; a max that skips NaN would give 1.0
-        funcs = {"f": U, "h": Const(float("nan")), "w": Const(1)}
+        funcs = {"f": lambda u: u, "h": lambda u: Jet.const(float("nan")),
+                 "w": lambda u: Jet.const(1)}
         assert math.isnan(ode_residual("solqk7", funcs, Fraction(0), [1.0, 2.0]))
 
     def test_every_family_satisfies_its_systems(self):
@@ -256,9 +254,10 @@ class TestParameterizationBridges:
         funcs = FAMILIES["qk-heis"].functions({"b": Fraction(1)})
         for x in (-0.3, 0.0, 0.4):
             u = math.exp(2 * x)
-            assert abs(funcs["f"].jet(x).value - u) < 1e-12
-            assert abs(funcs["h"].jet(x).value ** 2 - u * u) < 1e-12
-            assert funcs["w"].jet(x).value == 1.0
+            f, h, w = (funcs[k](Jet.variable(x)).value for k in ("f", "h", "w"))
+            assert abs(f - u) < 1e-12
+            assert abs(h ** 2 - u * u) < 1e-12
+            assert w == 1.0
 
     def test_l1_family_matches_u_parameterization(self):
         # u(x) = (1 + cosh x)/(2 b^2) turns the closed forms into the
@@ -273,9 +272,10 @@ class TestParameterizationBridges:
             du = math.sinh(x) / (2 * b * b)
             h2 = s * u / 2 + a * u * u
             w2_u = 1.0 / (2 * (s * u + 2 * a * u * u))
-            assert abs(funcs["f"].jet(x).value - u) < 1e-12
-            assert abs(funcs["h"].jet(x).value ** 2 - h2) < 1e-12
-            assert abs(funcs["w"].jet(x).value ** 2 - w2_u * du * du) < 1e-12
+            f, h, w = (funcs[k](Jet.variable(x)).value for k in ("f", "h", "w"))
+            assert abs(f - u) < 1e-12
+            assert abs(h ** 2 - h2) < 1e-12
+            assert abs(w ** 2 - w2_u * du * du) < 1e-12
 
     def test_spin7_l2_matches_closed_form(self):
         b = 2.0
@@ -283,8 +283,9 @@ class TestParameterizationBridges:
         for u in (0.4, 0.9, 1.3):
             h2 = (b - u ** (5.0 / 3.0)) / (40 * u ** (2.0 / 3.0))
             w2 = 10 * u ** (2.0 / 3.0) / (9 * (b - u ** (5.0 / 3.0)))
-            assert abs(funcs["h"].jet(u).value ** 2 - h2) < 1e-12
-            assert abs(funcs["w"].jet(u).value ** 2 - w2) < 1e-12
+            h, w = (funcs[k](Jet.variable(u)).value for k in ("h", "w"))
+            assert abs(h ** 2 - h2) < 1e-12
+            assert abs(w ** 2 - w2) < 1e-12
 
 
 class TestOrientationConvention:

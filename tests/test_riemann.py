@@ -113,9 +113,8 @@ class TestCartan:
         from qcforge.evolution import FAMILIES
         funcs = FAMILIES["spin7-l1"].functions()
         x = 0.8
-        fj, hj = funcs["f"].jet(x), funcs["h"].jet(x)
-        cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3,
-                              funcs["w"].jet(x))
+        fj, hj, wj = (funcs[k](Jet.variable(x)) for k in ("f", "h", "w"))
+        cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3, wj)
         d = frame_d(cof, cof.coframe_differentials())
         conn = cartan_connection(cof)
         checked = 0

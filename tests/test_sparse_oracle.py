@@ -220,10 +220,9 @@ def dense_cartan_forms(cof) -> list:
 def family_coframe(name: str, count: int):
     fam = FAMILIES[name]
     spec = require_einstein_base(fam.base, fam.S)
-    funcs = fam.functions()
-    xs = np.array(fam.default_samples(count=count))
-    return _coframe(spec, funcs["f"].jet(xs), [fn.jet(xs) for fn in _axes(funcs)],
-                    funcs["w"].jet(xs))
+    u = Jet.variable(np.array(fam.default_samples(count=count)))
+    jets = {k: fn(u) for k, fn in fam.functions().items()}
+    return _coframe(spec, jets["f"], _axes(jets), jets["w"])
 
 
 def _bits(x):
