@@ -119,7 +119,12 @@ def _parse_params(pairs) -> dict:
 
 
 def _parse_samples(text):
-    return [parse_float(x) for x in text.replace(",", " ").split()] if text else None
+    if text is None:
+        return None
+    points = [parse_float(x) for x in text.replace(",", " ").split()]
+    if not points:
+        raise InputError("--samples needs at least one point")
+    return points
 
 
 def cmd_check_algebra(args) -> int:

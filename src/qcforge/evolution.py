@@ -155,8 +155,9 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
 def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
     multipliers beta_j, maximized over i and the ``count`` samples (one
-    least-squares solve per sample and i).  Raises OverflowError before
-    the solves when a coefficient is not finite."""
+    least-squares solve per sample and i), from the values of the forms.
+    Raises OverflowError before the solves when a coefficient is not
+    finite."""
     triples = [(a, b, c)
                for a in range(1, dim_ext + 1)
                for b in range(a + 1, dim_ext + 1)
@@ -164,17 +165,19 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     row_of = {t: r for r, t in enumerate(triples)}
     rows, cols, vals = [], [], []
     for j in range(3):
+        values = forms[j].values()
         for m in range(1, dim_ext + 1):
-            prod = KForm.basis(dim_ext, m).wedge(forms[j])
-            for idx, coeff in prod.terms.items():
+            # coefficient 1.0: a Fraction would make object arrays of the values
+            prod = KForm(dim_ext, 1, {(m,): 1.0}).wedge(values)
+            for idx, value in prod.terms.items():
                 rows.append(row_of[idx])
                 cols.append(j * dim_ext + m - 1)
-                vals.append(np.broadcast_to(getattr(coeff, "value", coeff), (count,)))
+                vals.append(np.broadcast_to(value, (count,)))
     vals = np.array(vals).reshape(len(rows), count)
     b_vec = np.zeros((3, count, len(triples)))
     for i in range(3):
-        for idx, coeff in dforms[i].terms.items():
-            b_vec[i, :, row_of[idx]] = getattr(coeff, "value", coeff)
+        for idx, value in dforms[i].values().terms.items():
+            b_vec[i, :, row_of[idx]] = value
     if not (np.isfinite(vals).all() and np.isfinite(b_vec).all()):
         raise OverflowError("the forms are not finite")
     resids = []

@@ -14,6 +14,8 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
+
 from .scalars import parse_rational, worst_abs
 
 
@@ -30,9 +32,12 @@ class BadOrientation(ValueError):
 
 
 def is_zero_scalar(c) -> bool:
+    """Zero as a ring element; a float64 array is zero at every sample."""
     probe = getattr(c, "is_zero", None)
     if probe is not None:
         return probe() if callable(probe) else bool(probe)
+    if isinstance(c, np.ndarray):
+        return not np.count_nonzero(c)
     return c == 0
 
 
@@ -257,6 +262,12 @@ class KForm:
             if not is_zero_scalar(v):
                 out.terms[idx] = v
         return out
+
+    def values(self) -> "KForm":
+        """The form of the coefficients' values: jets lose their
+        derivatives, and a coefficient whose value is zero at every sample
+        is dropped."""
+        return self.map_coefficients(lambda c: getattr(c, "value", c))
 
     def max_abs(self) -> float:
         """Largest |value| over coefficients (floats/jets) and their

@@ -15,12 +15,14 @@ The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
 connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, from
 the nonzero structure functions only, both defining conditions are
-re-verified after solving, and curvature 2-forms
-give Ricci and the rank of the curvature span (an Ambrose-Singer lower
-bound for the holonomy algebra).  Jet components are floats or float64
-arrays of shape (N,), so one pass serves N samples: guards hold per
-sample, residuals are maxima over the samples, and Ricci and the ranks
-carry a leading sample axis.
+re-verified after solving, and curvature 2-forms give Ricci and the rank
+of the curvature span (an Ambrose-Singer lower bound for the holonomy
+algebra).  Jets carry derivatives only as far as the d that reads them:
+the residuals and the curvature 2-forms are computed in values, so
+their coefficients are plain floats or float64 arrays.  Components are
+floats or float64 arrays of shape (N,), so one pass serves N samples:
+guards hold per sample, residuals are maxima over the samples, and Ricci
+and the ranks carry a leading sample axis.
 """
 
 from __future__ import annotations
@@ -243,21 +245,24 @@ class CoframeWithJets:
 
 @dataclass
 class CartanConnection:
-    """Connection 1-forms omega_{ab} solving the first structure equation."""
+    """Connection 1-forms omega_{ab} solving the first structure equation:
+    ``forms`` in jets, ``values`` and ``dhats`` (the equation's d hat-e^a)
+    in values."""
 
     dim: int
     forms: list  # forms[a][b] 0-based, KForm degree 1, omega^a_b
+    values: list  # the same forms in values
     structure_residual: float
     antisymmetry_residual: float
-    dhats: list  # d of the coframe elements, as the equation was solved with
+    dhats: list
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     """Solve d hat-e^a + omega^a_b ^ hat-e^b = 0 with omega_{ab} = -omega_{ba}.
 
     The coefficients come from the antisymmetrized structure-function
-    formula; both defining conditions are then re-verified numerically and
-    their residuals reported.
+    formula; both defining conditions are then re-verified numerically, in
+    values, and their residuals reported.
     """
     n = cof.dim
     # structure functions: d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
@@ -285,46 +290,41 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
             forms[a - 1][b - 1].terms[(c,)] = coeff
 
     # verification: first structure equation and antisymmetry
+    values = [[form.values() for form in row] for row in forms]
+    dvalues = [dhat.values() for dhat in dhats]
     anti = 0.0
     for a in range(n):
         for b in range(n):
-            diffform = forms[a][b] + forms[b][a]
-            anti = max(anti, diffform.max_abs())
+            anti = max(anti, (values[a][b] + values[b][a]).max_abs())
+    # coefficient 1.0: a Fraction would make object arrays of the values
+    units = [KForm(n, 1, {(b,): 1.0}) for b in range(1, n + 1)]
     residual = 0.0
     for a in range(n):
-        resid = dhats[a]
+        resid = dvalues[a]
         for b in range(n):
-            resid = resid + forms[a][b].wedge(KForm.basis(n, b + 1))
+            resid = resid + values[a][b].wedge(units[b])
         residual = max(residual, resid.max_abs())
-    return CartanConnection(n, forms, residual, anti, dhats)
-
-
-def frame_d(cof: CoframeWithJets, dhats: list):
-    """d over the orthonormal jet coframe, as a function of a form:
-    d hat-e^a = dhats[a-1], and a coefficient c contributes
-    dc = c'(x) dx = (c'/w) hat-e^n."""
-    n = cof.dim
-    dx = KForm.basis(n, n)
-    inv_w = cof.w.reciprocal()
-
-    def coeff_d(c):
-        c = c if isinstance(c, Jet) else Jet.const(c)
-        return (c.derivative() * inv_w) * dx
-
-    return lambda form: exterior_d(form, dhats, coeff_d)
+    return CartanConnection(n, forms, values, residual, anti, dvalues)
 
 
 def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> list:
-    """Curvature 2-forms Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b."""
+    """Curvature 2-forms Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b, in
+    values.  For omega = sum_k c_k hat-e^k, d omega is :func:`exterior_d`
+    over the values plus (1/w) hat-e^n ^ sum_k c'_k hat-e^k, the
+    derivatives of the coefficients.  Each (k, n) monomial sums one term of
+    each part, and a two-term sum rounds the same in either order, so the
+    values are those of d taken in jets."""
     n = cof.dim
-    d = frame_d(cof, conn.dhats)
+    inv_w = KForm(n, 1, {(n,): 1.0 / cof.w.value})
+    values = conn.values
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            omega = d(conn.forms[a][b])
+            slopes = KForm(n, 1, {idx: c.c[1] for idx, c in conn.forms[a][b].terms.items()})
+            omega = exterior_d(values[a][b], conn.dhats) + inv_w.wedge(slopes)
             for c in range(n):
-                if conn.forms[a][c].terms and conn.forms[c][b].terms:
-                    omega = omega + conn.forms[a][c].wedge(conn.forms[c][b])
+                if values[a][c].terms and values[c][b].terms:
+                    omega = omega + values[a][c].wedge(values[c][b])
             out[a][b] = omega
     return out
 
@@ -337,8 +337,9 @@ def _pair_index(n):
 @dataclass
 class CurvatureSummary:
     """Ricci (n x n) and curvature-span rank of each sample, with a leading
-    sample axis for a batch (a plain rank for float jets); the two
-    residuals are maxima over the samples."""
+    sample axis for a batch (a plain rank for float jets), both read from
+    the curvature 2-forms in values; the two residuals are maxima over the
+    samples."""
 
     ricci: np.ndarray
     curvature_rank: int
@@ -360,16 +361,15 @@ def _curvature_arrays(omegas: list, batch: tuple):
                 lo, hi = min(a + 1, d + 1), max(a + 1, d + 1)
                 if lo == hi:
                     continue
-                coeff = omegas[a][b].terms.get((lo, hi))
-                if coeff is None:
+                v = omegas[a][b].terms.get((lo, hi))
+                if v is None:
                     continue
-                v = coeff.value
                 total += v if a + 1 < d + 1 else -v
             ric[..., b, d] = total
 
     index, pairs = _pair_index(n)
-    entries = [(row, index[idx], coeff.value) for row, (a, b) in enumerate(pairs)
-               for idx, coeff in omegas[a - 1][b - 1].terms.items()]
+    entries = [(row, index[idx], value) for row, (a, b) in enumerate(pairs)
+               for idx, value in omegas[a - 1][b - 1].terms.items()]
     del omegas  # with a batch the forms outweigh the matrix: free them first
     mat = np.zeros(batch + (len(pairs), len(pairs)))
     for row, col, value in entries:
@@ -377,7 +377,10 @@ def _curvature_arrays(omegas: list, batch: tuple):
     return ric, mat
 
 
-def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> CurvatureSummary:
+SVD_THRESHOLD = 1e-8  # rank cutoff, relative to the largest singular value
+
+
+def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     """Ricci tensor and the dimension of the span of the curvature 2-forms
     at each sample point.
 
@@ -394,7 +397,7 @@ def ricci_and_rank(cof: CoframeWithJets, svd_threshold: float = 1e-8) -> Curvatu
     # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
     flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
     svals = np.linalg.svd(mat, compute_uv=False)
-    rank = np.where(flat, 0, np.sum(svals > svd_threshold * svals[..., :1], axis=-1))
+    rank = np.where(flat, 0, np.sum(svals > SVD_THRESHOLD * svals[..., :1], axis=-1))
     if not batch:
         rank = int(rank)
 

@@ -138,7 +138,7 @@ class Jet:
     def is_zero(self) -> bool:
         """Zero at every sample."""
         for x in self.c:
-            if x.any() if isinstance(x, np.ndarray) else x != 0.0:
+            if np.count_nonzero(x) if isinstance(x, np.ndarray) else x != 0.0:
                 return False
         return True
 

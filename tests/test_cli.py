@@ -239,6 +239,13 @@ class TestBuild:
         assert code == 0
         assert json.loads(out)["results"]["samples"] == [-0.5, 0.5]
 
+    @pytest.mark.parametrize("argv", [["--samples="], ["--samples=,"], ["--samples", ""],
+                                      ["--samples", " , "]])
+    def test_empty_sample_list_exit_two(self, capsys, argv):
+        # an empty list is refused, not read as "use the default window"
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-l1", *argv)
+        assert (code, out, err) == (2, "", "parse error: --samples needs at least one point\n")
+
     def test_spin7_triaxial_ricci_flat_verdict(self, capsys):
         code, out, _ = run(capsys, "build", "spin7", "--family", "spin7-triaxial",
                            "--format", "json")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qcforge.algebra import catalog
 from qcforge.forms import (ArityMismatch, BadOrientation, FrameMismatch,
                            FrameVector, KForm, exterior_d, format_form,
-                           parse_form)
+                           is_zero_scalar, parse_form)
 from qcforge.scalars import Jet
 
 
@@ -235,3 +235,18 @@ def test_max_abs_returns_nan_instead_of_skipping_it():
     assert math.isnan(form.max_abs())
     batch = KForm(3, 1, {(1,): Jet((np.array([1.0, -3.0]), 0.0, 0.0))})
     assert batch.max_abs() == 3.0
+
+
+def test_float64_array_coefficients():
+    # value forms of a batch: zero means zero at every sample, NaN is not zero
+    assert is_zero_scalar(np.array([0.0, -0.0]))
+    assert not is_zero_scalar(np.array([0.0, np.nan]))
+    assert not is_zero_scalar(np.array([0.0, 1e-300]))
+    a = KForm(3, 1, {(1,): np.array([1.0, 2.0]), (2,): np.zeros(2)})
+    assert list(a.terms) == [(1,)]
+    b = KForm(3, 1, {(2,): np.array([3.0, -1.0]), (3,): 1.0})
+    assert (a.wedge(b) + b.wedge(a)).is_zero()  # each cancelled sum is dropped
+    prod = a.wedge(b)
+    assert set(prod.terms) == {(1, 2), (1, 3)}
+    assert all(c.dtype == np.float64 for c in prod.terms.values())
+    assert list(prod.terms[1, 2]) == [3.0, -2.0] and list(prod.terms[1, 3]) == [1.0, 2.0]

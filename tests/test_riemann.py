@@ -7,9 +7,9 @@ import pytest
 from qcforge.algebra import catalog, parse_algebra
 from qcforge.riemann import (CoframeWithJets, NonAntisymmetricTorsion,
                              SingularCoframe, adjust_by_torsion,
-                             cartan_connection, frame_curvature, frame_d,
+                             cartan_connection, frame_curvature,
                              koszul_levi_civita, ricci_and_rank)
-from qcforge.forms import KForm
+from qcforge.forms import KForm, exterior_d
 from qcforge.scalars import Jet
 
 SU2 = "algebra su2 dim 3\nd e1 = -1 e2^e3\nd e2 = -1 e3^e1\nd e3 = -1 e1^e2\n"
@@ -108,14 +108,24 @@ class TestCartan:
             assert conn.antisymmetry_residual < 1e-12
 
     def test_frame_d_squares_to_zero_on_spin7_l1(self):
-        # the d that curvature_forms applies to the connection forms, on the
-        # spin7-l1 coframe at a sample point
+        # d over the orthonormal jet coframe of spin7-l1 at a sample point:
+        # d hat-e^a from the coframe, and a coefficient c contributes
+        # dc = c'(x) dx = (c'/w) hat-e^n
         from qcforge.evolution import FAMILIES
         funcs = FAMILIES["spin7-l1"].functions()
         x = 0.8
         fj, hj, wj = (funcs[k](Jet.variable(x)) for k in ("f", "h", "w"))
         cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3, wj)
-        d = frame_d(cof, cof.coframe_differentials())
+        dhats = cof.coframe_differentials()
+        dx, inv_w = KForm.basis(cof.dim, cof.dim), wj.reciprocal()
+
+        def coeff_d(c):
+            c = c if isinstance(c, Jet) else Jet.const(c)
+            return (c.derivative() * inv_w) * dx
+
+        def d(form):
+            return exterior_d(form, dhats, coeff_d)
+
         conn = cartan_connection(cof)
         checked = 0
         for row in conn.forms:

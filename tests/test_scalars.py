@@ -185,6 +185,8 @@ class TestBatchedJets:
     def test_is_zero_means_every_sample(self):
         assert not Jet((np.array([0.0, 1e-300]), 0.0, 0.0)).is_zero()
         assert Jet((np.zeros(3), 0.0, np.zeros(3))).is_zero()
+        assert not Jet((np.zeros(2), np.array([0.0, np.nan]), 0.0)).is_zero()
+        assert Jet((np.array([-0.0, 0.0]), -0.0, np.array([0.0, -0.0]))).is_zero()
 
     def test_guards_fail_when_any_sample_fails(self):
         with pytest.raises(DomainError, match="base -1.0$"):

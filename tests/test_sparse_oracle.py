@@ -11,7 +11,9 @@ identical Fractions.
 The jet path solves the first structure equation for Gamma over the
 triples where a structure function is nonzero; its reference is the dense
 n^3 loop over every triple, with a zero jet standing in for the absent
-structure functions.
+structure functions.  It then checks the solution and builds the curvature
+2-forms in values; their reference carries the full jets through d, the
+wedges and the residual sums, and reads the values at the end.
 """
 
 from fractions import Fraction
@@ -23,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 from qcforge import qc
 from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog
 from qcforge.evolution import FAMILIES, _axes, _coframe, require_einstein_base
-from qcforge.forms import KForm
-from qcforge.riemann import cartan_connection, frame_curvature, koszul_levi_civita
+from qcforge.forms import KForm, exterior_d
+from qcforge.riemann import (cartan_connection, curvature_forms, frame_curvature,
+                             koszul_levi_civita)
 from qcforge.scalars import Jet
 
 
@@ -217,10 +220,13 @@ def dense_cartan_forms(cof) -> list:
     return forms
 
 
-def family_coframe(name: str, count: int):
+def family_coframe(name: str, count: int, batch: bool = True):
+    """The family's coframe at ``count`` default samples, or at the middle
+    one as a scalar jet when ``batch`` is false."""
     fam = FAMILIES[name]
     spec = require_einstein_base(fam.base, fam.S)
-    u = Jet.variable(np.array(fam.default_samples(count=count)))
+    xs = fam.default_samples(count=count)
+    u = Jet.variable(np.array(xs) if batch else xs[count // 2])
     jets = {k: fn(u) for k, fn in fam.functions().items()}
     return _coframe(spec, jets["f"], _axes(jets), jets["w"])
 
@@ -249,3 +255,71 @@ def test_sparse_cartan_matches_dense(name):
                     assert x.shape == (16,) and np.array_equal(x, y), (a, b, idx, k)
                     if k == 0:
                         assert (_bits(x) == _bits(y)).all(), (a, b, idx)
+
+
+def jet_curvature_forms(cof, forms) -> list:
+    """Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b with jet coefficients
+    throughout: d hat-e^a from the coframe, and a coefficient c contributes
+    dc = c'(x) dx = (c'/w) hat-e^n."""
+    n = cof.dim
+    dhats = cof.coframe_differentials()
+    dx = KForm.basis(n, n)
+    inv_w = cof.w.reciprocal()
+
+    def coeff_d(c):
+        return (c.derivative() * inv_w) * dx
+
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            omega = exterior_d(forms[a][b], dhats, coeff_d)
+            for c in range(n):
+                if forms[a][c].terms and forms[c][b].terms:
+                    omega = omega + forms[a][c].wedge(forms[c][b])
+            out[a][b] = omega
+    return out
+
+
+def jet_cartan_residuals(cof, forms) -> tuple:
+    """(structure, antisymmetry) residuals of the connection with jet sums."""
+    n = cof.dim
+    dhats = cof.coframe_differentials()
+    anti = max((forms[a][b] + forms[b][a]).max_abs() for a in range(n) for b in range(n))
+    residual = 0.0
+    for a in range(n):
+        resid = dhats[a]
+        for b in range(n):
+            resid = resid + forms[a][b].wedge(KForm.basis(n, b + 1))
+        residual = max(residual, resid.max_abs())
+    return residual, anti
+
+
+@pytest.mark.parametrize("name,batch", [("qk-heis2", True), ("qk-l1", True),
+                                        ("spin7-triaxial", True), ("qk-l1", False)])
+def test_curvature_in_values_matches_jets(name, batch):
+    """The value-level curvature 2-forms and Cartan residuals equal the
+    values of the jet computation bit for bit.  A monomial may be present
+    on one side only where its value is 0 at every sample: the jet sums
+    keep a jet whose derivatives alone are nonzero."""
+    cof = family_coframe(name, 16, batch)
+    conn = cartan_connection(cof)
+    want_residuals = jet_cartan_residuals(cof, conn.forms)
+    assert _bits((conn.structure_residual, conn.antisymmetry_residual)).tolist() == \
+        _bits(want_residuals).tolist()
+    have = curvature_forms(cof, conn)
+    want = jet_curvature_forms(cof, conn.forms)
+    shape = (16,) if batch else ()
+    compared = 0
+    for a in range(cof.dim):
+        for b in range(cof.dim):
+            h, w = have[a][b].terms, want[a][b].terms
+            for idx in h.keys() | w.keys():
+                if idx not in h or idx not in w:
+                    only = h.get(idx, w.get(idx))
+                    assert not np.count_nonzero(getattr(only, "value", only)), (a, b, idx)
+                    continue
+                assert isinstance(h[idx], np.ndarray if batch else float), (a, b, idx)
+                x, y = np.broadcast_arrays(h[idx], w[idx].value)
+                assert x.shape == shape and (_bits(x) == _bits(y)).all(), (a, b, idx)
+                compared += 1
+    assert compared > 0
