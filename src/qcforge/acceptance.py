@@ -3,7 +3,9 @@ certify, with its tolerance pinned.
 
 Each criterion function returns (ok, detail).  The pytest module and the
 ``sweep`` CLI command both drive :func:`run_all`, so the release gate and
-the command-line regression run are the same code.
+the command-line regression run are the same code.  Criteria 8-12 read
+the build verdicts of :func:`~qcforge.evolution.verdicts` at its default
+tolerances, ``TOL_RESIDUAL`` and ``TOL_RICCI``, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from fractions import Fraction
 
 from . import dga, qc
 from .algebra import catalog, jacobi_check
-from .evolution import FAMILIES, build_family, extended_d, ode_residual
+from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, extended_d, verdicts
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet
 
-TOL_RESIDUAL = 1e-10
-TOL_RICCI = 1e-8
 TOL_STRUCTURE = 1e-12
 TOL_JET_FD = 1e-4
 
@@ -40,6 +40,11 @@ def _build(name: str, **kw) -> dict:
     if key not in _BUILDS:
         _BUILDS[key] = build_family(name, **kw)
     return _BUILDS[key]
+
+
+def _failures(label: str, table: dict) -> list:
+    """One ``label: verdict FAIL`` line per failed verdict of ``table``."""
+    return [f"{label}: {verdict} FAIL" for verdict, ok in table.items() if not ok]
 
 
 def criterion_1():
@@ -164,34 +169,15 @@ def criterion_7():
 def criterion_8():
     """Quaternion-type builds: closed 4-form and the stated Einstein
     constants to relative tolerance."""
-    cases = ("qk-heis", "qk-heis2", "qk-l1", "qk-l2")
-    problems = []
-    for name in cases:
-        r = _build(name)
-        if _not_below(r["dform_residual"], TOL_RESIDUAL):
-            problems.append(f"{name}: |dPhi| = {r['dform_residual']:.2e}")
-        lam = r["einstein_const"]
-        want = r["einstein_expected"]
-        rel = abs(lam - want) / abs(want)
-        dev = r["einstein_deviation"] / abs(want)
-        if _not_below(rel, TOL_RICCI) or _not_below(dev, TOL_RICCI):
-            problems.append(f"{name}: Ricci off ({lam} vs {want}, dev {dev:.2e})")
+    problems = [p for name in ("qk-heis", "qk-heis2", "qk-l1", "qk-l2")
+                for p in _failures(name, verdicts(name, _build(name)))]
     return not problems, "; ".join(problems) or "all four builds Einstein at the stated constants"
 
 
 def criterion_9():
     """Self-dual builds: closed, Ricci-flat, with the curvature-span bounds."""
-    problems = []
-    for name in ("spin7-heis", "spin7-l1", "spin7-l2", "spin7-triaxial"):
-        r = _build(name)
-        if _not_below(r["dform_residual"], TOL_RESIDUAL):
-            problems.append(f"{name}: |dPsi| = {r['dform_residual']:.2e}")
-        if _not_below(r["ricci_max_abs"], TOL_RICCI):
-            problems.append(f"{name}: |Ricci| = {r['ricci_max_abs']:.2e}")
-    if _build("spin7-l1")["curvature_rank"] < 16:
-        problems.append("spin7-l1: curvature span below 16")
-    if _build("spin7-l2")["curvature_rank"] != 21:
-        problems.append("spin7-l2: curvature span != 21")
+    problems = [p for name in ("spin7-heis", "spin7-l1", "spin7-l2", "spin7-triaxial")
+                for p in _failures(name, verdicts(name, _build(name)))]
     return not problems, "; ".join(problems) or "all builds closed, Ricci-flat, span bounds met"
 
 
@@ -203,8 +189,8 @@ def criterion_10():
     equal = _build("qk-triaxial", params={"a1": 1, "a2": 1, "a3": 1})
     skew = _build("qk-triaxial", params={"a1": Fraction(1, 2), "a2": 1, "a3": 3})
     for tag, r in (("(0,1,2)", distinct), ("(1,1,1)", equal), ("(1/2,1,3)", skew)):
-        if _not_below(r["dform_residual"], TOL_RESIDUAL):
-            problems.append(f"a={tag}: |dPhi| = {r['dform_residual']:.2e}")
+        table = verdicts("qk-triaxial", r)
+        problems += _failures(f"a={tag}", {"closed_ok": table["closed_ok"]})
     if (_not_below(1e-3, distinct["einstein_deviation"])
             or _not_below(1e-3, distinct["ideal_residual"])):
         problems.append("a=(0,1,2): should be neither Einstein nor an ideal")
@@ -216,22 +202,17 @@ def criterion_10():
 def criterion_11():
     """Differential-ideal family: an ideal, but never closed."""
     r = _build("ideal-family", samples=[0.0, 0.5])
-    ok = r["ideal_residual"] < TOL_RESIDUAL and r["dform_residual"] > 1e-3
-    return ok, (f"ideal remainder {r['ideal_residual']:.2e}, "
-                f"|dPhi| {r['dform_residual']:.2e}")
+    return all(verdicts("ideal-family", r).values()), (
+        f"ideal remainder {r['ideal_residual']:.2e}, |dPhi| {r['dform_residual']:.2e}")
 
 
 def criterion_12():
     """Governing ODE systems: every catalog family, including the positive-
     scalar pair, satisfies its systems on the default samples."""
     problems = []
-    for name, fam in FAMILIES.items():
-        funcs = fam.functions()
-        pts = fam.default_samples()
-        for system in fam.systems:
-            res = ode_residual(system, funcs, fam.S, pts)
-            if _not_below(res, TOL_RESIDUAL):
-                problems.append(f"{name}/{system}: {res:.2e}")
+    for name in FAMILIES:
+        table = verdicts(name, _build(name))
+        problems += _failures(name, {v: ok for v, ok in table.items() if v.startswith("ode_")})
     return not problems, "; ".join(problems) or "all governing systems satisfied"
 
 

@@ -24,7 +24,7 @@ import json
 import sys
 from . import __version__, acceptance, dga, qc
 from .algebra import catalog, format_algebra, jacobi_check, parse_algebra
-from .evolution import FAMILIES, build_family
+from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, verdicts
 from .scalars import DomainError, InputError, NotQcError, parse_float, parse_rational
 
 EXIT_OK = 0
@@ -164,33 +164,12 @@ def cmd_build(args) -> int:
         raise InputError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
     if not (fam.kind.startswith(args.kind) or (args.kind == "qk" and fam.kind == "ideal")):
         raise InputError(f"family {args.family} is not of kind {args.kind}")
-    tol_res, tol_ric = args.tol_residual, args.tol_ricci
-    if not (tol_res > 0 and tol_ric > 0):  # NaN is refused too
+    if not (args.tol_residual > 0 and args.tol_ricci > 0):  # NaN is refused too
         raise InputError("tolerances must be positive")
     result = build_family(args.family, params=_parse_params(args.param) or None,
                           samples=_parse_samples(args.samples))
-    verdicts = {}
-    for system, value in result.get("ode_residuals", {}).items():
-        verdicts[f"ode_{system}_ok"] = value < tol_res
-    if result.get("kind") != "ode-only":
-        if fam.kind == "ideal":
-            verdicts["ideal_ok"] = result["ideal_residual"] < tol_res
-            verdicts["not_closed_ok"] = result["dform_residual"] > 1e-3
-        else:
-            verdicts["closed_ok"] = result["dform_residual"] < tol_res
-        if fam.kind.startswith("spin7"):
-            verdicts["ricci_flat_ok"] = result["ricci_max_abs"] < tol_ric
-        if "einstein_expected" in result:
-            want = result["einstein_expected"]
-            verdicts["einstein_ok"] = (
-                abs(result["einstein_const"] - want) < tol_ric * abs(want)
-                and result["einstein_deviation"] < tol_ric * abs(want))
-        if "rank_min_expected" in result:
-            verdicts["rank_ok"] = result["curvature_rank"] >= result["rank_min_expected"]
-        if "rank_exact_expected" in result:
-            verdicts["rank_ok"] = result["curvature_rank"] == result["rank_exact_expected"]
-    result["verdicts"] = verdicts
-    ok = all(verdicts.values())
+    result["verdicts"] = verdicts(args.family, result, args.tol_residual, args.tol_ricci)
+    ok = all(result["verdicts"].values())
     fam_text = f"{fam.name} {sorted(result['params'].items())}"
     _emit(_report("build", f"family:{args.family}", fam_text,
                   result["params"], ok, result), args.format)
@@ -246,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--samples", help="comma-separated sample points")
-    p.add_argument("--tol-residual", type=float, default=acceptance.TOL_RESIDUAL)
-    p.add_argument("--tol-ricci", type=float, default=acceptance.TOL_RICCI)
+    p.add_argument("--tol-residual", type=float, default=TOL_RESIDUAL)
+    p.add_argument("--tol-ricci", type=float, default=TOL_RICCI)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_build)
 

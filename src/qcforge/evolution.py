@@ -24,7 +24,8 @@ no finite real window or fail in exact arithmetic, when no sample is
 left, a sample is not finite, or the jet arithmetic breaks down at a
 sample (a guard fails, a value overflows or a solve fails), naming it.
 :func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
-structure equations and the jet derivative times dx.
+structure equations and the jet derivative times dx.  :func:`verdicts` is
+the one place that turns a build's residuals into pass/fail verdicts.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .riemann import CoframeWithJets, ricci_and_rank
 from .scalars import DomainError, InputError, Jet, NotQcError, worst_abs
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
+TOL_RICCI = 1e-8
 
 
 class NotEinsteinBase(NotQcError):
@@ -692,3 +695,32 @@ def build_family(name: str, params=None, samples=None) -> dict:
     if fam.rank_exact is not None:
         result["rank_exact_expected"] = fam.rank_exact
     return result
+
+
+def verdicts(name: str, result: dict, tol_residual: float = TOL_RESIDUAL,
+             tol_ricci: float = TOL_RICCI) -> dict[str, bool]:
+    """Each claim a build of family ``name`` checks, by name, with its
+    pass/fail verdict from ``result``; every comparison fails on NaN."""
+    fam = FAMILIES[name]
+    table = {f"ode_{system}_ok": value < tol_residual
+             for system, value in result["ode_residuals"].items()}
+    if fam.base is None:
+        return table
+    if fam.kind == "ideal":
+        table["ideal_ok"] = result["ideal_residual"] < tol_residual
+        table["not_closed_ok"] = result["dform_residual"] > 1e-3
+    else:
+        table["closed_ok"] = result["dform_residual"] < tol_residual
+    if fam.kind.startswith("spin7"):
+        table["ricci_flat_ok"] = result["ricci_max_abs"] < tol_ricci
+    if "einstein_expected" in result:
+        bound = tol_ricci * abs(result["einstein_expected"])
+        table["einstein_ok"] = (
+            abs(result["einstein_const"] - result["einstein_expected"]) < bound
+            and result["einstein_deviation"] < bound)
+    low, exact = result.get("rank_min_expected"), result.get("rank_exact_expected")
+    if low is not None or exact is not None:
+        rank = result["curvature_rank"]
+        table["rank_ok"] = ((low is None or rank >= low)
+                            and (exact is None or rank == exact))
+    return table

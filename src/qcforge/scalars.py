@@ -70,7 +70,9 @@ def parse_float(text: str) -> float:
 def _each(fn, x):
     """``fn`` on a float, or on each sample of an array through Python
     floats: numpy's ufuncs may round differently from libm, and a batch
-    must agree bit for bit with its scalar jets."""
+    must agree bit for bit with its scalar jets.  Powers go through
+    ``math.pow``: its overflow reads ``math range error`` like that of
+    ``math.exp``, where ``float ** float`` gives an errno tuple."""
     return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
 
 
@@ -229,7 +231,7 @@ class Jet:
     def reciprocal(self) -> "Jet":
         y = self.c[0]
         _fail_if(y == 0.0, y, "division by a jet with zero value")
-        p = [_each(lambda v: v ** k, y) for k in (2, 3)]
+        p = [_each(lambda v: math.pow(v, k), y) for k in (2, 3)]
         return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1]))
 
     def pow(self, exponent) -> "Jet":
@@ -245,7 +247,7 @@ class Jet:
         y = self.c[0]
         _fail_if(y <= 0.0, y, f"fractional power {r} of non-positive base {{}}")
         rf = float(r)
-        p = [_each(lambda v: v ** (rf - k), y) for k in (0.0, 1.0, 2.0)]
+        p = [_each(lambda v: math.pow(v, rf - k), y) for k in (0.0, 1.0, 2.0)]
         return self.compose((p[0], rf * p[1], rf * (rf - 1.0) * p[2]))
 
     def exp(self) -> "Jet":
@@ -263,7 +265,7 @@ class Jet:
     def log(self) -> "Jet":
         y = self.c[0]
         _fail_if(y <= 0.0, y, "log of non-positive value {}")
-        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / _each(lambda v: v ** 2, y)))
+        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / _each(lambda v: math.pow(v, 2), y)))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))

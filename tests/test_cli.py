@@ -278,6 +278,17 @@ class TestBuild:
         assert err.startswith(f"domain error: jet arithmetic breaks down at x={bad}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind,family,samples", [
+        ("qk", "qk-l1", "300"),      # a power of the Cartan solve overflows
+        ("qk", "qk-3sas", "1e-300"),  # a power in the coefficient h overflows
+        ("spin7", "spin7-triaxial", "1e160")])
+    def test_float_overflow_reads_as_a_sentence(self, capfd, kind, family, samples):
+        code, out, err = run(capfd, "build", kind, "--family", family, f"--samples={samples}")
+        assert code == 4
+        assert out == ""
+        assert err.endswith(": math range error\n") and err.count("\n") == 1
+        assert "(34," not in err  # the errno tuple of float.__pow__
+
     def test_jet_guard_names_the_sample(self, capfd):
         # u^2 overflows, so w = 1/(2 sqrt(u + u^2)) is 0 and d/dt divides by it
         code, out, err = run(capfd, "build", "qk", "--family", "qk-3sas", "--samples", "1,1e160")
@@ -503,6 +514,8 @@ GOLDEN_ARGV = {
         "build", "spin7", "--family", "spin7-triaxial", "--param", "a1=1", "--param", "a2=6/5",
         "--param", "a3=-1", "--param", "C=2", "--format", "json", "--samples",
         "-3.5,-3.4,-3.3,-3.2,-3.1,-3.0,-2.9,-2.8,-2.7,-2.6,-2.5,-2.4,-2.3,-2.2,-2.1,-2.0"],
+    # every criterion's detail, byte for byte
+    "sweep.json": ["sweep", "--format", "json"],
 }
 
 
@@ -527,6 +540,26 @@ class TestGoldenOutputs:
         bad = {**doc, "results": {k: v for k, v in doc["results"].items() if k != "alphas"}}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema())
+
+    def test_schema_constrains_build_results(self):
+        doc = json.loads((GOLDEN / "build_spin7-l2.json").read_text())
+        verdicts = doc["results"]["verdicts"]
+        for broken in ({**verdicts, "rank_ok": "true"}, {**verdicts, "flat_ok": True}):
+            bad = {**doc, "results": {**doc["results"], "verdicts": broken}}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema())
+        bad = {**doc, "results": {k: v for k, v in doc["results"].items() if k != "verdicts"}}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema())
+
+    def test_schema_constrains_sweep_results(self):
+        doc = json.loads((GOLDEN / "sweep.json").read_text())
+        first = doc["results"]["criteria"][0]
+        for broken in ({k: v for k, v in first.items() if k != "detail"}, {**first, "ok": 1},
+                       {**first, "extra": 1}):
+            bad = {**doc, "results": {"criteria": [broken]}}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema())
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
     def test_output_matches(self, capsys, name):

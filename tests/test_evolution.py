@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
                                build_triaxial, extended_d, ode_residual,
-                               require_einstein_base)
+                               require_einstein_base, verdicts)
 from qcforge.forms import KForm
 from qcforge.scalars import DomainError, Jet
 
@@ -245,6 +247,61 @@ class TestOdeSystems:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             ode_residual("nope", FAMILIES["qk-l1"].functions(), Fraction(0), [1.0])
+
+
+_default_build = functools.cache(build_family)
+
+# (family, verdict, field it reads); the ode fields sit under ode_residuals
+VERDICT_FIELDS = [
+    ("qk-l1", "ode_solqk7_ok", "solqk7"),
+    ("qk-l1", "ode_clideal_ok", "clideal"),
+    ("qk-triaxial", "ode_erealqk_ok", "erealqk"),
+    ("spin7-l1", "ode_sol7_ok", "sol7"),
+    ("spin7-triaxial", "ode_ereal7_ok", "ereal7"),
+    ("ideal-family", "ode_ideal_sys_ok", "ideal_sys"),
+    ("qk-l1", "closed_ok", "dform_residual"),
+    ("spin7-l2", "closed_ok", "dform_residual"),
+    ("ideal-family", "not_closed_ok", "dform_residual"),
+    ("ideal-family", "ideal_ok", "ideal_residual"),
+    ("spin7-l1", "ricci_flat_ok", "ricci_max_abs"),
+    ("qk-l1", "einstein_ok", "einstein_const"),
+    ("qk-l1", "einstein_ok", "einstein_deviation"),
+    ("qk-l1", "einstein_ok", "einstein_expected"),
+    ("spin7-l1", "rank_ok", "curvature_rank"),
+    ("spin7-l2", "rank_ok", "curvature_rank"),
+    ("spin7-l2", "rank_ok", "rank_min_expected"),
+    ("spin7-l2", "rank_ok", "rank_exact_expected"),
+]
+
+
+class TestVerdicts:
+    def test_every_verdict_is_listed_and_passes_by_default(self):
+        names = set()
+        for name in FAMILIES:
+            table = verdicts(name, _default_build(name))
+            assert all(table.values()), (name, table)
+            names |= set(table)
+        assert names == {verdict for _, verdict, _ in VERDICT_FIELDS}
+
+    @pytest.mark.parametrize("family,verdict,field", VERDICT_FIELDS,
+                             ids=[f"{f}-{v}-{k}" for f, v, k in VERDICT_FIELDS])
+    def test_nan_fails_only_the_verdict_that_reads_it(self, family, verdict, field):
+        result = copy.deepcopy(_default_build(family))
+        if verdict.startswith("ode_"):
+            result["ode_residuals"][field] = math.nan
+        else:
+            result[field] = math.nan
+        table = verdicts(family, result)
+        assert [v for v, ok in table.items() if not ok] == [verdict]
+
+    @pytest.mark.parametrize("rank,ok", [(16, False), (17, False), (21, True), (22, False)])
+    def test_spin7_l2_rank_is_both_bounded_and_exact(self, rank, ok):
+        result = {**_default_build("spin7-l2"), "curvature_rank": rank}
+        assert verdicts("spin7-l2", result)["rank_ok"] is ok
+
+    def test_ode_only_family_has_only_ode_verdicts(self):
+        table = verdicts("qk-3sas", _default_build("qk-3sas"))
+        assert table == {"ode_solqk7_ok": True, "ode_clideal_ok": True}
 
 
 class TestParameterizationBridges:
