@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import dga, qc
-from .algebra import catalog, jacobi_check
+from .algebra import jacobi_check
 from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, extended_d, verdicts
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
@@ -49,7 +49,7 @@ def _failures(label: str, table: dict) -> list:
 
 def criterion_1():
     """Exact integrability of every catalog coframe."""
-    bad = [n for n in ALL_ENTRIES if not jacobi_check(catalog(n).algebra).ok]
+    bad = [n for n in ALL_ENTRIES if not jacobi_check(qc.catalog_report(n).spec.algebra).ok]
     return not bad, f"jacobi violations: {bad}" if bad else "d.d = 0 on all six catalog coframes"
 
 
@@ -108,7 +108,7 @@ def criterion_4():
         if not rep.torsion.is_einstein():
             problems.append(f"{name}: torsion endomorphism should vanish")
     rep = qc.catalog_report("l3")
-    spec = catalog("l3")
+    spec = rep.spec
     psi = Fraction(-1, 4) * (KForm.basis(7, 1, 2) - KForm.basis(7, 3, 4))
     psi_m = qc._form_matrix(psi, spec.horizontal)
     m1 = spec.complex_structure(1)
@@ -252,14 +252,14 @@ def criterion_14():
 
     # d.d = 0: exact on catalog coframes
     for name in ("l1", "l2", "l3", "heis(2)"):
-        alg = catalog(name).algebra
+        alg = qc.catalog_report(name).spec.algebra
         for degree in (1, 2, 3):
             form = _random_rational_form(rng, alg.dim, degree)
             if not alg.mc_differential(alg.mc_differential(form)).is_zero():
                 problems.append(f"d.d != 0 on {name} (degree {degree})")
 
     # d.d = 0 with jet coefficients on the extended frame
-    alg = catalog("l1").algebra
+    l1 = qc.catalog_report("l1").spec.algebra
     for _ in range(3):
         x = Jet.variable(rng.uniform(0.5, 1.5))
         form = KForm(8, 2)
@@ -267,7 +267,7 @@ def criterion_14():
             pick = tuple(rng.sample(range(1, 9), 2))
             coeff = (x * rng.uniform(-1, 1)).exp() * rng.uniform(-2, 2)
             form = form + coeff * KForm.basis(8, *pick)
-        dd = extended_d(alg, extended_d(alg, form))
+        dd = extended_d(l1, extended_d(l1, form))
         if _not_below(dd.max_abs(), 1e-12):
             problems.append(f"extended d.d = {dd.max_abs():.1e}")
 
@@ -282,8 +282,8 @@ def criterion_14():
                 problems.append(f"star.star sign law fails (dim {dim}, degree {degree})")
 
     # prescribed torsion reproduced exactly
-    spec = catalog("l2")
     rep = qc.catalog_report("l2")
+    spec = rep.spec
     want = qc.assemble_torsion_tensor(spec, rep.torsion)
     have = rep.connection.torsion(spec.algebra)
     if want != have:
@@ -300,7 +300,7 @@ def criterion_14():
     for x in fam.default_samples():
         u = Jet.variable(x)
         fj, hj, wj = (funcs[k](u) for k in ("f", "h", "w"))
-        cof = CoframeWithJets(catalog("l1").algebra, [fj.sqrt()] * 4 + [hj] * 3, wj)
+        cof = CoframeWithJets(l1, [fj.sqrt()] * 4 + [hj] * 3, wj)
         conn = cartan_connection(cof)
         if (_not_below(conn.structure_residual, TOL_STRUCTURE)
                 or _not_below(conn.antisymmetry_residual, TOL_STRUCTURE)):

@@ -16,6 +16,7 @@ function symbols whose formal t-derivatives are produced by priming.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .poly import Poly
@@ -245,6 +246,7 @@ def sym(name: str) -> Poly:
 _S = sym("S")
 
 
+@functools.cache
 def _d_generator(name: str) -> DgaElement:
     if name == "dt":
         return DgaElement.zero()

@@ -714,10 +714,11 @@ def verdicts(name: str, result: dict, tol_residual: float = TOL_RESIDUAL,
     if fam.kind.startswith("spin7"):
         table["ricci_flat_ok"] = result["ricci_max_abs"] < tol_ricci
     if "einstein_expected" in result:
+        # <= so that an exact match passes where the expected constant underflows to 0
         bound = tol_ricci * abs(result["einstein_expected"])
         table["einstein_ok"] = (
-            abs(result["einstein_const"] - result["einstein_expected"]) < bound
-            and result["einstein_deviation"] < bound)
+            abs(result["einstein_const"] - result["einstein_expected"]) <= bound
+            and result["einstein_deviation"] <= bound)
     low, exact = result.get("rank_min_expected"), result.get("rank_exact_expected")
     if low is not None or exact is not None:
         rank = result["curvature_rank"]

@@ -108,13 +108,6 @@ class CurvatureTensor:
         return all(r.get((b, a, c, d), 0) == -x and r.get((a, b, d, c), 0) == -x
                    for (a, b, c, d), x in r.items())
 
-    def first_bianchi_residual(self) -> Fraction:
-        """max |R_{[abc]d}| over all index choices (zero for torsion-free);
-        a nonzero cyclic sum contains a nonzero entry."""
-        r = self.r
-        return max((abs(x + r.get((b, c, a, d), 0) + r.get((c, a, b, d), 0))
-                    for (a, b, c, d), x in r.items()), default=_ZERO)
-
 
 def _zeros3(n):
     return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]

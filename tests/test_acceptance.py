@@ -4,9 +4,11 @@ Each test prints one pass/fail line; ``qcforge sweep`` runs the same
 criteria from the command line.
 """
 
+import collections
+
 import pytest
 
-from qcforge import acceptance
+from qcforge import acceptance, algebra, dga, qc
 from qcforge.acceptance import CRITERIA
 from qcforge.evolution import FAMILIES
 from qcforge.scalars import JET_LEN, Jet
@@ -50,3 +52,38 @@ def test_build_memo_keys_on_the_samples():
     default = acceptance._build("ideal-family")
     assert chosen["samples"] == [0.0, 0.5]
     assert default["samples"] != chosen["samples"]
+
+
+def _cold_caches():
+    qc.catalog_report.cache_clear()
+    acceptance._BUILDS.clear()
+
+
+def test_cold_sweep_parses_each_catalog_entry_once(monkeypatch):
+    """Every criterion reads catalog coframes through ``qc.catalog_report``,
+    so a cold sweep parses and gates each of its seven entries once."""
+    _cold_caches()
+    loads, parses = collections.Counter(), collections.Counter()
+
+    def counting(counter, fn):
+        def wrapped(first, *args, **kw):
+            counter[first] += 1
+            return fn(first, *args, **kw)
+        return wrapped
+
+    # qc.catalog counts the loads by name; algebra.parse_algebra, by source
+    # text, also sees a catalog coframe loaded past the memo by any module
+    monkeypatch.setattr(qc, "catalog", counting(loads, qc.catalog))
+    monkeypatch.setattr(algebra, "parse_algebra", counting(parses, algebra.parse_algebra))
+    acceptance.run_all(verbose=False)
+    assert loads == dict.fromkeys(acceptance.ALL_ENTRIES + ("l0(-2/3)",), 1)
+    assert sorted(parses.values()) == [1] * 7
+    assert not hasattr(acceptance, "catalog")
+    assert dga._d_generator("eta1") is dga._d_generator("eta1")
+
+
+def test_memoized_specs_survive_a_sweep_unchanged():
+    """A second sweep in the same process, reading the specs and builds the
+    first one memoized, gives the same results."""
+    _cold_caches()
+    assert acceptance.run_all(verbose=False) == acceptance.run_all(verbose=False)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcforge import dga
 from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL, DgaElement,
                          UnderdeterminedDifferential, dga_d,
                          specialize_diagonal, sym, verify_closedqc,
@@ -136,6 +137,16 @@ class TestDifferential:
         assert dga_d(qk["dphi"]).is_zero()
         s7 = verify_spin7_closure()
         assert dga_d(s7["dpsi"]).is_zero()
+
+    @pytest.mark.parametrize("target", sorted(dga.SYMBOLIC_TARGETS))
+    def test_cached_generator_differentials_stay_unmutated(self, target):
+        # every target reuses the memoized d(generator); a second run would
+        # differ if any operation mutated one of them
+        dga._d_generator.cache_clear()
+        check = dga.SYMBOLIC_TARGETS[target]
+        first = check()
+        assert first[0]
+        assert check() == first
 
 
 class TestVerifications:

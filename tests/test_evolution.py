@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcforge import algebra, evolution, qc
+from qcforge import algebra, cli, evolution, qc
 from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
@@ -302,6 +302,15 @@ class TestVerdicts:
     def test_ode_only_family_has_only_ode_verdicts(self):
         table = verdicts("qk-3sas", _default_build("qk-3sas"))
         assert table == {"ode_solqk7_ok": True, "ode_clideal_ok": True}
+
+    @pytest.mark.parametrize("b", ["1e-100", "1e-170", "1e-200"])
+    def test_einstein_passes_where_the_expected_constant_underflows(self, b, capsys):
+        # below b ~ 1.6e-162 the expected constant -16 b^2 underflows to -0.0,
+        # so the relative bound is 0 and only an exact match can pass
+        result = build_family("qk-heis", params={"b": Fraction(b)})
+        assert verdicts("qk-heis", result)["einstein_ok"] is True
+        assert cli.main(["build", "qk", "--family", "qk-heis", "--param", f"b={b}"]) == 0
+        assert "einstein_ok: PASS" in capsys.readouterr().out
 
 
 class TestParameterizationBridges:
