@@ -338,7 +338,7 @@ def format_algebra(alg: FrameAlgebra, spec: QcFrameSpec | None = None) -> str:
 # Catalog
 # ---------------------------------------------------------------------------
 
-_NAME = re.compile(r"^([A-Za-z0-9_]+)(?:\((.*)\))?$")
+_NAME = re.compile(r"^([A-Za-z0-9_]+)(?:\((.+)\))?$")
 
 
 def _data_text(filename: str) -> str:

@@ -114,7 +114,10 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise InputError(f"--param needs name=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = parse_rational(value)
+        key = key.strip()
+        if key in out:
+            raise InputError(f"--param {key} given more than once")
+        out[key] = parse_rational(value)
     return out
 
 

@@ -367,10 +367,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return a.wedge(b)
 
 
-def evaluate(a: KForm, vectors) -> object:
-    return a.evaluate(vectors)
-
-
 def interior(v: FrameVector, a: KForm) -> KForm:
     return a.interior(v)
 

@@ -2,8 +2,8 @@
 
 Symbols are plain strings.  This ring does double duty: it carries the
 one free scalar-curvature symbol while the vertical connection forms are
-still being solved, and it is the coefficient ring of the symbolic
-graded algebra, where derivative symbols are generated by priming
+still being solved, and it is the coefficient ring of the symbolic forms
+of :mod:`qcforge.dga`, where derivative symbols are generated by priming
 (``f`` -> ``f'`` -> ``f''``).
 """
 
@@ -111,6 +111,11 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # scaling by a rational keeps the monomials; 0 kills every term
+            out = Poly.__new__(Poly)
+            out.terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            return out
         o = _as_poly(other)
         if o is NotImplemented:
             return NotImplemented

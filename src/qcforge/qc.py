@@ -113,7 +113,6 @@ def reeb_check(spec: QcFrameSpec) -> ReebReport:
 @dataclass
 class Sp1Forms:
     alphas: tuple          # three exact 1-forms after substituting S
-    alphas_symbolic: tuple  # Poly-coefficient forms, S still free
     rho_h: tuple           # horizontal Ricci 2-forms, exact
     S: Fraction
 
@@ -159,7 +158,7 @@ def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
     alg = spec.algebra
     rhos = []
     for k in (1, 2, 3):
-        i, j = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[k]
+        i, j = _CYCLIC[k]
         form = alg.mc_differential(alphas[k - 1]) + alphas[i - 1].wedge(alphas[j - 1])
         rhos.append(Fraction(1, 2) * form.restrict(spec.horizontal))
     return tuple(rhos)
@@ -206,7 +205,7 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 
     alphas = tuple(_substitute(a) for a in sym_alphas)
     rhos = _rho_from_alpha(spec, alphas)
-    return Sp1Forms(alphas=alphas, alphas_symbolic=sym_alphas, rho_h=rhos, S=solved)
+    return Sp1Forms(alphas=alphas, rho_h=rhos, S=solved)
 
 
 # ---------------------------------------------------------------------------

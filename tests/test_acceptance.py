@@ -8,7 +8,7 @@ import collections
 
 import pytest
 
-from qcforge import acceptance, algebra, dga, qc
+from qcforge import acceptance, algebra, qc
 from qcforge.acceptance import CRITERIA
 from qcforge.evolution import FAMILIES
 from qcforge.scalars import JET_LEN, Jet
@@ -79,7 +79,6 @@ def test_cold_sweep_parses_each_catalog_entry_once(monkeypatch):
     assert loads == dict.fromkeys(acceptance.ALL_ENTRIES + ("l0(-2/3)",), 1)
     assert sorted(parses.values()) == [1] * 7
     assert not hasattr(acceptance, "catalog")
-    assert dga._d_generator("eta1") is dga._d_generator("eta1")
 
 
 def test_memoized_specs_survive_a_sweep_unchanged():

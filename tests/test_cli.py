@@ -164,6 +164,20 @@ omega3 = e1^e4 + e2^e3
         assert out == ""
         assert err == "parse error: bad catalog name ''\n"
 
+    @pytest.mark.parametrize("name", ["l0()", "heis()", "l1()"])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_empty_parentheses_exit_two(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--catalog", name)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: bad catalog name {name!r}\n"
+
+    @pytest.mark.parametrize("name", ["heis", "l0"])
+    def test_bare_name_keeps_its_default(self, capsys, name):
+        code, out, _ = run(capsys, "check-algebra", "--catalog", name)
+        assert code == 0
+        assert "PASS" in out
+
 
 class TestBuild:
     def test_qk_l2(self, capsys):
@@ -211,6 +225,16 @@ class TestBuild:
         code, _, err = run(capsys, "build", "qk", "--family", "qk-l1",
                            "--param", "zz=3")
         assert code == 2
+
+    @pytest.mark.parametrize("params", [["b=1/3", "b=2"], ["b=2", " b=2"]])
+    def test_repeated_param_exit_two(self, capsys, params):
+        argv = ["build", "qk", "--family", "qk-heis"]
+        for p in params:
+            argv += ["--param", p]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: --param b given more than once\n"
 
     def test_failing_tolerance_exit_one(self, capsys):
         code, out, _ = run(capsys, "build", "qk", "--family", "qk-l1",

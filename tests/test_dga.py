@@ -4,12 +4,36 @@ from fractions import Fraction
 import pytest
 
 from qcforge import dga
-from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL, DgaElement,
+from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL,
                          UnderdeterminedDifferential, dga_d,
                          specialize_diagonal, sym, verify_closedqc,
                          verify_hypo_evolution, verify_qk_closure,
                          verify_spin7_closure, verify_triaxial_systems)
+from qcforge.forms import KForm
 from qcforge.poly import Poly, solve_affine
+
+_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def has_alpha(form):
+    return any(a in (8, 9, 10) for idx in form.terms for a in idx)
+
+
+def d_eta_rule(i):
+    """d eta_i = 2 omega_i - eta_j alpha_k + eta_k alpha_j - S eta_j eta_k."""
+    _, j, k = _CYCLIC[i - 1]
+    return (2 * OMEGA[i - 1] - ETA[j - 1].wedge(ALPHA[k - 1])
+            + ETA[k - 1].wedge(ALPHA[j - 1]) - sym("S") * ETA[j - 1].wedge(ETA[k - 1]))
+
+
+def d_squared(form):
+    """d(d form) under alpha_s = -S eta_s, specialized after each step."""
+    return specialize_diagonal(dga_d(specialize_diagonal(dga_d(form))))
+
+
+def time_derivative_part(form):
+    """The dt-terms that ``with_time`` adds to d of ``form``."""
+    return dga_d(form) - dga_d(form, with_time=False)
 
 
 class TestPoly:
@@ -17,6 +41,8 @@ class TestPoly:
         f, g = Poly.symbol("f"), Poly.symbol("g")
         assert (f + g) * (f - g) == f * f - g * g
         assert (f + 1) ** 2 == f * f + 2 * f + 1
+        assert Fraction(1, 2) * (f + g) == f / 2 + g / 2
+        assert (0 * f).is_zero() and (f * Fraction(0)).is_zero()
 
     def test_derive_product_rule(self):
         f, h = Poly.symbol("f"), Poly.symbol("h")
@@ -49,88 +75,90 @@ class TestAlgebraStructure:
     def test_fundamental_form_relations(self):
         for i in range(3):
             for j in range(3):
-                prod = OMEGA[i] * OMEGA[j]
+                prod = OMEGA[i].wedge(OMEGA[j])
                 if i == j:
                     assert prod == VOL
                 else:
                     assert prod.is_zero()
-        assert (OMEGA[0] * VOL).is_zero()
-        assert (VOL * VOL).is_zero()
+            assert OMEGA[i].wedge(VOL).is_zero()
+        assert VOL.wedge(VOL).is_zero()
+        assert VOL == 2 * KForm.basis(dga.DIM, 1, 2, 3, 4)
 
     def test_odd_squares_vanish(self):
         for gen in (*ETA, *ALPHA, DT):
-            assert (gen * gen).is_zero()
-
-    def test_graded_commutativity(self):
-        a = ETA[0] * ALPHA[1]
-        b = ETA[1] * DT
-        assert a * b == b * a            # even * even
-        assert ETA[0] * OMEGA[1] == OMEGA[1] * ETA[0]
-        assert ETA[0] * ETA[1] == -(ETA[1] * ETA[0])
+            assert gen.wedge(gen).is_zero()
 
     def test_normalization_is_order_independent(self):
-        # associativity under eager normalization: any association order of
-        # a random word lands on the same normal form
+        # any association order of a random word lands on the same form
         rng = random.Random(9)
         gens = [*ETA, *ALPHA, DT, *OMEGA, VOL]
         for _ in range(40):
             factors = [rng.choice(gens) for _ in range(rng.randint(3, 6))]
             left = factors[0]
             for f in factors[1:]:
-                left = left * f
+                left = left.wedge(f)
             right = factors[-1]
             for f in reversed(factors[:-1]):
-                right = f * right
-            mid = factors[0] * (factors[1] * factors[2])
+                right = f.wedge(right)
+            mid = factors[0].wedge(factors[1].wedge(factors[2]))
             for f in factors[3:]:
-                mid = mid * f
+                mid = mid.wedge(f)
             assert left == right == mid
 
     def test_coefficient_lookup_with_sign(self):
-        x = ETA[0] * ETA[1]
-        assert x.coefficient(("eta1", "eta2"), None) == Poly.const(1)
-        assert x.coefficient(("eta2", "eta1"), None) == Poly.const(-1)
+        x = ETA[0].wedge(ETA[1])
+        assert dga._coefficient(x, 5, 6) == Poly.const(1)
+        assert dga._coefficient(x, 6, 5) == Poly.const(-1)
+        assert dga._coefficient(x, 5, 7).is_zero()
 
 
 class TestDifferential:
     def test_eta_rule(self):
+        for i in (1, 2, 3):
+            assert dga_d(ETA[i - 1]) == d_eta_rule(i)
         d = dga_d(ETA[0])
-        assert d.coefficient((), "omega1") == Poly.const(2)
-        assert d.coefficient(("eta2", "eta3"), None) == -sym("S")
-        assert d.coefficient(("eta2", "alpha3"), None) == Poly.const(-1)
-        assert d.coefficient(("eta3", "alpha2"), None) == Poly.const(1)
+        assert dga._coefficient(d, 1, 2) == Poly.const(2)
+        assert dga._coefficient(d, 6, 7) == -sym("S")
+        assert dga._coefficient(d, 6, 10) == Poly.const(-1)
+        assert dga._coefficient(d, 7, 9) == Poly.const(1)
+
+    def test_omega_rule(self):
+        for i, j, k in _CYCLIC:
+            want = (OMEGA[j - 1].wedge(ALPHA[k - 1])
+                    - OMEGA[k - 1].wedge(ALPHA[j - 1]))
+            assert dga_d(OMEGA[i - 1]) == want
 
     def test_volume_closed_consistently(self):
-        # dV must agree with the derivation rule applied to omega_1^2
-        direct = dga_d(VOL)
-        via_product = dga_d(OMEGA[0] * OMEGA[0])
-        assert direct.is_zero()
-        assert via_product.is_zero()
+        # dV must agree with the derivation rule applied to omega_i^2
+        assert dga_d(VOL).is_zero()
+        for om in OMEGA:
+            assert dga_d(om.wedge(om)).is_zero()
 
     def test_alpha_differential_rejected(self):
-        with pytest.raises(UnderdeterminedDifferential):
-            dga_d(ALPHA[0])
-        with pytest.raises(UnderdeterminedDifferential):
-            dga_d(ETA[0] * ALPHA[1])
+        f = sym("f")
+        for x in (*ALPHA, ETA[0].wedge(ALPHA[1]), f * OMEGA[0].wedge(ALPHA[2]),
+                  ETA[0] + ALPHA[0]):
+            with pytest.raises(UnderdeterminedDifferential):
+                dga_d(x)
+            with pytest.raises(UnderdeterminedDifferential):
+                dga_d(x, with_time=False)
 
     def test_coefficient_time_derivative(self):
         f = sym("f")
-        x = DgaElement.scalar(f) * OMEGA[0]
-        d = dga_d(x)
-        assert d.coefficient(("dt",), "omega1") == Poly.symbol("f'")
-        d_frozen = dga_d(x, with_time=False)
-        assert d_frozen.coefficient(("dt",), "omega1").is_zero()
+        x = f * OMEGA[0]
+        assert time_derivative_part(x) == sym("f'") * DT.wedge(OMEGA[0])
+        assert dga._coefficient(dga_d(x), 11, 1, 2) == Poly.symbol("f'")
+        assert dga._coefficient(dga_d(x, with_time=False), 11, 1, 2).is_zero()
+        # a rational coefficient and a constant symbol are constant in t
+        assert time_derivative_part(Fraction(3, 2) * OMEGA[0]).is_zero()
+        assert time_derivative_part(sym("S") * ETA[0]).is_zero()
 
     def test_d_squared_in_specialized_algebra(self):
         # with alpha_s = -S eta_s both structure rules are compatible:
         # d(d eta_i) and d(d omega_i) vanish for symbolic S
         for i in range(3):
-            d1 = specialize_diagonal(dga_d(ETA[i]))
-            d2 = specialize_diagonal(dga_d(d1))
-            assert d2.is_zero()
-            d1 = specialize_diagonal(dga_d(OMEGA[i]))
-            d2 = specialize_diagonal(dga_d(d1))
-            assert d2.is_zero()
+            assert d_squared(ETA[i]).is_zero()
+            assert d_squared(OMEGA[i]).is_zero()
 
     def test_d_squared_on_closure_obstructions(self):
         qk = verify_qk_closure()
@@ -140,9 +168,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("target", sorted(dga.SYMBOLIC_TARGETS))
     def test_cached_generator_differentials_stay_unmutated(self, target):
-        # every target reuses the memoized d(generator); a second run would
-        # differ if any operation mutated one of them
-        dga._d_generator.cache_clear()
+        # every target reads the one module table of generator
+        # differentials; a second run would differ if any operation
+        # mutated an entry of it
         check = dga.SYMBOLIC_TARGETS[target]
         first = check()
         assert first[0]
@@ -156,12 +184,13 @@ class TestVerifications:
     def test_eta_volume_differential(self):
         # d(eta1 eta2 eta3) by hand from the structure rule: the S-terms and
         # connection terms die on repeated contact factors
-        x = ETA[0] * ETA[1] * ETA[2]
+        x = ETA[0].wedge(ETA[1]).wedge(ETA[2])
         d = specialize_diagonal(dga_d(x))
-        cyc = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-        for i, j, k in cyc:
-            assert d.coefficient((f"eta{j}", f"eta{k}"), f"omega{i}") == Poly.const(2)
-        assert len(d.terms) == 3
+        want = KForm(dga.DIM, 4)
+        for i, j, k in _CYCLIC:
+            assert dga._coefficient(d, 1, 1 + i, 4 + j, 4 + k) == Poly.const(2)
+            want = want + 2 * OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
+        assert d == want
 
     def test_qk_closure_general_coefficients(self):
         r = verify_qk_closure()
@@ -231,6 +260,17 @@ class TestVerifications:
         assert hy["v_coeff"].subs(static).is_zero()
         assert all(m.subs(static).is_zero() for m in hy["mixed"])
 
+    @pytest.mark.parametrize("stray", [
+        KForm.basis(11, 1, 2) - KForm.basis(11, 3, 4),  # anti-self-dual h-part
+        KForm.basis(11, 1, 2),                          # half of omega_1
+        KForm.basis(11, 1, 8)])                         # a connection form
+    def test_obstruction_outside_the_omega_span_is_rejected(self, stray):
+        # the rebuilt V dt + omega_i eta_j eta_k dt form must equal the
+        # obstruction, so no part of it is silently dropped
+        form = sym("f") * stray.wedge(ETA[1]).wedge(ETA[2]).wedge(DT)
+        with pytest.raises(AssertionError):
+            dga._extract_system(form)
+
     def test_no_alpha_survives_in_obstructions(self):
-        assert not verify_qk_closure()["dphi"].contains_alpha()
-        assert not verify_spin7_closure()["dpsi"].contains_alpha()
+        for form in (verify_qk_closure()["dphi"], verify_spin7_closure()["dpsi"]):
+            assert not has_alpha(form)
