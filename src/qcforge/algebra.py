@@ -371,6 +371,35 @@ def heisenberg_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_name(name: str) -> tuple:
+    """(base, argument) of a catalog name: heis takes an int (default 1), l0
+    a rational (default 1), l1, l2 and l3 nothing (None)."""
+    m = _NAME.match(name.strip())
+    if not m:
+        raise UnknownName(f"bad catalog name {name!r}")
+    base, arg = m.group(1), m.group(2)
+    if base == "heis":
+        try:
+            return base, int(arg) if arg else 1
+        except ValueError:
+            raise UnknownName(f"bad catalog name {name!r}") from None
+    if base == "l0":
+        return base, parse_rational(arg) if arg else Fraction(1)
+    if base in ("l1", "l2", "l3"):
+        if arg:
+            raise UnknownName(f"{base} takes no parameter")
+        return base, None
+    raise UnknownName(f"unknown catalog name {name!r}")
+
+
+def catalog_entry(name: str) -> str:
+    """The one spelling of the entry a catalog name names: ``heis(1)`` for
+    ``heis`` and ``heis(01)``, ``l0(1)`` for ``l0``, ``l0(2/2)`` and
+    ``l0(+1)``."""
+    base, arg = _parse_name(name)
+    return base if arg is None else f"{base}({arg})"
+
+
 def catalog(name: str) -> QcFrameSpec:
     """Load a named coframe with its qc data.
 
@@ -379,26 +408,13 @@ def catalog(name: str) -> QcFrameSpec:
     generated in the same text grammar by :func:`heisenberg_source`),
     validated against the quaternion relations, and integrability-checked.
     """
-    m = _NAME.match(name.strip())
-    if not m:
-        raise UnknownName(f"bad catalog name {name!r}")
-    base, arg = m.group(1), m.group(2)
-
+    base, arg = _parse_name(name)
     if base == "heis":
-        try:
-            n = int(arg) if arg else 1
-        except ValueError:
-            raise UnknownName(f"bad catalog name {name!r}") from None
-        source = heisenberg_source(n)
+        source = heisenberg_source(arg)
     elif base == "l0":
-        c = parse_rational(arg) if arg else Fraction(1)
-        source = _data_text("l0.alg.in").replace("{c}", str(c))
-    elif base in ("l1", "l2", "l3"):
-        if arg:
-            raise UnknownName(f"{base} takes no parameter")
-        source = _data_text(f"{base}.alg")
+        source = _data_text("l0.alg.in").replace("{c}", str(arg))
     else:
-        raise UnknownName(f"unknown catalog name {name!r}")
+        source = _data_text(f"{base}.alg")
 
     alg, spec = parse_algebra(source)
     if spec is None:

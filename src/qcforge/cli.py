@@ -19,6 +19,7 @@ turns it into its exit code and one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -200,7 +201,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand names
+    its handler ``cmd_<command>``, looked up when :func:`main` runs it."""
     parser = argparse.ArgumentParser(
         prog="qcforge",
         description="exact exterior-calculus verification of quaternionic "
@@ -217,11 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-algebra", help="parse and integrability-check a coframe")
     add_io(p)
-    p.set_defaults(func=cmd_check_algebra)
 
     p = sub.add_parser("qc-report", help="full verification pipeline on a qc coframe")
     add_io(p)
-    p.set_defaults(func=cmd_qc_report)
 
     p = sub.add_parser("build", help="assemble and verify a metric family")
     p.add_argument("kind", choices=("qk", "spin7"))
@@ -231,16 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-residual", type=float, default=TOL_RESIDUAL)
     p.add_argument("--tol-ricci", type=float, default=TOL_RICCI)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("symbolic", help="symbolic coefficient-system checks")
     p.add_argument("target", choices=tuple(dga.SYMBOLIC_TARGETS))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_symbolic)
 
     p = sub.add_parser("sweep", help="run the acceptance suite")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_samples(argv))
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (InputError, NotQcError, DomainError) as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

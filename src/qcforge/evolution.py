@@ -30,6 +30,8 @@ the one place that turns a build's residuals into pass/fail verdicts.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,29 +157,58 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
     return CoframeWithJets(spec.algebra, scalings, _abs_jet(w))
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_table(dim_ext: int):
+    """Where e^m ^ e^{pq} lands among the basis 3-forms, for every basis
+    2-form e^{pq} and every m outside {p, q}.
+
+    Returns the position of each 2-form and of each 3-form, by index tuple
+    (both in lexicographic order), and three arrays with one row per
+    2-form and one column per m, m ascending: the position of the sorted
+    triple, m, and whether the sign is negative (p < m < q)."""
+    frame = range(1, dim_ext + 1)
+    pair_of = {pq: r for r, pq in enumerate(itertools.combinations(frame, 2))}
+    row_of = {t: r for r, t in enumerate(itertools.combinations(frame, 3))}
+    rows, ms, negs = [], [], []
+    for p, q in pair_of:
+        others = [m for m in frame if m not in (p, q)]
+        rows.append([row_of[tuple(sorted((m, p, q)))] for m in others])
+        ms.append(others)
+        negs.append([p < m < q for m in others])
+    return pair_of, row_of, np.array(rows), np.array(ms), np.array(negs)
+
+
+def _ideal_matrix(forms: list, dim_ext: int, count: int):
+    """The entries of the matrix A of the ideal test that the forms' nonzero
+    coefficients fill: row and column index arrays, and the values with
+    one column per sample.  Column j * dim_ext + m - 1 of A is
+    e^m ^ F_j over the basis 3-forms, so each entry is a coefficient of
+    F_j or its negative, placed by :func:`_wedge_table`."""
+    pair_of, _, table_rows, table_ms, table_negs = _wedge_table(dim_ext)
+    rows, cols, vals = [], [], []
+    for j, form in enumerate(forms):
+        terms = form.values().terms
+        pairs = [pair_of[pq] for pq in terms]
+        coeffs = np.array([np.broadcast_to(v, (count,)) for v in terms.values()])
+        coeffs = coeffs.reshape(len(pairs), count)
+        rows.append(table_rows[pairs].ravel())
+        cols.append(j * dim_ext + table_ms[pairs].ravel() - 1)
+        signed = np.repeat(coeffs, dim_ext - 2, axis=0)
+        neg = table_negs[pairs].ravel()
+        signed[neg] = -signed[neg]
+        vals.append(signed)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
     multipliers beta_j, maximized over i and the ``count`` samples (one
     least-squares solve per sample and i), from the values of the forms.
     Raises OverflowError before the solves when a coefficient is not
     finite."""
-    triples = [(a, b, c)
-               for a in range(1, dim_ext + 1)
-               for b in range(a + 1, dim_ext + 1)
-               for c in range(b + 1, dim_ext + 1)]
-    row_of = {t: r for r, t in enumerate(triples)}
-    rows, cols, vals = [], [], []
-    for j in range(3):
-        values = forms[j].values()
-        for m in range(1, dim_ext + 1):
-            # coefficient 1.0: a Fraction would make object arrays of the values
-            prod = KForm(dim_ext, 1, {(m,): 1.0}).wedge(values)
-            for idx, value in prod.terms.items():
-                rows.append(row_of[idx])
-                cols.append(j * dim_ext + m - 1)
-                vals.append(np.broadcast_to(value, (count,)))
-    vals = np.array(vals).reshape(len(rows), count)
-    b_vec = np.zeros((3, count, len(triples)))
+    row_of = _wedge_table(dim_ext)[1]
+    rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
+    b_vec = np.zeros((3, count, len(row_of)))
     for i in range(3):
         for idx, value in dforms[i].values().terms.items():
             b_vec[i, :, row_of[idx]] = value
@@ -186,7 +217,7 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     resids = []
     for s in range(count):
         # one dense matrix at a time: the batch of them outweighs the forms
-        a_mat = np.zeros((len(triples), 3 * dim_ext))
+        a_mat = np.zeros((len(row_of), 3 * dim_ext))
         a_mat[rows, cols] = vals[:, s]
         for i in range(3):
             sol, *_ = np.linalg.lstsq(a_mat, b_vec[i, s], rcond=None)

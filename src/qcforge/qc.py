@@ -13,12 +13,11 @@ compared exactly.
 
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog
+from .algebra import QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry
 from .forms import FrameVector, KForm
 from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
@@ -571,10 +570,16 @@ def matrix_to_entries(mat) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+_REPORTS: dict[str, QcReport] = {}
+
+
 def catalog_report(name: str) -> QcReport:
-    """The analysis of a catalog entry, computed once per process."""
-    return analyze(catalog(name), name)
+    """The analysis of a catalog entry, computed once per process for each
+    entry however its name is spelled, and named by :func:`catalog_entry`."""
+    entry = catalog_entry(name)
+    if entry not in _REPORTS:
+        _REPORTS[entry] = analyze(catalog(entry), entry)
+    return _REPORTS[entry]
 
 
 def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:

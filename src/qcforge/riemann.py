@@ -18,11 +18,25 @@ the nonzero structure functions only, both defining conditions are
 re-verified after solving, and curvature 2-forms give Ricci and the rank
 of the curvature span (an Ambrose-Singer lower bound for the holonomy
 algebra).  Jets carry derivatives only as far as the d that reads them:
-the residuals and the curvature 2-forms are computed in values, so
-their coefficients are plain floats or float64 arrays.  Components are
-floats or float64 arrays of shape (N,), so one pass serves N samples:
-guards hold per sample, residuals are maxima over the samples, and Ricci
-and the ranks carry a leading sample axis.
+the residuals and the curvature 2-forms are computed in values.  A value
+is a row of a float64 array with one entry per sample (one for float
+jets), so one pass serves N samples: guards hold per sample, residuals
+are maxima over the samples, and Ricci and the ranks carry a leading
+sample axis for a batch.
+
+The values are rows of arrays, not per-coefficient dicts: the nonzero
+connection coefficients are the rows of one array, each keyed by its
+index tuple (a, b, k).  Each kind of curvature term (c_k d hat-e^k, the
+slope term, the products of omega^a_c ^ omega^c_b) is formed by one
+gather and multiply over lists of row indices, and :func:`_ordered_sums`
+adds the terms of each coefficient in the order the KForm sums would,
+with their zero-dropping, by rounds of fancy-index adds; so every float
+equals that of the KForm computation bit for bit.  Only the curvature
+coefficients that some term touches are stored, and Ricci and the span
+matrix are read from those rows.  The index bookkeeping is plain Python
+over a few thousand tuples per build: numpy's integer sorts and
+comparisons would page in code that costs more resident memory than the
+bookkeeping costs time.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FrameAlgebra
-from .forms import KForm, exterior_d
+from .forms import KForm
 from .scalars import DomainError, Jet, NotQcError
 
 
@@ -236,18 +250,95 @@ class CoframeWithJets:
         return out
 
 
+def _stack(coeffs: list, width: int) -> np.ndarray:
+    """One row per coefficient value (a float or an array of ``width``
+    samples), broadcast to ``width`` entries."""
+    out = np.empty((len(coeffs), width))
+    for row, value in enumerate(coeffs):
+        out[row] = value
+    return out
+
+
+def _ordered_sums(keys: list, values: np.ndarray):
+    """Sum the rows of ``values`` that share a key, each key's rows in the
+    order they come, rounding as KForm accumulation does: a sum that is
+    zero at every sample is dropped, and the next row starts it afresh.
+
+    Returns the keys, in order of first appearance, and their sums.  A
+    dropped sum reads -0.0 throughout, since -0.0 + x is x bit for bit.
+    Round r adds the r-th row of every key that has one by one fancy-index
+    add, so no sum is reordered."""
+    slot, count, rounds = {}, [], []
+    for step, key in enumerate(keys):
+        row = slot.setdefault(key, len(slot))
+        if row == len(count):
+            count.append(1)
+            r = 0
+        else:
+            r = count[row]
+            count[row] = r + 1
+        if r == len(rounds):
+            rounds.append(([], []))
+        steps, rows = rounds[r]
+        steps.append(step)
+        rows.append(row)
+    sums = np.full((len(slot), values.shape[1]), -0.0)
+    for steps, rows in rounds:
+        total = sums[rows]
+        total += values[steps]
+        total[~total.any(axis=1)] = -0.0
+        sums[rows] = total
+    return list(slot), sums
+
+
+def _live(keys: list, sums: np.ndarray):
+    """The keys and rows of the sums that are nonzero at some sample."""
+    live = sums.any(axis=1)
+    return [key for key, keep in zip(keys, live.tolist()) if keep], sums[live]
+
+
+def _worst(sums: np.ndarray, groups: list) -> float:
+    """The largest |entry| of the rows, as ``max`` over the groups'
+    :meth:`KForm.max_abs` finds it: a group holding a NaN reads NaN, and
+    ``max`` passes over it."""
+    worst = np.abs(sums).max(axis=1).tolist() if len(sums) else []
+    nan = {g for g, w in zip(groups, worst) if w != w}
+    return max([0.0] + [w for g, w in zip(groups, worst) if g not in nan])
+
+
+def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
+    """``rows`` with the rows that ``negate`` marks negated, in place."""
+    negate = np.array(negate, dtype=bool)
+    rows[negate] = -rows[negate]
+    return rows
+
+
 @dataclass
 class CartanConnection:
-    """Connection 1-forms omega_{ab} solving the first structure equation:
-    ``forms`` in jets, ``values`` and ``dhats`` (the equation's d hat-e^a)
-    in values."""
+    """Connection 1-forms omega^a_b solving the first structure equation.
+
+    ``forms`` holds them in jets.  In values, each coefficient is a row of
+    an array with one entry per sample (one for float jets), keyed by a
+    0-based index tuple: row r of ``values`` is c_k of omega^a_b with
+    (a, b, k) = ``index[r]``, in that lexicographic order, for the c_k
+    nonzero at some sample; ``slopes`` holds c'_k of every coefficient,
+    keyed by ``slope_index``; ``dhat_values`` holds the equation's
+    d hat-e^a, the coefficient of hat-e^p ^ hat-e^q keyed by (a, p, q) in
+    ``dhat_index``, a ascending.  ``batch`` is the samples' shape, () for
+    float jets.
+    """
 
     dim: int
     forms: list  # forms[a][b] 0-based, KForm degree 1, omega^a_b
-    values: list  # the same forms in values
+    index: list
+    values: np.ndarray
+    slope_index: list
+    slopes: np.ndarray
+    dhat_index: list
+    dhat_values: np.ndarray
+    batch: tuple
     structure_residual: float
     antisymmetry_residual: float
-    dhats: list
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
@@ -255,9 +346,13 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
 
     The coefficients come from the antisymmetrized structure-function
     formula; both defining conditions are then re-verified numerically, in
-    values, and their residuals reported.
+    values, and their residuals reported.  The checks sum in the order of
+    the KForm sums ``omega^a_b + omega^b_a`` and
+    ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``, b ascending.
     """
     n = cof.dim
+    batch = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).shape
+    width = batch[0] if batch else 1
     # structure functions: d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
     dhats = cof.coframe_differentials()
     struct = {}
@@ -268,63 +363,116 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
 
     # Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} + C^c_{ab})/2 is the c-th coefficient
     # of omega^a_b.  Only triples where one of the three structure functions
-    # is nonzero are visited; those present are summed in this order.  The
-    # monomials of each form come in increasing c, the order that later sums
-    # over them round in.
+    # is nonzero are visited; those present are summed in this order.
     triples = set()
     for a, b, c in struct:
         triples.update(((a, c, b), (b, a, c), (b, c, a)))
     forms = [[KForm(n, 1) for _ in range(n)] for _ in range(n)]
+    slope_index, coeffs = [], []
     for a, b, c in sorted(triples):
         present = [x for x in (struct.get((a, c, b)), struct.get((b, a, c)), struct.get((c, a, b)))
                    if x is not None]
         coeff = sum(present[1:], present[0]) * 0.5
         if not coeff.is_zero():
             forms[a - 1][b - 1].terms[(c,)] = coeff
+            slope_index.append((a - 1, b - 1, c - 1))
+            coeffs.append(coeff)
+    index, values = _live(slope_index, _stack([c.value for c in coeffs], width))
+    dhat_index, dhat_values = _live(
+        [(a, p - 1, q - 1) for a, dhat in enumerate(dhats) for p, q in dhat.terms],
+        _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
 
-    # verification: first structure equation and antisymmetry
-    values = [[form.values() for form in row] for row in forms]
-    dvalues = [dhat.values() for dhat in dhats]
-    anti = 0.0
-    for a in range(n):
-        for b in range(n):
-            anti = max(anti, (values[a][b] + values[b][a]).max_abs())
-    # coefficient 1.0: a Fraction would make object arrays of the values
-    units = [KForm(n, 1, {(b,): 1.0}) for b in range(1, n + 1)]
-    residual = 0.0
-    for a in range(n):
-        resid = dvalues[a]
-        for b in range(n):
-            resid = resid + values[a][b].wedge(units[b])
-        residual = max(residual, resid.max_abs())
-    return CartanConnection(n, forms, values, residual, anti, dvalues)
+    # antisymmetry: c_k of omega^a_b, then that of omega^b_a, per (a, b, k)
+    keys, sums = _ordered_sums(index + [(b, a, k) for a, b, k in index],
+                               np.concatenate([values, values]))
+    anti = _worst(sums, [key[:2] for key in keys])
+    # structure equation: d hat-e^a, then omega^a_b ^ hat-e^b for b ascending,
+    # the order of ``index``; c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk} for k > b
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
+    keys, sums = _ordered_sums(dhat_index + list(keys),
+                               np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
+    residual = _worst(sums, [key[0] for key in keys])
+    return CartanConnection(n, forms, index, values, slope_index,
+                            _stack([c.c[1] for c in coeffs], width), dhat_index, dhat_values,
+                            batch, residual, anti)
 
 
-def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> list:
+@dataclass
+class CurvatureRows:
+    """The curvature 2-forms Omega^a_b in values: row r of ``values`` is the
+    coefficient of hat-e^p ^ hat-e^q in Omega^a_b, with (a, b, p, q) =
+    ``index[r]`` 0-based and p < q.  Only the coefficients nonzero at some
+    sample are kept."""
+
+    dim: int
+    index: list
+    values: np.ndarray
+
+
+def _d_terms(conn: CartanConnection):
+    """Keys (a, b, p, q) and values of c_k d hat-e^k for each coefficient
+    c_k of each omega^a_b, k ascending per form."""
+    by_k = [[] for _ in range(conn.dim)]
+    for row, (k, p, q) in enumerate(conn.dhat_index):
+        by_k[k].append((row, p, q))
+    terms = [((a, b, p, q), r, s) for r, (a, b, k) in enumerate(conn.index)
+             for s, p, q in by_k[k]]
+    keys, rows, dhat_rows = zip(*terms) if terms else ((), (), ())
+    return list(keys), conn.values[list(rows)] * conn.dhat_values[list(dhat_rows)]
+
+
+def _slope_terms(cof: CoframeWithJets, conn: CartanConnection):
+    """Keys and values of (1/w) hat-e^n ^ c'_k hat-e^k = -(c'_k / w)
+    hat-e^{kn}, the nonzero ones only, as the KForm wedge keeps them; a 1/w
+    that is zero at every sample is dropped from the KForm, and with it
+    every term."""
+    n = conn.dim
+    inv_w = 1.0 / cof.w.value
+    live = conn.slopes.any(axis=1).tolist() if np.count_nonzero(inv_w) else []
+    rows = [r for r, keep in enumerate(live) if keep and conn.slope_index[r][2] != n - 1]
+    return _live([conn.slope_index[r] + (n - 1,) for r in rows],
+                 -(inv_w * conn.slopes[rows]))
+
+
+def _wedge_terms(conn: CartanConnection):
+    """Keys and values of the nonzero coefficients of each omega^a_c ^
+    omega^c_b, c ascending per (a, b).  A product c_k c_l lands on {k, l},
+    negated when k > l; the two products on one coefficient are summed
+    first, the (k, l) one before the (l, k) one, as the wedge sums them."""
+    n = conn.dim
+    into, out_of = [[] for _ in range(n)], [[] for _ in range(n)]
+    for r, (a, b, k) in enumerate(conn.index):
+        into[b].append((r, a, k))  # omega^a_c, by c
+        out_of[a].append((r, b, k))  # omega^c_b, by c
+    products = [((c, a, b, min(k, l), max(k, l)), r, s, k > l)
+                for c in range(n) for r, a, k in into[c] for s, b, l in out_of[c] if k != l]
+    keys, left, right, negate = zip(*products) if products else ((), (), (), ())
+    prod = conn.values[list(left)]
+    prod *= conn.values[list(right)]
+    keys, sums = _ordered_sums(list(keys), _negate(prod, negate))
+    keys, sums = _live(keys, sums)
+    return [key[1:] for key in keys], sums
+
+
+def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRows:
     """Curvature 2-forms Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b, in
-    values.  For omega = sum_k c_k hat-e^k, d omega is :func:`exterior_d`
-    over the values plus (1/w) hat-e^n ^ sum_k c'_k hat-e^k, the
-    derivatives of the coefficients.  Each (k, n) monomial sums one term of
-    each part, and a two-term sum rounds the same in either order, so the
-    values are those of d taken in jets."""
-    n = cof.dim
-    inv_w = KForm(n, 1, {(n,): 1.0 / cof.w.value})
-    values = conn.values
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            slopes = KForm(n, 1, {idx: c.c[1] for idx, c in conn.forms[a][b].terms.items()})
-            omega = exterior_d(values[a][b], conn.dhats) + inv_w.wedge(slopes)
-            for c in range(n):
-                if values[a][c].terms and values[c][b].terms:
-                    omega = omega + values[a][c].wedge(values[c][b])
-            out[a][b] = omega
-    return out
+    values.  For omega = sum_k c_k hat-e^k, d omega is sum_k c_k d hat-e^k
+    plus (1/w) hat-e^n ^ sum_k c'_k hat-e^k, the derivatives of the
+    coefficients.  Each (k, n) monomial sums one term of each part, and a
+    two-term sum rounds the same in either order, so the values are those
+    of d taken in jets.
 
-
-def _pair_index(n):
-    pairs = [(c, d) for c in range(1, n + 1) for d in range(c + 1, n + 1)]
-    return {p: i for i, p in enumerate(pairs)}, pairs
+    Each kind of term is formed by one gather and multiply over the index
+    lists of ``conn``, and :func:`_ordered_sums` adds the terms of every
+    coefficient in the order of the KForm sum ``exterior_d(omega^a_b) +
+    (1/w) hat-e^n ^ slopes + sum_c omega^a_c ^ omega^c_b``."""
+    # the wedges first: their products are the largest temporaries
+    wedges = _wedge_terms(conn)
+    keys, values = zip(_d_terms(conn), _slope_terms(cof, conn), wedges)
+    del wedges
+    keys, values = keys[0] + keys[1] + keys[2], np.concatenate(values)
+    return CurvatureRows(cof.dim, *_live(*_ordered_sums(keys, values)))
 
 
 @dataclass
@@ -340,34 +488,36 @@ class CurvatureSummary:
     antisymmetry_residual: float
 
 
-def _curvature_arrays(omegas: list, batch: tuple):
-    """Ricci and the matrix whose rows are the curvature 2-forms Omega^a_b
-    (a < b) over the basis 2-forms, each with the leading ``batch`` axes.
-    Takes the only reference to ``omegas``."""
-    n = len(omegas)
-    # Ricci_{bd} = sum_a Omega^a_b(e_a, e_d); sphere-positive convention.
-    ric = np.zeros(batch + (n, n))
-    for b in range(n):
-        for d in range(n):
-            total = 0.0
-            for a in range(n):
-                lo, hi = min(a + 1, d + 1), max(a + 1, d + 1)
-                if lo == hi:
-                    continue
-                v = omegas[a][b].terms.get((lo, hi))
-                if v is None:
-                    continue
-                total += v if a + 1 < d + 1 else -v
-            ric[..., b, d] = total
+def _ricci_and_span(curv: CurvatureRows, batch: tuple):
+    """Ricci and the span matrix of the curvature rows, each with the
+    leading ``batch`` axes.  Ricci_{bd} = sum_a Omega^a_b(e_a, e_d) is
+    summed from 0.0 over a ascending (sphere-positive convention); the
+    matrix has the forms Omega^a_b, a < b, as rows over the basis 2-forms
+    in lexicographic order."""
+    n = curv.dim
+    width = curv.values.shape[1]
+    # Omega^a_b(e_a, e_d) is the (a, d) coefficient, negated when d < a; one
+    # a reaches each (b, d) at most once
+    by_a = [[] for _ in range(n)]
+    for r, (a, b, p, q) in enumerate(curv.index):
+        if a in (p, q):
+            by_a[a].append((r, b, q if a == p else p, a == q))
+    ric = np.zeros((width, n, n))
+    for terms in by_a:
+        if terms:
+            rows, bs, ds, negate = zip(*terms)
+            ric[:, list(bs), list(ds)] += _negate(curv.values[list(rows)], negate).T
 
-    index, pairs = _pair_index(n)
-    entries = [(row, index[idx], value) for row, (a, b) in enumerate(pairs)
-               for idx, value in omegas[a - 1][b - 1].terms.items()]
-    del omegas  # with a batch the forms outweigh the matrix: free them first
-    mat = np.zeros(batch + (len(pairs), len(pairs)))
-    for row, col, value in entries:
-        mat[..., row, col] = value
-    return ric, mat
+    def pair(p, q):  # position of hat-e^p ^ hat-e^q, p < q
+        return p * (2 * n - p - 1) // 2 + q - p - 1
+
+    size = n * (n - 1) // 2
+    mat = np.zeros((width, size, size))
+    upper = [(r, pair(a, b), pair(p, q)) for r, (a, b, p, q) in enumerate(curv.index) if a < b]
+    if upper:
+        rows, forms, basis = zip(*upper)
+        mat[:, list(forms), list(basis)] = curv.values[list(rows)].T
+    return (ric, mat) if batch else (ric[0], mat[0])
 
 
 SVD_THRESHOLD = 1e-8  # rank cutoff, relative to the largest singular value
@@ -383,15 +533,14 @@ def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     OverflowError, before the SVD, when the curvature is not finite.
     """
     conn = cartan_connection(cof)
-    batch = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).shape
-    ric, mat = _curvature_arrays(curvature_forms(cof, conn), batch)
+    ric, mat = _ricci_and_span(curvature_forms(cof, conn), conn.batch)
     if not np.isfinite(mat).all():
         raise OverflowError("the curvature is not finite")
     # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
     flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = np.where(flat, 0, np.sum(svals > SVD_THRESHOLD * svals[..., :1], axis=-1))
-    if not batch:
+    if not conn.batch:
         rank = int(rank)
 
     return CurvatureSummary(

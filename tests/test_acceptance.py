@@ -55,7 +55,7 @@ def test_build_memo_keys_on_the_samples():
 
 
 def _cold_caches():
-    qc.catalog_report.cache_clear()
+    qc._REPORTS.clear()
     acceptance._BUILDS.clear()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.resources
 import io
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcforge import cli
+from qcforge import __version__, cli
 from qcforge.algebra import heisenberg_source
 from qcforge.cli import main
 
@@ -29,6 +30,42 @@ def schema():
     text = importlib.resources.files("qcforge.data").joinpath(
         "report.schema.json").read_text()
     return json.loads(text)
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        assert run(capsys, "symbolic", "closedqc")[0] == 0
+        parser = cli.build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "symbolic", "closedqc")[0] == 0
+        assert run(capsys, "check-algebra", "--catalog", "l1")[0] == 0
+        assert built == []
+        assert cli.build_parser() is parser
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--version"], 0), ([], 2), (["frobnicate"], 2), (["build", "qk"], 2),
+        (["sweep", "--format", "xml"], 2), (["qc-report", "--catalog", "l1", "--file", "x"], 2)])
+    def test_version_and_bad_argv_exit_codes(self, capsys, argv, code):
+        cli.build_parser.cache_clear()
+        seen = []
+        for _ in range(2):  # a fresh parser, then the one that main keeps
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        out, err = seen[0][1]
+        assert seen[0][0] == code
+        if code == 0:
+            assert (out, err) == (f"qcforge {__version__}\n", "")
+        else:
+            assert out == "" and err.startswith("usage: qcforge")
 
 
 class TestCheckAlgebra:
@@ -538,6 +575,12 @@ GOLDEN_ARGV = {
         "build", "spin7", "--family", "spin7-triaxial", "--param", "a1=1", "--param", "a2=6/5",
         "--param", "a3=-1", "--param", "C=2", "--format", "json", "--samples",
         "-3.5,-3.4,-3.3,-3.2,-3.1,-3.0,-2.9,-2.8,-2.7,-2.6,-2.5,-2.4,-2.3,-2.2,-2.1,-2.0"],
+    # the largest batch: dimension 12 over heis(2), the benchmark's seed-1 argv
+    "build16_qk-heis2.json": [
+        "build", "qk", "--family", "qk-heis2", "--format", "json",
+        "--samples=-0.305295,-0.295433,-0.248080,-0.166134,-0.088836,-0.049009,-0.039528,"
+        "0.089170,0.128486,0.150606,0.184342,0.248966,0.274218,0.463627,0.504687,0.569108",
+        "--param=b=2"],
     # every criterion's detail, byte for byte
     "sweep.json": ["sweep", "--format", "json"],
 }

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from qcforge import qc
 from qcforge.algebra import catalog, parse_algebra
 from qcforge.forms import KForm
@@ -252,3 +254,24 @@ class TestHeisenbergScaling:
         assert rep.curvature.is_zero()
         assert rep.scalar_crosscheck_ok and rep.rho_crosscheck_ok and rep.sp1curv_ok
         assert rep.omega4_closed and rep.omegaQ_closed and rep.lemma_closed
+
+
+class TestCatalogMemo:
+    @pytest.mark.parametrize("names,entry", [
+        (("l0(1)", "l0(2/2)", "l0(+1)", "l0"), "l0(1)"),
+        (("heis", "heis(1)", "heis(01)"), "heis(1)")])
+    def test_spellings_of_one_entry_share_one_analysis(self, monkeypatch, names, entry):
+        monkeypatch.setattr(qc, "_REPORTS", {})
+        analysed = []
+        analyze = qc.analyze
+        monkeypatch.setattr(qc, "analyze",
+                            lambda spec, name="": analysed.append(name) or analyze(spec, name))
+        reports = [qc.catalog_report(name) for name in names]
+        assert all(rep is reports[0] for rep in reports)
+        assert analysed == [entry]
+        assert reports[0].name == entry
+
+    def test_distinct_entries_stay_apart(self, monkeypatch):
+        monkeypatch.setattr(qc, "_REPORTS", {})
+        assert qc.catalog_report("l0(1)") is not qc.catalog_report("l0(-2/3)")
+        assert sorted(qc._REPORTS) == ["l0(-2/3)", "l0(1)"]

@@ -12,22 +12,26 @@ The jet path solves the first structure equation for Gamma over the
 triples where a structure function is nonzero; its reference is the dense
 n^3 loop over every triple, with a zero jet standing in for the absent
 structure functions.  It then checks the solution and builds the curvature
-2-forms in values; their reference carries the full jets through d, the
-wedges and the residual sums, and reads the values at the end.
+2-forms in values, by gather and scatter over index arrays; their
+reference carries the full jets through KForm d, wedges and residual sums,
+and reads the values at the end.  The matrix of the differential-ideal
+test is placed from an index table; its reference wedges each form with
+the unit 1-forms.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcforge import qc
 from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog
-from qcforge.evolution import FAMILIES, _axes, _coframe, require_einstein_base
-from qcforge.forms import KForm, exterior_d
-from qcforge.riemann import (cartan_connection, curvature_forms, frame_curvature,
-                             koszul_levi_civita)
+from qcforge.evolution import (FAMILIES, _axes, _coframe, _form_triple, _ideal_matrix,
+                               require_einstein_base)
+from qcforge.forms import KForm, _accumulate, exterior_d
+from qcforge.riemann import (_ordered_sums, cartan_connection, curvature_forms,
+                             frame_curvature, koszul_levi_civita)
 from qcforge.scalars import Jet
 
 
@@ -235,16 +239,23 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("name", ("qk-heis2", "qk-l1", "spin7-triaxial"))
-def test_sparse_cartan_matches_dense(name):
+BASE_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.base is not None)
+BATCH_CASES = [(name, batch) for name in BASE_FAMILIES for batch in (True, False)]
+
+
+@pytest.mark.parametrize("name,batch", [
+    pytest.param(name, batch, id=name if batch else f"{name}-scalar")
+    for name, batch in BATCH_CASES])
+def test_sparse_cartan_matches_dense(name, batch):
     """Every omega^a_b has the same monomials in the same order, and each
     coefficient the same components at every sample: the values bit for
     bit, the derivatives as floats (the zero jet of the dense sum may
     flip the sign of a zero derivative)."""
-    cof = family_coframe(name, 16)
+    cof = family_coframe(name, 16, batch)
     sparse = cartan_connection(cof).forms
     dense = dense_cartan_forms(cof)
     n = cof.dim
+    shape = (16,) if batch else ()
     for a in range(n):
         for b in range(n):
             have, want = sparse[a][b].terms, dense[a][b]
@@ -252,7 +263,7 @@ def test_sparse_cartan_matches_dense(name):
             for idx, coeff in have.items():
                 for k in range(3):
                     x, y = np.broadcast_arrays(coeff.c[k], want[idx].c[k])
-                    assert x.shape == (16,) and np.array_equal(x, y), (a, b, idx, k)
+                    assert x.shape == shape and np.array_equal(x, y), (a, b, idx, k)
                     if k == 0:
                         assert (_bits(x) == _bits(y)).all(), (a, b, idx)
 
@@ -294,8 +305,17 @@ def jet_cartan_residuals(cof, forms) -> tuple:
     return residual, anti
 
 
-@pytest.mark.parametrize("name,batch", [("qk-heis2", True), ("qk-l1", True),
-                                        ("spin7-triaxial", True), ("qk-l1", False)])
+def curvature_terms(curv, batch) -> list:
+    """The curvature rows as ``terms[a][b]``, a dict from the 1-based
+    (p, q) to the value: an array over the samples, a float for float jets."""
+    n = curv.dim
+    terms = [[{} for _ in range(n)] for _ in range(n)]
+    for (a, b, p, q), row in zip(curv.index, curv.values):
+        terms[a][b][p + 1, q + 1] = row if batch else row[0]
+    return terms
+
+
+@pytest.mark.parametrize("name,batch", BATCH_CASES)
 def test_curvature_in_values_matches_jets(name, batch):
     """The value-level curvature 2-forms and Cartan residuals equal the
     values of the jet computation bit for bit.  A monomial may be present
@@ -306,13 +326,13 @@ def test_curvature_in_values_matches_jets(name, batch):
     want_residuals = jet_cartan_residuals(cof, conn.forms)
     assert _bits((conn.structure_residual, conn.antisymmetry_residual)).tolist() == \
         _bits(want_residuals).tolist()
-    have = curvature_forms(cof, conn)
+    have = curvature_terms(curvature_forms(cof, conn), batch)
     want = jet_curvature_forms(cof, conn.forms)
     shape = (16,) if batch else ()
     compared = 0
     for a in range(cof.dim):
         for b in range(cof.dim):
-            h, w = have[a][b].terms, want[a][b].terms
+            h, w = have[a][b], want[a][b].terms
             for idx in h.keys() | w.keys():
                 if idx not in h or idx not in w:
                     only = h.get(idx, w.get(idx))
@@ -323,3 +343,69 @@ def test_curvature_in_values_matches_jets(name, batch):
                 assert x.shape == shape and (_bits(x) == _bits(y)).all(), (a, b, idx)
                 compared += 1
     assert compared > 0
+
+
+def wedge_ideal_matrix(forms, dim_ext, count):
+    """The entries of the ideal test's matrix from KForm wedges: column
+    j * dim_ext + m - 1 holds e^m ^ F_j over the basis 3-forms."""
+    row_of = {t: r for r, t in enumerate(
+        (a, b, c) for a in range(1, dim_ext + 1) for b in range(a + 1, dim_ext + 1)
+        for c in range(b + 1, dim_ext + 1))}
+    rows, cols, vals = [], [], []
+    for j in range(3):
+        values = forms[j].values()
+        for m in range(1, dim_ext + 1):
+            # coefficient 1.0: a Fraction would make object arrays of the values
+            prod = KForm(dim_ext, 1, {(m,): 1.0}).wedge(values)
+            for idx, value in prod.terms.items():
+                rows.append(row_of[idx])
+                cols.append(j * dim_ext + m - 1)
+                vals.append(np.broadcast_to(value, (count,)))
+    return np.array(rows), np.array(cols), np.array(vals).reshape(len(rows), count)
+
+
+@pytest.mark.parametrize("name,kind", [("qk-heis", "qk"), ("spin7-l1", "spin7"),
+                                       ("qk-heis2", "qk")])
+def test_ideal_matrix_matches_wedges(name, kind):
+    """The index table places the same entries as the wedges with the unit
+    1-forms, each value bit for bit, at dimension 8 and 12."""
+    fam = FAMILIES[name]
+    spec = require_einstein_base(fam.base, fam.S)
+    jets = {k: fn(Jet.variable(np.array(fam.default_samples(count=16))))
+            for k, fn in fam.functions().items()}
+    forms = _form_triple(spec, jets["f"], _axes(jets), jets["w"], kind)
+    dim_ext = spec.dim + 1
+    have, want = _ideal_matrix(forms, dim_ext, 16), wedge_ideal_matrix(forms, dim_ext, 16)
+    cells = [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols, _ in (have, want)]
+    assert cells[0] == cells[1] and len(cells[0]) == len(set(cells[0])) > 0
+    dense = []
+    for rows, cols, vals in (have, want):
+        mat = np.zeros((16, dim_ext * (dim_ext - 1) * (dim_ext - 2) // 6, 3 * dim_ext))
+        mat[:, rows, cols] = vals.T
+        dense.append(_bits(mat))
+    assert (dense[0] == dense[1]).all()
+
+
+_SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.lists(_SIGNED, min_size=3, max_size=3)),
+                max_size=24))
+@example([(0, [1.0, 1.0, 1.0]), (0, [-1.0, -1.0, -1.0]), (0, [-0.0, 1.0, 1.0])])
+@example([(1, [-0.0, 0.5, 0.0]), (1, [0.0, -0.5, -0.0]), (1, [-0.0, -0.0, 1.0])])
+def test_ordered_sums_round_as_kform_accumulation(steps):
+    """Sums that cancel to zero, zeros of either sign: each key's sum has
+    the bits of KForm accumulation, which drops a zero sum and starts the
+    next term afresh."""
+    want = {}
+    for key, row in steps:
+        _accumulate(want, key, np.array(row))
+    keys, sums = _ordered_sums([key for key, _ in steps],
+                               np.array([row for _, row in steps]).reshape(-1, 3))
+    assert keys == list(dict.fromkeys(key for key, _ in steps))
+    for key, total in zip(keys, sums):
+        if key in want:
+            assert (_bits(total) == _bits(want[key])).all(), key
+        else:
+            assert not total.any(), key
