@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import dga, qc
-from .algebra import jacobi_check
+from .algebra import form_matrix, jacobi_check
 from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, extended_d, verdicts
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
@@ -110,7 +110,7 @@ def criterion_4():
     rep = qc.catalog_report("l3")
     spec = rep.spec
     psi = Fraction(-1, 4) * (KForm.basis(7, 1, 2) - KForm.basis(7, 3, 4))
-    psi_m = qc._form_matrix(psi, spec.horizontal)
+    psi_m = form_matrix(psi, spec.horizontal)
     m1 = spec.complex_structure(1)
     want = [[sum(psi_m[x][c] * m1[c][y] for c in range(4)) for y in range(4)]
             for x in range(4)]
@@ -289,9 +289,7 @@ def criterion_14():
     if want != have:
         problems.append("adjusted connection torsion mismatch")
     lc = koszul_levi_civita(spec.algebra)
-    n = spec.algebra.dim
-    zero_t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    if adjust_by_torsion(lc, zero_t).gamma != lc.gamma:
+    if adjust_by_torsion(lc, {}).gamma != lc.gamma:
         problems.append("zero-torsion adjustment is not the identity")
 
     # structure-equation residuals of the connection solver

@@ -14,8 +14,13 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import FrameVector, KForm, exterior_d, parse_form, format_form
+from .forms import KForm, exterior_d, parse_form, format_form
 from .scalars import InputError, NotQcError, parse_rational
+
+
+MAX_DIM = 64
+"""The largest frame dimension a coframe may have; heis(15), of dimension
+63, is the largest Heisenberg coframe within it."""
 
 
 class AlgebraSyntaxError(InputError):
@@ -40,7 +45,7 @@ class UnknownName(InputError):
 class FrameAlgebra:
     """Coframe dimension plus the Maurer-Cartan differentials d e^a."""
 
-    __slots__ = ("name", "dim", "diff", "_brackets")
+    __slots__ = ("name", "dim", "diff")
 
     def __init__(self, name: str, dim: int, diff):
         self.name = name
@@ -51,16 +56,10 @@ class FrameAlgebra:
         for a, form in enumerate(self.diff, start=1):
             if form.dim != dim or form.degree != 2:
                 raise ValueError(f"d e{a} must be a 2-form over the {dim}-dim coframe")
-        self._brackets = None
 
     def bracket_coeff(self, c: int, a: int, b: int) -> Fraction:
         """<e^c, [e_a, e_b]> = -(d e^c)(e_a, e_b); 1-based indices."""
-        if self._brackets is None:
-            self._build_brackets()
-        return self._brackets[c - 1][a - 1][b - 1]
-
-    def bracket(self, a: int, b: int) -> FrameVector:
-        return FrameVector(tuple(self.bracket_coeff(c, a, b) for c in range(1, self.dim + 1)))
+        return -self.diff[c - 1].coeff(a, b)
 
     def bracket_terms(self):
         """(c, a, b, <e^c, [e_a, e_b]>) for every nonzero bracket, 0-based,
@@ -69,13 +68,6 @@ class FrameAlgebra:
             for (a, b), coeff in form.terms.items():
                 yield c, a - 1, b - 1, -coeff
                 yield c, b - 1, a - 1, coeff
-
-    def _build_brackets(self):
-        n = self.dim
-        table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for c, a, b, value in self.bracket_terms():
-            table[c][a][b] = value
-        self._brackets = table
 
     def mc_differential(self, form: KForm) -> KForm:
         """Extend d e^a to all invariant forms as an anti-derivation;
@@ -148,34 +140,22 @@ class QcFrameSpec:
         """eta_s as a 1-form on the full frame (s = 1, 2, 3)."""
         return KForm.basis(self.dim, self.vertical[s - 1])
 
-    def xi(self, s: int) -> FrameVector:
-        """Reeb frame vector dual to eta_s."""
-        return FrameVector.basis(self.dim, self.vertical[s - 1])
+    def xi(self, s: int) -> int:
+        """Frame index of the Reeb vector xi_s dual to eta_s."""
+        return self.vertical[s - 1]
 
     def complex_structure(self, s: int):
-        """Matrix of I_s on the horizontal space: column a holds I_s e_a."""
+        """Matrix of I_s on the horizontal space: column a holds I_s e_a.
+        Since omega_s(e_a, e_b) = <e^b, I_s e_a>, it is the transpose of
+        the matrix of omega_s."""
         if self._imat is None:
-            self._imat = tuple(self._build_imat(t) for t in (1, 2, 3))
+            self._imat = tuple(_mat_t(form_matrix(w, self.horizontal)) for w in self.omega)
         return self._imat[s - 1]
-
-    def _build_imat(self, s: int):
-        h = self.horizontal
-        k = len(h)
-        pos = {a: i for i, a in enumerate(h)}
-        mat = [[Fraction(0)] * k for _ in range(k)]
-        for (a, b), coeff in self.omega[s - 1].terms.items():
-            # omega_s(e_a, e_b) = <e^b, I_s e_a> and antisymmetry
-            mat[pos[b]][pos[a]] = coeff
-            mat[pos[a]][pos[b]] = -coeff
-        return tuple(tuple(row) for row in mat)
 
     def validate(self):
         """Quaternion relations and metric compatibility of the induced I_s."""
-        for s in (1, 2, 3):
-            if self.eta(s) != KForm.basis(self.dim, self.vertical[s - 1]):
-                raise NotQcError("eta_s must be a vertical coframe element")
         k = len(self.horizontal)
-        i1, i2, i3 = ([list(row) for row in self.complex_structure(s)] for s in (1, 2, 3))
+        i1, i2, i3 = (self.complex_structure(s) for s in (1, 2, 3))
         minus_id = _mat_lin((-1, _identity(k)))
         for s, mat in enumerate((i1, i2, i3), start=1):
             if _mat_mul(mat, mat) != minus_id:
@@ -191,7 +171,36 @@ class QcFrameSpec:
         return self
 
 
+def require_qc(spec: QcFrameSpec) -> QcFrameSpec:
+    """The preconditions of every qc analysis, checked once per input: the
+    quaternion relations and the Jacobi identity.  A failure raises
+    NotQcError naming the first violation."""
+    spec.validate()
+    report = jacobi_check(spec.algebra)
+    if not report.ok:
+        raise NotQcError(f"Jacobi identity fails: {violation_text(report.violations[0])}")
+    return spec
+
+
+def violation_text(violation) -> str:
+    a, (b, c, d), value = violation
+    return f"d.d e{a} on (e{b},e{c},e{d}) = {value}"
+
+
 # -- exact matrix helpers (lists of rows) -------------------------------------
+
+
+def form_matrix(form: KForm, indices):
+    """Antisymmetric matrix B[p][q] = form(e_{indices[p]}, e_{indices[q]})
+    of a 2-form, over the listed frame indices."""
+    pos = {a: i for i, a in enumerate(indices)}
+    k = len(indices)
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for (a, b), coeff in form.terms.items():
+        if a in pos and b in pos:
+            mat[pos[a]][pos[b]] = coeff
+            mat[pos[b]][pos[a]] = -coeff
+    return mat
 
 
 def _mat_mul(a, b):
@@ -236,18 +245,30 @@ _OMEGALINE = re.compile(r"omega([123])\s*=\s*(.+)$")
 _RANGE = re.compile(r"e(\d+)\s*\.\.\s*e(\d+)$")
 
 
+def _read_int(digits: str, line_no: int) -> int:
+    """A frame dimension or index of the file grammar.  Any value above
+    MAX_DIM is refused before int() reads it, so a long digit string
+    neither overflows int() nor sizes an allocation."""
+    value = digits.lstrip("0") or "0"
+    if len(value) > len(str(MAX_DIM)) or int(value) > MAX_DIM:
+        shown = digits if len(digits) <= 12 else f"{digits[:6]}...({len(digits)} digits)"
+        raise AlgebraSyntaxError(f"{shown} exceeds the largest frame dimension {MAX_DIM}",
+                                 line_no)
+    return int(value)
+
+
 def _parse_index_list(text: str, dim: int, line_no: int):
     indices = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         m = _RANGE.match(chunk)
         if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
+            lo, hi = _read_int(m.group(1), line_no), _read_int(m.group(2), line_no)
             if lo > hi:
                 raise AlgebraSyntaxError(f"empty range {chunk!r}", line_no)
             indices.extend(range(lo, hi + 1))
-        elif chunk.startswith("e") and chunk[1:].isdigit():
-            indices.append(int(chunk[1:]))
+        elif chunk.startswith("e") and chunk[1:].isdecimal():
+            indices.append(_read_int(chunk[1:], line_no))
         else:
             raise AlgebraSyntaxError(f"bad index {chunk!r}", line_no)
     for a in indices:
@@ -280,11 +301,11 @@ def parse_algebra(source: str, name: str | None = None):
             if not m:
                 raise AlgebraSyntaxError("expected 'algebra <name> dim <n>' header", line_no)
             alg_name = alg_name or m.group(1)
-            dim = int(m.group(2))
+            dim = _read_int(m.group(2), line_no)
             continue
         m = _DLINE.match(line)
         if m:
-            a = int(m.group(1))
+            a = _read_int(m.group(1), line_no)
             if not (1 <= a <= dim):
                 raise IndexOutOfRange(f"d e{a}: index out of range for dim {dim}")
             if a in diff:
@@ -351,6 +372,9 @@ def heisenberg_source(n: int) -> str:
     if n < 1:
         raise InputError("need n >= 1")
     dim = 4 * n + 3
+    if dim > MAX_DIM:
+        raise InputError(f"heis({n}) has dimension {dim}, above the largest frame "
+                         f"dimension {MAX_DIM}")
     pair_rows = {
         1: [(4 * q + 1, 4 * q + 2) for q in range(n)] + [(4 * q + 3, 4 * q + 4) for q in range(n)],
         2: [(4 * q + 1, 4 * q + 3) for q in range(n)] + [(4 * q + 4, 4 * q + 2) for q in range(n)],
@@ -416,14 +440,10 @@ def catalog(name: str) -> QcFrameSpec:
     else:
         source = _data_text(f"{base}.alg")
 
-    alg, spec = parse_algebra(source)
+    spec = parse_algebra(source)[1]
     if spec is None:
         raise UnknownName(f"catalog entry {name!r} lacks a qc block")
-    spec.validate()
-    report = jacobi_check(alg)
-    if not report.ok:
-        raise NotQcError(f"catalog entry {name!r} violates the Jacobi identity: {report.violations[:3]}")
-    return spec
+    return require_qc(spec)
 
 
 CATALOG_NAMES = ("heis(1)", "heis(2)", "l0(1)", "l1", "l2", "l3")

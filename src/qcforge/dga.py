@@ -126,13 +126,6 @@ def specialize_diagonal(x: KForm) -> KForm:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient(x: KForm, *indices) -> Poly:
-    """Coefficient of e^{indices}, given in any order (the sign of sorting
-    them is applied)."""
-    idx, sign = _sort_indices(indices)
-    return sign * _as_poly(x.terms.get(idx, 0))
-
-
 def _omega_eta_eta(i: int) -> KForm:
     """omega_i eta_j eta_k, (i, j, k) cyclic."""
     j, k = _CYCLIC[i]
@@ -182,13 +175,13 @@ def _extract_system(x: KForm, with_dt: bool = True):
     if _has_alpha(x):
         raise AssertionError("connection forms failed to cancel")
     tail = (_DT,) if with_dt else ()
-    c_v = _coefficient(x, 1, 2, 3, 4, *tail) / 2  # V = 2 h1 h2 h3 h4
+    c_v = _as_poly(x.coeff(1, 2, 3, 4, *tail)) / 2  # V = 2 h1 h2 h3 h4
     rebuilt = c_v * VOL
     mixed = []
     for i in (1, 2, 3):
         j, k = _CYCLIC[i]
         # omega_i carries h1 h_{i+1} with coefficient 1
-        mixed.append(_coefficient(x, 1, 1 + i, 4 + j, 4 + k, *tail))
+        mixed.append(_as_poly(x.coeff(1, 1 + i, 4 + j, 4 + k, *tail)))
         rebuilt = rebuilt + mixed[-1] * _omega_eta_eta(i)
     if with_dt:
         rebuilt = rebuilt.wedge(DT)
@@ -266,7 +259,7 @@ def verify_triaxial_systems() -> dict:
         reduced = reduced - (f * (2 * fj * fk - _S * f)) * ETA[k - 1].wedge(forms[j - 1])
         reduced = reduced + (f * (2 * fj * fk - _S * f)) * ETA[j - 1].wedge(forms[k - 1])
         reduced = reduced - (f * (dfp - 2 * fi)) * DT.wedge(forms[i - 1])
-        coeff = _coefficient(reduced, 4 + j, 4 + k, _DT)
+        coeff = _as_poly(reduced.coeff(4 + j, 4 + k, _DT))
         if reduced != coeff * ETA[j - 1].wedge(ETA[k - 1]).wedge(DT):
             raise AssertionError(f"ideal reduction left extra monomials: {reduced}")
         ideal_rows.append(coeff)  # equals f * (relation for component i)

@@ -2,15 +2,15 @@
 
 A :class:`KForm` is a sparse sum of basis monomials ``e^{i1...ik}`` with
 strictly increasing 1-based index tuples and scalar coefficients from any
-commutative ring (rationals, jets, polynomials).  Evaluation follows the
-determinant convention: ``(e^a ^ e^b)(e_c, e_d) = d^a_c d^b_d - d^a_d d^b_c``
+commutative ring (rationals, jets, polynomials).  Forms are read by frame
+index: :meth:`KForm.coeff` is the value on basis vectors e_a, in the
+determinant convention ``(e^a ^ e^b)(e_c, e_d) = d^a_c d^b_d - d^a_d d^b_c``
 with no 1/k! factor, so a structure equation like ``d eta = 2 omega`` can be
-read off coefficients literally.
+read off coefficients literally; :meth:`KForm.interior` contracts with e_a.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 
@@ -21,10 +21,6 @@ from .scalars import parse_rational, worst_abs
 
 class FrameMismatch(ValueError):
     """Operands live over coframes of different dimensions."""
-
-
-class ArityMismatch(ValueError):
-    """A k-form was fed the wrong number of vectors."""
 
 
 class BadOrientation(ValueError):
@@ -183,47 +179,28 @@ class KForm:
         out.terms = res
         return out
 
-    def evaluate(self, vectors) -> object:
-        """Pair with ``degree`` frame vectors (multilinear, alternating)."""
-        vectors = list(vectors)
-        if len(vectors) != self.degree:
-            raise ArityMismatch(f"degree-{self.degree} form applied to {len(vectors)} vectors")
-        for v in vectors:
-            if v.dim != self.dim:
-                raise FrameMismatch("vector frame dimension mismatch")
-        total = 0
-        k = self.degree
-        for idx, coeff in self.terms.items():
-            # determinant of the k x k pairing matrix <e^{idx[i]}, v_j>
-            det = 0
-            for perm in itertools.permutations(range(k)):
-                prod = 1
-                for i, j in enumerate(perm):
-                    prod = prod * vectors[j].components[idx[i] - 1]
-                    if is_zero_scalar(prod):
-                        break
-                else:
-                    det = det + (prod if _permutation_sign(perm) > 0 else -prod)
-            total = total + coeff * det
-        return total
+    def coeff(self, *indices):
+        """The form on e_{i1}, ..., e_{ik}, indices in any order: the
+        coefficient of the sorted monomial times the sign of the sort, and
+        0 when an index repeats or the monomial is absent."""
+        if len(indices) != self.degree:
+            raise ValueError(f"degree-{self.degree} form applied to {len(indices)} vectors")
+        idx, sign = _sort_indices(indices)
+        c = self.terms.get(idx) if sign else None
+        if c is None:
+            return 0
+        return c if sign > 0 else -c
 
-    def interior(self, vector: "FrameVector") -> "KForm":
-        """Interior product ``v . a``, contracting in the first slot."""
+    def interior(self, a: int) -> "KForm":
+        """Interior product ``e_a . form`` with a frame basis vector,
+        contracting in the first slot."""
         if self.degree < 1:
             raise ValueError("interior product needs degree >= 1")
-        if vector.dim != self.dim:
-            raise FrameMismatch("vector frame dimension mismatch")
         out = KForm(self.dim, self.degree - 1)
-        res = {}
-        for idx, coeff in self.terms.items():
-            for pos, a in enumerate(idx):
-                comp = vector.components[a - 1]
-                if is_zero_scalar(comp):
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                c = comp * coeff
-                _accumulate(res, rest, -c if pos % 2 else c)
-        out.terms = res
+        for idx, c in self.terms.items():
+            if a in idx:
+                pos = idx.index(a)
+                out.terms[idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
         return out
 
     def restrict(self, indices) -> "KForm":
@@ -309,70 +286,6 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
     out = KForm(form.dim, form.degree + 1)
     out.terms = res
     return out
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-class FrameVector:
-    """Vector expressed over the frame dual to the coframe, <e^a, e_b> = delta."""
-
-    __slots__ = ("dim", "components")
-
-    def __init__(self, components):
-        self.components = tuple(components)
-        self.dim = len(self.components)
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "FrameVector":
-        if not (1 <= index <= dim):
-            raise ValueError(f"basis index {index} out of range for dim {dim}")
-        return cls(tuple(Fraction(1) if a == index else Fraction(0) for a in range(1, dim + 1)))
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise FrameMismatch("vector frame dimension mismatch")
-        return FrameVector(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, scalar):
-        return FrameVector(tuple(scalar * a for a in self.components))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        return isinstance(other, FrameVector) and self.components == other.components
-
-    def __repr__(self):
-        return f"FrameVector{self.components!r}"
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
-
-
-def interior(v: FrameVector, a: KForm) -> KForm:
-    return a.interior(v)
-
-
-def hodge_star(a: KForm, orientation) -> KForm:
-    return a.hodge_star(orientation)
 
 
 # ---------------------------------------------------------------------------

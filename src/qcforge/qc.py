@@ -17,8 +17,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry
-from .forms import FrameVector, KForm
+from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
+                      form_matrix)
+from .forms import KForm
 from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
@@ -51,18 +52,6 @@ def _sparse(a) -> list:
     return [(p, q, x) for p, row in enumerate(a) for q, x in enumerate(row) if x]
 
 
-def _form_matrix(form: KForm, indices):
-    """Antisymmetric matrix B[p][q] = form(e_{indices[p]}, e_{indices[q]})."""
-    pos = {a: i for i, a in enumerate(indices)}
-    k = len(indices)
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for (a, b), coeff in form.terms.items():
-        if a in pos and b in pos:
-            mat[pos[a]][pos[b]] = coeff
-            mat[pos[b]][pos[a]] = -coeff
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # Reeb conditions
 # ---------------------------------------------------------------------------
@@ -83,7 +72,7 @@ def reeb_check(spec: QcFrameSpec) -> ReebReport:
     detas = [alg.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
     for s in (1, 2, 3):
         for k in (1, 2, 3):
-            val = spec.eta(s).evaluate([spec.xi(k)])
+            val = spec.eta(s).coeff(spec.xi(k))
             want = Fraction(1 if s == k else 0)
             if val != want:
                 violations.append(f"eta_{s}(xi_{k}) = {val}, expected {want}")
@@ -127,15 +116,14 @@ def _alpha_symbolic(spec: QcFrameSpec, detas) -> tuple:
     cyc_sum = Poly.const(0)
     for i in (1, 2, 3):
         j, k = _CYCLIC[i]
-        cyc_sum = cyc_sum + Poly.const(detas[i - 1].evaluate([spec.xi(j), spec.xi(k)]))
+        cyc_sum = cyc_sum + Poly.const(detas[i - 1].coeff(spec.xi(j), spec.xi(k)))
     alphas = []
     for i in (1, 2, 3):
         j, k = _CYCLIC[i]
         terms = {}
         for a in spec.horizontal:
-            ea = FrameVector.basis(spec.dim, a)
-            val = detas[k - 1].evaluate([spec.xi(j), ea])
-            other = -detas[j - 1].evaluate([spec.xi(k), ea])
+            val = detas[k - 1].coeff(spec.xi(j), a)
+            other = -detas[j - 1].coeff(spec.xi(k), a)
             if val != other:
                 raise InconsistentScalar(
                     f"alpha_{i}({a}): d eta_{k}(xi_{j}, X) != -d eta_{j}(xi_{k}, X)")
@@ -143,7 +131,7 @@ def _alpha_symbolic(spec: QcFrameSpec, detas) -> tuple:
                 terms[(a,)] = Poly.const(val)
         for s in (1, 2, 3):
             js, ks = _CYCLIC[i]
-            val = Poly.const(detas[s - 1].evaluate([spec.xi(js), spec.xi(ks)]))
+            val = Poly.const(detas[s - 1].coeff(spec.xi(js), spec.xi(ks)))
             if s == i:
                 val = val - (half * s_sym + half * cyc_sum)
             if not val.is_zero():
@@ -178,7 +166,7 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 
     solved = None
     for l in (1, 2, 3):
-        p = _form_matrix(sym_rhos[l - 1], spec.horizontal)
+        p = form_matrix(sym_rhos[l - 1], spec.horizontal)
         m = spec.complex_structure(l)
         trace = Poly.const(0)
         k = len(spec.horizontal)
@@ -218,7 +206,7 @@ class TorsionData:
     T0: list            # symmetric horizontal 2-tensor, matrix over horizontal positions
     U: list             # symmetric horizontal 2-tensor
     Txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
-    Tvv: dict           # (i, j) -> FrameVector, i < j
+    Tvv: dict           # (i, j) -> components of T(xi_i, xi_j) over the frame, i < j
 
     def is_einstein(self) -> bool:
         return not any(map(any, self.T0 + self.U))
@@ -235,7 +223,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     S = sp1.S
     ident = _identity(k)
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
-    ps = [_form_matrix(sp1.rho_h[l - 1], spec.horizontal) for l in (1, 2, 3)]
+    ps = [form_matrix(sp1.rho_h[l - 1], spec.horizontal) for l in (1, 2, 3)]
 
     def conj(m, a):
         """I^T A I, a signed permutation of the entries of A."""
@@ -288,15 +276,13 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     for i in (1, 2, 3):
         j, kk = _CYCLIC[i]
         comps = [Fraction(0)] * spec.dim
-        bracket = spec.algebra.bracket(spec.vertical[i - 1], spec.vertical[j - 1])
         for a in spec.horizontal:
-            comps[a - 1] = -bracket.components[a - 1]
-        comps[spec.vertical[kk - 1] - 1] += -S
-        vec = FrameVector(comps)
+            comps[a - 1] -= spec.algebra.bracket_coeff(a, spec.xi(i), spec.xi(j))
+        comps[spec.xi(kk) - 1] -= S
         if i < j:
-            tvv[(i, j)] = vec
+            tvv[(i, j)] = tuple(comps)
         else:
-            tvv[(j, i)] = -vec
+            tvv[(j, i)] = tuple(-x for x in comps)
     return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi), Tvv=tvv)
 
 
@@ -305,29 +291,30 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 # ---------------------------------------------------------------------------
 
 
-def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData):
-    """Full torsion component table T^c_{ab} over the frame (0-based)."""
-    n = spec.dim
-    t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
+    """The nonzero torsion components T^c_{ab} over the frame, keyed by
+    0-based (a, b, c)."""
+    t = {}
     hpos = {a: i for i, a in enumerate(spec.horizontal)}
     vpos = {a: s for s, a in enumerate(spec.vertical, start=1)}
 
     for c, a, b, x in spec.algebra.bracket_terms():
         if a + 1 in hpos and b + 1 in hpos and c + 1 in vpos:
-            t[a][b][c] = -x
+            t[a, b, c] = -x
     for v in spec.vertical:
-        s = vpos[v]
-        endo = torsion.Txi[s - 1]
+        endo = torsion.Txi[vpos[v] - 1]
         for b in spec.horizontal:
             for c in spec.horizontal:
                 val = endo[hpos[c]][hpos[b]]
-                t[v - 1][b - 1][c - 1] = val
-                t[b - 1][v - 1][c - 1] = -val
-    for (i, j), vec in torsion.Tvv.items():
-        vi, vj = spec.vertical[i - 1], spec.vertical[j - 1]
-        for c in range(n):
-            t[vi - 1][vj - 1][c] = vec.components[c]
-            t[vj - 1][vi - 1][c] = -vec.components[c]
+                if val:
+                    t[v - 1, b - 1, c - 1] = val
+                    t[b - 1, v - 1, c - 1] = -val
+    for (i, j), comps in torsion.Tvv.items():
+        vi, vj = spec.xi(i) - 1, spec.xi(j) - 1
+        for c, x in enumerate(comps):
+            if x:
+                t[vi, vj, c] = x
+                t[vj, vi, c] = -x
     return t
 
 
@@ -355,9 +342,8 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
         j, k = _CYCLIC[i]
         vi, vj, vk = (spec.vertical[s - 1] for s in (i, j, k))
         for a in range(1, spec.dim + 1):
-            ea = FrameVector.basis(spec.dim, a)
-            aj = sp1.alphas[j - 1].evaluate([ea])
-            ak = sp1.alphas[k - 1].evaluate([ea])
+            aj = sp1.alphas[j - 1].coeff(a)
+            ak = sp1.alphas[k - 1].coeff(a)
             if conn.coeff(vk, a, vi) != -aj or conn.coeff(vj, a, vi) != ak:
                 raise ConsistencyError(
                     f"nabla_{a} xi_{i} disagrees with the sp(1) rotation rule")
@@ -433,7 +419,7 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
     _add_kn(w, g, _mat_lin((1, l0), (S / 4, g)))
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     for s, m in enumerate(mats, start=1):
-        omega = _form_matrix(spec.omega[s - 1], hor)
+        omega = form_matrix(spec.omega[s - 1], hor)
         half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
                           (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))  # -A_s/2
         # omega_s is paired with the rotation of L0 by I_{s-1} (cyclically)

@@ -5,11 +5,12 @@ invariant coframe with the identity frame metric: Koszul's formula gives
 the Levi-Civita connection from brackets, a torsion adjustment produces
 any prescribed-torsion metric connection, and curvature follows from the
 constant-coefficient commutator formula, all in exact rationals.  Every
-exact kernel runs over nonzero entries only: the connection and torsion
-are built from the nonzero brackets and torsion components, the curvature
-contracts the nonzero connection coefficients with each other (indexed by
-the summed index) and with the nonzero brackets, and is stored as a dict
-of its nonzero entries.
+exact kernel runs over nonzero entries only, and every exact tensor is a
+dict of its nonzero entries keyed by 0-based index tuples: the connection
+Gamma and the torsion T are built from the nonzero brackets and torsion
+components, and the curvature contracts the nonzero connection
+coefficients with each other (indexed by the summed index) and with the
+nonzero brackets.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
@@ -65,39 +66,42 @@ class SingularCoframe(DomainError):
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 class ConnectionTable:
-    """Frame connection coefficients Gamma^c_{ab} = <e^c, nabla_{e_a} e_b>."""
+    """Frame connection coefficients Gamma^c_{ab} = <e^c, nabla_{e_a} e_b>,
+    stored as a dict of the nonzero ones keyed by 0-based (a, b, c)."""
 
     __slots__ = ("dim", "gamma")
 
-    def __init__(self, dim: int, gamma):
+    def __init__(self, dim: int, gamma: dict):
         self.dim = dim
-        self.gamma = gamma  # gamma[a][b][c], 0-based
+        self.gamma = gamma
 
     def coeff(self, c: int, a: int, b: int) -> Fraction:
         """Gamma^c_{ab}, 1-based indices."""
-        return self.gamma[a - 1][b - 1][c - 1]
+        return self.gamma.get((a - 1, b - 1, c - 1), _ZERO)
 
     def nonzeros(self) -> list:
-        """(a, b, c, Gamma^c_{ab}) for every nonzero coefficient, 0-based."""
-        return _nonzeros3(self.gamma)
+        """(a, b, c, Gamma^c_{ab}) for every nonzero coefficient, 0-based,
+        in lexicographic order."""
+        return [(a, b, c, x) for (a, b, c), x in sorted(self.gamma.items())]
 
     def is_metric(self) -> bool:
         g = self.gamma
-        return all(g[a][c][b] == -x for a, b, c, x in self.nonzeros())
+        return all(g.get((a, c, b)) == -x for (a, b, c), x in g.items())
 
-    def torsion(self, alg: FrameAlgebra):
-        """T(e_a, e_b) components: T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} - <e^c,[e_a,e_b]>."""
-        out = _zeros3(self.dim)
-        for a, b, c, x in self.nonzeros():
-            out[a][b][c] += x
-            out[b][a][c] -= x
+    def torsion(self, alg: FrameAlgebra) -> dict:
+        """The nonzero components T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} -
+        <e^c,[e_a,e_b]> of T(e_a, e_b), keyed by 0-based (a, b, c)."""
+        out = defaultdict(Fraction)
+        for (a, b, c), x in self.gamma.items():
+            out[a, b, c] += x
+            out[b, a, c] -= x
         for c, a, b, x in alg.bracket_terms():
-            out[a][b][c] -= x
-        return out
-
-
-_ZERO = Fraction(0)
+            out[a, b, c] -= x
+        return {key: x for key, x in out.items() if x}
 
 
 class CurvatureTensor:
@@ -123,47 +127,40 @@ class CurvatureTensor:
                    for (a, b, c, d), x in r.items())
 
 
-def _zeros3(n):
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-
-def _nonzeros3(table) -> list:
-    return [(a, b, c, x) for a, plane in enumerate(table)
-            for b, row in enumerate(plane) for c, x in enumerate(row) if x]
-
-
-def _add_contorsion(gamma, terms):
-    """gamma[a][b][c] += (1/2)(X^c_{ab} - X^a_{bc} + X^b_{ca}) for the
-    nonzero components (c, a, b, X^c_{ab}) of a skew frame tensor X."""
+def _add_contorsion(gamma: dict, terms) -> dict:
+    """The nonzero entries of gamma[a, b, c] + (1/2)(X^c_{ab} - X^a_{bc} +
+    X^b_{ca}) for the nonzero components (c, a, b, X^c_{ab}) of a skew
+    frame tensor X."""
+    out = defaultdict(Fraction, gamma)
     half = Fraction(1, 2)
     for c, a, b, x in terms:
         h = half * x
-        gamma[a][b][c] += h
-        gamma[c][a][b] -= h
-        gamma[b][c][a] += h
-    return gamma
+        out[a, b, c] += h
+        out[c, a, b] -= h
+        out[b, c, a] += h
+    return {key: x for key, x in out.items() if x}
 
 
 def koszul_levi_civita(alg: FrameAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the identity frame metric from brackets:
     2 g(nabla_A B, C) = g([A,B],C) - g([B,C],A) + g([C,A],B)."""
-    return ConnectionTable(alg.dim, _add_contorsion(_zeros3(alg.dim), alg.bracket_terms()))
+    return ConnectionTable(alg.dim, _add_contorsion({}, alg.bracket_terms()))
 
 
-def adjust_by_torsion(lc: ConnectionTable, torsion) -> ConnectionTable:
+def adjust_by_torsion(lc: ConnectionTable, torsion: dict) -> ConnectionTable:
     """Metric connection with prescribed torsion:
     g(nabla_A B, C) = g(nabla^g_A B, C)
                       + (1/2)[g(T(A,B),C) - g(T(B,C),A) + g(T(C,A),B)].
 
-    ``torsion[a][b]`` holds the components of T(e_a, e_b) (0-based).
+    ``torsion`` maps 0-based (a, b, c) to the nonzero components T^c_{ab}
+    of T(e_a, e_b).
     """
-    nonzero = _nonzeros3(torsion)
-    for a, b, c, x in nonzero:
-        if torsion[b][a][c] != -x:
+    for (a, b, c), x in torsion.items():
+        if torsion.get((b, a, c)) != -x:
             raise NonAntisymmetricTorsion(
                 f"T(e{a + 1}, e{b + 1}) != -T(e{b + 1}, e{a + 1})")
-    gamma = [[row[:] for row in plane] for plane in lc.gamma]
-    return ConnectionTable(lc.dim, _add_contorsion(gamma, ((c, a, b, x) for a, b, c, x in nonzero)))
+    return ConnectionTable(lc.dim, _add_contorsion(
+        lc.gamma, ((c, a, b, x) for (a, b, c), x in torsion.items())))
 
 
 def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcforge import __version__, cli
-from qcforge.algebra import heisenberg_source
+from qcforge import __version__, algebra, cli
+from qcforge.algebra import MAX_DIM, heisenberg_source
 from qcforge.cli import main
 
 
@@ -214,6 +214,75 @@ omega3 = e1^e4 + e2^e3
         code, out, _ = run(capsys, "check-algebra", "--catalog", name)
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("source", ["catalog", "file"])
+    def test_each_input_is_gated_once(self, tmp_path, capsys, monkeypatch, source):
+        calls = []
+        check, validate = algebra.jacobi_check, algebra.QcFrameSpec.validate
+
+        def counting_check(alg):
+            calls.append("jacobi")
+            return check(alg)
+
+        def counting_validate(spec):
+            calls.append("validate")
+            return validate(spec)
+
+        for module in (algebra, cli):  # every site that can reach the check
+            monkeypatch.setattr(module, "jacobi_check", counting_check)
+        monkeypatch.setattr(algebra.QcFrameSpec, "validate", counting_validate)
+        if source == "catalog":
+            argv = ["--catalog", "l1"]
+        else:
+            path = tmp_path / "heis1.alg"
+            path.write_text(heisenberg_source(1))
+            argv = ["--file", str(path)]
+        code, _, _ = run(capsys, "qc-report", *argv)
+        assert code == 0
+        assert sorted(calls) == ["jacobi", "validate"]
+
+
+_LONG = "1" * 5000  # longer than int() reads from a string
+_HEIS1 = heisenberg_source(1)
+
+
+class TestLiteralLimits:
+    """Integer literals that cannot name a frame index are refused with exit
+    2 before int() reads them or anything is allocated by their size."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("dim 7", f"dim {_LONG}"),
+        ("dim 7", "dim 1000000000000"),
+        ("dim 7", f"dim {MAX_DIM + 1}"),
+        ("d e7 =", f"d e{_LONG} ="),
+        ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
+        ("horizontal = e1..e4", "horizontal = e1..e1000000000000"),
+        ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
+    ], ids=["long-dim", "huge-dim", "dim-above-limit", "long-index", "long-list",
+            "huge-range", "superscript-digit"])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_file_literal_refused(self, tmp_path, capsys, command, old, new):
+        assert old in _HEIS1
+        path = tmp_path / "literal.alg"
+        path.write_text(_HEIS1.replace(old, new))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("parse error: line ")
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("n", ["1000000000000", str((MAX_DIM - 3) // 4 + 1)])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_huge_heisenberg_refused(self, capsys, command, n):
+        code, out, err = run(capsys, command, "--catalog", f"heis({n})")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert len(err) < 200
+
+    def test_largest_dimension_parses(self):
+        alg, _ = algebra.parse_algebra(f"algebra top dim {MAX_DIM}\n")
+        assert alg.dim == MAX_DIM
 
 
 class TestBuild:

@@ -107,9 +107,9 @@ class TestAlgebraStructure:
 
     def test_coefficient_lookup_with_sign(self):
         x = ETA[0].wedge(ETA[1])
-        assert dga._coefficient(x, 5, 6) == Poly.const(1)
-        assert dga._coefficient(x, 6, 5) == Poly.const(-1)
-        assert dga._coefficient(x, 5, 7).is_zero()
+        assert x.coeff(5, 6) == Poly.const(1)
+        assert x.coeff(6, 5) == Poly.const(-1)
+        assert x.coeff(5, 7) == 0
 
 
 class TestDifferential:
@@ -117,10 +117,10 @@ class TestDifferential:
         for i in (1, 2, 3):
             assert dga_d(ETA[i - 1]) == d_eta_rule(i)
         d = dga_d(ETA[0])
-        assert dga._coefficient(d, 1, 2) == Poly.const(2)
-        assert dga._coefficient(d, 6, 7) == -sym("S")
-        assert dga._coefficient(d, 6, 10) == Poly.const(-1)
-        assert dga._coefficient(d, 7, 9) == Poly.const(1)
+        assert d.coeff(1, 2) == Poly.const(2)
+        assert d.coeff(6, 7) == -sym("S")
+        assert d.coeff(6, 10) == Poly.const(-1)
+        assert d.coeff(7, 9) == Poly.const(1)
 
     def test_omega_rule(self):
         for i, j, k in _CYCLIC:
@@ -147,8 +147,8 @@ class TestDifferential:
         f = sym("f")
         x = f * OMEGA[0]
         assert time_derivative_part(x) == sym("f'") * DT.wedge(OMEGA[0])
-        assert dga._coefficient(dga_d(x), 11, 1, 2) == Poly.symbol("f'")
-        assert dga._coefficient(dga_d(x, with_time=False), 11, 1, 2).is_zero()
+        assert dga_d(x).coeff(11, 1, 2) == Poly.symbol("f'")
+        assert dga_d(x, with_time=False).coeff(11, 1, 2) == 0
         # a rational coefficient and a constant symbol are constant in t
         assert time_derivative_part(Fraction(3, 2) * OMEGA[0]).is_zero()
         assert time_derivative_part(sym("S") * ETA[0]).is_zero()
@@ -188,7 +188,7 @@ class TestVerifications:
         d = specialize_diagonal(dga_d(x))
         want = KForm(dga.DIM, 4)
         for i, j, k in _CYCLIC:
-            assert dga._coefficient(d, 1, 1 + i, 4 + j, 4 + k) == Poly.const(2)
+            assert d.coeff(1, 1 + i, 4 + j, 4 + k) == Poly.const(2)
             want = want + 2 * OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
         assert d == want
 

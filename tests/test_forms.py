@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcforge.algebra import catalog
-from qcforge.forms import (ArityMismatch, BadOrientation, FrameMismatch,
-                           FrameVector, KForm, exterior_d, format_form,
-                           is_zero_scalar, parse_form)
+from qcforge.forms import (BadOrientation, FrameMismatch, KForm, exterior_d,
+                           format_form, is_zero_scalar, parse_form)
 from qcforge.scalars import Jet
 
 
@@ -18,7 +18,40 @@ def e(*idx, dim=7):
 
 
 def v(i, dim=7):
-    return FrameVector.basis(dim, i)
+    """Components of the frame basis vector e_i."""
+    return tuple(Fraction(int(a == i)) for a in range(1, dim + 1))
+
+
+def _permutation_sign(perm) -> int:
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                     for j in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+def evaluate(form, vectors):
+    """Reference pairing of a k-form with k vectors, each a tuple of
+    components over the frame: the determinant of <e^{idx[i]}, v_j>, summed
+    over all k! permutations for every monomial."""
+    if len(vectors) != form.degree:
+        raise ValueError(f"degree-{form.degree} form applied to {len(vectors)} vectors")
+    total = 0
+    for idx, coeff in form.terms.items():
+        det = 0
+        for perm in itertools.permutations(range(form.degree)):
+            prod = _permutation_sign(perm)
+            for i, j in enumerate(perm):
+                prod = prod * vectors[j][idx[i] - 1]
+            det = det + prod
+        total = total + coeff * det
+    return total
+
+
+def contract(form, vec):
+    """Reference interior product v . form: the (k-1)-form whose
+    coefficient on e^I is form(v, e_I), from the permutation sum."""
+    terms = {rest: evaluate(form, [vec] + [v(a, form.dim) for a in rest])
+             for rest in itertools.combinations(range(1, form.dim + 1), form.degree - 1)}
+    return KForm(form.dim, form.degree - 1, terms)
 
 
 class TestWedge:
@@ -68,15 +101,20 @@ def test_wedge_graded_commutativity(i1, i2, c1, c2):
 
 
 class TestEvaluate:
+    """``KForm.coeff`` reads a form on frame basis vectors; ``evaluate`` is
+    the reference for general vectors."""
+
     def test_identity_pairing(self):
-        assert e(1, 2).evaluate([v(1), v(2)]) == 1
+        assert e(1, 2).coeff(1, 2) == 1
+        assert evaluate(e(1, 2), [v(1), v(2)]) == 1
 
     def test_antisymmetry(self):
-        assert e(1, 2).evaluate([v(2), v(1)]) == -1
+        assert e(1, 2).coeff(2, 1) == -1
+        assert e(1, 2).coeff(1, 1) == 0
 
     def test_fundamental_form_normalization(self):
         w1 = e(1, 2) + e(3, 4)
-        assert w1.evaluate([v(1), v(2)]) == 1
+        assert w1.coeff(1, 2) == 1
 
     def test_alternating_on_all_transpositions(self):
         rng = random.Random(7)
@@ -84,37 +122,71 @@ class TestEvaluate:
         for _ in range(4):
             pick = rng.sample(range(1, 8), 3)
             form = form + Fraction(rng.randint(-4, 4)) * KForm.basis(7, *pick)
-        vecs = [FrameVector(tuple(Fraction(rng.randint(-3, 3)) for _ in range(7)))
-                for _ in range(3)]
-        base = form.evaluate(vecs)
+        vecs = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(7)) for _ in range(3)]
+        base = evaluate(form, vecs)
         for i in range(3):
             for j in range(i + 1, 3):
                 swapped = list(vecs)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert form.evaluate(swapped) == -base
+                assert evaluate(form, swapped) == -base
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            e(1, 2).evaluate([v(1)])
+        with pytest.raises(ValueError):
+            e(1, 2).coeff(1)
+
+
+_COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _form_and_indices(draw, min_degree=0):
+    """A rational form of degree 0-3 over a 5-dim frame, and index tuples
+    of its degree, in any order and with repeats allowed."""
+    degree = draw(st.integers(min_degree, 3))
+    monomials = draw(st.lists(st.tuples(*[st.integers(1, 5)] * degree), max_size=4))
+    form = KForm(5, degree)
+    for idx in monomials:
+        form = form + draw(_COEFF) * KForm.basis(5, *idx)
+    tuples = draw(st.lists(st.tuples(*[st.integers(1, 5)] * degree), min_size=1, max_size=4))
+    return form, tuples
+
+
+@settings(max_examples=200, deadline=None)
+@given(_form_and_indices())
+def test_coeff_matches_reference_at_basis_vectors(case):
+    form, tuples = case
+    for idx in tuples:
+        assert form.coeff(*idx) == evaluate(form, [v(a, 5) for a in idx]), idx
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_and_indices(min_degree=1), st.integers(1, 5))
+def test_interior_matches_reference_contraction(case, a):
+    form, tuples = case
+    inner = form.interior(a)
+    assert inner == contract(form, v(a, 5))
+    for idx in tuples:
+        assert inner.coeff(*idx[1:]) == evaluate(form, [v(a, 5)] + [v(b, 5) for b in idx[1:]])
 
 
 class TestInterior:
     def test_first_slot(self):
-        assert e(1, 2).interior(v(1)) == e(2)
+        assert e(1, 2).interior(1) == e(2)
+        assert e(1, 2).interior(2) == -1 * e(1)
 
     def test_missing_index(self):
-        assert e(1, 2).interior(v(3)).is_zero()
+        assert e(1, 2).interior(3).is_zero()
 
     def test_antiderivation(self):
         rng = random.Random(11)
-        for _ in range(20):
+        for _ in range(40):
             ia = tuple(rng.sample(range(1, 8), rng.randint(1, 2)))
             ib = tuple(rng.sample(range(1, 8), rng.randint(1, 3)))
             a = KForm.basis(7, *ia)
             b = KForm.basis(7, *ib)
-            vec = FrameVector(tuple(Fraction(rng.randint(-2, 2)) for _ in range(7)))
-            lhs = a.wedge(b).interior(vec)
-            rhs = a.interior(vec).wedge(b) + ((-1) ** a.degree) * a.wedge(b.interior(vec))
+            c = rng.randint(1, 7)
+            lhs = a.wedge(b).interior(c)
+            rhs = a.interior(c).wedge(b) + ((-1) ** a.degree) * a.wedge(b.interior(c))
             assert lhs == rhs
 
 

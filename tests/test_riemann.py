@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcforge.algebra import catalog, parse_algebra
-from qcforge.riemann import (CoframeWithJets, NonAntisymmetricTorsion,
+from qcforge.riemann import (CoframeWithJets, ConnectionTable, NonAntisymmetricTorsion,
                              SingularCoframe, adjust_by_torsion,
                              cartan_connection, frame_curvature,
                              koszul_levi_civita, ricci_and_rank)
@@ -23,16 +23,12 @@ def first_bianchi_residual(curv) -> Fraction:
                 for (a, b, c, d), x in r.items()), default=Fraction(0))
 
 
-def zero_torsion(n):
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-
 class TestExactConnection:
     def test_abelian_levi_civita_vanishes(self):
         alg, _ = parse_algebra("algebra ab dim 4\n" +
                                "\n".join(f"d e{a} = 0" for a in range(1, 5)))
         lc = koszul_levi_civita(alg)
-        assert all(x == 0 for a in lc.gamma for b in a for x in b)
+        assert lc.gamma == {}
 
     def test_heisenberg_levi_civita_structure(self):
         alg = catalog("heis(1)").algebra
@@ -45,8 +41,14 @@ class TestExactConnection:
                     if lc.coeff(c, a, b) != 0:
                         assert max(a, b, c) >= 5
         # torsion-free: antisymmetric part reproduces the brackets
-        t = lc.torsion(alg)
-        assert all(x == 0 for p in t for q in p for x in q)
+        assert lc.torsion(alg) == {}
+
+    def test_metric_means_skew_in_the_last_two_slots(self):
+        # Gamma^c_{ab} = -Gamma^b_{ac}; an entry without its partner is not metric
+        assert not ConnectionTable(3, {(0, 1, 2): Fraction(1)}).is_metric()
+        skew = {(0, 1, 2): Fraction(1), (0, 2, 1): Fraction(-1)}
+        assert ConnectionTable(3, skew).is_metric()
+        assert not ConnectionTable(3, {**skew, (1, 0, 0): Fraction(2)}).is_metric()
 
     def test_su2_sectional_curvature(self):
         alg, _ = parse_algebra(SU2)
@@ -58,19 +60,19 @@ class TestExactConnection:
     def test_zero_torsion_adjustment_is_identity(self):
         alg = catalog("l1").algebra
         lc = koszul_levi_civita(alg)
-        adjusted = adjust_by_torsion(lc, zero_torsion(7))
+        adjusted = adjust_by_torsion(lc, {})
         assert adjusted.gamma == lc.gamma
 
     def test_prescribed_torsion_reproduced(self):
         alg = catalog("heis(1)").algebra
         lc = koszul_levi_civita(alg)
-        t = zero_torsion(7)
+        t = {}
         # horizontal torsion along the vertical directions
         spec = catalog("heis(1)")
         for s in (1, 2, 3):
             for (a, b), coeff in spec.omega[s - 1].terms.items():
-                t[a - 1][b - 1][4 + s - 1] = 2 * coeff
-                t[b - 1][a - 1][4 + s - 1] = -2 * coeff
+                t[a - 1, b - 1, 4 + s - 1] = 2 * coeff
+                t[b - 1, a - 1, 4 + s - 1] = -2 * coeff
         conn = adjust_by_torsion(lc, t)
         assert conn.is_metric()
         assert conn.torsion(alg) == t
@@ -79,8 +81,7 @@ class TestExactConnection:
 
     def test_non_antisymmetric_torsion_rejected(self):
         alg = catalog("heis(1)").algebra
-        t = zero_torsion(7)
-        t[0][1][4] = Fraction(1)
+        t = {(0, 1, 4): Fraction(1)}
         with pytest.raises(NonAntisymmetricTorsion):
             adjust_by_torsion(koszul_levi_civita(alg), t)
 

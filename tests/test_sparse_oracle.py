@@ -1,12 +1,14 @@
 """Dense reference implementations of the sparse kernels.
 
 The library sums curvature, the conformal curvature W^qc and the torsion
-products over nonzero entries only.  The references below visit every index
-tuple with the original dense formulas: R_{abcd} as an n^5 contraction and
-W^qc entry by entry through Kulkarni-Nomizu products.  Zero factors are
-skipped in ``_mul`` only so that Fraction arithmetic on zeros does not
-dominate the run time; no index tuple is left out.  Both sides must return
-identical Fractions.
+products over nonzero entries only, and keeps Gamma and T as dicts of their
+nonzero entries.  The references below visit every index tuple with the
+original dense formulas: Gamma and T as n^3 tables, R_{abcd} as an n^5
+contraction and W^qc entry by entry through Kulkarni-Nomizu products; a
+dense table is compared with a dict through its nonzero entries.  Zero
+factors are skipped in ``_mul`` only so that Fraction arithmetic on zeros
+does not dominate the run time; no index tuple is left out.  Both sides
+must return identical Fractions.
 
 The jet path solves the first structure equation for Gamma over the
 triples where a structure function is nonzero; its reference is the dense
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcforge import qc
-from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog
+from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog, form_matrix
 from qcforge.evolution import (FAMILIES, _axes, _coframe, _form_triple, _ideal_matrix,
                                require_einstein_base)
 from qcforge.forms import KForm, _accumulate, exterior_d
@@ -53,6 +55,18 @@ def _combine(*terms):
     return [[sum(_mul(c, a[r][q]) for c, a in terms) for q in range(k)] for r in range(k)]
 
 
+def nonzeros(table) -> dict:
+    """The nonzero entries of a dense n^3 table, keyed by (a, b, c)."""
+    return {(a, b, c): x for a, plane in enumerate(table) for b, row in enumerate(plane)
+            for c, x in enumerate(row) if x}
+
+
+def dense_gamma(conn):
+    """gamma[a][b][c] = Gamma^c_{ab}, read through the 1-based accessor."""
+    r = range(conn.dim)
+    return [[[conn.coeff(c + 1, a + 1, b + 1) for c in r] for b in r] for a in r]
+
+
 def _bracket_table(alg):
     n = alg.dim
     r = range(n)
@@ -70,7 +84,7 @@ def dense_levi_civita(alg):
 
 def dense_torsion(conn, alg):
     n = conn.dim
-    g = conn.gamma
+    g = dense_gamma(conn)
     br = _bracket_table(alg)
     return [[[g[a][b][c] - g[b][a][c] - br[c][a][b] for c in range(n)]
              for b in range(n)] for a in range(n)]
@@ -79,7 +93,7 @@ def dense_torsion(conn, alg):
 def dense_curvature(conn, alg) -> dict:
     """Nonzero R_{abcd}, 0-based, from the n^5 constant-coefficient formula."""
     n = conn.dim
-    g = conn.gamma
+    g = dense_gamma(conn)
     br = _bracket_table(alg)
     out = {}
     for a in range(n):
@@ -103,7 +117,7 @@ def dense_wqc(spec, torsion, curv) -> dict:
     S = torsion.S
     t0, u = torsion.T0, torsion.U
     mats = [[list(row) for row in spec.complex_structure(s)] for s in (1, 2, 3)]
-    omegas = [qc._form_matrix(spec.omega[s - 1], hor) for s in (1, 2, 3)]
+    omegas = [form_matrix(spec.omega[s - 1], hor) for s in (1, 2, 3)]
     g = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
 
     l0 = _combine((Fraction(1, 2), t0), (1, u))
@@ -145,7 +159,8 @@ def assert_matches_dense(spec):
     rep = qc.analyze(spec)
     assert rep.curvature.r == dense_curvature(rep.connection, alg)
     assert all(type(x) is Fraction for x in rep.curvature.r.values())
-    assert rep.connection.torsion(alg) == dense_torsion(rep.connection, alg)
+    assert all(type(x) is Fraction for x in rep.connection.gamma.values())
+    assert rep.connection.torsion(alg) == nonzeros(dense_torsion(rep.connection, alg))
     w = qc.wqc_tensor(spec, rep.torsion, rep.curvature)
     assert w == dense_wqc(spec, rep.torsion, rep.curvature)
     assert rep.wqc_zero == (not w)
@@ -162,7 +177,7 @@ def test_catalog_matches_dense(name):
 def test_levi_civita_matches_dense(name):
     alg = catalog(name).algebra
     lc = koszul_levi_civita(alg)
-    assert lc.gamma == dense_levi_civita(alg)
+    assert lc.gamma == nonzeros(dense_levi_civita(alg))
     assert frame_curvature(lc, alg).r == dense_curvature(lc, alg)
 
 

@@ -6,15 +6,23 @@ Usage, from the root of a checkout:
 
 Runs every argv of the corpus through ``qcforge.cli.main`` in one process
 and prints one line per argv: the exit code, the sha256 of stdout and of
-stderr, and the argv.  Two checkouts that print the same lines give the
-same bytes on every argv of the corpus, so comparing a change with its
-parent is one ``diff`` of two digests.
+stderr, and the argv.  An exception that escapes ``main`` is printed as
+``raised <type>`` in place of the exit code.  Two checkouts that print the
+same lines give the same bytes on every argv of the corpus, so comparing a
+change with its parent is one ``diff`` of two digests.
 
 The corpus: ``sweep`` and the five ``symbolic`` targets, in text and json;
 the six ``qc-report --catalog`` entries, in text and json; the ``jet``
-benchmark argv of seeds 1-3, read from ``bench/inputs.py``; and a set of
-argv that the CLI refuses, with one spelled-out catalog name each for
-``heis`` and ``l0``.
+benchmark argv of seeds 1-3, read from ``bench/inputs.py``; ``qc-report
+--file`` (text and json) and ``check-algebra --file`` on the ``exact``
+benchmark coframes of seeds 1-3; ``--file`` inputs that break the Jacobi
+identity, the quaternion relations or the Reeb conditions, or carry integer
+literals too large for a frame; and a set of argv that the CLI refuses,
+with one spelled-out catalog name each for ``heis`` and ``l0``.
+
+The ``--file`` inputs are written to a temporary directory that is the
+working directory while the corpus runs, and named by relative paths, so
+the reports, which echo the path, are the same in every checkout.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,11 +72,39 @@ REFUSALS = [
 ]
 
 
+_HEIS1 = inputs.coframe_text("heis1", {a: a for a in range(1, 8)})
+_LONG = "1" * 5000  # longer than int() reads from a string
+
+# name -> (text, old line, new line): heis(1) with one line replaced
+FILE_REFUSALS = {
+    "jacobi": ("d e7 = 2 e1^e4 + 2 e2^e3", "d e7 = 2 e1^e4 + 2 e2^e3 + e5^e6"),
+    "quaternion": ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 - e2^e3"),
+    "reeb": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 4 e1^e2 + 4 e3^e4"),
+    "long-dim": ("algebra heis1 dim 7", f"algebra heis1 dim {_LONG}"),
+    "long-index": ("d e7 = ", f"d e{_LONG} = "),
+    "long-list": ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
+    "superscript-list": ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
+}
+
+
+def input_files() -> dict:
+    """File name -> structure-equation text of every ``--file`` input."""
+    files = {f"exact-{seed}-{entry}.alg": text
+             for seed in (1, 2, 3) for entry, text in inputs.exact_inputs(seed)}
+    for name, (old, new) in FILE_REFUSALS.items():
+        assert old in _HEIS1, old
+        files[f"{name}.alg"] = _HEIS1.replace(old, new)
+    return files
+
+
 def corpus() -> list:
     out = [["sweep", *fmt] for fmt in FORMATS]
     out += [["symbolic", target, *fmt] for target in dga.SYMBOLIC_TARGETS for fmt in FORMATS]
     out += [["qc-report", "--catalog", name, *fmt] for name in CATALOG_NAMES for fmt in FORMATS]
     out += [argv for seed in (1, 2, 3) for *_, argv in inputs.jet_inputs(seed)]
+    for path in input_files():
+        out += [["qc-report", "--file", path, *fmt] for fmt in FORMATS]
+        out.append(["check-algebra", "--file", path])
     return out + REFUSALS
 
 
@@ -77,13 +115,23 @@ def digest(argv: list) -> str:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse: usage errors and --version
             code = exc.code
+        except Exception as exc:  # a traceback: recorded, and the corpus goes on
+            code = f"raised {type(exc).__name__}"
     sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
     return f"{code} {sha[0]} {sha[1]} {' '.join(argv)}"
 
 
 def main() -> int:
-    for argv in corpus():
-        print(digest(argv))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in input_files().items():
+            Path(tmp, name).write_text(text)
+        os.chdir(tmp)
+        try:
+            for argv in corpus():
+                print(digest(argv))
+        finally:
+            os.chdir(home)
     return 0
 
 
