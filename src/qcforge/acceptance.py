@@ -217,8 +217,8 @@ def criterion_12():
 
 
 def criterion_13():
-    """Symbolic suite with the scalar left free: every target reproduces
-    its published coefficient polynomials."""
+    """Symbolic suite with the scalar left free: every target's obstruction
+    is the stated multiple of the governing systems the builds evaluate."""
     bad = [name for name, check in dga.SYMBOLIC_TARGETS.items() if not check()[0]]
     return not bad, (f"symbolic targets off: {bad}" if bad
                      else "symbolic systems reproduce all published coefficients")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import KForm, exterior_d, parse_form, format_form
-from .scalars import InputError, NotQcError, parse_rational
+from .scalars import InputError, NotQcError, parse_rational, shown_digits
 
 
 MAX_DIM = 64
@@ -251,9 +251,8 @@ def _read_int(digits: str, line_no: int) -> int:
     neither overflows int() nor sizes an allocation."""
     value = digits.lstrip("0") or "0"
     if len(value) > len(str(MAX_DIM)) or int(value) > MAX_DIM:
-        shown = digits if len(digits) <= 12 else f"{digits[:6]}...({len(digits)} digits)"
-        raise AlgebraSyntaxError(f"{shown} exceeds the largest frame dimension {MAX_DIM}",
-                                 line_no)
+        raise AlgebraSyntaxError(
+            f"{shown_digits(digits)} exceeds the largest frame dimension {MAX_DIM}", line_no)
     return int(value)
 
 
@@ -403,6 +402,8 @@ def _parse_name(name: str) -> tuple:
         raise UnknownName(f"bad catalog name {name!r}")
     base, arg = m.group(1), m.group(2)
     if base == "heis":
+        if arg and len(arg) > 12:  # refused before int() reads it, and echoed cut
+            raise UnknownName(f"bad catalog name 'heis({shown_digits(arg)})'")
         try:
             return base, int(arg) if arg else 1
         except ValueError:

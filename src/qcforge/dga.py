@@ -17,19 +17,20 @@ The alpha_s carry no differential of their own, so d of a form that
 contains one raises instead of silently inventing it.
 
 Coefficients are polynomials over the rationals in S and function
-symbols whose formal t-derivatives are produced by priming.
+symbols whose formal t-derivatives are produced by priming.  The 2-form
+triple, its 4-form and the systems each target compares with are those
+of :mod:`qcforge.ansatz`, the ones the builds evaluate.
 """
 
 from __future__ import annotations
 
+from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm, _accumulate, _sort_indices, exterior_d
 from .poly import Poly, _as_poly
 
 DIM = 11
 _DT = 11
 _ALPHAS = frozenset((8, 9, 10))
-
-_CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 # symbols without a formal t-derivative
 _CONSTANTS = {"S", "a", "a1", "a2", "a3", "C"}
@@ -55,6 +56,7 @@ def sym(name: str) -> Poly:
 
 
 _S = sym("S")
+_S_ZERO = {"S": Poly.const(0)}
 
 
 def _prime(sym: str):
@@ -63,13 +65,18 @@ def _prime(sym: str):
     return Poly.symbol(sym + "'")
 
 
+def _time_d(c: Poly) -> Poly:
+    """The formal t-derivative c' of a polynomial coefficient."""
+    return c.derive(_prime)
+
+
 def _time_derivative(c) -> KForm:
     """dc = c' dt; a rational coefficient is constant."""
-    return KForm(DIM, 1, {(_DT,): c.derive(_prime) if isinstance(c, Poly) else 0})
+    return KForm(DIM, 1, {(_DT,): _time_d(c) if isinstance(c, Poly) else 0})
 
 
 def _d_eta(i: int) -> KForm:
-    j, k = _CYCLIC[i]
+    _, j, k = _CYCLIC[i - 1]
     return (2 * OMEGA[i - 1]
             - ETA[j - 1].wedge(ALPHA[k - 1])
             + ETA[k - 1].wedge(ALPHA[j - 1])
@@ -128,7 +135,7 @@ def specialize_diagonal(x: KForm) -> KForm:
 
 def _omega_eta_eta(i: int) -> KForm:
     """omega_i eta_j eta_k, (i, j, k) cyclic."""
-    j, k = _CYCLIC[i]
+    _, j, k = _CYCLIC[i - 1]
     return OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
 
 
@@ -143,30 +150,6 @@ def verify_closedqc() -> KForm:
     return dga_d(closedqc_combination(), with_time=False)
 
 
-def _triaxial_triple(kind: str, f: Poly, fs: list) -> list:
-    """The evolved 2-form triple with vertical coefficients ``fs``; the
-    diagonal families pass [h, h, h]."""
-    forms = []
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
-        eta_jk = (fs[j - 1] * fs[k - 1]) * ETA[j - 1].wedge(ETA[k - 1])
-        eta_dt = fs[i - 1] * ETA[i - 1].wedge(DT)
-        if kind == "qk":
-            forms.append(f * OMEGA[i - 1] + eta_jk - eta_dt)
-        else:
-            sign = 1 if i == 3 else -1
-            forms.append(f * OMEGA[i - 1] + sign * (eta_jk + eta_dt))
-    return forms
-
-
-def _four_form(forms: list, signs=(1, 1, 1)) -> KForm:
-    """sum_i signs[i] F_i ^ F_i."""
-    total = KForm(DIM, 4)
-    for s, fo in zip(signs, forms):
-        total = total + s * fo.wedge(fo)
-    return total
-
-
 def _extract_system(x: KForm, with_dt: bool = True):
     """Coefficients of V and of each omega_i eta_j eta_k (times dt when
     ``with_dt``) in a closedness obstruction.  The obstruction must equal
@@ -178,8 +161,7 @@ def _extract_system(x: KForm, with_dt: bool = True):
     c_v = _as_poly(x.coeff(1, 2, 3, 4, *tail)) / 2  # V = 2 h1 h2 h3 h4
     rebuilt = c_v * VOL
     mixed = []
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    for i, j, k in _CYCLIC:
         # omega_i carries h1 h_{i+1} with coefficient 1
         mixed.append(_as_poly(x.coeff(1, 1 + i, 4 + j, 4 + k, *tail)))
         rebuilt = rebuilt + mixed[-1] * _omega_eta_eta(i)
@@ -190,43 +172,35 @@ def _extract_system(x: KForm, with_dt: bool = True):
     return c_v, mixed
 
 
-def verify_qk_closure() -> dict:
-    """Closedness obstruction of the diagonal quaternion-type 4-form.
-
-    Returns the general-h coefficient polynomials and the factored single
-    coefficient left after the substitution h = f'/2.
-    """
+def _verify_closure(kind: str, system: str, scale: int) -> dict:
+    """Closedness obstruction of the diagonal 4-form of ``kind``: the
+    coefficient of V dt over ``scale``, the mixed coefficient, and both
+    once h is substituted from the second equation of the diagonal
+    ``system`` (h = f'/2 or h = f'/6)."""
     f, h = sym("f"), sym("h")
-    dphi = dga_d(_four_form(_triaxial_triple("qk", f, [h, h, h])))
+    dphi = dga_d(four_form(kind, triple(kind, f, [h, h, h], OMEGA, ETA, DT)))
     c_v, mixed = _extract_system(dphi)
     if not (mixed[0] == mixed[1] == mixed[2]):
         raise AssertionError("mixed coefficients differ between components")
-    half_fp = {"h": Poly.symbol("f'") / 2, "h'": Poly.symbol("f''") / 2}
+    h_fixed = h - SYSTEMS[system](f, [h, h, h], _time_d, _S)[1]
+    sub = {"h": h_fixed, "h'": _time_d(h_fixed)}
     return {
-        "omega_omega_dt": c_v / 3,
+        "omega_omega_dt": c_v / scale,
         "mixed": mixed[0],
-        "omega_omega_dt_sub": (c_v / 3).subs(half_fp),
-        "factored": mixed[0].subs(half_fp),
+        "omega_omega_dt_sub": (c_v / scale).subs(sub),
+        "factored": mixed[0].subs(sub),
         "dphi": dphi,
     }
 
 
+def verify_qk_closure() -> dict:
+    """The closure obstruction of the diagonal quaternion-type 4-form."""
+    return _verify_closure("qk", "solqk7", 3)
+
+
 def verify_spin7_closure() -> dict:
-    """Closedness obstruction of the diagonal self-dual 4-form, with the
-    reduction forced by h = f'/6."""
-    f, h = sym("f"), sym("h")
-    dpsi = dga_d(_four_form(_triaxial_triple("spin7", f, [h, h, h]), (1, 1, -1)))
-    c_v, mixed = _extract_system(dpsi)
-    if not (mixed[0] == mixed[1] == mixed[2]):
-        raise AssertionError("mixed coefficients differ between components")
-    sixth_fp = {"h": Poly.symbol("f'") / 6, "h'": Poly.symbol("f''") / 6}
-    return {
-        "omega_omega_dt": c_v,
-        "mixed": mixed[0],
-        "omega_omega_dt_sub": c_v.subs(sixth_fp),
-        "factored": mixed[0].subs(sixth_fp),
-        "dpsi": dpsi,
-    }
+    """The closure obstruction of the diagonal self-dual 4-form."""
+    return _verify_closure("spin7", "sol7", 1)
 
 
 def verify_triaxial_systems() -> dict:
@@ -235,25 +209,21 @@ def verify_triaxial_systems() -> dict:
     differentiating; the scalar stays symbolic except where stated)."""
     f = sym("f")
     fs = [sym("f1"), sym("f2"), sym("f3")]
-    prod = fs[0] * fs[1] * fs[2]
-    fsum = fs[0] + fs[1] + fs[2]
 
     # quaternion-type 4-form, S symbolic; the specialization is applied
     # after differentiating since the generic rules reintroduce alphas
-    forms = _triaxial_triple("qk", f, fs)
-    qk_first, qk_rows = _extract_system(specialize_diagonal(dga_d(_four_form(forms))))
+    forms = triple("qk", f, fs, OMEGA, ETA, DT)
+    qk_first, qk_rows = _extract_system(specialize_diagonal(dga_d(four_form("qk", forms))))
 
     # self-dual 4-form at S = 0
-    s_zero = {"S": Poly.const(0)}
-    psi = _four_form(_triaxial_triple("spin7", f, fs), (1, 1, -1))
-    dpsi = specialize_diagonal(dga_d(psi)).map_coefficients(lambda c: _as_poly(c).subs(s_zero))
+    psi = four_form("spin7", triple("spin7", f, fs, OMEGA, ETA, DT))
+    dpsi = specialize_diagonal(dga_d(psi)).map_coefficients(lambda c: _as_poly(c).subs(_S_ZERO))
     c_v7, mixed7 = _extract_system(dpsi)
 
     # differential-ideal relations: reduce f^2 dF_i modulo the triple
     ideal_rows = []
-    dfp = f.derive(_prime)
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    dfp = _time_d(f)
+    for i, j, k in _CYCLIC:
         fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
         reduced = (f * f) * specialize_diagonal(dga_d(forms[i - 1]))
         reduced = reduced - (f * (2 * fj * fk - _S * f)) * ETA[k - 1].wedge(forms[j - 1])
@@ -264,14 +234,12 @@ def verify_triaxial_systems() -> dict:
             raise AssertionError(f"ideal reduction left extra monomials: {reduced}")
         ideal_rows.append(coeff)  # equals f * (relation for component i)
 
-    # the expected polynomials are in _target_triaxial below
     return {
         "qk_first": qk_first,
         "qk_rows": qk_rows,
         "spin7_first": c_v7,
         "spin7_rows": mixed7,
         "ideal_rows": ideal_rows,  # f times the relation of each component
-        "f": f, "fs": fs, "prod": prod, "fsum": fsum,
     }
 
 
@@ -280,7 +248,7 @@ def verify_hypo_evolution() -> dict:
     the closedness obstruction of the diagonal quaternion-type family."""
     f, h = sym("f"), sym("h")
     omega_q = (3 * f * f) * VOL + (2 * f * h * h) * closedqc_combination()
-    lhs = omega_q.map_coefficients(lambda c: c.derive(_prime))
+    lhs = omega_q.map_coefficients(_time_d)
 
     flux = (6 * h * h * h) * ETA[0].wedge(ETA[1]).wedge(ETA[2])
     for i in (1, 2, 3):
@@ -291,10 +259,15 @@ def verify_hypo_evolution() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The published coefficient systems, one check per symbolic target
+# The symbolic targets: each obstruction is a stated multiple of a system
 # ---------------------------------------------------------------------------
 
-_F, _H, _FP, _FPP, _HP = (sym(n) for n in ("f", "h", "f'", "f''", "h'"))
+_F, _H, _FP = sym("f"), sym("h"), sym("f'")
+_FS = [sym("f1"), sym("f2"), sym("f3")]
+
+
+def _systems(names, f, fs) -> list:
+    return [SYSTEMS[name](f, fs, _time_d, _S) for name in names]
 
 
 def _closure_results(r: dict) -> dict:
@@ -309,47 +282,35 @@ def _target_closedqc():
 
 def _target_qk_closure():
     r = verify_qk_closure()
-    ok = (r["omega_omega_dt"] == 2 * _F * _FP - 4 * _F * _H
-          and r["mixed"] == (2 * (_FP * _H * _H + 2 * _F * _H * _HP)
-                             + 2 * _S * _F * _H - 12 * _H**3)
+    diagonal, triaxial = _systems(("solqk7", "erealqk"), _F, [_H] * 3)
+    ok = (r["omega_omega_dt"] == -4 * _F * diagonal[1]
+          and r["mixed"] == 2 * triaxial[1]
           and r["omega_omega_dt_sub"].is_zero()
-          and r["factored"] == _FP * (_F * _FPP - _FP * _FP + _S * _F))
+          and r["factored"] == _FP * diagonal[0])
     return ok, _closure_results(r)
 
 
 def _target_spin7_closure():
     r = verify_spin7_closure()
-    ok = (r["omega_omega_dt"] == 2 * _F * _FP - 12 * _F * _H
-          and r["mixed"] == -(2 * (_FP * _H * _H + 2 * _F * _H * _HP)
-                              - 2 * _S * _F * _H - 4 * _H**3)
+    diagonal, qk, spin7 = _systems(("sol7", "erealqk", "ereal7"), _F, [_H] * 3)
+    # ereal7 is the system at S = 0; the S-terms are those of the
+    # quaternion-type obstruction
+    s_terms = 2 * (qk[1] - qk[1].subs(_S_ZERO))
+    ok = (r["omega_omega_dt"] == -12 * _F * diagonal[1]
+          and r["mixed"] == s_terms - 2 * spin7[1]
           and r["omega_omega_dt_sub"].is_zero()
-          and (-27) * r["factored"] == _FP * (3 * _F * _FPP + _FP * _FP - 9 * _S * _F))
+          and -27 * r["factored"] == _FP * diagonal[0])
     return ok, _closure_results(r)
 
 
 def _target_triaxial():
     t = verify_triaxial_systems()
-    f, fs, prod, fsum = t["f"], t["fs"], t["prod"], t["fsum"]
-    ok = (t["qk_first"] == 2 * f * (3 * _FP - 2 * fsum)
-          and t["spin7_first"] == 2 * f * (_FP - 2 * fsum))
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
-        fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
-        fjp, fkp = sym(f"f{j}'"), sym(f"f{k}'")
-        d_ffjfk = _FP * fj * fk + f * fjp * fk + f * fj * fkp
-        rel = (f * (fjp * fk + fj * fkp) - _FP * fj * fk + 2 * prod
-               - 2 * fj * fk * (fj + fk) + _S * f * (fj + fk) - _S * f * fi)
-        ok = (ok and t["qk_rows"][i - 1] == 2 * (d_ffjfk - _S * f * (fi - fj - fk) - 6 * prod)
-              and t["spin7_rows"][i - 1] == -2 * (d_ffjfk - 2 * prod)
-              and t["ideal_rows"][i - 1] == f * rel)
-    results = {
-        "qk_first": str(t["qk_first"]),
-        "qk_rows": [str(p) for p in t["qk_rows"]],
-        "spin7_first": str(t["spin7_first"]),
-        "spin7_rows": [str(p) for p in t["spin7_rows"]],
-        "ideal_rows": [str(p) for p in t["ideal_rows"]],
-    }
-    return ok, results
+    qk, spin7, ideal = _systems(("erealqk", "ereal7", "clideal"), _F, _FS)
+    ok = (t["qk_first"] == 2 * _F * qk[0] and t["spin7_first"] == 2 * _F * spin7[0]
+          and all(t["qk_rows"][i] == 2 * qk[i + 1] and t["spin7_rows"][i] == -2 * spin7[i + 1]
+                  and t["ideal_rows"][i] == _F * ideal[i] for i in range(3)))
+    return ok, {key: str(value) if key.endswith("_first") else [str(p) for p in value]
+                for key, value in t.items()}
 
 
 def _target_hypo_evolution():
@@ -361,7 +322,7 @@ def _target_hypo_evolution():
 
 
 # target name -> check returning (ok, printable results); each check calls
-# its verify_* function and compares against the published polynomials
+# its verify_* function and compares it with the systems of the ansatz
 SYMBOLIC_TARGETS = {
     "closedqc": _target_closedqc,
     "qk-closure": _target_qk_closure,

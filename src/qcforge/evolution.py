@@ -12,6 +12,8 @@ coordinate x, written as Python functions from the jet of x to a jet,
 together with the factor w = dt/dx relating x to the arc-length
 parameter t in which the ansatz
 ``F_i = f omega_i + h_j h_k eta_j ^ eta_k - h_i eta_i ^ dt`` is written.
+The triple, its 4-form and the governing systems are those of
+:mod:`qcforge.ansatz`, evaluated on jets with dt = w dx.
 
 One builder, :func:`build_triaxial`, evolves every family: a diagonal
 family's one vertical coefficient h stands for all three.  It evaluates
@@ -40,11 +42,11 @@ import numpy as np
 
 from . import qc
 from .algebra import QcFrameSpec
+from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
 from .scalars import DomainError, InputError, Jet, NotQcError, worst_abs
 
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
 TOL_RICCI = 1e-8
 
@@ -98,31 +100,11 @@ def _jet_or_raise(funcs: dict, xs: np.ndarray) -> dict:
     return jets
 
 
-def _form_triple(spec: QcFrameSpec, fj: Jet, hs: list, w: Jet, kind: str) -> list:
-    """The three 2-forms of the evolved structure at the samples.
-
-    ``hs`` holds the jets of the three vertical coefficient functions;
-    for ``kind=='qk'`` the triple is
-    F_i = f w_i + h_j h_k eta_j^eta_k - h_i w eta_i^dx, while
-    ``kind=='spin7'`` flips the pattern on the third member.
-    """
-    dim_ext = spec.dim + 1
-    v = spec.vertical
-    out = []
-    for i, j, k in _CYCLIC:
-        omega = fj * _extend(spec.omega[i - 1], dim_ext)
-        etas = KForm.basis(dim_ext, v[j - 1], v[k - 1])
-        etadx = KForm.basis(dim_ext, v[i - 1], dim_ext)
-        if kind == "qk":
-            form = omega + (hs[j - 1] * hs[k - 1]) * etas - (hs[i - 1] * w) * etadx
-        elif kind == "spin7":
-            sign = 1.0 if i == 3 else -1.0
-            form = omega + (hs[j - 1] * hs[k - 1] * sign) * etas \
-                + (hs[i - 1] * w * sign) * etadx
-        else:
-            raise ValueError(f"unknown form pattern {kind!r}")
-        out.append(form)
-    return out
+def _extended_frame(spec: QcFrameSpec) -> tuple:
+    """The base's omega_s and eta_s over the extended frame, and dx."""
+    n = spec.dim + 1
+    return ([_extend(o, n) for o in spec.omega], [KForm.basis(n, a) for a in spec.vertical],
+            KForm.basis(n, n))
 
 
 def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
@@ -248,15 +230,10 @@ def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
     # Ricci first: its curvature forms are the largest objects of a build,
     # so none of the forms below should be alive beside them
     ricci = _ricci_fields(spec, fj, hs, wj, keep)
-    forms = _form_triple(spec, fj, hs, wj, kind)
+    omegas, etas, dx = _extended_frame(spec)
+    forms = triple(kind, fj, hs, omegas, etas, wj * dx)
     dforms = [extended_d(base, fo) for fo in forms]
-    if kind == "qk":
-        phi = KForm(dim_ext, 4)
-        for fo in forms:
-            phi = phi + fo.wedge(fo)
-    else:
-        phi = forms[0].wedge(forms[0]) + forms[1].wedge(forms[1]) \
-            - forms[2].wedge(forms[2])
+    phi = four_form(kind, forms)
     out = {
         "dform_residual": extended_d(base, phi).max_abs(),
         "ideal_residual": _ideal_residual(forms, dforms, dim_ext, len(xs)),
@@ -265,8 +242,8 @@ def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
     }
 
     if kind == "spin7":
-        g2, star_g2 = _g2_pair(spec, fj, hs, dim_ext)
-        two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(KForm.basis(dim_ext, dim_ext))
+        g2, star_g2 = _g2_pair(fj, hs, omegas, etas)
+        two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(dx)
         out["psi_consistency"] = (phi - two_star).max_abs()
         cocal = extended_d(base, star_g2)
         # cocalibration: the base part of d(*phi) at the frozen sample
@@ -303,17 +280,15 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
     }
 
 
-def _g2_pair(spec: QcFrameSpec, fj: Jet, hs, dim_ext: int):
+def _g2_pair(fj: Jet, hs, omegas, etas):
     """The 3-form and its dual 4-form of the evolved structure."""
-    v = spec.vertical
-    g2 = KForm(dim_ext, 3)
-    star = (0.5 * fj * fj) * _extend(spec.omega[0].wedge(spec.omega[0]), dim_ext)
+    g2 = KForm(omegas[0].dim, 3)
+    star = (0.5 * fj * fj) * omegas[0].wedge(omegas[0])
     for i, j, k in _CYCLIC:
-        g2 = g2 + (fj * hs[i - 1]) * _extend(spec.omega[i - 1], dim_ext).wedge(
-            KForm.basis(dim_ext, v[i - 1]))
-        star = star - (fj * hs[j - 1] * hs[k - 1]) * _extend(spec.omega[i - 1], dim_ext).wedge(
-            KForm.basis(dim_ext, v[j - 1], v[k - 1]))
-    g2 = g2 - (hs[0] * hs[1] * hs[2]) * KForm.basis(dim_ext, v[0], v[1], v[2])
+        g2 = g2 + (fj * hs[i - 1]) * omegas[i - 1].wedge(etas[i - 1])
+        star = star - (fj * hs[j - 1] * hs[k - 1]) * omegas[i - 1].wedge(
+            etas[j - 1].wedge(etas[k - 1]))
+    g2 = g2 - (hs[0] * hs[1] * hs[2]) * etas[0].wedge(etas[1]).wedge(etas[2])
     return g2, star
 
 
@@ -327,71 +302,19 @@ def _axes(funcs: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _dt(j: Jet, w: Jet) -> Jet:
-    """Derivative with respect to the arc parameter t, given dt/dx = w."""
-    return j.derivative() / w
-
-
-ODE_SYSTEMS = ("solqk7", "sol7", "erealqk", "ereal7", "clideal", "ideal_sys")
-
-
 @np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
 def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
-    """Max absolute residual of the named governing system on the samples.
-
-    ``funcs`` maps keys to coefficient functions: diagonal systems need f,
-    h, w; triaxial and ideal systems need f, f1, f2, f3 (or h), w.
-    Derivatives are in the arc parameter t with dt/dx = w.
-    """
-    if kind not in ODE_SYSTEMS:
+    """Max absolute residual of the system ``kind`` of
+    :data:`~qcforge.ansatz.SYSTEMS` on the samples, for the coefficient
+    functions ``funcs`` (f, w and f1, f2, f3, or h for a diagonal family);
+    derivatives are in the arc parameter t with dt/dx = w."""
+    system = SYSTEMS.get(kind)
+    if system is None:
         raise ValueError(f"unknown system {kind!r}")
-    s_val = float(S)
     jets = _jet_or_raise(funcs, np.asarray(samples, dtype=float))
-    f, w = jets["f"], jets["w"]
-    if kind in ("solqk7", "sol7"):
-        h = jets["h"]
-        df = _dt(f, w)
-        ddf = _dt(df, w)
-        if kind == "solqk7":
-            res = [f * ddf - df * df + s_val * f, h - 0.5 * df]
-        else:
-            res = [3.0 * f * ddf + df * df - 9.0 * s_val * f, h - df * (1.0 / 6.0)]
-        return worst_abs(r.value for r in res)
-    # diagonal families satisfy the triaxial systems with f1 = f2 = f3 = h
-    fs = _axes(jets)
-    df = _dt(f, w)
-    prod = fs[0] * fs[1] * fs[2]
-    res = []
-    if kind == "erealqk":
-        res.append(3.0 * df - 2.0 * (fs[0] + fs[1] + fs[2]))
-        for i, j, k in _CYCLIC:
-            lhs = _dt(f * fs[j - 1] * fs[k - 1], w)
-            lhs = lhs - s_val * f * (fs[i - 1] - fs[j - 1] - fs[k - 1])
-            res.append(lhs - 6.0 * prod)
-    elif kind == "ereal7":
-        res.append(df - 2.0 * (fs[0] + fs[1] + fs[2]))
-        for i, j, k in _CYCLIC:
-            res.append(_dt(f * fs[j - 1] * fs[k - 1], w) - 2.0 * prod)
-    elif kind == "clideal":
-        # differential-ideal condition for the triaxial ansatz
-        for i, j, k in _CYCLIC:
-            fj_, fk_ = fs[j - 1], fs[k - 1]
-            term = f * _dt(fj_ * fk_, w) - df * fj_ * fk_ + 2.0 * prod \
-                - 2.0 * fj_ * fk_ * (fj_ + fk_) \
-                + s_val * f * (fj_ + fk_) - s_val * f * fs[i - 1]
-            res.append(term)
-    elif kind == "ideal_sys":
-        # f_i = exp((u_j + u_k - u_i)/2) and f_i = (Du_j + Du_k)/4
-        # with u_i = ln(f_j f_k)
-        us = []
-        for i, j, k in _CYCLIC:
-            us.append((fs[j - 1] * fs[k - 1]).log())
-        dus = [_dt(u, w) for u in us]
-        for i, j, k in _CYCLIC:
-            res.append(fs[i - 1]
-                       - ((us[j - 1] + us[k - 1] - us[i - 1]) * 0.5).exp())
-            res.append(fs[i - 1] - 0.25 * (dus[j - 1] + dus[k - 1]))
-    return worst_abs(r.value for r in res)
+    w = jets["w"]
+    rows = system(jets["f"], _axes(jets), lambda j: j.derivative() / w, S)
+    return worst_abs(r.value for r in rows)
 
 
 # ---------------------------------------------------------------------------

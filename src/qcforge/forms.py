@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import parse_rational, worst_abs
+from .scalars import parse_rational, shown_digits, worst_abs
 
 
 class FrameMismatch(ValueError):
@@ -333,7 +333,10 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
             i += 1
         indices = []
         while i < len(tokens) and tokens[i].startswith("e"):
-            indices.append(int(tokens[i][1:]))
+            value = tokens[i][1:].lstrip("0") or "0"
+            if len(value) > len(str(dim)):  # refused before int() reads it
+                raise ValueError(f"index e{shown_digits(tokens[i][1:])} out of range for dim {dim}")
+            indices.append(int(value))
             i += 1
             if i < len(tokens) and tokens[i] == "^":
                 i += 1

@@ -59,6 +59,11 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"bad rational literal {text!r}") from exc
 
 
+def shown_digits(digits: str) -> str:
+    """A digit string as a refusal echoes it: whole, or cut past 12 digits."""
+    return digits if len(digits) <= 12 else f"{digits[:6]}...({len(digits)} digits)"
+
+
 def parse_float(text: str) -> float:
     """Parse a float literal; inf and nan parse too."""
     try:

@@ -215,8 +215,11 @@ omega3 = e1^e4 + e2^e3
         assert code == 0
         assert "PASS" in out
 
-    @pytest.mark.parametrize("source", ["catalog", "file"])
-    def test_each_input_is_gated_once(self, tmp_path, capsys, monkeypatch, source):
+    @pytest.mark.parametrize("command,source", [
+        ("qc-report", "catalog"), ("qc-report", "file"),
+        ("check-algebra", "catalog"), ("check-algebra", "file"),
+    ], ids=["catalog", "file", "check-algebra-catalog", "check-algebra-file"])
+    def test_each_input_is_gated_once(self, tmp_path, capsys, monkeypatch, command, source):
         calls = []
         check, validate = algebra.jacobi_check, algebra.QcFrameSpec.validate
 
@@ -237,9 +240,14 @@ omega3 = e1^e4 + e2^e3
             path = tmp_path / "heis1.alg"
             path.write_text(heisenberg_source(1))
             argv = ["--file", str(path)]
-        code, _, _ = run(capsys, "qc-report", *argv)
+        code, _, _ = run(capsys, command, *argv)
         assert code == 0
-        assert sorted(calls) == ["jacobi", "validate"]
+        # check-algebra checks integrability only; a catalog entry is loaded
+        # through the full gate
+        if command == "check-algebra" and source == "file":
+            assert calls == ["jacobi"]
+        else:
+            assert sorted(calls) == ["jacobi", "validate"]
 
 
 _LONG = "1" * 5000  # longer than int() reads from a string
@@ -258,8 +266,9 @@ class TestLiteralLimits:
         ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
         ("horizontal = e1..e4", "horizontal = e1..e1000000000000"),
         ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
+        ("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"),
     ], ids=["long-dim", "huge-dim", "dim-above-limit", "long-index", "long-list",
-            "huge-range", "superscript-digit"])
+            "huge-range", "superscript-digit", "long-form-index"])
     @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
     def test_file_literal_refused(self, tmp_path, capsys, command, old, new):
         assert old in _HEIS1
@@ -278,6 +287,21 @@ class TestLiteralLimits:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert len(err) < 200
+
+    def test_long_form_index_names_the_dimension(self, tmp_path, capsys):
+        path = tmp_path / "literal.alg"
+        path.write_text(_HEIS1.replace("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"))
+        _, _, err = run(capsys, "check-algebra", "--file", str(path))
+        assert err == ("parse error: line 8, column 0: "
+                       "index e111111...(5000 digits) out of range for dim 7\n")
+
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_long_catalog_name_is_echoed_cut(self, capsys, command):
+        code, out, err = run(capsys, command, "--catalog", f"heis({_LONG})")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: bad catalog name 'heis(111111...(5000 digits))'\n"
         assert len(err) < 200
 
     def test_largest_dimension_parses(self):

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qcforge import dga
+from qcforge.ansatz import SYSTEMS
 from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL,
                          UnderdeterminedDifferential, dga_d,
                          specialize_diagonal, sym, verify_closedqc,
                          verify_hypo_evolution, verify_qk_closure,
                          verify_spin7_closure, verify_triaxial_systems)
+from qcforge.evolution import build_family, verdicts
 from qcforge.forms import KForm
 from qcforge.poly import Poly, solve_affine
 
@@ -29,6 +31,45 @@ def d_eta_rule(i):
 def d_squared(form):
     """d(d form) under alpha_s = -S eta_s, specialized after each step."""
     return specialize_diagonal(dga_d(specialize_diagonal(dga_d(form))))
+
+
+def time_d(c):
+    """Formal t-derivative of a polynomial coefficient; S is constant."""
+    return c.derive(lambda name: None if name == "S" else sym(name + "'"))
+
+
+def closure_reference(kind):
+    """The diagonal closure polynomials, written out by hand: the V dt and
+    mixed coefficients, and the mixed one after the h substitution times
+    ``scale``."""
+    f, h = sym("f"), sym("h")
+    fp, fpp, hp, s = sym("f'"), sym("f''"), sym("h'"), sym("S")
+    if kind == "qk":
+        return {"omega_omega_dt": 2 * f * fp - 4 * f * h,
+                "mixed": 2 * fp * h * h + 4 * f * h * hp + 2 * s * f * h - 12 * h**3,
+                "scale": 1, "factored": fp * (f * fpp - fp * fp + s * f)}
+    return {"omega_omega_dt": 2 * f * fp - 12 * f * h,
+            "mixed": -(2 * fp * h * h + 4 * f * h * hp - 2 * s * f * h - 4 * h**3),
+            "scale": -27, "factored": fp * (3 * f * fpp + fp * fp - 9 * s * f)}
+
+
+def triaxial_reference():
+    """The triaxial obstruction polynomials, written out by hand."""
+    f, fp, s = sym("f"), sym("f'"), sym("S")
+    fs = [sym("f1"), sym("f2"), sym("f3")]
+    fsum, prod = fs[0] + fs[1] + fs[2], fs[0] * fs[1] * fs[2]
+    ref = {"qk_first": 2 * f * (3 * fp - 2 * fsum), "spin7_first": 2 * f * (fp - 2 * fsum),
+           "qk_rows": [], "spin7_rows": [], "ideal_rows": []}
+    for i, j, k in _CYCLIC:
+        fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
+        fjp, fkp = sym(f"f{j}'"), sym(f"f{k}'")
+        d_ffjfk = fp * fj * fk + f * fjp * fk + f * fj * fkp
+        ref["qk_rows"].append(2 * (d_ffjfk - s * f * (fi - fj - fk) - 6 * prod))
+        ref["spin7_rows"].append(-2 * (d_ffjfk - 2 * prod))
+        rel = (f * (fjp * fk + fj * fkp) - fp * fj * fk + 2 * prod
+               - 2 * fj * fk * (fj + fk) + s * f * (fj + fk) - s * f * fi)
+        ref["ideal_rows"].append(f * rel)
+    return ref
 
 
 def time_derivative_part(form):
@@ -164,7 +205,7 @@ class TestDifferential:
         qk = verify_qk_closure()
         assert dga_d(qk["dphi"]).is_zero()
         s7 = verify_spin7_closure()
-        assert dga_d(s7["dpsi"]).is_zero()
+        assert dga_d(s7["dphi"]).is_zero()
 
     @pytest.mark.parametrize("target", sorted(dga.SYMBOLIC_TARGETS))
     def test_cached_generator_differentials_stay_unmutated(self, target):
@@ -192,25 +233,18 @@ class TestVerifications:
             want = want + 2 * OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
         assert d == want
 
-    def test_qk_closure_general_coefficients(self):
-        r = verify_qk_closure()
-        f, h = sym("f"), sym("h")
-        fp, hp, s = sym("f'"), sym("h'"), sym("S")
-        assert r["omega_omega_dt"] == 2 * f * fp - 4 * f * h
-        assert r["mixed"] == 2 * fp * h * h + 4 * f * h * hp + 2 * s * f * h - 12 * h**3
+    @staticmethod
+    def check_closure(r, ref):
+        assert r["omega_omega_dt"] == ref["omega_omega_dt"]
+        assert r["mixed"] == ref["mixed"]
         assert r["omega_omega_dt_sub"].is_zero()
-        fpp = sym("f''")
-        assert r["factored"] == fp * (f * fpp - fp * fp + s * f)
+        assert ref["scale"] * r["factored"] == ref["factored"]
+
+    def test_qk_closure_general_coefficients(self):
+        self.check_closure(verify_qk_closure(), closure_reference("qk"))
 
     def test_spin7_closure_general_coefficients(self):
-        r = verify_spin7_closure()
-        f, h = sym("f"), sym("h")
-        fp, hp, s = sym("f'"), sym("h'"), sym("S")
-        assert r["omega_omega_dt"] == 2 * f * fp - 12 * f * h
-        assert r["mixed"] == -(2 * fp * h * h + 4 * f * h * hp - 2 * s * f * h - 4 * h**3)
-        assert r["omega_omega_dt_sub"].is_zero()
-        fpp = sym("f''")
-        assert (-27) * r["factored"] == fp * (3 * f * fpp + fp * fp - 9 * s * f)
+        self.check_closure(verify_spin7_closure(), closure_reference("spin7"))
 
     def test_positive_scalar_specialization(self):
         # S = 2: both reduced closure systems stay polynomial identities
@@ -223,20 +257,26 @@ class TestVerifications:
 
     def test_triaxial_systems(self):
         t = verify_triaxial_systems()
-        f, fp, s = sym("f"), sym("f'"), sym("S")
-        fs = t["fs"]
-        fsum, prod = t["fsum"], t["prod"]
-        assert t["qk_first"] == 2 * f * (3 * fp - 2 * fsum)
-        assert t["spin7_first"] == 2 * f * (fp - 2 * fsum)
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            fi, fj, fk = fs[i - 1], fs[j - 1], fs[k - 1]
-            fjp, fkp = sym(f"f{j}'"), sym(f"f{k}'")
-            d_ffjfk = fp * fj * fk + f * fjp * fk + f * fj * fkp
-            assert t["qk_rows"][i - 1] == 2 * (d_ffjfk - s * f * (fi - fj - fk) - 6 * prod)
-            assert t["spin7_rows"][i - 1] == -2 * (d_ffjfk - 2 * prod)
-            rel = (f * (fjp * fk + fj * fkp) - fp * fj * fk + 2 * prod
-                   - 2 * fj * fk * (fj + fk) + s * f * (fj + fk) - s * f * fi)
-            assert t["ideal_rows"][i - 1] == f * rel
+        ref = triaxial_reference()
+        for key, want in ref.items():
+            assert t[key] == want, key
+
+    @pytest.mark.parametrize("system", ["solqk7", "sol7", "erealqk", "ereal7", "clideal"])
+    def test_systems_table_on_polynomials(self, system):
+        # the table the builds evaluate, on polynomial symbols, times the
+        # stated factors gives the hand-written polynomials above
+        f, fp, h = sym("f"), sym("f'"), sym("h")
+        triaxial = [sym("f1"), sym("f2"), sym("f3")]
+        qk, spin7, ref = closure_reference("qk"), closure_reference("spin7"), triaxial_reference()
+        fs, factors, want = {
+            "solqk7": ([h] * 3, [fp, -4 * f], [qk["factored"], qk["omega_omega_dt"]]),
+            "sol7": ([h] * 3, [fp, -12 * f], [spin7["factored"], spin7["omega_omega_dt"]]),
+            "erealqk": (triaxial, [2 * f, 2, 2, 2], [ref["qk_first"], *ref["qk_rows"]]),
+            "ereal7": (triaxial, [2 * f, -2, -2, -2], [ref["spin7_first"], *ref["spin7_rows"]]),
+            "clideal": (triaxial, [f] * 3, ref["ideal_rows"]),
+        }[system]
+        rows = SYSTEMS[system](f, fs, time_d, sym("S"))
+        assert [c * row for c, row in zip(factors, rows, strict=True)] == want
 
     def test_ideal_relation_vanishes_on_diagonal_solutions(self):
         # with equal vertical coefficients the ideal relation reduces to a
@@ -272,5 +312,19 @@ class TestVerifications:
             dga._extract_system(form)
 
     def test_no_alpha_survives_in_obstructions(self):
-        for form in (verify_qk_closure()["dphi"], verify_spin7_closure()["dpsi"]):
+        for form in (verify_qk_closure()["dphi"], verify_spin7_closure()["dphi"]):
             assert not has_alpha(form)
+
+
+def test_one_table_feeds_the_builds_and_the_symbolic_targets(monkeypatch):
+    # flip the sign of the S f f_i term of each clideal row: the build's
+    # residual and the symbolic target both read the flipped table (at
+    # S = -1/2 on qk-l1; at S = 0 the flip would change nothing)
+    clideal = SYSTEMS["clideal"]
+
+    def flipped(f, fs, dt, S):
+        return [row + 2 * S * f * fi for row, fi in zip(clideal(f, fs, dt, S), fs)]
+
+    monkeypatch.setitem(SYSTEMS, "clideal", flipped)
+    assert dga.SYMBOLIC_TARGETS["triaxial"]()[0] is False
+    assert verdicts("qk-l1", build_family("qk-l1"))["ode_clideal_ok"] is False

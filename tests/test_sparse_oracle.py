@@ -29,7 +29,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcforge import qc
 from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog, form_matrix
-from qcforge.evolution import (FAMILIES, _axes, _coframe, _form_triple, _ideal_matrix,
+from qcforge.ansatz import triple
+from qcforge.evolution import (FAMILIES, _axes, _coframe, _extended_frame, _ideal_matrix,
                                require_einstein_base)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.riemann import (_ordered_sums, cartan_connection, curvature_forms,
@@ -388,7 +389,8 @@ def test_ideal_matrix_matches_wedges(name, kind):
     spec = require_einstein_base(fam.base, fam.S)
     jets = {k: fn(Jet.variable(np.array(fam.default_samples(count=16))))
             for k, fn in fam.functions().items()}
-    forms = _form_triple(spec, jets["f"], _axes(jets), jets["w"], kind)
+    omegas, etas, dx = _extended_frame(spec)
+    forms = triple(kind, jets["f"], _axes(jets), omegas, etas, jets["w"] * dx)
     dim_ext = spec.dim + 1
     have, want = _ideal_matrix(forms, dim_ext, 16), wedge_ideal_matrix(forms, dim_ext, 16)
     cells = [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols, _ in (have, want)]

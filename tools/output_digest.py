@@ -12,13 +12,16 @@ same lines give the same bytes on every argv of the corpus, so comparing a
 change with its parent is one ``diff`` of two digests.
 
 The corpus: ``sweep`` and the five ``symbolic`` targets, in text and json;
-the six ``qc-report --catalog`` entries, in text and json; the ``jet``
-benchmark argv of seeds 1-3, read from ``bench/inputs.py``; ``qc-report
---file`` (text and json) and ``check-algebra --file`` on the ``exact``
-benchmark coframes of seeds 1-3; ``--file`` inputs that break the Jacobi
-identity, the quaternion relations or the Reeb conditions, or carry integer
-literals too large for a frame; and a set of argv that the CLI refuses,
-with one spelled-out catalog name each for ``heis`` and ``l0``.
+the six ``qc-report --catalog`` entries, in text and json, and
+``check-algebra --catalog`` on each; ``build`` at default parameters for
+every family; the ``jet`` benchmark argv of seeds 1-3, read from
+``bench/inputs.py``; ``qc-report --file`` (text and json) and
+``check-algebra --file`` on the ``exact`` benchmark coframes of seeds 1-3;
+``--file`` inputs that break the Jacobi identity, the quaternion relations
+or the Reeb conditions, or carry integer literals too large for a frame (in
+the header, a ``d`` line, an index list or a form literal); and a set of
+argv that the CLI refuses, with one spelled-out catalog name each for
+``heis`` and ``l0`` and one ``heis(n)`` whose n is too long to echo.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
@@ -41,8 +44,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import inputs  # noqa: E402  (bench/inputs.py)
 from qcforge import cli, dga  # noqa: E402
 from qcforge.algebra import CATALOG_NAMES  # noqa: E402
+from qcforge.evolution import FAMILIES  # noqa: E402
 
 FORMATS = (["--format", "text"], ["--format", "json"])
+
+_LONG = "1" * 5000  # longer than int() reads from a string
 
 REFUSALS = [
     [],
@@ -69,11 +75,11 @@ REFUSALS = [
     ["build", "spin7", "--family", "spin7-l1", "--param", "b=-1"],
     ["build", "spin7", "--family", "spin7-triaxial", "--param", "C=0"],
     ["build", "qk", "--family", "qk-3sas", "--samples", "1,1e160"],
+    ["qc-report", "--catalog", f"heis({_LONG})"],
 ]
 
 
 _HEIS1 = inputs.coframe_text("heis1", {a: a for a in range(1, 8)})
-_LONG = "1" * 5000  # longer than int() reads from a string
 
 # name -> (text, old line, new line): heis(1) with one line replaced
 FILE_REFUSALS = {
@@ -83,6 +89,7 @@ FILE_REFUSALS = {
     "long-dim": ("algebra heis1 dim 7", f"algebra heis1 dim {_LONG}"),
     "long-index": ("d e7 = ", f"d e{_LONG} = "),
     "long-list": ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
+    "long-form-index": ("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"),
     "superscript-list": ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
 }
 
@@ -101,6 +108,9 @@ def corpus() -> list:
     out = [["sweep", *fmt] for fmt in FORMATS]
     out += [["symbolic", target, *fmt] for target in dga.SYMBOLIC_TARGETS for fmt in FORMATS]
     out += [["qc-report", "--catalog", name, *fmt] for name in CATALOG_NAMES for fmt in FORMATS]
+    out += [["check-algebra", "--catalog", name] for name in CATALOG_NAMES]
+    out += [["build", "spin7" if fam.kind.startswith("spin7") else "qk", "--family", name]
+            for name, fam in FAMILIES.items()]
     out += [argv for seed in (1, 2, 3) for *_, argv in inputs.jet_inputs(seed)]
     for path in input_files():
         out += [["qc-report", "--file", path, *fmt] for fmt in FORMATS]
