@@ -399,7 +399,7 @@ def _parse_name(name: str) -> tuple:
     a rational (default 1), l1, l2 and l3 nothing (None)."""
     m = _NAME.match(name.strip())
     if not m:
-        raise UnknownName(f"bad catalog name {name!r}")
+        raise UnknownName(f"bad catalog name {shown_digits(name)!r}")
     base, arg = m.group(1), m.group(2)
     if base == "heis":
         if arg and len(arg) > 12:  # refused before int() reads it, and echoed cut
@@ -414,7 +414,7 @@ def _parse_name(name: str) -> tuple:
         if arg:
             raise UnknownName(f"{base} takes no parameter")
         return base, None
-    raise UnknownName(f"unknown catalog name {name!r}")
+    raise UnknownName(f"unknown catalog name {shown_digits(name)!r}")
 
 
 def catalog_entry(name: str) -> str:

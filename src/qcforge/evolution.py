@@ -58,7 +58,8 @@ class NotEinsteinBase(NotQcError):
 def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
     """The catalog coframe ``name`` once its memoized analysis shows it qc
     Einstein with scalar ``S``; the spec is the one analysed, shared by
-    every caller."""
+    every caller.  Families pass their base's own S; it stays an argument
+    for callers that warm bases by (name, scalar), such as the benchmark."""
     rep = qc.catalog_report(name)
     if not rep.einstein:
         raise NotEinsteinBase(f"base {name} has non-vanishing torsion endomorphism")
@@ -331,14 +332,19 @@ class MetricFamily:
     name: str
     kind: str                     # qk | spin7 | qk_triaxial | spin7_triaxial | ideal
     base: str | None
-    S: Fraction | None
     defaults: dict
-    make: callable = field(repr=False)   # params -> {key: function Jet -> Jet}
-    domain: callable = field(repr=False)  # params -> (lo, hi)
+    make: callable = field(repr=False)   # (params, S) -> {key: function Jet -> Jet}
+    domain: callable = field(repr=False)  # (params, S) -> (lo, hi)
     systems: tuple = ()
-    einstein_const: callable | None = field(repr=False, default=None)
+    scalar: Fraction | None = None  # S of a family without a base
     rank_min: int | None = None
     rank_exact: int | None = None
+
+    @property
+    def S(self) -> Fraction:
+        """The scalar of the base's memoized analysis, or the stated scalar
+        of a family without a base."""
+        return self.scalar if self.base is None else qc.catalog_report(self.base).S
 
     def params_with_defaults(self, params=None) -> dict:
         merged = dict(self.defaults)
@@ -350,7 +356,7 @@ class MetricFamily:
         return merged
 
     def functions(self, params=None) -> dict:
-        return self.make(self.params_with_defaults(params))
+        return self.make(self.params_with_defaults(params), self.S)
 
     def refuse(self, params, why: str) -> DomainError:
         """No metric at ``params``: name them, not their values (maybe 400 digits)."""
@@ -358,7 +364,7 @@ class MetricFamily:
         return DomainError(f"{self.name} is undefined for the parameters {names}: {why}")
 
     def default_samples(self, params=None, count: int = 5) -> list:
-        lo, hi = self.domain(self.params_with_defaults(params))
+        lo, hi = self.domain(self.params_with_defaults(params), self.S)
         if not all(isinstance(v, float) and math.isfinite(v) for v in (lo, hi)):
             raise self.refuse(params, "no finite real sample window")
         width = hi - lo
@@ -374,58 +380,74 @@ class MetricFamily:
 # parameter values (a root, a reciprocal) is left to evaluation.
 
 _ONE = Jet.const(1)
-_ROOT2 = Jet.const(2).sqrt()
 
 
-def _fam_qk_heis(params):
+def _fam_qk(params, S):
+    """The quaternionic Kähler family over a base of scalar S.  S = 0:
+    f = e^(2bu), h = b f, w = 1.  S < 0: f = (1 + cosh u)/(2b^2),
+    h = sinh u/(4b sigma), w = sigma/b with sigma = sqrt(1/(-2S)).
+    S > 0: f = u, h = sqrt(S u/2 + a u^2), w = 1/(2h)."""
+    if S > 0:
+        a = Jet.const(params["a"])
+        h = lambda u: (S / 2 * u + a * u.pow(2)).sqrt()
+        return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (2 * h(u))}
     b = Jet.const(params["b"])
-    f = lambda u: (2 * b * u).exp()
-    return {"f": f, "h": lambda u: b * f(u), "w": lambda u: _ONE}
+    if S == 0:
+        f = lambda u: (2 * b * u).exp()
+        return {"f": f, "h": lambda u: b * f(u), "w": lambda u: _ONE}
+    sigma = Jet.const(1 / (-2 * S)).sqrt()
+    return {"f": lambda u: (1 + u.cosh()) / (2 * b * b),
+            "h": lambda u: u.sinh() / (4 * b * sigma),
+            "w": lambda u: sigma / b}
 
 
-def _fam_qk_l(scale):
-    """The families over l1 (``scale`` 1) and l2 (``scale`` sqrt 2)."""
-    def make(params):
+def _qk_window(params, S) -> tuple:
+    return (-0.5, 0.75) if S == 0 else (0.0, 3.0) if S < 0 else (0.0, 2.0)
+
+
+def _qk_einstein(params, n: int, S: Fraction) -> float | None:
+    """The Einstein constant of :func:`_fam_qk` over a base of dimension
+    4n+3: -4(n+3)b^2 at S = 0 and 8Sb^2 at S < 0 with n = 1.  None
+    elsewhere: no value is derived there."""
+    if S == 0:
+        coeff = -4 * (n + 3)
+    elif S < 0 and n == 1:
+        coeff = 8 * S
+    else:
+        return None
+    return float(coeff) * float(params["b"]) ** 2
+
+
+def _fam_spin7(params, S):
+    """The Spin(7) family over a base of scalar S.  S = 0: f = u^3,
+    h = a/(4u), w = 2u^3/a.  Otherwise f = u, h = sqrt(num/(k u^(2/3)))
+    and w = 1/(6h) with k = 10/|S|, where num = b - u^(5/3) at S < 0 and
+    u^(5/3) - a at S > 0."""
+    if S == 0:
+        a = Jet.const(params["a"])
+        return {"f": lambda u: u.pow(3), "h": lambda u: (a / 4) / u,
+                "w": lambda u: (2 / a) * u.pow(3)}
+    k = 10 / abs(S)
+    if S < 0:
         b = Jet.const(params["b"])
-        return {"f": lambda u: (1 + u.cosh()) / (2 * b * b),
-                "h": lambda u: u.sinh() / (4 * b * scale),
-                "w": lambda u: scale / b}
-    return make
-
-
-def _fam_qk_3sas(params):
-    a = Jet.const(params["a"])
-    h = lambda u: (u + a * u.pow(2)).sqrt()
-    return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (2 * h(u))}
-
-
-def _fam_spin7_heis(params):
-    a = Jet.const(params["a"])
-    return {"f": lambda u: u.pow(3), "h": lambda u: (a / 4) / u,
-            "w": lambda u: (2 / a) * u.pow(3)}
-
-
-def _spin7_family(num, k: int) -> dict:
-    """f = u and h = sqrt(num(u) / (k u^(2/3))), the one-parameter Spin(7)
-    families."""
+        num = lambda u: b - u.pow(Fraction(5, 3))
+    else:
+        a = Jet.const(params["a"])
+        num = lambda u: u.pow(Fraction(5, 3)) - a
     h = lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt()
     return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (6 * h(u))}
 
 
-def _fam_spin7_l(k: int):
-    """The families over l1 (``k`` 20) and l2 (``k`` 40)."""
-    def make(params):
-        b = Jet.const(params["b"])
-        return _spin7_family(lambda u: b - u.pow(Fraction(5, 3)), k)
-    return make
+def _spin7_window(params, S) -> tuple:
+    if S == 0:
+        return (0.5, 3.0)
+    if S < 0:
+        return (0.0, float(params["b"]) ** 0.6)
+    lo = float(params["a"]) ** 0.6
+    return (lo, lo + 2.0)
 
 
-def _fam_spin7_3sas(params):
-    a = Jet.const(params["a"])
-    return _spin7_family(lambda u: u.pow(Fraction(5, 3)) - a, 5)
-
-
-def _fam_qk_triaxial(params):
+def _fam_qk_triaxial(params, S):
     a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(6) / c), Jet.const(c / 6)
@@ -440,7 +462,7 @@ def _fam_qk_triaxial(params):
             "w": lambda u: scale.pow(Fraction(3, 2)) * prod(u).pow(Fraction(-1, 3))}
 
 
-def _fam_spin7_triaxial(params):
+def _fam_spin7_triaxial(params, S):
     a1, a2, a3 = (Jet.const(params[k]) for k in ("a1", "a2", "a3"))
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(2) / c), Jet.const(c**3 / 8)
@@ -452,7 +474,7 @@ def _fam_spin7_triaxial(params):
             "w": lambda u: scale.sqrt() * prod(u)}
 
 
-def _fam_ideal(params):
+def _fam_ideal(params, S):
     a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
 
     def axis(i, j, k):
@@ -462,7 +484,7 @@ def _fam_ideal(params):
     return {"f": lambda u: _ONE, **{f"f{i}": axis(i, j, k) for i, j, k in _CYCLIC}, "w": w}
 
 
-def _triaxial_window(params) -> tuple:
+def _triaxial_window(params, S) -> tuple:
     """Connected window where all metric coefficients of the triaxial
     Spin(7) family stay positive: scan the intervals cut by the roots.
 
@@ -509,76 +531,49 @@ def _register(fam: MetricFamily):
     FAMILIES[fam.name] = fam
 
 
-_register(MetricFamily(
-    name="qk-heis", kind="qk", base="heis(1)", S=Fraction(0),
-    defaults={"b": Fraction(1)}, make=_fam_qk_heis,
-    domain=lambda p: (-0.5, 0.75), systems=("solqk7", "clideal"),
-    einstein_const=lambda p: -16.0 * float(p["b"]) ** 2))
+# The theorem's families: the base's scalar picks the branch of the maker
+# and the window, so a row states only what differs by name.
+_QK = {"kind": "qk", "make": _fam_qk, "domain": _qk_window}
+_SPIN7 = {"kind": "spin7", "make": _fam_spin7, "domain": _spin7_window}
+
+_register(MetricFamily(name="qk-heis", base="heis(1)", defaults={"b": Fraction(1)},
+                       systems=("solqk7", "clideal"), **_QK))
+_register(MetricFamily(name="qk-heis2", base="heis(2)", defaults={"b": Fraction(1)},
+                       systems=("solqk7",), **_QK))
+_register(MetricFamily(name="qk-l1", base="l1", defaults={"b": Fraction(1)},
+                       systems=("solqk7", "clideal"), **_QK))
+_register(MetricFamily(name="qk-l2", base="l2", defaults={"b": Fraction(1)},
+                       systems=("solqk7", "clideal"), **_QK))
+_register(MetricFamily(name="qk-3sas", base=None, scalar=Fraction(2),
+                       defaults={"a": Fraction(1)}, systems=("solqk7", "clideal"), **_QK))
 
 _register(MetricFamily(
-    name="qk-heis2", kind="qk", base="heis(2)", S=Fraction(0),
-    defaults={"b": Fraction(1)}, make=_fam_qk_heis,
-    domain=lambda p: (-0.5, 0.75), systems=("solqk7",),
-    einstein_const=lambda p: -20.0 * float(p["b"]) ** 2))
-
-_register(MetricFamily(
-    name="qk-l1", kind="qk", base="l1", S=Fraction(-1, 2),
-    defaults={"b": Fraction(1)}, make=_fam_qk_l(1),
-    domain=lambda p: (0.0, 3.0), systems=("solqk7", "clideal"),
-    einstein_const=lambda p: -4.0 * float(p["b"]) ** 2))
-
-_register(MetricFamily(
-    name="qk-l2", kind="qk", base="l2", S=Fraction(-1, 4),
-    defaults={"b": Fraction(1)}, make=_fam_qk_l(_ROOT2),
-    domain=lambda p: (0.0, 3.0), systems=("solqk7", "clideal"),
-    einstein_const=lambda p: -2.0 * float(p["b"]) ** 2))
-
-_register(MetricFamily(
-    name="qk-3sas", kind="qk", base=None, S=Fraction(2),
-    defaults={"a": Fraction(1)}, make=_fam_qk_3sas,
-    domain=lambda p: (0.0, 2.0), systems=("solqk7", "clideal")))
-
-_register(MetricFamily(
-    name="qk-triaxial", kind="qk_triaxial", base="heis(1)", S=Fraction(0),
+    name="qk-triaxial", kind="qk_triaxial", base="heis(1)",
     defaults={"a1": Fraction(0), "a2": Fraction(1), "a3": Fraction(2), "C": Fraction(1)},
     make=_fam_qk_triaxial,
-    domain=lambda p: (float(-min(p["a1"], p["a2"], p["a3"])),
-                      float(-min(p["a1"], p["a2"], p["a3"])) + 3.0),
+    domain=lambda p, S: (float(-min(p["a1"], p["a2"], p["a3"])),
+                         float(-min(p["a1"], p["a2"], p["a3"])) + 3.0),
     systems=("erealqk",)))
 
 _register(MetricFamily(
-    name="ideal-family", kind="ideal", base="heis(1)", S=Fraction(0),
+    name="ideal-family", kind="ideal", base="heis(1)",
     defaults={"a1": Fraction(1), "a2": Fraction(2), "a3": Fraction(3)},
     make=_fam_ideal,
-    domain=lambda p: (float(min(p["a1"], p["a2"], p["a3"])) - 2.0,
-                      float(min(p["a1"], p["a2"], p["a3"]))),
+    domain=lambda p, S: (float(min(p["a1"], p["a2"], p["a3"])) - 2.0,
+                         float(min(p["a1"], p["a2"], p["a3"]))),
     systems=("ideal_sys", "clideal")))
 
-_register(MetricFamily(
-    name="spin7-heis", kind="spin7", base="heis(1)", S=Fraction(0),
-    defaults={"a": Fraction(1)}, make=_fam_spin7_heis,
-    domain=lambda p: (0.5, 3.0), systems=("sol7",)))
+_register(MetricFamily(name="spin7-heis", base="heis(1)", defaults={"a": Fraction(1)},
+                       systems=("sol7",), **_SPIN7))
+_register(MetricFamily(name="spin7-l1", base="l1", defaults={"b": Fraction(2)},
+                       systems=("sol7",), rank_min=16, **_SPIN7))
+_register(MetricFamily(name="spin7-l2", base="l2", defaults={"b": Fraction(2)},
+                       systems=("sol7",), rank_min=16, rank_exact=21, **_SPIN7))
+_register(MetricFamily(name="spin7-3sas", base=None, scalar=Fraction(2),
+                       defaults={"a": Fraction(1)}, systems=("sol7",), **_SPIN7))
 
 _register(MetricFamily(
-    name="spin7-l1", kind="spin7", base="l1", S=Fraction(-1, 2),
-    defaults={"b": Fraction(2)}, make=_fam_spin7_l(20),
-    domain=lambda p: (0.0, float(p["b"]) ** 0.6), systems=("sol7",),
-    rank_min=16))
-
-_register(MetricFamily(
-    name="spin7-l2", kind="spin7", base="l2", S=Fraction(-1, 4),
-    defaults={"b": Fraction(2)}, make=_fam_spin7_l(40),
-    domain=lambda p: (0.0, float(p["b"]) ** 0.6), systems=("sol7",),
-    rank_min=16, rank_exact=21))
-
-_register(MetricFamily(
-    name="spin7-3sas", kind="spin7", base=None, S=Fraction(2),
-    defaults={"a": Fraction(1)}, make=_fam_spin7_3sas,
-    domain=lambda p: (float(p["a"]) ** 0.6, float(p["a"]) ** 0.6 + 2.0),
-    systems=("sol7",)))
-
-_register(MetricFamily(
-    name="spin7-triaxial", kind="spin7_triaxial", base="heis(1)", S=Fraction(0),
+    name="spin7-triaxial", kind="spin7_triaxial", base="heis(1)",
     defaults={"a1": Fraction(1), "a2": Fraction(11, 10), "a3": Fraction(-1), "C": Fraction(1)},
     make=_fam_spin7_triaxial, domain=_triaxial_window, systems=("ereal7",)))
 
@@ -608,6 +603,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
     if fam is None:
         raise KeyError(f"unknown family {name!r}")
     p = fam.params_with_defaults(params)
+    S = fam.S
+    spec = None if fam.base is None else require_einstein_base(fam.base, S)
     try:
         funcs = fam.functions(params)
         pts = list(samples) if samples else fam.default_samples(params)
@@ -627,13 +624,12 @@ def build_family(name: str, params=None, samples=None) -> dict:
     }
     for system in fam.systems:
         result["ode_residuals"][system] = _blame_sample(
-            lambda xs: ode_residual(system, funcs, fam.S, xs), pts)
+            lambda xs: ode_residual(system, funcs, S, xs), pts)
 
-    if fam.base is None:
+    if spec is None:
         result["kind"] = "ode-only"
         return result
 
-    spec = require_einstein_base(fam.base, fam.S)
     pattern = "spin7" if fam.kind.startswith("spin7") else "qk"
     built = _blame_sample(
         lambda xs: build_triaxial(spec, funcs, xs, pattern), pts)
@@ -642,8 +638,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
                           f"(a vertical coefficient vanishes at each of {pts})")
     result["kind"] = "qk_triaxial" if fam.kind == "ideal" else fam.kind
     result.update(built)
-    if fam.einstein_const is not None:
-        result["einstein_expected"] = fam.einstein_const(p)
+    if fam.kind == "qk" and (expected := _qk_einstein(p, spec.n, S)) is not None:
+        result["einstein_expected"] = expected
     if fam.rank_min is not None:
         result["rank_min_expected"] = fam.rank_min
     if fam.rank_exact is not None:

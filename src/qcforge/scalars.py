@@ -56,12 +56,13 @@ def parse_rational(text: str) -> Fraction:
         str(q)
         return q
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {text!r}") from exc
+        raise InputError(f"bad rational literal {shown_digits(text)!r}") from exc
 
 
 def shown_digits(digits: str) -> str:
-    """A digit string as a refusal echoes it: whole, or cut past 12 digits."""
-    return digits if len(digits) <= 12 else f"{digits[:6]}...({len(digits)} digits)"
+    """A literal as a refusal echoes it: whole, or cut past 12 characters."""
+    unit = "digits" if digits.isdigit() else "characters"
+    return digits if len(digits) <= 12 else f"{digits[:6]}...({len(digits)} {unit})"
 
 
 def parse_float(text: str) -> float:

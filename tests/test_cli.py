@@ -304,6 +304,22 @@ class TestLiteralLimits:
         assert err == "parse error: bad catalog name 'heis(111111...(5000 digits))'\n"
         assert len(err) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ["qc-report", "--catalog", f"l0({_LONG})"],
+        ["build", "qk", "--family", "qk-l1", "--param", f"b={_LONG}"],
+        ["check-algebra", "--file", "coefficient.alg"],
+        ["qc-report", "--catalog", "x" * len(_LONG)],
+    ], ids=["l0-argument", "param", "file-coefficient", "catalog-name"])
+    def test_long_literal_is_echoed_cut(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "coefficient.alg"
+        path.write_text(_HEIS1.replace("d e7 = 2 e1^e4", f"d e7 = {_LONG} e1^e4"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert len(err) < 200
+
     def test_largest_dimension_parses(self):
         alg, _ = algebra.parse_algebra(f"algebra top dim {MAX_DIM}\n")
         assert alg.dim == MAX_DIM

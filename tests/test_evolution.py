@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import math
 import random
@@ -50,6 +51,15 @@ class TestDiagonalBuilds:
             assert r["einstein_deviation"] < 1e-8 * abs(const)
             assert r["curvature_rank"] == 13
             assert r["ideal_residual"] < 1e-8
+        for name, fam in FAMILIES.items():
+            if fam.base is not None:
+                assert fam.S == qc.catalog_report(fam.base).S, name
+        # λ is the exact coefficient times float(b) ** 2, bit for bit
+        for name, const in (("qk-heis", -16.0), ("qk-heis2", -20.0), ("qk-l1", -4.0),
+                            ("qk-l2", -2.0)):
+            for b in (Fraction(1, 2), Fraction(3, 2)):
+                expected = build_family(name, params={"b": b})["einstein_expected"]
+                assert expected == const * float(b) ** 2, (name, b)
 
     def test_qk_heis2_dimension_dependence(self):
         r = build_family("qk-heis2")
@@ -73,6 +83,20 @@ class TestDiagonalBuilds:
     def test_spin7_rank_bounds(self):
         assert build_family("spin7-l1")["curvature_rank"] >= 16
         assert build_family("spin7-l2")["curvature_rank"] == 21
+
+    @pytest.mark.parametrize("family,base,expected,rank", [
+        ("qk-heis", "heis(3)", -24.0, 39),
+        ("qk-heis", "l0(1)", -16.0, 13),
+        ("spin7-heis", "l0(-2/3)", None, 21),
+    ])
+    def test_family_over_an_unlisted_base(self, monkeypatch, family, base, expected, rank):
+        # the branch and the expected constant follow the base's scalar and n
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], base=base))
+        r = build_family(family)
+        assert r.get("einstein_expected") == expected
+        assert r["curvature_rank"] == rank
+        table = verdicts(family, r)
+        assert all(table.values()), table
 
     def test_static_product_trivially_closed(self):
         # constant f with the vertical coefficient shut off: the triple is

@@ -19,9 +19,11 @@ every family; the ``jet`` benchmark argv of seeds 1-3, read from
 ``check-algebra --file`` on the ``exact`` benchmark coframes of seeds 1-3;
 ``--file`` inputs that break the Jacobi identity, the quaternion relations
 or the Reeb conditions, or carry integer literals too large for a frame (in
-the header, a ``d`` line, an index list or a form literal); and a set of
-argv that the CLI refuses, with one spelled-out catalog name each for
-``heis`` and ``l0`` and one ``heis(n)`` whose n is too long to echo.
+the header, a ``d`` line, an index list or a form literal) or a coefficient
+too long to echo; and a set of argv that the CLI refuses, with one
+spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
+argument, an ``l0(c)`` argument, a catalog name and a ``--param`` value
+each too long to echo.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
@@ -76,6 +78,9 @@ REFUSALS = [
     ["build", "spin7", "--family", "spin7-triaxial", "--param", "C=0"],
     ["build", "qk", "--family", "qk-3sas", "--samples", "1,1e160"],
     ["qc-report", "--catalog", f"heis({_LONG})"],
+    ["qc-report", "--catalog", f"l0({_LONG})"],
+    ["qc-report", "--catalog", "x" * len(_LONG)],
+    ["build", "qk", "--family", "qk-l1", "--param", f"b={_LONG}"],
 ]
 
 
@@ -90,6 +95,7 @@ FILE_REFUSALS = {
     "long-index": ("d e7 = ", f"d e{_LONG} = "),
     "long-list": ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
     "long-form-index": ("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"),
+    "long-coefficient": ("d e7 = 2 e1^e4", f"d e7 = {_LONG} e1^e4"),
     "superscript-list": ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
 }
 
