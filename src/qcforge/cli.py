@@ -22,12 +22,14 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from . import __version__, acceptance, dga, qc
 from .algebra import (JacobiReport, catalog, format_algebra, jacobi_check, parse_algebra,
                       require_qc, violation_text)
 from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, verdicts
-from .scalars import DomainError, InputError, NotQcError, parse_float, parse_rational
+from .scalars import (DomainError, InputError, NotQcError, parse_float, parse_rational,
+                      shown_digits)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -109,11 +111,11 @@ def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise InputError(f"--param needs name=value, got {pair!r}")
+            raise InputError(f"--param needs name=value, got {shown_digits(pair)!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
         if key in out:
-            raise InputError(f"--param {key} given more than once")
+            raise InputError(f"--param {shown_digits(key)} given more than once")
         out[key] = parse_rational(value)
     return out
 
@@ -160,7 +162,8 @@ def cmd_qc_report(args) -> int:
 def cmd_build(args) -> int:
     fam = FAMILIES.get(args.family)
     if fam is None:
-        raise InputError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
+        raise InputError(f"unknown family {shown_digits(args.family)!r}; "
+                         f"known: {', '.join(sorted(FAMILIES))}")
     if not (fam.kind.startswith(args.kind) or (args.kind == "qk" and fam.kind == "ideal")):
         raise InputError(f"family {args.family} is not of kind {args.kind}")
     if not (args.tol_residual > 0 and args.tol_ricci > 0):  # NaN is refused too
@@ -196,11 +199,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+# longer than any choice or option name that argparse writes in a message
+_ECHO_WORD = 32
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a message echoing an argument longer than
+    ``_ECHO_WORD`` characters is cut through ``shown_digits`` and written as
+    one line, without the usage.  Subparsers are of this class too."""
+
+    def error(self, message):
+        cut = re.sub(rf"[^\s']{{{_ECHO_WORD + 1},}}", lambda m: shown_digits(m[0]), message)
+        if cut == message:
+            super().error(message)  # the usage, then the message; exits 2
+        self.exit(2, f"{self.prog}: error: {cut}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Each subcommand names
     its handler ``cmd_<command>``, looked up when :func:`main` runs it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcforge",
         description="exact exterior-calculus verification of quaternionic "
                     "contact coframes and their special-holonomy metric families")

@@ -24,7 +24,8 @@ vertical coefficient vanishes is skipped for Ricci and counted, and
 :func:`build_family` raises :class:`DomainError` when the parameters leave
 no finite real window or fail in exact arithmetic, when no sample is
 left, a sample is not finite, or the jet arithmetic breaks down at a
-sample (a guard fails, a value overflows or a solve fails), naming it.
+sample (a guard fails, a value overflows or a factorization fails),
+naming it.
 :func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
 structure equations and the jet derivative times dx.  :func:`verdicts` is
 the one place that turns a build's residuals into pass/fail verdicts.
@@ -45,7 +46,7 @@ from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
-from .scalars import DomainError, InputError, Jet, NotQcError, worst_abs
+from .scalars import DomainError, InputError, Jet, NotQcError, shown_digits, worst_abs
 
 TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
 TOL_RICCI = 1e-8
@@ -185,10 +186,11 @@ def _ideal_matrix(forms: list, dim_ext: int, count: int):
 
 def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
-    multipliers beta_j, maximized over i and the ``count`` samples (one
-    least-squares solve per sample and i), from the values of the forms.
-    Raises OverflowError before the solves when a coefficient is not
-    finite."""
+    multipliers beta_j, maximized over i and the ``count`` samples, from the
+    values of the forms.  One SVD per sample serves the three dF_i: the
+    remainder is b - U U^T b, with U the left singular vectors above the
+    cutoff of ``lstsq(rcond=None)``.  Raises OverflowError before any
+    factorization when a coefficient is not finite."""
     row_of = _wedge_table(dim_ext)[1]
     rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
     b_vec = np.zeros((3, count, len(row_of)))
@@ -197,14 +199,17 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
             b_vec[i, :, row_of[idx]] = value
     if not (np.isfinite(vals).all() and np.isfinite(b_vec).all()):
         raise OverflowError("the forms are not finite")
+    shape = (len(row_of), 3 * dim_ext)
+    cutoff = np.finfo(float).eps * max(shape)
     resids = []
     for s in range(count):
         # one dense matrix at a time: the batch of them outweighs the forms
-        a_mat = np.zeros((len(row_of), 3 * dim_ext))
+        a_mat = np.zeros(shape)
         a_mat[rows, cols] = vals[:, s]
-        for i in range(3):
-            sol, *_ = np.linalg.lstsq(a_mat, b_vec[i, s], rcond=None)
-            resids.append(a_mat @ sol - b_vec[i, s])
+        u, svals, _ = np.linalg.svd(a_mat, full_matrices=False)
+        u = u[:, svals > cutoff * svals[0]]
+        rhs = b_vec[:, s].T
+        resids.append(rhs - u @ (u.T @ rhs))
     return worst_abs(resids)
 
 
@@ -351,7 +356,8 @@ class MetricFamily:
         if params:
             unknown = set(params) - set(self.defaults)
             if unknown:
-                raise InputError(f"unknown parameters for {self.name}: {sorted(unknown)}")
+                names = [shown_digits(k) for k in sorted(unknown)]
+                raise InputError(f"unknown parameters for {self.name}: {names}")
             merged.update({k: Fraction(v) for k, v in params.items()})
         return merged
 

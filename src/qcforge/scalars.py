@@ -70,7 +70,7 @@ def parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise InputError(exc) from exc
+        raise InputError(f"could not convert string to float: {shown_digits(text)!r}") from exc
 
 
 def _each(fn, x):

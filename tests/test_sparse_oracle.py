@@ -18,7 +18,9 @@ structure functions.  It then checks the solution and builds the curvature
 reference carries the full jets through KForm d, wedges and residual sums,
 and reads the values at the end.  The matrix of the differential-ideal
 test is placed from an index table; its reference wedges each form with
-the unit 1-forms.
+the unit 1-forms.  The ideal test takes one SVD per sample for its three
+right-hand sides; its reference is one least-squares solve per sample and
+right-hand side.
 """
 
 from fractions import Fraction
@@ -30,12 +32,13 @@ from hypothesis import example, given, settings, strategies as st
 from qcforge import qc
 from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog, form_matrix
 from qcforge.ansatz import triple
-from qcforge.evolution import (FAMILIES, _axes, _coframe, _extended_frame, _ideal_matrix,
-                               require_einstein_base)
+from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
+                               _ideal_matrix, _ideal_residual, _wedge_table, build_family,
+                               extended_d, require_einstein_base)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.riemann import (_ordered_sums, cartan_connection, curvature_forms,
                              frame_curvature, koszul_levi_civita)
-from qcforge.scalars import Jet
+from qcforge.scalars import Jet, worst_abs
 
 
 def _mul(x, y):
@@ -380,18 +383,26 @@ def wedge_ideal_matrix(forms, dim_ext, count):
     return np.array(rows), np.array(cols), np.array(vals).reshape(len(rows), count)
 
 
+def family_triple(name: str, count: int, kind: str = "") -> tuple:
+    """(forms, dforms, dim_ext): the family's 2-form triple of pattern
+    ``kind`` (by default its own) and its extended differentials at
+    ``count`` default samples."""
+    fam = FAMILIES[name]
+    spec = require_einstein_base(fam.base, fam.S)
+    jets = {k: fn(Jet.variable(np.array(fam.default_samples(count=count))))
+            for k, fn in fam.functions().items()}
+    omegas, etas, dx = _extended_frame(spec)
+    kind = kind or ("spin7" if fam.kind.startswith("spin7") else "qk")
+    forms = triple(kind, jets["f"], _axes(jets), omegas, etas, jets["w"] * dx)
+    return forms, [extended_d(spec.algebra, form) for form in forms], spec.dim + 1
+
+
 @pytest.mark.parametrize("name,kind", [("qk-heis", "qk"), ("spin7-l1", "spin7"),
                                        ("qk-heis2", "qk")])
 def test_ideal_matrix_matches_wedges(name, kind):
     """The index table places the same entries as the wedges with the unit
     1-forms, each value bit for bit, at dimension 8 and 12."""
-    fam = FAMILIES[name]
-    spec = require_einstein_base(fam.base, fam.S)
-    jets = {k: fn(Jet.variable(np.array(fam.default_samples(count=16))))
-            for k, fn in fam.functions().items()}
-    omegas, etas, dx = _extended_frame(spec)
-    forms = triple(kind, jets["f"], _axes(jets), omegas, etas, jets["w"] * dx)
-    dim_ext = spec.dim + 1
+    forms, _, dim_ext = family_triple(name, 16, kind)
     have, want = _ideal_matrix(forms, dim_ext, 16), wedge_ideal_matrix(forms, dim_ext, 16)
     cells = [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols, _ in (have, want)]
     assert cells[0] == cells[1] and len(cells[0]) == len(set(cells[0])) > 0
@@ -401,6 +412,69 @@ def test_ideal_matrix_matches_wedges(name, kind):
         mat[:, rows, cols] = vals.T
         dense.append(_bits(mat))
     assert (dense[0] == dense[1]).all()
+
+
+def lstsq_ideal_residual(forms, dforms, dim_ext, count) -> float:
+    """The ideal test's remainder by one ``lstsq`` per sample and dF_i."""
+    row_of = _wedge_table(dim_ext)[1]
+    rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
+    b_vec = np.zeros((3, count, len(row_of)))
+    for i in range(3):
+        for idx, value in dforms[i].values().terms.items():
+            b_vec[i, :, row_of[idx]] = value
+    resids = []
+    for s in range(count):
+        a_mat = np.zeros((len(row_of), 3 * dim_ext))
+        a_mat[rows, cols] = vals[:, s]
+        for i in range(3):
+            sol, *_ = np.linalg.lstsq(a_mat, b_vec[i, s], rcond=None)
+            resids.append(a_mat @ sol - b_vec[i, s])
+    return worst_abs(resids)
+
+
+def assert_ideal_residuals_match(forms, dforms, dim_ext, count):
+    """For each dF_i alone and for the three together: a remainder that the
+    reference puts within the build tolerance stays within it (the SVD
+    projection leaves no cancellation in A x - b, so it may be smaller);
+    any other agrees with the reference to 1e-12 relative."""
+    for rhs in [[d] * 3 for d in dforms] + [dforms]:
+        have = _ideal_residual(forms, rhs, dim_ext, count)
+        want = lstsq_ideal_residual(forms, rhs, dim_ext, count)
+        if want <= TOL_RESIDUAL:
+            assert have <= TOL_RESIDUAL, (have, want)
+        else:
+            assert have == pytest.approx(want, rel=1e-12), (have, want)
+
+
+@pytest.mark.parametrize("name", BASE_FAMILIES)
+def test_ideal_residual_matches_lstsq(name):
+    assert_ideal_residuals_match(*family_triple(name, 16), 16)
+
+
+@pytest.mark.parametrize("name", BASE_FAMILIES)
+@pytest.mark.parametrize("third", ["F1", "zero"])
+def test_rank_deficient_ideal_residual_matches_lstsq(name, third):
+    """With F_3 replaced by F_1 or by 0, A loses rank: the singular values
+    below the cutoff of ``lstsq`` must not enter the projection."""
+    forms, dforms, dim_ext = family_triple(name, 16)
+    forms[2] = forms[0] if third == "F1" else 0 * forms[0]
+    assert_ideal_residuals_match(forms, dforms, dim_ext, 16)
+
+
+@pytest.mark.parametrize("b,samples", [
+    (2, "-0.305295,-0.295433,-0.248080,-0.166134,-0.088836,-0.049009,-0.039528,0.089170,"
+        "0.128486,0.150606,0.184342,0.248966,0.274218,0.463627,0.504687,0.569108"),
+    (1, "-0.184718,0.048760,0.072637,0.096969,0.257770,0.293800,0.326385,0.340196,"
+        "0.394250,0.470680,0.509201,0.510222,0.514474,0.566804,0.614920,0.617815"),
+    (2, "-0.274274,-0.177274,-0.165986,-0.109687,0.000081,0.003303,0.062508,0.112785,"
+        "0.133374,0.141673,0.261109,0.360943,0.504476,0.538495,0.571254,0.607802"),
+], ids=["seed-1", "seed-2", "seed-3"])
+def test_qk_heis2_ideal_residual_is_roundoff(b, samples):
+    """The benchmark's qk-heis2 builds: dimension 12, 16 samples, where one
+    lstsq per dF_i left 5.9e-11, 4.0e-13 and 3.0e-11 of cancellation in
+    A x - b; the projection leaves 1.8e-12, 4.3e-14 and 1.0e-11."""
+    result = build_family("qk-heis2", {"b": Fraction(b)}, [float(x) for x in samples.split(",")])
+    assert result["ideal_residual"] < TOL_RESIDUAL / 5
 
 
 _SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])

@@ -22,8 +22,9 @@ or the Reeb conditions, or carry integer literals too large for a frame (in
 the header, a ``d`` line, an index list or a form literal) or a coefficient
 too long to echo; and a set of argv that the CLI refuses, with one
 spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
-argument, an ``l0(c)`` argument, a catalog name and a ``--param`` value
-each too long to echo.
+argument, an ``l0(c)`` argument, a catalog name, a ``--param`` value, an
+extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
+``--samples`` point each too long to echo.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
@@ -81,6 +82,11 @@ REFUSALS = [
     ["qc-report", "--catalog", f"l0({_LONG})"],
     ["qc-report", "--catalog", "x" * len(_LONG)],
     ["build", "qk", "--family", "qk-l1", "--param", f"b={_LONG}"],
+    ["qc-report", "--catalog", "l1", "x" * len(_LONG)],
+    ["symbolic", "q" * len(_LONG)],
+    ["build", "qk", "--family", "z" * len(_LONG)],
+    ["build", "qk", "--family", "qk-l1", "--param", "p" * len(_LONG) + "=1"],
+    ["build", "qk", "--family", "qk-l1", "--samples=" + "a" * len(_LONG)],
 ]
 
 
