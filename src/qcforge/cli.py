@@ -162,9 +162,10 @@ def cmd_qc_report(args) -> int:
 def cmd_build(args) -> int:
     fam = FAMILIES.get(args.family)
     if fam is None:
+        known = sorted(name for name, f in FAMILIES.items() if f.pattern == args.kind)
         raise InputError(f"unknown family {shown_digits(args.family)!r}; "
-                         f"known: {', '.join(sorted(FAMILIES))}")
-    if not (fam.kind.startswith(args.kind) or (args.kind == "qk" and fam.kind == "ideal")):
+                         f"known: {', '.join(known)}")
+    if fam.pattern != args.kind:
         raise InputError(f"family {args.family} is not of kind {args.kind}")
     if not (args.tol_residual > 0 and args.tol_ricci > 0):  # NaN is refused too
         raise InputError("tolerances must be positive")

@@ -46,7 +46,8 @@ from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm, exterior_d
 from .riemann import CoframeWithJets, ricci_and_rank
-from .scalars import DomainError, InputError, Jet, NotQcError, shown_digits, worst_abs
+from .scalars import (DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits,
+                      worst_abs)
 
 TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
 TOL_RICCI = 1e-8
@@ -115,11 +116,8 @@ def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
     degenerates there).  An error names the first failing value
     (:func:`build_family` names the sample)."""
     f_vals = np.broadcast_to(fj.value, xs.shape)
-    bad = np.logical_not(f_vals > 0.0)
-    if bad.any():
-        raise DomainError(f"horizontal coefficient not positive: {f_vals[int(np.argmax(bad))]}")
-    if np.any(w.value == 0.0):
-        raise DomainError("dt/dx vanishes")
+    _fail_if(np.logical_not(f_vals > 0.0), f_vals, "horizontal coefficient not positive: {}")
+    _fail_if(np.logical_not(np.abs(w.value) > 0.0), w.value, "dt/dx is not a nonzero number: {}")
     keep = np.ones(xs.shape, dtype=bool)
     for h in hs:
         keep &= h.value != 0.0
@@ -350,6 +348,12 @@ class MetricFamily:
         """The scalar of the base's memoized analysis, or the stated scalar
         of a family without a base."""
         return self.scalar if self.base is None else qc.catalog_report(self.base).S
+
+    @property
+    def pattern(self) -> str:
+        """The 2-form pattern of the metric, qk or spin7, which is also the
+        ``build`` kind that accepts the family."""
+        return "spin7" if self.kind.startswith("spin7") else "qk"
 
     def params_with_defaults(self, params=None) -> dict:
         merged = dict(self.defaults)
@@ -636,9 +640,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
         result["kind"] = "ode-only"
         return result
 
-    pattern = "spin7" if fam.kind.startswith("spin7") else "qk"
     built = _blame_sample(
-        lambda xs: build_triaxial(spec, funcs, xs, pattern), pts)
+        lambda xs: build_triaxial(spec, funcs, xs, fam.pattern), pts)
     if built["einstein_const"] is None:
         raise DomainError(f"every sample of {fam.name} is degenerate "
                           f"(a vertical coefficient vanishes at each of {pts})")

@@ -19,13 +19,12 @@ from fractions import Fraction
 
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
+from .ansatz import _CYCLIC
 from .forms import KForm
 from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
 from .scalars import NotQcError
-
-_CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
 class InconsistentScalar(NotQcError):
@@ -114,12 +113,10 @@ def _alpha_symbolic(spec: QcFrameSpec, detas) -> tuple:
     s_sym = Poly.symbol("S")
     half = Fraction(1, 2)
     cyc_sum = Poly.const(0)
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    for i, j, k in _CYCLIC:
         cyc_sum = cyc_sum + Poly.const(detas[i - 1].coeff(spec.xi(j), spec.xi(k)))
     alphas = []
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    for i, j, k in _CYCLIC:
         terms = {}
         for a in spec.horizontal:
             val = detas[k - 1].coeff(spec.xi(j), a)
@@ -130,8 +127,7 @@ def _alpha_symbolic(spec: QcFrameSpec, detas) -> tuple:
             if val != 0:
                 terms[(a,)] = Poly.const(val)
         for s in (1, 2, 3):
-            js, ks = _CYCLIC[i]
-            val = Poly.const(detas[s - 1].coeff(spec.xi(js), spec.xi(ks)))
+            val = Poly.const(detas[s - 1].coeff(spec.xi(j), spec.xi(k)))
             if s == i:
                 val = val - (half * s_sym + half * cyc_sum)
             if not val.is_zero():
@@ -144,8 +140,7 @@ def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
     """Horizontal Ricci 2-forms: 2 rho_k = d alpha_k + alpha_i ^ alpha_j."""
     alg = spec.algebra
     rhos = []
-    for k in (1, 2, 3):
-        i, j = _CYCLIC[k]
+    for k, i, j in _CYCLIC:
         form = alg.mc_differential(alphas[k - 1]) + alphas[i - 1].wedge(alphas[j - 1])
         rhos.append(Fraction(1, 2) * form.restrict(spec.horizontal))
     return tuple(rhos)
@@ -273,8 +268,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
         txi.append(endo)
 
     tvv = {}
-    for i in (1, 2, 3):
-        j, kk = _CYCLIC[i]
+    for i, j, kk in _CYCLIC:
         comps = [Fraction(0)] * spec.dim
         for a in spec.horizontal:
             comps[a - 1] -= spec.algebra.bracket_coeff(a, spec.xi(i), spec.xi(j))
@@ -338,8 +332,7 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
             raise ConsistencyError(
                 f"connection does not preserve the splitting: Gamma^{c + 1}_{a + 1}{b + 1} != 0")
 
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    for i, j, k in _CYCLIC:
         vi, vj, vk = (spec.vertical[s - 1] for s in (i, j, k))
         for a in range(1, spec.dim + 1):
             aj = sp1.alphas[j - 1].coeff(a)
@@ -462,8 +455,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full=None) -> FundamentalForm
     for s in range(3):
         big = big + omega[s].wedge(omega[s])
     lemma = KForm(spec.dim, 4)
-    for i in (1, 2, 3):
-        j, k = _CYCLIC[i]
+    for i, j, k in _CYCLIC:
         lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
     omega_q = big + 2 * lemma
 
@@ -603,8 +595,7 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     # sp(1) part of the curvature: R(A, B, xi_i, xi_j) = 2 rho_k(A, B); R is
     # antisymmetric in A, B (checked above), so it is compared as a 2-form
     sp1curv_ok = True
-    for k in (1, 2, 3):
-        i, j = _CYCLIC[k]
+    for k, i, j in _CYCLIC:
         vij = (spec.vertical[i - 1] - 1, spec.vertical[j - 1] - 1)
         part = {(a + 1, b + 1): x for (a, b, c, d), x in curv.r.items()
                 if a < b and (c, d) == vij}

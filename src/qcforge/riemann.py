@@ -30,11 +30,12 @@ connection coefficients are the rows of one array, each keyed by its
 index tuple (a, b, k).  Each kind of curvature term (c_k d hat-e^k, the
 slope term, the products of omega^a_c ^ omega^c_b) is formed by one
 gather and multiply over lists of row indices, and :func:`_ordered_sums`
-adds the terms of each coefficient in the order the KForm sums would,
-with their zero-dropping, by rounds of fancy-index adds; so every float
-equals that of the KForm computation bit for bit.  Only the curvature
-coefficients that some term touches are stored, and Ricci and the span
-matrix are read from those rows.  The index bookkeeping is plain Python
+adds the terms of each coefficient, in the order the KForm sums would,
+by one scatter-add (``np.add.at``) into sums that start at -0.0; so
+every float equals that of the KForm computation bit for bit, except
+the sign of a zero left where a partial sum cancels at every sample.
+Only the curvature coefficients that some term touches are stored, and
+Ricci and the span matrix are read from those rows.  The index bookkeeping is plain Python
 over a few thousand tuples per build: numpy's integer sorts and
 comparisons would page in code that costs more resident memory than the
 bookkeeping costs time.
@@ -50,7 +51,7 @@ import numpy as np
 
 from .algebra import FrameAlgebra
 from .forms import KForm
-from .scalars import DomainError, Jet, NotQcError
+from .scalars import DomainError, Jet, NotQcError, _fail_if, worst_abs
 
 
 class NonAntisymmetricTorsion(NotQcError):
@@ -212,12 +213,10 @@ class CoframeWithJets:
         if len(self.scalings) != base.dim:
             raise ValueError("one scaling jet per base coframe element")
         for a, s in enumerate(self.scalings, start=1):
-            bad = np.logical_not(s.value > 0.0)
-            if bad.any():
-                value = s.value[np.argmax(bad)] if bad.ndim else s.value
-                raise SingularCoframe(f"scaling of e{a} is not positive: {value}")
-        if np.any(self.w.value == 0.0):
-            raise SingularCoframe("dx coefficient vanishes")
+            _fail_if(np.logical_not(s.value > 0.0), s.value,
+                     f"scaling of e{a} is not positive: {{}}", SingularCoframe)
+        _fail_if(np.logical_not(np.abs(self.w.value) > 0.0), self.w.value,
+                 "dx coefficient is not a nonzero number: {}", SingularCoframe)
 
     @property
     def dim(self) -> int:
@@ -258,33 +257,15 @@ def _stack(coeffs: list, width: int) -> np.ndarray:
 
 def _ordered_sums(keys: list, values: np.ndarray):
     """Sum the rows of ``values`` that share a key, each key's rows in the
-    order they come, rounding as KForm accumulation does: a sum that is
-    zero at every sample is dropped, and the next row starts it afresh.
+    order they come, by one scatter-add into sums that start at -0.0, so a
+    key's sum has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of
+    its rows, and a key with one row keeps that row's bits.
 
-    Returns the keys, in order of first appearance, and their sums.  A
-    dropped sum reads -0.0 throughout, since -0.0 + x is x bit for bit.
-    Round r adds the r-th row of every key that has one by one fancy-index
-    add, so no sum is reordered."""
-    slot, count, rounds = {}, [], []
-    for step, key in enumerate(keys):
-        row = slot.setdefault(key, len(slot))
-        if row == len(count):
-            count.append(1)
-            r = 0
-        else:
-            r = count[row]
-            count[row] = r + 1
-        if r == len(rounds):
-            rounds.append(([], []))
-        steps, rows = rounds[r]
-        steps.append(step)
-        rows.append(row)
+    Returns the keys, in order of first appearance, and their sums."""
+    slot = {}
+    rows = [slot.setdefault(key, len(slot)) for key in keys]
     sums = np.full((len(slot), values.shape[1]), -0.0)
-    for steps, rows in rounds:
-        total = sums[rows]
-        total += values[steps]
-        total[~total.any(axis=1)] = -0.0
-        sums[rows] = total
+    np.add.at(sums, rows, values)
     return list(slot), sums
 
 
@@ -292,15 +273,6 @@ def _live(keys: list, sums: np.ndarray):
     """The keys and rows of the sums that are nonzero at some sample."""
     live = sums.any(axis=1)
     return [key for key, keep in zip(keys, live.tolist()) if keep], sums[live]
-
-
-def _worst(sums: np.ndarray, groups: list) -> float:
-    """The largest |entry| of the rows, as ``max`` over the groups'
-    :meth:`KForm.max_abs` finds it: a group holding a NaN reads NaN, and
-    ``max`` passes over it."""
-    worst = np.abs(sums).max(axis=1).tolist() if len(sums) else []
-    nan = {g for g, w in zip(groups, worst) if w != w}
-    return max([0.0] + [w for g, w in zip(groups, worst) if g not in nan])
 
 
 def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
@@ -380,16 +352,16 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
         _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
 
     # antisymmetry: c_k of omega^a_b, then that of omega^b_a, per (a, b, k)
-    keys, sums = _ordered_sums(index + [(b, a, k) for a, b, k in index],
-                               np.concatenate([values, values]))
-    anti = _worst(sums, [key[:2] for key in keys])
+    _, sums = _ordered_sums(index + [(b, a, k) for a, b, k in index],
+                            np.concatenate([values, values]))
+    anti = worst_abs([sums])
     # structure equation: d hat-e^a, then omega^a_b ^ hat-e^b for b ascending,
     # the order of ``index``; c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk} for k > b
     wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
     rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
-    keys, sums = _ordered_sums(dhat_index + list(keys),
-                               np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
-    residual = _worst(sums, [key[0] for key in keys])
+    _, sums = _ordered_sums(dhat_index + list(keys),
+                            np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
+    residual = worst_abs([sums])
     return CartanConnection(n, forms, index, values, slope_index,
                             _stack([c.c[1] for c in coeffs], width), dhat_index, dhat_values,
                             batch, residual, anti)
@@ -421,15 +393,12 @@ def _d_terms(conn: CartanConnection):
 
 def _slope_terms(cof: CoframeWithJets, conn: CartanConnection):
     """Keys and values of (1/w) hat-e^n ^ c'_k hat-e^k = -(c'_k / w)
-    hat-e^{kn}, the nonzero ones only, as the KForm wedge keeps them; a 1/w
-    that is zero at every sample is dropped from the KForm, and with it
-    every term."""
+    hat-e^{kn}, k < n, in the order of ``conn.slope_index``; only the terms
+    nonzero at some sample are kept, as the KForm wedge keeps them."""
     n = conn.dim
-    inv_w = 1.0 / cof.w.value
-    live = conn.slopes.any(axis=1).tolist() if np.count_nonzero(inv_w) else []
-    rows = [r for r, keep in enumerate(live) if keep and conn.slope_index[r][2] != n - 1]
+    rows = [r for r, (_, _, k) in enumerate(conn.slope_index) if k != n - 1]
     return _live([conn.slope_index[r] + (n - 1,) for r in rows],
-                 -(inv_w * conn.slopes[rows]))
+                 -((1.0 / cof.w.value) * conn.slopes[rows]))
 
 
 def _wedge_terms(conn: CartanConnection):
@@ -461,9 +430,12 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
     of d taken in jets.
 
     Each kind of term is formed by one gather and multiply over the index
-    lists of ``conn``, and :func:`_ordered_sums` adds the terms of every
-    coefficient in the order of the KForm sum ``exterior_d(omega^a_b) +
-    (1/w) hat-e^n ^ slopes + sum_c omega^a_c ^ omega^c_b``."""
+    lists of ``conn``, and one scatter-add in :func:`_ordered_sums` adds
+    the terms of every coefficient in the order of the KForm sum
+    ``exterior_d(omega^a_b) + (1/w) hat-e^n ^ slopes + sum_c omega^a_c ^
+    omega^c_b``: the d-terms, then the slope terms, then the wedges by c
+    ascending, each wedge coefficient already summed over its own two
+    products."""
     # the wedges first: their products are the largest temporaries
     wedges = _wedge_terms(conn)
     keys, values = zip(_d_terms(conn), _slope_terms(cof, conn), wedges)
@@ -493,17 +465,14 @@ def _ricci_and_span(curv: CurvatureRows, batch: tuple):
     in lexicographic order."""
     n = curv.dim
     width = curv.values.shape[1]
-    # Omega^a_b(e_a, e_d) is the (a, d) coefficient, negated when d < a; one
-    # a reaches each (b, d) at most once
-    by_a = [[] for _ in range(n)]
-    for r, (a, b, p, q) in enumerate(curv.index):
-        if a in (p, q):
-            by_a[a].append((r, b, q if a == p else p, a == q))
-    ric = np.zeros((width, n, n))
-    for terms in by_a:
-        if terms:
-            rows, bs, ds, negate = zip(*terms)
-            ric[:, list(bs), list(ds)] += _negate(curv.values[list(rows)], negate).T
+    # Omega^a_b(e_a, e_d) is the (a, d) coefficient, negated when d < a;
+    # the scatter-add sums each (b, d) into row b * n + d, a ascending
+    terms = sorted((a, r, b * n + (q if a == p else p), a == q)
+                   for r, (a, b, p, q) in enumerate(curv.index) if a in (p, q))
+    _, rows, entries, negate = zip(*terms) if terms else ((),) * 4
+    ric = np.zeros((n * n, width))
+    np.add.at(ric, list(entries), _negate(curv.values[list(rows)], negate))
+    ric = np.ascontiguousarray(ric.T).reshape(width, n, n)
 
     def pair(p, q):  # position of hat-e^p ^ hat-e^q, p < q
         return p * (2 * n - p - 1) // 2 + q - p - 1

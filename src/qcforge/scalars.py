@@ -82,16 +82,16 @@ def _each(fn, x):
     return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
 
 
-def _fail_if(bad, value, message: str):
-    """Raise DomainError when ``bad`` holds at any sample; ``message``
-    is formatted with the value at the first such sample."""
+def _fail_if(bad, value, message: str, error=DomainError):
+    """Raise ``error`` when ``bad`` holds at any sample; ``message`` is
+    formatted with the value at the first such sample."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
         value = float(value[np.argmax(bad)])
     elif not bad:
         return
-    raise DomainError(message.format(value))
+    raise error(message.format(value))
 
 
 def worst_abs(values) -> float:
@@ -99,7 +99,7 @@ def worst_abs(values) -> float:
     ``max``, a NaN anywhere is returned rather than skipped."""
     worst = 0.0
     for v in values:
-        m = float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(float(v))
+        m = float(np.abs(v).max(initial=0.0)) if isinstance(v, np.ndarray) else abs(float(v))
         if m != m:
             return m
         worst = max(worst, m)

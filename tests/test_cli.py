@@ -386,6 +386,17 @@ class TestBuild:
         code, _, err = run(capsys, "build", "qk", "--family", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("kind,names", [
+        ("qk", ["ideal-family", "qk-3sas", "qk-heis", "qk-heis2", "qk-l1", "qk-l2",
+                "qk-triaxial"]),
+        ("spin7", ["spin7-3sas", "spin7-heis", "spin7-l1", "spin7-l2", "spin7-triaxial"]),
+    ])
+    def test_unknown_family_lists_its_kind(self, capsys, kind, names):
+        code, out, err = run(capsys, "build", kind, "--family", "nope")
+        assert code == 2
+        assert out == ""
+        assert err.rstrip("\n").split("; known: ")[1].split(", ") == names
+
     def test_wrong_kind(self, capsys):
         code, _, err = run(capsys, "build", "spin7", "--family", "qk-l1")
         assert code == 2

@@ -9,6 +9,7 @@ from qcforge.riemann import (CoframeWithJets, ConnectionTable, NonAntisymmetricT
                              SingularCoframe, adjust_by_torsion,
                              cartan_connection, frame_curvature,
                              koszul_levi_civita, ricci_and_rank)
+from qcforge.acceptance import TOL_STRUCTURE, _not_below
 from qcforge.forms import KForm, exterior_d
 from qcforge.scalars import Jet
 
@@ -152,8 +153,23 @@ class TestCartan:
         with pytest.raises(SingularCoframe):
             CoframeWithJets(alg, [Jet.const(0.0)] + [Jet.const(1.0)] * 6,
                             Jet.const(1.0))
-        with pytest.raises(SingularCoframe):
-            CoframeWithJets(alg, [Jet.const(1.0)] * 7, Jet.const(0.0))
+        for w in (0.0, math.nan):
+            with pytest.raises(SingularCoframe, match=str(w)):
+                CoframeWithJets(alg, [Jet.const(1.0)] * 7, Jet.const(w))
+
+    def test_nan_connection_fails_the_structure_checks(self):
+        # at the second sample 1e200 * 1e200 overflows and the Gamma values
+        # turn NaN; the residuals must carry the NaN, not pass over it
+        horizontal = Jet((np.array([1.0, 1e200]), 0.0, 0.0))
+        vertical = Jet((np.array([1.0, 1e308]), 0.0, 0.0))
+        cof = CoframeWithJets(catalog("heis(1)").algebra,
+                              [horizontal] * 4 + [vertical] * 3, Jet.const(1.0))
+        with np.errstate(all="ignore"):
+            conn = cartan_connection(cof)
+        assert np.isnan(conn.values).any()
+        for residual in (conn.structure_residual, conn.antisymmetry_residual):
+            assert math.isnan(residual)
+            assert _not_below(residual, TOL_STRUCTURE)
 
     def test_jet_curvature_matches_finite_differences(self):
         # rebuild the scalings from second-order finite differences of the

@@ -487,16 +487,19 @@ _SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])
 @example([(1, [-0.0, 0.5, 0.0]), (1, [0.0, -0.5, -0.0]), (1, [-0.0, -0.0, 1.0])])
 def test_ordered_sums_round_as_kform_accumulation(steps):
     """Sums that cancel to zero, zeros of either sign: each key's sum has
-    the bits of KForm accumulation, which drops a zero sum and starts the
-    next term afresh."""
-    want = {}
+    the bits of the left fold ((-0.0 + r_1) + r_2) + ... of its rows, and
+    equals the KForm accumulation, which drops a zero sum and starts the
+    next term afresh, up to the sign of a zero."""
+    want, fold = {}, {}
     for key, row in steps:
         _accumulate(want, key, np.array(row))
+        fold[key] = fold.get(key, -0.0) + np.array(row)
     keys, sums = _ordered_sums([key for key, _ in steps],
                                np.array([row for _, row in steps]).reshape(-1, 3))
-    assert keys == list(dict.fromkeys(key for key, _ in steps))
+    assert keys == list(fold)
     for key, total in zip(keys, sums):
+        assert (_bits(total) == _bits(fold[key])).all(), key
         if key in want:
-            assert (_bits(total) == _bits(want[key])).all(), key
+            assert np.array_equal(total, want[key]), key
         else:
             assert not total.any(), key

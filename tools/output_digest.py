@@ -14,7 +14,7 @@ change with its parent is one ``diff`` of two digests.
 The corpus: ``sweep`` and the five ``symbolic`` targets, in text and json;
 the six ``qc-report --catalog`` entries, in text and json, and
 ``check-algebra --catalog`` on each; ``build`` at default parameters for
-every family; the ``jet`` benchmark argv of seeds 1-3, read from
+every family; the ``jet`` benchmark argv of seeds 1-6 (72 builds), read from
 ``bench/inputs.py``; ``qc-report --file`` (text and json) and
 ``check-algebra --file`` on the ``exact`` benchmark coframes of seeds 1-3;
 ``--file`` inputs that break the Jacobi identity, the quaternion relations
@@ -123,7 +123,7 @@ def corpus() -> list:
     out += [["check-algebra", "--catalog", name] for name in CATALOG_NAMES]
     out += [["build", "spin7" if fam.kind.startswith("spin7") else "qk", "--family", name]
             for name, fam in FAMILIES.items()]
-    out += [argv for seed in (1, 2, 3) for *_, argv in inputs.jet_inputs(seed)]
+    out += [argv for seed in range(1, 7) for *_, argv in inputs.jet_inputs(seed)]
     for path in input_files():
         out += [["qc-report", "--file", path, *fmt] for fmt in FORMATS]
         out.append(["check-algebra", "--file", path])
