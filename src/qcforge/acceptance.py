@@ -334,11 +334,10 @@ CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True):
+def run_all() -> list:
+    """(number, title, ok, detail) of each criterion, in order."""
     results = []
     for number, title, fn in CRITERIA:
         ok, detail = fn()
         results.append((number, title, ok, detail))
-        if verbose:
-            print(f"criterion {number:2d} [{'PASS' if ok else 'FAIL'}] {title}: {detail}")
     return results

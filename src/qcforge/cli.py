@@ -187,7 +187,7 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    results = acceptance.run_all(verbose=(args.format == "text"))
+    results = acceptance.run_all()
     ok = all(r[2] for r in results)
     if args.format == "json":
         payload = {
@@ -196,6 +196,8 @@ def cmd_sweep(args) -> int:
         }
         _emit(_report("sweep", "acceptance", "acceptance", {}, ok, payload), "json")
     else:
+        for n, t, o, d in results:
+            print(f"criterion {n:2d} [{'PASS' if o else 'FAIL'}] {t}: {d}")
         print(f"overall: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 

@@ -65,31 +65,6 @@ def _sort_indices(indices):
     return tuple(idx), sign
 
 
-def _merge_sorted(a, b):
-    """Concatenate two strictly increasing tuples, counting transpositions.
-
-    Returns (merged tuple, sign), sign 0 when they share an index.
-    """
-    out = []
-    i = j = 0
-    sign = 1
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return (), 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 class KForm:
     """Graded exterior form over an ``n``-dimensional coframe."""
 
@@ -172,7 +147,7 @@ class KForm:
         res = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                idx, sign = _merge_sorted(ia, ib)
+                idx, sign = _sort_indices(ia + ib)
                 if sign == 0:
                     continue
                 _accumulate(res, idx, ca * cb if sign > 0 else -(ca * cb))

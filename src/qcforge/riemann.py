@@ -20,10 +20,10 @@ re-verified after solving, and curvature 2-forms give Ricci and the rank
 of the curvature span (an Ambrose-Singer lower bound for the holonomy
 algebra).  Jets carry derivatives only as far as the d that reads them:
 the residuals and the curvature 2-forms are computed in values.  A value
-is a row of a float64 array with one entry per sample (one for float
-jets), so one pass serves N samples: guards hold per sample, residuals
-are maxima over the samples, and Ricci and the ranks carry a leading
-sample axis for a batch.
+is a row of a float64 array with one entry per sample, and a float jet is
+a batch of one, so one pass serves N samples: guards hold per sample,
+residuals are maxima over the samples, and Ricci and the ranks always
+carry a leading sample axis.
 
 The values are rows of arrays, not per-coefficient dicts: the nonzero
 connection coefficients are the rows of one array, each keyed by its
@@ -206,10 +206,10 @@ class CoframeWithJets:
 
     __slots__ = ("base", "scalings", "w")
 
-    def __init__(self, base: FrameAlgebra, scalings, w: Jet):
+    def __init__(self, base: FrameAlgebra, scalings: list, w: Jet):
         self.base = base
-        self.scalings = [s if isinstance(s, Jet) else Jet.const(s) for s in scalings]
-        self.w = w if isinstance(w, Jet) else Jet.const(w)
+        self.scalings = scalings
+        self.w = w
         if len(self.scalings) != base.dim:
             raise ValueError("one scaling jet per base coframe element")
         for a, s in enumerate(self.scalings, start=1):
@@ -236,11 +236,7 @@ class CoframeWithJets:
             if not dp.is_zero():
                 terms[(a, n)] = -(dp / (self.w * p))
             for (b, c), coeff in self.base.diff[a - 1].terms.items():
-                scale = (p * float(coeff)) / (self.scalings[b - 1] * self.scalings[c - 1])
-                if (b, c) in terms:
-                    terms[(b, c)] = terms[(b, c)] + scale
-                else:
-                    terms[(b, c)] = scale
+                terms[(b, c)] = (p * coeff) / (self.scalings[b - 1] * self.scalings[c - 1])
             out.append(KForm(n, 2, terms))
         out.append(KForm(n, 2))  # d(w dx) = w' dx ^ dx = 0
         return out
@@ -284,28 +280,21 @@ def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
 
 @dataclass
 class CartanConnection:
-    """Connection 1-forms omega^a_b solving the first structure equation.
-
-    ``forms`` holds them in jets.  In values, each coefficient is a row of
-    an array with one entry per sample (one for float jets), keyed by a
-    0-based index tuple: row r of ``values`` is c_k of omega^a_b with
-    (a, b, k) = ``index[r]``, in that lexicographic order, for the c_k
-    nonzero at some sample; ``slopes`` holds c'_k of every coefficient,
-    keyed by ``slope_index``; ``dhat_values`` holds the equation's
-    d hat-e^a, the coefficient of hat-e^p ^ hat-e^q keyed by (a, p, q) in
-    ``dhat_index``, a ascending.  ``batch`` is the samples' shape, () for
-    float jets.
+    """Connection 1-forms omega^a_b solving the first structure equation,
+    as the curvature reads them: each nonzero jet coefficient
+    c_k hat-e^k of omega^a_b is one row, with (a, b, k) = ``index[r]``
+    0-based, in that lexicographic order; row r of ``values`` and of
+    ``slopes`` holds c_k and c'_k, one entry per sample.  ``dhat_values``
+    holds the equation's d hat-e^a, the coefficient of hat-e^p ^ hat-e^q
+    keyed by (a, p, q) in ``dhat_index``, a ascending.
     """
 
     dim: int
-    forms: list  # forms[a][b] 0-based, KForm degree 1, omega^a_b
     index: list
     values: np.ndarray
-    slope_index: list
     slopes: np.ndarray
     dhat_index: list
     dhat_values: np.ndarray
-    batch: tuple
     structure_residual: float
     antisymmetry_residual: float
 
@@ -320,8 +309,7 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``, b ascending.
     """
     n = cof.dim
-    batch = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).shape
-    width = batch[0] if batch else 1
+    width = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).size
     # structure functions: d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
     dhats = cof.coframe_differentials()
     struct = {}
@@ -336,17 +324,15 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     triples = set()
     for a, b, c in struct:
         triples.update(((a, c, b), (b, a, c), (b, c, a)))
-    forms = [[KForm(n, 1) for _ in range(n)] for _ in range(n)]
-    slope_index, coeffs = [], []
+    index, coeffs = [], []
     for a, b, c in sorted(triples):
         present = [x for x in (struct.get((a, c, b)), struct.get((b, a, c)), struct.get((c, a, b)))
                    if x is not None]
         coeff = sum(present[1:], present[0]) * 0.5
         if not coeff.is_zero():
-            forms[a - 1][b - 1].terms[(c,)] = coeff
-            slope_index.append((a - 1, b - 1, c - 1))
+            index.append((a - 1, b - 1, c - 1))
             coeffs.append(coeff)
-    index, values = _live(slope_index, _stack([c.value for c in coeffs], width))
+    values = _stack([c.value for c in coeffs], width)
     dhat_index, dhat_values = _live(
         [(a, p - 1, q - 1) for a, dhat in enumerate(dhats) for p, q in dhat.terms],
         _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
@@ -362,9 +348,8 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     _, sums = _ordered_sums(dhat_index + list(keys),
                             np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
     residual = worst_abs([sums])
-    return CartanConnection(n, forms, index, values, slope_index,
-                            _stack([c.c[1] for c in coeffs], width), dhat_index, dhat_values,
-                            batch, residual, anti)
+    return CartanConnection(n, index, values, _stack([c.c[1] for c in coeffs], width),
+                            dhat_index, dhat_values, residual, anti)
 
 
 @dataclass
@@ -393,11 +378,11 @@ def _d_terms(conn: CartanConnection):
 
 def _slope_terms(cof: CoframeWithJets, conn: CartanConnection):
     """Keys and values of (1/w) hat-e^n ^ c'_k hat-e^k = -(c'_k / w)
-    hat-e^{kn}, k < n, in the order of ``conn.slope_index``; only the terms
+    hat-e^{kn}, k < n, in the order of ``conn.index``; only the terms
     nonzero at some sample are kept, as the KForm wedge keeps them."""
     n = conn.dim
-    rows = [r for r, (_, _, k) in enumerate(conn.slope_index) if k != n - 1]
-    return _live([conn.slope_index[r] + (n - 1,) for r in rows],
+    rows = [r for r, (_, _, k) in enumerate(conn.index) if k != n - 1]
+    return _live([conn.index[r] + (n - 1,) for r in rows],
                  -((1.0 / cof.w.value) * conn.slopes[rows]))
 
 
@@ -446,20 +431,19 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
 
 @dataclass
 class CurvatureSummary:
-    """Ricci (n x n) and curvature-span rank of each sample, with a leading
-    sample axis for a batch (a plain rank for float jets), both read from
-    the curvature 2-forms in values; the two residuals are maxima over the
-    samples."""
+    """Ricci (N x n x n) and curvature-span rank (N,) of the N samples,
+    both read from the curvature 2-forms in values; the two residuals are
+    maxima over the samples."""
 
     ricci: np.ndarray
-    curvature_rank: int
+    curvature_rank: np.ndarray
     structure_residual: float
     antisymmetry_residual: float
 
 
-def _ricci_and_span(curv: CurvatureRows, batch: tuple):
-    """Ricci and the span matrix of the curvature rows, each with the
-    leading ``batch`` axes.  Ricci_{bd} = sum_a Omega^a_b(e_a, e_d) is
+def _ricci_and_span(curv: CurvatureRows):
+    """Ricci and the span matrix of the curvature rows, each with a
+    leading sample axis.  Ricci_{bd} = sum_a Omega^a_b(e_a, e_d) is
     summed from 0.0 over a ascending (sphere-positive convention); the
     matrix has the forms Omega^a_b, a < b, as rows over the basis 2-forms
     in lexicographic order."""
@@ -483,7 +467,7 @@ def _ricci_and_span(curv: CurvatureRows, batch: tuple):
     if upper:
         rows, forms, basis = zip(*upper)
         mat[:, list(forms), list(basis)] = curv.values[list(rows)].T
-    return (ric, mat) if batch else (ric[0], mat[0])
+    return ric, mat
 
 
 SVD_THRESHOLD = 1e-8  # rank cutoff, relative to the largest singular value
@@ -491,7 +475,8 @@ SVD_THRESHOLD = 1e-8  # rank cutoff, relative to the largest singular value
 
 def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     """Ricci tensor and the dimension of the span of the curvature 2-forms
-    at each sample point.
+    at each sample point, with a leading sample axis of one entry for
+    float jets.
 
     The rank uses a singular-value cutoff relative to the largest singular
     value; with the coframe orthonormal the Ricci comparison metric is the
@@ -499,16 +484,13 @@ def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     OverflowError, before the SVD, when the curvature is not finite.
     """
     conn = cartan_connection(cof)
-    ric, mat = _ricci_and_span(curvature_forms(cof, conn), conn.batch)
+    ric, mat = _ricci_and_span(curvature_forms(cof, conn))
     if not np.isfinite(mat).all():
         raise OverflowError("the curvature is not finite")
     # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
     flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = np.where(flat, 0, np.sum(svals > SVD_THRESHOLD * svals[..., :1], axis=-1))
-    if not conn.batch:
-        rank = int(rank)
-
     return CurvatureSummary(
         ricci=ric,
         curvature_rank=rank,

@@ -115,9 +115,9 @@ class Jet:
     float or a float64 array of shape (N,), one entry per sample, so one
     jet carries a whole batch of samples and a float jet is a batch of
     one.  Ring operations broadcast; the guards of ``reciprocal``, ``pow``
-    and ``log`` fail when any sample fails.  The coefficient functions
-    these jets carry involve sinh and fractional powers, so exactness is
-    not on the table here.
+    and ``log`` fail when any sample fails or is NaN.  The coefficient
+    functions these jets carry involve sinh and fractional powers, so
+    exactness is not on the table here.
     """
 
     __slots__ = ("c",)
@@ -237,6 +237,7 @@ class Jet:
     def reciprocal(self) -> "Jet":
         y = self.c[0]
         _fail_if(y == 0.0, y, "division by a jet with zero value")
+        _fail_if(y != y, y, "division by a jet with value {}")
         p = [_each(lambda v: math.pow(v, k), y) for k in (2, 3)]
         return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1]))
 
@@ -252,6 +253,7 @@ class Jet:
             return self.pow(-n).reciprocal()
         y = self.c[0]
         _fail_if(y <= 0.0, y, f"fractional power {r} of non-positive base {{}}")
+        _fail_if(y != y, y, f"fractional power {r} of base {{}}")
         rf = float(r)
         p = [_each(lambda v: math.pow(v, rf - k), y) for k in (0.0, 1.0, 2.0)]
         return self.compose((p[0], rf * p[1], rf * (rf - 1.0) * p[2]))
@@ -271,6 +273,7 @@ class Jet:
     def log(self) -> "Jet":
         y = self.c[0]
         _fail_if(y <= 0.0, y, "log of non-positive value {}")
+        _fail_if(y != y, y, "log of value {}")
         return self.compose((_each(math.log, y), 1.0 / y, -1.0 / _each(lambda v: math.pow(v, 2), y)))
 
     def sqrt(self) -> "Jet":

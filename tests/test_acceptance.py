@@ -75,7 +75,7 @@ def test_cold_sweep_parses_each_catalog_entry_once(monkeypatch):
     # text, also sees a catalog coframe loaded past the memo by any module
     monkeypatch.setattr(qc, "catalog", counting(loads, qc.catalog))
     monkeypatch.setattr(algebra, "parse_algebra", counting(parses, algebra.parse_algebra))
-    acceptance.run_all(verbose=False)
+    acceptance.run_all()
     assert loads == dict.fromkeys(acceptance.ALL_ENTRIES + ("l0(-2/3)",), 1)
     assert sorted(parses.values()) == [1] * 7
     assert not hasattr(acceptance, "catalog")
@@ -85,4 +85,4 @@ def test_memoized_specs_survive_a_sweep_unchanged():
     """A second sweep in the same process, reading the specs and builds the
     first one memoized, gives the same results."""
     _cold_caches()
-    assert acceptance.run_all(verbose=False) == acceptance.run_all(verbose=False)
+    assert acceptance.run_all() == acceptance.run_all()

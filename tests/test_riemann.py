@@ -94,17 +94,25 @@ class TestCartan:
         cof = CoframeWithJets(alg, [Jet.const(1.0)] * 7, Jet.const(1.0))
         conn = cartan_connection(cof)
         assert conn.structure_residual == 0.0
-        assert all(conn.forms[a][b].is_zero() for a in range(8) for b in range(8))
+        assert conn.index == []
+        assert conn.values.shape == conn.slopes.shape == (0, 1)
         summary = ricci_and_rank(cof)
-        assert summary.curvature_rank == 0
+        assert summary.ricci.shape == (1, 8, 8)
+        assert summary.curvature_rank.shape == (1,)
+        assert summary.curvature_rank[0] == 0
         assert np.abs(summary.ricci).max() == 0.0
 
     def test_round_sphere_times_line(self):
         alg, _ = parse_algebra(SU2)
         cof = CoframeWithJets(alg, [Jet.const(1.0)] * 3, Jet.const(1.0))
+        conn = cartan_connection(cof)
+        assert conn.index
+        assert conn.values.shape == conn.slopes.shape == (len(conn.index), 1)
         summary = ricci_and_rank(cof)
-        assert np.allclose(summary.ricci, np.diag([0.5, 0.5, 0.5, 0.0]))
-        assert summary.curvature_rank == 3
+        assert summary.ricci.shape == (1, 4, 4)
+        assert summary.curvature_rank.shape == (1,)
+        assert np.allclose(summary.ricci[0], np.diag([0.5, 0.5, 0.5, 0.0]))
+        assert summary.curvature_rank[0] == 3
 
     def test_structure_equation_residuals_at_samples(self):
         alg = catalog("l1").algebra
@@ -136,11 +144,13 @@ class TestCartan:
         def d(form):
             return exterior_d(form, dhats, coeff_d)
 
-        conn = cartan_connection(cof)
+        # the 1-forms e_b . d hat-e^a have the structure functions, jets
+        # that vary with x, as coefficients
         checked = 0
-        for row in conn.forms:
-            for omega in row:
-                if omega.is_zero():
+        for dhat in dhats:
+            for b in range(1, cof.dim + 1):
+                omega = dhat.interior(b)
+                if all(c.derivative().is_zero() for c in omega.terms.values()):
                     continue
                 assert d(d(omega)).max_abs() < 1e-12
                 checked += 1

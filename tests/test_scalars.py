@@ -57,6 +57,13 @@ class TestJet:
             Jet.variable(0.0).log()
         with pytest.raises(DomainError):
             1 / Jet.variable(0.0)
+        nan = Jet.const(float("nan"))
+        with pytest.raises(DomainError, match="^division by a jet with value nan$"):
+            nan.reciprocal()
+        with pytest.raises(DomainError, match="^fractional power 1/2 of base nan$"):
+            nan.sqrt()
+        with pytest.raises(DomainError, match="^log of value nan$"):
+            nan.log()
 
     def test_negative_base_integer_power_allowed(self):
         j = Jet.variable(-2.0).pow(3)
@@ -195,6 +202,13 @@ class TestBatchedJets:
             Jet.variable(np.array([1.0, 0.0])).log()
         with pytest.raises(DomainError, match="division by a jet with zero value"):
             1 / Jet.variable(np.array([1.0, 0.0]))
+        nan = Jet.variable(np.array([1.0, np.nan]))
+        with pytest.raises(DomainError, match="^division by a jet with value nan$"):
+            1 / nan
+        with pytest.raises(DomainError, match="^fractional power 1/2 of base nan$"):
+            nan.sqrt()
+        with pytest.raises(DomainError, match="^log of value nan$"):
+            nan.log()
 
     def test_take_selects_samples(self):
         j = Jet.variable([1.0, 2.0, 3.0]).take(np.array([True, False, True]))

@@ -15,8 +15,8 @@ triples where a structure function is nonzero; its reference is the dense
 n^3 loop over every triple, with a zero jet standing in for the absent
 structure functions.  It then checks the solution and builds the curvature
 2-forms in values, by gather and scatter over index arrays; their
-reference carries the full jets through KForm d, wedges and residual sums,
-and reads the values at the end.  The matrix of the differential-ideal
+reference carries the jets of the connection rows through KForm d, wedges
+and residual sums, and reads the values at the end.  The matrix of the differential-ideal
 test is placed from an index table; its reference wedges each form with
 the unit 1-forms.  The ideal test takes one SVD per sample for its three
 right-hand sides; its reference is one least-squares solve per sample and
@@ -266,25 +266,23 @@ BATCH_CASES = [(name, batch) for name in BASE_FAMILIES for batch in (True, False
     pytest.param(name, batch, id=name if batch else f"{name}-scalar")
     for name, batch in BATCH_CASES])
 def test_sparse_cartan_matches_dense(name, batch):
-    """Every omega^a_b has the same monomials in the same order, and each
-    coefficient the same components at every sample: the values bit for
-    bit, the derivatives as floats (the zero jet of the dense sum may
-    flip the sign of a zero derivative)."""
+    """The rows are the nonzero monomials c_k hat-e^k of the dense
+    omega^a_b in (a, b, k) order, and each row holds the coefficient's
+    value and derivative at every sample: the values bit for bit, the
+    derivatives as floats (the zero jet of the dense sum may flip the sign
+    of a zero derivative).  A float jet is one sample."""
     cof = family_coframe(name, 16, batch)
-    sparse = cartan_connection(cof).forms
+    conn = cartan_connection(cof)
     dense = dense_cartan_forms(cof)
     n = cof.dim
-    shape = (16,) if batch else ()
-    for a in range(n):
-        for b in range(n):
-            have, want = sparse[a][b].terms, dense[a][b]
-            assert list(have) == list(want), (a, b)  # same monomials, same order
-            for idx, coeff in have.items():
-                for k in range(3):
-                    x, y = np.broadcast_arrays(coeff.c[k], want[idx].c[k])
-                    assert x.shape == shape and np.array_equal(x, y), (a, b, idx, k)
-                    if k == 0:
-                        assert (_bits(x) == _bits(y)).all(), (a, b, idx)
+    want = [((a, b, c - 1), coeff) for a in range(n) for b in range(n)
+            for (c,), coeff in dense[a][b].items()]
+    assert conn.index == [key for key, _ in want]
+    width = 16 if batch else 1
+    assert conn.values.shape == conn.slopes.shape == (len(want), width)
+    for value, slope, (key, coeff) in zip(conn.values, conn.slopes, want):
+        assert (_bits(value) == _bits(np.broadcast_to(coeff.c[0], (width,)))).all(), key
+        assert np.array_equal(slope, np.broadcast_to(coeff.c[1], (width,))), key
 
 
 def jet_curvature_forms(cof, forms) -> list:
@@ -310,6 +308,17 @@ def jet_curvature_forms(cof, forms) -> list:
     return out
 
 
+def connection_forms(conn) -> list:
+    """omega^a_b as jet 1-forms over the rows of ``conn``: the c_k hat-e^k
+    of row r, with (a, b, k) = ``conn.index[r]``, has the jet (c_k, c'_k,
+    0), which carries all that d and the wedges read of the coefficient."""
+    n = conn.dim
+    forms = [[KForm(n, 1) for _ in range(n)] for _ in range(n)]
+    for (a, b, k), value, slope in zip(conn.index, conn.values, conn.slopes):
+        forms[a][b].terms[(k + 1,)] = Jet((value, slope, 0.0))
+    return forms
+
+
 def jet_cartan_residuals(cof, forms) -> tuple:
     """(structure, antisymmetry) residuals of the connection with jet sums."""
     n = cof.dim
@@ -324,13 +333,13 @@ def jet_cartan_residuals(cof, forms) -> tuple:
     return residual, anti
 
 
-def curvature_terms(curv, batch) -> list:
+def curvature_terms(curv) -> list:
     """The curvature rows as ``terms[a][b]``, a dict from the 1-based
-    (p, q) to the value: an array over the samples, a float for float jets."""
+    (p, q) to the value, an array over the samples."""
     n = curv.dim
     terms = [[{} for _ in range(n)] for _ in range(n)]
     for (a, b, p, q), row in zip(curv.index, curv.values):
-        terms[a][b][p + 1, q + 1] = row if batch else row[0]
+        terms[a][b][p + 1, q + 1] = row
     return terms
 
 
@@ -339,15 +348,17 @@ def test_curvature_in_values_matches_jets(name, batch):
     """The value-level curvature 2-forms and Cartan residuals equal the
     values of the jet computation bit for bit.  A monomial may be present
     on one side only where its value is 0 at every sample: the jet sums
-    keep a jet whose derivatives alone are nonzero."""
+    keep a jet whose derivatives alone are nonzero.  A float jet is one
+    sample."""
     cof = family_coframe(name, 16, batch)
     conn = cartan_connection(cof)
-    want_residuals = jet_cartan_residuals(cof, conn.forms)
+    forms = connection_forms(conn)
+    want_residuals = jet_cartan_residuals(cof, forms)
     assert _bits((conn.structure_residual, conn.antisymmetry_residual)).tolist() == \
         _bits(want_residuals).tolist()
-    have = curvature_terms(curvature_forms(cof, conn), batch)
-    want = jet_curvature_forms(cof, conn.forms)
-    shape = (16,) if batch else ()
+    have = curvature_terms(curvature_forms(cof, conn))
+    want = jet_curvature_forms(cof, forms)
+    shape = (16,) if batch else (1,)
     compared = 0
     for a in range(cof.dim):
         for b in range(cof.dim):
@@ -357,7 +368,7 @@ def test_curvature_in_values_matches_jets(name, batch):
                     only = h.get(idx, w.get(idx))
                     assert not np.count_nonzero(getattr(only, "value", only)), (a, b, idx)
                     continue
-                assert isinstance(h[idx], np.ndarray if batch else float), (a, b, idx)
+                assert isinstance(h[idx], np.ndarray), (a, b, idx)
                 x, y = np.broadcast_arrays(h[idx], w[idx].value)
                 assert x.shape == shape and (_bits(x) == _bits(y)).all(), (a, b, idx)
                 compared += 1

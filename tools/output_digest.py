@@ -78,6 +78,7 @@ REFUSALS = [
     ["build", "spin7", "--family", "spin7-l1", "--param", "b=-1"],
     ["build", "spin7", "--family", "spin7-triaxial", "--param", "C=0"],
     ["build", "qk", "--family", "qk-3sas", "--samples", "1,1e160"],
+    ["build", "qk", "--family", "qk-3sas", "--param", "a=-1"],
     ["qc-report", "--catalog", f"heis({_LONG})"],
     ["qc-report", "--catalog", f"l0({_LONG})"],
     ["qc-report", "--catalog", "x" * len(_LONG)],
