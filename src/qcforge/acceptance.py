@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import dga, qc
-from .algebra import form_matrix, jacobi_check
+from .algebra import _mat_mul, form_matrix, jacobi_check
 from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, extended_d, verdicts
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
@@ -110,13 +110,9 @@ def criterion_4():
     rep = qc.catalog_report("l3")
     spec = rep.spec
     psi = Fraction(-1, 4) * (KForm.basis(7, 1, 2) - KForm.basis(7, 3, 4))
-    psi_m = form_matrix(psi, spec.horizontal)
-    m1 = spec.complex_structure(1)
-    want = [[sum(psi_m[x][c] * m1[c][y] for c in range(4)) for y in range(4)]
-            for x in range(4)]
-    if rep.torsion.T0 != want:
+    if rep.torsion.T0 != _mat_mul(form_matrix(psi, spec.horizontal), spec.complex_structure(1)):
         problems.append("l3: T0 != psi(. , I_1 .)")
-    if any(v != 0 for row in rep.torsion.U for v in row):
+    if rep.torsion.U:
         problems.append("l3: U != 0")
     return not problems, "; ".join(problems) or "torsion decomposition exact on all entries"
 

@@ -144,8 +144,9 @@ class QcFrameSpec:
         """Frame index of the Reeb vector xi_s dual to eta_s."""
         return self.vertical[s - 1]
 
-    def complex_structure(self, s: int):
-        """Matrix of I_s on the horizontal space: column a holds I_s e_a.
+    def complex_structure(self, s: int) -> dict:
+        """Matrix of I_s on the horizontal space, a dict of its nonzero
+        entries keyed by 0-based (row, column): column a holds I_s e_a.
         Since omega_s(e_a, e_b) = <e^b, I_s e_a>, it is the transpose of
         the matrix of omega_s."""
         if self._imat is None:
@@ -154,16 +155,13 @@ class QcFrameSpec:
 
     def validate(self):
         """Quaternion relations and metric compatibility of the induced I_s."""
-        k = len(self.horizontal)
         i1, i2, i3 = (self.complex_structure(s) for s in (1, 2, 3))
-        minus_id = _mat_lin((-1, _identity(k)))
+        minus_id = _mat_lin((-1, _identity(len(self.horizontal))))
         for s, mat in enumerate((i1, i2, i3), start=1):
             if _mat_mul(mat, mat) != minus_id:
                 raise NotQcError(f"I_{s}^2 is not -id; check omega_{s}")
-            for r in range(k):
-                for c in range(k):
-                    if mat[r][c] != -mat[c][r]:
-                        raise NotQcError(f"I_{s} is not metric compatible")
+            if _mat_t(mat) != _mat_lin((-1, mat)):
+                raise NotQcError(f"I_{s} is not metric compatible")
         if _mat_mul(i1, i2) != i3:
             raise NotQcError("I_1 I_2 != I_3; quaternion relations fail")
         if _mat_mul(i2, i1) != _mat_lin((-1, i3)):
@@ -187,50 +185,55 @@ def violation_text(violation) -> str:
     return f"d.d e{a} on (e{b},e{c},e{d}) = {value}"
 
 
-# -- exact matrix helpers (lists of rows) -------------------------------------
+# -- exact matrix helpers (dicts of nonzero entries) --------------------------
+#
+# A matrix is a dict from 0-based (row, column) to its nonzero entries; no
+# helper stores a zero, so two matrices are equal exactly when their dicts
+# are, and a matrix is zero exactly when its dict is empty.
 
 
-def form_matrix(form: KForm, indices):
-    """Antisymmetric matrix B[p][q] = form(e_{indices[p]}, e_{indices[q]})
+def form_matrix(form: KForm, indices) -> dict:
+    """Antisymmetric matrix B[p, q] = form(e_{indices[p]}, e_{indices[q]})
     of a 2-form, over the listed frame indices."""
     pos = {a: i for i, a in enumerate(indices)}
-    k = len(indices)
-    mat = [[Fraction(0)] * k for _ in range(k)]
+    mat = {}
     for (a, b), coeff in form.terms.items():
         if a in pos and b in pos:
-            mat[pos[a]][pos[b]] = coeff
-            mat[pos[b]][pos[a]] = -coeff
+            mat[pos[a], pos[b]] = coeff
+            mat[pos[b], pos[a]] = -coeff
     return mat
 
 
-def _mat_mul(a, b):
-    """Matrix product over the nonzero entries of both factors; the
-    complex structures are signed permutations, so their products are
-    quadratic rather than cubic."""
-    out = [[Fraction(0)] * len(b[0]) for _ in a]
-    for row, acc in zip(a, out):
-        for x, brow in zip(row, b):
-            if x:
-                for c, y in enumerate(brow):
-                    if y:
-                        acc[c] += x * y
-    return out
+def _mat_mul(a: dict, b: dict) -> dict:
+    """Matrix product summed over the pairs of nonzero entries in which a
+    column of ``a`` meets the same row of ``b``."""
+    rows = {}
+    for (m, c), y in b.items():
+        rows.setdefault(m, []).append((c, y))
+    acc = {}
+    for (r, m), x in a.items():
+        for c, y in rows.get(m, ()):
+            old = acc.get((r, c))
+            acc[r, c] = x * y if old is None else old + x * y
+    return {key: x for key, x in acc.items() if x}
 
 
-def _mat_t(a):
-    return [list(col) for col in zip(*a)]
+def _mat_t(a: dict) -> dict:
+    return {(c, r): x for (r, c), x in a.items()}
 
 
-def _mat_lin(*terms):
-    """Linear combination sum c * A over (c, A) pairs of equal shape,
-    skipping zero entries."""
-    coeffs = [c for c, _ in terms]
-    return [[sum((c * x for c, x in zip(coeffs, xs) if x), Fraction(0)) for xs in zip(*rows)]
-            for rows in zip(*(a for _, a in terms))]
+def _mat_lin(*terms) -> dict:
+    """Linear combination sum c * A over (c, A) pairs of equal shape."""
+    acc = {}
+    for c, a in terms:
+        for key, x in a.items():
+            old = acc.get(key)
+            acc[key] = c * x if old is None else old + c * x
+    return {key: x for key, x in acc.items() if x}
 
 
-def _identity(k):
-    return [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+def _identity(k: int) -> dict:
+    return {(i, i): Fraction(1) for i in range(k)}
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,8 @@ class ConsistencyError(NotQcError):
     """Two independent routes to the same tensor disagree."""
 
 
-# -- small exact matrix helpers (tiny dimensions) -----------------------------
-
-
-def _trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def _sparse(a) -> list:
-    """Nonzero entries (p, q, A[p][q]) of a matrix."""
-    return [(p, q, x) for p, row in enumerate(a) for q, x in enumerate(row) if x]
+def _trace(a: dict) -> Fraction:
+    return sum((x for (r, c), x in a.items() if r == c), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +153,11 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 
     solved = None
     for l in (1, 2, 3):
-        p = form_matrix(sym_rhos[l - 1], spec.horizontal)
         m = spec.complex_structure(l)
         trace = Poly.const(0)
-        k = len(spec.horizontal)
-        for a in range(k):
-            for c in range(k):
-                trace = trace + p[a][c] * m[c][a]
+        for (a, c), x in form_matrix(sym_rhos[l - 1], spec.horizontal).items():
+            if (c, a) in m:
+                trace = trace + x * m[c, a]
         equation = trace + Poly.const(4 * n) * Poly.symbol("S")
         try:
             value = solve_affine(equation, "S")
@@ -198,13 +188,13 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 @dataclass
 class TorsionData:
     S: Fraction
-    T0: list            # symmetric horizontal 2-tensor, matrix over horizontal positions
-    U: list             # symmetric horizontal 2-tensor
+    T0: dict            # symmetric horizontal 2-tensor, nonzero entries by (row, column)
+    U: dict             # symmetric horizontal 2-tensor
     Txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
     Tvv: dict           # (i, j) -> components of T(xi_i, xi_j) over the frame, i < j
 
     def is_einstein(self) -> bool:
-        return not any(map(any, self.T0 + self.U))
+        return not (self.T0 or self.U)
 
 
 def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
@@ -221,7 +211,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     ps = [form_matrix(sp1.rho_h[l - 1], spec.horizontal) for l in (1, 2, 3)]
 
     def conj(m, a):
-        """I^T A I, a signed permutation of the entries of A."""
+        """I^T A I."""
         return _mat_mul(_mat_t(m), _mat_mul(a, m))
 
     ds = []
@@ -236,12 +226,12 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     u = _mat_lin((Fraction(1, 48), q), *((Fraction(1, 48), conj(m, q)) for m in mats))
     t0 = _mat_lin((Fraction(1, 2), q), (-6, u))
 
-    if spec.n == 1 and any(map(any, u)):
+    if spec.n == 1 and u:
         raise DecompositionResidual("the invariant part U must vanish in dimension 7")
     if _trace(t0) != 0 or _trace(u) != 0:
         raise DecompositionResidual("torsion parts are not trace-free")
     # symmetry class checks
-    if any(map(any, _mat_lin((1, t0), *((1, conj(m, t0)) for m in mats)))):
+    if _mat_lin((1, t0), *((1, conj(m, t0)) for m in mats)):
         raise DecompositionResidual("T0 fails its invariant symmetry identity")
     for m in mats:
         if u != conj(m, u):
@@ -261,7 +251,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     for s, m in enumerate(mats, start=1):
         sym = _mat_lin((Fraction(-1, 4), _mat_mul(_mat_t(m), t0)),
                        (Fraction(-1, 4), _mat_mul(t0, m)))
-        # E[b][a] = sym[a][b], plus the skew part I_s u
+        # E[b, a] = sym[a, b], plus the skew part I_s u
         endo = _mat_lin((1, _mat_t(sym)), (1, _mat_mul(m, u)))
         if _trace(endo) != 0 or _trace(_mat_mul(endo, m)) != 0:
             raise DecompositionResidual(f"T_xi_{s} is not completely trace-free")
@@ -295,14 +285,13 @@ def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
     for c, a, b, x in spec.algebra.bracket_terms():
         if a + 1 in hpos and b + 1 in hpos and c + 1 in vpos:
             t[a, b, c] = -x
+    hor = spec.horizontal
     for v in spec.vertical:
-        endo = torsion.Txi[vpos[v] - 1]
-        for b in spec.horizontal:
-            for c in spec.horizontal:
-                val = endo[hpos[c]][hpos[b]]
-                if val:
-                    t[v - 1, b - 1, c - 1] = val
-                    t[b - 1, v - 1, c - 1] = -val
+        # T^c_{xi b} is entry (c, b) of T_xi, entered b-major: the order of t is
+        # the order of Gamma, in which the connection gates name a first violation
+        for q, r, val in sorted((q, r, val) for (r, q), val in torsion.Txi[vpos[v] - 1].items()):
+            t[v - 1, hor[q] - 1, hor[r] - 1] = val
+            t[hor[q] - 1, v - 1, hor[r] - 1] = -val
     for (i, j), comps in torsion.Tvv.items():
         vi, vj = spec.xi(i) - 1, spec.xi(j) - 1
         for c, x in enumerate(comps):
@@ -352,8 +341,8 @@ def qc_ricci_forms(spec: QcFrameSpec, curv: CurvatureTensor) -> tuple:
         m = spec.complex_structure(s)
         terms = defaultdict(Fraction)
         for (a, b, c, d), x in curv.r.items():
-            if a < b and c in hpos and d in hpos and m[hpos[d]][hpos[c]]:
-                terms[a + 1, b + 1] += x * m[hpos[d]][hpos[c]]
+            if a < b and c in hpos and d in hpos and (hpos[d], hpos[c]) in m:
+                terms[a + 1, b + 1] += x * m[hpos[d], hpos[c]]
         rhos.append(KForm(spec.dim, 2, {idx: coef * v for idx, v in terms.items()}))
     return tuple(rhos)
 
@@ -366,9 +355,8 @@ def qc_ricci_forms(spec: QcFrameSpec, curv: CurvatureTensor) -> tuple:
 def _add_kn(w, a, b):
     """w += a . b, the Kulkarni-Nomizu product
     (a . b)(x,y,z,v) = a(x,z)b(y,v) + a(y,v)b(x,z) - a(y,z)b(x,v) - a(x,v)b(y,z)."""
-    b_nonzero = _sparse(b)
-    for p, q, x in _sparse(a):
-        for r, t, y in b_nonzero:
+    for (p, q), x in a.items():
+        for (r, t), y in b.items():
             xy = x * y
             w[p, r, q, t] += xy
             w[r, p, t, q] += xy
@@ -378,9 +366,8 @@ def _add_kn(w, a, b):
 
 def _add_outer(w, a, b):
     """w += a (x) b, with (a (x) b)(x,y,z,v) = a(x,y) b(z,v)."""
-    b_nonzero = _sparse(b)
-    for p, q, x in _sparse(a):
-        for r, t, y in b_nonzero:
+    for (p, q), x in a.items():
+        for (r, t), y in b.items():
             w[p, q, r, t] += x * y
 
 
@@ -539,13 +526,9 @@ class QcReport:
         }
 
 
-def matrix_to_entries(mat) -> dict:
-    out = {}
-    for r, row in enumerate(mat):
-        for c, val in enumerate(row):
-            if val != 0:
-                out[f"{r + 1},{c + 1}"] = str(val)
-    return out
+def matrix_to_entries(mat: dict) -> dict:
+    """The nonzero entries as 1-based "r,c" keys, in row-major order."""
+    return {f"{r + 1},{c + 1}": str(x) for (r, c), x in sorted(mat.items())}
 
 
 _REPORTS: dict[str, QcReport] = {}

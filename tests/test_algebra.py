@@ -6,6 +6,7 @@ from qcforge.algebra import (AlgebraSyntaxError, DuplicateDifferential,
                              IndexOutOfRange, UnknownName, catalog,
                              format_algebra, jacobi_check, parse_algebra)
 from qcforge.forms import KForm
+from test_sparse_oracle import dense
 
 
 def test_parse_l1_spot_values():
@@ -89,7 +90,7 @@ def test_complex_structures_quaternionic():
         spec = catalog(name)
         spec.validate()
         k = len(spec.horizontal)
-        i1, i2, i3 = (spec.complex_structure(s) for s in (1, 2, 3))
+        i1, i2, i3 = (dense(spec.complex_structure(s), k) for s in (1, 2, 3))
 
         def mul(a, b):
             return [[sum(a[r][m] * b[m][c] for m in range(k)) for c in range(k)]

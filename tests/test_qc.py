@@ -5,6 +5,7 @@ import pytest
 from qcforge import qc
 from qcforge.algebra import catalog, form_matrix, parse_algebra
 from qcforge.forms import KForm
+from test_sparse_oracle import dense
 
 
 def e(*idx):
@@ -124,12 +125,12 @@ class TestTorsion:
         rep = report("l3")
         spec = catalog("l3")
         psi = Fraction(-1, 4) * (e(1, 2) - e(3, 4))
-        psi_m = form_matrix(psi, spec.horizontal)
-        m1 = spec.complex_structure(1)
+        psi_m = dense(form_matrix(psi, spec.horizontal), 4)
+        m1 = dense(spec.complex_structure(1), 4)
         want = [[sum(psi_m[x][c] * m1[c][y] for c in range(4)) for y in range(4)]
                 for x in range(4)]
-        assert rep.torsion.T0 == want
-        assert all(v == 0 for row in rep.torsion.U for v in row)
+        assert dense(rep.torsion.T0, 4) == want
+        assert all(v == 0 for row in dense(rep.torsion.U, 4) for v in row)
         assert not rep.einstein
 
     def test_vertical_torsion(self):
@@ -145,9 +146,9 @@ class TestTorsion:
             rep = report(name)
             spec = catalog(name)
             for s in (1, 2, 3):
-                endo = rep.torsion.Txi[s - 1]
+                endo = dense(rep.torsion.Txi[s - 1], 4)
                 assert sum(endo[i][i] for i in range(4)) == 0
-                m = spec.complex_structure(s)
+                m = dense(spec.complex_structure(s), 4)
                 comp = [[sum(endo[r][c] * m[c][q] for c in range(4))
                          for q in range(4)] for r in range(4)]
                 assert sum(comp[i][i] for i in range(4)) == 0
@@ -244,6 +245,13 @@ class TestReportSerialization:
         d = report("heis(2)").to_dict()
         assert d["s"] == "0"
         assert d["wqc_zero"] is True
+
+    def test_matrix_entries_are_row_major(self):
+        # inserted out of order, and with "1,10" before "1,2" as strings
+        mat = {(10, 2): Fraction(3), (0, 9): Fraction(-1), (1, 0): Fraction(2),
+               (0, 1): Fraction(1, 2)}
+        assert list(qc.matrix_to_entries(mat).items()) == [
+            ("1,2", "1/2"), ("1,10", "-1"), ("2,1", "2"), ("11,3", "3")]
 
 
 class TestHeisenbergScaling:

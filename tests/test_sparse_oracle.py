@@ -5,10 +5,13 @@ products over nonzero entries only, and keeps Gamma and T as dicts of their
 nonzero entries.  The references below visit every index tuple with the
 original dense formulas: Gamma and T as n^3 tables, R_{abcd} as an n^5
 contraction and W^qc entry by entry through Kulkarni-Nomizu products; a
-dense table is compared with a dict through its nonzero entries.  Zero
-factors are skipped in ``_mul`` only so that Fraction arithmetic on zeros
-does not dominate the run time; no index tuple is left out.  Both sides
-must return identical Fractions.
+dense table is compared with a dict through its nonzero entries.  The
+horizontal matrices (I_s, T0, U, T_xi) are dicts of their nonzero entries;
+their references are lists of rows, multiplied and combined by
+``dense_mat_mul`` and ``dense_mat_lin``, and ``dense`` reads a dict as
+rows.  Zero factors are skipped in ``_mul`` only so that Fraction
+arithmetic on zeros does not dominate the run time; no index tuple is left
+out.  Both sides must return identical Fractions.
 
 The jet path solves the first structure equation for Gamma over the
 triples where a structure function is nonzero; its reference is the dense
@@ -30,7 +33,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcforge import qc
-from qcforge.algebra import CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog, form_matrix
+from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
+                             _mat_mul, _mat_t, catalog, form_matrix, require_qc)
 from qcforge.ansatz import triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
                                _ideal_matrix, _ideal_residual, _wedge_table, build_family,
@@ -45,18 +49,41 @@ def _mul(x, y):
     return x * y if x and y else 0
 
 
-def _matmul(a, b):
-    k = len(a)
-    return [[sum(_mul(a[r][m], b[m][c]) for m in range(k)) for c in range(k)] for r in range(k)]
+def dense_mat_mul(a, b):
+    """Product of matrices held as lists of rows."""
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for row, acc in zip(a, out):
+        for x, brow in zip(row, b):
+            if x:
+                for c, y in enumerate(brow):
+                    if y:
+                        acc[c] += x * y
+    return out
 
 
 def _transpose(a):
     return [[a[c][r] for c in range(len(a))] for r in range(len(a))]
 
 
-def _combine(*terms):
-    k = len(terms[0][1])
-    return [[sum(_mul(c, a[r][q]) for c, a in terms) for q in range(k)] for r in range(k)]
+def dense_mat_lin(*terms):
+    """Linear combination sum c * A over (c, A) pairs of lists of rows."""
+    coeffs = [c for c, _ in terms]
+    return [[sum((c * x for c, x in zip(coeffs, xs) if x), Fraction(0)) for xs in zip(*rows)]
+            for rows in zip(*(a for _, a in terms))]
+
+
+def dense(mat: dict, k: int) -> list:
+    """The k x k list of rows of a matrix held as a dict of its nonzero
+    entries, keyed by 0-based (row, column)."""
+    out = [[Fraction(0)] * k for _ in range(k)]
+    for (r, c), x in mat.items():
+        out[r][c] = x
+    return out
+
+
+def sparse(mat: list) -> dict:
+    """The nonzero entries of a list of rows, keyed by (row, column)."""
+    return {(r, c): x for r, row in enumerate(mat) for c, x in enumerate(row) if x}
 
 
 def nonzeros(table) -> dict:
@@ -119,17 +146,17 @@ def dense_wqc(spec, torsion, curv) -> dict:
     hor = spec.horizontal
     k = len(hor)
     S = torsion.S
-    t0, u = torsion.T0, torsion.U
-    mats = [[list(row) for row in spec.complex_structure(s)] for s in (1, 2, 3)]
-    omegas = [form_matrix(spec.omega[s - 1], hor) for s in (1, 2, 3)]
+    t0, u = dense(torsion.T0, k), dense(torsion.U, k)
+    mats = [dense(spec.complex_structure(s), k) for s in (1, 2, 3)]
+    omegas = [dense(form_matrix(spec.omega[s - 1], hor), k) for s in (1, 2, 3)]
     g = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
 
-    l0 = _combine((Fraction(1, 2), t0), (1, u))
+    l0 = dense_mat_lin((Fraction(1, 2), t0), (1, u))
     # omega_s pairs with the rotation of L0 by I_{s-1}, cyclically
-    isl0 = [_combine((-1, _matmul(l0, mats[s - 1]))) for s in range(3)]
-    t0_xi = [_matmul(t0, m) for m in mats]
-    t0_ix = [_matmul(_transpose(m), t0) for m in mats]
-    u_xi = [_matmul(u, m) for m in mats]
+    isl0 = [dense_mat_lin((-1, dense_mat_mul(l0, mats[s - 1]))) for s in range(3)]
+    t0_xi = [dense_mat_mul(t0, m) for m in mats]
+    t0_ix = [dense_mat_mul(_transpose(m), t0) for m in mats]
+    u_xi = [dense_mat_mul(u, m) for m in mats]
 
     def kn(a_mat, b_mat, x, y, z, v):
         return (_mul(a_mat[x][z], b_mat[y][v]) + _mul(a_mat[y][v], b_mat[x][z])
@@ -214,6 +241,88 @@ def test_relabelled_frames_match_dense(name, perm):
     have, want = qc.analyze(spec).to_dict(), qc.catalog_report(name).to_dict()
     assert {k: v for k, v in have.items() if k not in moved} == \
         {k: v for k, v in want.items() if k not in moved}
+
+
+ROTATION = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+
+def rotate(spec, rot=ROTATION) -> QcFrameSpec:
+    """The same coframe with the first two horizontals h1, h2 rotated:
+    e'^{h_p} = sum_q rot[p][q] e^{h_q}.  rot is orthogonal, so the frame
+    stays orthonormal, and e^{h_q} = sum_p rot[p][q] e'^{h_p}."""
+    n = spec.dim
+    plane = spec.horizontal[:2]
+    old = {a: KForm.basis(n, a) for a in range(1, n + 1)}
+    for q, b in enumerate(plane):
+        old[b] = sum((rot[p][q] * KForm.basis(n, a) for p, a in enumerate(plane)), KForm(n, 1))
+
+    def move(form):
+        out = KForm(n, 2)
+        for (i, j), coeff in form.terms.items():
+            out = out + coeff * old[i].wedge(old[j])
+        return out
+
+    diff = [move(form) for form in spec.algebra.diff]
+    rotated = list(diff)
+    for p, a in enumerate(plane):
+        rotated[a - 1] = sum((rot[p][q] * diff[b - 1] for q, b in enumerate(plane)), KForm(n, 2))
+    alg = FrameAlgebra(spec.algebra.name, n, rotated)
+    return QcFrameSpec(alg, spec.horizontal, spec.vertical, [move(w) for w in spec.omega])
+
+
+@pytest.mark.parametrize("name", ("heis(1)", "l1", "l3"))
+def test_rotated_frames_match_dense(name):
+    """Rotated complex structures are no signed permutations, so the
+    quaternion gate and the torsion split run their general products; every
+    invariant is unchanged, and T0 turns with the frame: T0' = O T0 O^T."""
+    spec = require_qc(rotate(catalog(name)))
+    assert any(abs(x) != 1 for s in (1, 2, 3) for x in spec.complex_structure(s).values())
+    have, want = qc.analyze(spec), qc.catalog_report(name)
+    kept = ("S", "einstein", "wqc_zero", "omega4_closed", "omegaQ_closed", "lemma_closed")
+    assert [getattr(have, key) for key in kept] == [getattr(want, key) for key in kept]
+    k = len(spec.horizontal)
+    o = dense(_identity(k), k)
+    o[0][:2], o[1][:2] = ROTATION
+    assert dense(have.torsion.T0, k) == \
+        dense_mat_mul(dense_mat_mul(o, dense(want.torsion.T0, k)), _transpose(o))
+    assert_matches_dense(spec)
+
+
+_ENTRIES = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2),
+                                                Fraction(-2, 3), Fraction(3)])
+
+
+@st.composite
+def cancelling_matrices(draw):
+    """Square lists of rows a, b and two coefficients, with columns j and
+    j' of a opposite and rows j and j' of b equal, so that the terms of a b
+    through j and j' cancel."""
+    k = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), min_size=k, max_size=k)
+    a, b = draw(square), draw(square)
+    if k > 1:
+        j, jj = draw(st.permutations(range(k)))[:2]
+        for row in a:
+            row[jj] = -row[j]
+        b[jj] = list(b[j])
+    return a, b, draw(_ENTRIES), draw(_ENTRIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cancelling_matrices())
+def test_matrix_helpers_match_dense(case):
+    """The sparse product, linear combination and transpose equal the
+    dense references and store no zero, so a zero matrix is an empty dict
+    and equal matrices are equal dicts."""
+    a, b, x, y = case
+    sa, sb = sparse(a), sparse(b)
+    pairs = [(_mat_mul(sa, sb), dense_mat_mul(a, b)),
+             (_mat_mul(_mat_t(sb), sa), dense_mat_mul(_transpose(b), a)),
+             (_mat_lin((x, sa), (y, sb), (-x, sa)), dense_mat_lin((x, a), (y, b), (-x, a))),
+             (_mat_t(sa), _transpose(a))]
+    for have, want in pairs:
+        assert have == sparse(want)
+        assert all(type(v) is Fraction and v for v in have.values())
 
 
 def dense_cartan_forms(cof) -> list:

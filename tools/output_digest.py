@@ -17,6 +17,12 @@ the six ``qc-report --catalog`` entries, in text and json, and
 every family; the ``jet`` benchmark argv of seeds 1-6 (72 builds), read from
 ``bench/inputs.py``; ``qc-report --file`` (text and json) and
 ``check-algebra --file`` on the ``exact`` benchmark coframes of seeds 1-3;
+``qc-report --file`` (text and json) on heis(1), l1 and l3 with their first
+two horizontals rotated by (3/5, -4/5; 4/5, 3/5), so that their complex
+structures are no signed permutations; ``qc-report --file --format json``
+on 60 seeded single-line perturbations of the ``exact`` coframes of seeds
+1-2 (a term scaled, dropped or added, an index moved, a line deleted or
+repeated), which end in a verdict, a parse error or a refused precondition;
 ``--file`` inputs that break the Jacobi identity, the quaternion relations
 or the Reeb conditions, or carry integer literals too large for a frame (in
 the header, a ``d`` line, an index list or a form literal) or a coefficient
@@ -37,8 +43,10 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +54,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
 from qcforge import cli, dga  # noqa: E402
-from qcforge.algebra import CATALOG_NAMES  # noqa: E402
+from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, catalog,  # noqa: E402
+                             format_algebra)
+from qcforge.forms import KForm  # noqa: E402
 from qcforge.evolution import FAMILIES  # noqa: E402
 
 FORMATS = (["--format", "text"], ["--format", "json"])
@@ -107,10 +117,77 @@ FILE_REFUSALS = {
 }
 
 
+ROTATION = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+
+def rotated_text(name: str) -> str:
+    """Structure equations of the catalog entry in the coframe with the
+    first two horizontals h1, h2 rotated, e'^{h_p} = sum_q R[p][q] e^{h_q};
+    R is orthogonal, so e^{h_q} = sum_p R[p][q] e'^{h_p}."""
+    spec = catalog(name)
+    n = spec.dim
+    plane = spec.horizontal[:2]
+    old = {a: KForm.basis(n, a) for a in range(1, n + 1)}
+    for q, b in enumerate(plane):
+        old[b] = sum((ROTATION[p][q] * KForm.basis(n, a) for p, a in enumerate(plane)),
+                     KForm(n, 1))
+
+    def move(form):
+        out = KForm(n, 2)
+        for (i, j), coeff in form.terms.items():
+            out = out + coeff * old[i].wedge(old[j])
+        return out
+
+    diff = [move(form) for form in spec.algebra.diff]
+    rotated = list(diff)
+    for p, a in enumerate(plane):
+        rotated[a - 1] = sum((ROTATION[p][q] * diff[b - 1] for q, b in enumerate(plane)),
+                             KForm(n, 2))
+    alg = FrameAlgebra(spec.algebra.name, n, rotated)
+    return format_algebra(alg, QcFrameSpec(alg, spec.horizontal, spec.vertical,
+                                           [move(w) for w in spec.omega]))
+
+
+def perturbed_text(text: str, rng: random.Random) -> str:
+    """``text`` with one ``d`` or ``omega`` line changed: a term scaled,
+    dropped or added, an index moved (possibly out of range), or the line
+    deleted or repeated."""
+    lines = text.splitlines()
+    dim = int(lines[0].split()[-1])
+    at = rng.choice([i for i, line in enumerate(lines) if line.startswith(("d ", "omega"))])
+    op = rng.choice(("scale", "drop", "add", "index", "delete", "repeat"))
+    if op == "delete":
+        del lines[at]
+    elif op == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        lhs, _, rhs = lines[at].partition(" = ")
+        terms = [] if rhs == "0" else [list(t) for t in inputs._terms(rhs, Fraction(1))]
+        if op == "add" or not terms:
+            i, j = sorted(rng.sample(range(1, dim + 1), 2))
+            terms.append([rng.choice((Fraction(1), Fraction(-1), Fraction(2))), i, j])
+        elif op == "scale":
+            terms[rng.randrange(len(terms))][0] *= rng.choice(
+                (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)))
+        elif op == "drop":
+            del terms[rng.randrange(len(terms))]
+        else:
+            terms[rng.randrange(len(terms))][rng.choice((1, 2))] = rng.randint(1, dim + 1)
+        lines[at] = f"{lhs} = {inputs._render(terms, {a: a for a in range(1, dim + 2)})}"
+    return "\n".join(lines) + "\n"
+
+
 def input_files() -> dict:
     """File name -> structure-equation text of every ``--file`` input."""
     files = {f"exact-{seed}-{entry}.alg": text
              for seed in (1, 2, 3) for entry, text in inputs.exact_inputs(seed)}
+    for name in ("heis(1)", "l1", "l3"):
+        files[f"rotated-{name}.alg"] = rotated_text(name)
+    for seed in (1, 2):
+        rng = random.Random(f"perturbed/{seed}")
+        for entry, text in inputs.exact_inputs(seed):
+            for k in range(5):
+                files[f"perturbed-{seed}-{entry}-{k}.alg"] = perturbed_text(text, rng)
     for name, (old, new) in FILE_REFUSALS.items():
         assert old in _HEIS1, old
         files[f"{name}.alg"] = _HEIS1.replace(old, new)
@@ -126,8 +203,10 @@ def corpus() -> list:
             for name, fam in FAMILIES.items()]
     out += [argv for seed in range(1, 7) for *_, argv in inputs.jet_inputs(seed)]
     for path in input_files():
-        out += [["qc-report", "--file", path, *fmt] for fmt in FORMATS]
-        out.append(["check-algebra", "--file", path])
+        formats = FORMATS[1:] if path.startswith("perturbed-") else FORMATS
+        out += [["qc-report", "--file", path, *fmt] for fmt in formats]
+        if not path.startswith(("perturbed-", "rotated-")):
+            out.append(["check-algebra", "--file", path])
     return out + REFUSALS
 
 
