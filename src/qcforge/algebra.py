@@ -154,18 +154,17 @@ class QcFrameSpec:
         return self._imat[s - 1]
 
     def validate(self):
-        """Quaternion relations and metric compatibility of the induced I_s."""
+        """The quaternion relations I_s^2 = -1 and I_1 I_2 = I_3 of the
+        induced I_s.  Each I_s is antisymmetric, so metric compatible, by
+        construction (see :func:`form_matrix`), and I_2 I_1 = -I_3 follows
+        from the relations checked."""
         i1, i2, i3 = (self.complex_structure(s) for s in (1, 2, 3))
         minus_id = _mat_lin((-1, _identity(len(self.horizontal))))
         for s, mat in enumerate((i1, i2, i3), start=1):
             if _mat_mul(mat, mat) != minus_id:
                 raise NotQcError(f"I_{s}^2 is not -id; check omega_{s}")
-            if _mat_t(mat) != _mat_lin((-1, mat)):
-                raise NotQcError(f"I_{s} is not metric compatible")
         if _mat_mul(i1, i2) != i3:
             raise NotQcError("I_1 I_2 != I_3; quaternion relations fail")
-        if _mat_mul(i2, i1) != _mat_lin((-1, i3)):
-            raise NotQcError("I_2 I_1 != -I_3; quaternion relations fail")
         return self
 
 
@@ -292,6 +291,7 @@ def parse_algebra(source: str, name: str | None = None):
     alg_name = name
     diff: dict[int, KForm] = {}
     horizontal = vertical = None
+    qc_line = 0
     omegas: dict[int, KForm] = {}
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -319,13 +319,19 @@ def parse_algebra(source: str, name: str | None = None):
             continue
         m = _QCLINE.match(line)
         if m:
+            if qc_line:
+                raise AlgebraSyntaxError(f"second qc line; the first is line {qc_line}", line_no)
+            qc_line = line_no
             horizontal = _parse_index_list(m.group(1), dim, line_no)
             vertical = _parse_index_list(m.group(2), dim, line_no)
             continue
         m = _OMEGALINE.match(line)
         if m:
+            s = int(m.group(1))
+            if s in omegas:
+                raise AlgebraSyntaxError(f"omega{s} defined twice", line_no)
             try:
-                omegas[int(m.group(1))] = parse_form(m.group(2), dim, degree=2)
+                omegas[s] = parse_form(m.group(2), dim, degree=2)
             except ValueError as exc:
                 raise AlgebraSyntaxError(str(exc), line_no) from exc
             continue
@@ -339,7 +345,7 @@ def parse_algebra(source: str, name: str | None = None):
     spec = None
     if horizontal is not None:
         if set(omegas) != {1, 2, 3}:
-            raise AlgebraSyntaxError("qc block needs omega1, omega2, omega3", 0)
+            raise AlgebraSyntaxError("qc block needs omega1, omega2, omega3", qc_line)
         spec = QcFrameSpec(alg, horizontal, vertical, (omegas[1], omegas[2], omegas[3]))
     return alg, spec
 

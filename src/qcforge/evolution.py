@@ -45,7 +45,7 @@ from . import qc
 from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm, exterior_d
-from .riemann import CoframeWithJets, ricci_and_rank
+from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
 from .scalars import (DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits,
                       worst_abs)
 
@@ -185,29 +185,45 @@ def _ideal_matrix(forms: list, dim_ext: int, count: int):
 def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> float:
     """Least-squares remainder of dF_i = sum_j beta_j ^ F_j over 1-form
     multipliers beta_j, maximized over i and the ``count`` samples, from the
-    values of the forms.  One SVD per sample serves the three dF_i: the
-    remainder is b - U U^T b, with U the left singular vectors above the
-    cutoff of ``lstsq(rcond=None)``.  Raises OverflowError before any
-    factorization when a coefficient is not finite."""
+    values of the forms, by :func:`block_remainder`.  Raises OverflowError
+    before any factorization when a coefficient is not finite."""
     row_of = _wedge_table(dim_ext)[1]
     rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
-    b_vec = np.zeros((3, count, len(row_of)))
+    rhs = np.zeros((count, len(row_of), 3))
     for i in range(3):
         for idx, value in dforms[i].values().terms.items():
-            b_vec[i, :, row_of[idx]] = value
-    if not (np.isfinite(vals).all() and np.isfinite(b_vec).all()):
+            rhs[:, row_of[idx], i] = value
+    if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
         raise OverflowError("the forms are not finite")
-    shape = (len(row_of), 3 * dim_ext)
-    cutoff = np.finfo(float).eps * max(shape)
+    return block_remainder(rows, cols, vals, rhs, 3 * dim_ext)
+
+
+def block_remainder(rows, cols, vals: np.ndarray, rhs: np.ndarray, width: int) -> float:
+    """max |b - A x| over the least-squares solutions x of A x = b, where
+    at sample s, A has ``rhs.shape[1]`` rows and ``width`` columns with
+    the entries ``vals[:, s]`` at (``rows``, ``cols``), and b is each
+    column of ``rhs[s]``.
+
+    A is solved block by block over the diagonal blocks of
+    :func:`~qcforge.riemann.block_stacks`, one SVD per block serving every
+    b: the remainder on a block's rows is b - U U^T b, with U the left
+    singular vectors above the cutoff of ``lstsq(rcond=None)``, eps times
+    the larger side of A times A's largest singular value (the largest of
+    all blocks of the sample).  On an empty row the remainder is b."""
+    factors = [(block_rows, *np.linalg.svd(stack, full_matrices=False)[:2])
+               for block_rows, stack in block_stacks(rows, cols, vals)]
+    top = np.zeros(len(rhs))
+    for _, _, svals in factors:
+        top = np.maximum(top, svals[..., 0].max(axis=1))
+    cutoff = np.finfo(float).eps * max(rhs.shape[1], width) * top
+    empty = np.ones(rhs.shape[1], dtype=bool)
     resids = []
-    for s in range(count):
-        # one dense matrix at a time: the batch of them outweighs the forms
-        a_mat = np.zeros(shape)
-        a_mat[rows, cols] = vals[:, s]
-        u, svals, _ = np.linalg.svd(a_mat, full_matrices=False)
-        u = u[:, svals > cutoff * svals[0]]
-        rhs = b_vec[:, s].T
-        resids.append(rhs - u @ (u.T @ rhs))
+    for block_rows, u, svals in factors:
+        u = u * (svals > cutoff[:, None, None])[:, :, None, :]
+        b = rhs[:, block_rows]
+        resids.append(b - u @ (np.swapaxes(u, -1, -2) @ b))
+        empty[block_rows] = False
+    resids.append(rhs[:, empty])
     return worst_abs(resids)
 
 

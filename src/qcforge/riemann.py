@@ -442,11 +442,11 @@ class CurvatureSummary:
 
 
 def _ricci_and_span(curv: CurvatureRows):
-    """Ricci and the span matrix of the curvature rows, each with a
-    leading sample axis.  Ricci_{bd} = sum_a Omega^a_b(e_a, e_d) is
-    summed from 0.0 over a ascending (sphere-positive convention); the
-    matrix has the forms Omega^a_b, a < b, as rows over the basis 2-forms
-    in lexicographic order."""
+    """Ricci, with a leading sample axis, and the span matrix as the row,
+    the column and the values of each of its entries.  Ricci_{bd} =
+    sum_a Omega^a_b(e_a, e_d) is summed from 0.0 over a ascending
+    (sphere-positive convention); the matrix has the forms Omega^a_b,
+    a < b, as rows over the basis 2-forms in lexicographic order."""
     n = curv.dim
     width = curv.values.shape[1]
     # Omega^a_b(e_a, e_d) is the (a, d) coefficient, negated when d < a;
@@ -461,16 +461,77 @@ def _ricci_and_span(curv: CurvatureRows):
     def pair(p, q):  # position of hat-e^p ^ hat-e^q, p < q
         return p * (2 * n - p - 1) // 2 + q - p - 1
 
-    size = n * (n - 1) // 2
-    mat = np.zeros((width, size, size))
     upper = [(r, pair(a, b), pair(p, q)) for r, (a, b, p, q) in enumerate(curv.index) if a < b]
-    if upper:
-        rows, forms, basis = zip(*upper)
-        mat[:, list(forms), list(basis)] = curv.values[list(rows)].T
-    return ric, mat
+    rows, forms, basis = zip(*upper) if upper else ((),) * 3
+    return ric, list(forms), list(basis), curv.values[list(rows)]
+
+
+def block_stacks(rows, cols, values: np.ndarray) -> list:
+    """The diagonal blocks of the matrices, one per sample s, that hold
+    ``values[e, s]`` at (``rows[e]``, ``cols[e]``) and zeros elsewhere
+    (a repeated position keeps its last entry).  The blocks are the
+    connected components of the pattern of the entries, found by a
+    union-find over its rows and columns that merges the smaller
+    component into the larger; so one pattern serves every sample, and a
+    pattern that joins blocks only makes them larger.  Empty rows and
+    columns belong to no block.
+
+    Returns one (block_rows, stack) pair per block shape (m, k): the
+    (blocks, m) array of each block's rows, ascending, and the
+    (samples, blocks, m, k) stack of the blocks."""
+    rows, cols = np.asarray(rows).tolist(), np.asarray(cols).tolist()
+    comp = {}  # node -> the nodes of its component: rows r >= 0, columns ~c < 0
+    for r, c in zip(rows, cols):
+        a, b = comp.setdefault(r, [r]), comp.setdefault(~c, [~c])
+        if a is not b:
+            if len(a) > len(b):
+                a, b = b, a
+            b += a
+            for node in a:
+                comp[node] = b
+    shapes, at = {}, {}  # at: row -> (shape, block, local row); ~column -> local column
+    for nodes in {id(nodes): nodes for nodes in comp.values()}.values():
+        block_rows = sorted(x for x in nodes if x >= 0)
+        shape = (len(block_rows), len(nodes) - len(block_rows))
+        blocks = shapes.setdefault(shape, [])
+        for i, r in enumerate(block_rows):
+            at[r] = (shape, len(blocks), i)
+        for j, c in enumerate(sorted((x for x in nodes if x < 0), reverse=True)):
+            at[c] = j
+        blocks.append(block_rows)
+    place = {shape: ([], [], [], []) for shape in shapes}
+    for e, (r, c) in enumerate(zip(rows, cols)):
+        shape, block, i = at[r]
+        entries, in_block, row, col = place[shape]
+        entries.append(e)
+        in_block.append(block)
+        row.append(i)
+        col.append(at[~c])
+    out = []
+    for shape, blocks in shapes.items():
+        entries, *where = place[shape]
+        stack = np.zeros((values.shape[1], len(blocks)) + shape)
+        stack[(slice(None), *where)] = values[entries].T
+        out.append((np.array(blocks), stack))
+    return out
 
 
 SVD_THRESHOLD = 1e-8  # rank cutoff, relative to the largest singular value
+
+
+def span_rank(rows, cols, values: np.ndarray) -> np.ndarray:
+    """The rank of each of the matrices that :func:`block_stacks` reads
+    from the entries, 0 where every entry is within 1e-8 of zero: the
+    number of singular values above ``SVD_THRESHOLD`` times the largest,
+    which is the sum over the diagonal blocks, each block's singular
+    values compared with the largest of all blocks of its sample."""
+    flat = (np.abs(values) <= 1e-8).all(axis=0)
+    svals = [np.linalg.svd(stack, compute_uv=False) for _, stack in block_stacks(rows, cols, values)]
+    top = np.zeros(values.shape[1])
+    for s in svals:
+        top = np.maximum(top, s[..., 0].max(axis=1))
+    rank = sum(np.sum(s > SVD_THRESHOLD * top[:, None, None], axis=(1, 2)) for s in svals)
+    return np.where(flat, 0, rank)
 
 
 def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
@@ -479,21 +540,18 @@ def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     float jets.
 
     The rank uses a singular-value cutoff relative to the largest singular
-    value; with the coframe orthonormal the Ricci comparison metric is the
-    identity.  One stacked SVD gives the ranks of all samples.  Raises
-    OverflowError, before the SVD, when the curvature is not finite.
+    value, by :func:`span_rank` over the diagonal blocks of the span
+    matrix; with the coframe orthonormal the Ricci comparison metric is the
+    identity.  Raises OverflowError, before any SVD, when the curvature is
+    not finite.
     """
     conn = cartan_connection(cof)
-    ric, mat = _ricci_and_span(curvature_forms(cof, conn))
-    if not np.isfinite(mat).all():
+    ric, forms, basis, values = _ricci_and_span(curvature_forms(cof, conn))
+    if not np.isfinite(values).all():
         raise OverflowError("the curvature is not finite")
-    # np.allclose(mat, 0.0) per sample, without a temporary of the size of mat
-    flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = np.where(flat, 0, np.sum(svals > SVD_THRESHOLD * svals[..., :1], axis=-1))
     return CurvatureSummary(
         ricci=ric,
-        curvature_rank=rank,
+        curvature_rank=span_rank(forms, basis, values),
         structure_residual=conn.structure_residual,
         antisymmetry_residual=conn.antisymmetry_residual,
     )

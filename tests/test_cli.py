@@ -93,6 +93,31 @@ class TestCheckAlgebra:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("omega2 = e1^e3 + e4^e2", "omega2 = e1^e3 + e4^e2\nomega2 = e1^e3",
+         "line 12, column 0: omega2 defined twice"),
+        ("omega1 =", "omega1 = e1^e2\nomega1 =", "line 11, column 0: omega1 defined twice"),
+        ("omega1 =", "qc horizontal = e1..e4 ; vertical = e5,e6,e7\nomega1 =",
+         "line 10, column 0: second qc line; the first is line 9"),
+        ("omega3 = e1^e4 + e2^e3", "", "line 9, column 0: qc block needs omega1, omega2, omega3"),
+    ], ids=["repeated-omega", "omega1-twice", "repeated-qc", "incomplete-qc"])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_qc_block_refused_with_its_line(self, tmp_path, capsys, command, old, new, message):
+        """A repeated omega<k> or qc line is refused as a repeated d e<k>
+        line is, and an incomplete qc block names the line of its qc line."""
+        path = tmp_path / "qc.alg"
+        path.write_text(heisenberg_source(1).replace(old, new, 1))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+    def test_python_dash_m_runs_the_cli(self):
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-m", "qcforge", "check-algebra", "--catalog", "l1"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("overall: PASS\n")
+
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "check-algebra", "--catalog", "l7")
         assert code == 2

@@ -21,9 +21,11 @@ structure functions.  It then checks the solution and builds the curvature
 reference carries the jets of the connection rows through KForm d, wedges
 and residual sums, and reads the values at the end.  The matrix of the differential-ideal
 test is placed from an index table; its reference wedges each form with
-the unit 1-forms.  The ideal test takes one SVD per sample for its three
-right-hand sides; its reference is one least-squares solve per sample and
-right-hand side.
+the unit 1-forms.  The ideal test and the curvature-span rank factor the
+diagonal blocks of their matrices, one SVD per block serving the ideal
+test's three right-hand sides; the ideal test's reference is one
+least-squares solve per sample and right-hand side, and on random block
+patterns both are checked against SVDs of the whole matrices.
 """
 
 from fractions import Fraction
@@ -32,16 +34,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcforge import qc
+from qcforge import evolution, qc
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
                              _mat_mul, _mat_t, catalog, form_matrix, require_qc)
 from qcforge.ansatz import triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
-                               _ideal_matrix, _ideal_residual, _wedge_table, build_family,
-                               extended_d, require_einstein_base)
+                               _ideal_matrix, _ideal_residual, _wedge_table, block_remainder,
+                               build_family, extended_d, require_einstein_base, verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
-from qcforge.riemann import (_ordered_sums, cartan_connection, curvature_forms,
-                             frame_curvature, koszul_levi_civita)
+from qcforge.riemann import (SVD_THRESHOLD, _ordered_sums, cartan_connection,
+                             curvature_forms, frame_curvature, koszul_levi_civita, span_rank)
 from qcforge.scalars import Jet, worst_abs
 
 
@@ -286,6 +288,20 @@ def test_rotated_frames_match_dense(name):
     assert dense(have.torsion.T0, k) == \
         dense_mat_mul(dense_mat_mul(o, dense(want.torsion.T0, k)), _transpose(o))
     assert_matches_dense(spec)
+
+
+@pytest.mark.parametrize("name,rotated", [(name, False) for name in CATALOG_NAMES]
+                         + [(name, True) for name in ("heis(1)", "l1", "l3")])
+def test_complex_structures_antisymmetric_and_anticommuting(name, rotated):
+    """The two relations that ``QcFrameSpec.validate`` does not check,
+    because they hold by construction: each I_s is antisymmetric, so
+    metric compatible, and I_2 I_1 = -I_3."""
+    spec = require_qc(rotate(catalog(name))) if rotated else catalog(name)
+    k = len(spec.horizontal)
+    i1, i2, i3 = (dense(spec.complex_structure(s), k) for s in (1, 2, 3))
+    for mat in (i1, i2, i3):
+        assert _transpose(mat) == [[-x for x in row] for row in mat]
+    assert dense_mat_mul(i2, i1) == [[-x for x in row] for row in i3]
 
 
 _ENTRIES = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -595,6 +611,119 @@ def test_qk_heis2_ideal_residual_is_roundoff(b, samples):
     A x - b; the projection leaves 1.8e-12, 4.3e-14 and 1.0e-11."""
     result = build_family("qk-heis2", {"b": Fraction(b)}, [float(x) for x in samples.split(",")])
     assert result["ideal_residual"] < TOL_RESIDUAL / 5
+
+
+def dense_remainders(rows, cols, vals, rhs, width) -> list:
+    """max |b - A x| per sample by one SVD of the whole matrix A, with the
+    cutoff of ``lstsq(rcond=None)``: the ideal test before its blocks."""
+    out = []
+    for s in range(len(rhs)):
+        a_mat = np.zeros((rhs.shape[1], width))
+        a_mat[rows, cols] = vals[:, s]
+        u, svals, _ = np.linalg.svd(a_mat, full_matrices=False)
+        u = u[:, svals > np.finfo(float).eps * max(a_mat.shape) * svals[0]]
+        out.append(worst_abs([rhs[s] - u @ (u.T @ rhs[s])]))
+    return out
+
+
+def dense_span_rank(rows, cols, vals, shape) -> np.ndarray:
+    """The rank per sample by one stacked SVD of the whole matrices, 0
+    where a matrix is within 1e-8 of zero: the span rank before its
+    blocks."""
+    mat = np.zeros((vals.shape[1],) + shape)
+    mat[:, rows, cols] = vals.T
+    flat = (mat.max(axis=(-2, -1)) <= 1e-8) & (mat.min(axis=(-2, -1)) >= -1e-8)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return np.where(flat, 0, np.sum(svals > SVD_THRESHOLD * svals[..., :1], axis=-1))
+
+
+# a block at 1e-20 beside one at 1 is below both cutoffs of its sample,
+# but not below its own
+_BLOCK_SCALES = st.sampled_from([1.0, 1.0, 1e-20])
+
+
+@st.composite
+def block_matrices(draw):
+    """(rows, cols, vals, rhs, shape): the entries of one to three matrices
+    of one random block pattern, rows and columns shuffled, with three
+    right-hand sides each.  The pattern may have empty rows and columns,
+    and up to two stray entries that join blocks; without them, the blocks
+    differ in scale by 20 orders of magnitude.  A column may repeat
+    another (joining its block) or be zero, and a sample may be all zero."""
+    count = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4))
+    shape = (sum(m for m, _ in sizes) + draw(st.integers(0, 3)),
+             sum(k for _, k in sizes) + draw(st.integers(0, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [1.0, -1.0, 0.5, -2.0, 3.0, 0.25]
+    mat = rng.choice(values, (count,) + shape)
+    strays = draw(st.lists(st.tuples(st.integers(0, shape[0] - 1),
+                                     st.integers(0, shape[1] - 1)), max_size=2))
+    mask = np.zeros(shape, dtype=bool)
+    r = c = 0
+    for m, k in sizes:
+        mask[r:r + m, c:c + k] = rng.random((m, k)) < 0.7
+        # scales differ only between blocks that stay apart: a block that
+        # mixes them is ill-conditioned, and no solve of it holds 1e-12
+        mat[:, r:r + m] *= 1.0 if strays else draw(_BLOCK_SCALES)
+        r, c = r + m, c + k
+    for i, j in strays:
+        mask[i, j] = True
+    j, j2 = draw(st.integers(0, shape[1] - 1)), draw(st.integers(0, shape[1] - 1))
+    op = draw(st.sampled_from(["none", "repeat", "zero"]))
+    if op == "repeat":
+        mask[:, j2], mat[:, :, j2] = mask[:, j], mat[:, :, j]
+    elif op == "zero":
+        mat[:, :, j] = 0.0
+    if draw(st.booleans()):
+        mat[draw(st.integers(0, count - 1))] = 0.0
+    perm_r, perm_c = rng.permutation(shape[0]), rng.permutation(shape[1])
+    mask, mat = mask[perm_r][:, perm_c], mat[:, perm_r][:, :, perm_c]
+    rows, cols = np.nonzero(mask)
+    return rows, cols, mat[:, rows, cols].T, rng.choice(values, (count, shape[0], 3)), shape
+
+
+def assert_remainder_matches(have, want):
+    if want <= TOL_RESIDUAL:
+        assert have <= TOL_RESIDUAL, (have, want)
+    else:
+        assert have == pytest.approx(want, rel=1e-12), (have, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_block_solves_match_dense(case):
+    """The ideal remainder and the span rank, solved block by block, equal
+    the solves of the whole matrices: each sample's remainder and the
+    maximum over the batch to 1e-12 relative, or within the build
+    tolerance where the dense one is, and every rank exactly."""
+    rows, cols, vals, rhs, shape = case
+    want = dense_remainders(rows, cols, vals, rhs, shape[1])
+    for s in range(len(rhs)):
+        assert_remainder_matches(block_remainder(rows, cols, vals[:, [s]], rhs[[s]], shape[1]),
+                                 want[s])
+    assert_remainder_matches(block_remainder(rows, cols, vals, rhs, shape[1]), max(want))
+    assert (span_rank(rows, cols, vals) == dense_span_rank(rows, cols, vals, shape)).all()
+
+
+@pytest.mark.parametrize("name", ["qk-heis", "ideal-family", "qk-heis2", "spin7-l1", "spin7-l2"])
+def test_rotated_base_builds_the_same_verdicts(monkeypatch, name):
+    """A base whose first two horizontals are rotated gives the same
+    curvature rank and verdicts; the rotation joins diagonal blocks of
+    the ideal matrix, which the blocked solve must find by itself."""
+    fam = FAMILIES[name]
+    want = build_family(name)
+    spec = require_qc(rotate(catalog(fam.base)))
+    monkeypatch.setattr(evolution, "require_einstein_base", lambda base, S: spec)
+    widths = []
+    solve = evolution.block_stacks
+    monkeypatch.setattr(evolution, "block_stacks",
+                        lambda *args: [widths.append(stack.shape[-1]) or (rows, stack)
+                                       for rows, stack in solve(*args)])
+    have = build_family(name)
+    assert max(widths) > 3  # a block joins the columns of two frame indices
+    assert have["curvature_rank"] == want["curvature_rank"]
+    assert verdicts(name, have) == verdicts(name, want)
 
 
 _SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])

@@ -24,7 +24,8 @@ on 60 seeded single-line perturbations of the ``exact`` coframes of seeds
 1-2 (a term scaled, dropped or added, an index moved, a line deleted or
 repeated), which end in a verdict, a parse error or a refused precondition;
 ``--file`` inputs that break the Jacobi identity, the quaternion relations
-or the Reeb conditions, or carry integer literals too large for a frame (in
+or the Reeb conditions, repeat an ``omega`` or the ``qc`` line, lack an
+``omega`` line, or carry integer literals too large for a frame (in
 the header, a ``d`` line, an index list or a form literal) or a coefficient
 too long to echo; and a set of argv that the CLI refuses, with one
 spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
@@ -114,6 +115,9 @@ FILE_REFUSALS = {
     "long-form-index": ("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"),
     "long-coefficient": ("d e7 = 2 e1^e4", f"d e7 = {_LONG} e1^e4"),
     "superscript-list": ("vertical = e5,e6,e7", "vertical = e5,e6,e\u00b2"),
+    "repeated-omega": ("omega2 = e1^e3 + e4^e2", "omega2 = e1^e3 + e4^e2\nomega2 = e1^e3"),
+    "repeated-qc": ("omega1 =", "qc horizontal = e1..e4 ; vertical = e5,e6,e7\nomega1 ="),
+    "incomplete-qc": ("omega3 = e1^e4 + e2^e3", ""),
 }
 
 
