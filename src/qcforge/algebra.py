@@ -30,11 +30,11 @@ class AlgebraSyntaxError(InputError):
         self.column = column
 
 
-class DuplicateDifferential(InputError):
+class DuplicateDifferential(AlgebraSyntaxError):
     pass
 
 
-class IndexOutOfRange(InputError):
+class IndexOutOfRange(AlgebraSyntaxError):
     pass
 
 
@@ -274,7 +274,7 @@ def _parse_index_list(text: str, dim: int, line_no: int):
             raise AlgebraSyntaxError(f"bad index {chunk!r}", line_no)
     for a in indices:
         if not (1 <= a <= dim):
-            raise IndexOutOfRange(f"index e{a} out of range for dim {dim}")
+            raise IndexOutOfRange(f"index e{a} out of range for dim {dim}", line_no)
     return indices
 
 
@@ -309,9 +309,9 @@ def parse_algebra(source: str, name: str | None = None):
         if m:
             a = _read_int(m.group(1), line_no)
             if not (1 <= a <= dim):
-                raise IndexOutOfRange(f"d e{a}: index out of range for dim {dim}")
+                raise IndexOutOfRange(f"d e{a}: index out of range for dim {dim}", line_no)
             if a in diff:
-                raise DuplicateDifferential(f"d e{a} defined twice")
+                raise DuplicateDifferential(f"d e{a} defined twice", line_no)
             try:
                 diff[a] = parse_form(m.group(2), dim, degree=2)
             except ValueError as exc:

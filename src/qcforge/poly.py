@@ -1,9 +1,8 @@
 """Small multivariate polynomial ring over exact rationals.
 
-Symbols are plain strings.  This ring does double duty: it carries the
-one free scalar-curvature symbol while the vertical connection forms are
-still being solved, and it is the coefficient ring of the symbolic forms
-of :mod:`qcforge.dga`, where derivative symbols are generated by priming
+Symbols are plain strings.  The ring is the coefficient ring of the
+symbolic forms of :mod:`qcforge.dga`, where the scalar invariant is the
+symbol ``S`` and derivative symbols are generated by priming
 (``f`` -> ``f'`` -> ``f''``).
 """
 
@@ -63,16 +62,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(m == _ONE for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[_ONE]
 
     # -- ring structure ----------------------------------------------------
 
@@ -186,21 +175,6 @@ class Poly:
             total = total + piece
         return total
 
-    def coefficients_in(self, sym: str) -> dict:
-        """Split into {degree: Poly-in-the-other-symbols}."""
-        out: dict[int, Poly] = {}
-        for m, c in self.terms.items():
-            deg = 0
-            rest = []
-            for s, e in m:
-                if s == sym:
-                    deg = e
-                else:
-                    rest.append((s, e))
-            bucket = out.setdefault(deg, Poly())
-            out[deg] = bucket + Poly({tuple(rest): c})
-        return {d: p for d, p in out.items() if not p.is_zero()}
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -232,16 +206,3 @@ def _as_poly(x):
     if isinstance(x, (int, Fraction)):
         return Poly.const(x)
     return NotImplemented
-
-
-def solve_affine(poly: Poly, sym: str) -> Fraction:
-    """Solve ``poly == 0`` for ``sym``, requiring the equation to be affine
-    in ``sym`` with rational coefficients."""
-    coeffs = poly.coefficients_in(sym)
-    if any(d > 1 for d in coeffs):
-        raise ValueError(f"equation is not affine in {sym}: {poly}")
-    c0 = coeffs.get(0, Poly()).constant_value()
-    c1 = coeffs.get(1, Poly()).constant_value()
-    if c1 == 0:
-        raise ValueError(f"equation does not determine {sym}: {poly}")
-    return -c0 / c1

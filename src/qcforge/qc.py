@@ -2,13 +2,13 @@
 
 Given a :class:`~qcforge.algebra.QcFrameSpec` this module runs, in exact
 rational arithmetic throughout: the Reeb compatibility conditions, the
-sp(1) connection 1-forms with the normalized scalar curvature solved from
-a trace identity, the decomposition of the torsion endomorphism into its
-trace-free symmetric and invariant parts, assembly of the canonical
-metric connection with prescribed torsion, its curvature, the conformal
-curvature tensor, and closedness of the fundamental 4-forms.  Every
-quantity that can be obtained along two routes is computed both ways and
-compared exactly.
+sp(1) connection 1-forms with the normalized scalar curvature read in
+closed form from a trace identity, the decomposition of the torsion
+endomorphism into its trace-free symmetric and invariant parts, assembly
+of the canonical metric connection with prescribed torsion, its
+curvature, the conformal curvature tensor, and closedness of the
+fundamental 4-forms.  Every quantity that can be obtained along two
+routes is computed both ways and compared exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalo
                       form_matrix)
 from .ansatz import _CYCLIC
 from .forms import KForm
-from .poly import Poly, solve_affine
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
 from .scalars import NotQcError
@@ -91,39 +90,24 @@ def reeb_check(spec: QcFrameSpec) -> ReebReport:
 
 @dataclass
 class Sp1Forms:
-    alphas: tuple          # three exact 1-forms after substituting S
+    alphas: tuple          # three exact 1-forms at the scalar invariant S
     rho_h: tuple           # horizontal Ricci 2-forms, exact
     S: Fraction
 
 
-def _alpha_symbolic(spec: QcFrameSpec, detas) -> tuple:
-    """Connection 1-forms with the scalar invariant left symbolic.
+def _alphas(spec: QcFrameSpec, detas, S: Fraction) -> tuple:
+    """Connection 1-forms at the scalar invariant S.
 
     Horizontal part: alpha_i(X) = d eta_k(xi_j, X); vertical part carries
     the S-dependent normalization of the diagonal entries.
     """
-    s_sym = Poly.symbol("S")
-    half = Fraction(1, 2)
-    cyc_sum = Poly.const(0)
-    for i, j, k in _CYCLIC:
-        cyc_sum = cyc_sum + Poly.const(detas[i - 1].coeff(spec.xi(j), spec.xi(k)))
+    shift = (S + sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC)) / 2
     alphas = []
     for i, j, k in _CYCLIC:
-        terms = {}
-        for a in spec.horizontal:
-            val = detas[k - 1].coeff(spec.xi(j), a)
-            other = -detas[j - 1].coeff(spec.xi(k), a)
-            if val != other:
-                raise InconsistentScalar(
-                    f"alpha_{i}({a}): d eta_{k}(xi_{j}, X) != -d eta_{j}(xi_{k}, X)")
-            if val != 0:
-                terms[(a,)] = Poly.const(val)
+        terms = {(a,): detas[k - 1].coeff(spec.xi(j), a) for a in spec.horizontal}
         for s in (1, 2, 3):
-            val = Poly.const(detas[s - 1].coeff(spec.xi(j), spec.xi(k)))
-            if s == i:
-                val = val - (half * s_sym + half * cyc_sum)
-            if not val.is_zero():
-                terms[(spec.vertical[s - 1],)] = val
+            val = detas[s - 1].coeff(spec.xi(j), spec.xi(k))
+            terms[(spec.vertical[s - 1],)] = val - shift if s == i else val
         alphas.append(KForm(spec.dim, 1, terms))
     return tuple(alphas)
 
@@ -141,43 +125,32 @@ def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
 def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
     """Solve the scalar invariant from the horizontal Ricci traces.
 
-    The vertical entries of the alpha forms are affine in a symbol S; the
-    trace identity sum_a rho_l(e_a, I_l e_a) = -4n S then pins S as the
-    solution of an affine equation, which must agree for l = 1, 2, 3.
+    S enters alpha_l only as -(S/2) eta_l, and every term with an eta
+    vanishes on H, so rho_l = rho_l^0 - (S/2) d eta_l|_H, with rho_l^0
+    the horizontal Ricci form at S = 0.  Two preconditions make this closed form exact:
+    the Reeb conditions have passed (:func:`reeb_check`), so
+    d eta_l|_H = 2 omega_l; and the quaternion relations have been
+    validated (:func:`~qcforge.algebra.require_qc`), so I_l is orthogonal
+    and sum_a omega_l(e_a, I_l e_a) = 4n.  The trace identity
+    sum_a rho_l(e_a, I_l e_a) = -4n S then reads t_l - 2n S = -4n S, with
+    t_l the trace of rho_l^0, so S = -t_l / (2n); it must agree for
+    l = 1, 2, 3.  The forms at S are then built again, so rho keeps its
+    defining route through d alpha + alpha ^ alpha.
     """
-    alg = spec.algebra
-    n = spec.n
-    detas = [alg.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
-    sym_alphas = _alpha_symbolic(spec, detas)
-    sym_rhos = _rho_from_alpha(spec, sym_alphas)
-
+    detas = [spec.algebra.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
+    rho0 = _rho_from_alpha(spec, _alphas(spec, detas, Fraction(0)))
     solved = None
     for l in (1, 2, 3):
-        m = spec.complex_structure(l)
-        trace = Poly.const(0)
-        for (a, c), x in form_matrix(sym_rhos[l - 1], spec.horizontal).items():
-            if (c, a) in m:
-                trace = trace + x * m[c, a]
-        equation = trace + Poly.const(4 * n) * Poly.symbol("S")
-        try:
-            value = solve_affine(equation, "S")
-        except ValueError as exc:
-            raise InconsistentScalar(str(exc)) from exc
+        trace = _trace(_mat_mul(form_matrix(rho0[l - 1], spec.horizontal),
+                                spec.complex_structure(l)))
+        value = -trace / (2 * spec.n)
         if solved is None:
             solved = value
         elif solved != value:
             raise InconsistentScalar(
                 f"scalar invariant differs between traces: {solved} vs {value}")
-
-    subs = {"S": Poly.const(solved)}
-
-    def _substitute(form: KForm) -> KForm:
-        return form.map_coefficients(
-            lambda c: c.subs(subs).constant_value() if isinstance(c, Poly) else c)
-
-    alphas = tuple(_substitute(a) for a in sym_alphas)
-    rhos = _rho_from_alpha(spec, alphas)
-    return Sp1Forms(alphas=alphas, rho_h=rhos, S=solved)
+    alphas = _alphas(spec, detas, solved)
+    return Sp1Forms(alphas=alphas, rho_h=_rho_from_alpha(spec, alphas), S=solved)
 
 
 # ---------------------------------------------------------------------------

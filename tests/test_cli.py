@@ -110,6 +110,22 @@ class TestCheckAlgebra:
         code, out, err = run(capsys, command, "--file", str(path))
         assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("d e2 = 0", "d e1 = 0", "line 3, column 0: d e1 defined twice"),
+        ("d e7 =", "d e9 = 0\nd e7 =", "line 8, column 0: d e9: index out of range for dim 7"),
+        ("vertical = e5,e6,e7", "vertical = e5,e6,e9",
+         "line 9, column 0: index e9 out of range for dim 7"),
+    ], ids=["repeated-d", "d-out-of-range", "index-out-of-range"])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_differential_and_index_refused_with_their_line(self, tmp_path, capsys, command,
+                                                           old, new, message):
+        """A repeated d e<k> line, a d line past the frame and an index list
+        past the frame each name their line, as the qc block refusals do."""
+        path = tmp_path / "qc.alg"
+        path.write_text(heisenberg_source(1).replace(old, new, 1))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
     def test_python_dash_m_runs_the_cli(self):
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

@@ -12,7 +12,7 @@ from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL,
                          verify_spin7_closure, verify_triaxial_systems)
 from qcforge.evolution import build_family, verdicts
 from qcforge.forms import KForm
-from qcforge.poly import Poly, solve_affine
+from qcforge.poly import Poly
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -98,14 +98,6 @@ class TestPoly:
         p = f * h + h ** 2
         q = p.subs({"h": f / 2})
         assert q == f * f / 2 + f * f / 4
-
-    def test_solve_affine(self):
-        s = Poly.symbol("S")
-        assert solve_affine(2 * s + 3, "S") == Fraction(-3, 2)
-        with pytest.raises(ValueError):
-            solve_affine(s * s - 1, "S")
-        with pytest.raises(ValueError):
-            solve_affine(Poly.const(1), "S")
 
     def test_str_canonical_order(self):
         f, fp = Poly.symbol("f"), Poly.symbol("f'")

@@ -56,6 +56,28 @@ omega3 = e1^e4 + e2^e3
         _, spec = parse_algebra(src)
         assert not qc.reeb_check(spec).ok
 
+    def test_mixed_condition_stops_before_sp1(self, monkeypatch):
+        """The mixed antisymmetry is gated at the Reeb stage alone: analyze
+        names the violation and returns before the sp(1) forms are built."""
+        src = """algebra broken2 dim 7
+d e5 = 2 e1^e2 + 2 e3^e4
+d e6 = 2 e1^e3 + 2 e4^e2 + e1^e7
+d e7 = 2 e1^e4 + 2 e2^e3
+qc horizontal = e1..e4 ; vertical = e5,e6,e7
+omega1 = e1^e2 + e3^e4
+omega2 = e1^e3 + e4^e2
+omega3 = e1^e4 + e2^e3
+"""
+        _, spec = parse_algebra(src)
+
+        def unreachable(spec):
+            raise AssertionError("sp1_forms_and_S called after a Reeb failure")
+
+        monkeypatch.setattr(qc, "sp1_forms_and_S", unreachable)
+        rep = qc.analyze(spec)
+        assert rep.reeb_ok is False
+        assert rep.reeb_violations == ["(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H"]
+
 
 class TestScalarInvariant:
     def test_published_values(self):

@@ -26,6 +26,11 @@ diagonal blocks of their matrices, one SVD per block serving the ideal
 test's three right-hand sides; the ideal test's reference is one
 least-squares solve per sample and right-hand side, and on random block
 patterns both are checked against SVDs of the whole matrices.
+
+The sp(1) stage reads the scalar invariant in closed form, S = -t_l/(2n)
+with t_l the horizontal Ricci trace at S = 0; its reference carries S as a
+polynomial symbol through alpha, d alpha and alpha ^ alpha, and solves the
+affine trace equations.
 """
 
 from fractions import Fraction
@@ -37,11 +42,12 @@ from hypothesis import example, given, settings, strategies as st
 from qcforge import evolution, qc
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
                              _mat_mul, _mat_t, catalog, form_matrix, require_qc)
-from qcforge.ansatz import triple
+from qcforge.ansatz import _CYCLIC, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
                                _ideal_matrix, _ideal_residual, _wedge_table, block_remainder,
                                build_family, extended_d, require_einstein_base, verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
+from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, _ordered_sums, cartan_connection,
                              curvature_forms, frame_curvature, koszul_levi_civita, span_rank)
 from qcforge.scalars import Jet, worst_abs
@@ -302,6 +308,82 @@ def test_complex_structures_antisymmetric_and_anticommuting(name, rotated):
     for mat in (i1, i2, i3):
         assert _transpose(mat) == [[-x for x in row] for row in mat]
     assert dense_mat_mul(i2, i1) == [[-x for x in row] for row in i3]
+
+
+_S = Poly.symbol("S")
+
+
+def _constant(p: Poly) -> Fraction:
+    """The value of a polynomial without symbols."""
+    assert set(p.terms) <= {()}, p
+    return p.terms.get((), Fraction(0))
+
+
+def symbolic_sp1(spec) -> tuple:
+    """The sp(1) stage with the scalar invariant a polynomial symbol S.
+
+    alpha_i(X) = d eta_k(xi_j, X) on H; alpha_i(xi_s) = d eta_s(xi_j, xi_k),
+    less (S + sum_cyc d eta_i(xi_j, xi_k))/2 for s = i.  Then
+    2 rho_k = d alpha_k + alpha_i ^ alpha_j on H, and for each l the
+    trace identity sum_a rho_l(e_a, I_l e_a) + 4n S = 0, whose S- and
+    constant coefficients are read from the polynomial's terms.  Returns
+    (S, alphas, rho_h) with S substituted, and the S-coefficients."""
+    detas = [spec.algebra.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
+    cyc_sum = sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC)
+    alphas = []
+    for i, j, k in _CYCLIC:
+        terms = {(a,): Poly.const(detas[k - 1].coeff(spec.xi(j), a)) for a in spec.horizontal}
+        for s in (1, 2, 3):
+            val = Poly.const(detas[s - 1].coeff(spec.xi(j), spec.xi(k)))
+            terms[(spec.vertical[s - 1],)] = val - (_S + cyc_sum) / 2 if s == i else val
+        alphas.append(KForm(spec.dim, 1, terms))
+    rhos = []
+    for k, i, j in _CYCLIC:
+        form = spec.algebra.mc_differential(alphas[k - 1]) + alphas[i - 1].wedge(alphas[j - 1])
+        rhos.append(Fraction(1, 2) * form.restrict(spec.horizontal))
+    values, slopes = set(), []
+    for l in (1, 2, 3):
+        m = spec.complex_structure(l)
+        equation = 4 * spec.n * _S + sum(
+            (x * m[c, a] for (a, c), x in form_matrix(rhos[l - 1], spec.horizontal).items()
+             if (c, a) in m), Poly())
+        assert set(equation.terms) <= {(), (("S", 1),)}, equation
+        slope = equation.terms.get((("S", 1),), Fraction(0))
+        values.add(-equation.terms.get((), Fraction(0)) / slope)
+        slopes.append(slope)
+    assert len(values) == 1, values
+    (value,) = values
+    subs = {"S": Poly.const(value)}
+    at_s = tuple(tuple(form.map_coefficients(lambda c: _constant(c.subs(subs))) for form in forms)
+                 for forms in (alphas, rhos))
+    return (value,) + at_s, slopes
+
+
+def assert_sp1_matches_symbolic(spec):
+    """The closed form S = -t_l/(2n) and the forms at S equal the symbolic
+    solve, whose S-coefficient is 4n - 2n = 2n on every trace."""
+    want, slopes = symbolic_sp1(spec)
+    have = qc.sp1_forms_and_S(spec)
+    assert (have.S, have.alphas, have.rho_h) == want
+    assert slopes == [2 * spec.n] * 3
+    assert all(type(c) is Fraction for form in have.alphas + have.rho_h
+               for c in form.terms.values())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)",))
+def test_sp1_matches_symbolic_solve(name):
+    assert_sp1_matches_symbolic(catalog(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
+def test_relabelled_sp1_matches_symbolic_solve(name, perm):
+    assert_sp1_matches_symbolic(require_qc(relabel(catalog(name), perm)))
+
+
+@pytest.mark.parametrize("name", ("heis(1)", "l1", "l3"))
+def test_rotated_sp1_matches_symbolic_solve(name):
+    assert_sp1_matches_symbolic(require_qc(rotate(catalog(name))))
 
 
 _ENTRIES = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2),
