@@ -346,7 +346,10 @@ def parse_algebra(source: str, name: str | None = None):
     if horizontal is not None:
         if set(omegas) != {1, 2, 3}:
             raise AlgebraSyntaxError("qc block needs omega1, omega2, omega3", qc_line)
-        spec = QcFrameSpec(alg, horizontal, vertical, (omegas[1], omegas[2], omegas[3]))
+        try:
+            spec = QcFrameSpec(alg, horizontal, vertical, (omegas[1], omegas[2], omegas[3]))
+        except InputError as exc:
+            raise AlgebraSyntaxError(str(exc), qc_line) from exc
     return alg, spec
 
 

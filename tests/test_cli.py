@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -15,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcforge import __version__, algebra, cli
+from qcforge import __version__, algebra, cli, qc
 from qcforge.algebra import MAX_DIM, heisenberg_source
 from qcforge.cli import main
+from qcforge.forms import parse_form
 
 
 def run(capsys, *argv):
@@ -126,6 +129,34 @@ class TestCheckAlgebra:
         code, out, err = run(capsys, command, "--file", str(path))
         assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
+    @pytest.mark.parametrize("old,new,message", [
+        (heisenberg_source(1), "", "line 1, column 0: missing header"),
+        ("vertical = e5,e6,e7", "vertical = e5,e6",
+         "line 9, column 0: need three vertical directions and three fundamental forms"),
+        ("horizontal = e1..e4", "horizontal = e1..e3",
+         "line 9, column 0: horizontal rank must be a positive multiple of 4"),
+        ("vertical = e5,e6,e7", "vertical = e4,e6,e7",
+         "line 9, column 0: horizontal and vertical indices must partition the frame"),
+        ("omega1 = e1^e2 + e3^e4", "omega1 = e1^e2 + e3^e5",
+         "line 9, column 0: fundamental forms must be horizontal"),
+        ("horizontal = e1..e4", "horizontal = e4..e1", "line 9, column 0: empty range 'e4..e1'"),
+        ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e2^e4",
+         "line 12, column 0: form has degree 3, expected 2"),
+        ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 + e2",
+         "line 12, column 0: mixed-degree form literal"),
+    ], ids=["missing-header", "two-vertical", "rank-three", "no-partition", "vertical-omega",
+            "empty-range", "degree-three", "mixed-degree"])
+    @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
+    def test_malformed_file_refused_with_its_line(self, tmp_path, capsys, command, old, new,
+                                                  message):
+        """A file whose qc block or form literal is malformed, or that is
+        empty, is refused with the line that is at fault; the qc frame's
+        own refusals name the qc line."""
+        path = tmp_path / "qc.alg"
+        path.write_text(heisenberg_source(1).replace(old, new, 1))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
     def test_python_dash_m_runs_the_cli(self):
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -137,6 +168,26 @@ class TestCheckAlgebra:
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "check-algebra", "--catalog", "l7")
         assert code == 2
+
+
+def _adding(stage, at, literal, field=None):
+    """``stage`` with a form literal added to entry ``at`` of the tuple of
+    forms it returns, or of the tuple in its result's ``field``."""
+    def patched(spec, *args):
+        result = stage(spec, *args)
+        forms = list(getattr(result, field) if field else result)
+        forms[at] = forms[at] + parse_form(literal, spec.dim, forms[at].degree)
+        return dataclasses.replace(result, **{field: tuple(forms)}) if field else tuple(forms)
+    return patched
+
+
+def _leaking(stage):
+    """``stage`` with Gamma^5_{11} = 1 added: nabla_{e1} e1 leaves H."""
+    def patched(*args):
+        conn = stage(*args)
+        conn.gamma[0, 0, 4] = Fraction(1)
+        return conn
+    return patched
 
 
 class TestQcReport:
@@ -227,6 +278,30 @@ omega3 = e1^e4 + e2^e3
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "structural precondition failed" in err
+
+    @pytest.mark.parametrize("target,patch,message", [
+        # omega_1 added to rho_1 at S = 0 moves t_1 by tr(-I_1 I_1) = 4
+        ("_rho_from_alpha", lambda f: _adding(f, 0, "e1^e2 + e3^e4"),
+         "scalar invariant differs between traces: -5/2 vs -1/2"),
+        ("sp1_forms_and_S", lambda f: _adding(f, 0, "e1^e3", "rho_h"),
+         "D_1 is not symmetric; input is not qc"),
+        # omega_2 added to rho_2 moves D_2 by a multiple of g, so U moves and T0 does not
+        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1^e3 + e4^e2", "rho_h"),
+         "rho_1 reconstruction failed; input is not qc"),
+        ("adjust_by_torsion", _leaking,
+         "connection does not preserve the splitting: Gamma^5_11 != 0"),
+        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1", "alphas"),
+         "nabla_1 xi_1 disagrees with the sp(1) rotation rule"),
+        ("qc_ricci_forms", lambda f: _adding(f, 0, "e1^e6"),
+         "dim-7 equivalence of closedness and vertical integrability failed"),
+    ], ids=["scalar", "d-symmetry", "rho-reconstruction", "splitting", "rotation-rule",
+            "dim-7"])
+    def test_consistency_gate_fires(self, capsys, monkeypatch, target, patch, message):
+        """Each gate that an input can fail, reached by breaking the stage
+        before it: one stderr line naming the gate, exit 3."""
+        monkeypatch.setattr(qc, target, patch(getattr(qc, target)))
+        code, out, err = run(capsys, "qc-report", "--catalog", "l1")
+        assert (code, out, err) == (3, "", f"structural precondition failed: {message}\n")
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         for command in ("qc-report", "check-algebra"):

@@ -31,6 +31,13 @@ The sp(1) stage reads the scalar invariant in closed form, S = -t_l/(2n)
 with t_l the horizontal Ricci trace at S = 0; its reference carries S as a
 polynomial symbol through alpha, d alpha and alpha ^ alpha, and solves the
 affine trace equations.
+
+The exact pipeline gates only what some input can make fail; the identities
+that its construction guarantees (U invariant and zero in dimension 7, T0
+and U trace-free, T_xi completely trace-free, a metric connection with the
+assembled torsion, pair antisymmetric curvature, rho_s = -S omega_s on an
+Einstein frame) are asserted here on the catalog, rotated and relabelled
+frames.
 """
 
 from fractions import Fraction
@@ -308,6 +315,58 @@ def test_complex_structures_antisymmetric_and_anticommuting(name, rotated):
     for mat in (i1, i2, i3):
         assert _transpose(mat) == [[-x for x in row] for row in mat]
     assert dense_mat_mul(i2, i1) == [[-x for x in row] for row in i3]
+
+
+def assert_construction_identities(spec):
+    """The identities that ``qc.analyze`` does not check, because on a spec
+    that has passed ``require_qc`` its construction makes them hold, each
+    recomputed with the dense helpers."""
+    rep = qc.analyze(spec)
+    assert rep.reeb_ok
+    # eta_s and xi_k both read spec.vertical
+    assert [[spec.eta(s).coeff(spec.xi(k)) for k in (1, 2, 3)] for s in (1, 2, 3)] == \
+        dense(_identity(3), 3)
+    k = len(spec.horizontal)
+    zero = dense({}, k)
+    mats = [dense(spec.complex_structure(s), k) for s in (1, 2, 3)]
+    t0, u = dense(rep.torsion.T0, k), dense(rep.torsion.U, k)
+
+    def conj(m, a):
+        return dense_mat_mul(_transpose(m), dense_mat_mul(a, m))
+
+    def trace(a):
+        return sum(a[i][i] for i in range(k))
+
+    # Avg(Q) is I_s-invariant, and T0 + sum_s I_s^T T0 I_s = 2 Avg(Q) - 2 Avg(Q)
+    assert all(conj(m, u) == u for m in mats)
+    assert dense_mat_lin((1, t0), *((1, conj(m, t0)) for m in mats)) == zero
+    assert trace(t0) == trace(u) == 0
+    if spec.n == 1:  # invariant, symmetric and trace-free in dimension 4
+        assert u == zero
+    for m, endo in zip(mats, rep.torsion.Txi):
+        assert trace(dense(endo, k)) == trace(dense_mat_mul(dense(endo, k), m)) == 0
+    # adjust_by_torsion adds the contorsion of an antisymmetric torsion
+    assert rep.connection.is_metric()
+    assert rep.connection.torsion(spec.algebra) == qc.assemble_torsion_tensor(spec, rep.torsion)
+    assert rep.curvature.check_pair_antisymmetry()
+    # d is linear: d Omega_Q = d Omega_4 + 2 d(lemma)
+    assert not rep.lemma_closed or rep.omegaQ_closed == rep.omega4_closed
+    # T0 = U = 0 and the rho reconstruction give rho_s = -S omega_s
+    if rep.einstein:
+        assert all(rep.sp1.rho_h[s - 1] == -rep.S * spec.omega[s - 1] for s in (1, 2, 3))
+
+
+@pytest.mark.parametrize("name,rotated", [(name, False) for name in CATALOG_NAMES + ("heis(3)",)]
+                         + [(name, True) for name in ("heis(1)", "l1", "l3")])
+def test_construction_identities(name, rotated):
+    assert_construction_identities(require_qc(rotate(catalog(name))) if rotated
+                                   else catalog(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
+def test_relabelled_construction_identities(name, perm):
+    assert_construction_identities(require_qc(relabel(catalog(name), perm)))
 
 
 _S = Poly.symbol("S")

@@ -27,7 +27,10 @@ repeated), which end in a verdict, a parse error or a refused precondition;
 or the Reeb conditions, repeat an ``omega`` or the ``qc`` line, lack an
 ``omega`` line, or carry integer literals too large for a frame (in
 the header, a ``d`` line, an index list or a form literal) or a coefficient
-too long to echo; and a set of argv that the CLI refuses, with one
+too long to echo, an empty file, ``qc`` lines with two vertical directions,
+a horizontal rank of 3, indices that do not partition the frame or an empty
+range, an ``omega`` line with a vertical term, and form literals of degree 3
+or of mixed degree; and a set of argv that the CLI refuses, with one
 spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
 argument, an ``l0(c)`` argument, a catalog name, a ``--param`` value, an
 extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
@@ -118,6 +121,14 @@ FILE_REFUSALS = {
     "repeated-omega": ("omega2 = e1^e3 + e4^e2", "omega2 = e1^e3 + e4^e2\nomega2 = e1^e3"),
     "repeated-qc": ("omega1 =", "qc horizontal = e1..e4 ; vertical = e5,e6,e7\nomega1 ="),
     "incomplete-qc": ("omega3 = e1^e4 + e2^e3", ""),
+    "missing-header": (_HEIS1, ""),
+    "two-vertical": ("vertical = e5,e6,e7", "vertical = e5,e6"),
+    "rank-three": ("horizontal = e1,e2,e3,e4", "horizontal = e1,e2,e3"),
+    "no-partition": ("vertical = e5,e6,e7", "vertical = e4,e6,e7"),
+    "vertical-omega": ("omega1 = e1^e2 + e3^e4", "omega1 = e1^e2 + e3^e5"),
+    "empty-range": ("horizontal = e1,e2,e3,e4", "horizontal = e4..e1"),
+    "degree-three": ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e2^e4"),
+    "mixed-degree": ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 + e2"),
 }
 
 
