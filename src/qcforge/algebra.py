@@ -42,6 +42,14 @@ class UnknownName(InputError):
     pass
 
 
+class VerticalTerm(InputError):
+    """A fundamental form with a vertical term; ``s`` numbers the form."""
+
+    def __init__(self, s: int):
+        super().__init__("fundamental forms must be horizontal")
+        self.s = s
+
+
 class FrameAlgebra:
     """Coframe dimension plus the Maurer-Cartan differentials d e^a."""
 
@@ -121,11 +129,9 @@ class QcFrameSpec:
         used = set(self.horizontal) | set(self.vertical)
         if len(used) != algebra.dim or used != set(range(1, algebra.dim + 1)):
             raise InputError("horizontal and vertical indices must partition the frame")
-        for w in self.omega:
-            if w.dim != algebra.dim or w.degree != 2:
-                raise InputError("fundamental forms must be 2-forms over the full frame")
+        for s, w in enumerate(self.omega, start=1):
             if any(set(idx) - set(self.horizontal) for idx in w.terms):
-                raise InputError("fundamental forms must be horizontal")
+                raise VerticalTerm(s)
         self._imat = None
 
     @property
@@ -293,6 +299,7 @@ def parse_algebra(source: str, name: str | None = None):
     horizontal = vertical = None
     qc_line = 0
     omegas: dict[int, KForm] = {}
+    omega_lines: dict[int, int] = {}
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -334,6 +341,7 @@ def parse_algebra(source: str, name: str | None = None):
                 omegas[s] = parse_form(m.group(2), dim, degree=2)
             except ValueError as exc:
                 raise AlgebraSyntaxError(str(exc), line_no) from exc
+            omega_lines[s] = line_no
             continue
         raise AlgebraSyntaxError(f"unrecognized line {line!r}", line_no)
 
@@ -348,6 +356,8 @@ def parse_algebra(source: str, name: str | None = None):
             raise AlgebraSyntaxError("qc block needs omega1, omega2, omega3", qc_line)
         try:
             spec = QcFrameSpec(alg, horizontal, vertical, (omegas[1], omegas[2], omegas[3]))
+        except VerticalTerm as exc:
+            raise AlgebraSyntaxError(str(exc), omega_lines[exc.s]) from exc
         except InputError as exc:
             raise AlgebraSyntaxError(str(exc), qc_line) from exc
     return alg, spec
@@ -452,11 +462,8 @@ def catalog(name: str) -> QcFrameSpec:
         source = _data_text("l0.alg.in").replace("{c}", str(arg))
     else:
         source = _data_text(f"{base}.alg")
-
-    spec = parse_algebra(source)[1]
-    if spec is None:
-        raise UnknownName(f"catalog entry {name!r} lacks a qc block")
-    return require_qc(spec)
+    # every shipped entry carries a qc block
+    return require_qc(parse_algebra(source)[1])
 
 
 CATALOG_NAMES = ("heis(1)", "heis(2)", "l0(1)", "l1", "l2", "l3")

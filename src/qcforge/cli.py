@@ -149,9 +149,11 @@ def cmd_qc_report(args) -> int:
         raise NotQcError("input has no qc block")
     if args.file is not None:  # a catalog entry is gated when it is loaded
         require_qc(spec)
-    report = qc.analyze(spec, source)
-    if not report.reeb_ok:
-        _emit(_report("qc-report", source, text, {}, False, report.to_dict()), args.format)
+    try:
+        report = qc.analyze(spec, source)
+    except qc.ReebFailure as exc:
+        results = {"name": source, "reeb_ok": False, "violations": exc.violations}
+        _emit(_report("qc-report", source, text, {}, False, results), args.format)
         return EXIT_STRUCTURAL
     ok = all((report.scalar_crosscheck_ok, report.rho_crosscheck_ok,
               report.sp1curv_ok, report.lemma_closed))

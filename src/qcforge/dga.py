@@ -180,7 +180,7 @@ def _verify_closure(kind: str, system: str, scale: int) -> dict:
     f, h = sym("f"), sym("h")
     dphi = dga_d(four_form(kind, triple(kind, f, [h, h, h], OMEGA, ETA, DT)))
     c_v, mixed = _extract_system(dphi)
-    if not (mixed[0] == mixed[1] == mixed[2]):
+    if not (mixed[0] == mixed[1] == mixed[2]):  # the qk and spin7 closure targets reach this
         raise AssertionError("mixed coefficients differ between components")
     h_fixed = h - SYSTEMS[system](f, [h, h, h], _time_d, _S)[1]
     sub = {"h": h_fixed, "h'": _time_d(h_fixed)}
@@ -230,6 +230,7 @@ def verify_triaxial_systems() -> dict:
         reduced = reduced + (f * (2 * fj * fk - _S * f)) * ETA[j - 1].wedge(forms[k - 1])
         reduced = reduced - (f * (dfp - 2 * fi)) * DT.wedge(forms[i - 1])
         coeff = _as_poly(reduced.coeff(4 + j, 4 + k, _DT))
+        # verify_triaxial_systems reaches this, should its reduction leave a monomial
         if reduced != coeff * ETA[j - 1].wedge(ETA[k - 1]).wedge(DT):
             raise AssertionError(f"ideal reduction left extra monomials: {reduced}")
         ideal_rows.append(coeff)  # equals f * (relation for component i)

@@ -1,7 +1,8 @@
 """Verification pipeline for quaternionic contact coframes.
 
 Given a :class:`~qcforge.algebra.QcFrameSpec` this module runs, in exact
-rational arithmetic throughout: the Reeb compatibility conditions, the
+rational arithmetic throughout and along one path: the Reeb compatibility
+conditions, whose failure raises :class:`ReebFailure`, the
 sp(1) connection 1-forms with the normalized scalar curvature read in
 closed form from a trace identity, the decomposition of the torsion
 endomorphism into its trace-free symmetric and invariant parts, assembly
@@ -15,7 +16,7 @@ that the construction guarantees are not re-checked, the tests assert them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
@@ -39,6 +40,15 @@ class ConsistencyError(NotQcError):
     """Two independent routes to the same tensor disagree."""
 
 
+class ReebFailure(NotQcError):
+    """The vertical frame vectors are not Reeb fields; ``violations``
+    names each failed condition."""
+
+    def __init__(self, violations: list):
+        super().__init__("Reeb conditions fail: " + "; ".join(violations))
+        self.violations = violations
+
+
 def _trace(a: dict) -> Fraction:
     return sum((x for (r, c), x in a.items() if r == c), Fraction(0))
 
@@ -48,16 +58,11 @@ def _trace(a: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReebReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
-def reeb_check(spec: QcFrameSpec) -> ReebReport:
+def reeb_check(spec: QcFrameSpec) -> None:
     """Compatibility conditions singling out the Reeb frame (eta_s(xi_k) =
     delta_sk by construction): horizontal transversality of xi_s against
-    d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H."""
+    d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H.  Raises
+    :class:`ReebFailure` listing every violation when any fails."""
     violations = []
     alg = spec.algebra
     detas = [alg.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
@@ -75,7 +80,8 @@ def reeb_check(spec: QcFrameSpec) -> ReebReport:
     for s in (1, 2, 3):
         if detas[s - 1].restrict(spec.horizontal) != 2 * spec.omega[s - 1]:
             violations.append(f"d eta_{s}|_H != 2 omega_{s}")
-    return ReebReport(ok=not violations, violations=violations)
+    if violations:
+        raise ReebFailure(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +363,6 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
     return {key: x for key, x in w.items() if x}
 
 
-def wqc_is_zero(w: dict) -> bool:
-    return not w
-
-
-def wqc_max_abs(w: dict) -> Fraction:
-    return max(map(abs, w.values()), default=Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Fundamental forms
 # ---------------------------------------------------------------------------
@@ -378,7 +376,7 @@ class FundamentalForms:
     vertical_integrability: bool | None  # dim-7 cross-check, None when n > 1
 
 
-def fundamental_forms_check(spec: QcFrameSpec, rho_full=None) -> FundamentalForms:
+def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
     """Closedness of the fundamental 4-form, its full extension, and the
     mixed combination; in dimension 7 the closedness of the fundamental
     form is cross-checked against integrability of the vertical
@@ -399,15 +397,9 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full=None) -> FundamentalForm
     omegaq_closed = alg.mc_differential(omega_q).is_zero()
 
     vert = None
-    if spec.n == 1 and rho_full is not None:
-        vert = True
-        for s in (1, 2, 3):
-            for t in (1, 2, 3):
-                if s == t:
-                    continue
-                pulled = rho_full[t - 1].interior(spec.xi(s)).restrict(spec.horizontal)
-                if not pulled.is_zero():
-                    vert = False
+    if spec.n == 1:
+        vert = all(rho_full[t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
+                   for s in (1, 2, 3) for t in (1, 2, 3) if s != t)
         if vert != omega4_closed:
             raise ConsistencyError(
                 "dim-7 equivalence of closedness and vertical integrability failed")
@@ -424,12 +416,10 @@ class QcReport:
     name: str
     spec: QcFrameSpec             # the coframe analysed
     n: int
-    reeb_ok: bool
     S: Fraction
     einstein: bool
     wqc_zero: bool
     wqc_sample: Fraction          # W(e1, e2, e3, e4) on the first four horizontals
-    wqc_max_abs: Fraction
     omega4_closed: bool
     omegaQ_closed: bool
     lemma_closed: bool
@@ -437,23 +427,18 @@ class QcReport:
     sp1: Sp1Forms
     connection: ConnectionTable
     curvature: CurvatureTensor
-    rho_full: tuple
     scalar_crosscheck_ok: bool
     rho_crosscheck_ok: bool
     sp1curv_ok: bool
     vertical_integrability: bool | None
-    reeb_violations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        if not self.reeb_ok:
-            return {"name": self.name, "reeb_ok": False,
-                    "violations": list(self.reeb_violations)}
         t0_form = matrix_to_entries(self.torsion.T0)
         u_form = matrix_to_entries(self.torsion.U)
         return {
             "name": self.name,
             "n": self.n,
-            "reeb_ok": self.reeb_ok,
+            "reeb_ok": True,
             "s": str(self.S),
             "einstein": self.einstein,
             "wqc_zero": self.wqc_zero,
@@ -491,18 +476,10 @@ def catalog_report(name: str) -> QcReport:
 
 def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     """Run the complete pipeline with every built-in cross-check enabled.
-    Precondition: ``spec`` has passed :func:`~qcforge.algebra.require_qc`."""
-    reeb = reeb_check(spec)
-    if not reeb.ok:
-        return QcReport(
-            name=name, spec=spec, n=spec.n, reeb_ok=False, S=Fraction(0), einstein=False,
-            wqc_zero=False, wqc_sample=Fraction(0), wqc_max_abs=Fraction(0),
-            omega4_closed=False, omegaQ_closed=False, lemma_closed=False,
-            torsion=None, sp1=None, connection=None, curvature=None,
-            rho_full=(), scalar_crosscheck_ok=False, rho_crosscheck_ok=False,
-            sp1curv_ok=False, vertical_integrability=None,
-            reeb_violations=reeb.violations)
-
+    Precondition: ``spec`` has passed :func:`~qcforge.algebra.require_qc`.
+    One path: a Reeb failure raises :class:`ReebFailure` before the sp(1)
+    forms are built."""
+    reeb_check(spec)
     sp1 = sp1_forms_and_S(spec)
     torsion = torsion_decomposition(spec, sp1)
     conn = biquard_connection(spec, torsion, sp1)
@@ -536,10 +513,10 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     fund = fundamental_forms_check(spec, rho_full)
 
     return QcReport(
-        name=name, spec=spec, n=spec.n, reeb_ok=True, S=sp1.S, einstein=torsion.is_einstein(),
-        wqc_zero=wqc_is_zero(w), wqc_sample=sample, wqc_max_abs=wqc_max_abs(w),
+        name=name, spec=spec, n=spec.n, S=sp1.S, einstein=torsion.is_einstein(),
+        wqc_zero=not w, wqc_sample=sample,
         omega4_closed=fund.omega4_closed, omegaQ_closed=fund.omegaQ_closed,
         lemma_closed=fund.lemma_closed, torsion=torsion, sp1=sp1,
-        connection=conn, curvature=curv, rho_full=rho_full,
+        connection=conn, curvature=curv,
         scalar_crosscheck_ok=scalar_ok, rho_crosscheck_ok=rho_ok,
         sp1curv_ok=sp1curv_ok, vertical_integrability=fund.vertical_integrability)

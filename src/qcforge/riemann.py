@@ -15,14 +15,14 @@ nonzero brackets.
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
 connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, from
-the nonzero structure functions only, both defining conditions are
+the nonzero structure functions only, the structure equation is
 re-verified after solving, and curvature 2-forms give Ricci and the rank
 of the curvature span (an Ambrose-Singer lower bound for the holonomy
 algebra).  Jets carry derivatives only as far as the d that reads them:
-the residuals and the curvature 2-forms are computed in values.  A value
+the residual and the curvature 2-forms are computed in values.  A value
 is a row of a float64 array with one entry per sample, and a float jet is
 a batch of one, so one pass serves N samples: guards hold per sample,
-residuals are maxima over the samples, and Ricci and the ranks always
+the residual is a maximum over the samples, and Ricci and the ranks always
 carry a leading sample axis.
 
 The values are rows of arrays, not per-coefficient dicts: the nonzero
@@ -296,16 +296,17 @@ class CartanConnection:
     dhat_index: list
     dhat_values: np.ndarray
     structure_residual: float
-    antisymmetry_residual: float
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     """Solve d hat-e^a + omega^a_b ^ hat-e^b = 0 with omega_{ab} = -omega_{ba}.
 
     The coefficients come from the antisymmetrized structure-function
-    formula; both defining conditions are then re-verified numerically, in
-    values, and their residuals reported.  The checks sum in the order of
-    the KForm sums ``omega^a_b + omega^b_a`` and
+    formula.  omega^b_a sums the negated structure functions of omega^a_b
+    with the first two swapped, so its values are the exact negation of
+    those of omega^a_b and antisymmetry needs no check.  The structure
+    equation is re-verified numerically, in values, and its residual
+    reported; the check sums in the order of the KForm sum
     ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``, b ascending.
     """
     n = cof.dim
@@ -337,10 +338,6 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
         [(a, p - 1, q - 1) for a, dhat in enumerate(dhats) for p, q in dhat.terms],
         _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
 
-    # antisymmetry: c_k of omega^a_b, then that of omega^b_a, per (a, b, k)
-    _, sums = _ordered_sums(index + [(b, a, k) for a, b, k in index],
-                            np.concatenate([values, values]))
-    anti = worst_abs([sums])
     # structure equation: d hat-e^a, then omega^a_b ^ hat-e^b for b ascending,
     # the order of ``index``; c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk} for k > b
     wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
@@ -349,7 +346,7 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
                             np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
     residual = worst_abs([sums])
     return CartanConnection(n, index, values, _stack([c.c[1] for c in coeffs], width),
-                            dhat_index, dhat_values, residual, anti)
+                            dhat_index, dhat_values, residual)
 
 
 @dataclass
@@ -432,13 +429,12 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
 @dataclass
 class CurvatureSummary:
     """Ricci (N x n x n) and curvature-span rank (N,) of the N samples,
-    both read from the curvature 2-forms in values; the two residuals are
-    maxima over the samples."""
+    both read from the curvature 2-forms in values; the structure residual
+    is a maximum over the samples."""
 
     ricci: np.ndarray
     curvature_rank: np.ndarray
     structure_residual: float
-    antisymmetry_residual: float
 
 
 def _ricci_and_span(curv: CurvatureRows):
@@ -553,5 +549,4 @@ def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
         ricci=ric,
         curvature_rank=span_rank(forms, basis, values),
         structure_residual=conn.structure_residual,
-        antisymmetry_residual=conn.antisymmetry_residual,
     )

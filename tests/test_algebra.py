@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcforge.algebra import (AlgebraSyntaxError, DuplicateDifferential,
+from qcforge.algebra import (AlgebraSyntaxError, DuplicateDifferential, FrameAlgebra,
                              IndexOutOfRange, UnknownName, catalog,
                              format_algebra, jacobi_check, parse_algebra)
 from qcforge.forms import KForm
@@ -128,3 +128,10 @@ def test_bracket_convention():
     assert alg.bracket_coeff(6, 1, 3) == -2
     assert alg.bracket_coeff(7, 1, 4) == -2
     assert alg.bracket_coeff(5, 1, 3) == 0
+
+
+def test_frame_algebra_misuse_refused():
+    with pytest.raises(ValueError, match="expected 3 differentials, got 2"):
+        FrameAlgebra("short", 3, [KForm(3, 2)] * 2)
+    with pytest.raises(ValueError, match="d e2 must be a 2-form over the 3-dim coframe"):
+        FrameAlgebra("wrong", 3, [KForm(3, 2), KForm(4, 2), KForm(3, 2)])

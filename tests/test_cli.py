@@ -138,7 +138,7 @@ class TestCheckAlgebra:
         ("vertical = e5,e6,e7", "vertical = e4,e6,e7",
          "line 9, column 0: horizontal and vertical indices must partition the frame"),
         ("omega1 = e1^e2 + e3^e4", "omega1 = e1^e2 + e3^e5",
-         "line 9, column 0: fundamental forms must be horizontal"),
+         "line 10, column 0: fundamental forms must be horizontal"),
         ("horizontal = e1..e4", "horizontal = e4..e1", "line 9, column 0: empty range 'e4..e1'"),
         ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e2^e4",
          "line 12, column 0: form has degree 3, expected 2"),

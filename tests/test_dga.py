@@ -85,6 +85,10 @@ class TestPoly:
         assert Fraction(1, 2) * (f + g) == f / 2 + g / 2
         assert (0 * f).is_zero() and (f * Fraction(0)).is_zero()
 
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="negative power of a polynomial"):
+            Poly.symbol("f") ** -1
+
     def test_derive_product_rule(self):
         f, h = Poly.symbol("f"), Poly.symbol("h")
         prime = lambda s: None if s == "S" else Poly.symbol(s + "'")

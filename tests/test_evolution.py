@@ -10,6 +10,7 @@ import pytest
 from qcforge import algebra, cli, evolution, qc
 from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
+from qcforge.ansatz import triple
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
                                build_triaxial, extended_d, ode_residual,
                                require_einstein_base, verdicts)
@@ -181,6 +182,21 @@ class TestDomainGuards:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             build_family("qk-l1", params={"zz": 1})
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(KeyError, match="unknown family 'nope'"):
+            build_family("nope")
+
+    def test_unknown_form_pattern_rejected(self):
+        with pytest.raises(ValueError, match="unknown form pattern 'g2'"):
+            triple("g2", None, [None] * 3, [None] * 3, [None] * 3, None)
+
+    def test_triaxial_roots_past_float_resolution(self):
+        # the roots -a1, -a2, a3 all read 1e20: each window of the scan is
+        # narrower than a float step there, so none is positive
+        big = 10 ** 20
+        with pytest.raises(DomainError, match="no window with positive coefficients"):
+            build_family("spin7-triaxial", params={"a1": -big, "a2": -big, "a3": big})
 
     def test_non_einstein_base_rejected(self):
         with pytest.raises(NotEinsteinBase):

@@ -322,3 +322,18 @@ def test_float64_array_coefficients():
     assert set(prod.terms) == {(1, 2), (1, 3)}
     assert all(c.dtype == np.float64 for c in prod.terms.values())
     assert list(prod.terms[1, 2]) == [3.0, -2.0] and list(prod.terms[1, 3]) == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("misuse,error,message", [
+    (lambda: KForm(7, -1), ValueError, "negative form degree"),
+    (lambda: KForm(7, 2, {(1,): 1}), ValueError, "wrong length for degree 2"),
+    (lambda: KForm(7, 1, {(8,): 1}), ValueError, r"index out of range in \(8,\)"),
+    (lambda: KForm(7, 2, {(2, 1): 1}), ValueError, "not strictly increasing"),
+    (lambda: e(1) + e(1, 2), ValueError, "cannot add forms of different degree"),
+    (lambda: e(1) * e(2), TypeError, "use wedge"),
+    (lambda: KForm(7, 0).interior(1), ValueError, "interior product needs degree >= 1"),
+], ids=["negative-degree", "index-length", "index-range", "index-order", "add-degrees",
+        "form-product", "interior-of-scalar"])
+def test_library_misuse_refused(misuse, error, message):
+    with pytest.raises(error, match=message):
+        misuse()

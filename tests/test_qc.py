@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qcforge import qc
-from qcforge.algebra import catalog, form_matrix, parse_algebra
+from qcforge.algebra import catalog, form_matrix, heisenberg_source, parse_algebra
 from qcforge.forms import KForm
 from test_sparse_oracle import dense
 
@@ -21,10 +21,39 @@ def report(name):
     return REPORTS[name]
 
 
+# heis(1) with one d line replaced -> the violations that the Reeb check
+# lists, in its order.  The first three are the files of TestReeb below and
+# of the CLI's Reeb-failure test; the last two keep the Jacobi identity.
+BROKEN_REEB = {
+    "transversality": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 2 e1^e2 + 2 e3^e4 + e1^e5",
+                       ["(xi_1 . d eta_1)|_H = -e1 != 0"]),
+    "mixed": ("d e6 = 2 e1^e3 + 2 e4^e2", "d e6 = 2 e1^e3 + 2 e4^e2 + e1^e7",
+              ["(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H"]),
+    "scaled": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 4 e1^e2 + 4 e3^e4",
+               ["d eta_1|_H != 2 omega_1"]),
+    "transversality-integrable": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 2 e1^e2 + e1^e5",
+                                  ["(xi_1 . d eta_1)|_H = -e1 != 0", "d eta_1|_H != 2 omega_1"]),
+    "mixed-integrable": ("d e6 = 2 e1^e3 + 2 e4^e2", "d e6 = 2 e1^e3 + 2 e4^e2 + e1^e7 + e5^e3",
+                         ["(xi_1 . d eta_2)|_H != -(xi_2 . d eta_1)|_H",
+                          "(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H"]),
+}
+
+
 class TestReeb:
     def test_catalog_entries_pass(self):
         for name in ("heis(1)", "heis(2)", "l0(1)", "l1", "l2", "l3"):
-            assert qc.reeb_check(catalog(name)).ok
+            assert qc.reeb_check(catalog(name)) is None
+
+    @pytest.mark.parametrize("name", BROKEN_REEB)
+    def test_failure_lists_every_violation(self, name):
+        old, new, violations = BROKEN_REEB[name]
+        text = heisenberg_source(1)
+        assert old in text
+        _, spec = parse_algebra(text.replace(old, new))
+        with pytest.raises(qc.ReebFailure) as info:
+            qc.analyze(spec)
+        assert info.value.violations == violations
+        assert str(info.value) == "Reeb conditions fail: " + "; ".join(violations)
 
     def test_broken_transversality_detected(self):
         # d eta_1 gains a e1^e5 term: xi_1 hooked into it no longer vanishes
@@ -39,9 +68,9 @@ omega2 = e1^e3 + e4^e2
 omega3 = e1^e4 + e2^e3
 """
         _, spec = parse_algebra(src)
-        rep = qc.reeb_check(spec)
-        assert not rep.ok
-        assert any("xi_1" in v for v in rep.violations)
+        with pytest.raises(qc.ReebFailure) as info:
+            qc.reeb_check(spec)
+        assert any("xi_1" in v for v in info.value.violations)
 
     def test_mixed_condition_detected(self):
         src = """algebra broken2 dim 7
@@ -54,11 +83,12 @@ omega2 = e1^e3 + e4^e2
 omega3 = e1^e4 + e2^e3
 """
         _, spec = parse_algebra(src)
-        assert not qc.reeb_check(spec).ok
+        with pytest.raises(qc.ReebFailure):
+            qc.reeb_check(spec)
 
     def test_mixed_condition_stops_before_sp1(self, monkeypatch):
         """The mixed antisymmetry is gated at the Reeb stage alone: analyze
-        names the violation and returns before the sp(1) forms are built."""
+        names the violation and raises before the sp(1) forms are built."""
         src = """algebra broken2 dim 7
 d e5 = 2 e1^e2 + 2 e3^e4
 d e6 = 2 e1^e3 + 2 e4^e2 + e1^e7
@@ -74,9 +104,9 @@ omega3 = e1^e4 + e2^e3
             raise AssertionError("sp1_forms_and_S called after a Reeb failure")
 
         monkeypatch.setattr(qc, "sp1_forms_and_S", unreachable)
-        rep = qc.analyze(spec)
-        assert rep.reeb_ok is False
-        assert rep.reeb_violations == ["(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H"]
+        with pytest.raises(qc.ReebFailure) as info:
+            qc.analyze(spec)
+        assert info.value.violations == ["(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H"]
 
 
 class TestScalarInvariant:
@@ -279,8 +309,8 @@ class TestReportSerialization:
 class TestHeisenbergScaling:
     def test_heis3_flat_einstein(self):
         rep = qc.analyze(catalog("heis(3)"), "heis(3)")
-        assert rep.reeb_ok and rep.S == 0
-        assert rep.einstein and rep.wqc_zero and rep.wqc_max_abs == 0
+        assert rep.S == 0
+        assert rep.einstein and rep.wqc_zero
         assert rep.curvature.is_zero()
         assert rep.scalar_crosscheck_ok and rep.rho_crosscheck_ok and rep.sp1curv_ok
         assert rep.omega4_closed and rep.omegaQ_closed and rep.lemma_closed

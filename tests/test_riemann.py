@@ -12,6 +12,7 @@ from qcforge.riemann import (CoframeWithJets, ConnectionTable, NonAntisymmetricT
 from qcforge.acceptance import TOL_STRUCTURE, _not_below
 from qcforge.forms import KForm, exterior_d
 from qcforge.scalars import Jet
+from test_sparse_oracle import assert_values_antisymmetric
 
 SU2 = "algebra su2 dim 3\nd e1 = -1 e2^e3\nd e2 = -1 e3^e1\nd e3 = -1 e1^e2\n"
 
@@ -123,7 +124,7 @@ class TestCartan:
             cof = CoframeWithJets(alg, [f.sqrt()] * 4 + [h] * 3, Jet.const(1.0))
             conn = cartan_connection(cof)
             assert conn.structure_residual < 1e-12
-            assert conn.antisymmetry_residual < 1e-12
+            assert_values_antisymmetric(conn)
 
     def test_frame_d_squares_to_zero_on_spin7_l1(self):
         # d over the orthonormal jet coframe of spin7-l1 at a sample point:
@@ -158,6 +159,11 @@ class TestCartan:
         for a in range(1, cof.dim + 1):
             assert d(d(KForm.basis(cof.dim, a))).max_abs() < 1e-12
 
+    def test_scaling_count_must_match_the_base(self):
+        alg = catalog("heis(1)").algebra
+        with pytest.raises(ValueError, match="one scaling jet per base coframe element"):
+            CoframeWithJets(alg, [Jet.const(1.0)] * 6, Jet.const(1.0))
+
     def test_singular_coframe_rejected(self):
         alg = catalog("heis(1)").algebra
         with pytest.raises(SingularCoframe):
@@ -177,9 +183,8 @@ class TestCartan:
         with np.errstate(all="ignore"):
             conn = cartan_connection(cof)
         assert np.isnan(conn.values).any()
-        for residual in (conn.structure_residual, conn.antisymmetry_residual):
-            assert math.isnan(residual)
-            assert _not_below(residual, TOL_STRUCTURE)
+        assert math.isnan(conn.structure_residual)
+        assert _not_below(conn.structure_residual, TOL_STRUCTURE)
 
     def test_jet_curvature_matches_finite_differences(self):
         # rebuild the scalings from second-order finite differences of the

@@ -214,3 +214,8 @@ class TestBatchedJets:
         j = Jet.variable([1.0, 2.0, 3.0]).take(np.array([True, False, True]))
         assert list(j.c[0]) == [1.0, 3.0] and j.c[1:] == (1.0, 0.0)
 
+
+
+def test_jet_needs_three_components():
+    with pytest.raises(ValueError, match="jet needs 3 components, got 2"):
+        Jet((1.0, 0.0))

@@ -24,7 +24,9 @@ on 60 seeded single-line perturbations of the ``exact`` coframes of seeds
 1-2 (a term scaled, dropped or added, an index moved, a line deleted or
 repeated), which end in a verdict, a parse error or a refused precondition;
 ``--file`` inputs that break the Jacobi identity, the quaternion relations
-or the Reeb conditions, repeat an ``omega`` or the ``qc`` line, lack an
+or each of the three Reeb conditions (d eta_s = 2 omega_s on H, the
+transversality and the mixed antisymmetry, the last two with the Jacobi
+identity kept), repeat an ``omega`` or the ``qc`` line, lack an
 ``omega`` line, or carry integer literals too large for a frame (in
 the header, a ``d`` line, an index list or a form literal) or a coefficient
 too long to echo, an empty file, ``qc`` lines with two vertical directions,
@@ -112,6 +114,8 @@ FILE_REFUSALS = {
     "jacobi": ("d e7 = 2 e1^e4 + 2 e2^e3", "d e7 = 2 e1^e4 + 2 e2^e3 + e5^e6"),
     "quaternion": ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 - e2^e3"),
     "reeb": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 4 e1^e2 + 4 e3^e4"),
+    "reeb-transversal": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 2 e1^e2 + e1^e5"),
+    "reeb-mixed": ("d e6 = 2 e1^e3 + 2 e4^e2", "d e6 = 2 e1^e3 + 2 e4^e2 + e1^e7 + e5^e3"),
     "long-dim": ("algebra heis1 dim 7", f"algebra heis1 dim {_LONG}"),
     "long-index": ("d e7 = ", f"d e{_LONG} = "),
     "long-list": ("vertical = e5,e6,e7", f"vertical = e5,e6,e{_LONG}"),
