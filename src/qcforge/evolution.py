@@ -542,8 +542,8 @@ def _triaxial_window(params, S) -> tuple:
             candidates.append((False, (hi - 2.0 - pad, hi - pad)))
         else:
             candidates.append((False, (lo + pad, lo + 2.0 + pad)))
-    if not candidates:
-        raise DomainError("no window with positive coefficients for these parameters")
+    if not candidates:  # C != 0 makes one unbounded interval positive
+        raise DomainError("no window: each interval of the scan is below float resolution")
     for bounded, window in candidates:
         if bounded:
             return window

@@ -14,35 +14,28 @@ nonzero brackets.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
-connection 1-forms with :class:`~qcforge.scalars.Jet` coefficients, from
-the nonzero structure functions only, the structure equation is
-re-verified after solving, and curvature 2-forms give Ricci and the rank
-of the curvature span (an Ambrose-Singer lower bound for the holonomy
-algebra).  Jets carry derivatives only as far as the d that reads them:
-the residual and the curvature 2-forms are computed in values.  A value
-is a row of a float64 array with one entry per sample, and a float jet is
-a batch of one, so one pass serves N samples: guards hold per sample,
-the residual is a maximum over the samples, and Ricci and the ranks always
-carry a leading sample axis.
-
-The values are rows of arrays, not per-coefficient dicts: the nonzero
-connection coefficients are the rows of one array, each keyed by its
-index tuple (a, b, k).  Each kind of curvature term (c_k d hat-e^k, the
-slope term, the products of omega^a_c ^ omega^c_b) is formed by one
-gather and multiply over lists of row indices, and :func:`_ordered_sums`
-adds the terms of each coefficient, in the order the KForm sums would,
-by one scatter-add (``np.add.at``) into sums that start at -0.0; so
-every float equals that of the KForm computation bit for bit, except
-the sign of a zero left where a partial sum cancels at every sample.
-Only the curvature coefficients that some term touches are stored, and
-Ricci and the span matrix are read from those rows.  The index bookkeeping is plain Python
-over a few thousand tuples per build: numpy's integer sorts and
-comparisons would page in code that costs more resident memory than the
-bookkeeping costs time.
+connection 1-forms from the nonzero structure functions only and
+re-verified, and curvature 2-forms give Ricci and the rank of the
+curvature span (an Ambrose-Singer lower bound for the holonomy algebra).
+All of it runs in values, rows of float64 arrays with one entry per
+sample; a float jet is a batch of one, so one pass serves N samples,
+guards hold per sample, and Ricci and the ranks carry a leading sample
+axis.  The Cartan solve stacks the jet components of its terms as
+(3, terms, samples) arrays, and the curvature reads the connection's
+value and slope rows, keyed by index tuples (a, b, k).  Each kind of term
+is formed by one gather and multiply over lists of row indices and
+summed in the order of the jet and KForm sums (:func:`_ordered_sums`
+scatter-adds into sums that start at -0.0), so every float equals that
+of the jet computation bit for bit, except the sign of a zero left where
+a curvature partial sum cancels at every sample.  The index bookkeeping
+is plain Python over a few thousand tuples per build: numpy's integer
+sorts and comparisons would page in code that costs more resident
+memory than the bookkeeping costs time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FrameAlgebra
-from .forms import KForm
-from .scalars import DomainError, Jet, NotQcError, _fail_if, worst_abs
+from .scalars import DomainError, Jet, NotQcError, _each, _fail_if, worst_abs
 
 
 class NonAntisymmetricTorsion(NotQcError):
@@ -222,34 +214,6 @@ class CoframeWithJets:
     def dim(self) -> int:
         return self.base.dim + 1
 
-    def coframe_differentials(self) -> list:
-        """d of each orthonormal coframe element, as jet-coefficient 2-forms
-        over the extended frame."""
-        n = self.dim
-        m = self.base.dim
-        out = []
-        for a in range(1, m + 1):
-            p = self.scalings[a - 1]
-            terms = {}
-            # p'(x) dx ^ e^a = -(p'/(w p)) hat-e^{a, n}
-            dp = p.derivative()
-            if not dp.is_zero():
-                terms[(a, n)] = -(dp / (self.w * p))
-            for (b, c), coeff in self.base.diff[a - 1].terms.items():
-                terms[(b, c)] = (p * coeff) / (self.scalings[b - 1] * self.scalings[c - 1])
-            out.append(KForm(n, 2, terms))
-        out.append(KForm(n, 2))  # d(w dx) = w' dx ^ dx = 0
-        return out
-
-
-def _stack(coeffs: list, width: int) -> np.ndarray:
-    """One row per coefficient value (a float or an array of ``width``
-    samples), broadcast to ``width`` entries."""
-    out = np.empty((len(coeffs), width))
-    for row, value in enumerate(coeffs):
-        out[row] = value
-    return out
-
 
 def _ordered_sums(keys: list, values: np.ndarray):
     """Sum the rows of ``values`` that share a key, each key's rows in the
@@ -278,6 +242,26 @@ def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
     return rows
 
 
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of jets stacked as (3, rows, samples), summed as Jet.__mul__ sums."""
+    return np.stack((a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+                     a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]))
+
+
+def _reciprocals(dens: np.ndarray) -> np.ndarray:
+    """Reciprocals of stacked jets as Jet.reciprocal forms them, guards and
+    all, in one ``math.pow`` loop over the rows before the first that fails
+    a guard: an overflow there raises first, as it would row by row."""
+    y, g1, g2 = dens
+    stop = int(np.append(((y == 0.0) | (y != y)).any(axis=1), True).argmax())
+    powers = _each(lambda v: (math.pow(v, 2), math.pow(v, 3)), y[:stop].ravel())
+    if stop < len(y):
+        _fail_if(y[stop] == 0.0, y[stop], "division by a jet with zero value")
+        _fail_if(y[stop] != y[stop], y[stop], "division by a jet with value {}")
+    d1, d2 = ((-1.0, 2.0) / powers.reshape(y.shape + (2,))).transpose(2, 0, 1)
+    return np.stack((1.0 / y, d1 * g1, d2 * g1 * g1 + d1 * g2))
+
+
 @dataclass
 class CartanConnection:
     """Connection 1-forms omega^a_b solving the first structure equation,
@@ -301,42 +285,59 @@ class CartanConnection:
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     """Solve d hat-e^a + omega^a_b ^ hat-e^b = 0 with omega_{ab} = -omega_{ba}.
 
-    The coefficients come from the antisymmetrized structure-function
-    formula.  omega^b_a sums the negated structure functions of omega^a_b
-    with the first two swapped, so its values are the exact negation of
-    those of omega^a_b and antisymmetry needs no check.  The structure
-    equation is re-verified numerically, in values, and its residual
-    reported; the check sums in the order of the KForm sum
-    ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``, b ascending.
+    The solve runs on the jet components of its terms stacked as (3,
+    terms, samples) arrays, each distinct pair of jet objects in a
+    denominator multiplied and inverted once, and every float is that of
+    the jet arithmetic bit for bit.  omega^b_a sums the negated structure
+    functions of omega^a_b with the first two swapped, so its values are
+    the exact negation of those of omega^a_b and antisymmetry needs no
+    check.  The structure equation is re-verified in values, summed in the
+    order of the KForm sum ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``.
     """
-    n = cof.dim
     width = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).size
-    # structure functions: d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
-    dhats = cof.coframe_differentials()
-    struct = {}
-    for a, dhat in enumerate(dhats, start=1):
-        for (b, c), coeff in dhat.terms.items():
-            struct[a, b, c] = -coeff
-            struct[a, c, b] = coeff
+    # the distinct jets, w first, then their derivative jets (p', p'', 0)
+    distinct = {id(j): j for j in (cof.w, *cof.scalings)}
+    size = len(distinct)
+    jets = np.zeros((3, 2 * size, width))
+    for r, jet in enumerate(distinct.values()):
+        jets[:, r] = [np.broadcast_to(x, width) for x in jet.c]
+    jets[:2, size:] = jets[1:, :size]
+    s = [list(distinct).index(id(p)) for p in cof.scalings]
+    moving = jets[:, size:].any(axis=(0, 2))
+    # d hat-e^a, a ascending: -(p'/(w p)) hat-e^{a, n} where p moves, then
+    # p c / (p_b p_c) on each term c e^{bc} of d e^a; zero jets drop, as in KForm
+    terms = []  # (a, p, q), numerator row, c, denominator pair, negated
+    for a, form in enumerate(cof.base.diff):
+        if moving[s[a]]:
+            terms.append(((a, a, cof.dim - 1), size + s[a], 1.0, (0, s[a]), True))
+        terms += [((a, b - 1, c - 1), s[a], float(coeff), (s[b - 1], s[c - 1]), False)
+                  for (b, c), coeff in form.terms.items()]
+    keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
+    slot = {}
+    den = [slot.setdefault(pair, len(slot)) for pair in pairs]
+    left, right = (list(x) for x in zip(*slot)) if slot else ([], [])
+    recips = _reciprocals(_leibniz(jets[:, left], jets[:, right]))[:, den]
+    num, factor = jets[:, list(src)], np.array(factor)[:, None]  # as Jet: p * -1 is -p
+    dhat = _leibniz(np.where(factor == -1.0, -num, num * factor), recips)
+    _negate(dhat.swapaxes(0, 1), negated)
+    kept = dhat.any(axis=(0, 2))
+    keys, dhat = [key for key, keep in zip(keys, kept.tolist()) if keep], dhat[:, kept]
+    dhat_index, dhat_values = _live(keys, dhat[0])
 
-    # Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} + C^c_{ab})/2 is the c-th coefficient
-    # of omega^a_b.  Only triples where one of the three structure functions
-    # is nonzero are visited; those present are summed in this order.
-    triples = set()
-    for a, b, c in struct:
-        triples.update(((a, c, b), (b, a, c), (b, c, a)))
-    index, coeffs = [], []
-    for a, b, c in sorted(triples):
-        present = [x for x in (struct.get((a, c, b)), struct.get((b, a, c)), struct.get((c, a, b)))
-                   if x is not None]
-        coeff = sum(present[1:], present[0]) * 0.5
-        if not coeff.is_zero():
-            index.append((a - 1, b - 1, c - 1))
-            coeffs.append(coeff)
-    values = _stack([c.value for c in coeffs], width)
-    dhat_index, dhat_values = _live(
-        [(a, p - 1, q - 1) for a, dhat in enumerate(dhats) for p, q in dhat.terms],
-        _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
+    # C^a_{bc}, with d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c, is row
+    # struct[a, b, c] of ``signed``.  Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} +
+    # C^c_{ab})/2, the c-th coefficient of omega^a_b, sums those present in
+    # this order; an absent one is the last row, -0.0, which keeps the bits.
+    t = len(keys)
+    struct = dict(zip(keys, range(t)))
+    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
+    signed = np.concatenate((-dhat, dhat, np.full((3, 1, width), -0.0)), axis=1)
+    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
+    at = np.array([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
+                   for a, b, c in triples], dtype=int).reshape(-1, 3).T
+    gamma = (signed[:, at[0]] + signed[:, at[1]] + signed[:, at[2]]) * 0.5
+    kept = gamma.any(axis=(0, 2))
+    index, values = [key for key, keep in zip(triples, kept.tolist()) if keep], gamma[0, kept]
 
     # structure equation: d hat-e^a, then omega^a_b ^ hat-e^b for b ascending,
     # the order of ``index``; c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk} for k > b
@@ -344,9 +345,8 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
     _, sums = _ordered_sums(dhat_index + list(keys),
                             np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
-    residual = worst_abs([sums])
-    return CartanConnection(n, index, values, _stack([c.c[1] for c in coeffs], width),
-                            dhat_index, dhat_values, residual)
+    return CartanConnection(cof.dim, index, values, gamma[1, kept], dhat_index, dhat_values,
+                            worst_abs([sums]))
 
 
 @dataclass

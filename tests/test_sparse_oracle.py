@@ -16,7 +16,9 @@ out.  Both sides must return identical Fractions.
 The jet path solves the first structure equation for Gamma over the
 triples where a structure function is nonzero; its reference is the dense
 n^3 loop over every triple, with a zero jet standing in for the absent
-structure functions.  It then checks the solution and builds the curvature
+structure functions.  The solve runs in values on stacked jet components;
+the same solve in Jet arithmetic, d hat-e^a included, is its bit-for-bit
+reference, on success and on the guards' failures.  It then checks the solution and builds the curvature
 2-forms in values, by gather and scatter over index arrays; their
 reference carries the jets of the connection rows through KForm d, wedges
 and residual sums, and reads the values at the end.  The matrix of the differential-ideal
@@ -40,24 +42,27 @@ Einstein frame) are asserted here on the catalog, rotated and relabelled
 frames.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcforge import evolution, qc
+from qcforge import evolution, qc, riemann
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
-                             _mat_mul, _mat_t, catalog, form_matrix, require_qc)
+                             _mat_mul, _mat_t, catalog, form_matrix, parse_algebra,
+                             require_qc)
 from qcforge.ansatz import _CYCLIC, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
                                _ideal_matrix, _ideal_residual, _wedge_table, block_remainder,
                                build_family, extended_d, require_einstein_base, verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.poly import Poly
-from qcforge.riemann import (SVD_THRESHOLD, _ordered_sums, cartan_connection,
-                             curvature_forms, frame_curvature, koszul_levi_civita, span_rank)
-from qcforge.scalars import Jet, worst_abs
+from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
+                             _ordered_sums, cartan_connection, curvature_forms,
+                             frame_curvature, koszul_levi_civita, span_rank)
+from qcforge.scalars import DomainError, Jet, worst_abs
 
 
 def _mul(x, y):
@@ -481,11 +486,77 @@ def test_matrix_helpers_match_dense(case):
         assert all(type(v) is Fraction and v for v in have.values())
 
 
+def coframe_differentials(cof) -> list:
+    """d of each orthonormal coframe element of ``cof``, as jet-coefficient
+    2-forms over the extended frame: the reference for the d hat-e^a that
+    ``cartan_connection`` forms in values."""
+    n = cof.dim
+    m = cof.base.dim
+    out = []
+    for a in range(1, m + 1):
+        p = cof.scalings[a - 1]
+        terms = {}
+        # p'(x) dx ^ e^a = -(p'/(w p)) hat-e^{a, n}
+        dp = p.derivative()
+        if not dp.is_zero():
+            terms[(a, n)] = -(dp / (cof.w * p))
+        for (b, c), coeff in cof.base.diff[a - 1].terms.items():
+            terms[(b, c)] = (p * coeff) / (cof.scalings[b - 1] * cof.scalings[c - 1])
+        out.append(KForm(n, 2, terms))
+    out.append(KForm(n, 2))  # d(w dx) = w' dx ^ dx = 0
+    return out
+
+
+def _stack(coeffs: list, width: int) -> np.ndarray:
+    """One row per coefficient value (a float or an array of ``width``
+    samples), broadcast to ``width`` entries."""
+    out = np.empty((len(coeffs), width))
+    for row, value in enumerate(coeffs):
+        out[row] = value
+    return out
+
+
+def jet_cartan_connection(cof) -> CartanConnection:
+    """The reference solve in jets: the structure functions are the jet
+    coefficients of :func:`coframe_differentials`, each Gamma^a_{cb} is
+    the jet sum (C^a_{cb} + C^b_{ac} + C^c_{ab})/2 of those present, and a
+    zero jet is dropped; the values and slopes are read at the end."""
+    n = cof.dim
+    width = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).size
+    dhats = coframe_differentials(cof)
+    struct = {}
+    for a, dhat in enumerate(dhats, start=1):
+        for (b, c), coeff in dhat.terms.items():
+            struct[a, b, c] = -coeff
+            struct[a, c, b] = coeff
+    triples = set()
+    for a, b, c in struct:
+        triples.update(((a, c, b), (b, a, c), (b, c, a)))
+    index, coeffs = [], []
+    for a, b, c in sorted(triples):
+        present = [x for x in (struct.get((a, c, b)), struct.get((b, a, c)), struct.get((c, a, b)))
+                   if x is not None]
+        coeff = sum(present[1:], present[0]) * 0.5
+        if not coeff.is_zero():
+            index.append((a - 1, b - 1, c - 1))
+            coeffs.append(coeff)
+    values = _stack([c.value for c in coeffs], width)
+    dhat_index, dhat_values = _live(
+        [(a, p - 1, q - 1) for a, dhat in enumerate(dhats) for p, q in dhat.terms],
+        _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
+    _, sums = _ordered_sums(dhat_index + list(keys),
+                            np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
+    return CartanConnection(n, index, values, _stack([c.c[1] for c in coeffs], width),
+                            dhat_index, dhat_values, worst_abs([sums]))
+
+
 def dense_cartan_forms(cof) -> list:
     """omega^a_b with c-th coefficient Gamma^a_{cb} = (C^a_{cb} + C^b_{ac}
     - C^c_{ba})/2, evaluated at every triple (a, b, c)."""
     n = cof.dim
-    dhats = cof.coframe_differentials()
+    dhats = coframe_differentials(cof)
     zero = Jet.const(0.0)
 
     def cfun(a, b, c):  # d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c
@@ -570,12 +641,137 @@ def test_cartan_values_antisymmetric(name, rotated):
     assert_values_antisymmetric(conn)
 
 
+def assert_same_connection(have, want):
+    """Two solves agree on all six fields, the floats bit for bit."""
+    assert have.index == want.index
+    assert have.dhat_index == want.dhat_index
+    for field in ("values", "slopes", "dhat_values", "structure_residual"):
+        x, y = np.asarray(getattr(have, field)), np.asarray(getattr(want, field))
+        assert x.shape == y.shape and (_bits(x) == _bits(y)).all(), field
+
+
+@pytest.mark.parametrize("name,batch", [
+    pytest.param(name, batch, id=name if batch else f"{name}-scalar")
+    for name, batch in BATCH_CASES])
+@pytest.mark.parametrize("rotated", [False, True], ids=["frame", "rotated"])
+def test_cartan_values_match_the_jet_solve(name, batch, rotated):
+    cof = family_coframe(name, 16, batch, rotated)
+    conn = cartan_connection(cof)
+    assert conn.index and conn.dhat_index
+    assert_same_connection(conn, jet_cartan_connection(cof))
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_SLOPE = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def scaling_jets(draw):
+    """A base, up to three distinct positive scaling jets with the scaling
+    of each coframe element drawn among them, and w, on a batch of up to
+    three samples or as float jets."""
+    base = catalog(draw(st.sampled_from(["heis(1)", "l1", "l3"])))
+    width = draw(st.integers(0, 3))
+
+    def jet(value):
+        def component(floats):
+            if not width:
+                return draw(floats)
+            return np.array(draw(st.lists(floats, min_size=width, max_size=width)))
+        return Jet((component(value), component(_SLOPE), component(_SLOPE)))
+
+    jets = [jet(_POSITIVE) for _ in range(draw(st.integers(1, 3)))]
+    pick = draw(st.lists(st.sampled_from(jets), min_size=base.dim, max_size=base.dim))
+    return base.algebra, pick, jet(_POSITIVE | _POSITIVE.map(lambda x: -x))
+
+
+# two Gamma rows whose values and slopes cancel but whose second derivatives
+# do not: the jet solve keeps them, as a KForm keeps a nonzero jet
+_FLAT_ROWS = (parse_algebra("algebra t dim 3\nd e1 = e2^e3\nd e2 = e3^e1\nd e3 = 2 e1^e2\n")[0],
+              [Jet((1.0, 0.0, 1.0)), Jet.const(1.0), Jet.const(1.0)], Jet.const(1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaling_jets())
+@example(_FLAT_ROWS)
+def test_shared_scalings_solve_as_distinct_ones(case):
+    """Equal scalings passed as one jet object share their products and
+    reciprocals; passed as distinct objects they do not, and both solves
+    have the bits of the jet solve."""
+    base, scalings, w = case
+    shared = CoframeWithJets(base, scalings, w)
+    distinct = CoframeWithJets(base, [Jet(s.c) for s in scalings], Jet(w.c))
+    want = jet_cartan_connection(shared)
+    assert_same_connection(cartan_connection(shared), want)
+    assert_same_connection(cartan_connection(distinct), want)
+
+
+def _raised(solve, cof):
+    """The type and message of what ``solve(cof)`` raises."""
+    with np.errstate(all="ignore"), pytest.raises(Exception) as info:
+        solve(cof)
+    return type(info.value), str(info.value)
+
+
+def _failing_coframe(w_at: float, h_at: float, samples: str = "batch"):
+    """A coframe of l1 with horizontal scalings 2 of slope 1/2, vertical
+    scalings ``h_at`` and w = ``w_at`` at one sample: the middle one of
+    three (``batch``), a batch of one (``one``) or float jets (``float``)."""
+    def jet(value, slope=0.0):
+        at = {"batch": np.array([1.0, value, 3.0]), "one": np.array([value]), "float": value}
+        return Jet((at[samples], slope, 0.0))
+
+    w = 1.0 if math.isnan(w_at) else w_at
+    cof = CoframeWithJets(catalog("l1").algebra, [jet(2.0, 0.5)] * 4 + [jet(h_at)] * 3, jet(w))
+    cof.w = jet(w_at)  # no coframe that passes its guards has a NaN product
+    return cof
+
+
+@pytest.mark.parametrize("w_at,h_at,error,message", [
+    # the products of the vertical scalings underflow to 0
+    (1.0, 1e-200, DomainError, "division by a jet with zero value"),
+    (math.nan, 1.0, DomainError, "division by a jet with value nan"),
+    # w p_1 = 2e200 comes first, and its square overflows before the guard
+    (1e200, 1e-200, OverflowError, "math range error"),
+], ids=["underflow", "nan", "overflow"])
+def test_cartan_failures_match_the_jet_solve(w_at, h_at, error, message):
+    cof = _failing_coframe(w_at, h_at)
+    assert _raised(cartan_connection, cof) == _raised(jet_cartan_connection, cof) == (error, message)
+
+
+def test_float_jets_fail_as_a_batch_of_one():
+    """The jet solve on float jets divides Python floats, so -1/y^2 raises
+    ZeroDivisionError where y^2 underflows (y = 2e-200, the product of a
+    horizontal and a vertical scaling); in values, float jets fail as a
+    batch of one does, at the guard of the vertical products after it."""
+    want = (DomainError, "division by a jet with zero value")
+    assert _raised(cartan_connection, _failing_coframe(1.0, 1e-200, "float")) == want
+    assert _raised(cartan_connection, _failing_coframe(1.0, 1e-200, "one")) == want
+    assert _raised(jet_cartan_connection, _failing_coframe(1.0, 1e-200, "one")) == want
+    assert _raised(jet_cartan_connection, _failing_coframe(1.0, 1e-200, "float")) == (
+        ZeroDivisionError, "float division by zero")
+
+
+def test_build_names_the_sample_where_the_solve_fails(monkeypatch):
+    """At x = 1e-170 the vertical scalings of qk-l1 are about 1e-170, and
+    their products underflow to 0 there only."""
+    def failure():
+        with pytest.raises(DomainError) as info:
+            build_family("qk-l1", samples=[0.5, 1e-170, 1.5])
+        return str(info.value)
+
+    have = failure()
+    monkeypatch.setattr(riemann, "cartan_connection", jet_cartan_connection)
+    assert have == failure() == (
+        "jet arithmetic breaks down at x=1e-170: division by a jet with zero value")
+
+
 def jet_curvature_forms(cof, forms) -> list:
     """Omega^a_b = d omega^a_b + omega^a_c ^ omega^c_b with jet coefficients
     throughout: d hat-e^a from the coframe, and a coefficient c contributes
     dc = c'(x) dx = (c'/w) hat-e^n."""
     n = cof.dim
-    dhats = cof.coframe_differentials()
+    dhats = coframe_differentials(cof)
     dx = KForm.basis(n, n)
     inv_w = cof.w.reciprocal()
 
@@ -607,7 +803,7 @@ def connection_forms(conn) -> list:
 def jet_cartan_residuals(cof, forms) -> tuple:
     """(structure, antisymmetry) residuals of the connection with jet sums."""
     n = cof.dim
-    dhats = cof.coframe_differentials()
+    dhats = coframe_differentials(cof)
     anti = max((forms[a][b] + forms[b][a]).max_abs() for a in range(n) for b in range(n))
     residual = 0.0
     for a in range(n):

@@ -36,7 +36,8 @@ or of mixed degree; and a set of argv that the CLI refuses, with one
 spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
 argument, an ``l0(c)`` argument, a catalog name, a ``--param`` value, an
 extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
-``--samples`` point each too long to echo.
+``--samples`` point each too long to echo; and five builds at the edges of
+float range, where powers and slopes in the connection solve underflow.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
@@ -104,6 +105,19 @@ REFUSALS = [
     ["build", "qk", "--family", "z" * len(_LONG)],
     ["build", "qk", "--family", "qk-l1", "--param", "p" * len(_LONG) + "=1"],
     ["build", "qk", "--family", "qk-l1", "--samples=" + "a" * len(_LONG)],
+]
+
+
+# builds at the edges of float range: at b = 1e-158 and 1e-150 the powers
+# of w |h| in the connection solve underflow (the curvature is not finite,
+# and a verdict fails), at b = 1e-170 the vertical slopes underflow to 0
+# (a pass); and two lone samples far out
+FLOAT_EDGES = [
+    ["build", "qk", "--family", "qk-heis", "--param", "b=1e-158"],
+    ["build", "qk", "--family", "qk-heis", "--param", "b=1e-150"],
+    ["build", "qk", "--family", "qk-heis", "--param", "b=1e-170"],
+    ["build", "qk", "--family", "qk-heis", "--samples=5"],
+    ["build", "qk", "--family", "qk-l1", "--samples=-6"],
 ]
 
 
@@ -226,7 +240,7 @@ def corpus() -> list:
         out += [["qc-report", "--file", path, *fmt] for fmt in formats]
         if not path.startswith(("perturbed-", "rotated-")):
             out.append(["check-algebra", "--file", path])
-    return out + REFUSALS
+    return out + REFUSALS + FLOAT_EDGES
 
 
 def digest(argv: list) -> str:
