@@ -15,10 +15,12 @@ parameter t in which the ansatz
 The triple, its 4-form and the governing systems are those of
 :mod:`qcforge.ansatz`, evaluated on jets with dt = w dx.
 
-One builder, :func:`build_triaxial`, evolves every family: a diagonal
-family's one vertical coefficient h stands for all three.  It evaluates
+A build evaluates the coefficient functions once, by :func:`evaluate`, at
 all samples in one pass: the jets carry float64 arrays of shape (N,), one
-entry per sample, through the forms, d, Cartan, curvature and Ricci.  The
+entry per sample.  The governing systems (:func:`ode_residual`) and one
+builder, :func:`build_triaxial`, read those jets; the builder evolves
+every family through the forms, d, Cartan, curvature and Ricci, a
+diagonal family's one vertical coefficient h standing for all three.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
 vertical coefficient vanishes is skipped for Ricci and counted, and
 :func:`build_family` raises :class:`DomainError` when the parameters leave
@@ -86,15 +88,20 @@ def extended_d(base, form: KForm) -> KForm:
     n = base.dim + 1
     dx = KForm.basis(n, n)
     generators = [_extend(g, n) for g in base.diff] + [KForm(n, 2)]
-    return exterior_d(form, generators,
-                      lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() * dx)
+    return exterior_d(form, generators, lambda c: _derivative(c) * dx)
 
 
-def _jet_or_raise(funcs: dict, xs: np.ndarray) -> dict:
-    """The jet of each coefficient function at the samples, by key; an
-    evaluation error names the key (:func:`build_family` names the sample)."""
-    u = Jet.variable(xs)
-    jets = {}
+def _derivative(c) -> Jet:
+    """The jet of the derivative of a form coefficient, a jet or a number."""
+    return (c if isinstance(c, Jet) else Jet.const(c)).derivative()
+
+
+@np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
+def evaluate(funcs: dict, samples) -> dict:
+    """The jets of the coefficient functions at the samples, by key, and of
+    the coordinate under ``u``; an error names the key, build_family the sample."""
+    u = Jet.variable(np.asarray(samples, dtype=float))
+    jets = {"u": u}
     for key, fn in funcs.items():
         try:
             jets[key] = fn(u)
@@ -234,9 +241,9 @@ def block_remainder(rows, cols, vals: np.ndarray, rhs: np.ndarray, width: int) -
 
 
 @np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
-def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
-    """Evolve the structure with the coefficient functions ``funcs`` (f, w
-    and the vertical f1, f2, f3, or h for a diagonal family) and collect
+def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
+    """Evolve the structure with the jets of :func:`evaluate` (u, f, w and
+    the vertical f1, f2, f3, or h for a diagonal family) and collect
     residuals, Ricci data, the curvature-span rank and, for the ``spin7``
     pattern, the checks of the 3-form/4-form pair.  A sample where a
     vertical coefficient vanishes carries no metric: it is skipped for
@@ -244,8 +251,7 @@ def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
     curvature or a form not finite, raises OverflowError."""
     dim_ext = spec.dim + 1
     base = spec.algebra
-    xs = np.asarray(samples, dtype=float)
-    jets = _jet_or_raise(funcs, xs)
+    xs = jets["u"].value
     fj, hs, wj = jets["f"], _axes(jets), jets["w"]
     keep = _check_positive(fj, hs, wj, xs)
     # Ricci first: its curvature forms are the largest objects of a build,
@@ -273,8 +279,7 @@ def build_triaxial(spec: QcFrameSpec, funcs: dict, samples, kind: str) -> dict:
         # cocalibration: the t-derivative of the dual 4-form matches the
         # base differential of the 3-form (sign fixed by our dx
         # orientation; reversing the parameter flips it)
-        flow = star_g2.map_coefficients(
-            lambda c: (c if isinstance(c, Jet) else Jet.const(c)).derivative() / wj)
+        flow = star_g2.map_coefficients(lambda c: _derivative(c) / wj)
         dphi_base = extended_d(base, g2).restrict(range(1, spec.dim + 1))
         out["hitchin_residual"] = (flow - dphi_base).max_abs()
     return out
@@ -323,15 +328,14 @@ def _axes(funcs: dict) -> list:
 
 
 @np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
-def ode_residual(kind: str, funcs: dict, S: Fraction, samples) -> float:
+def ode_residual(kind: str, jets: dict, S: Fraction) -> float:
     """Max absolute residual of the system ``kind`` of
-    :data:`~qcforge.ansatz.SYSTEMS` on the samples, for the coefficient
-    functions ``funcs`` (f, w and f1, f2, f3, or h for a diagonal family);
+    :data:`~qcforge.ansatz.SYSTEMS` over the samples of the jets of
+    :func:`evaluate` (f, w and f1, f2, f3, or h for a diagonal family);
     derivatives are in the arc parameter t with dt/dx = w."""
     system = SYSTEMS.get(kind)
     if system is None:
         raise ValueError(f"unknown system {kind!r}")
-    jets = _jet_or_raise(funcs, np.asarray(samples, dtype=float))
     w = jets["w"]
     rows = system(jets["f"], _axes(jets), lambda j: j.derivative() / w, S)
     return worst_abs(r.value for r in rows)
@@ -643,22 +647,21 @@ def build_family(name: str, params=None, samples=None) -> dict:
         if not math.isfinite(x):
             raise DomainError(f"sample {x} is not a finite number")
 
+    def run(xs):
+        jets = evaluate(funcs, xs)
+        residuals = {system: ode_residual(system, jets, S) for system in fam.systems}
+        return residuals, None if spec is None else build_triaxial(spec, jets, fam.pattern)
+
+    residuals, built = _blame_sample(run, pts)
     result = {
         "family": fam.name,
         "params": {k: str(v) for k, v in p.items()},
         "samples": pts,
-        "ode_residuals": {},
+        "ode_residuals": residuals,
     }
-    for system in fam.systems:
-        result["ode_residuals"][system] = _blame_sample(
-            lambda xs: ode_residual(system, funcs, S, xs), pts)
-
     if spec is None:
         result["kind"] = "ode-only"
         return result
-
-    built = _blame_sample(
-        lambda xs: build_triaxial(spec, funcs, xs, fam.pattern), pts)
     if built["einstein_const"] is None:
         raise DomainError(f"every sample of {fam.name} is degenerate "
                           f"(a vertical coefficient vanishes at each of {pts})")

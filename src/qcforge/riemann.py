@@ -20,14 +20,15 @@ curvature span (an Ambrose-Singer lower bound for the holonomy algebra).
 All of it runs in values, rows of float64 arrays with one entry per
 sample; a float jet is a batch of one, so one pass serves N samples,
 guards hold per sample, and Ricci and the ranks carry a leading sample
-axis.  The Cartan solve stacks the jet components of its terms as
-(3, terms, samples) arrays, and the curvature reads the connection's
-value and slope rows, keyed by index tuples (a, b, k).  Each kind of term
-is formed by one gather and multiply over lists of row indices and
-summed in the order of the jet and KForm sums (:func:`_ordered_sums`
-scatter-adds into sums that start at -0.0), so every float equals that
-of the jet computation bit for bit, except the sign of a zero left where
-a curvature partial sum cancels at every sample.  The index bookkeeping
+axis.  The Cartan solve multiplies and inverts its terms as jets with
+(terms, samples) components, by ``Jet``'s own arithmetic, and the
+curvature reads the connection's value and slope rows, keyed by index
+tuples (a, b, k).  Each kind of term is formed by one gather and
+multiply over lists of row indices and summed in the order of the jet
+and KForm sums (:func:`_ordered_sums` scatter-adds into sums that start
+at -0.0), so every float equals that of the jet computation bit for bit,
+except the sign of a zero left where a curvature partial sum cancels at
+every sample.  The index bookkeeping
 is plain Python over a few thousand tuples per build: numpy's integer
 sorts and comparisons would page in code that costs more resident
 memory than the bookkeeping costs time.
@@ -35,7 +36,6 @@ memory than the bookkeeping costs time.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FrameAlgebra
-from .scalars import DomainError, Jet, NotQcError, _each, _fail_if, worst_abs
+from .scalars import DomainError, Jet, NotQcError, _fail_if, worst_abs
 
 
 class NonAntisymmetricTorsion(NotQcError):
@@ -242,26 +242,6 @@ def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
     return rows
 
 
-def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of jets stacked as (3, rows, samples), summed as Jet.__mul__ sums."""
-    return np.stack((a[0] * b[0], a[1] * b[0] + a[0] * b[1],
-                     a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]))
-
-
-def _reciprocals(dens: np.ndarray) -> np.ndarray:
-    """Reciprocals of stacked jets as Jet.reciprocal forms them, guards and
-    all, in one ``math.pow`` loop over the rows before the first that fails
-    a guard: an overflow there raises first, as it would row by row."""
-    y, g1, g2 = dens
-    stop = int(np.append(((y == 0.0) | (y != y)).any(axis=1), True).argmax())
-    powers = _each(lambda v: (math.pow(v, 2), math.pow(v, 3)), y[:stop].ravel())
-    if stop < len(y):
-        _fail_if(y[stop] == 0.0, y[stop], "division by a jet with zero value")
-        _fail_if(y[stop] != y[stop], y[stop], "division by a jet with value {}")
-    d1, d2 = ((-1.0, 2.0) / powers.reshape(y.shape + (2,))).transpose(2, 0, 1)
-    return np.stack((1.0 / y, d1 * g1, d2 * g1 * g1 + d1 * g2))
-
-
 @dataclass
 class CartanConnection:
     """Connection 1-forms omega^a_b solving the first structure equation,
@@ -285,14 +265,15 @@ class CartanConnection:
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     """Solve d hat-e^a + omega^a_b ^ hat-e^b = 0 with omega_{ab} = -omega_{ba}.
 
-    The solve runs on the jet components of its terms stacked as (3,
-    terms, samples) arrays, each distinct pair of jet objects in a
-    denominator multiplied and inverted once, and every float is that of
-    the jet arithmetic bit for bit.  omega^b_a sums the negated structure
-    functions of omega^a_b with the first two swapped, so its values are
-    the exact negation of those of omega^a_b and antisymmetry needs no
-    check.  The structure equation is re-verified in values, summed in the
-    order of the KForm sum ``d hat-e^a + sum_b omega^a_b ^ hat-e^b``.
+    The solve runs on jets whose components stack its terms as (terms,
+    samples) arrays, each distinct pair of jet objects in a denominator
+    multiplied and inverted once by ``Jet``, and every float is that of
+    the per-term jet arithmetic bit for bit.  omega^b_a sums the negated
+    structure functions of omega^a_b with the first two swapped, so its
+    values are the exact negation of those of omega^a_b and antisymmetry
+    needs no check.  The structure equation is re-verified in values,
+    summed in the order of the KForm sum ``d hat-e^a + sum_b omega^a_b ^
+    hat-e^b``.
     """
     width = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).size
     # the distinct jets, w first, then their derivative jets (p', p'', 0)
@@ -316,9 +297,10 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     slot = {}
     den = [slot.setdefault(pair, len(slot)) for pair in pairs]
     left, right = (list(x) for x in zip(*slot)) if slot else ([], [])
-    recips = _reciprocals(_leibniz(jets[:, left], jets[:, right]))[:, den]
+    stacked = Jet(jets)
+    recips = (stacked.take(left) * stacked.take(right)).reciprocal().take(den)
     num, factor = jets[:, list(src)], np.array(factor)[:, None]  # as Jet: p * -1 is -p
-    dhat = _leibniz(np.where(factor == -1.0, -num, num * factor), recips)
+    dhat = np.stack((Jet(np.where(factor == -1.0, -num, num * factor)) * recips).c)
     _negate(dhat.swapaxes(0, 1), negated)
     kept = dhat.any(axis=(0, 2))
     keys, dhat = [key for key, keep in zip(keys, kept.tolist()) if keep], dhat[:, kept]
@@ -533,7 +515,8 @@ def span_rank(rows, cols, values: np.ndarray) -> np.ndarray:
 def ricci_and_rank(cof: CoframeWithJets) -> CurvatureSummary:
     """Ricci tensor and the dimension of the span of the curvature 2-forms
     at each sample point, with a leading sample axis of one entry for
-    float jets.
+    float jets, which fail as a batch of one: a reciprocal's guard raises
+    DomainError, an overflowing power OverflowError.
 
     The rank uses a singular-value cutoff relative to the largest singular
     value, by :func:`span_rank` over the diagonal blocks of the span

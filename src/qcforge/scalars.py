@@ -74,21 +74,23 @@ def parse_float(text: str) -> float:
 
 
 def _each(fn, x):
-    """``fn`` on a float, or on each sample of an array through Python
-    floats: numpy's ufuncs may round differently from libm, and a batch
-    must agree bit for bit with its scalar jets.  Powers go through
+    """``fn`` on a float, or on each entry of an array of any shape through
+    Python floats: numpy's ufuncs may round differently from libm, and a
+    batch must agree bit for bit with its scalar jets.  Powers go through
     ``math.pow``: its overflow reads ``math range error`` like that of
     ``math.exp``, where ``float ** float`` gives an errno tuple."""
-    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _fail_if(bad, value, message: str, error=DomainError):
-    """Raise ``error`` when ``bad`` holds at any sample; ``message`` is
-    formatted with the value at the first such sample."""
+    """Raise ``error`` when ``bad`` holds at any entry; ``message`` is
+    formatted with the value at the first such entry in row-major order."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
-        value = float(value[np.argmax(bad)])
+        value = float(value.ravel()[np.argmax(bad)])
     elif not bad:
         return
     raise error(message.format(value))
@@ -114,10 +116,11 @@ class Jet:
     functions propagate via the chain rule.  Each component is a binary
     float or a float64 array of shape (N,), one entry per sample, so one
     jet carries a whole batch of samples and a float jet is a batch of
-    one.  Ring operations broadcast; the guards of ``reciprocal``, ``pow``
-    and ``log`` fail when any sample fails or is NaN.  The coefficient
-    functions these jets carry involve sinh and fractional powers, so
-    exactness is not on the table here.
+    one; components of shape (rows, N) stack one jet per row, on which
+    products and reciprocals act row by row.  Ring operations broadcast;
+    the guards of ``reciprocal``, ``pow`` and ``log`` fail when any
+    sample fails or is NaN.  The coefficient functions these jets carry
+    involve sinh and fractional powers, so exactness is not on the table.
     """
 
     __slots__ = ("c",)
@@ -151,7 +154,7 @@ class Jet:
         return True
 
     def take(self, mask) -> "Jet":
-        """The jet at the samples selected by ``mask``."""
+        """The jet at the samples, or the stacked jets at the rows, that ``mask`` selects."""
         return _jet(tuple(x[mask] if isinstance(x, np.ndarray) else x for x in self.c))
 
     def derivative(self) -> "Jet":
@@ -229,17 +232,25 @@ class Jet:
 
     def compose(self, outer) -> "Jet":
         """Chain rule: ``outer`` is the Taylor data of the outer function
-        at ``self.value``."""
-        d = tuple(x if isinstance(x, np.ndarray) else float(x) for x in outer)
+        at ``self.value``; a 0-d array in it reads as a float."""
+        d = tuple(x if np.ndim(x) else float(x) for x in outer)
         g1, g2 = self.c[1], self.c[2]
         return _jet((d[0], d[1] * g1, d[2] * g1 * g1 + d[1] * g2))
 
     def reciprocal(self) -> "Jet":
+        """1/j, stacked rows failing as they would one at a time: powers on
+        the rows before the first with a zero or NaN value, then that row's
+        zero and NaN guards.  Derivatives divide in numpy, so a power that
+        underflows gives an infinity, for a float jet as for a batch."""
         y = self.c[0]
-        _fail_if(y == 0.0, y, "division by a jet with zero value")
-        _fail_if(y != y, y, "division by a jet with value {}")
-        p = [_each(lambda v: math.pow(v, k), y) for k in (2, 3)]
-        return self.compose((1.0 / y, -1.0 / p[0], 2.0 / p[1]))
+        rows = np.atleast_2d(y)
+        stop = int(np.append(((rows == 0.0) | (rows != rows)).any(axis=1), True).argmax())
+        p2, p3 = (_each(lambda v: math.pow(v, k), rows[:stop]) for k in (2, 3))
+        if stop < len(rows):
+            _fail_if(rows[stop] == 0.0, rows[stop], "division by a jet with zero value")
+            _fail_if(rows[stop] != rows[stop], rows[stop], "division by a jet with value {}")
+        shape = np.shape(y)
+        return self.compose((1.0 / y, (-1.0 / p2).reshape(shape), (2.0 / p3).reshape(shape)))
 
     def pow(self, exponent) -> "Jet":
         r = Fraction(exponent)
@@ -274,7 +285,8 @@ class Jet:
         y = self.c[0]
         _fail_if(y <= 0.0, y, "log of non-positive value {}")
         _fail_if(y != y, y, "log of value {}")
-        return self.compose((_each(math.log, y), 1.0 / y, -1.0 / _each(lambda v: math.pow(v, 2), y)))
+        return self.compose((_each(math.log, y), 1.0 / y,
+                             np.divide(-1.0, _each(lambda v: math.pow(v, 2), y))))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))

@@ -12,7 +12,7 @@ from qcforge.acceptance import TOL_RESIDUAL
 from qcforge.algebra import catalog
 from qcforge.ansatz import triple
 from qcforge.evolution import (FAMILIES, NotEinsteinBase, build_family,
-                               build_triaxial, extended_d, ode_residual,
+                               build_triaxial, evaluate, extended_d, ode_residual,
                                require_einstein_base, verdicts)
 from qcforge.forms import KForm
 from qcforge.scalars import DomainError, Jet
@@ -105,8 +105,8 @@ class TestDiagonalBuilds:
         # (no metric is built: the product degenerates)
         spec = catalog("heis(1)")
         one = lambda u: Jet.const(1)
-        r = build_triaxial(spec, {"f": one, "h": lambda u: Jet.const(0), "w": one},
-                           [0.0, 0.5], "qk")
+        r = build_triaxial(spec, evaluate({"f": one, "h": lambda u: Jet.const(0), "w": one},
+                                          [0.0, 0.5]), "qk")
         assert r["dform_residual"] < TOL
         assert r["einstein_const"] is None
 
@@ -231,8 +231,8 @@ class TestBatchedBuild:
         funcs = fam.functions()
         pattern = "spin7" if name.startswith("spin7") else "qk"
         pts = fam.default_samples()
-        batch = build_triaxial(spec, funcs, pts, pattern)
-        singles = [build_triaxial(spec, funcs, [x], pattern) for x in pts]
+        batch = build_triaxial(spec, evaluate(funcs, pts), pattern)
+        singles = [build_triaxial(spec, evaluate(funcs, [x]), pattern) for x in pts]
         for key, value in batch.items():
             per_sample = [r[key] for r in singles]
             if key == "einstein_const":
@@ -247,12 +247,31 @@ class TestBatchedBuild:
         fam = FAMILIES["qk-l1"]
         spec = require_einstein_base(fam.base, fam.S)
         funcs = fam.functions()
-        mixed = build_triaxial(spec, funcs, [0.0, 1.0, 2.0], "qk")
-        alone = build_triaxial(spec, funcs, [1.0, 2.0], "qk")
+        mixed = build_triaxial(spec, evaluate(funcs, [0.0, 1.0, 2.0]), "qk")
+        alone = build_triaxial(spec, evaluate(funcs, [1.0, 2.0]), "qk")
         assert mixed["degenerate_samples"] == 1 and alone["degenerate_samples"] == 0
         for key in ("einstein_const", "einstein_deviation", "ricci_max_abs",
                     "curvature_rank", "structure_residual"):
             assert mixed[key] == alone[key], key
+
+    @pytest.mark.parametrize("name", ["qk-heis", "qk-3sas"])
+    def test_a_build_evaluates_each_function_once(self, name, monkeypatch):
+        """The ODE systems and the forms read the jets of one evaluation."""
+        fam, calls = FAMILIES[name], []
+
+        def counted(key, fn):
+            def run(u):
+                calls.append(key)
+                return fn(u)
+            return run
+
+        def make(params, S):
+            return {key: counted(key, fn) for key, fn in fam.make(params, S).items()}
+
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(fam, make=make))
+        assert len(fam.systems) == 2
+        build_family(name)
+        assert sorted(calls) == sorted(fam.functions())
 
 
 class TestOdeSystems:
@@ -260,33 +279,33 @@ class TestOdeSystems:
         # h - f'/2 is NaN at every sample; a max that skips NaN would give 1.0
         funcs = {"f": lambda u: u, "h": lambda u: Jet.const(float("nan")),
                  "w": lambda u: Jet.const(1)}
-        assert math.isnan(ode_residual("solqk7", funcs, Fraction(0), [1.0, 2.0]))
+        assert math.isnan(ode_residual("solqk7", evaluate(funcs, [1.0, 2.0]), Fraction(0)))
 
     def test_every_family_satisfies_its_systems(self):
         for name, fam in FAMILIES.items():
             funcs = fam.functions()
             pts = fam.default_samples()
             for system in fam.systems:
-                assert ode_residual(system, funcs, fam.S, pts) < TOL, \
+                assert ode_residual(system, evaluate(funcs, pts), fam.S) < TOL, \
                     f"{name}/{system}"
 
     def test_positive_scalar_families(self):
         fam = FAMILIES["qk-3sas"]
-        assert ode_residual("solqk7", fam.functions(), Fraction(2),
-                            fam.default_samples()) < TOL
+        assert ode_residual("solqk7", evaluate(fam.functions(), fam.default_samples()),
+                            Fraction(2)) < TOL
         fam = FAMILIES["spin7-3sas"]
-        assert ode_residual("sol7", fam.functions(), Fraction(2),
-                            fam.default_samples()) < TOL
+        assert ode_residual("sol7", evaluate(fam.functions(), fam.default_samples()),
+                            Fraction(2)) < TOL
 
     def test_wrong_system_fails(self):
         # the quaternion-type profile does not satisfy the self-dual system
         fam = FAMILIES["qk-l1"]
-        res = ode_residual("sol7", fam.functions(), fam.S, fam.default_samples())
+        res = ode_residual("sol7", evaluate(fam.functions(), fam.default_samples()), fam.S)
         assert res > 1e-3
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
-            ode_residual("nope", FAMILIES["qk-l1"].functions(), Fraction(0), [1.0])
+            ode_residual("nope", evaluate(FAMILIES["qk-l1"].functions(), [1.0]), Fraction(0))
 
 
 _default_build = functools.cache(build_family)

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcforge.scalars import DomainError, Jet, parse_rational
 
@@ -149,6 +150,55 @@ def test_batched_jets_match_scalar_jets_bit_for_bit(samples):
                 assert _bits(got) == _bits(single.c[k]), (name, i, k)
 
 
+def _stack(rows):
+    """The jet whose components stack the rows' (N,) components as (rows, N)."""
+    return Jet(tuple(np.array([[s[k] for s in row] for row in rows]) for k in range(3)))
+
+
+def _row(row):
+    return Jet(tuple(np.array([s[k] for s in row]) for k in range(3)))
+
+
+def _outcome(op, *jets):
+    """The components of ``op(*jets)`` as bits, or the type and message it raises."""
+    try:
+        out = op(*jets)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [_bits(x).tolist() for x in out.c]
+
+
+# values that fail the zero or NaN guard, or whose square overflows or underflows
+_EDGY = st.one_of(_POS, _POS.map(lambda v: -v), st.sampled_from([0.0, math.nan, 1e200, 1e-200]))
+_STACKS = st.integers(0, 3).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(_EDGY, _ANY, _ANY), min_size=n, max_size=n), min_size=1, max_size=4))
+_STACKED_OPS = {
+    "mul": lambda a, b: a * b,
+    "reciprocal": lambda a, b: a.reciprocal(),
+    "div": lambda a, b: b / a,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STACKS)
+@example([[(1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)]])
+@example([[(1.0, 0.0, 0.0)], [(math.nan, 1.0, 0.0)]])
+@example([[(1.0, 0.0, 0.0), (1e200, 0.0, 0.0)], [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]])
+def test_stacked_jets_act_row_by_row(rows):
+    """Products and reciprocals of jets with (rows, N) components equal the
+    row-by-row results bit for bit, and a stack whose reciprocal fails
+    raises what its first failing row raises alone: the zero guard, the NaN
+    guard, or an earlier row's power overflow.  The second operand holds the
+    rows in reverse order."""
+    others = rows[::-1]
+    with np.errstate(all="ignore"):
+        for name, op in _STACKED_OPS.items():
+            singles = [_outcome(op, _row(a), _row(b)) for a, b in zip(rows, others)]
+            failed = [single for single in singles if isinstance(single, tuple)]
+            want = failed[0] if failed else [list(x) for x in zip(*singles)]
+            assert _outcome(op, _stack(rows), _stack(others)) == want, name
+
+
 _FINITE = st.floats(min_value=-1e6, max_value=1e6)
 _COMPONENT = st.one_of(_FINITE, st.lists(_FINITE, min_size=3, max_size=3).map(np.array))
 _NUMBER = st.one_of(st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, Fraction(0), Fraction(1),
@@ -209,6 +259,10 @@ class TestBatchedJets:
             nan.sqrt()
         with pytest.raises(DomainError, match="^log of value nan$"):
             nan.log()
+
+    def test_guards_name_the_first_entry_of_a_stack_in_row_major_order(self):
+        with pytest.raises(DomainError, match="base -2.0$"):
+            Jet((np.array([[1.0, -2.0], [-3.0, 4.0]]), 1.0, 0.0)).sqrt()
 
     def test_take_selects_samples(self):
         j = Jet.variable([1.0, 2.0, 3.0]).take(np.array([True, False, True]))
