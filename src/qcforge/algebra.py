@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import KForm, exterior_d, parse_form, format_form
+from .forms import KForm, _accumulate, exterior_d, parse_form, format_form
 from .scalars import InputError, NotQcError, parse_rational, shown_digits
 
 
@@ -218,9 +218,8 @@ def _mat_mul(a: dict, b: dict) -> dict:
     acc = {}
     for (r, m), x in a.items():
         for c, y in rows.get(m, ()):
-            old = acc.get((r, c))
-            acc[r, c] = x * y if old is None else old + x * y
-    return {key: x for key, x in acc.items() if x}
+            _accumulate(acc, (r, c), x * y)
+    return acc
 
 
 def _mat_t(a: dict) -> dict:
@@ -232,9 +231,8 @@ def _mat_lin(*terms) -> dict:
     acc = {}
     for c, a in terms:
         for key, x in a.items():
-            old = acc.get(key)
-            acc[key] = c * x if old is None else old + c * x
-    return {key: x for key, x in acc.items() if x}
+            _accumulate(acc, key, c * x)
+    return acc
 
 
 def _identity(k: int) -> dict:

@@ -94,17 +94,17 @@ def _fmt(value):
 
 
 def _load_source(args):
+    """(source, text, algebra, spec); spec is None for a file without a qc block."""
     if args.catalog is not None:
         spec = catalog(args.catalog)
-        return f"catalog:{args.catalog}", format_algebra(spec.algebra, spec), spec
+        return f"catalog:{args.catalog}", format_algebra(spec.algebra, spec), spec.algebra, spec
     path = args.file
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, UnicodeError) as exc:
         raise InputError(exc) from exc
-    alg, spec = parse_algebra(text)
-    return f"file:{path}", text, (spec if spec is not None else alg)
+    return (f"file:{path}", text, *parse_algebra(text))
 
 
 def _parse_params(pairs) -> dict:
@@ -130,8 +130,7 @@ def _parse_samples(text):
 
 
 def cmd_check_algebra(args) -> int:
-    source, text, spec_or_alg = _load_source(args)
-    alg = spec_or_alg.algebra if hasattr(spec_or_alg, "algebra") else spec_or_alg
+    source, text, alg, _ = _load_source(args)
     # a catalog entry is gated when it is loaded, so it has passed the check
     rep = jacobi_check(alg) if args.file is not None else JacobiReport(ok=True)
     results = {
@@ -144,8 +143,8 @@ def cmd_check_algebra(args) -> int:
 
 
 def cmd_qc_report(args) -> int:
-    source, text, spec = _load_source(args)
-    if not hasattr(spec, "omega"):
+    source, text, _, spec = _load_source(args)
+    if spec is None:
         raise NotQcError("input has no qc block")
     if args.file is not None:  # a catalog entry is gated when it is loaded
         require_qc(spec)

@@ -38,8 +38,9 @@ def is_zero_scalar(c) -> bool:
 
 
 def _accumulate(res: dict, idx, c):
-    """res[idx] += c, dropping a zero sum; a new monomial starts from c
-    itself rather than from 0 + c."""
+    """res[idx] += c, dropping a zero sum; a new key starts from c itself
+    rather than from 0 + c.  The one sparse-sum rule of ``KForm``, ``Poly``
+    and the exact matrices of :mod:`qcforge.algebra`."""
     old = res.get(idx)
     s = c if old is None else old + c
     if is_zero_scalar(s):

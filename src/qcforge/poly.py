@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .forms import _accumulate
+
 # A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol,
 # exponents positive.  The empty tuple is the constant monomial.
 _ONE = ()
@@ -71,11 +73,7 @@ class Poly:
             return NotImplemented
         res = dict(self.terms)
         for m, c in o.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s == 0:
-                res.pop(m, None)
-            else:
-                res[m] = s
+            _accumulate(res, m, c)
         out = Poly.__new__(Poly)
         out.terms = res
         return out
@@ -111,12 +109,7 @@ class Poly:
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(m, None)
-                else:
-                    res[m] = s
+                _accumulate(res, _mono_mul(m1, m2), c1 * c2)
         out = Poly.__new__(Poly)
         out.terms = res
         return out

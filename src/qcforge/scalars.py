@@ -117,9 +117,9 @@ class Jet:
     float or a float64 array of shape (N,), one entry per sample, so one
     jet carries a whole batch of samples and a float jet is a batch of
     one; components of shape (rows, N) stack one jet per row, on which
-    products and reciprocals act row by row.  Ring operations broadcast;
-    the guards of ``reciprocal``, ``pow`` and ``log`` fail when any
-    sample fails or is NaN.  The coefficient functions these jets carry
+    products, reciprocals, powers and logs act row by row.  A guard fails
+    when any sample fails or is NaN, and a stack as its first failing row
+    would alone.  Ring operations broadcast.  The coefficient functions
     involve sinh and fractional powers, so exactness is not on the table.
     """
 
@@ -237,20 +237,30 @@ class Jet:
         g1, g2 = self.c[1], self.c[2]
         return _jet((d[0], d[1] * g1, d[2] * g1 * g1 + d[1] * g2))
 
-    def reciprocal(self) -> "Jet":
-        """1/j, stacked rows failing as they would one at a time: powers on
-        the rows before the first with a zero or NaN value, then that row's
-        zero and NaN guards.  Derivatives divide in numpy, so a power that
-        underflows gives an infinity, for a float jet as for a batch."""
+    def _guarded(self, bad, messages, taylor) -> "Jet":
+        """``self.compose(taylor(y))``, failing where ``bad(y)`` holds or y
+        is NaN as stacked rows would one at a time: ``taylor`` on the rows
+        before the first failing row, so an overflow there raises first,
+        then that row's guards raise ``messages`` (bad, NaN)."""
         y = self.c[0]
-        rows = np.atleast_2d(y)
-        stop = int(np.append(((rows == 0.0) | (rows != rows)).any(axis=1), True).argmax())
-        p2, p3 = (_each(lambda v: math.pow(v, k), rows[:stop]) for k in (2, 3))
-        if stop < len(rows):
-            _fail_if(rows[stop] == 0.0, rows[stop], "division by a jet with zero value")
-            _fail_if(rows[stop] != rows[stop], rows[stop], "division by a jet with value {}")
-        shape = np.shape(y)
-        return self.compose((1.0 / y, (-1.0 / p2).reshape(shape), (2.0 / p3).reshape(shape)))
+        fails = bad(y) | (y != y)
+        if fails.any() if isinstance(fails, np.ndarray) else fails:
+            rows = np.atleast_2d(y)
+            stop = int(np.atleast_2d(fails).any(axis=1).argmax())
+            taylor(rows[:stop])
+            row = rows[stop]
+            _fail_if(bad(row), row, messages[0])
+            _fail_if(row != row, row, messages[1])
+        return self.compose(taylor(y))
+
+    def reciprocal(self) -> "Jet":
+        """1/j.  Derivatives divide in numpy, so a power that underflows
+        gives an infinity, for a float jet as for a batch."""
+        def taylor(y):
+            p2, p3 = (_each(lambda v: math.pow(v, k), y) for k in (2, 3))
+            return 1.0 / y, np.divide(-1.0, p2), np.divide(2.0, p3)
+        return self._guarded(lambda y: y == 0.0, ("division by a jet with zero value",
+                                                  "division by a jet with value {}"), taylor)
 
     def pow(self, exponent) -> "Jet":
         r = Fraction(exponent)
@@ -262,12 +272,12 @@ class Jet:
                     out = out * self
                 return out
             return self.pow(-n).reciprocal()
-        y = self.c[0]
-        _fail_if(y <= 0.0, y, f"fractional power {r} of non-positive base {{}}")
-        _fail_if(y != y, y, f"fractional power {r} of base {{}}")
         rf = float(r)
-        p = [_each(lambda v: math.pow(v, rf - k), y) for k in (0.0, 1.0, 2.0)]
-        return self.compose((p[0], rf * p[1], rf * (rf - 1.0) * p[2]))
+        return self._guarded(lambda y: y <= 0.0, (f"fractional power {r} of non-positive base {{}}",
+                                                  f"fractional power {r} of base {{}}"),
+                             lambda y: (_each(lambda v: math.pow(v, rf), y),
+                                        rf * _each(lambda v: math.pow(v, rf - 1.0), y),
+                                        rf * (rf - 1.0) * _each(lambda v: math.pow(v, rf - 2.0), y)))
 
     def exp(self) -> "Jet":
         e = _each(math.exp, self.c[0])
@@ -282,11 +292,9 @@ class Jet:
         return self.compose((c, s, c))
 
     def log(self) -> "Jet":
-        y = self.c[0]
-        _fail_if(y <= 0.0, y, "log of non-positive value {}")
-        _fail_if(y != y, y, "log of value {}")
-        return self.compose((_each(math.log, y), 1.0 / y,
-                             np.divide(-1.0, _each(lambda v: math.pow(v, 2), y))))
+        return self._guarded(lambda y: y <= 0.0, ("log of non-positive value {}", "log of value {}"),
+                             lambda y: (_each(math.log, y), 1.0 / y,
+                                        np.divide(-1.0, _each(lambda v: math.pow(v, 2), y))))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))

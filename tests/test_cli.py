@@ -766,6 +766,40 @@ def _mutated_l3_case(draw):
     return [draw(_SOURCE_COMMAND)], "\n".join(lines) + "\n"
 
 
+@st.composite
+def _perturbed_catalog_text(draw):
+    """A catalog coframe's text with one ``d`` or ``omega`` line changed: a
+    term scaled, dropped or added, an index moved (up to dim + 1), or the
+    line deleted or repeated."""
+    spec = algebra.catalog(draw(st.sampled_from(algebra.CATALOG_NAMES)))
+    dim = spec.algebra.dim
+    lines = algebra.format_algebra(spec.algebra, spec).splitlines()
+    at = draw(st.sampled_from([i for i, line in enumerate(lines)
+                               if line.startswith(("d ", "omega"))]))
+    op = draw(st.sampled_from(["scale", "drop", "add", "index", "delete", "repeat"]))
+    if op == "delete":
+        del lines[at]
+    elif op == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        lhs, _, rhs = lines[at].partition(" = ")
+        terms = [[c, *idx] for idx, c in sorted(parse_form(rhs, dim, 2).terms.items())]
+        if op == "add" or not terms:
+            pair = draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True))
+            terms.append([draw(st.sampled_from([1, -1, 2])), *sorted(pair)])
+        else:
+            k = draw(st.integers(0, len(terms) - 1))
+            if op == "scale":
+                terms[k][0] *= draw(st.sampled_from([-1, 2, Fraction(1, 2), 3]))
+            elif op == "drop":
+                del terms[k]
+            else:
+                terms[k][draw(st.sampled_from([1, 2]))] = draw(st.integers(1, dim + 1))
+        rhs = " + ".join(f"{c} e{i}^e{j}" for c, i, j in terms) or "0"
+        lines[at] = f"{lhs} = {rhs}"
+    return "\n".join(lines) + "\n"
+
+
 class TestExitContract:
     """Every input ends in a verdict or in a documented exit code with one
     line on stderr; anything else that escapes ``main`` is a bug."""
@@ -787,6 +821,23 @@ class TestExitContract:
         assert len(lines) <= 1
         # a report on stdout, or one line on stderr saying why there is none
         assert bool(lines) == (out.getvalue() == "")
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_perturbed_catalog_text())
+    def test_perturbed_catalog_coframes_keep_the_contract(self, text):
+        """A one-line perturbation of a catalog coframe ends in a verdict, a
+        parse error or a refused precondition, with at most one line on
+        stderr, and gets exit 0 only if it passes ``require_qc``."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "perturbed.alg"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["qc-report", "--file", str(path), "--format", "json"])
+        assert code in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1
+        if code == 0:
+            algebra.require_qc(algebra.parse_algebra(text)[1])
 
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         def fail(*args, **kwargs):

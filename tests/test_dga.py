@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcforge import dga
 from qcforge.ansatz import SYSTEMS
@@ -106,6 +107,55 @@ class TestPoly:
     def test_str_canonical_order(self):
         f, fp = Poly.symbol("f"), Poly.symbol("f'")
         assert str(2 * f * fp - 4 * f) == "-4*f + 2*f*f'"
+
+
+_POLY_SYMBOLS = ("f", "h", "f'", "S")
+_POLYS = st.dictionaries(st.tuples(*(st.integers(0, 2) for _ in _POLY_SYMBOLS)),
+                         st.fractions(-3, 3, max_denominator=4), max_size=4)
+
+
+def _poly(spec) -> Poly:
+    """The polynomial with coefficient c at each exponent tuple of ``spec``."""
+    return Poly({tuple(sorted((s, e) for s, e in zip(_POLY_SYMBOLS, exps) if e)): c
+                 for exps, c in spec.items()})
+
+
+def test_poly_matches_sympy():
+    """Sums, differences, products, powers 0-3, substitution of a
+    polynomial for h and the formal derivative (S constant, each other
+    symbol s mapped to s') agree with sympy's expanded results, and no
+    result stores a zero coefficient."""
+    sympy = pytest.importorskip("sympy")
+    symbol = {name: sympy.Symbol(name) for name in ("f", "h", "f'", "S", "h'", "f''")}
+
+    def total(terms):
+        """The sum of c * prod(s**e) over (((s, e), ...), c) pairs."""
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(symbol[s] ** e for s, e in m)) for m, c in terms),
+                   sympy.Integer(0))
+
+    def reference(spec):
+        return total((zip(_POLY_SYMBOLS, exps), c) for exps, c in spec.items())
+
+    def as_sympy(p):
+        assert all(c != 0 for c in p.terms.values())
+        return total(p.terms.items())
+
+    def prime(name):
+        return None if name == "S" else Poly.symbol(name + "'")
+
+    @settings(max_examples=80, deadline=None)
+    @given(_POLYS, _POLYS, st.integers(0, 3))
+    def check(a, b, n):
+        p, q, x, y = _poly(a), _poly(b), reference(a), reference(b)
+        derivative = sum((sympy.diff(x, symbol[s]) * symbol[s + "'"] for s in ("f", "h", "f'")),
+                         sympy.Integer(0))
+        for got, want in ((p + q, x + y), (p - q, x - y), (p * q, x * y), (p ** n, x ** n),
+                          (p.subs({"h": q}), x.subs(symbol["h"], y)),
+                          (p.derive(prime), derivative)):
+            assert sympy.expand(as_sympy(got) - want) == 0
+
+    check()
 
 
 class TestAlgebraStructure:

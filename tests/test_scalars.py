@@ -176,6 +176,9 @@ _STACKED_OPS = {
     "mul": lambda a, b: a * b,
     "reciprocal": lambda a, b: a.reciprocal(),
     "div": lambda a, b: b / a,
+    "sqrt": lambda a, b: a.sqrt(),
+    "pow -3/4": lambda a, b: a.pow(Fraction(-3, 4)),
+    "log": lambda a, b: a.log(),
 }
 
 
@@ -184,12 +187,14 @@ _STACKED_OPS = {
 @example([[(1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)]])
 @example([[(1.0, 0.0, 0.0)], [(math.nan, 1.0, 0.0)]])
 @example([[(1.0, 0.0, 0.0), (1e200, 0.0, 0.0)], [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]])
+@example([[(math.nan, 1.0, 0.0)], [(-1.0, 1.0, 0.0)]])
 def test_stacked_jets_act_row_by_row(rows):
-    """Products and reciprocals of jets with (rows, N) components equal the
-    row-by-row results bit for bit, and a stack whose reciprocal fails
-    raises what its first failing row raises alone: the zero guard, the NaN
-    guard, or an earlier row's power overflow.  The second operand holds the
-    rows in reverse order."""
+    """Products, reciprocals, fractional powers and logs of jets with
+    (rows, N) components equal the row-by-row results bit for bit, and a
+    stack on which one of them fails raises what its first failing row
+    raises alone: the domain guard (a zero divisor, a non-positive base or
+    log argument), the NaN guard, or an earlier row's power overflow.  The
+    second operand holds the rows in reverse order."""
     others = rows[::-1]
     with np.errstate(all="ignore"):
         for name, op in _STACKED_OPS.items():
