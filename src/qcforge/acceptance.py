@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import dga, qc
 from .algebra import _mat_mul, form_matrix, jacobi_check
-from .evolution import FAMILIES, TOL_RESIDUAL, TOL_RICCI, build_family, extended_d, verdicts
+from .evolution import (FAMILIES, TOL_RESIDUAL, TOL_RICCI, JetForm, build_family, extended_d,
+                        verdicts)
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet
@@ -255,12 +256,12 @@ def criterion_14():
     l1 = qc.catalog_report("l1").spec.algebra
     for _ in range(3):
         x = Jet.variable(rng.uniform(0.5, 1.5))
-        form = KForm(8, 2)
+        terms = []
         for _ in range(5):
             pick = tuple(rng.sample(range(1, 9), 2))
             coeff = (x * rng.uniform(-1, 1)).exp() * rng.uniform(-2, 2)
-            form = form + coeff * KForm.basis(8, *pick)
-        dd = extended_d(l1, extended_d(l1, form))
+            terms.append(JetForm.scalar(coeff, 8, 1) * KForm.basis(8, *pick))
+        dd = extended_d(l1, extended_d(l1, sum(terms[1:], terms[0])))
         if _not_below(dd.max_abs(), 1e-12):
             problems.append(f"extended d.d = {dd.max_abs():.1e}")
 

@@ -1,9 +1,11 @@
 """The ansatz of the evolved structures and its governing ODE systems,
 written once as ring code over any coefficient ring the forms accept.
 
-:mod:`qcforge.evolution` evaluates them on jets, :mod:`qcforge.dga` on
-polynomials, where each obstruction must be a stated multiple of a system,
-so the symbolic suite certifies the expressions the builds evaluate.  Only
+:mod:`qcforge.evolution` evaluates them on jets, the forms holding their
+jet coefficients in rows, :mod:`qcforge.dga` on polynomials, where each
+obstruction must be a stated multiple of a system, so the symbolic suite
+certifies the expressions the builds evaluate.  The forms need only a
+scalar times a form, sums and wedges, the scalar on the left.  Only
 ``int`` and ``Fraction`` literals appear and nothing is divided by a
 number: a jet divided by a number goes through a constant jet, whose zero
 derivatives can flip the sign of a zero.
@@ -12,8 +14,6 @@ derivatives can flip the sign of a zero.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .forms import KForm
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -29,7 +29,7 @@ def triple(kind: str, f, hs, omegas, etas, dt) -> list:
     forms = []
     for i, j, k in _CYCLIC:
         eta_jk = (hs[j - 1] * hs[k - 1]) * etas[j - 1].wedge(etas[k - 1])
-        eta_dt = hs[i - 1] * etas[i - 1].wedge(dt)
+        eta_dt = (hs[i - 1] * etas[i - 1]).wedge(dt)
         if kind == "qk":
             forms.append(f * omegas[i - 1] + eta_jk - eta_dt)
         else:
@@ -37,10 +37,10 @@ def triple(kind: str, f, hs, omegas, etas, dt) -> list:
     return forms
 
 
-def four_form(kind: str, forms: list) -> KForm:
+def four_form(kind: str, forms: list):
     """sum_i F_i^F_i for ``qk``; F_1^F_1 + F_2^F_2 - F_3^F_3 for ``spin7``."""
-    total = KForm(forms[0].dim, 4)
-    for sign, form in zip((1, 1, 1) if kind == "qk" else (1, 1, -1), forms):
+    total = forms[0].wedge(forms[0])
+    for sign, form in zip((1, 1) if kind == "qk" else (1, -1), forms[1:]):
         total = total + sign * form.wedge(form)
     return total
 

@@ -24,13 +24,16 @@ diagonal family's one vertical coefficient h standing for all three.  The
 ``spin7`` pattern adds the 3-form/4-form pair checks; a sample where a
 vertical coefficient vanishes is skipped for Ricci and counted, and
 :func:`build_family` raises :class:`DomainError` when the parameters leave
-no finite real window or fail in exact arithmetic, when no sample is
-left, a sample is not finite, or the jet arithmetic breaks down at a
-sample (a guard fails, a value overflows or a factorization fails),
-naming it.
-:func:`extended_d` is :func:`~qcforge.forms.exterior_d` bound to the base
-structure equations and the jet derivative times dx.  :func:`verdicts` is
-the one place that turns a build's residuals into pass/fail verdicts.
+no finite real window, fail in exact arithmetic or put a nonzero Einstein
+constant below float resolution, when no sample is left, a sample is not
+finite, or the jet arithmetic breaks down at a sample (a guard fails, a
+value overflows or a factorization fails), naming it.
+
+The triple, Phi, the spin7 pair and their d are
+:class:`~qcforge.jetforms.JetForm` rows, whose value rows the ideal test
+and the pair checks read; :func:`extended_d`, the d the builds call, is
+:func:`~qcforge.jetforms.extended_d`.  :func:`verdicts` is the one place
+that turns a build's residuals into pass/fail verdicts.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,10 +50,10 @@ import numpy as np
 from . import qc
 from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
-from .forms import KForm, exterior_d
+from .forms import KForm
+from .jetforms import JetForm, extended_d
 from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
-from .scalars import (DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits,
-                      worst_abs)
+from .scalars import DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits, worst_abs
 
 TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
 TOL_RICCI = 1e-8
@@ -72,30 +76,6 @@ def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
     return rep.spec
 
 
-# ---------------------------------------------------------------------------
-# Forms over the extended frame
-# ---------------------------------------------------------------------------
-
-
-def _extend(form: KForm, dim_ext: int) -> KForm:
-    return KForm(dim_ext, form.degree, dict(form.terms))
-
-
-def extended_d(base, form: KForm) -> KForm:
-    """d on the product of the base coframe with a line: Maurer-Cartan
-    structure terms plus jet derivatives of the coefficients times dx.
-    The dx direction is the last index of the extended frame; d(dx) = 0."""
-    n = base.dim + 1
-    dx = KForm.basis(n, n)
-    generators = [_extend(g, n) for g in base.diff] + [KForm(n, 2)]
-    return exterior_d(form, generators, lambda c: _derivative(c) * dx)
-
-
-def _derivative(c) -> Jet:
-    """The jet of the derivative of a form coefficient, a jet or a number."""
-    return (c if isinstance(c, Jet) else Jet.const(c)).derivative()
-
-
 @np.errstate(all="ignore")  # inf and NaN arise silently, as with Python floats
 def evaluate(funcs: dict, samples) -> dict:
     """The jets of the coefficient functions at the samples, by key, and of
@@ -108,13 +88,6 @@ def evaluate(funcs: dict, samples) -> dict:
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot evaluate {key}: {exc}") from exc
     return jets
-
-
-def _extended_frame(spec: QcFrameSpec) -> tuple:
-    """The base's omega_s and eta_s over the extended frame, and dx."""
-    n = spec.dim + 1
-    return ([_extend(o, n) for o in spec.omega], [KForm.basis(n, a) for a in spec.vertical],
-            KForm.basis(n, n))
 
 
 def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
@@ -176,10 +149,8 @@ def _ideal_matrix(forms: list, dim_ext: int, count: int):
     pair_of, _, table_rows, table_ms, table_negs = _wedge_table(dim_ext)
     rows, cols, vals = [], [], []
     for j, form in enumerate(forms):
-        terms = form.values().terms
-        pairs = [pair_of[pq] for pq in terms]
-        coeffs = np.array([np.broadcast_to(v, (count,)) for v in terms.values()])
-        coeffs = coeffs.reshape(len(pairs), count)
+        keys, coeffs = form.values()
+        pairs = [pair_of[pq] for pq in keys]
         rows.append(table_rows[pairs].ravel())
         cols.append(j * dim_ext + table_ms[pairs].ravel() - 1)
         signed = np.repeat(coeffs, dim_ext - 2, axis=0)
@@ -198,8 +169,8 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
     rhs = np.zeros((count, len(row_of), 3))
     for i in range(3):
-        for idx, value in dforms[i].values().terms.items():
-            rhs[:, row_of[idx], i] = value
+        keys, values = dforms[i].values()
+        rhs[:, [row_of[idx] for idx in keys], i] = values.T
     # build_family reaches this through build_triaxial; every tested overflow is caught earlier
     if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
         raise OverflowError("the forms are not finite")
@@ -257,8 +228,10 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     # Ricci first: its curvature forms are the largest objects of a build,
     # so none of the forms below should be alive beside them
     ricci = _ricci_fields(spec, fj, hs, wj, keep)
-    omegas, etas, dx = _extended_frame(spec)
-    forms = triple(kind, fj, hs, omegas, etas, wj * dx)
+    f, w, *hs = (JetForm.scalar(j, dim_ext, len(xs)) for j in (fj, wj, *hs))
+    etas = [KForm.basis(spec.dim, a) for a in spec.vertical]
+    dx = KForm.basis(dim_ext, dim_ext)
+    forms = triple(kind, f, hs, spec.omega, etas, w * dx)
     dforms = [extended_d(base, fo) for fo in forms]
     phi = four_form(kind, forms)
     out = {
@@ -269,18 +242,19 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     }
 
     if kind == "spin7":
-        g2, star_g2 = _g2_pair(fj, hs, omegas, etas)
-        two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(dx)
+        g2, star_g2 = _g2_pair(f, hs, spec.omega, etas)
+        two_star = 2.0 * star_g2 - (2.0 * w) * g2.wedge(dx)
         out["psi_consistency"] = (phi - two_star).max_abs()
+        on_base = range(1, spec.dim + 1)
         cocal = extended_d(base, star_g2)
         # cocalibration: the base part of d(*phi) at the frozen sample
-        out["cocalibration_residual"] = cocal.restrict(range(1, spec.dim + 1)).max_abs()
+        out["cocalibration_residual"] = cocal.restrict(on_base).max_abs()
         # evolution equation forced by d(Psi) = 0 together with the
         # cocalibration: the t-derivative of the dual 4-form matches the
         # base differential of the 3-form (sign fixed by our dx
         # orientation; reversing the parameter flips it)
-        flow = star_g2.map_coefficients(lambda c: _derivative(c) / wj)
-        dphi_base = extended_d(base, g2).restrict(range(1, spec.dim + 1))
+        flow = star_g2.derivative(wj.reciprocal())
+        dphi_base = extended_d(base, g2).restrict(on_base)
         out["hitchin_residual"] = (flow - dphi_base).max_abs()
     return out
 
@@ -305,15 +279,16 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
     }
 
 
-def _g2_pair(fj: Jet, hs, omegas, etas):
-    """The 3-form and its dual 4-form of the evolved structure."""
-    g2 = KForm(omegas[0].dim, 3)
-    star = (0.5 * fj * fj) * omegas[0].wedge(omegas[0])
+def _g2_pair(f: JetForm, hs, omegas, etas):
+    """The 3-form and its dual 4-form of the evolved structure, from the
+    scalars f and h_i."""
+    omega_eta = [(f * hs[i - 1]) * omegas[i - 1].wedge(etas[i - 1]) for i in (1, 2, 3)]
+    g2 = (omega_eta[0] + omega_eta[1] + omega_eta[2]
+          - (hs[0] * hs[1] * hs[2]) * etas[0].wedge(etas[1]).wedge(etas[2]))
+    star = (0.5 * f * f) * omegas[0].wedge(omegas[0])
     for i, j, k in _CYCLIC:
-        g2 = g2 + (fj * hs[i - 1]) * omegas[i - 1].wedge(etas[i - 1])
-        star = star - (fj * hs[j - 1] * hs[k - 1]) * omegas[i - 1].wedge(
+        star = star - (f * hs[j - 1] * hs[k - 1]) * omegas[i - 1].wedge(
             etas[j - 1].wedge(etas[k - 1]))
-    g2 = g2 - (hs[0] * hs[1] * hs[2]) * etas[0].wedge(etas[1]).wedge(etas[2])
     return g2, star
 
 
@@ -446,6 +421,20 @@ def _qk_einstein(params, n: int, S: Fraction) -> float | None:
     else:
         return None
     return float(coeff) * float(params["b"]) ** 2
+
+
+def _require_einstein_scale(fam: MetricFamily, params, n: int, S: Fraction):
+    """Refuse parameters where the float of :func:`_qk_einstein` is 0 or
+    subnormal while its exact value, a nonzero multiple of b^2, is not:
+    no residual or relative bound can resolve a verdict at that scale."""
+    try:
+        expected = _qk_einstein(params, n, S)
+    except OverflowError:  # b past float range: the coefficient functions overflow first
+        return
+    if expected is not None and params["b"] and abs(expected) < sys.float_info.min:
+        names = ", ".join(sorted(params))
+        raise DomainError(f"{fam.name} at the parameters {names}: the Einstein constant "
+                          "is below float resolution")
 
 
 def _fam_spin7(params, S):
@@ -636,6 +625,8 @@ def build_family(name: str, params=None, samples=None) -> dict:
     p = fam.params_with_defaults(params)
     S = fam.S
     spec = None if fam.base is None else require_einstein_base(fam.base, S)
+    if spec is not None and fam.kind == "qk":
+        _require_einstein_scale(fam, p, spec.n, S)
     try:
         funcs = fam.functions(params)
         pts = list(samples) if samples else fam.default_samples(params)

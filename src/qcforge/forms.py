@@ -14,9 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import numpy as np
-
-from .scalars import parse_rational, shown_digits, worst_abs
+from .scalars import parse_rational, shown_digits
 
 
 class FrameMismatch(ValueError):
@@ -28,12 +26,10 @@ class BadOrientation(ValueError):
 
 
 def is_zero_scalar(c) -> bool:
-    """Zero as a ring element; a float64 array is zero at every sample."""
+    """Zero as a ring element."""
     probe = getattr(c, "is_zero", None)
     if probe is not None:
         return probe() if callable(probe) else bool(probe)
-    if isinstance(c, np.ndarray):
-        return not np.count_nonzero(c)
     return c == 0
 
 
@@ -64,6 +60,32 @@ def _sort_indices(indices):
         if idx[i - 1] == idx[i]:
             return tuple(idx), 0
     return tuple(idx), sign
+
+
+def wedge_terms(keys_a, keys_b):
+    """The products of the monomials of two forms, by their index tuples,
+    in the order a wedge sums them: (r, s, idx, negate) for the r-th
+    monomial of one and the s-th of the other, with the sorted index
+    tuple and whether the sort negates; a product with a repeated index
+    is left out."""
+    for r, ia in enumerate(keys_a):
+        for s, ib in enumerate(keys_b):
+            idx, sign = _sort_indices(ia + ib)
+            if sign:
+                yield r, s, idx, sign < 0
+
+
+def monomial_d(idx, generator_d):
+    """The terms (J, g) of d e^I = sum g e^J for ``d e^a = generator_d[a-1]``,
+    position by position left to right, each position's in the order of
+    its generator's terms; g carries the sign of the position and of the
+    sort, and a term with a repeated index is left out."""
+    for pos, a in enumerate(idx):
+        front, back = idx[:pos], idx[pos + 1:]
+        for gidx, g in generator_d[a - 1].terms.items():
+            merged, sign = _sort_indices(front + gidx + back)
+            if sign:
+                yield merged, g if (sign > 0) == (pos % 2 == 0) else -g
 
 
 class KForm:
@@ -146,12 +168,10 @@ class KForm:
         degree = self.degree + other.degree
         out = KForm(self.dim, degree)
         res = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                idx, sign = _sort_indices(ia + ib)
-                if sign == 0:
-                    continue
-                _accumulate(res, idx, ca * cb if sign > 0 else -(ca * cb))
+        ca, cb = list(self.terms.values()), list(other.terms.values())
+        for r, s, idx, negate in wedge_terms(self.terms, other.terms):
+            p = ca[r] * cb[s]
+            _accumulate(res, idx, -p if negate else p)
         out.terms = res
         return out
 
@@ -216,17 +236,6 @@ class KForm:
                 out.terms[idx] = v
         return out
 
-    def values(self) -> "KForm":
-        """The form of the coefficients' values: jets lose their
-        derivatives, and a coefficient whose value is zero at every sample
-        is dropped."""
-        return self.map_coefficients(lambda c: getattr(c, "value", c))
-
-    def max_abs(self) -> float:
-        """Largest |value| over coefficients (floats/jets) and their
-        samples, for residuals; a NaN is returned, not skipped."""
-        return worst_abs(getattr(c, "value", c) for c in self.terms.values())
-
     def __str__(self):
         return format_form(self)
 
@@ -240,7 +249,8 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
     Without ``coeff_d`` the coefficients are closed (invariant forms);
     with it, each coefficient c also contributes ``coeff_d(c) ^ e^I``,
     where ``coeff_d`` returns a 1-form.  Terms are summed in the order
-    coefficient derivative first, then the positions of I left to right.
+    coefficient derivative first, then the terms of
+    :func:`monomial_d`, each c times g.
     """
     if len(generator_d) != form.dim:
         raise FrameMismatch(f"form lives on dim {form.dim}, "
@@ -252,13 +262,8 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
                 merged, sign = _sort_indices(didx + idx)
                 if sign:
                     _accumulate(res, merged, dc if sign > 0 else -dc)
-        for pos, a in enumerate(idx):
-            c = coeff * (-1 if pos % 2 else 1)
-            front, back = idx[:pos], idx[pos + 1:]
-            for gidx, g in generator_d[a - 1].terms.items():
-                merged, sign = _sort_indices(front + gidx + back)
-                if sign:
-                    _accumulate(res, merged, c * (g if sign > 0 else -g))
+        for merged, g in monomial_d(idx, generator_d):
+            _accumulate(res, merged, coeff * g)
     out = KForm(form.dim, form.degree + 1)
     out.terms = res
     return out

@@ -215,18 +215,26 @@ class CoframeWithJets:
         return self.base.dim + 1
 
 
-def _ordered_sums(keys: list, values: np.ndarray):
+def _slots(keys) -> tuple:
+    """The keys in order of first appearance, and the position of each
+    key's sum among them."""
+    slot = {}
+    rows = [slot.setdefault(key, len(slot)) for key in keys]
+    return list(slot), rows
+
+
+def _ordered_sums(keys, values: np.ndarray, slots: tuple | None = None):
     """Sum the rows of ``values`` that share a key, each key's rows in the
     order they come, by one scatter-add into sums that start at -0.0, so a
     key's sum has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of
-    its rows, and a key with one row keeps that row's bits.
+    its rows, and a key with one row keeps that row's bits.  ``slots`` is
+    :func:`_slots` of the keys, for a caller that keeps it.
 
     Returns the keys, in order of first appearance, and their sums."""
-    slot = {}
-    rows = [slot.setdefault(key, len(slot)) for key in keys]
-    sums = np.full((len(slot), values.shape[1]), -0.0)
+    unique, rows = slots or _slots(keys)
+    sums = np.full((len(unique), values.shape[1]), -0.0)
     np.add.at(sums, rows, values)
-    return list(slot), sums
+    return unique, sums
 
 
 def _live(keys: list, sums: np.ndarray):

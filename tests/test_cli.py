@@ -609,6 +609,16 @@ class TestBuild:
         assert err.endswith(": math range error\n") and err.count("\n") == 1
         assert "(34," not in err  # the errno tuple of float.__pow__
 
+    @pytest.mark.parametrize("b", ["1e-158", "1e-170"])
+    def test_einstein_constant_below_float_resolution_exit_four(self, capsys, b):
+        # -16 b^2 is subnormal at 1e-158 and 0 at 1e-170, and no residual
+        # or relative bound resolves a verdict there
+        code, out, err = run(capsys, "build", "qk", "--family", "qk-heis", "--param", f"b={b}")
+        assert code == 4
+        assert out == ""
+        assert err == ("domain error: qk-heis at the parameters b: the Einstein constant "
+                       "is below float resolution\n")
+
     def test_jet_guard_names_the_sample(self, capfd):
         # u^2 overflows, so w = 1/(2 sqrt(u + u^2)) is 0 and d/dt divides by it
         code, out, err = run(capfd, "build", "qk", "--family", "qk-3sas", "--samples", "1,1e160")

@@ -21,9 +21,15 @@ the same solve in Jet arithmetic, d hat-e^a included, is its bit-for-bit
 reference, on success and on the guards' failures.  It then checks the solution and builds the curvature
 2-forms in values, by gather and scatter over index arrays; their
 reference carries the jets of the connection rows through KForm d, wedges
-and residual sums, and reads the values at the end.  The matrix of the differential-ideal
-test is placed from an index table; its reference wedges each form with
-the unit 1-forms.  The ideal test and the curvature-span rank factor the
+and residual sums, and reads the values at the end.  The evolved forms
+(the triple, dF_i, Phi, d Phi and the spin7 pair with its residuals) are
+JetForm rows; their reference builds them as KForms over Jet, one jet per
+coefficient, and every jet component of the triple, dF_i and Phi, every
+residual and every entry of the ideal matrix must agree bit for bit up to
+the sign of a zero, on every base-backed family, on rotated bases and at
+drawn jets.  The matrix of the
+differential-ideal test is placed from an index table; its reference
+wedges each form with the unit 1-forms.  The ideal test and the curvature-span rank factor the
 diagonal blocks of their matrices, one SVD per block serving the ideal
 test's three right-hand sides; the ideal test's reference is one
 least-squares solve per sample and right-hand side, and on random block
@@ -53,10 +59,11 @@ from qcforge import evolution, qc, riemann
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
                              _mat_mul, _mat_t, catalog, form_matrix, parse_algebra,
                              require_qc)
-from qcforge.ansatz import _CYCLIC, triple
-from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, _axes, _coframe, _extended_frame,
+from qcforge.ansatz import _CYCLIC, four_form, triple
+from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
                                _ideal_matrix, _ideal_residual, _wedge_table, block_remainder,
-                               build_family, extended_d, require_einstein_base, verdicts)
+                               build_family, build_triaxial, extended_d, require_einstein_base,
+                               verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
@@ -803,13 +810,13 @@ def jet_cartan_residuals(cof, forms) -> tuple:
     """(structure, antisymmetry) residuals of the connection with jet sums."""
     n = cof.dim
     dhats = coframe_differentials(cof)
-    anti = max((forms[a][b] + forms[b][a]).max_abs() for a in range(n) for b in range(n))
+    anti = max(kform_max_abs(forms[a][b] + forms[b][a]) for a in range(n) for b in range(n))
     residual = 0.0
     for a in range(n):
         resid = dhats[a]
         for b in range(n):
             resid = resid + forms[a][b].wedge(KForm.basis(n, b + 1))
-        residual = max(residual, resid.max_abs())
+        residual = max(residual, kform_max_abs(resid))
     return residual, anti
 
 
@@ -855,6 +862,67 @@ def test_curvature_in_values_matches_jets(name, batch):
     assert compared > 0
 
 
+def kform_max_abs(form) -> float:
+    """Largest |value| over the coefficients of a KForm, jets or floats,
+    and their samples; a NaN is returned, not skipped."""
+    return worst_abs(getattr(c, "value", c) for c in form.terms.values())
+
+
+def kform_values(form) -> dict:
+    """The value of each jet coefficient, an array over the samples, that
+    is nonzero at some sample."""
+    return {idx: c.value for idx, c in form.terms.items() if np.count_nonzero(c.value)}
+
+
+def kform_extended_d(base, form: KForm) -> KForm:
+    """d on the extended frame with jet coefficients: ``exterior_d`` over
+    the base's structure equations, each coefficient c adding c' dx."""
+    n = base.dim + 1
+    dx = KForm.basis(n, n)
+    generators = [KForm(n, 2, g.terms) for g in base.diff] + [KForm(n, 2)]
+    return exterior_d(form, generators, lambda c: c.derivative() * dx)
+
+
+def kform_g2_pair(fj, hs, omegas, etas):
+    """The 3-form and its dual 4-form of the evolved structure."""
+    g2 = KForm(omegas[0].dim, 3)
+    star = (0.5 * fj * fj) * omegas[0].wedge(omegas[0])
+    for i, j, k in _CYCLIC:
+        g2 = g2 + (fj * hs[i - 1]) * omegas[i - 1].wedge(etas[i - 1])
+        star = star - (fj * hs[j - 1] * hs[k - 1]) * omegas[i - 1].wedge(
+            etas[j - 1].wedge(etas[k - 1]))
+    g2 = g2 - (hs[0] * hs[1] * hs[2]) * etas[0].wedge(etas[1]).wedge(etas[2])
+    return g2, star
+
+
+def kform_build(spec, jets: dict, kind: str) -> dict:
+    """The forms of a build in KForm over Jet, one jet per coefficient:
+    the triple, its dF_i, Phi, d Phi and the residuals read from them,
+    with the spin7 pair checks for that pattern.  The reference of the
+    builds' forms in rows."""
+    n = spec.dim + 1
+    omegas = [KForm(n, 2, o.terms) for o in spec.omega]
+    etas = [KForm.basis(n, a) for a in spec.vertical]
+    dx = KForm.basis(n, n)
+    fj, hs, wj = jets["f"], _axes(jets), jets["w"]
+    forms = triple(kind, fj, hs, omegas, etas, wj * dx)
+    phi = four_form(kind, forms)
+    dphi = kform_extended_d(spec.algebra, phi)
+    out = {"forms": forms, "dforms": [kform_extended_d(spec.algebra, fo) for fo in forms],
+           "phi": phi, "dphi": dphi, "dform_residual": kform_max_abs(dphi)}
+    if kind == "spin7":
+        g2, star_g2 = kform_g2_pair(fj, hs, omegas, etas)
+        two_star = 2.0 * star_g2 - (2.0 * wj) * g2.wedge(dx)
+        out["psi_consistency"] = kform_max_abs(phi - two_star)
+        base = range(1, spec.dim + 1)
+        cocal = kform_extended_d(spec.algebra, star_g2)
+        out["cocalibration_residual"] = kform_max_abs(cocal.restrict(base))
+        flow = star_g2.map_coefficients(lambda c: c.derivative() / wj)
+        dphi_base = kform_extended_d(spec.algebra, g2).restrict(base)
+        out["hitchin_residual"] = kform_max_abs(flow - dphi_base)
+    return out
+
+
 def wedge_ideal_matrix(forms, dim_ext, count):
     """The entries of the ideal test's matrix from KForm wedges: column
     j * dim_ext + m - 1 holds e^m ^ F_j over the basis 3-forms."""
@@ -863,29 +931,37 @@ def wedge_ideal_matrix(forms, dim_ext, count):
         for c in range(b + 1, dim_ext + 1))}
     rows, cols, vals = [], [], []
     for j in range(3):
-        values = forms[j].values()
         for m in range(1, dim_ext + 1):
-            # coefficient 1.0: a Fraction would make object arrays of the values
-            prod = KForm(dim_ext, 1, {(m,): 1.0}).wedge(values)
-            for idx, value in prod.terms.items():
+            prod = KForm.basis(dim_ext, m).wedge(forms[j])
+            for idx, value in kform_values(prod).items():
                 rows.append(row_of[idx])
                 cols.append(j * dim_ext + m - 1)
                 vals.append(np.broadcast_to(value, (count,)))
     return np.array(rows), np.array(cols), np.array(vals).reshape(len(rows), count)
 
 
-def family_triple(name: str, count: int, kind: str = "") -> tuple:
-    """(forms, dforms, dim_ext): the family's 2-form triple of pattern
-    ``kind`` (by default its own) and its extended differentials at
-    ``count`` default samples."""
+def family_jets(name: str, count: int, rotated: bool = False) -> tuple:
+    """(spec, jets) of the family at ``count`` default samples, over the
+    base with its first two horizontals rotated when ``rotated`` is true."""
     fam = FAMILIES[name]
     spec = require_einstein_base(fam.base, fam.S)
-    jets = {k: fn(Jet.variable(np.array(fam.default_samples(count=count))))
-            for k, fn in fam.functions().items()}
-    omegas, etas, dx = _extended_frame(spec)
-    kind = kind or ("spin7" if fam.kind.startswith("spin7") else "qk")
-    forms = triple(kind, jets["f"], _axes(jets), omegas, etas, jets["w"] * dx)
-    return forms, [extended_d(spec.algebra, form) for form in forms], spec.dim + 1
+    if rotated:
+        spec = require_qc(rotate(spec))
+    return spec, evolution.evaluate(fam.functions(), fam.default_samples(count=count))
+
+
+def family_triple(name: str, count: int, kind: str = "") -> tuple:
+    """(forms, dforms, dim_ext, reference): the family's 2-form triple of
+    pattern ``kind`` (by default its own) and its extended differentials
+    in rows at ``count`` default samples, and the same in KForm over Jet."""
+    spec, jets = family_jets(name, count)
+    kind = kind or FAMILIES[name].pattern
+    n = spec.dim + 1
+    f, w, *hs = (JetForm.scalar(j, n, count) for j in (jets["f"], jets["w"], *_axes(jets)))
+    etas = [KForm.basis(spec.dim, a) for a in spec.vertical]
+    forms = triple(kind, f, hs, spec.omega, etas, w * KForm.basis(n, n))
+    return (forms, [evolution.extended_d(spec.algebra, form) for form in forms], n,
+            kform_build(spec, jets, kind))
 
 
 @pytest.mark.parametrize("name,kind", [("qk-heis", "qk"), ("spin7-l1", "spin7"),
@@ -893,8 +969,9 @@ def family_triple(name: str, count: int, kind: str = "") -> tuple:
 def test_ideal_matrix_matches_wedges(name, kind):
     """The index table places the same entries as the wedges with the unit
     1-forms, each value bit for bit, at dimension 8 and 12."""
-    forms, _, dim_ext = family_triple(name, 16, kind)
-    have, want = _ideal_matrix(forms, dim_ext, 16), wedge_ideal_matrix(forms, dim_ext, 16)
+    forms, _, dim_ext, reference = family_triple(name, 16, kind)
+    have = _ideal_matrix(forms, dim_ext, 16)
+    want = wedge_ideal_matrix(reference["forms"], dim_ext, 16)
     cells = [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols, _ in (have, want)]
     assert cells[0] == cells[1] and len(cells[0]) == len(set(cells[0])) > 0
     dense = []
@@ -905,13 +982,116 @@ def test_ideal_matrix_matches_wedges(name, kind):
     assert (dense[0] == dense[1]).all()
 
 
+def same_floats(have, want) -> bool:
+    """Equal bit for bit, up to the sign of a zero."""
+    have, want = np.broadcast_arrays(np.asarray(have, dtype=float), np.asarray(want, dtype=float))
+    return bool(((_bits(have) == _bits(want)) | ((have == 0) & (want == 0))).all())
+
+
+def assert_rows_match(rows: JetForm, reference: KForm):
+    """The jets of a form in rows equal those of the KForm over Jet,
+    monomial by monomial, every component up to the sign of a zero."""
+    assert set(rows.keys) == set(reference.terms)
+    width = rows.c.shape[2]
+    for r, idx in enumerate(rows.keys):
+        want = [np.broadcast_to(x, width) for x in reference.terms[idx].c]
+        assert same_floats(rows.c[:, r], want), idx
+
+
+RESIDUALS = ("dform_residual", "psi_consistency", "cocalibration_residual", "hitchin_residual")
+
+
+def assert_build_matches_kforms(spec, jets: dict, kind: str):
+    """A build's form residuals, the entries of its ideal matrix and its
+    dF_i and Phi equal those of the KForm-over-Jet reference bit for bit,
+    up to the sign of a zero."""
+    seen = []
+    solve = evolution._ideal_residual
+
+    def record(forms, dforms, dim_ext, count):
+        seen.append((forms, dforms, dim_ext, count))
+        return solve(forms, dforms, dim_ext, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_ideal_residual", record)
+        patch.setattr(evolution, "_ricci_fields", lambda *args: {})
+        have = build_triaxial(spec, jets, kind)
+    want = kform_build(spec, jets, kind)
+    for key in RESIDUALS:
+        assert (key in have) == (key in want), key
+        if key in want:
+            assert _bits(have[key]) == _bits(want[key]), (key, have[key], want[key])
+    (forms, dforms, dim_ext, count), = seen
+    for form, ref in zip(forms + dforms, want["forms"] + want["dforms"]):
+        assert_rows_match(form, ref)
+    entries = []
+    for rows, cols, vals in (_ideal_matrix(forms, dim_ext, count),
+                             wedge_ideal_matrix(want["forms"], dim_ext, count)):
+        entries.append(dict(zip(zip(rows.tolist(), cols.tolist()), vals)))
+    assert entries[0].keys() == entries[1].keys()
+    assert all(same_floats(v, entries[1][cell]) for cell, v in entries[0].items())
+    phi = four_form(kind, forms)
+    assert_rows_match(phi, want["phi"])
+    assert_rows_match(extended_d(spec.algebra, phi), want["dphi"])
+
+
+@pytest.mark.parametrize("name", BASE_FAMILIES)
+@pytest.mark.parametrize("count", [5, 16])
+def test_forms_in_rows_match_kforms(name, count):
+    """Every base-backed family at its 5 default samples and at 16, the
+    benchmark's batch size, in its own pattern."""
+    spec, jets = family_jets(name, count)
+    assert_build_matches_kforms(spec, jets, FAMILIES[name].pattern)
+
+
+@pytest.mark.parametrize("name", ["qk-heis", "qk-heis2", "qk-l1", "spin7-l1", "spin7-l2"])
+def test_forms_in_rows_match_kforms_on_rotated_bases(name):
+    """Rotated omegas carry the coefficients 3/5 and 4/5, and sums of
+    their products meet on one monomial."""
+    spec, jets = family_jets(name, 16, rotated=True)
+    assert_build_matches_kforms(spec, jets, FAMILIES[name].pattern)
+
+
+_JET_PART = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def positive_jets(draw):
+    """(base, kind, jets): jets at one to three samples with positive
+    values, a slope and a curvature each; three vertical coefficients or
+    one, and possibly one sample where a vertical value is 0."""
+    count = draw(st.integers(1, 3))
+
+    def jet():
+        values = draw(st.lists(st.floats(0.25, 3.0), min_size=count, max_size=count))
+        parts = [draw(st.lists(_JET_PART, min_size=count, max_size=count)) for _ in range(2)]
+        return Jet((np.array(values), np.array(parts[0]), np.array(parts[1])))
+
+    jets = {"u": Jet.variable(np.arange(count, dtype=float)), "f": jet(), "w": jet()}
+    keys = ["f1", "f2", "f3"] if draw(st.booleans()) else ["h"]
+    for key in keys:
+        jets[key] = jet()
+    if draw(st.booleans()):
+        key, at = draw(st.sampled_from(keys)), draw(st.integers(0, count - 1))
+        jets[key].c[0][at] = 0.0
+    return draw(st.sampled_from(["heis(1)", "l1", "l2", "l3"])), draw(st.sampled_from(
+        ["qk", "spin7"])), jets
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_jets())
+def test_forms_in_rows_match_kforms_at_drawn_jets(case):
+    base, kind, jets = case
+    assert_build_matches_kforms(catalog(base), jets, kind)
+
+
 def lstsq_ideal_residual(forms, dforms, dim_ext, count) -> float:
     """The ideal test's remainder by one ``lstsq`` per sample and dF_i."""
     row_of = _wedge_table(dim_ext)[1]
     rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
     b_vec = np.zeros((3, count, len(row_of)))
     for i in range(3):
-        for idx, value in dforms[i].values().terms.items():
+        for idx, value in zip(*dforms[i].values()):
             b_vec[i, :, row_of[idx]] = value
     resids = []
     for s in range(count):
@@ -939,7 +1119,7 @@ def assert_ideal_residuals_match(forms, dforms, dim_ext, count):
 
 @pytest.mark.parametrize("name", BASE_FAMILIES)
 def test_ideal_residual_matches_lstsq(name):
-    assert_ideal_residuals_match(*family_triple(name, 16), 16)
+    assert_ideal_residuals_match(*family_triple(name, 16)[:3], 16)
 
 
 @pytest.mark.parametrize("name", BASE_FAMILIES)
@@ -947,7 +1127,7 @@ def test_ideal_residual_matches_lstsq(name):
 def test_rank_deficient_ideal_residual_matches_lstsq(name, third):
     """With F_3 replaced by F_1 or by 0, A loses rank: the singular values
     below the cutoff of ``lstsq`` must not enter the projection."""
-    forms, dforms, dim_ext = family_triple(name, 16)
+    forms, dforms, dim_ext, _ = family_triple(name, 16)
     forms[2] = forms[0] if third == "F1" else 0 * forms[0]
     assert_ideal_residuals_match(forms, dforms, dim_ext, 16)
 
@@ -1096,7 +1276,7 @@ def test_ordered_sums_round_as_kform_accumulation(steps):
     next term afresh, up to the sign of a zero."""
     want, fold = {}, {}
     for key, row in steps:
-        _accumulate(want, key, np.array(row))
+        _accumulate(want, key, Jet((np.array(row), 0.0, 0.0)))
         fold[key] = fold.get(key, -0.0) + np.array(row)
     keys, sums = _ordered_sums([key for key, _ in steps],
                                np.array([row for _, row in steps]).reshape(-1, 3))
@@ -1104,6 +1284,6 @@ def test_ordered_sums_round_as_kform_accumulation(steps):
     for key, total in zip(keys, sums):
         assert (_bits(total) == _bits(fold[key])).all(), key
         if key in want:
-            assert np.array_equal(total, want[key]), key
+            assert np.array_equal(total, want[key].value), key
         else:
             assert not total.any(), key

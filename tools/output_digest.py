@@ -36,8 +36,11 @@ or of mixed degree; and a set of argv that the CLI refuses, with one
 spelled-out catalog name each for ``heis`` and ``l0``, and a ``heis(n)``
 argument, an ``l0(c)`` argument, a catalog name, a ``--param`` value, an
 extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
-``--samples`` point each too long to echo; and five builds at the edges of
-float range, where powers and slopes in the connection solve underflow.
+``--samples`` point each too long to echo; five builds at the edges of
+float range, where the Einstein constant or powers in the connection solve
+underflow;
+and two builds with one degenerate sample beside a regular one, on qk-l1
+and qk-l2.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
@@ -108,16 +111,24 @@ REFUSALS = [
 ]
 
 
-# builds at the edges of float range: at b = 1e-158 and 1e-150 the powers
-# of w |h| in the connection solve underflow (the curvature is not finite,
-# and a verdict fails), at b = 1e-170 the vertical slopes underflow to 0
-# (a pass); and two lone samples far out
+# builds at the edges of float range: at b = 1e-158 and 1e-170 the Einstein
+# constant is subnormal or 0 and the build is refused, at b = 1e-150 the
+# powers of w |h| in the connection solve underflow and a verdict fails;
+# and two lone samples far out
 FLOAT_EDGES = [
     ["build", "qk", "--family", "qk-heis", "--param", "b=1e-158"],
     ["build", "qk", "--family", "qk-heis", "--param", "b=1e-150"],
     ["build", "qk", "--family", "qk-heis", "--param", "b=1e-170"],
     ["build", "qk", "--family", "qk-heis", "--samples=5"],
     ["build", "qk", "--family", "qk-l1", "--samples=-6"],
+]
+
+# one sample where the vertical coefficient vanishes beside one where it
+# does not: the coefficient rows that vanish there stay, since a row is
+# dropped only when it is zero at every sample
+DEGENERATE_ROWS = [
+    ["build", "qk", "--family", "qk-l1", "--samples=0,1"],
+    ["build", "qk", "--family", "qk-l2", "--samples=0,1.5"],
 ]
 
 
@@ -240,7 +251,7 @@ def corpus() -> list:
         out += [["qc-report", "--file", path, *fmt] for fmt in formats]
         if not path.startswith(("perturbed-", "rotated-")):
             out.append(["check-algebra", "--file", path])
-    return out + REFUSALS + FLOAT_EDGES
+    return out + REFUSALS + FLOAT_EDGES + DEGENERATE_ROWS
 
 
 def digest(argv: list) -> str:
