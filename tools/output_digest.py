@@ -38,7 +38,8 @@ argument, an ``l0(c)`` argument, a catalog name, a ``--param`` value, an
 extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
 ``--samples`` point each too long to echo; five builds at the edges of
 float range, where the Einstein constant or powers in the connection solve
-underflow;
+underflow, a qk build whose b^2 overflows, and a spin7-triaxial build
+whose only positive interval is too narrow for float resolution;
 and two builds with one degenerate sample beside a regular one, on qk-l1
 and qk-l2.
 
@@ -121,6 +122,9 @@ FLOAT_EDGES = [
     ["build", "qk", "--family", "qk-heis", "--param", "b=1e-170"],
     ["build", "qk", "--family", "qk-heis", "--samples=5"],
     ["build", "qk", "--family", "qk-l1", "--samples=-6"],
+    ["build", "qk", "--family", "qk-heis", "--param", "b=1e155"],
+    ["build", "spin7", "--family", "spin7-triaxial", "--param", "a1=3", "--param", "a2=3",
+     "--param", "a3=1e300", "--param", "C=-37/4"],
 ]
 
 # one sample where the vertical coefficient vanishes beside one where it
