@@ -38,6 +38,7 @@ that turns a build's residuals into pass/fail verdicts.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -140,7 +141,7 @@ def _wedge_table(dim_ext: int):
     return pair_of, row_of, np.array(rows), np.array(ms), np.array(negs)
 
 
-def _ideal_matrix(forms: list, dim_ext: int, count: int):
+def _ideal_matrix(forms: list, dim_ext: int):
     """The entries of the matrix A of the ideal test that the forms' nonzero
     coefficients fill: row and column index arrays, and the values with
     one column per sample.  Column j * dim_ext + m - 1 of A is
@@ -166,7 +167,7 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     values of the forms, by :func:`block_remainder`.  Raises OverflowError
     before any factorization when a coefficient is not finite."""
     row_of = _wedge_table(dim_ext)[1]
-    rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
+    rows, cols, vals = _ideal_matrix(forms, dim_ext)
     rhs = np.zeros((count, len(row_of), 3))
     for i in range(3):
         keys, values = dforms[i].values()
@@ -191,9 +192,7 @@ def block_remainder(rows, cols, vals: np.ndarray, rhs: np.ndarray, width: int) -
     all blocks of the sample).  On an empty row the remainder is b."""
     factors = [(block_rows, *np.linalg.svd(stack, full_matrices=False)[:2])
                for block_rows, stack in block_stacks(rows, cols, vals)]
-    top = np.zeros(len(rhs))
-    for _, _, svals in factors:
-        top = np.maximum(top, svals[..., 0].max(axis=1))
+    top = np.max([svals[..., 0].max(axis=1) for _, _, svals in factors], axis=0, initial=0.0)
     cutoff = np.finfo(float).eps * max(rhs.shape[1], width) * top
     empty = np.ones(rhs.shape[1], dtype=bool)
     resids = []
@@ -374,8 +373,6 @@ class MetricFamily:
             raise self.refuse(params, "no finite real sample window")
         width = hi - lo
         lo2, hi2 = lo + 0.1 * width, hi - 0.1 * width
-        if count == 1:
-            return [0.5 * (lo2 + hi2)]
         return [lo2 + (hi2 - lo2) * i / (count - 1) for i in range(count)]
 
 
@@ -421,20 +418,6 @@ def _qk_einstein(params, n: int, S: Fraction) -> float | None:
     else:
         return None
     return float(coeff) * float(params["b"]) ** 2
-
-
-def _require_einstein_scale(fam: MetricFamily, params, n: int, S: Fraction):
-    """Refuse parameters where the float of :func:`_qk_einstein` is 0 or
-    subnormal while its exact value, a nonzero multiple of b^2, is not:
-    no residual or relative bound can resolve a verdict at that scale."""
-    try:
-        expected = _qk_einstein(params, n, S)
-    except OverflowError:  # b past float range: the coefficient functions overflow first
-        return
-    if expected is not None and params["b"] and abs(expected) < sys.float_info.min:
-        names = ", ".join(sorted(params))
-        raise DomainError(f"{fam.name} at the parameters {names}: the Einstein constant "
-                          "is below float resolution")
 
 
 def _fam_spin7(params, S):
@@ -504,43 +487,32 @@ def _fam_ideal(params, S):
 
 
 def _triaxial_window(params, S) -> tuple:
-    """Connected window where all metric coefficients of the triaxial
-    Spin(7) family stay positive: scan the intervals cut by the roots.
+    """The first interval cut by the roots, bounded ones first, where all
+    metric coefficients of the triaxial Spin(7) family stay positive.
 
     Windows keep half a unit away from every root; the coefficient
     functions blow up there and the curvature cancellations that make the
     metric Ricci-flat would drown in floating error.
     """
-    roots = sorted({float(-params["a1"]), float(-params["a2"]), float(params["a3"])})
-    c = float(params["C"])
+    a1, a2, a3, c = (float(params[k]) for k in ("a1", "a2", "a3", "C"))
+    roots = sorted({-a1, -a2, a3})
 
-    def fval(u):
-        return c * (u + float(params["a1"])) * (u + float(params["a2"])) * (float(params["a3"]) - u)
+    def positive(lo, hi):  # resolved in floats, and f not <= 0 (NaN passes) at the middle
+        u = 0.5 * (lo + hi)
+        return hi - lo >= 1e-12 and not (c * (u + a1) * (u + a2) * (a3 - u) <= 0)
 
     pad = 0.5
-    candidates = []
-    pts = [roots[0] - 2.0 - pad] + roots + [roots[-1] + 2.0 + pad]
-    for lo, hi in zip(pts, pts[1:]):
-        if hi - lo < 1e-12:
-            continue
-        mid = 0.5 * (lo + hi)
-        if fval(mid) <= 0:
-            continue
-        bounded = lo in roots and hi in roots
-        if bounded:
-            width = hi - lo
-            shrink = min(pad, 0.25 * width)
-            candidates.append((True, (lo + shrink, hi - shrink)))
-        elif hi in roots:
-            candidates.append((False, (hi - 2.0 - pad, hi - pad)))
-        else:
-            candidates.append((False, (lo + pad, lo + 2.0 + pad)))
-    if not candidates:  # C != 0 makes one unbounded interval positive
-        raise DomainError("no window: each interval of the scan is below float resolution")
-    for bounded, window in candidates:
-        if bounded:
-            return window
-    return candidates[0][1]
+    for lo, hi in zip(roots, roots[1:]):
+        if positive(lo, hi):
+            shrink = min(pad, 0.25 * (hi - lo))
+            return (lo + shrink, hi - shrink)
+    first, last = roots[0], roots[-1]
+    if positive(first - 2.0 - pad, first):
+        return (first - 2.0 - pad, first - pad)
+    if positive(last, last + 2.0 + pad):
+        return (last + pad, last + 2.0 + pad)
+    # C != 0 makes one unbounded interval positive
+    raise DomainError("no window: each interval of the scan is below float resolution")
 
 
 FAMILIES: dict[str, MetricFamily] = {}
@@ -625,8 +597,14 @@ def build_family(name: str, params=None, samples=None) -> dict:
     p = fam.params_with_defaults(params)
     S = fam.S
     spec = None if fam.base is None else require_einstein_base(fam.base, S)
+    expected = None
     if spec is not None and fam.kind == "qk":
-        _require_einstein_scale(fam, p, spec.n, S)
+        with contextlib.suppress(OverflowError):  # b^2 overflows: the coefficient functions refuse
+            expected = _qk_einstein(p, spec.n, S)
+        # 0 or subnormal for a nonzero multiple of b^2: no bound resolves a verdict there
+        if expected is not None and p["b"] and abs(expected) < sys.float_info.min:
+            raise DomainError(f"{fam.name} at the parameters {', '.join(sorted(p))}: the "
+                              "Einstein constant is below float resolution")
     try:
         funcs = fam.functions(params)
         pts = list(samples) if samples else fam.default_samples(params)
@@ -658,7 +636,7 @@ def build_family(name: str, params=None, samples=None) -> dict:
                           f"(a vertical coefficient vanishes at each of {pts})")
     result["kind"] = "qk_triaxial" if fam.kind == "ideal" else fam.kind
     result.update(built)
-    if fam.kind == "qk" and (expected := _qk_einstein(p, spec.n, S)) is not None:
+    if expected is not None:
         result["einstein_expected"] = expected
     if fam.rank_min is not None:
         result["rank_min_expected"] = fam.rank_min

@@ -29,7 +29,7 @@ def is_zero_scalar(c) -> bool:
     """Zero as a ring element."""
     probe = getattr(c, "is_zero", None)
     if probe is not None:
-        return probe() if callable(probe) else bool(probe)
+        return probe()
     return c == 0
 
 

@@ -307,8 +307,7 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     left, right = (list(x) for x in zip(*slot)) if slot else ([], [])
     stacked = Jet(jets)
     recips = (stacked.take(left) * stacked.take(right)).reciprocal().take(den)
-    num, factor = jets[:, list(src)], np.array(factor)[:, None]  # as Jet: p * -1 is -p
-    dhat = np.stack((Jet(np.where(factor == -1.0, -num, num * factor)) * recips).c)
+    dhat = np.stack((Jet(jets[:, list(src)] * np.array(factor)[:, None]) * recips).c)
     _negate(dhat.swapaxes(0, 1), negated)
     kept = dhat.any(axis=(0, 2))
     keys, dhat = [key for key, keep in zip(keys, kept.tolist()) if keep], dhat[:, kept]
@@ -443,11 +442,7 @@ def _ricci_and_span(curv: CurvatureRows):
     ric = np.zeros((n * n, width))
     np.add.at(ric, list(entries), _negate(curv.values[list(rows)], negate))
     ric = np.ascontiguousarray(ric.T).reshape(width, n, n)
-
-    def pair(p, q):  # position of hat-e^p ^ hat-e^q, p < q
-        return p * (2 * n - p - 1) // 2 + q - p - 1
-
-    upper = [(r, pair(a, b), pair(p, q)) for r, (a, b, p, q) in enumerate(curv.index) if a < b]
+    upper = [(r, a * n + b, p * n + q) for r, (a, b, p, q) in enumerate(curv.index) if a < b]
     rows, forms, basis = zip(*upper) if upper else ((),) * 3
     return ric, list(forms), list(basis), curv.values[list(rows)]
 
@@ -513,9 +508,7 @@ def span_rank(rows, cols, values: np.ndarray) -> np.ndarray:
     values compared with the largest of all blocks of its sample."""
     flat = (np.abs(values) <= 1e-8).all(axis=0)
     svals = [np.linalg.svd(stack, compute_uv=False) for _, stack in block_stacks(rows, cols, values)]
-    top = np.zeros(values.shape[1])
-    for s in svals:
-        top = np.maximum(top, s[..., 0].max(axis=1))
+    top = np.max([s[..., 0].max(axis=1) for s in svals], axis=0, initial=0.0)
     rank = sum(np.sum(s > SVD_THRESHOLD * top[:, None, None], axis=(1, 2)) for s in svals)
     return np.where(flat, 0, rank)
 

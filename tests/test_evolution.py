@@ -290,6 +290,16 @@ class TestBatchedBuild:
         build_family(name)
         assert sorted(calls) == sorted(fam.functions())
 
+    @pytest.mark.parametrize("name", ["qk-heis", "qk-heis2", "qk-l1", "qk-l2"])
+    def test_a_build_reads_the_einstein_scale_once(self, name, monkeypatch):
+        """The float-resolution refusal and ``einstein_expected`` read one
+        value of the Einstein constant."""
+        calls, scale = [], evolution._qk_einstein
+        monkeypatch.setattr(evolution, "_qk_einstein",
+                            lambda *args: calls.append(args) or scale(*args))
+        assert build_family(name)["einstein_expected"] == scale(*calls[0])
+        assert len(calls) == 1
+
 
 class TestOdeSystems:
     def test_nan_inside_the_computation_is_returned(self):

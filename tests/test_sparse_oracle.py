@@ -35,6 +35,10 @@ test's three right-hand sides; the ideal test's reference is one
 least-squares solve per sample and right-hand side, and on random block
 patterns both are checked against SVDs of the whole matrices.
 
+The spin7-triaxial window is found in one pass over the intervals cut by
+the roots; its reference collects every positive interval in a list of
+candidates and then picks a bounded one, else the first.
+
 The sp(1) stage reads the scalar invariant in closed form, S = -t_l/(2n)
 with t_l the horizontal Ricci trace at S = 0; its reference carries S as a
 polynomial symbol through alpha, d alpha and alpha ^ alpha, and solves the
@@ -61,9 +65,9 @@ from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity
                              require_qc)
 from qcforge.ansatz import _CYCLIC, four_form, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
-                               _ideal_matrix, _ideal_residual, _wedge_table, block_remainder,
-                               build_family, build_triaxial, extended_d, require_einstein_base,
-                               verdicts)
+                               _ideal_matrix, _ideal_residual, _triaxial_window, _wedge_table,
+                               block_remainder, build_family, build_triaxial, extended_d,
+                               require_einstein_base, verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
@@ -970,7 +974,7 @@ def test_ideal_matrix_matches_wedges(name, kind):
     """The index table places the same entries as the wedges with the unit
     1-forms, each value bit for bit, at dimension 8 and 12."""
     forms, _, dim_ext, reference = family_triple(name, 16, kind)
-    have = _ideal_matrix(forms, dim_ext, 16)
+    have = _ideal_matrix(forms, dim_ext)
     want = wedge_ideal_matrix(reference["forms"], dim_ext, 16)
     cells = [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols, _ in (have, want)]
     assert cells[0] == cells[1] and len(cells[0]) == len(set(cells[0])) > 0
@@ -1025,7 +1029,7 @@ def assert_build_matches_kforms(spec, jets: dict, kind: str):
     for form, ref in zip(forms + dforms, want["forms"] + want["dforms"]):
         assert_rows_match(form, ref)
     entries = []
-    for rows, cols, vals in (_ideal_matrix(forms, dim_ext, count),
+    for rows, cols, vals in (_ideal_matrix(forms, dim_ext),
                              wedge_ideal_matrix(want["forms"], dim_ext, count)):
         entries.append(dict(zip(zip(rows.tolist(), cols.tolist()), vals)))
     assert entries[0].keys() == entries[1].keys()
@@ -1088,7 +1092,7 @@ def test_forms_in_rows_match_kforms_at_drawn_jets(case):
 def lstsq_ideal_residual(forms, dforms, dim_ext, count) -> float:
     """The ideal test's remainder by one ``lstsq`` per sample and dF_i."""
     row_of = _wedge_table(dim_ext)[1]
-    rows, cols, vals = _ideal_matrix(forms, dim_ext, count)
+    rows, cols, vals = _ideal_matrix(forms, dim_ext)
     b_vec = np.zeros((3, count, len(row_of)))
     for i in range(3):
         for idx, value in zip(*dforms[i].values()):
@@ -1287,3 +1291,77 @@ def test_ordered_sums_round_as_kform_accumulation(steps):
             assert np.array_equal(total, want[key].value), key
         else:
             assert not total.any(), key
+
+
+def candidate_list_window(params, S) -> tuple:
+    """The spin7-triaxial window from a list of candidate intervals: every
+    interval of the scan that is wide enough and positive at its middle,
+    then the first bounded one, else the first."""
+    roots = sorted({float(-params["a1"]), float(-params["a2"]), float(params["a3"])})
+    c = float(params["C"])
+
+    def fval(u):
+        return c * (u + float(params["a1"])) * (u + float(params["a2"])) * (float(params["a3"]) - u)
+
+    pad = 0.5
+    candidates = []
+    pts = [roots[0] - 2.0 - pad] + roots + [roots[-1] + 2.0 + pad]
+    for lo, hi in zip(pts, pts[1:]):
+        if hi - lo < 1e-12:
+            continue
+        mid = 0.5 * (lo + hi)
+        if fval(mid) <= 0:
+            continue
+        bounded = lo in roots and hi in roots
+        if bounded:
+            width = hi - lo
+            shrink = min(pad, 0.25 * width)
+            candidates.append((True, (lo + shrink, hi - shrink)))
+        elif hi in roots:
+            candidates.append((False, (hi - 2.0 - pad, hi - pad)))
+        else:
+            candidates.append((False, (lo + pad, lo + 2.0 + pad)))
+    if not candidates:
+        raise DomainError("no window: each interval of the scan is below float resolution")
+    for bounded, window in candidates:
+        if bounded:
+            return window
+    return candidates[0][1]
+
+
+_EDGE_RATIONALS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-37, 4),
+                   Fraction(10**300), Fraction(-10**300), Fraction(1, 10**300),
+                   Fraction(-1, 10**300), Fraction(10**400)]
+_RATIONAL = st.one_of(st.sampled_from(_EDGE_RATIONALS),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def triaxial_params(draw) -> dict:
+    """a1, a2, a3 and C, often with a repeated root (a2 = a1, or a3 = -a1
+    or -a2) or two roots 10^-13 apart, closer than a window may be wide."""
+    a1 = draw(_RATIONAL)
+    a2 = draw(st.one_of(_RATIONAL, st.just(a1), st.just(a1 + Fraction(1, 10**13))))
+    a3 = draw(st.one_of(_RATIONAL, st.just(-a1), st.just(-a2)))
+    return {"a1": a1, "a2": a2, "a3": a3, "C": draw(_RATIONAL)}
+
+
+def window_or_refusal(window, params):
+    """The window as the bits of its ends, or the refusal's type and message."""
+    try:
+        return [x.hex() for x in window(params, None)]
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(triaxial_params())
+@example({"a1": Fraction(3), "a2": Fraction(3), "a3": Fraction(10**300), "C": Fraction(-37, 4)})
+@example({"a1": Fraction(1), "a2": Fraction(11, 10), "a3": Fraction(-1), "C": Fraction(1)})
+@example({"a1": Fraction(0), "a2": Fraction(0), "a3": Fraction(0), "C": Fraction(-1)})
+def test_triaxial_window_matches_the_candidate_list(params):
+    """One pass over the intervals gives the candidate list's window bit
+    for bit, or the same refusal: an outer interval absorbed by a root of
+    order 10^300 is below float resolution in both."""
+    assert (window_or_refusal(_triaxial_window, params)
+            == window_or_refusal(candidate_list_window, params))
