@@ -957,3 +957,23 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, *GOLDEN_ARGV[name])
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+
+DIGEST = Path(__file__).parent / "data" / "digest.txt"
+
+
+def test_output_digest_matches():
+    """``tools/output_digest.py`` prints the lines of ``data/digest.txt``:
+    the exit code and the bytes of stdout and stderr of every argv of its
+    corpus are pinned.  A mismatch names each argv whose line moved."""
+    tool = Path(__file__).parents[1] / "tools" / "output_digest.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
+                          check=True)
+    have, want = proc.stdout.splitlines(), DIGEST.read_text().splitlines()
+
+    def argv(line):
+        return f"qcforge {line.split(' ', 3)[3]}"[:120]
+
+    moved = sorted({argv(line) for pair in zip(have, want) if pair[0] != pair[1]
+                    for line in pair})
+    assert not moved and len(have) == len(want), (len(have), len(want), moved)

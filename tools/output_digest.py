@@ -40,12 +40,15 @@ extra argument, a ``symbolic`` target, a family, a ``--param`` name and a
 float range, where the Einstein constant or powers in the connection solve
 underflow, a qk build whose b^2 overflows, and a spin7-triaxial build
 whose only positive interval is too narrow for float resolution;
-and two builds with one degenerate sample beside a regular one, on qk-l1
-and qk-l2.
+two builds with one degenerate sample beside a regular one, on qk-l1
+and qk-l2; and ``--help`` of the program and of each subcommand.
 
 The ``--file`` inputs are written to a temporary directory that is the
 working directory while the corpus runs, and named by relative paths, so
 the reports, which echo the path, are the same in every checkout.
+argparse wraps its usage and help lines to ``COLUMNS``, so the tool sets
+it to 80, the width argparse takes when no terminal is attached, and the
+digest does not depend on the terminal it runs in.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ DEGENERATE_ROWS = [
     ["build", "qk", "--family", "qk-l1", "--samples=0,1"],
     ["build", "qk", "--family", "qk-l2", "--samples=0,1.5"],
 ]
+
+HELP = [["--help"], *([command, "--help"] for command in
+                      ("check-algebra", "qc-report", "build", "symbolic", "sweep"))]
 
 
 _HEIS1 = inputs.coframe_text("heis1", {a: a for a in range(1, 8)})
@@ -255,7 +261,7 @@ def corpus() -> list:
         out += [["qc-report", "--file", path, *fmt] for fmt in formats]
         if not path.startswith(("perturbed-", "rotated-")):
             out.append(["check-algebra", "--file", path])
-    return out + REFUSALS + FLOAT_EDGES + DEGENERATE_ROWS
+    return out + REFUSALS + FLOAT_EDGES + DEGENERATE_ROWS + HELP
 
 
 def digest(argv: list) -> str:
@@ -272,6 +278,7 @@ def digest(argv: list) -> str:
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in input_files().items():
