@@ -230,18 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qcforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--catalog", help="catalog name, e.g. l1 or heis(2)")
-            group.add_argument("--file", help="structure-equation file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def add_io(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--catalog", help="catalog name, e.g. l1 or heis(2)")
+        group.add_argument("--file", help="structure-equation file")
 
-    p = sub.add_parser("check-algebra", help="parse and integrability-check a coframe")
-    add_io(p)
-
-    p = sub.add_parser("qc-report", help="full verification pipeline on a qc coframe")
-    add_io(p)
+    add_io(sub.add_parser("check-algebra", help="parse and integrability-check a coframe"))
+    add_io(sub.add_parser("qc-report", help="full verification pipeline on a qc coframe"))
 
     p = sub.add_parser("build", help="assemble and verify a metric family")
     p.add_argument("kind", choices=("qk", "spin7"))
@@ -250,14 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", help="comma-separated sample points")
     p.add_argument("--tol-residual", type=float, default=TOL_RESIDUAL)
     p.add_argument("--tol-ricci", type=float, default=TOL_RICCI)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("symbolic", help="symbolic coefficient-system checks")
     p.add_argument("target", choices=tuple(dga.SYMBOLIC_TARGETS))
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("sweep", help="run the acceptance suite")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_parser("sweep", help="run the acceptance suite")
+    for p in sub.choices.values():  # the last option of every subcommand
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

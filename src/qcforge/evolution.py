@@ -52,7 +52,7 @@ from . import qc
 from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm
-from .jetforms import JetForm, extended_d
+from .jetforms import JetForm, _wedge_plan, extended_d
 from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
 from .scalars import DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits, worst_abs
 
@@ -121,24 +121,10 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
 
 
 @functools.lru_cache(maxsize=None)
-def _wedge_table(dim_ext: int):
-    """Where e^m ^ e^{pq} lands among the basis 3-forms, for every basis
-    2-form e^{pq} and every m outside {p, q}.
-
-    Returns the position of each 2-form and of each 3-form, by index tuple
-    (both in lexicographic order), and three arrays with one row per
-    2-form and one column per m, m ascending: the position of the sorted
-    triple, m, and whether the sign is negative (p < m < q)."""
-    frame = range(1, dim_ext + 1)
-    pair_of = {pq: r for r, pq in enumerate(itertools.combinations(frame, 2))}
-    row_of = {t: r for r, t in enumerate(itertools.combinations(frame, 3))}
-    rows, ms, negs = [], [], []
-    for p, q in pair_of:
-        others = [m for m in frame if m not in (p, q)]
-        rows.append([row_of[tuple(sorted((m, p, q)))] for m in others])
-        ms.append(others)
-        negs.append([p < m < q for m in others])
-    return pair_of, row_of, np.array(rows), np.array(ms), np.array(negs)
+def _three_form_rows(dim_ext: int) -> dict:
+    """The position of each basis 3-form, by index tuple, in lexicographic
+    order."""
+    return {t: r for r, t in enumerate(itertools.combinations(range(1, dim_ext + 1), 3))}
 
 
 def _ideal_matrix(forms: list, dim_ext: int):
@@ -146,17 +132,18 @@ def _ideal_matrix(forms: list, dim_ext: int):
     coefficients fill: row and column index arrays, and the values with
     one column per sample.  Column j * dim_ext + m - 1 of A is
     e^m ^ F_j over the basis 3-forms, so each entry is a coefficient of
-    F_j or its negative, placed by :func:`_wedge_table`."""
-    pair_of, _, table_rows, table_ms, table_negs = _wedge_table(dim_ext)
+    F_j or its negative, placed by the wedge plan of the unit 1-forms with
+    F_j (:func:`~qcforge.jetforms._wedge_plan`)."""
+    row_of = _three_form_rows(dim_ext)
+    units = tuple((m,) for m in range(1, dim_ext + 1))
     rows, cols, vals = [], [], []
     for j, form in enumerate(forms):
         keys, coeffs = form.values()
-        pairs = [pair_of[pq] for pq in keys]
-        rows.append(table_rows[pairs].ravel())
-        cols.append(j * dim_ext + table_ms[pairs].ravel() - 1)
-        signed = np.repeat(coeffs, dim_ext - 2, axis=0)
-        neg = table_negs[pairs].ravel()
-        signed[neg] = -signed[neg]
+        ms, right, negate, (triples, slot) = _wedge_plan(units, keys)
+        rows.append(np.array([row_of[t] for t in triples], dtype=int)[slot])
+        cols.append(j * dim_ext + ms)
+        signed = coeffs[right]
+        signed[negate] = -signed[negate]
         vals.append(signed)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
@@ -166,7 +153,7 @@ def _ideal_residual(forms: list, dforms: list, dim_ext: int, count: int) -> floa
     multipliers beta_j, maximized over i and the ``count`` samples, from the
     values of the forms, by :func:`block_remainder`.  Raises OverflowError
     before any factorization when a coefficient is not finite."""
-    row_of = _wedge_table(dim_ext)[1]
+    row_of = _three_form_rows(dim_ext)
     rows, cols, vals = _ideal_matrix(forms, dim_ext)
     rhs = np.zeros((count, len(row_of), 3))
     for i in range(3):

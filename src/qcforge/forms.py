@@ -160,9 +160,6 @@ class KForm:
             return NotImplemented
         return self.dim == other.dim and self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.terms)))
-
     def wedge(self, other: "KForm") -> "KForm":
         self._check(other)
         degree = self.degree + other.degree
@@ -359,6 +356,12 @@ def format_form(form: KForm) -> str:
         else:
             body = f"({c}) {mono}"
         chunks.append(body)
+    return _signed_sum(chunks)
+
+
+def _signed_sum(chunks) -> str:
+    """The terms joined into one sum: a term that starts with ``-`` after
+    the first is written as a difference."""
     out = chunks[0]
     for body in chunks[1:]:
         out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"

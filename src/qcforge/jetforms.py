@@ -51,7 +51,7 @@ class JetForm:
     def __mul__(self, other) -> "JetForm":
         if isinstance(other, (int, float, Fraction)):
             q = float(other)
-            return self if q == 1.0 else JetForm(self.dim, self.degree, self.keys, self.c * q)
+            return JetForm(self.dim, self.degree, self.keys, self.c * q)
         if self.degree and other.degree:
             raise TypeError("use wedge() for form products")
         return self.wedge(other)
@@ -70,8 +70,7 @@ class JetForm:
             return JetForm(self.dim, degree, keys, times(self.c, rows))
         left, right, negate, slots = _wedge_plan(self.keys, keys)
         terms = times(self.c[:, left], rows[:, right])
-        if negate is not None:
-            terms[:, negate] = -terms[:, negate]
+        terms[:, negate] = -terms[:, negate]
         return _summed(self.dim, degree, terms, slots)
 
     def restrict(self, indices) -> "JetForm":
@@ -95,7 +94,7 @@ class JetForm:
         """The keys and value rows of the coefficients whose value is
         nonzero at some sample."""
         live = self.c[0].any(axis=1)
-        return [k for k, keep in zip(self.keys, live.tolist()) if keep], self.c[0, live]
+        return tuple(k for k, keep in zip(self.keys, live.tolist()) if keep), self.c[0, live]
 
     def max_abs(self) -> float:
         """Largest |value| over coefficients and samples, for residuals; a
@@ -133,12 +132,12 @@ _slots_of = functools.lru_cache(maxsize=None)(_slots)
 @functools.lru_cache(maxsize=None)
 def _wedge_plan(keys_a: tuple, keys_b: tuple) -> tuple:
     """The rows of both factors of each term of a wedge of jet forms, by
-    :func:`~qcforge.forms.wedge_terms`, the terms to negate (None for
-    none) and the slots of their monomials."""
+    :func:`~qcforge.forms.wedge_terms`, the mask of the terms to negate
+    and the slots of their monomials."""
     terms = list(wedge_terms(keys_a, keys_b))
     left, right, keys, negate = zip(*terms) if terms else ((),) * 4
     return (np.array(left, dtype=int), np.array(right, dtype=int),
-            np.array(negate) if any(negate) else None, _slots(keys))
+            np.array(negate, dtype=bool), _slots(keys))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import _accumulate
+from .forms import _accumulate, _signed_sum
 
 # A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol,
 # exponents positive.  The empty tuple is the constant monomial.
@@ -133,9 +133,6 @@ class Poly:
             return NotImplemented
         return self.terms == o.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- calculus and substitution ------------------------------------------
 
     def derive(self, prime) -> "Poly":
@@ -184,10 +181,7 @@ class Poly:
             else:
                 chunk = f"{c}*{ms}"
             parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"Poly({self})"

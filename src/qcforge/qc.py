@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
-from .ansatz import _CYCLIC
+from .ansatz import _CYCLIC, four_form
 from .forms import KForm
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
@@ -384,9 +384,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
     alg = spec.algebra
     omega = spec.omega
     eta = [spec.eta(s) for s in (1, 2, 3)]
-    big = KForm(spec.dim, 4)
-    for s in range(3):
-        big = big + omega[s].wedge(omega[s])
+    big = four_form("qk", omega)
     lemma = KForm(spec.dim, 4)
     for i, j, k in _CYCLIC:
         lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])

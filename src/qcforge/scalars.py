@@ -163,10 +163,11 @@ class Jet:
 
     # -- ring operations ---------------------------------------------------
     # A plain number q acts on the components directly: no constant jet and
-    # no Leibniz product is built, and x(+-1) multiplies nothing.  The value
-    # component comes out as with Jet.const(q); a derivative component can
-    # differ only in the sign of a zero, which the constant's zero
-    # derivatives would have added.
+    # no Leibniz product is built.  The value component comes out as with
+    # Jet.const(q); a derivative component can differ only in the sign of a
+    # zero, which the constant's zero derivatives would have added.  No q is
+    # a special case: in IEEE arithmetic x * 1.0 is x and x * -1.0 is -x
+    # bit for bit, up to the sign of a NaN.
 
     def __add__(self, other):
         a = self.c
@@ -209,10 +210,6 @@ class Jet:
             ))
         if isinstance(other, _NUMBERS):
             q = float(other)
-            if q == 1.0:
-                return self
-            if q == -1.0:
-                return -self
             return _jet((a[0] * q, a[1] * q, a[2] * q))
         return NotImplemented
 

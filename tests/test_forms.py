@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qcforge.algebra import catalog
 from qcforge.forms import (BadOrientation, FrameMismatch, KForm, exterior_d,
                            format_form, parse_form)
+from qcforge.poly import Poly
 from qcforge.scalars import Jet
 from test_sparse_oracle import kform_max_abs
 
@@ -314,3 +315,11 @@ class TestLiterals:
 def test_library_misuse_refused(misuse, error, message):
     with pytest.raises(error, match=message):
         misuse()
+
+
+@pytest.mark.parametrize("value", [e(1, 2), Poly.symbol("f")], ids=["KForm", "Poly"])
+def test_forms_and_polynomials_are_unhashable(value):
+    """Both compare by their terms, which operations reassign or fill in
+    after construction, so neither has a hash."""
+    with pytest.raises(TypeError):
+        hash(value)

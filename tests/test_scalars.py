@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcforge.jetforms import JetForm
 from qcforge.scalars import DomainError, Jet, parse_rational
 
 
@@ -278,3 +279,53 @@ class TestBatchedJets:
 def test_jet_needs_three_components():
     with pytest.raises(ValueError, match="jet needs 3 components, got 2"):
         Jet((1.0, 0.0))
+
+
+# the floats a product with +-1 could disturb: signed zeros, infinities,
+# subnormals and NaNs of either sign
+_EDGE_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                         2.2e-308, math.nan, -math.nan]), st.floats())
+_UNITS = (1, -1, 1.0, -1.0, Fraction(1), Fraction(-1))
+
+
+@st.composite
+def edge_jets(draw):
+    """A jet whose components are floats, (N,) arrays or (rows, N) arrays."""
+    shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    size = math.prod(shape)
+
+    def component():
+        values = draw(st.lists(_EDGE_FLOAT, min_size=size, max_size=size))
+        return np.array(values).reshape(shape) if shape else values[0]
+
+    return Jet(tuple(component() for _ in range(3)))
+
+
+def assert_same_floats(got, want):
+    """Equal bit for bit, except that a NaN only has to stay a NaN: a
+    product keeps a NaN's sign and a negation flips it."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (_bits(got)[~nan] == _bits(want)[~nan]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_jets())
+@example(Jet((np.array([0.0, -0.0, math.inf]), np.array([-math.inf, 5e-324, -5e-324]),
+              np.array([math.nan, -math.nan, 2.2e-308]))))
+def test_units_scale_jets_exactly(j):
+    """A jet times +1 or -1, as an int, a float or a Fraction, on either
+    side, is the jet or its negation; and a form in rows times 1 keeps its
+    rows."""
+    for q in _UNITS:
+        want = j if q > 0 else -j
+        for got in (j * q, q * j):
+            for x, y in zip(got.c, want.c):
+                assert_same_floats(x, y)
+    if np.ndim(j.value) == 2:
+        form = JetForm(4, 2, ((1, 2), (3, 4)), np.array(j.c))
+        for got in (form * 1, 1 * form):
+            assert got.keys == form.keys
+            assert_same_floats(got.c, form.c)

@@ -28,8 +28,9 @@ coefficient, and every jet component of the triple, dF_i and Phi, every
 residual and every entry of the ideal matrix must agree bit for bit up to
 the sign of a zero, on every base-backed family, on rotated bases and at
 drawn jets.  The matrix of the
-differential-ideal test is placed from an index table; its reference
-wedges each form with the unit 1-forms.  The ideal test and the curvature-span rank factor the
+differential-ideal test is placed by the wedge plan of the unit 1-forms
+with each form; its reference wedges each form with the unit 1-forms as
+KForms.  The ideal test and the curvature-span rank factor the
 diagonal blocks of their matrices, one SVD per block serving the ideal
 test's three right-hand sides; the ideal test's reference is one
 least-squares solve per sample and right-hand side, and on random block
@@ -65,9 +66,9 @@ from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity
                              require_qc)
 from qcforge.ansatz import _CYCLIC, four_form, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
-                               _ideal_matrix, _ideal_residual, _triaxial_window, _wedge_table,
-                               block_remainder, build_family, build_triaxial, extended_d,
-                               require_einstein_base, verdicts)
+                               _ideal_matrix, _ideal_residual, _three_form_rows,
+                               _triaxial_window, block_remainder, build_family, build_triaxial,
+                               extended_d, require_einstein_base, verdicts)
 from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
@@ -971,8 +972,8 @@ def family_triple(name: str, count: int, kind: str = "") -> tuple:
 @pytest.mark.parametrize("name,kind", [("qk-heis", "qk"), ("spin7-l1", "spin7"),
                                        ("qk-heis2", "qk")])
 def test_ideal_matrix_matches_wedges(name, kind):
-    """The index table places the same entries as the wedges with the unit
-    1-forms, each value bit for bit, at dimension 8 and 12."""
+    """The wedge plan places the same entries as the KForm wedges with the
+    unit 1-forms, each value bit for bit, at dimension 8 and 12."""
     forms, _, dim_ext, reference = family_triple(name, 16, kind)
     have = _ideal_matrix(forms, dim_ext)
     want = wedge_ideal_matrix(reference["forms"], dim_ext, 16)
@@ -984,6 +985,42 @@ def test_ideal_matrix_matches_wedges(name, kind):
         mat[:, rows, cols] = vals.T
         dense.append(_bits(mat))
     assert (dense[0] == dense[1]).all()
+
+
+_VALUE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def drawn_triples(draw):
+    """(dim_ext, count, forms, kforms): three 2-forms in rows over a frame
+    of 8, 12 or 16 on random monomial subsets, with signed values at one to
+    three samples, some of them 0, and the same forms as KForms over Jet."""
+    dim_ext, count = draw(st.sampled_from([8, 12, 16])), draw(st.integers(1, 3))
+    pairs = [(p, q) for p in range(1, dim_ext + 1) for q in range(p + 1, dim_ext + 1)]
+    forms, kforms = [], []
+    for _ in range(3):
+        keys = tuple(draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)))
+        c = np.array(draw(st.lists(_VALUE, min_size=3 * len(keys) * count,
+                                   max_size=3 * len(keys) * count))).reshape(3, len(keys), count)
+        forms.append(JetForm(dim_ext, 2, keys, c))
+        kforms.append(KForm(dim_ext, 2, {idx: Jet(tuple(c[:, r].copy()))
+                                         for r, idx in enumerate(keys)}))
+    return dim_ext, count, forms, kforms
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_triples())
+def test_ideal_matrix_matches_wedges_on_drawn_forms(case):
+    """Each cell of the ideal matrix holds the value of the KForm wedge
+    with the unit 1-form, bit for bit, and no cell is placed twice."""
+    dim_ext, count, forms, kforms = case
+    entries = []
+    for rows, cols, vals in (_ideal_matrix(forms, dim_ext),
+                             wedge_ideal_matrix(kforms, dim_ext, count)):
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        assert len(cells) == len(set(cells))
+        entries.append(dict(zip(cells, _bits(vals).tolist())))
+    assert entries[0] == entries[1]
 
 
 def same_floats(have, want) -> bool:
@@ -1091,7 +1128,7 @@ def test_forms_in_rows_match_kforms_at_drawn_jets(case):
 
 def lstsq_ideal_residual(forms, dforms, dim_ext, count) -> float:
     """The ideal test's remainder by one ``lstsq`` per sample and dF_i."""
-    row_of = _wedge_table(dim_ext)[1]
+    row_of = _three_form_rows(dim_ext)
     rows, cols, vals = _ideal_matrix(forms, dim_ext)
     b_vec = np.zeros((3, count, len(row_of)))
     for i in range(3):
