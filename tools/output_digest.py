@@ -23,7 +23,8 @@ structures are no signed permutations; ``qc-report --file --format json``
 on 60 seeded single-line perturbations of the ``exact`` coframes of seeds
 1-2 (a term scaled, dropped or added, an index moved, a line deleted or
 repeated), which end in a verdict, a parse error or a refused precondition;
-``--file`` inputs that break the Jacobi identity, the quaternion relations
+``--file`` inputs that break the Jacobi identity (once with violations of
+coprime denominators 3 and 5), the quaternion relations
 or each of the three Reeb conditions (d eta_s = 2 omega_s on H, the
 transversality and the mixed antisymmetry, the last two with the Jacobi
 identity kept), repeat an ``omega`` or the ``qc`` line, lack an
@@ -147,6 +148,8 @@ _HEIS1 = inputs.coframe_text("heis1", {a: a for a in range(1, 8)})
 # name -> (text, old line, new line): heis(1) with one line replaced
 FILE_REFUSALS = {
     "jacobi": ("d e7 = 2 e1^e4 + 2 e2^e3", "d e7 = 2 e1^e4 + 2 e2^e3 + e5^e6"),
+    "jacobi-fractional": ("d e7 = 2 e1^e4 + 2 e2^e3",
+                          "d e7 = 2 e1^e4 + 2 e2^e3 + 1/3 e5^e6 - 2/5 e1^e5"),
     "quaternion": ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 - e2^e3"),
     "reeb": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 4 e1^e2 + 4 e3^e4"),
     "reeb-transversal": ("d e5 = 2 e1^e2 + 2 e3^e4", "d e5 = 2 e1^e2 + e1^e5"),
