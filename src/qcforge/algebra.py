@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import KForm, _accumulate, exterior_d, parse_form, format_form
+from .forms import KForm, _accumulate, _integral, exterior_d, format_form, parse_form
 from .scalars import InputError, NotQcError, parse_rational, shown_digits
 
 
@@ -93,12 +93,17 @@ class JacobiReport:
 
 
 def jacobi_check(alg: FrameAlgebra) -> JacobiReport:
-    """d(d e^a) = 0 for every coframe element, reported triple by triple."""
+    """d(d e^a) = 0 for every coframe element, reported triple by triple.
+    Runs in ints over L d e^a, with L the common denominator of the
+    structure constants: d is linear in the generators, so d over them is
+    L d, d.d is L^2 d.d, and each violation is its int divided by L^2."""
+    scale, gens = _integral(alg.diff)
+    scale *= scale
     violations = []
     for a in range(1, alg.dim + 1):
-        dd = alg.mc_differential(alg.diff[a - 1])
+        dd = exterior_d(gens[a - 1], gens)
         for (b, c, d), value in dd.terms.items():
-            violations.append((a, (b, c, d), value))
+            violations.append((a, (b, c, d), Fraction(value, scale)))
     return JacobiReport(ok=not violations, violations=violations)
 
 

@@ -11,6 +11,7 @@ read off coefficients literally; :meth:`KForm.interior` contracts with e_a.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -43,6 +44,27 @@ def _accumulate(res: dict, idx, c):
         res.pop(idx, None)
     else:
         res[idx] = s
+
+
+def _common_denominator(values) -> int:
+    """The least common multiple of the denominators of ``values``,
+    Fractions or ints (an int's denominator is 1); 1 for no values.
+    With :func:`_scaled`, the one scaling rule of the exact tables that
+    sum in ints over one denominator."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def _scaled(x, k: int) -> int:
+    """k x as an int, for a ``k`` that the denominator of ``x`` divides."""
+    return x.numerator * (k // x.denominator)
+
+
+def _integral(forms) -> tuple:
+    """(k, [k f for f in forms]) with int coefficients, k the least common
+    multiple of the denominators of all their coefficients."""
+    forms = list(forms)
+    k = _common_denominator(c for form in forms for c in form.terms.values())
+    return k, [form.map_coefficients(lambda c: _scaled(c, k)) for form in forms]
 
 
 def _sort_indices(indices):
@@ -271,6 +293,7 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
 # ---------------------------------------------------------------------------
 
 _FORM_TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|(e\d+)|([+^\-]))")
+_NUMBER, _INDEX = 1, 2  # the token kinds, by the group of _FORM_TOKEN that matched
 
 
 def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
@@ -280,15 +303,15 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     the zero form (of the stated degree when given).
     """
     text = text.strip()
-    tokens = []
+    tokens = []  # (kind, text)
     pos = 0
     while pos < len(text):
         m = _FORM_TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise ValueError(f"bad form literal near {text[pos:pos + 10]!r}")
-        tokens.append([g for g in m.groups() if g is not None][0])
+        tokens.append((m.lastindex, m[m.lastindex]))
         pos = m.end()
-    if tokens == ["0"]:
+    if tokens == [(_NUMBER, "0")]:
         if degree is None:
             raise ValueError("cannot infer the degree of the zero form")
         return KForm(dim, degree)
@@ -297,7 +320,7 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     i = 0
     sign = 1
     while i < len(tokens):
-        tok = tokens[i]
+        kind, tok = tokens[i]
         if tok == "+":
             i += 1
             continue
@@ -306,19 +329,20 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
             i += 1
             continue
         coeff = Fraction(1)
-        if re.fullmatch(r"-?\d+(/\d+)?", tok):
+        if kind == _NUMBER:
             coeff = parse_rational(tok)
             i += 1
         indices = []
-        while i < len(tokens) and tokens[i].startswith("e"):
-            value = tokens[i][1:].lstrip("0") or "0"
+        while i < len(tokens) and tokens[i][0] == _INDEX:
+            digits = tokens[i][1][1:]
+            value = digits.lstrip("0") or "0"
             if len(value) > len(str(dim)):  # refused before int() reads it
-                raise ValueError(f"index e{shown_digits(tokens[i][1:])} out of range for dim {dim}")
+                raise ValueError(f"index e{shown_digits(digits)} out of range for dim {dim}")
             indices.append(int(value))
             i += 1
-            if i < len(tokens) and tokens[i] == "^":
+            if i < len(tokens) and tokens[i][1] == "^":
                 i += 1
-                if i >= len(tokens) or not tokens[i].startswith("e"):
+                if i >= len(tokens) or tokens[i][0] != _INDEX:
                     raise ValueError("dangling '^' in form literal")
         if not indices:
             raise ValueError(f"term without coframe indices near token {tok!r}")
@@ -331,11 +355,15 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     deg = len(terms[0][1])
     if degree is not None and deg != degree:
         raise ValueError(f"form has degree {deg}, expected {degree}")
-    out = KForm(dim, deg)
+    res = {}
     for coeff, indices in terms:
         if len(indices) != deg:
             raise ValueError("mixed-degree form literal")
-        out = out + coeff * KForm.basis(dim, *indices)
+        idx, sign = _sort_indices(indices)
+        if sign:
+            _accumulate(res, idx, coeff if sign > 0 else -coeff)
+    out = KForm(dim, deg)
+    out.terms = res
     return out
 
 

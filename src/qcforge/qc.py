@@ -11,10 +11,15 @@ curvature, the conformal curvature tensor, and closedness of the
 fundamental 4-forms.  Where some input can make two routes to one
 quantity disagree, both are computed and compared exactly; identities
 that the construction guarantees are not re-checked, the tests assert them.
+The hot tables (the connection, the curvature, W^qc and d of the
+fundamental 4-forms) sum in ints over one common denominator and are
+Fractions at their boundary, so every table a report reads is a dict of
+nonzero Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +27,7 @@ from fractions import Fraction
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
 from .ansatz import _CYCLIC, four_form
-from .forms import KForm
+from .forms import KForm, _common_denominator, _integral, _scaled, exterior_d
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
 from .scalars import NotQcError
@@ -337,30 +342,40 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
                      + omega_s (x) (S omega_s - A_s/2)
                      + (2 U(., I_s .) - A_s/2) (x) omega_s],
 
-    each product summed over the nonzero entries of its factors, in exact
-    rationals.
+    each product summed over the nonzero entries of its factors.  The
+    factors are exact rational matrices; W is summed in ints over one
+    denominator K = lcm(k^2, denominators of R), with k that of the factors:
+    R is scaled by K, each product's first factor by K/k and its second by
+    k, and each entry is divided by K at the end.
     """
     hor = spec.horizontal
     hpos = {a - 1: i for i, a in enumerate(hor)}
     S = torsion.S
     t0, u = torsion.T0, torsion.U
-    w = defaultdict(Fraction)
-    for (a, b, c, d), x in curv.r.items():
-        if a in hpos and b in hpos and c in hpos and d in hpos:
-            w[hpos[a], hpos[b], hpos[c], hpos[d]] += x
     g = _identity(len(hor))
     l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
-    _add_kn(w, g, _mat_lin((1, l0), (S / 4, g)))
+    products = [(_add_kn, g, _mat_lin((1, l0), (S / 4, g)))]
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     for s, m in enumerate(mats, start=1):
         omega = form_matrix(spec.omega[s - 1], hor)
         half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
                           (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))  # -A_s/2
         # omega_s is paired with the rotation of L0 by I_{s-1} (cyclically)
-        _add_kn(w, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega)))
-        _add_outer(w, omega, _mat_lin((S, omega), (1, half_a)))
-        _add_outer(w, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)
-    return {key: x for key, x in w.items() if x}
+        products += [
+            (_add_kn, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega))),
+            (_add_outer, omega, _mat_lin((S, omega), (1, half_a))),
+            (_add_outer, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)]
+    k = _common_denominator(x for _, a, b in products for mat in (a, b) for x in mat.values())
+    scale = math.lcm(k * k, _common_denominator(curv.r.values()))
+    first = scale // k
+    w = defaultdict(int)
+    for (a, b, c, d), x in curv.r.items():
+        if a in hpos and b in hpos and c in hpos and d in hpos:
+            w[hpos[a], hpos[b], hpos[c], hpos[d]] += _scaled(x, scale)
+    for add, a, b in products:
+        add(w, {key: _scaled(x, first) for key, x in a.items()},
+            {key: _scaled(x, k) for key, x in b.items()})
+    return {key: Fraction(v, scale) for key, v in w.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +393,23 @@ class FundamentalForms:
 
 def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
     """Closedness of the fundamental 4-form, its full extension, and the
-    mixed combination; in dimension 7 the closedness of the fundamental
-    form is cross-checked against integrability of the vertical
-    distribution read off the Ricci 2-forms."""
-    alg = spec.algebra
-    omega = spec.omega
-    eta = [spec.eta(s) for s in (1, 2, 3)]
-    big = four_form("qk", omega)
-    lemma = KForm(spec.dim, 4)
+    mixed combination, each wedged and differentiated in ints; in
+    dimension 7 the closedness of the fundamental form is cross-checked
+    against integrability of the vertical distribution read off the Ricci
+    2-forms."""
+    scale, omega = _integral(spec.omega)
+    eta = [spec.eta(s).map_coefficients(int) for s in (1, 2, 3)]
+    big = four_form("qk", omega)  # scale^2 Omega_4
+    lemma = KForm(spec.dim, 4)  # scale times the mixed combination
     for i, j, k in _CYCLIC:
         lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
-    omega_q = big + 2 * lemma
-
-    omega4_closed = alg.mc_differential(big).is_zero()
-    lemma_closed = alg.mc_differential(lemma).is_zero()
-    omegaq_closed = alg.mc_differential(omega_q).is_zero()
+    # over L d e^a, d is L d: zero exactly where d is
+    _, gens = _integral(spec.algebra.diff)
+    d_big, d_lemma = exterior_d(big, gens), exterior_d(lemma, gens)
+    omega4_closed = d_big.is_zero()
+    lemma_closed = d_lemma.is_zero()
+    # Omega_Q = Omega_4 + 2 lemma, and d is linear
+    omegaq_closed = (d_big + 2 * scale * d_lemma).is_zero()
 
     vert = None
     if spec.n == 1:

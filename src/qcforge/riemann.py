@@ -10,7 +10,10 @@ dict of its nonzero entries keyed by 0-based index tuples: the connection
 Gamma and the torsion T are built from the nonzero brackets and torsion
 components, and the curvature contracts the nonzero connection
 coefficients with each other (indexed by the summed index) and with the
-nonzero brackets.
+nonzero brackets.  The contorsion and the curvature sum in ints over one
+common denominator of their inputs (``forms._common_denominator`` and
+``forms._scaled``) and build the Fractions of Gamma and R once, at the
+end; their entries are Fractions or ints, not polynomials.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
@@ -36,6 +39,7 @@ memory than the bookkeeping costs time.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FrameAlgebra
+from .forms import _common_denominator, _scaled
 from .scalars import DomainError, Jet, NotQcError, _fail_if, worst_abs
 
 
@@ -81,10 +86,6 @@ class ConnectionTable:
         in lexicographic order."""
         return [(a, b, c, x) for (a, b, c), x in sorted(self.gamma.items())]
 
-    def is_metric(self) -> bool:
-        g = self.gamma
-        return all(g.get((a, c, b)) == -x for (a, b, c), x in g.items())
-
     def torsion(self, alg: FrameAlgebra) -> dict:
         """The nonzero components T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} -
         <e^c,[e_a,e_b]> of T(e_a, e_b), keyed by 0-based (a, b, c)."""
@@ -113,25 +114,23 @@ class CurvatureTensor:
     def is_zero(self) -> bool:
         return not self.r
 
-    def check_pair_antisymmetry(self) -> bool:
-        # a failing pair always contains a nonzero entry
-        r = self.r
-        return all(r.get((b, a, c, d), 0) == -x and r.get((a, b, d, c), 0) == -x
-                   for (a, b, c, d), x in r.items())
-
 
 def _add_contorsion(gamma: dict, terms) -> dict:
     """The nonzero entries of gamma[a, b, c] + (1/2)(X^c_{ab} - X^a_{bc} +
     X^b_{ca}) for the nonzero components (c, a, b, X^c_{ab}) of a skew
-    frame tensor X."""
-    out = defaultdict(Fraction, gamma)
-    half = Fraction(1, 2)
+    frame tensor X, summed in ints over one denominator k that those of
+    gamma and twice those of X divide."""
+    terms = list(terms)
+    k = math.lcm(_common_denominator(gamma.values()),
+                 2 * _common_denominator(x for *_, x in terms))
+    out = defaultdict(int, {key: _scaled(x, k) for key, x in gamma.items()})
+    half = k // 2
     for c, a, b, x in terms:
-        h = half * x
+        h = _scaled(x, half)
         out[a, b, c] += h
         out[c, a, b] -= h
         out[b, c, a] += h
-    return {key: x for key, x in out.items() if x}
+    return {key: Fraction(v, k) for key, v in out.items() if v}
 
 
 def koszul_levi_civita(alg: FrameAlgebra) -> ConnectionTable:
@@ -163,24 +162,31 @@ def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor
         R_{abcd} = Gamma^m_{bc} Gamma^d_{am} - Gamma^m_{ac} Gamma^d_{bm}
                    - <e^m,[e_a,e_b]> Gamma^d_{mc},
 
-    summed over pairs of nonzero factors only."""
+    summed over pairs of nonzero factors only, in ints: Gamma and the
+    brackets are scaled by one common denominator k, and each entry is
+    divided by k^2 once, at the end."""
     nonzero = conn.nonzeros()
-    by_first = defaultdict(list)  # m -> (c, d, Gamma^d_{mc})
-    by_middle = defaultdict(list)  # m -> (a, d, Gamma^d_{am})
-    for a, b, c, x in nonzero:
+    brackets = list(alg.bracket_terms())
+    k = _common_denominator(x for *_, x in nonzero + brackets)
+    scaled = [(a, b, c, _scaled(x, k)) for a, b, c, x in nonzero]
+    by_first = defaultdict(list)  # m -> (c, d, k Gamma^d_{mc})
+    by_middle = defaultdict(list)  # m -> (a, d, k Gamma^d_{am})
+    for a, b, c, x in scaled:
         by_first[a].append((b, c, x))
         by_middle[b].append((a, c, x))
-    r = defaultdict(Fraction)
-    for a, c, m, g1 in nonzero:
+    r = defaultdict(int)  # k^2 R
+    for a, c, m, g1 in scaled:
         for b, d, g2 in by_middle[m]:
             # Gamma^m_{ac} Gamma^d_{bm} enters R_{bacd} and -R_{abcd}
             p = g1 * g2
             r[b, a, c, d] += p
             r[a, b, c, d] -= p
-    for m, a, b, beta in alg.bracket_terms():
+    for m, a, b, beta in brackets:
+        beta = _scaled(beta, k)
         for c, d, g in by_first[m]:
             r[a, b, c, d] -= beta * g
-    return CurvatureTensor(conn.dim, {key: v for key, v in r.items() if v})
+    kk = k * k
+    return CurvatureTensor(conn.dim, {key: Fraction(v, kk) for key, v in r.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,59 @@ class TestLiterals:
             with pytest.raises(ValueError):
                 parse_form(text, 7)
 
+    @pytest.mark.parametrize("text,degree,message", [
+        ("e1^e2 + e3 + e9^e1", None, "index e9 out of range"),
+        ("e1^e2 + e3 + 5", None, "term without coframe indices near token '5'"),
+        ("e1 + e2^e3", 2, "form has degree 1, expected 2"),
+        ("e1^e2 + e3 + e4^e5^e6", 2, "mixed-degree form literal"),
+        ("e1^e2 + e3 @", None, "bad form literal near ' @'"),
+    ])
+    def test_first_refusal_wins(self, text, degree, message):
+        """Token errors first, then term errors left to right, then the
+        stated degree, then mixed degrees."""
+        with pytest.raises(ValueError, match=message):
+            parse_form(text, 7, degree)
+
+
+_MONOMIALS = st.lists(st.integers(1, 5), min_size=1, max_size=3)
+
+
+@st.composite
+def form_literals(draw):
+    """A literal over a 5-dimensional coframe with its terms (coefficient,
+    indices): monomials of one degree drawn from a small pool, so that
+    repeats, reversed orders, repeated indices (e1^e1) and cancelling terms
+    come up; coefficients zero, elided, signed or fractional."""
+    degree = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.integers(1, 5), min_size=degree, max_size=degree),
+                         min_size=1, max_size=4))
+    terms, chunks = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        indices = draw(st.sampled_from(pool))
+        minus = draw(st.booleans())
+        coeff = draw(st.none() | st.fractions(max_denominator=6).filter(lambda x: abs(x) < 10))
+        mono = "^".join(f"e{a}" for a in indices)
+        body = mono if coeff is None else f"{coeff} {mono}"
+        chunks.append(("- " if minus else "+ " if chunks else "") + body)
+        terms.append(((-1 if minus else 1) * (Fraction(1) if coeff is None else coeff), indices))
+    return " ".join(chunks), terms, degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_literals())
+def test_parse_form_matches_sum_of_basis(case):
+    """One pass over the terms builds what the sum of coefficient times
+    basis monomial builds: the same keys in the same order, equal values."""
+    text, terms, degree = case
+    want = KForm(5, degree)
+    for coeff, indices in terms:
+        want = want + coeff * KForm.basis(5, *indices)
+    have = parse_form(text, 5)
+    assert have.degree == degree
+    assert list(have.terms.items()) == list(want.terms.items())
+    assert all(type(x) is Fraction for x in have.terms.values())
+    assert parse_form("0", 5, degree) == KForm(5, degree)
+
 
 @pytest.mark.parametrize("misuse,error,message", [
     (lambda: KForm(7, -1), ValueError, "negative form degree"),

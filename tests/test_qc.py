@@ -5,7 +5,7 @@ import pytest
 from qcforge import qc
 from qcforge.algebra import catalog, form_matrix, heisenberg_source, parse_algebra
 from qcforge.forms import KForm
-from test_sparse_oracle import dense
+from test_sparse_oracle import dense, pair_antisymmetric
 
 
 def e(*idx):
@@ -225,7 +225,7 @@ class TestCurvature:
 
     def test_metric_pair_antisymmetry(self):
         for name in ("l1", "l2", "l3"):
-            assert report(name).curvature.check_pair_antisymmetry()
+            assert pair_antisymmetric(report(name).curvature)
 
     def test_sp1_part_identity(self):
         for name in ("l1", "l2", "l3", "heis(1)"):

@@ -45,6 +45,15 @@ with t_l the horizontal Ricci trace at S = 0; its reference carries S as a
 polynomial symbol through alpha, d alpha and alpha ^ alpha, and solves the
 affine trace equations.
 
+The contorsion, the curvature, W^qc, the Jacobi gate and the closedness
+of the fundamental 4-forms sum in ints over one common denominator; their
+references are the same sums in Fractions (``fraction_contorsion``,
+``fraction_curvature``, ``fraction_wqc``, ``fraction_jacobi``,
+``fraction_closedness``), and every table must agree key for key, in
+insertion order, on the catalog, heis(3), l0(c) at four c, relabelled
+frames, frames rotated by 3/5, 4/5 and by 119/169, 120/169, and algebras
+whose Jacobi identity a drawn fractional term breaks.
+
 The exact pipeline gates only what some input can make fail; the identities
 that its construction guarantees (U invariant and zero in dimension 7, T0
 and U trace-free, T_xi completely trace-free, a metric connection with the
@@ -54,6 +63,7 @@ frames.
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -61,9 +71,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcforge import evolution, qc, riemann
-from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, QcFrameSpec, _identity, _mat_lin,
-                             _mat_mul, _mat_t, catalog, form_matrix, parse_algebra,
-                             require_qc)
+from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, JacobiReport, QcFrameSpec, _identity,
+                             _mat_lin, _mat_mul, _mat_t, catalog, form_matrix, jacobi_check,
+                             parse_algebra, require_qc)
 from qcforge.ansatz import _CYCLIC, four_form, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
                                _ideal_matrix, _ideal_residual, _three_form_rows,
@@ -122,6 +132,21 @@ def nonzeros(table) -> dict:
     """The nonzero entries of a dense n^3 table, keyed by (a, b, c)."""
     return {(a, b, c): x for a, plane in enumerate(table) for b, row in enumerate(plane)
             for c, x in enumerate(row) if x}
+
+
+def is_metric(conn) -> bool:
+    """Gamma^c_{ab} = -Gamma^b_{ac}: the connection preserves the identity
+    frame metric."""
+    g = conn.gamma
+    return all(g.get((a, c, b)) == -x for (a, b, c), x in g.items())
+
+
+def pair_antisymmetric(curv) -> bool:
+    """R_{abcd} = -R_{bacd} = -R_{abdc}; a failing pair always contains a
+    nonzero entry."""
+    r = curv.r
+    return all(r.get((b, a, c, d), 0) == -x and r.get((a, b, d, c), 0) == -x
+               for (a, b, c, d), x in r.items())
 
 
 def dense_gamma(conn):
@@ -362,9 +387,9 @@ def assert_construction_identities(spec):
     for m, endo in zip(mats, rep.torsion.Txi):
         assert trace(dense(endo, k)) == trace(dense_mat_mul(dense(endo, k), m)) == 0
     # adjust_by_torsion adds the contorsion of an antisymmetric torsion
-    assert rep.connection.is_metric()
+    assert is_metric(rep.connection)
     assert rep.connection.torsion(spec.algebra) == qc.assemble_torsion_tensor(spec, rep.torsion)
-    assert rep.curvature.check_pair_antisymmetry()
+    assert pair_antisymmetric(rep.curvature)
     # d is linear: d Omega_Q = d Omega_4 + 2 d(lemma)
     assert not rep.lemma_closed or rep.omegaQ_closed == rep.omega4_closed
     # T0 = U = 0 and the rho reconstruction give rho_s = -S omega_s
@@ -383,6 +408,169 @@ def test_construction_identities(name, rotated):
 @given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
 def test_relabelled_construction_identities(name, perm):
     assert_construction_identities(require_qc(relabel(catalog(name), perm)))
+
+
+def fraction_contorsion(gamma: dict, terms) -> dict:
+    """Reference of ``riemann._add_contorsion``, summed in Fractions."""
+    out = defaultdict(Fraction, gamma)
+    half = Fraction(1, 2)
+    for c, a, b, x in terms:
+        h = half * x
+        out[a, b, c] += h
+        out[c, a, b] -= h
+        out[b, c, a] += h
+    return {key: x for key, x in out.items() if x}
+
+
+def fraction_curvature(conn, alg) -> dict:
+    """Reference of ``riemann.frame_curvature``, summed in Fractions."""
+    nonzero = conn.nonzeros()
+    by_first, by_middle = defaultdict(list), defaultdict(list)
+    for a, b, c, x in nonzero:
+        by_first[a].append((b, c, x))
+        by_middle[b].append((a, c, x))
+    r = defaultdict(Fraction)
+    for a, c, m, g1 in nonzero:
+        for b, d, g2 in by_middle[m]:
+            p = g1 * g2
+            r[b, a, c, d] += p
+            r[a, b, c, d] -= p
+    for m, a, b, beta in alg.bracket_terms():
+        for c, d, g in by_first[m]:
+            r[a, b, c, d] -= beta * g
+    return {key: v for key, v in r.items() if v}
+
+
+def fraction_wqc(spec, torsion, curv) -> dict:
+    """Reference of ``qc.wqc_tensor``, with its Kulkarni-Nomizu and outer
+    products (``qc._add_kn``, ``qc._add_outer``) summed in Fractions."""
+    add_kn, add_outer = qc._add_kn, qc._add_outer
+    hor = spec.horizontal
+    hpos = {a - 1: i for i, a in enumerate(hor)}
+    S, t0, u = torsion.S, torsion.T0, torsion.U
+    w = defaultdict(Fraction)
+    for (a, b, c, d), x in curv.r.items():
+        if a in hpos and b in hpos and c in hpos and d in hpos:
+            w[hpos[a], hpos[b], hpos[c], hpos[d]] += x
+    g = _identity(len(hor))
+    l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
+    add_kn(w, g, _mat_lin((1, l0), (S / 4, g)))
+    mats = [spec.complex_structure(s) for s in (1, 2, 3)]
+    for s, m in enumerate(mats, start=1):
+        omega = form_matrix(spec.omega[s - 1], hor)
+        half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
+                          (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))
+        add_kn(w, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega)))
+        add_outer(w, omega, _mat_lin((S, omega), (1, half_a)))
+        add_outer(w, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)
+    return {key: x for key, x in w.items() if x}
+
+
+def fraction_jacobi(alg) -> JacobiReport:
+    """Reference of ``algebra.jacobi_check``: d.d over the Fraction
+    differentials."""
+    violations = [(a, idx, value) for a in range(1, alg.dim + 1)
+                  for idx, value in alg.mc_differential(alg.diff[a - 1]).terms.items()]
+    return JacobiReport(ok=not violations, violations=violations)
+
+
+def fraction_closedness(spec) -> tuple:
+    """Reference of the three closedness verdicts of
+    ``qc.fundamental_forms_check``: d over the Fraction differentials of the
+    Fraction forms Omega_4, Omega_Q and the lemma's combination."""
+    eta = [spec.eta(s) for s in (1, 2, 3)]
+    big = four_form("qk", spec.omega)
+    lemma = KForm(spec.dim, 4)
+    for i, j, k in _CYCLIC:
+        lemma = lemma + spec.omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
+    d = spec.algebra.mc_differential
+    return tuple(d(form).is_zero() for form in (big, big + 2 * lemma, lemma))
+
+
+def assert_same_table(have: dict, want: dict):
+    """Keys, their order, and the values as Fractions."""
+    assert all(type(x) is Fraction for x in have.values())
+    assert list(have.items()) == list(want.items())
+
+
+def assert_int_kernels_match_fractions(spec):
+    alg = spec.algebra
+    rep = qc.analyze(spec)
+    lc = koszul_levi_civita(alg)
+    want_lc = fraction_contorsion({}, alg.bracket_terms())
+    assert_same_table(lc.gamma, want_lc)
+    tensor = qc.assemble_torsion_tensor(spec, rep.torsion)
+    assert_same_table(rep.connection.gamma, fraction_contorsion(
+        want_lc, ((c, a, b, x) for (a, b, c), x in tensor.items())))
+    assert_same_table(frame_curvature(lc, alg).r, fraction_curvature(lc, alg))
+    assert_same_table(rep.curvature.r, fraction_curvature(rep.connection, alg))
+    assert_same_table(qc.wqc_tensor(spec, rep.torsion, rep.curvature),
+                      fraction_wqc(spec, rep.torsion, rep.curvature))
+    assert jacobi_check(alg) == fraction_jacobi(alg)
+    assert (rep.omega4_closed, rep.omegaQ_closed, rep.lemma_closed) == fraction_closedness(spec)
+
+
+BIG_ROTATION = ((Fraction(119, 169), Fraction(-120, 169)), (Fraction(120, 169), Fraction(119, 169)))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)", "l0(-2/3)", "l0(5/2)", "l0(3)"))
+def test_int_kernels_match_fractions(name):
+    assert_int_kernels_match_fractions(catalog(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
+def test_relabelled_int_kernels_match_fractions(name, perm):
+    assert_int_kernels_match_fractions(require_qc(relabel(catalog(name), perm)))
+
+
+@pytest.mark.parametrize("rot", [ROTATION, BIG_ROTATION], ids=["3/5", "119/169"])
+@pytest.mark.parametrize("name", ("heis(1)", "l1", "l3"))
+def test_rotated_int_kernels_match_fractions(name, rot):
+    spec = require_qc(rotate(catalog(name), rot))
+    assert any(x.denominator % rot[0][0].denominator == 0
+               for form in spec.algebra.diff for x in form.terms.values())
+    assert_int_kernels_match_fractions(spec)
+
+
+def test_closed_omega_q_beside_open_omega_4_matches_fractions():
+    """Omega_Q = Omega_4 + 2 lemma is closed while Omega_4 is not, so the
+    closedness of Omega_Q rests on d Omega_4 and 2 d(lemma) cancelling; the
+    rotated omega_s carry denominator 5, so the two scale differently in
+    ints.  The added terms solve d Omega_Q = 0, which is linear in the
+    structure constants; the Jacobi identity does not enter."""
+    spec = require_qc(rotate(catalog("heis(2)")))
+    added = {1: {(2, 9): -1}, 2: {(1, 9): 1}, 9: {(1, 2): 1, (3, 4): 1},
+             10: {(5, 7): 1, (6, 8): -1}, 11: {(5, 8): 1, (6, 7): 1}}
+    diff = [form + KForm(spec.dim, 2, added.get(a, {}))
+            for a, form in enumerate(spec.algebra.diff, start=1)]
+    spec = QcFrameSpec(FrameAlgebra("heis2-open", spec.dim, diff), spec.horizontal,
+                       spec.vertical, spec.omega)
+    have = qc.fundamental_forms_check(spec.validate(), None)
+    assert (have.omega4_closed, have.omegaQ_closed, have.lemma_closed) == \
+        fraction_closedness(spec) == (False, True, False)
+
+
+@st.composite
+def broken_jacobi(draw):
+    """A catalog algebra with one term of a drawn rational coefficient added
+    to one differential, which mostly breaks the Jacobi identity."""
+    alg = catalog(draw(st.sampled_from(CATALOG_NAMES))).algebra
+    a = draw(st.integers(1, alg.dim))
+    p, q = sorted(draw(st.lists(st.integers(1, alg.dim), min_size=2, max_size=2,
+                                unique=True)))
+    coeff = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from((1, 3, 5, 7, 8))))
+    diff = list(alg.diff)
+    diff[a - 1] = diff[a - 1] + coeff * KForm.basis(alg.dim, p, q)
+    return FrameAlgebra(alg.name, alg.dim, diff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(broken_jacobi())
+def test_jacobi_violations_match_fractions(alg):
+    have, want = jacobi_check(alg), fraction_jacobi(alg)
+    assert all(type(value) is Fraction for *_, value in have.violations)
+    assert have == want
 
 
 _S = Poly.symbol("S")
