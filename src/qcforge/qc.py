@@ -19,7 +19,6 @@ nonzero Fractions.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,10 +51,6 @@ class ReebFailure(NotQcError):
     def __init__(self, violations: list):
         super().__init__("Reeb conditions fail: " + "; ".join(violations))
         self.violations = violations
-
-
-def _trace(a: dict) -> Fraction:
-    return sum((x for (r, c), x in a.items() if r == c), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +96,13 @@ class Sp1Forms:
     S: Fraction
 
 
-def _alphas(spec: QcFrameSpec, detas, S: Fraction) -> tuple:
-    """Connection 1-forms at the scalar invariant S.
+def _alphas(spec: QcFrameSpec, detas) -> tuple:
+    """Connection 1-forms at S = 0.
 
     Horizontal part: alpha_i(X) = d eta_k(xi_j, X); vertical part carries
-    the S-dependent normalization of the diagonal entries.
+    the normalization of the diagonal entries.
     """
-    shift = (S + sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC)) / 2
+    shift = sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC) / 2
     alphas = []
     for i, j, k in _CYCLIC:
         terms = {(a,): detas[k - 1].coeff(spec.xi(j), a) for a in spec.horizontal}
@@ -132,31 +127,35 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
     """Solve the scalar invariant from the horizontal Ricci traces.
 
     S enters alpha_l only as -(S/2) eta_l, and every term with an eta
-    vanishes on H, so rho_l = rho_l^0 - (S/2) d eta_l|_H, with rho_l^0
-    the horizontal Ricci form at S = 0.  Two preconditions make this closed form exact:
-    the Reeb conditions have passed (:func:`reeb_check`), so
-    d eta_l|_H = 2 omega_l; and the quaternion relations have been
-    validated (:func:`~qcforge.algebra.require_qc`), so I_l is orthogonal
-    and sum_a omega_l(e_a, I_l e_a) = 4n.  The trace identity
+    vanishes on H, so rho_l = rho_l^0 - (S/4) d eta_l|_H, with alpha_l^0
+    and rho_l^0 the forms at S = 0.  Two preconditions make this closed
+    form exact: the Reeb conditions have passed (:func:`reeb_check`), so
+    d eta_l|_H = 2 omega_l and rho_l = rho_l^0 - (S/2) omega_l; and the
+    quaternion relations have been validated
+    (:func:`~qcforge.algebra.require_qc`), so I_l is orthogonal and
+    sum_a omega_l(e_a, I_l e_a) = 4n.  The trace identity
     sum_a rho_l(e_a, I_l e_a) = -4n S then reads t_l - 2n S = -4n S, with
     t_l the trace of rho_l^0, so S = -t_l / (2n); it must agree for
-    l = 1, 2, 3.  The forms at S are then built again, so rho keeps its
-    defining route through d alpha + alpha ^ alpha.
+    l = 1, 2, 3.  The forms are built once, at S = 0, and shifted:
+    alpha_l = alpha_l^0 - (S/2) eta_l and rho_l = rho_l^0 - (S/2) omega_l.
     """
     detas = [spec.algebra.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
-    rho0 = _rho_from_alpha(spec, _alphas(spec, detas, Fraction(0)))
+    alpha0 = _alphas(spec, detas)
+    rho0 = _rho_from_alpha(spec, alpha0)
     solved = None
     for l in (1, 2, 3):
-        trace = _trace(_mat_mul(form_matrix(rho0[l - 1], spec.horizontal),
-                                spec.complex_structure(l)))
+        m = spec.complex_structure(l)
+        rho = form_matrix(rho0[l - 1], spec.horizontal)
+        trace = sum((x * m[c, r] for (r, c), x in rho.items() if (c, r) in m), Fraction(0))
         value = -trace / (2 * spec.n)
         if solved is None:
             solved = value
         elif solved != value:
             raise InconsistentScalar(
                 f"scalar invariant differs between traces: {solved} vs {value}")
-    alphas = _alphas(spec, detas, solved)
-    return Sp1Forms(alphas=alphas, rho_h=_rho_from_alpha(spec, alphas), S=solved)
+    shift = -solved / 2
+    return Sp1Forms(alphas=tuple(a + shift * spec.eta(l) for l, a in enumerate(alpha0, start=1)),
+                    rho_h=tuple(r + shift * w for r, w in zip(rho0, spec.omega)), S=solved)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,6 @@ class TorsionData:
     T0: dict            # symmetric horizontal 2-tensor, nonzero entries by (row, column)
     U: dict             # symmetric horizontal 2-tensor
     Txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
-    Tvv: dict           # (i, j) -> components of T(xi_i, xi_j) over the frame, i < j
 
     def is_einstein(self) -> bool:
         return not (self.T0 or self.U)
@@ -214,25 +212,15 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
         if rec != ps[l - 1]:
             raise DecompositionResidual(f"rho_{l} reconstruction failed; input is not qc")
 
-    # torsion endomorphisms: g(T0_{xi_s} X, Y) = -(1/4)[T0(I_s X, Y) + T0(X, I_s Y)]
+    # torsion endomorphisms: g(T0_{xi_s} X, Y) = -(1/4)[T0(I_s X, Y) + T0(X, I_s Y)];
+    # T0 is symmetric, so with P = T0 I_s the symmetric part is -(P + P^T)/4,
+    # plus the skew part I_s u
     txi = []
     for m in mats:
-        sym = _mat_lin((Fraction(-1, 4), _mat_mul(_mat_t(m), t0)),
-                       (Fraction(-1, 4), _mat_mul(t0, m)))
-        # E[b, a] = sym[a, b], plus the skew part I_s u
-        txi.append(_mat_lin((1, _mat_t(sym)), (1, _mat_mul(m, u))))
-
-    tvv = {}
-    for i, j, kk in _CYCLIC:
-        comps = [Fraction(0)] * spec.dim
-        for a in spec.horizontal:
-            comps[a - 1] -= spec.algebra.bracket_coeff(a, spec.xi(i), spec.xi(j))
-        comps[spec.xi(kk) - 1] -= S
-        if i < j:
-            tvv[(i, j)] = tuple(comps)
-        else:
-            tvv[(j, i)] = tuple(-x for x in comps)
-    return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi), Tvv=tvv)
+        p = _mat_mul(t0, m)
+        txi.append(_mat_lin((Fraction(-1, 4), p), (Fraction(-1, 4), _mat_t(p)),
+                            (1, _mat_mul(m, u))))
+    return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +230,16 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 
 def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
     """The nonzero torsion components T^c_{ab} over the frame, keyed by
-    0-based (a, b, c)."""
+    0-based (a, b, c).  On H, T(X, Y) = -[X, Y]_V; the mixed part is read
+    from T_xi; and T(xi_i, xi_j) = -[xi_i, xi_j]_H - S xi_k."""
     t = {}
     hpos = {a: i for i, a in enumerate(spec.horizontal)}
     vpos = {a: s for s, a in enumerate(spec.vertical, start=1)}
 
+    # -[X, Y]_V on H and -[xi_i, xi_j]_H: the brackets within H or within V,
+    # read across the splitting
     for c, a, b, x in spec.algebra.bracket_terms():
-        if a + 1 in hpos and b + 1 in hpos and c + 1 in vpos:
+        if (a + 1 in hpos) == (b + 1 in hpos) != (c + 1 in hpos):
             t[a, b, c] = -x
     hor = spec.horizontal
     for v in spec.vertical:
@@ -257,12 +248,11 @@ def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
         for q, r, val in sorted((q, r, val) for (r, q), val in torsion.Txi[vpos[v] - 1].items()):
             t[v - 1, hor[q] - 1, hor[r] - 1] = val
             t[hor[q] - 1, v - 1, hor[r] - 1] = -val
-    for (i, j), comps in torsion.Tvv.items():
-        vi, vj = spec.xi(i) - 1, spec.xi(j) - 1
-        for c, x in enumerate(comps):
-            if x:
-                t[vi, vj, c] = x
-                t[vj, vi, c] = -x
+    if torsion.S:
+        for i, j, k in _CYCLIC:
+            vi, vj, vk = (spec.xi(s) - 1 for s in (i, j, k))
+            t[vi, vj, vk] = -torsion.S
+            t[vj, vi, vk] = torsion.S
     return t
 
 
@@ -344,9 +334,9 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
 
     each product summed over the nonzero entries of its factors.  The
     factors are exact rational matrices; W is summed in ints over one
-    denominator K = lcm(k^2, denominators of R), with k that of the factors:
-    R is scaled by K, each product's first factor by K/k and its second by
-    k, and each entry is divided by K at the end.
+    denominator: with k the least common multiple of the denominators of R
+    and of the factors, R is scaled by k^2 and each factor by k, and each
+    entry is divided by k^2 at the end.
     """
     hor = spec.horizontal
     hpos = {a - 1: i for i, a in enumerate(hor)}
@@ -365,17 +355,16 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
             (_add_kn, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega))),
             (_add_outer, omega, _mat_lin((S, omega), (1, half_a))),
             (_add_outer, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)]
-    k = _common_denominator(x for _, a, b in products for mat in (a, b) for x in mat.values())
-    scale = math.lcm(k * k, _common_denominator(curv.r.values()))
-    first = scale // k
+    tables = [curv.r] + [mat for _, a, b in products for mat in (a, b)]
+    k = _common_denominator(x for table in tables for x in table.values())
     w = defaultdict(int)
     for (a, b, c, d), x in curv.r.items():
         if a in hpos and b in hpos and c in hpos and d in hpos:
-            w[hpos[a], hpos[b], hpos[c], hpos[d]] += _scaled(x, scale)
+            w[hpos[a], hpos[b], hpos[c], hpos[d]] += _scaled(x, k * k)
     for add, a, b in products:
-        add(w, {key: _scaled(x, first) for key, x in a.items()},
+        add(w, {key: _scaled(x, k) for key, x in a.items()},
             {key: _scaled(x, k) for key, x in b.items()})
-    return {key: Fraction(v, scale) for key, v in w.items() if v}
+    return {key: Fraction(v, k * k) for key, v in w.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from qcforge import qc
-from qcforge.algebra import catalog, form_matrix, heisenberg_source, parse_algebra
+from qcforge.algebra import (CATALOG_NAMES, catalog, form_matrix, heisenberg_source,
+                             parse_algebra, require_qc)
+from qcforge.ansatz import _CYCLIC
 from qcforge.forms import KForm
-from test_sparse_oracle import dense, pair_antisymmetric
+from test_sparse_oracle import dense, pair_antisymmetric, rotate
 
 
 def e(*idx):
@@ -189,9 +191,24 @@ class TestTorsion:
         # T(xi_1, xi_2) = -S xi_3 - [xi_1, xi_2]_H; for l1 the bracket is
         # vertical so only the scalar part remains
         rep = report("l1")
-        comps = rep.torsion.Tvv[(1, 2)]
+        tensor = qc.assemble_torsion_tensor(rep.spec, rep.torsion)
+        comps = [tensor.get((4, 5, c), 0) for c in range(7)]
         assert comps[6] == Fraction(1, 2)
         assert all(comps[i] == 0 for i in range(6))
+        # every pair, on the catalog and rotated frames, against the brackets
+        # read one component at a time
+        reps = [report(name) for name in CATALOG_NAMES]
+        reps += [qc.analyze(require_qc(rotate(catalog(name)))) for name in ("heis(1)", "l1", "l3")]
+        for rep in reps:
+            spec = rep.spec
+            tensor = qc.assemble_torsion_tensor(spec, rep.torsion)
+            for i, j, k in _CYCLIC:
+                xi, xj = spec.xi(i), spec.xi(j)
+                want = {c: -spec.algebra.bracket_coeff(c, xi, xj) for c in spec.horizontal}
+                want[spec.xi(k)] = -rep.S
+                for c in range(1, spec.dim + 1):
+                    assert tensor.get((xi - 1, xj - 1, c - 1), 0) == want.get(c, 0)
+                    assert tensor.get((xj - 1, xi - 1, c - 1), 0) == -want.get(c, 0)
 
     def test_txi_trace_free(self):
         for name in ("l1", "l2", "l3"):

@@ -41,9 +41,9 @@ the roots; its reference collects every positive interval in a list of
 candidates and then picks a bounded one, else the first.
 
 The sp(1) stage reads the scalar invariant in closed form, S = -t_l/(2n)
-with t_l the horizontal Ricci trace at S = 0; its reference carries S as a
-polynomial symbol through alpha, d alpha and alpha ^ alpha, and solves the
-affine trace equations.
+with t_l the horizontal Ricci trace at S = 0, and shifts the forms at S = 0
+to S; its reference carries S as a polynomial symbol through alpha,
+d alpha and alpha ^ alpha, and solves the affine trace equations.
 
 The contorsion, the curvature, W^qc, the Jacobi gate and the closedness
 of the fundamental 4-forms sum in ints over one common denominator; their
@@ -633,7 +633,7 @@ def assert_sp1_matches_symbolic(spec):
                for c in form.terms.values())
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)",))
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)", "l0(-2/3)", "l0(5/2)", "l0(3)"))
 def test_sp1_matches_symbolic_solve(name):
     assert_sp1_matches_symbolic(catalog(name))
 
@@ -644,9 +644,11 @@ def test_relabelled_sp1_matches_symbolic_solve(name, perm):
     assert_sp1_matches_symbolic(require_qc(relabel(catalog(name), perm)))
 
 
-@pytest.mark.parametrize("name", ("heis(1)", "l1", "l3"))
-def test_rotated_sp1_matches_symbolic_solve(name):
-    assert_sp1_matches_symbolic(require_qc(rotate(catalog(name))))
+@pytest.mark.parametrize("name,rot", [
+    *(pytest.param(name, ROTATION, id=name) for name in ("heis(1)", "l1", "l3")),
+    *(pytest.param(name, BIG_ROTATION, id=f"{name}-119/169") for name in ("heis(1)", "l1", "l3"))])
+def test_rotated_sp1_matches_symbolic_solve(name, rot):
+    assert_sp1_matches_symbolic(require_qc(rotate(catalog(name), rot)))
 
 
 _ENTRIES = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2),
