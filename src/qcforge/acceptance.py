@@ -218,10 +218,10 @@ def criterion_13():
                      else "symbolic systems reproduce all published coefficients")
 
 
-def _random_rational_form(rng, dim, degree, density=4):
+def _random_rational_form(rng, dim, degree):
     form = KForm(dim, degree)
     idxs = list(range(1, dim + 1))
-    for _ in range(density):
+    for _ in range(4):
         pick = tuple(rng.sample(idxs, degree))
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         form = form + coeff * KForm.basis(dim, *pick)

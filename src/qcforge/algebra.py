@@ -287,7 +287,7 @@ def _parse_index_list(text: str, dim: int, line_no: int):
     return indices
 
 
-def parse_algebra(source: str, name: str | None = None):
+def parse_algebra(source: str):
     """Parse an algebra file; returns (FrameAlgebra, QcFrameSpec or None).
 
     Grammar (line oriented, '#' comments):
@@ -297,7 +297,7 @@ def parse_algebra(source: str, name: str | None = None):
         omega1 = e1^e2 + e3^e4          (and omega2, omega3)
     """
     dim = None
-    alg_name = name
+    alg_name = None
     diff: dict[int, KForm] = {}
     horizontal = vertical = None
     qc_line = 0
@@ -312,7 +312,7 @@ def parse_algebra(source: str, name: str | None = None):
             m = _HEADER.match(line)
             if not m:
                 raise AlgebraSyntaxError("expected 'algebra <name> dim <n>' header", line_no)
-            alg_name = alg_name or m.group(1)
+            alg_name = m.group(1)
             dim = _read_int(m.group(2), line_no)
             continue
         m = _DLINE.match(line)
@@ -351,7 +351,7 @@ def parse_algebra(source: str, name: str | None = None):
     if dim is None:
         raise AlgebraSyntaxError("missing header", 1)
     forms = [diff.get(a, KForm(dim, 2)) for a in range(1, dim + 1)]
-    alg = FrameAlgebra(alg_name or "anonymous", dim, forms)
+    alg = FrameAlgebra(alg_name, dim, forms)
 
     spec = None
     if horizontal is not None:

@@ -65,7 +65,7 @@ def _emit(report: dict, fmt: str):
     print(f"overall: {'PASS' if report['ok'] else 'FAIL'}")
 
 
-def _emit_tree(node, indent=""):
+def _emit_tree(node, indent):
     if isinstance(node, dict):
         for key, value in node.items():
             if isinstance(value, (dict, list)) and value and not _is_scalar_list(value):

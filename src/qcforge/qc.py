@@ -5,10 +5,11 @@ rational arithmetic throughout and along one path: the Reeb compatibility
 conditions, whose failure raises :class:`ReebFailure`, the
 sp(1) connection 1-forms with the normalized scalar curvature read in
 closed form from a trace identity, the decomposition of the torsion
-endomorphism into its trace-free symmetric and invariant parts, assembly
-of the canonical metric connection with prescribed torsion, its
-curvature, the conformal curvature tensor, and closedness of the
-fundamental 4-forms.  Where some input can make two routes to one
+endomorphism into its trace-free symmetric and invariant parts (validated
+on D_l = -2(rho_l I_l + S g), since rho_l = (D_l/2 + S g) I_l with I_l
+invertible), assembly of the canonical metric connection with prescribed
+torsion, its curvature, the conformal curvature tensor, and closedness of
+the fundamental 4-forms.  Where some input can make two routes to one
 quantity disagree, both are computed and compared exactly; identities
 that the construction guarantees are not re-checked, the tests assert them.
 The hot tables (the connection, the curvature, W^qc and d of the
@@ -61,11 +62,11 @@ class ReebFailure(NotQcError):
 def reeb_check(spec: QcFrameSpec) -> None:
     """Compatibility conditions singling out the Reeb frame (eta_s(xi_k) =
     delta_sk by construction): horizontal transversality of xi_s against
-    d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H.  Raises
+    d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H, with
+    d eta_s = d e^{xi_s} read from the structure equations.  Raises
     :class:`ReebFailure` listing every violation when any fails."""
     violations = []
-    alg = spec.algebra
-    detas = [alg.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
+    detas = [spec.algebra.diff[v - 1] for v in spec.vertical]
     for s in (1, 2, 3):
         pulled = detas[s - 1].interior(spec.xi(s)).restrict(spec.horizontal)
         if not pulled.is_zero():
@@ -139,7 +140,7 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
     l = 1, 2, 3.  The forms are built once, at S = 0, and shifted:
     alpha_l = alpha_l^0 - (S/2) eta_l and rho_l = rho_l^0 - (S/2) omega_l.
     """
-    detas = [spec.algebra.mc_differential(spec.eta(s)) for s in (1, 2, 3)]
+    detas = [spec.algebra.diff[v - 1] for v in spec.vertical]
     alpha0 = _alphas(spec, detas)
     rho0 = _rho_from_alpha(spec, alpha0)
     solved = None
@@ -179,45 +180,35 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 
     With D_l(X,Y) = -2(rho_l(X, I_l Y) + S g(X,Y)) and Q = sum_l D_l, the
     invariant averaging projector isolates U as Avg(Q)/12 and leaves
-    T0 = (Q - 12 U)/2; the result is validated by reconstructing rho_l.
+    T0 = (Q - 12 U)/2.  The split is validated on D_l: rho_l = (D_l/2 + S g) I_l
+    with I_l invertible, so rho_l is reproduced exactly when
+    D_l = T0 + I_l^T T0 I_l + 4U.
     """
-    k = len(spec.horizontal)
     S = sp1.S
-    ident = _identity(k)
+    ident = _identity(len(spec.horizontal))
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
-    ps = [form_matrix(sp1.rho_h[l - 1], spec.horizontal) for l in (1, 2, 3)]
-
-    def conj(m, a):
-        """I^T A I."""
-        return _mat_mul(_mat_t(m), _mat_mul(a, m))
-
     ds = []
-    for l in (1, 2, 3):
-        d = _mat_lin((-2, _mat_mul(ps[l - 1], mats[l - 1])), (-2 * S, ident))
+    for l, m in enumerate(mats, start=1):
+        d = _mat_lin((-2, _mat_mul(form_matrix(sp1.rho_h[l - 1], spec.horizontal), m)),
+                     (-2 * S, ident))
         if d != _mat_t(d):
             raise DecompositionResidual(f"D_{l} is not symmetric; input is not qc")
         ds.append(d)
 
     q = _mat_lin(*((1, d) for d in ds))
     # U = Avg(Q)/12 with Avg(Q) = (Q + sum_s I_s^T Q I_s)/4
-    u = _mat_lin((Fraction(1, 48), q), *((Fraction(1, 48), conj(m, q)) for m in mats))
+    u = _mat_lin((Fraction(1, 48), q),
+                 *((Fraction(1, 48), _mat_mul(_mat_t(m), _mat_mul(q, m))) for m in mats))
     t0 = _mat_lin((Fraction(1, 2), q), (-6, u))
 
-    # reconstruct rho_l and compare: rho_l(X, I_l Y) = -T0/2 - (T0 o I_l)/2 - 2U - S g,
-    # so rho_l = (T0/2 + (T0 o I_l)/2 + 2U + S g) . M_l since M_l^2 = -id
-    half = Fraction(1, 2)
-    for l in (1, 2, 3):
-        m = mats[l - 1]
-        rec = _mat_mul(_mat_lin((half, t0), (half, conj(m, t0)), (2, u), (S, ident)), m)
-        if rec != ps[l - 1]:
-            raise DecompositionResidual(f"rho_{l} reconstruction failed; input is not qc")
-
-    # torsion endomorphisms: g(T0_{xi_s} X, Y) = -(1/4)[T0(I_s X, Y) + T0(X, I_s Y)];
-    # T0 is symmetric, so with P = T0 I_s the symmetric part is -(P + P^T)/4,
-    # plus the skew part I_s u
+    # with P = T0 I_l: the gate D_l = T0 + I_l^T P + 4U, and the torsion
+    # endomorphism g(T0_{xi_l} X, Y) = -(1/4)[T0(I_l X, Y) + T0(X, I_l Y)]
+    # = -(P + P^T)/4 (T0 is symmetric), plus the skew part I_l U
     txi = []
-    for m in mats:
+    for l, m in enumerate(mats, start=1):
         p = _mat_mul(t0, m)
+        if _mat_lin((1, t0), (1, _mat_mul(_mat_t(m), p)), (4, u)) != ds[l - 1]:
+            raise DecompositionResidual(f"rho_{l} reconstruction failed; input is not qc")
         txi.append(_mat_lin((Fraction(-1, 4), p), (Fraction(-1, 4), _mat_t(p)),
                             (1, _mat_mul(m, u))))
     return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi))
@@ -234,7 +225,6 @@ def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
     from T_xi; and T(xi_i, xi_j) = -[xi_i, xi_j]_H - S xi_k."""
     t = {}
     hpos = {a: i for i, a in enumerate(spec.horizontal)}
-    vpos = {a: s for s, a in enumerate(spec.vertical, start=1)}
 
     # -[X, Y]_V on H and -[xi_i, xi_j]_H: the brackets within H or within V,
     # read across the splitting
@@ -242,10 +232,9 @@ def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
         if (a + 1 in hpos) == (b + 1 in hpos) != (c + 1 in hpos):
             t[a, b, c] = -x
     hor = spec.horizontal
-    for v in spec.vertical:
-        # T^c_{xi b} is entry (c, b) of T_xi, entered b-major: the order of t is
-        # the order of Gamma, in which the connection gates name a first violation
-        for q, r, val in sorted((q, r, val) for (r, q), val in torsion.Txi[vpos[v] - 1].items()):
+    for v, txi in zip(spec.vertical, torsion.Txi):
+        # T^c_{xi b} is entry (c, b) of T_xi
+        for (r, q), val in txi.items():
             t[v - 1, hor[q] - 1, hor[r] - 1] = val
             t[hor[q] - 1, v - 1, hor[r] - 1] = -val
     if torsion.S:
@@ -347,9 +336,9 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
     products = [(_add_kn, g, _mat_lin((1, l0), (S / 4, g)))]
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     for s, m in enumerate(mats, start=1):
-        omega = form_matrix(spec.omega[s - 1], hor)
-        half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
-                          (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))  # -A_s/2
+        omega = _mat_t(m)
+        p = _mat_mul(t0, m)
+        half_a = _mat_lin((Fraction(-1, 2), p), (Fraction(1, 2), _mat_t(p)))  # -A_s/2
         # omega_s is paired with the rotation of L0 by I_{s-1} (cyclically)
         products += [
             (_add_kn, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega))),

@@ -43,7 +43,12 @@ candidates and then picks a bounded one, else the first.
 The sp(1) stage reads the scalar invariant in closed form, S = -t_l/(2n)
 with t_l the horizontal Ricci trace at S = 0, and shifts the forms at S = 0
 to S; its reference carries S as a polynomial symbol through alpha,
-d alpha and alpha ^ alpha, and solves the affine trace equations.
+d alpha and alpha ^ alpha, and solves the affine trace equations.  The
+exact path reads d eta_s as the structure equation d e^{xi_s} and gates
+the torsion split on D_l; the differential of the basis 1-form eta_s and
+rho_l rebuilt from the split are the references, on the same inputs.  U
+vanishes on every catalog entry, so the split's U terms are checked by a
+round trip on heis(2)'s frame with a chosen U != 0 and T0.
 
 The contorsion, the curvature, W^qc, the Jacobi gate and the closedness
 of the fundamental 4-forms sum in ints over one common denominator; their
@@ -410,6 +415,41 @@ def test_relabelled_construction_identities(name, perm):
     assert_construction_identities(require_qc(relabel(catalog(name), perm)))
 
 
+@pytest.mark.parametrize("S", [Fraction(0), Fraction(-1, 3)], ids=["0", "-1/3"])
+def test_torsion_split_round_trip_with_nonzero_u(S):
+    """U vanishes on every catalog entry, so the 4U term of the split's gate
+    and the I_l U part of T_xi see a nonzero U only here.  On heis(2)'s frame,
+    U = diag(1_4, -1_4) is invariant and trace-free, and T0 = psi(., I_1 .)
+    with psi = -(e12 - e34 + e56 - e78)/4 is symmetric of type [-1]; the
+    rho_l = (D_l/2 + S g) I_l with D_l = T0 + I_l^T T0 I_l + 4U split back
+    into the same T0, U and T_xi."""
+    spec = catalog("heis(2)")
+    k = len(spec.horizontal)
+    mats = [spec.complex_structure(s) for s in (1, 2, 3)]
+    u = {(i, i): Fraction(1 if i < 4 else -1) for i in range(k)}
+    psi = Fraction(-1, 4) * KForm(spec.dim, 2, {(1, 2): 1, (3, 4): -1, (5, 6): 1, (7, 8): -1})
+    t0 = _mat_mul(form_matrix(psi, spec.horizontal), mats[0])
+    assert t0 and t0 == _mat_t(t0)
+    assert _mat_lin((1, t0), *((1, _mat_mul(_mat_t(m), _mat_mul(t0, m))) for m in mats)) == {}
+    assert all(_mat_mul(_mat_t(m), _mat_mul(u, m)) == u for m in mats)
+    rhos = []
+    for m in mats:
+        d = _mat_lin((1, t0), (1, _mat_mul(_mat_t(m), _mat_mul(t0, m))), (4, u))
+        rho = _mat_mul(_mat_lin((Fraction(1, 2), d), (S, _identity(k))), m)
+        assert rho == _mat_lin((-1, _mat_t(rho)))
+        rhos.append(KForm(spec.dim, 2, {(spec.horizontal[p], spec.horizontal[q]): x
+                                        for (p, q), x in rho.items() if p < q}))
+    have = qc.torsion_decomposition(spec, qc.Sp1Forms((), tuple(rhos), S))
+    assert (have.S, have.T0, have.U) == (S, t0, u)
+    t0_rows, u_rows = dense(t0, k), dense(u, k)
+    for m, endo in zip(mats, have.Txi):
+        rows = dense(m, k)
+        assert dense(endo, k) == dense_mat_lin(
+            (Fraction(-1, 4), dense_mat_mul(t0_rows, rows)),
+            (Fraction(-1, 4), dense_mat_mul(_transpose(rows), t0_rows)),
+            (1, dense_mat_mul(rows, u_rows)))
+
+
 def fraction_contorsion(gamma: dict, terms) -> dict:
     """Reference of ``riemann._add_contorsion``, summed in Fractions."""
     out = defaultdict(Fraction, gamma)
@@ -631,6 +671,29 @@ def assert_sp1_matches_symbolic(spec):
     assert slopes == [2 * spec.n] * 3
     assert all(type(c) is Fraction for form in have.alphas + have.rho_h
                for c in form.terms.values())
+    assert_routes_read_once_agree(spec, have)
+
+
+def assert_routes_read_once_agree(spec, sp1):
+    """Two facts the exact path reads rather than recomputes.  d eta_s is the
+    structure equation d e^{xi_s}: the differential of the basis 1-form
+    eta_s has the same terms in the same order.  The torsion split is gated
+    on D_l = T0 + I_l^T T0 I_l + 4U; since rho_l = (D_l/2 + S g) I_l, the
+    split also rebuilds the matrix of rho_l as
+    (T0/2 + I_l^T T0 I_l/2 + 2U + S g) I_l."""
+    alg = spec.algebra
+    for s, v in enumerate(spec.vertical, start=1):
+        assert list(alg.diff[v - 1].terms.items()) == \
+            list(alg.mc_differential(spec.eta(s)).terms.items())
+    torsion = qc.torsion_decomposition(spec, sp1)
+    ident = _identity(len(spec.horizontal))
+    half = Fraction(1, 2)
+    for l in (1, 2, 3):
+        m = spec.complex_structure(l)
+        conj = _mat_mul(_mat_t(m), _mat_mul(torsion.T0, m))
+        rebuilt = _mat_mul(_mat_lin((half, torsion.T0), (half, conj), (2, torsion.U),
+                                    (sp1.S, ident)), m)
+        assert rebuilt == form_matrix(sp1.rho_h[l - 1], spec.horizontal)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)", "l0(-2/3)", "l0(5/2)", "l0(3)"))
