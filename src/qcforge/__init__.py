@@ -3,7 +3,7 @@ the special-holonomy metric families they generate."""
 
 __version__ = "0.1.0"
 
-from .scalars import DomainError, Jet, Rational
+from .scalars import DomainError, Jet
 from .forms import KForm, parse_form
 from .algebra import FrameAlgebra, QcFrameSpec, catalog, jacobi_check, parse_algebra
 
@@ -13,7 +13,6 @@ __all__ = [
     "Jet",
     "KForm",
     "QcFrameSpec",
-    "Rational",
     "catalog",
     "jacobi_check",
     "parse_algebra",

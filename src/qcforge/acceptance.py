@@ -5,7 +5,7 @@ Each criterion function returns (ok, detail).  The pytest module and the
 ``sweep`` CLI command both drive :func:`run_all`, so the release gate and
 the command-line regression run are the same code.  Criteria 8-12 read
 the build verdicts of :func:`~qcforge.evolution.verdicts` at its default
-tolerances, ``TOL_RESIDUAL`` and ``TOL_RICCI``, which this module re-exports.
+tolerances.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import dga, qc
 from .algebra import _mat_mul, form_matrix, jacobi_check
-from .evolution import (FAMILIES, TOL_RESIDUAL, TOL_RICCI, JetForm, build_family, extended_d,
-                        verdicts)
+from .evolution import FAMILIES, JetForm, build_family, extended_d, verdicts
 from .forms import KForm
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet

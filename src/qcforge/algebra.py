@@ -30,18 +30,6 @@ class AlgebraSyntaxError(InputError):
         self.column = column
 
 
-class DuplicateDifferential(AlgebraSyntaxError):
-    pass
-
-
-class IndexOutOfRange(AlgebraSyntaxError):
-    pass
-
-
-class UnknownName(InputError):
-    pass
-
-
 class VerticalTerm(InputError):
     """A fundamental form with a vertical term; ``s`` numbers the form."""
 
@@ -283,7 +271,7 @@ def _parse_index_list(text: str, dim: int, line_no: int):
             raise AlgebraSyntaxError(f"bad index {chunk!r}", line_no)
     for a in indices:
         if not (1 <= a <= dim):
-            raise IndexOutOfRange(f"index e{a} out of range for dim {dim}", line_no)
+            raise AlgebraSyntaxError(f"index e{a} out of range for dim {dim}", line_no)
     return indices
 
 
@@ -319,9 +307,9 @@ def parse_algebra(source: str):
         if m:
             a = _read_int(m.group(1), line_no)
             if not (1 <= a <= dim):
-                raise IndexOutOfRange(f"d e{a}: index out of range for dim {dim}", line_no)
+                raise AlgebraSyntaxError(f"d e{a}: index out of range for dim {dim}", line_no)
             if a in diff:
-                raise DuplicateDifferential(f"d e{a} defined twice", line_no)
+                raise AlgebraSyntaxError(f"d e{a} defined twice", line_no)
             try:
                 diff[a] = parse_form(m.group(2), dim, degree=2)
             except ValueError as exc:
@@ -424,22 +412,22 @@ def _parse_name(name: str) -> tuple:
     a rational (default 1), l1, l2 and l3 nothing (None)."""
     m = _NAME.match(name.strip())
     if not m:
-        raise UnknownName(f"bad catalog name {shown_digits(name)!r}")
+        raise InputError(f"bad catalog name {shown_digits(name)!r}")
     base, arg = m.group(1), m.group(2)
     if base == "heis":
         if arg and len(arg) > 12:  # refused before int() reads it, and echoed cut
-            raise UnknownName(f"bad catalog name 'heis({shown_digits(arg)})'")
+            raise InputError(f"bad catalog name 'heis({shown_digits(arg)})'")
         try:
             return base, int(arg) if arg else 1
         except ValueError:
-            raise UnknownName(f"bad catalog name {name!r}") from None
+            raise InputError(f"bad catalog name {name!r}") from None
     if base == "l0":
         return base, parse_rational(arg) if arg else Fraction(1)
     if base in ("l1", "l2", "l3"):
         if arg:
-            raise UnknownName(f"{base} takes no parameter")
+            raise InputError(f"{base} takes no parameter")
         return base, None
-    raise UnknownName(f"unknown catalog name {shown_digits(name)!r}")
+    raise InputError(f"unknown catalog name {shown_digits(name)!r}")
 
 
 def catalog_entry(name: str) -> str:

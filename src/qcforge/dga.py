@@ -36,10 +36,6 @@ _ALPHAS = frozenset((8, 9, 10))
 _CONSTANTS = {"S", "a", "a1", "a2", "a3", "C"}
 
 
-class UnderdeterminedDifferential(ValueError):
-    """The differential of a connection generator was requested."""
-
-
 def _e(*indices) -> KForm:
     return KForm.basis(DIM, *indices)
 
@@ -110,7 +106,7 @@ def dga_d(x: KForm, with_time: bool = True) -> KForm:
     contributes its formal t-derivative times dt.
     """
     if _has_alpha(x):
-        raise UnderdeterminedDifferential("d(alpha) is not defined in this algebra")
+        raise ValueError("d(alpha) is not defined in this algebra")
     return exterior_d(x, _GENERATOR_D, _time_derivative if with_time else None)
 
 

@@ -60,10 +60,6 @@ TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
 TOL_RICCI = 1e-8
 
 
-class NotEinsteinBase(NotQcError):
-    """The base coframe is not qc Einstein with the family's scalar."""
-
-
 def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
     """The catalog coframe ``name`` once its memoized analysis shows it qc
     Einstein with scalar ``S``; the spec is the one analysed, shared by
@@ -71,9 +67,9 @@ def require_einstein_base(name: str, S: Fraction) -> QcFrameSpec:
     for callers that warm bases by (name, scalar), such as the benchmark."""
     rep = qc.catalog_report(name)
     if not rep.einstein:
-        raise NotEinsteinBase(f"base {name} has non-vanishing torsion endomorphism")
+        raise NotQcError(f"base {name} has non-vanishing torsion endomorphism")
     if rep.S != S:
-        raise NotEinsteinBase(f"base {name} has scalar {rep.S}, family expects {S}")
+        raise NotQcError(f"base {name} has scalar {rep.S}, family expects {S}")
     return rep.spec
 
 

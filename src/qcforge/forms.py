@@ -18,14 +18,6 @@ from fractions import Fraction
 from .scalars import parse_rational, shown_digits
 
 
-class FrameMismatch(ValueError):
-    """Operands live over coframes of different dimensions."""
-
-
-class BadOrientation(ValueError):
-    """Orientation tuple is not a permutation of the frame indices."""
-
-
 def is_zero_scalar(c) -> bool:
     """Zero as a ring element."""
     probe = getattr(c, "is_zero", None)
@@ -146,7 +138,7 @@ class KForm:
 
     def _check(self, other: "KForm"):
         if self.dim != other.dim:
-            raise FrameMismatch(f"frame dimensions differ: {self.dim} vs {other.dim}")
+            raise ValueError(f"frame dimensions differ: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check(other)
@@ -233,7 +225,7 @@ class KForm:
         """
         orientation = tuple(orientation)
         if sorted(orientation) != list(range(1, self.dim + 1)):
-            raise BadOrientation(f"orientation {orientation} is not a permutation of 1..{self.dim}")
+            raise ValueError(f"orientation {orientation} is not a permutation of 1..{self.dim}")
         _, orient_sign = _sort_indices(orientation)
         out = KForm(self.dim, self.dim - self.degree)
         res = {}
@@ -272,8 +264,8 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
     :func:`monomial_d`, each c times g.
     """
     if len(generator_d) != form.dim:
-        raise FrameMismatch(f"form lives on dim {form.dim}, "
-                            f"{len(generator_d)} generator differentials given")
+        raise ValueError(f"form lives on dim {form.dim}, "
+                         f"{len(generator_d)} generator differentials given")
     res = {}
     for idx, coeff in form.terms.items():
         if coeff_d is not None:

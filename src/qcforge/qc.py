@@ -33,18 +33,6 @@ from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
 from .scalars import NotQcError
 
 
-class InconsistentScalar(NotQcError):
-    """The three trace routes to the scalar invariant disagree."""
-
-
-class DecompositionResidual(NotQcError):
-    """Reconstructed Ricci 2-forms fail to reproduce the input."""
-
-
-class ConsistencyError(NotQcError):
-    """Two independent routes to the same tensor disagree."""
-
-
 class ReebFailure(NotQcError):
     """The vertical frame vectors are not Reeb fields; ``violations``
     names each failed condition."""
@@ -152,7 +140,7 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
         if solved is None:
             solved = value
         elif solved != value:
-            raise InconsistentScalar(
+            raise NotQcError(
                 f"scalar invariant differs between traces: {solved} vs {value}")
     shift = -solved / 2
     return Sp1Forms(alphas=tuple(a + shift * spec.eta(l) for l, a in enumerate(alpha0, start=1)),
@@ -192,7 +180,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
         d = _mat_lin((-2, _mat_mul(form_matrix(sp1.rho_h[l - 1], spec.horizontal), m)),
                      (-2 * S, ident))
         if d != _mat_t(d):
-            raise DecompositionResidual(f"D_{l} is not symmetric; input is not qc")
+            raise NotQcError(f"D_{l} is not symmetric; input is not qc")
         ds.append(d)
 
     q = _mat_lin(*((1, d) for d in ds))
@@ -208,7 +196,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     for l, m in enumerate(mats, start=1):
         p = _mat_mul(t0, m)
         if _mat_lin((1, t0), (1, _mat_mul(_mat_t(m), p)), (4, u)) != ds[l - 1]:
-            raise DecompositionResidual(f"rho_{l} reconstruction failed; input is not qc")
+            raise NotQcError(f"rho_{l} reconstruction failed; input is not qc")
         txi.append(_mat_lin((Fraction(-1, 4), p), (Fraction(-1, 4), _mat_t(p)),
                             (1, _mat_mul(m, u))))
     return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi))
@@ -256,7 +244,7 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
     hset = {a - 1 for a in spec.horizontal}
     for a, b, c, _ in conn.nonzeros():
         if (b in hset) != (c in hset):
-            raise ConsistencyError(
+            raise NotQcError(
                 f"connection does not preserve the splitting: Gamma^{c + 1}_{a + 1}{b + 1} != 0")
 
     for i, j, k in _CYCLIC:
@@ -265,7 +253,7 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
             aj = sp1.alphas[j - 1].coeff(a)
             ak = sp1.alphas[k - 1].coeff(a)
             if conn.coeff(vk, a, vi) != -aj or conn.coeff(vj, a, vi) != ak:
-                raise ConsistencyError(
+                raise NotQcError(
                     f"nabla_{a} xi_{i} disagrees with the sp(1) rotation rule")
     return conn
 
@@ -394,7 +382,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
         vert = all(rho_full[t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
                    for s in (1, 2, 3) for t in (1, 2, 3) if s != t)
         if vert != omega4_closed:
-            raise ConsistencyError(
+            raise NotQcError(
                 "dim-7 equivalence of closedness and vertical integrability failed")
     return FundamentalForms(omega4_closed, omegaq_closed, lemma_closed, vert)
 
@@ -408,7 +396,6 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
 class QcReport:
     name: str
     spec: QcFrameSpec             # the coframe analysed
-    n: int
     S: Fraction
     einstein: bool
     wqc_zero: bool
@@ -430,7 +417,7 @@ class QcReport:
         u_form = matrix_to_entries(self.torsion.U)
         return {
             "name": self.name,
-            "n": self.n,
+            "n": self.spec.n,
             "reeb_ok": True,
             "s": str(self.S),
             "einstein": self.einstein,
@@ -506,7 +493,7 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     fund = fundamental_forms_check(spec, rho_full)
 
     return QcReport(
-        name=name, spec=spec, n=spec.n, S=sp1.S, einstein=torsion.is_einstein(),
+        name=name, spec=spec, S=sp1.S, einstein=torsion.is_einstein(),
         wqc_zero=not w, wqc_sample=sample,
         omega4_closed=fund.omega4_closed, omegaQ_closed=fund.omegaQ_closed,
         lemma_closed=fund.lemma_closed, torsion=torsion, sp1=sp1,

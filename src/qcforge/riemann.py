@@ -48,15 +48,7 @@ import numpy as np
 
 from .algebra import FrameAlgebra
 from .forms import _common_denominator, _scaled
-from .scalars import DomainError, Jet, NotQcError, _fail_if, worst_abs
-
-
-class NonAntisymmetricTorsion(NotQcError):
-    pass
-
-
-class SingularCoframe(DomainError):
-    pass
+from .scalars import Jet, NotQcError, _fail_if, worst_abs
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +141,7 @@ def adjust_by_torsion(lc: ConnectionTable, torsion: dict) -> ConnectionTable:
     """
     for (a, b, c), x in torsion.items():
         if torsion.get((b, a, c)) != -x:
-            raise NonAntisymmetricTorsion(
+            raise NotQcError(
                 f"T(e{a + 1}, e{b + 1}) != -T(e{b + 1}, e{a + 1})")
     return ConnectionTable(lc.dim, _add_contorsion(
         lc.gamma, ((c, a, b, x) for (a, b, c), x in torsion.items())))
@@ -212,9 +204,9 @@ class CoframeWithJets:
             raise ValueError("one scaling jet per base coframe element")
         for a, s in enumerate(self.scalings, start=1):
             _fail_if(np.logical_not(s.value > 0.0), s.value,
-                     f"scaling of e{a} is not positive: {{}}", SingularCoframe)
+                     f"scaling of e{a} is not positive: {{}}")
         _fail_if(np.logical_not(np.abs(self.w.value) > 0.0), self.w.value,
-                 "dx coefficient is not a nonzero number: {}", SingularCoframe)
+                 "dx coefficient is not a nonzero number: {}")
 
     @property
     def dim(self) -> int:

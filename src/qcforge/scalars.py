@@ -18,8 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-Rational = Fraction
-
 JET_LEN = 3  # value plus derivatives through second order
 
 
@@ -84,16 +82,16 @@ def _each(fn, x):
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _fail_if(bad, value, message: str, error=DomainError):
-    """Raise ``error`` when ``bad`` holds at any entry; ``message`` is
-    formatted with the value at the first such entry in row-major order."""
+def _fail_if(bad, value, message: str):
+    """Raise :class:`DomainError` when ``bad`` holds at any entry; ``message``
+    is formatted with the value at the first such entry in row-major order."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
         value = float(value.ravel()[np.argmax(bad)])
     elif not bad:
         return
-    raise error(message.format(value))
+    raise DomainError(message.format(value))
 
 
 def worst_abs(values) -> float:

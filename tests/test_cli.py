@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcforge
 from qcforge import __version__, algebra, cli, qc
 from qcforge.algebra import MAX_DIM, heisenberg_source
 from qcforge.cli import main
@@ -848,6 +850,22 @@ class TestExitContract:
         assert len(err.getvalue().splitlines()) <= 1
         if code == 0:
             algebra.require_qc(algebra.parse_algebra(text)[1])
+
+    def test_one_exception_class_per_exit_code(self):
+        """A refusal is raised as InputError, NotQcError or DomainError, whose
+        exit code and stderr label ``main`` reads; the only subclasses are the
+        three whose data a caller reads (``line`` and ``column``, ``s`` and
+        ``violations``).  Library misuse raises ValueError or TypeError."""
+        defined = set()
+        for info in pkgutil.iter_modules(qcforge.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"qcforge.{info.name}")
+            defined |= {name for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__}
+        assert defined == {"InputError", "NotQcError", "DomainError",
+                           "AlgebraSyntaxError", "VerticalTerm", "ReebFailure"}
 
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcforge.algebra import catalog
-from qcforge.forms import (BadOrientation, FrameMismatch, KForm, exterior_d,
-                           format_form, parse_form)
+from qcforge.forms import KForm, exterior_d, format_form, parse_form
 from qcforge.poly import Poly
 from qcforge.scalars import Jet
 from test_sparse_oracle import kform_max_abs
@@ -79,7 +78,7 @@ class TestWedge:
         assert w3.wedge(w3) == vol
 
     def test_frame_mismatch(self):
-        with pytest.raises(FrameMismatch):
+        with pytest.raises(ValueError, match="frame dimensions differ: 7 vs 5"):
             e(1, dim=7).wedge(e(1, dim=5))
 
     def test_over_top_degree_is_zero(self):
@@ -230,7 +229,8 @@ class TestExteriorD:
             assert abs(d.terms[idx].value - 0.49 * float(c)) < 1e-15
 
     def test_generator_count_must_match(self):
-        with pytest.raises(FrameMismatch):
+        with pytest.raises(ValueError,
+                           match="form lives on dim 7, 8 generator differentials given"):
             exterior_d(e(1), self.GENERATORS)
 
 
@@ -269,7 +269,8 @@ class TestHodge:
             assert form.wedge(form.hodge_star(orient)) == norm2 * vol
 
     def test_bad_orientation(self):
-        with pytest.raises(BadOrientation):
+        with pytest.raises(ValueError, match=r"orientation \(1, 2, 3, 4, 5, 6, 6\) "
+                                             r"is not a permutation of 1\.\.7"):
             e(1).hodge_star((1, 2, 3, 4, 5, 6, 6))
 
 

@@ -701,6 +701,25 @@ def test_sp1_matches_symbolic_solve(name):
     assert_sp1_matches_symbolic(catalog(name))
 
 
+@pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("name", ("heis(2)", "heis(3)"))
+def test_sp1_shift_matches_symbolic_solve_past_dim_7(name, c):
+    """heis(n) with c eta_j ^ eta_k added to d eta_i (i, j, k cyclic) has
+    S = c, so the shift of the sp(1) forms from S = 0 is checked where
+    2n != 2; no catalog entry with S != 0 has n > 1.  The Jacobi identity
+    fails on these algebras by design: the sp(1) stage needs only the Reeb
+    conditions and the quaternion relations, which hold."""
+    spec = catalog(name)
+    diff = list(spec.algebra.diff)
+    for i, j, k in _CYCLIC:
+        diff[spec.vertical[i - 1] - 1] += c * spec.eta(j).wedge(spec.eta(k))
+    spec = QcFrameSpec(FrameAlgebra(name, spec.dim, diff), spec.horizontal, spec.vertical,
+                       spec.omega).validate()
+    qc.reeb_check(spec)
+    assert qc.sp1_forms_and_S(spec).S == c
+    assert_sp1_matches_symbolic(spec)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
 def test_relabelled_sp1_matches_symbolic_solve(name, perm):
