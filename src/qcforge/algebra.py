@@ -24,10 +24,9 @@ MAX_DIM = 64
 
 
 class AlgebraSyntaxError(InputError):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class VerticalTerm(InputError):

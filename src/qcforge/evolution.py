@@ -251,10 +251,10 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
     summary = ricci_and_rank(_coframe(spec, fj.take(keep), [h.take(keep) for h in hs],
                                       wj.take(keep)))
     ricci = np.broadcast_to(summary.ricci, (int(keep.sum()), n, n))
-    consts = [float(np.trace(ric)) / n for ric in ricci]
+    consts = np.trace(ricci, axis1=1, axis2=2) / n
     return {
-        "einstein_const": consts[len(consts) // 2],
-        "einstein_deviation": worst_abs(ric - lam * np.eye(n) for ric, lam in zip(ricci, consts)),
+        "einstein_const": float(consts[len(consts) // 2]),
+        "einstein_deviation": worst_abs([ricci - consts[:, None, None] * np.eye(n)]),
         "ricci_max_abs": worst_abs(ricci),
         "curvature_rank": int(np.max(summary.curvature_rank)),
         "structure_residual": summary.structure_residual,

@@ -27,22 +27,25 @@ axis.  The Cartan solve multiplies and inverts its terms as jets with
 (terms, samples) components, by ``Jet``'s own arithmetic, and the
 curvature reads the connection's value and slope rows, keyed by index
 tuples (a, b, k).  Each kind of term is formed by one gather and
-multiply over lists of row indices and summed in the order of the jet
+multiply over arrays of row indices and summed in the order of the jet
 and KForm sums (:func:`_ordered_sums` scatter-adds into sums that start
 at -0.0), so every float equals that of the jet computation bit for bit,
 except the sign of a zero left where a curvature partial sum cancels at
-every sample.  The index bookkeeping
-is plain Python over a few thousand tuples per build: numpy's integer
-sorts and comparisons would page in code that costs more resident
-memory than the bookkeeping costs time.
+every sample.  The index bookkeeping is plain Python over a few thousand
+tuples, run once per pattern: each stage's plan of rows, negation masks
+and sum slots is cached by the tuples and the bytes of the value masks
+it reads.  It has no integer sorts: numpy's would page in code that
+costs more resident memory than the bookkeeping costs time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -213,12 +216,19 @@ class CoframeWithJets:
         return self.base.dim + 1
 
 
+def _frozen(values, dtype=int) -> np.ndarray:
+    """A read-only array for a cached plan, which every build reading it shares."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 def _slots(keys) -> tuple:
     """The keys in order of first appearance, and the position of each
     key's sum among them."""
     slot = {}
     rows = [slot.setdefault(key, len(slot)) for key in keys]
-    return list(slot), rows
+    return list(slot), _frozen(rows)
 
 
 def _ordered_sums(keys, values: np.ndarray, slots: tuple | None = None):
@@ -241,9 +251,9 @@ def _live(keys: list, sums: np.ndarray):
     return [key for key, keep in zip(keys, live.tolist()) if keep], sums[live]
 
 
-def _negate(rows: np.ndarray, negate: list) -> np.ndarray:
+def _negate(rows: np.ndarray, negate) -> np.ndarray:
     """``rows`` with the rows that ``negate`` marks negated, in place."""
-    negate = np.array(negate, dtype=bool)
+    negate = np.asarray(negate, dtype=bool)
     rows[negate] = -rows[negate]
     return rows
 
@@ -268,6 +278,56 @@ class CartanConnection:
     structure_residual: float
 
 
+@functools.lru_cache(maxsize=None)
+def _dhat_plan(base: FrameAlgebra, share: tuple, moving: bytes) -> tuple:
+    """Keys (a, p, q), numerator rows and factors, denominator pairs and
+    negation mask of d hat-e^a, a ascending, over the stack of
+    :func:`cartan_connection` (p_a in row ``share[a]``, moving where the
+    byte of ``moving`` is set): -(p'/(w p)) hat-e^{a, n} where p moves,
+    then p c / (p_b p_c) on each term c e^{bc} of d e^a."""
+    size, n = len(moving), base.dim + 1
+    terms = []  # (a, p, q), numerator row, c, denominator pair, negated
+    for a, form in enumerate(base.diff):
+        if moving[share[a]]:
+            terms.append(((a, a, n - 1), size + share[a], 1.0, (0, share[a]), True))
+        terms += [((a, b - 1, c - 1), share[a], float(coeff), (share[b - 1], share[c - 1]), False)
+                  for (b, c), coeff in form.terms.items()]
+    keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
+    slot = {}
+    den = [slot.setdefault(pair, len(slot)) for pair in pairs]
+    left, right = zip(*slot) if slot else ((), ())
+    return (keys, _frozen(src), _frozen(factor, float)[:, None], _frozen(left), _frozen(right),
+            _frozen(den), _frozen(negated, bool))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_plan(keys: tuple, kept: bytes) -> tuple:
+    """The kept structure functions, the triples (a, b, c) where one of
+    C^a_{cb}, C^b_{ac}, C^c_{ab} is present, ascending, and their rows in
+    ``signed`` of :func:`cartan_connection`."""
+    keys = tuple(compress(keys, kept))
+    t = len(keys)
+    struct = dict(zip(keys, range(t)))
+    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
+    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
+    at = _frozen([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
+                  for a, b, c in triples]).reshape(-1, 3).T
+    return keys, tuple(triples), at
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_plan(keys: tuple, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
+    """The live d hat-e^a and nonzero Gamma keys, and the rows, negation
+    mask and slots of the terms omega^a_b ^ hat-e^b of the structure
+    equation, b ascending: c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk}, k > b."""
+    kept_keys, triples, _ = _gamma_plan(keys, kept)
+    dhat_index, index = tuple(compress(kept_keys, live)), tuple(compress(triples, nonzero))
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
+    return (dhat_index, index, _frozen(rows), _frozen(negate, bool),
+            _slots(dhat_index + wedge_keys))
+
+
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     """Solve d hat-e^a + omega^a_b ^ hat-e^b = 0 with omega_{ab} = -omega_{ba}.
 
@@ -279,7 +339,7 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     values are the exact negation of those of omega^a_b and antisymmetry
     needs no check.  The structure equation is re-verified in values,
     summed in the order of the KForm sum ``d hat-e^a + sum_b omega^a_b ^
-    hat-e^b``.
+    hat-e^b``.  The row plans are cached by the tuples and masks they read.
     """
     width = np.broadcast(cof.w.value, *(s.value for s in cof.scalings)).size
     # the distinct jets, w first, then their derivative jets (p', p'', 0)
@@ -287,53 +347,34 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     size = len(distinct)
     jets = np.zeros((3, 2 * size, width))
     for r, jet in enumerate(distinct.values()):
-        jets[:, r] = [np.broadcast_to(x, width) for x in jet.c]
+        jets[0, r], jets[1, r], jets[2, r] = jet.c
     jets[:2, size:] = jets[1:, :size]
-    s = [list(distinct).index(id(p)) for p in cof.scalings]
+    row = dict(zip(distinct, range(size)))
     moving = jets[:, size:].any(axis=(0, 2))
-    # d hat-e^a, a ascending: -(p'/(w p)) hat-e^{a, n} where p moves, then
-    # p c / (p_b p_c) on each term c e^{bc} of d e^a; zero jets drop, as in KForm
-    terms = []  # (a, p, q), numerator row, c, denominator pair, negated
-    for a, form in enumerate(cof.base.diff):
-        if moving[s[a]]:
-            terms.append(((a, a, cof.dim - 1), size + s[a], 1.0, (0, s[a]), True))
-        terms += [((a, b - 1, c - 1), s[a], float(coeff), (s[b - 1], s[c - 1]), False)
-                  for (b, c), coeff in form.terms.items()]
-    keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
-    slot = {}
-    den = [slot.setdefault(pair, len(slot)) for pair in pairs]
-    left, right = (list(x) for x in zip(*slot)) if slot else ([], [])
+    keys, src, factor, left, right, den, negated = _dhat_plan(
+        cof.base, tuple(row[id(p)] for p in cof.scalings), moving.tobytes())
     stacked = Jet(jets)
     recips = (stacked.take(left) * stacked.take(right)).reciprocal().take(den)
-    dhat = np.stack((Jet(jets[:, list(src)] * np.array(factor)[:, None]) * recips).c)
+    dhat = np.stack((Jet(jets[:, src] * factor) * recips).c)
     _negate(dhat.swapaxes(0, 1), negated)
-    kept = dhat.any(axis=(0, 2))
-    keys, dhat = [key for key, keep in zip(keys, kept.tolist()) if keep], dhat[:, kept]
-    dhat_index, dhat_values = _live(keys, dhat[0])
+    kept = dhat.any(axis=(0, 2))  # zero jets drop, as in KForm
+    dhat, kept = dhat[:, kept], kept.tobytes()
 
     # C^a_{bc}, with d hat-e^a = -(1/2) C^a_{bc} hat-e^b ^ hat-e^c, is row
     # struct[a, b, c] of ``signed``.  Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} +
     # C^c_{ab})/2, the c-th coefficient of omega^a_b, sums those present in
     # this order; an absent one is the last row, -0.0, which keeps the bits.
-    t = len(keys)
-    struct = dict(zip(keys, range(t)))
-    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
+    at = _gamma_plan(keys, kept)[2]
     signed = np.concatenate((-dhat, dhat, np.full((3, 1, width), -0.0)), axis=1)
-    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
-    at = np.array([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
-                   for a, b, c in triples], dtype=int).reshape(-1, 3).T
     gamma = (signed[:, at[0]] + signed[:, at[1]] + signed[:, at[2]]) * 0.5
-    kept = gamma.any(axis=(0, 2))
-    index, values = [key for key, keep in zip(triples, kept.tolist()) if keep], gamma[0, kept]
-
-    # structure equation: d hat-e^a, then omega^a_b ^ hat-e^b for b ascending,
-    # the order of ``index``; c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk} for k > b
-    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
-    rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
-    _, sums = _ordered_sums(dhat_index + list(keys),
-                            np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
-    return CartanConnection(cof.dim, index, values, gamma[1, kept], dhat_index, dhat_values,
-                            worst_abs([sums]))
+    nonzero, live = gamma.any(axis=(0, 2)), dhat[0].any(axis=1)
+    dhat_index, index, rows, negate, slots = _structure_plan(keys, kept, live.tobytes(),
+                                                             nonzero.tobytes())
+    values, dhat_values = gamma[0, nonzero], dhat[0, live]
+    _, sums = _ordered_sums(None, np.concatenate([dhat_values, _negate(values[rows], negate)]),
+                            slots)
+    return CartanConnection(cof.dim, list(index), values, gamma[1, nonzero], list(dhat_index),
+                            dhat_values, worst_abs([sums]))
 
 
 @dataclass
@@ -348,46 +389,39 @@ class CurvatureRows:
     values: np.ndarray
 
 
-def _d_terms(conn: CartanConnection):
-    """Keys (a, b, p, q) and values of c_k d hat-e^k for each coefficient
-    c_k of each omega^a_b, k ascending per form."""
-    by_k = [[] for _ in range(conn.dim)]
-    for row, (k, p, q) in enumerate(conn.dhat_index):
+@functools.lru_cache(maxsize=None)
+def _curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
+    """Keys and rows of the terms of :func:`curvature_forms`: c_k d hat-e^k,
+    k ascending per omega^a_b; -(c'_k / w) hat-e^{kn}, k < n; and each
+    product c_k c_l of omega^a_c ^ omega^c_b, c ascending, on {k, l},
+    negated when k > l, with the slots that sum the two products of a
+    coefficient, the (k, l) one first, as the wedge sums them."""
+    by_k = [[] for _ in range(n)]
+    for row, (k, p, q) in enumerate(dhat_index):
         by_k[k].append((row, p, q))
-    terms = [((a, b, p, q), r, s) for r, (a, b, k) in enumerate(conn.index)
-             for s, p, q in by_k[k]]
-    keys, rows, dhat_rows = zip(*terms) if terms else ((), (), ())
-    return list(keys), conn.values[list(rows)] * conn.dhat_values[list(dhat_rows)]
-
-
-def _slope_terms(cof: CoframeWithJets, conn: CartanConnection):
-    """Keys and values of (1/w) hat-e^n ^ c'_k hat-e^k = -(c'_k / w)
-    hat-e^{kn}, k < n, in the order of ``conn.index``; only the terms
-    nonzero at some sample are kept, as the KForm wedge keeps them."""
-    n = conn.dim
-    rows = [r for r, (_, _, k) in enumerate(conn.index) if k != n - 1]
-    return _live([conn.index[r] + (n - 1,) for r in rows],
-                 -((1.0 / cof.w.value) * conn.slopes[rows]))
-
-
-def _wedge_terms(conn: CartanConnection):
-    """Keys and values of the nonzero coefficients of each omega^a_c ^
-    omega^c_b, c ascending per (a, b).  A product c_k c_l lands on {k, l},
-    negated when k > l; the two products on one coefficient are summed
-    first, the (k, l) one before the (l, k) one, as the wedge sums them."""
-    n = conn.dim
+    terms = [((a, b, p, q), r, s) for r, (a, b, k) in enumerate(index) for s, p, q in by_k[k]]
+    d_keys, d_rows, dhat_rows = zip(*terms) if terms else ((), (), ())
+    slope_rows = [r for r, (_, _, k) in enumerate(index) if k != n - 1]
     into, out_of = [[] for _ in range(n)], [[] for _ in range(n)]
-    for r, (a, b, k) in enumerate(conn.index):
+    for r, (a, b, k) in enumerate(index):
         into[b].append((r, a, k))  # omega^a_c, by c
         out_of[a].append((r, b, k))  # omega^c_b, by c
     products = [((c, a, b, min(k, l), max(k, l)), r, s, k > l)
                 for c in range(n) for r, a, k in into[c] for s, b, l in out_of[c] if k != l]
     keys, left, right, negate = zip(*products) if products else ((), (), (), ())
-    prod = conn.values[list(left)]
-    prod *= conn.values[list(right)]
-    keys, sums = _ordered_sums(list(keys), _negate(prod, negate))
-    keys, sums = _live(keys, sums)
-    return [key[1:] for key in keys], sums
+    wedge_keys, slots = _slots(keys)
+    return (d_keys, _frozen(d_rows), _frozen(dhat_rows),
+            tuple(index[r] + (n - 1,) for r in slope_rows), _frozen(slope_rows),
+            _frozen(left), _frozen(right), _frozen(negate, bool),
+            tuple(key[1:] for key in wedge_keys), (wedge_keys, slots))
+
+
+@functools.lru_cache(maxsize=None)
+def _curvature_slots(d_keys: tuple, slope_keys: tuple, slope_live: bytes,
+                     wedge_keys: tuple, wedge_live: bytes) -> tuple:
+    """The slots of the d-terms, the live slope terms and the live wedge sums."""
+    return _slots(d_keys + tuple(compress(slope_keys, slope_live))
+                  + tuple(compress(wedge_keys, wedge_live)))
 
 
 def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRows:
@@ -398,19 +432,29 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
     two-term sum rounds the same in either order, so the values are those
     of d taken in jets.
 
-    Each kind of term is formed by one gather and multiply over the index
-    lists of ``conn``, and one scatter-add in :func:`_ordered_sums` adds
-    the terms of every coefficient in the order of the KForm sum
+    Each kind of term is formed by one gather and multiply over the rows
+    of :func:`_curvature_plan`, and one scatter-add in :func:`_ordered_sums`
+    adds the terms of every coefficient in the order of the KForm sum
     ``exterior_d(omega^a_b) + (1/w) hat-e^n ^ slopes + sum_c omega^a_c ^
     omega^c_b``: the d-terms, then the slope terms, then the wedges by c
-    ascending, each wedge coefficient already summed over its own two
-    products."""
+    ascending, each wedge already summed over its own two products; a
+    slope term or wedge zero at every sample drops, as in KForm."""
+    (d_keys, d_rows, dhat_rows, slope_keys, slope_rows, left, right, negate, wedge_keys,
+     wedge_slots) = _curvature_plan(conn.dim, tuple(conn.index), tuple(conn.dhat_index))
     # the wedges first: their products are the largest temporaries
-    wedges = _wedge_terms(conn)
-    keys, values = zip(_d_terms(conn), _slope_terms(cof, conn), wedges)
+    prod = conn.values[left]
+    prod *= conn.values[right]
+    wedges = _ordered_sums(None, _negate(prod, negate), wedge_slots)[1]
+    del prod
+    wedge_live = wedges.any(axis=1)
+    slopes = -((1.0 / cof.w.value) * conn.slopes[slope_rows])
+    slope_live = slopes.any(axis=1)
+    values = np.concatenate((conn.values[d_rows] * conn.dhat_values[dhat_rows],
+                             slopes[slope_live], wedges[wedge_live]))
     del wedges
-    keys, values = keys[0] + keys[1] + keys[2], np.concatenate(values)
-    return CurvatureRows(cof.dim, *_live(*_ordered_sums(keys, values)))
+    slots = _curvature_slots(d_keys, slope_keys, slope_live.tobytes(),
+                             wedge_keys, wedge_live.tobytes())
+    return CurvatureRows(cof.dim, *_live(*_ordered_sums(None, values, slots)))
 
 
 @dataclass
@@ -424,6 +468,19 @@ class CurvatureSummary:
     structure_residual: float
 
 
+@functools.lru_cache(maxsize=None)
+def _ricci_plan(n: int, index: tuple) -> tuple:
+    """Rows, entries b * n + d and negation mask of the Ricci terms
+    Omega^a_b(e_a, e_d), a ascending, and the rows, span-matrix rows and
+    columns of the forms Omega^a_b, a < b, over the curvature rows ``index``."""
+    terms = sorted((a, r, b * n + (q if a == p else p), a == q)
+                   for r, (a, b, p, q) in enumerate(index) if a in (p, q))
+    _, rows, entries, negate = zip(*terms) if terms else ((),) * 4
+    upper = [(r, a * n + b, p * n + q) for r, (a, b, p, q) in enumerate(index) if a < b]
+    forms = zip(*upper) if upper else ((),) * 3
+    return (_frozen(rows), _frozen(entries), _frozen(negate, bool), *map(_frozen, forms))
+
+
 def _ricci_and_span(curv: CurvatureRows):
     """Ricci, with a leading sample axis, and the span matrix as the row,
     the column and the values of each of its entries.  Ricci_{bd} =
@@ -432,33 +489,19 @@ def _ricci_and_span(curv: CurvatureRows):
     a < b, as rows over the basis 2-forms in lexicographic order."""
     n = curv.dim
     width = curv.values.shape[1]
-    # Omega^a_b(e_a, e_d) is the (a, d) coefficient, negated when d < a;
-    # the scatter-add sums each (b, d) into row b * n + d, a ascending
-    terms = sorted((a, r, b * n + (q if a == p else p), a == q)
-                   for r, (a, b, p, q) in enumerate(curv.index) if a in (p, q))
-    _, rows, entries, negate = zip(*terms) if terms else ((),) * 4
+    rows, entries, negate, upper, forms, basis = _ricci_plan(n, tuple(curv.index))
     ric = np.zeros((n * n, width))
-    np.add.at(ric, list(entries), _negate(curv.values[list(rows)], negate))
+    np.add.at(ric, entries, _negate(curv.values[rows], negate))
     ric = np.ascontiguousarray(ric.T).reshape(width, n, n)
-    upper = [(r, a * n + b, p * n + q) for r, (a, b, p, q) in enumerate(curv.index) if a < b]
-    rows, forms, basis = zip(*upper) if upper else ((),) * 3
-    return ric, list(forms), list(basis), curv.values[list(rows)]
+    return ric, forms, basis, curv.values[upper]
 
 
-def block_stacks(rows, cols, values: np.ndarray) -> list:
-    """The diagonal blocks of the matrices, one per sample s, that hold
-    ``values[e, s]`` at (``rows[e]``, ``cols[e]``) and zeros elsewhere
-    (a repeated position keeps its last entry).  The blocks are the
-    connected components of the pattern of the entries, found by a
-    union-find over its rows and columns that merges the smaller
-    component into the larger; so one pattern serves every sample, and a
-    pattern that joins blocks only makes them larger.  Empty rows and
-    columns belong to no block.
-
-    Returns one (block_rows, stack) pair per block shape (m, k): the
-    (blocks, m) array of each block's rows, ascending, and the
-    (samples, blocks, m, k) stack of the blocks."""
-    rows, cols = np.asarray(rows).tolist(), np.asarray(cols).tolist()
+@functools.lru_cache(maxsize=None)
+def _block_layout(rows: bytes, cols: bytes) -> tuple:
+    """Per block shape of :func:`block_stacks` for the entries at these
+    rows and columns (int array bytes): the shape, the block rows, and the
+    entries in those blocks with the block, local row and column of each."""
+    rows, cols = np.frombuffer(rows, dtype=int).tolist(), np.frombuffer(cols, dtype=int).tolist()
     comp = {}  # node -> the nodes of its component: rows r >= 0, columns ~c < 0
     for r, c in zip(rows, cols):
         a, b = comp.setdefault(r, [r]), comp.setdefault(~c, [~c])
@@ -486,12 +529,29 @@ def block_stacks(rows, cols, values: np.ndarray) -> list:
         in_block.append(block)
         row.append(i)
         col.append(at[~c])
+    return tuple((shape, _frozen(blocks), _frozen(place[shape][0]),
+                  tuple(map(_frozen, place[shape][1:]))) for shape, blocks in shapes.items())
+
+
+def block_stacks(rows, cols, values: np.ndarray) -> list:
+    """The diagonal blocks of the matrices, one per sample s, that hold
+    ``values[e, s]`` at (``rows[e]``, ``cols[e]``) and zeros elsewhere
+    (a repeated position keeps its last entry).  The blocks are the
+    connected components of the pattern of the entries, found by a
+    union-find over its rows and columns that merges the smaller
+    component into the larger, once per pattern (:func:`_block_layout`);
+    so one pattern serves every sample, and a pattern that joins blocks
+    only makes them larger.  Empty rows and columns belong to no block.
+
+    Returns one (block_rows, stack) pair per block shape (m, k): the
+    (blocks, m) array of each block's rows, ascending, read-only, and the
+    (samples, blocks, m, k) stack of the blocks."""
     out = []
-    for shape, blocks in shapes.items():
-        entries, *where = place[shape]
+    for shape, blocks, entries, where in _block_layout(np.asarray(rows, dtype=int).tobytes(),
+                                                       np.asarray(cols, dtype=int).tobytes()):
         stack = np.zeros((values.shape[1], len(blocks)) + shape)
         stack[(slice(None), *where)] = values[entries].T
-        out.append((np.array(blocks), stack))
+        out.append((blocks, stack))
     return out
 
 

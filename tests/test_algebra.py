@@ -107,10 +107,10 @@ def test_parser_errors():
     with pytest.raises(AlgebraSyntaxError) as err:
         parse_algebra("algebra x dim 3\nd e1 = e2 & e3\n")
     assert "line 2" in str(err.value)
-    with pytest.raises(AlgebraSyntaxError, match="line 3, column 0: d e1 defined twice"):
+    with pytest.raises(AlgebraSyntaxError, match="line 3: d e1 defined twice"):
         parse_algebra("algebra x dim 3\nd e1 = 0\nd e1 = 0\n")
     with pytest.raises(AlgebraSyntaxError,
-                       match="line 2, column 0: d e7: index out of range for dim 3"):
+                       match="line 2: d e7: index out of range for dim 3"):
         parse_algebra("algebra x dim 3\nd e7 = 0\n")
     with pytest.raises(AlgebraSyntaxError):
         parse_algebra("not a header\n")

@@ -100,11 +100,11 @@ class TestCheckAlgebra:
 
     @pytest.mark.parametrize("old,new,message", [
         ("omega2 = e1^e3 + e4^e2", "omega2 = e1^e3 + e4^e2\nomega2 = e1^e3",
-         "line 12, column 0: omega2 defined twice"),
-        ("omega1 =", "omega1 = e1^e2\nomega1 =", "line 11, column 0: omega1 defined twice"),
+         "line 12: omega2 defined twice"),
+        ("omega1 =", "omega1 = e1^e2\nomega1 =", "line 11: omega1 defined twice"),
         ("omega1 =", "qc horizontal = e1..e4 ; vertical = e5,e6,e7\nomega1 =",
-         "line 10, column 0: second qc line; the first is line 9"),
-        ("omega3 = e1^e4 + e2^e3", "", "line 9, column 0: qc block needs omega1, omega2, omega3"),
+         "line 10: second qc line; the first is line 9"),
+        ("omega3 = e1^e4 + e2^e3", "", "line 9: qc block needs omega1, omega2, omega3"),
     ], ids=["repeated-omega", "omega1-twice", "repeated-qc", "incomplete-qc"])
     @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
     def test_qc_block_refused_with_its_line(self, tmp_path, capsys, command, old, new, message):
@@ -116,10 +116,10 @@ class TestCheckAlgebra:
         assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
     @pytest.mark.parametrize("old,new,message", [
-        ("d e2 = 0", "d e1 = 0", "line 3, column 0: d e1 defined twice"),
-        ("d e7 =", "d e9 = 0\nd e7 =", "line 8, column 0: d e9: index out of range for dim 7"),
+        ("d e2 = 0", "d e1 = 0", "line 3: d e1 defined twice"),
+        ("d e7 =", "d e9 = 0\nd e7 =", "line 8: d e9: index out of range for dim 7"),
         ("vertical = e5,e6,e7", "vertical = e5,e6,e9",
-         "line 9, column 0: index e9 out of range for dim 7"),
+         "line 9: index e9 out of range for dim 7"),
     ], ids=["repeated-d", "d-out-of-range", "index-out-of-range"])
     @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
     def test_differential_and_index_refused_with_their_line(self, tmp_path, capsys, command,
@@ -132,20 +132,20 @@ class TestCheckAlgebra:
         assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
     @pytest.mark.parametrize("old,new,message", [
-        (heisenberg_source(1), "", "line 1, column 0: missing header"),
+        (heisenberg_source(1), "", "line 1: missing header"),
         ("vertical = e5,e6,e7", "vertical = e5,e6",
-         "line 9, column 0: need three vertical directions and three fundamental forms"),
+         "line 9: need three vertical directions and three fundamental forms"),
         ("horizontal = e1..e4", "horizontal = e1..e3",
-         "line 9, column 0: horizontal rank must be a positive multiple of 4"),
+         "line 9: horizontal rank must be a positive multiple of 4"),
         ("vertical = e5,e6,e7", "vertical = e4,e6,e7",
-         "line 9, column 0: horizontal and vertical indices must partition the frame"),
+         "line 9: horizontal and vertical indices must partition the frame"),
         ("omega1 = e1^e2 + e3^e4", "omega1 = e1^e2 + e3^e5",
-         "line 10, column 0: fundamental forms must be horizontal"),
-        ("horizontal = e1..e4", "horizontal = e4..e1", "line 9, column 0: empty range 'e4..e1'"),
+         "line 10: fundamental forms must be horizontal"),
+        ("horizontal = e1..e4", "horizontal = e4..e1", "line 9: empty range 'e4..e1'"),
         ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e2^e4",
-         "line 12, column 0: form has degree 3, expected 2"),
+         "line 12: form has degree 3, expected 2"),
         ("omega3 = e1^e4 + e2^e3", "omega3 = e1^e4 + e2",
-         "line 12, column 0: mixed-degree form literal"),
+         "line 12: mixed-degree form literal"),
     ], ids=["missing-header", "two-vertical", "rank-three", "no-partition", "vertical-omega",
             "empty-range", "degree-three", "mixed-degree"])
     @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
@@ -411,7 +411,7 @@ class TestLiteralLimits:
         path = tmp_path / "literal.alg"
         path.write_text(_HEIS1.replace("d e7 = 2 e1^e4", f"d e7 = 2 e{_LONG}^e4"))
         _, _, err = run(capsys, "check-algebra", "--file", str(path))
-        assert err == ("parse error: line 8, column 0: "
+        assert err == ("parse error: line 8: "
                        "index e111111...(5000 digits) out of range for dim 7\n")
 
     @pytest.mark.parametrize("command", ["qc-report", "check-algebra"])
@@ -854,8 +854,8 @@ class TestExitContract:
     def test_one_exception_class_per_exit_code(self):
         """A refusal is raised as InputError, NotQcError or DomainError, whose
         exit code and stderr label ``main`` reads; the only subclasses are the
-        three whose data a caller reads (``line`` and ``column``, ``s`` and
-        ``violations``).  Library misuse raises ValueError or TypeError."""
+        three whose data a caller reads (``line``, ``s`` and ``violations``).
+        Library misuse raises ValueError or TypeError."""
         defined = set()
         for info in pkgutil.iter_modules(qcforge.__path__):
             if info.name == "__main__":

@@ -36,6 +36,16 @@ test's three right-hand sides; the ideal test's reference is one
 least-squares solve per sample and right-hand side, and on random block
 patterns both are checked against SVDs of the whole matrices.
 
+Every stage of the jet path, the block layout of both solves included,
+caches its plan of rows, masks and sum slots by the tuples and the value
+masks it reads.  With the plans cleared, a cold pass and then a warm one
+must each equal the references above (the jet solve, the jet curvature,
+Ricci summed from it, and the dense SVDs) bit for bit: on the families,
+on one base whose scalings stop moving, under shared, permuted and
+distinct scalings, and where a structure function, Gamma rows or the
+curvature vanish at every sample; and a sweep with cold plans equals one
+with warm plans.
+
 The spin7-triaxial window is found in one pass over the intervals cut by
 the roots; its reference collects every positive interval in a list of
 candidates and then picks a bounded one, else the first.
@@ -75,7 +85,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcforge import evolution, qc, riemann
+from qcforge import acceptance, evolution, jetforms, qc, riemann
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, JacobiReport, QcFrameSpec, _identity,
                              _mat_lin, _mat_mul, _mat_t, catalog, form_matrix, jacobi_check,
                              parse_algebra, require_qc)
@@ -88,7 +98,7 @@ from qcforge.forms import KForm, _accumulate, exterior_d
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
                              _ordered_sums, cartan_connection, curvature_forms,
-                             frame_curvature, koszul_levi_civita, span_rank)
+                             frame_curvature, koszul_levi_civita, ricci_and_rank, span_rank)
 from qcforge.scalars import DomainError, Jet, worst_abs
 
 
@@ -1572,6 +1582,160 @@ def test_rotated_base_builds_the_same_verdicts(monkeypatch, name):
     assert max(widths) > 3  # a block joins the columns of two frame indices
     assert have["curvature_rank"] == want["curvature_rank"]
     assert verdicts(name, have) == verdicts(name, want)
+
+
+# ---------------------------------------------------------------------------
+# Cached plans: each jet-path stage keeps its rows by the tuples and masks it
+# reads, so a warm call must equal a cold one and both the references
+# ---------------------------------------------------------------------------
+
+
+def clear_plans():
+    """Empty every cached plan of the jet path."""
+    for module in (riemann, jetforms):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def constant_scalings(cof) -> CoframeWithJets:
+    """``cof`` with every jet frozen at its values, shared jets still shared."""
+    frozen = {id(j): Jet((j.value, 0.0, 0.0)) for j in (cof.w, *cof.scalings)}
+    return CoframeWithJets(cof.base, [frozen[id(s)] for s in cof.scalings], frozen[id(cof.w)])
+
+
+def distinct_scalings(cof) -> CoframeWithJets:
+    return CoframeWithJets(cof.base, [Jet(s.c) for s in cof.scalings], Jet(cof.w.c))
+
+
+def permuted_scalings(cof) -> CoframeWithJets:
+    """``cof`` with its scalings in reverse order: as many distinct jets,
+    moving as before, on other coframe elements."""
+    return CoframeWithJets(cof.base, cof.scalings[::-1], cof.w)
+
+
+_LINE = parse_algebra("algebra line dim 1\nd e1 = 0\n")[0]
+_CONE = Jet.variable(np.array([1.0, 2.0, 4.0]))  # exactly flat at powers of 2
+
+
+PLAN_CASES = {
+    # qk, spin7 and triaxial families over heis(1), heis(2), l1 and l2
+    "families": lambda: [family_coframe(name, 16) for name in BASE_FAMILIES],
+    "constant-then-moving": lambda: [constant_scalings(family_coframe("spin7-l1", 16)),
+                                     family_coframe("spin7-l1", 16)],
+    # f on the horizontals, then on the verticals, then every jet distinct
+    "sharing": lambda: [family_coframe("qk-heis", 16), permuted_scalings(family_coframe(
+        "qk-heis", 16)), distinct_scalings(family_coframe("qk-heis", 16))],
+    # on one base and one pattern of scalings: a term of d hat-e^1 zero in
+    # value but not in jet, then nonzero; Gamma rows nonzero, then some
+    # cancelling at every sample; the curvature of dx^2 + p^2 e^1 e^1 at
+    # p = x, flat and cancelling at every sample, at p = p' = p'', whose
+    # connection has no slope, and at p = x^2
+    "cancelling": lambda: [
+        CoframeWithJets(_FLAT_ROWS[0], [Jet((1.0, s, 1.0)), Jet.const(1.0), Jet.const(1.0)],
+                        Jet.const(1.0)) for s in (0.0, 0.5)] + [
+        CoframeWithJets(_FLAT_ROWS[0], [Jet.const(x) for x in (1.0, p, 1.0)], Jet.const(1.0))
+        for p in (2.0, 1.0)] + [
+        CoframeWithJets(_LINE, [p], Jet.const(1.0))
+        for p in (_CONE, Jet((_CONE.value,) * 3), _CONE * _CONE)],
+}
+
+
+def jet_path(cof) -> tuple:
+    conn = cartan_connection(cof)
+    return conn, curvature_forms(cof, conn), ricci_and_rank(cof)
+
+
+def assert_same_jet_path(have, want):
+    assert_same_connection(have[0], want[0])
+    assert have[1].index == want[1].index
+    assert (_bits(have[1].values) == _bits(want[1].values)).all()
+    assert (_bits(have[2].ricci) == _bits(want[2].ricci)).all()
+    assert (have[2].curvature_rank == want[2].curvature_rank).all()
+    assert _bits(have[2].structure_residual) == _bits(want[2].structure_residual)
+
+
+def assert_jet_path_matches_references(cof, conn, curv, summary):
+    """The solve equals the jet solve, the curvature the jet curvature (a
+    monomial on one side only is zero at every sample), Ricci its sum from
+    the jet curvature over a ascending, and the rank the dense SVD of the
+    jet curvature's span matrix."""
+    assert_same_connection(conn, jet_cartan_connection(cof))
+    n, width = cof.dim, conn.values.shape[1]
+    want = jet_curvature_forms(cof, connection_forms(conn))
+    have = curvature_terms(curv)
+    ricci = np.zeros((width, n, n))
+    span = []
+    for a in range(n):
+        for b in range(n):
+            for (p, q), coeff in want[a][b].terms.items():
+                value = np.broadcast_to(coeff.value, (width,))
+                if a + 1 in (p, q):
+                    d, sign = (q, 1.0) if a + 1 == p else (p, -1.0)
+                    ricci[:, b, d - 1] += value * sign
+                if a < b:
+                    span.append((a * n + b, (p - 1) * n + q - 1, value))
+            for idx in have[a][b].keys() | want[a][b].terms.keys():
+                if idx not in have[a][b] or idx not in want[a][b].terms:
+                    only = have[a][b].get(idx, want[a][b].terms.get(idx))
+                    assert not np.count_nonzero(getattr(only, "value", only)), (a, b, idx)
+                else:
+                    x, y = np.broadcast_arrays(have[a][b][idx], want[a][b].terms[idx].value)
+                    assert (_bits(x) == _bits(y)).all(), (a, b, idx)
+    assert (_bits(summary.ricci) == _bits(ricci)).all()
+    rows, cols, vals = zip(*span) if span else ((), (), ())
+    vals = np.array(vals).reshape(len(rows), width)
+    assert (summary.curvature_rank == dense_span_rank(list(rows), list(cols), vals,
+                                                      (n * n, n * n))).all()
+    assert _bits(summary.structure_residual) == _bits(conn.structure_residual)
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_no_plan_serves_rows_it_was_not_built_for(case):
+    cofs = PLAN_CASES[case]()
+    clear_plans()
+    cold = [jet_path(cof) for cof in cofs]
+    warm = [jet_path(cof) for cof in cofs]
+    for cof, have, again in zip(cofs, cold, warm):
+        assert_jet_path_matches_references(cof, *have)
+        assert_same_jet_path(again, have)
+    if case == "cancelling":  # the masks did change
+        assert [len(conn.dhat_index) for conn, _, _ in cold[:2]] == [3, 4]
+        assert [len(conn.index) for conn, _, _ in cold[2:4]] == [6, 4]
+        assert [len(curv.index) for _, curv, _ in cold[4:]] == [0, 2, 2]
+
+
+def test_block_layouts_serve_their_own_patterns(monkeypatch):
+    """The ideal solves of a build of every base-backed family, cold and
+    warm, equal each other bit for bit and the dense solves."""
+    calls = []
+    solve = evolution.block_remainder
+    monkeypatch.setattr(evolution, "block_remainder",
+                        lambda *args: calls.append(args) or solve(*args))
+    for name in BASE_FAMILIES:
+        build_family(name)
+    # one pattern of rows in two patterns of columns: two blocks, then one
+    rhs = np.array([[[1.0] * 3, [-1.0] * 3]])
+    calls += [(np.array([0, 1]), np.array([c, 1]), np.array([[1.0], [2.0]]), rhs, 2)
+              for c in (0, 1)]
+    clear_plans()
+    cold = [solve(*args) for args in calls]
+    warm = [solve(*args) for args in calls]
+    assert _bits(cold).tolist() == _bits(warm).tolist()
+    for args, have in zip(calls, cold):
+        assert_remainder_matches(have, max(dense_remainders(*args)))
+
+
+def test_a_sweep_with_cold_plans_equals_one_with_warm_plans():
+    """Three sweeps rebuild every family: the first fills the plans, the
+    second reads them, and the third, with the plans cleared, equals it."""
+    acceptance._BUILDS.clear()
+    acceptance.run_all()
+    acceptance._BUILDS.clear()
+    warm = acceptance.run_all()
+    clear_plans()
+    acceptance._BUILDS.clear()
+    assert acceptance.run_all() == warm
 
 
 _SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])
