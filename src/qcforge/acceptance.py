@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import dga, qc
 from .algebra import _mat_mul, form_matrix, jacobi_check
 from .evolution import FAMILIES, JetForm, build_family, extended_d, verdicts
-from .forms import KForm
+from .forms import KForm, _fractions
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet
 
@@ -106,8 +106,9 @@ def criterion_4():
             problems.append(f"{name}: torsion endomorphism should vanish")
     rep = qc.catalog_report("l3")
     spec = rep.spec
-    psi = Fraction(-1, 4) * (KForm.basis(7, 1, 2) - KForm.basis(7, 3, 4))
-    if rep.torsion.T0 != _mat_mul(form_matrix(psi, spec.horizontal), spec.complex_structure(1)):
+    psi = KForm(7, 2, {(1, 2): -1, (3, 4): 1})  # 4 psi
+    if rep.torsion.t0 != _mat_mul((form_matrix(psi, spec.horizontal), 4),
+                                  spec.complex_structure(1)):
         problems.append("l3: T0 != psi(. , I_1 .)")
     if rep.torsion.U:
         problems.append("l3: U != 0")
@@ -277,12 +278,12 @@ def criterion_14():
     # prescribed torsion reproduced exactly
     rep = qc.catalog_report("l2")
     spec = rep.spec
-    want = qc.assemble_torsion_tensor(spec, rep.torsion)
+    want = _fractions(*qc.assemble_torsion_tensor(spec, rep.torsion))
     have = rep.connection.torsion(spec.algebra)
     if want != have:
         problems.append("adjusted connection torsion mismatch")
     lc = koszul_levi_civita(spec.algebra)
-    if adjust_by_torsion(lc, {}).gamma != lc.gamma:
+    if adjust_by_torsion(lc, ({}, 1)).gamma != lc.gamma:
         problems.append("zero-torsion adjustment is not the identity")
 
     # structure-equation residuals of the connection solver

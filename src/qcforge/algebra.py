@@ -9,24 +9,21 @@ Jacobi identity and gates every catalog entry.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import KForm, _accumulate, _integral, exterior_d, format_form, parse_form
+from .forms import KForm, _integral, _over, exterior_d, format_form, parse_ints
 from .scalars import InputError, NotQcError, parse_rational, shown_digits
 
 
 MAX_DIM = 64
 """The largest frame dimension a coframe may have; heis(15), of dimension
 63, is the largest Heisenberg coframe within it."""
-
-
-class AlgebraSyntaxError(InputError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class VerticalTerm(InputError):
@@ -38,28 +35,34 @@ class VerticalTerm(InputError):
 
 
 class FrameAlgebra:
-    """Coframe dimension plus the Maurer-Cartan differentials d e^a."""
+    """Coframe dimension plus the Maurer-Cartan differentials d e^a, held
+    once as int 2-forms over one denominator: d e^a = gens[a-1] / scale."""
 
-    __slots__ = ("name", "dim", "diff")
-
-    def __init__(self, name: str, dim: int, diff):
+    def __init__(self, name: str, dim: int, diff, scale: int = 1):
+        """d e^a is ``diff[a-1] / scale``, with int or Fraction coefficients."""
         self.name = name
         self.dim = dim
-        self.diff = list(diff)
-        if len(self.diff) != dim:
-            raise ValueError(f"expected {dim} differentials, got {len(self.diff)}")
-        for a, form in enumerate(self.diff, start=1):
+        diff = list(diff)
+        if len(diff) != dim:
+            raise ValueError(f"expected {dim} differentials, got {len(diff)}")
+        for a, form in enumerate(diff, start=1):
             if form.dim != dim or form.degree != 2:
                 raise ValueError(f"d e{a} must be a 2-form over the {dim}-dim coframe")
+        self.scale, self.gens = _integral(diff, scale)
+
+    @functools.cached_property
+    def diff(self) -> list:
+        """d e^a with Fraction coefficients, built on first read."""
+        return [_over(form, self.scale) for form in self.gens]
 
     def bracket_coeff(self, c: int, a: int, b: int) -> Fraction:
         """<e^c, [e_a, e_b]> = -(d e^c)(e_a, e_b); 1-based indices."""
-        return -self.diff[c - 1].coeff(a, b)
+        return Fraction(-self.gens[c - 1].coeff(a, b), self.scale)
 
     def bracket_terms(self):
-        """(c, a, b, <e^c, [e_a, e_b]>) for every nonzero bracket, 0-based,
-        with both orders of a and b."""
-        for c, form in enumerate(self.diff):
+        """(c, a, b, scale <e^c, [e_a, e_b]>) for every nonzero bracket,
+        0-based, with both orders of a and b: ints over ``scale``."""
+        for c, form in enumerate(self.gens):
             for (a, b), coeff in form.terms.items():
                 yield c, a - 1, b - 1, -coeff
                 yield c, b - 1, a - 1, coeff
@@ -81,11 +84,10 @@ class JacobiReport:
 
 def jacobi_check(alg: FrameAlgebra) -> JacobiReport:
     """d(d e^a) = 0 for every coframe element, reported triple by triple.
-    Runs in ints over L d e^a, with L the common denominator of the
-    structure constants: d is linear in the generators, so d over them is
-    L d, d.d is L^2 d.d, and each violation is its int divided by L^2."""
-    scale, gens = _integral(alg.diff)
-    scale *= scale
+    Runs in ints over the generators L d e^a: d is linear in them, so d
+    over them is L d, d.d is L^2 d.d, and each violation is its int
+    divided by L^2."""
+    gens, scale = alg.gens, alg.scale * alg.scale
     violations = []
     for a in range(1, alg.dim + 1):
         dd = exterior_d(gens[a - 1], gens)
@@ -104,27 +106,33 @@ class QcFrameSpec:
 
     The frame metric is the identity; eta_s is the coframe element at the
     s-th vertical index, and the almost complex structures are read off
-    omega_s(X, Y) = g(I_s X, Y).
+    omega_s(X, Y) = g(I_s X, Y).  The omega_s are held as int forms over
+    one denominator: omega_s = wforms[s-1] / wscale.
     """
 
-    __slots__ = ("algebra", "horizontal", "vertical", "omega", "_imat")
-
-    def __init__(self, algebra: FrameAlgebra, horizontal, vertical, omega):
+    def __init__(self, algebra: FrameAlgebra, horizontal, vertical, omega, scale: int = 1):
+        """omega_s is ``omega[s-1] / scale``, with int or Fraction coefficients."""
         self.algebra = algebra
         self.horizontal = tuple(horizontal)
         self.vertical = tuple(vertical)
-        self.omega = tuple(omega)
-        if len(self.vertical) != 3 or len(self.omega) != 3:
+        omega = tuple(omega)
+        if len(self.vertical) != 3 or len(omega) != 3:
             raise InputError("need three vertical directions and three fundamental forms")
         if len(self.horizontal) % 4 != 0 or not self.horizontal:
             raise InputError("horizontal rank must be a positive multiple of 4")
         used = set(self.horizontal) | set(self.vertical)
         if len(used) != algebra.dim or used != set(range(1, algebra.dim + 1)):
             raise InputError("horizontal and vertical indices must partition the frame")
-        for s, w in enumerate(self.omega, start=1):
+        for s, w in enumerate(omega, start=1):
             if any(set(idx) - set(self.horizontal) for idx in w.terms):
                 raise VerticalTerm(s)
+        self.wscale, self.wforms = _integral(omega, scale)
         self._imat = None
+
+    @functools.cached_property
+    def omega(self) -> tuple:
+        """omega_s with Fraction coefficients, built on first read."""
+        return tuple(_over(w, self.wscale) for w in self.wforms)
 
     @property
     def n(self) -> int:
@@ -142,13 +150,14 @@ class QcFrameSpec:
         """Frame index of the Reeb vector xi_s dual to eta_s."""
         return self.vertical[s - 1]
 
-    def complex_structure(self, s: int) -> dict:
-        """Matrix of I_s on the horizontal space, a dict of its nonzero
-        entries keyed by 0-based (row, column): column a holds I_s e_a.
+    def complex_structure(self, s: int) -> tuple:
+        """Matrix of I_s on the horizontal space, an exact matrix (see
+        below) keyed by 0-based (row, column): column a holds I_s e_a.
         Since omega_s(e_a, e_b) = <e^b, I_s e_a>, it is the transpose of
         the matrix of omega_s."""
         if self._imat is None:
-            self._imat = tuple(_mat_t(form_matrix(w, self.horizontal)) for w in self.omega)
+            self._imat = tuple(_reduced(*_mat_t((form_matrix(w, self.horizontal), self.wscale)))
+                               for w in self.wforms)
         return self._imat[s - 1]
 
     def validate(self):
@@ -182,16 +191,18 @@ def violation_text(violation) -> str:
     return f"d.d e{a} on (e{b},e{c},e{d}) = {value}"
 
 
-# -- exact matrix helpers (dicts of nonzero entries) --------------------------
+# -- exact matrix helpers ------------------------------------------------------
 #
-# A matrix is a dict from 0-based (row, column) to its nonzero entries; no
-# helper stores a zero, so two matrices are equal exactly when their dicts
+# An exact matrix is a pair (entries, den): a dict from 0-based (row, column)
+# to the nonzero int numerators of its entries, over one denominator den > 0
+# that shares no factor with every numerator.  No helper stores a zero, and
+# that form is unique, so two matrices are equal exactly when their pairs
 # are, and a matrix is zero exactly when its dict is empty.
 
 
 def form_matrix(form: KForm, indices) -> dict:
     """Antisymmetric matrix B[p, q] = form(e_{indices[p]}, e_{indices[q]})
-    of a 2-form, over the listed frame indices."""
+    of a 2-form, over the listed frame indices, in its coefficients."""
     pos = {a: i for i, a in enumerate(indices)}
     mat = {}
     for (a, b), coeff in form.terms.items():
@@ -201,34 +212,46 @@ def form_matrix(form: KForm, indices) -> dict:
     return mat
 
 
-def _mat_mul(a: dict, b: dict) -> dict:
+def _reduced(mat: dict, den: int) -> tuple:
+    """The exact matrix of the int entries ``mat`` over ``den``, zeros dropped."""
+    g = math.gcd(den, *mat.values())
+    return {key: x // g for key, x in mat.items() if x}, den // g
+
+
+def _mat_mul(a: tuple, b: tuple) -> tuple:
     """Matrix product summed over the pairs of nonzero entries in which a
-    column of ``a`` meets the same row of ``b``."""
+    column of ``a`` meets the same row of ``b``, over the product of their
+    denominators."""
+    (a, da), (b, db) = a, b
     rows = {}
     for (m, c), y in b.items():
         rows.setdefault(m, []).append((c, y))
-    acc = {}
+    acc = defaultdict(int)
     for (r, m), x in a.items():
         for c, y in rows.get(m, ()):
-            _accumulate(acc, (r, c), x * y)
-    return acc
+            acc[r, c] += x * y
+    return _reduced(acc, da * db)
 
 
-def _mat_t(a: dict) -> dict:
-    return {(c, r): x for (r, c), x in a.items()}
+def _mat_t(a: tuple) -> tuple:
+    mat, den = a
+    return {(c, r): x for (r, c), x in mat.items()}, den
 
 
-def _mat_lin(*terms) -> dict:
-    """Linear combination sum c * A over (c, A) pairs of equal shape."""
-    acc = {}
-    for c, a in terms:
-        for key, x in a.items():
-            _accumulate(acc, key, c * x)
-    return acc
+def _mat_lin(*terms) -> tuple:
+    """Linear combination sum c * A over (c, A) pairs of equal shape, each c
+    an int or a Fraction, summed over one common denominator."""
+    den = math.lcm(*(c.denominator * d for c, (_, d) in terms))
+    acc = defaultdict(int)
+    for c, (mat, d) in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for key, x in mat.items():
+            acc[key] += f * x
+    return _reduced(acc, den)
 
 
-def _identity(k: int) -> dict:
-    return {(i, i): Fraction(1) for i in range(k)}
+def _identity(k: int) -> tuple:
+    return {(i, i): 1 for i in range(k)}, 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +266,19 @@ _OMEGALINE = re.compile(r"omega([123])\s*=\s*(.+)$")
 _RANGE = re.compile(r"e(\d+)\s*\.\.\s*e(\d+)$")
 
 
+def _syntax(line: int, message) -> InputError:
+    """The refusal of a file: its message, after the number of the line."""
+    return InputError(f"line {line}: {message}")
+
+
 def _read_int(digits: str, line_no: int) -> int:
     """A frame dimension or index of the file grammar.  Any value above
     MAX_DIM is refused before int() reads it, so a long digit string
     neither overflows int() nor sizes an allocation."""
     value = digits.lstrip("0") or "0"
     if len(value) > len(str(MAX_DIM)) or int(value) > MAX_DIM:
-        raise AlgebraSyntaxError(
-            f"{shown_digits(digits)} exceeds the largest frame dimension {MAX_DIM}", line_no)
+        raise _syntax(line_no,
+                      f"{shown_digits(digits)} exceeds the largest frame dimension {MAX_DIM}")
     return int(value)
 
 
@@ -262,20 +290,27 @@ def _parse_index_list(text: str, dim: int, line_no: int):
         if m:
             lo, hi = _read_int(m.group(1), line_no), _read_int(m.group(2), line_no)
             if lo > hi:
-                raise AlgebraSyntaxError(f"empty range {chunk!r}", line_no)
+                raise _syntax(line_no, f"empty range {chunk!r}")
             indices.extend(range(lo, hi + 1))
         elif chunk.startswith("e") and chunk[1:].isdecimal():
             indices.append(_read_int(chunk[1:], line_no))
         else:
-            raise AlgebraSyntaxError(f"bad index {chunk!r}", line_no)
+            raise _syntax(line_no, f"bad index {chunk!r}")
     for a in indices:
         if not (1 <= a <= dim):
-            raise AlgebraSyntaxError(f"index e{a} out of range for dim {dim}", line_no)
+            raise _syntax(line_no, f"index e{a} out of range for dim {dim}")
     return indices
 
 
+def _over_one(pairs) -> tuple:
+    """(int form, denominator) pairs as int forms over their lcm L, and L."""
+    scale = math.lcm(*(den for _, den in pairs))
+    return [form if den == scale else form * (scale // den) for form, den in pairs], scale
+
+
 def parse_algebra(source: str):
-    """Parse an algebra file; returns (FrameAlgebra, QcFrameSpec or None).
+    """Parse an algebra file; returns (FrameAlgebra, QcFrameSpec or None),
+    the coefficients read as ints over one denominator each.
 
     Grammar (line oriented, '#' comments):
         algebra <name> dim <n>
@@ -285,10 +320,10 @@ def parse_algebra(source: str):
     """
     dim = None
     alg_name = None
-    diff: dict[int, KForm] = {}
+    diff: dict[int, tuple] = {}
     horizontal = vertical = None
     qc_line = 0
-    omegas: dict[int, KForm] = {}
+    omegas: dict[int, tuple] = {}
     omega_lines: dict[int, int] = {}
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -298,7 +333,7 @@ def parse_algebra(source: str):
         if dim is None:
             m = _HEADER.match(line)
             if not m:
-                raise AlgebraSyntaxError("expected 'algebra <name> dim <n>' header", line_no)
+                raise _syntax(line_no, "expected 'algebra <name> dim <n>' header")
             alg_name = m.group(1)
             dim = _read_int(m.group(2), line_no)
             continue
@@ -306,18 +341,18 @@ def parse_algebra(source: str):
         if m:
             a = _read_int(m.group(1), line_no)
             if not (1 <= a <= dim):
-                raise AlgebraSyntaxError(f"d e{a}: index out of range for dim {dim}", line_no)
+                raise _syntax(line_no, f"d e{a}: index out of range for dim {dim}")
             if a in diff:
-                raise AlgebraSyntaxError(f"d e{a} defined twice", line_no)
+                raise _syntax(line_no, f"d e{a} defined twice")
             try:
-                diff[a] = parse_form(m.group(2), dim, degree=2)
+                diff[a] = parse_ints(m.group(2), dim, degree=2)
             except ValueError as exc:
-                raise AlgebraSyntaxError(str(exc), line_no) from exc
+                raise _syntax(line_no, exc) from exc
             continue
         m = _QCLINE.match(line)
         if m:
             if qc_line:
-                raise AlgebraSyntaxError(f"second qc line; the first is line {qc_line}", line_no)
+                raise _syntax(line_no, f"second qc line; the first is line {qc_line}")
             qc_line = line_no
             horizontal = _parse_index_list(m.group(1), dim, line_no)
             vertical = _parse_index_list(m.group(2), dim, line_no)
@@ -326,30 +361,30 @@ def parse_algebra(source: str):
         if m:
             s = int(m.group(1))
             if s in omegas:
-                raise AlgebraSyntaxError(f"omega{s} defined twice", line_no)
+                raise _syntax(line_no, f"omega{s} defined twice")
             try:
-                omegas[s] = parse_form(m.group(2), dim, degree=2)
+                omegas[s] = parse_ints(m.group(2), dim, degree=2)
             except ValueError as exc:
-                raise AlgebraSyntaxError(str(exc), line_no) from exc
+                raise _syntax(line_no, exc) from exc
             omega_lines[s] = line_no
             continue
-        raise AlgebraSyntaxError(f"unrecognized line {line!r}", line_no)
+        raise _syntax(line_no, f"unrecognized line {line!r}")
 
     if dim is None:
-        raise AlgebraSyntaxError("missing header", 1)
-    forms = [diff.get(a, KForm(dim, 2)) for a in range(1, dim + 1)]
-    alg = FrameAlgebra(alg_name, dim, forms)
+        raise _syntax(1, "missing header")
+    alg = FrameAlgebra(alg_name, dim, *_over_one(
+        [diff.get(a, (KForm(dim, 2), 1)) for a in range(1, dim + 1)]))
 
     spec = None
     if horizontal is not None:
         if set(omegas) != {1, 2, 3}:
-            raise AlgebraSyntaxError("qc block needs omega1, omega2, omega3", qc_line)
+            raise _syntax(qc_line, "qc block needs omega1, omega2, omega3")
         try:
-            spec = QcFrameSpec(alg, horizontal, vertical, (omegas[1], omegas[2], omegas[3]))
+            spec = QcFrameSpec(alg, horizontal, vertical, *_over_one([omegas[s] for s in (1, 2, 3)]))
         except VerticalTerm as exc:
-            raise AlgebraSyntaxError(str(exc), omega_lines[exc.s]) from exc
+            raise _syntax(omega_lines[exc.s], exc) from exc
         except InputError as exc:
-            raise AlgebraSyntaxError(str(exc), qc_line) from exc
+            raise _syntax(qc_line, exc) from exc
     return alg, spec
 
 

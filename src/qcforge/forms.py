@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .scalars import parse_rational, shown_digits
+from .scalars import InputError, shown_digits
 
 
 def is_zero_scalar(c) -> bool:
@@ -38,25 +38,27 @@ def _accumulate(res: dict, idx, c):
         res[idx] = s
 
 
-def _common_denominator(values) -> int:
-    """The least common multiple of the denominators of ``values``,
-    Fractions or ints (an int's denominator is 1); 1 for no values.
-    With :func:`_scaled`, the one scaling rule of the exact tables that
-    sum in ints over one denominator."""
-    return math.lcm(*(x.denominator for x in values))
-
-
-def _scaled(x, k: int) -> int:
-    """k x as an int, for a ``k`` that the denominator of ``x`` divides."""
-    return x.numerator * (k // x.denominator)
-
-
-def _integral(forms) -> tuple:
-    """(k, [k f for f in forms]) with int coefficients, k the least common
-    multiple of the denominators of all their coefficients."""
+def _integral(forms, scale: int = 1) -> tuple:
+    """(k, [k f / scale for f in forms]) with int coefficients over the least
+    denominator k, for forms with int or Fraction coefficients."""
     forms = list(forms)
-    k = _common_denominator(c for form in forms for c in form.terms.values())
-    return k, [form.map_coefficients(lambda c: _scaled(c, k)) for form in forms]
+    values = [c for form in forms for c in form.terms.values()]
+    k = math.lcm(*(c.denominator for c in values))
+    g = math.gcd(scale * k, *(c.numerator * (k // c.denominator) for c in values))
+    return scale * k // g, [form.map_coefficients(lambda c: c.numerator * (k // c.denominator) // g)
+                            for form in forms]
+
+
+def _fractions(table: dict, den: int) -> dict:
+    """The entries of an int table over ``den``, as Fractions."""
+    return {key: Fraction(x, den) for key, x in table.items()}
+
+
+def _over(form: "KForm", den: int) -> "KForm":
+    """An int form over the denominator ``den``, with Fraction coefficients."""
+    out = KForm(form.dim, form.degree)
+    out.terms = _fractions(form.terms, den)
+    return out
 
 
 def _sort_indices(indices):
@@ -289,11 +291,15 @@ _NUMBER, _INDEX = 1, 2  # the token kinds, by the group of _FORM_TOKEN that matc
 
 
 def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
-    """Parse a form literal over an ``n``-dimensional coframe.
+    """Parse a form literal over an ``n``-dimensional coframe, by :func:`parse_ints`."""
+    return _over(*parse_ints(text, dim, degree))
 
-    Monomial factors may appear in any order ("e4^e2" is -e2^e4); "0" is
-    the zero form (of the stated degree when given).
-    """
+
+def parse_ints(text: str, dim: int, degree: int | None = None) -> tuple:
+    """A form literal as (int form, L), the form over L, the least common
+    multiple of the denominators its literals write.  Monomial factors may
+    appear in any order ("e4^e2" is -e2^e4); "0" is the zero form (of the
+    stated degree when given)."""
     text = text.strip()
     tokens = []  # (kind, text)
     pos = 0
@@ -306,7 +312,7 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     if tokens == [(_NUMBER, "0")]:
         if degree is None:
             raise ValueError("cannot infer the degree of the zero form")
-        return KForm(dim, degree)
+        return KForm(dim, degree), 1
 
     terms = []
     i = 0
@@ -320,9 +326,15 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
             sign = -sign
             i += 1
             continue
-        coeff = Fraction(1)
+        num, den = 1, 1
         if kind == _NUMBER:
-            coeff = parse_rational(tok)
+            num, _, den = tok.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # past the digits an int may have
+                den = 0
+            if not den:
+                raise InputError(f"bad rational literal {shown_digits(tok)!r}")
             i += 1
         indices = []
         while i < len(tokens) and tokens[i][0] == _INDEX:
@@ -341,22 +353,23 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
         for a in indices:
             if not (1 <= a <= dim):
                 raise ValueError(f"index e{a} out of range for dim {dim}")
-        terms.append((sign * coeff, indices))
+        terms.append((sign * num, den, indices))
         sign = 1
 
-    deg = len(terms[0][1])
+    deg = len(terms[0][2])
     if degree is not None and deg != degree:
         raise ValueError(f"form has degree {deg}, expected {degree}")
+    scale = math.lcm(*(den for _, den, _ in terms))
     res = {}
-    for coeff, indices in terms:
+    for num, den, indices in terms:
         if len(indices) != deg:
             raise ValueError("mixed-degree form literal")
         idx, sign = _sort_indices(indices)
         if sign:
-            _accumulate(res, idx, coeff if sign > 0 else -coeff)
+            _accumulate(res, idx, sign * num * (scale // den))
     out = KForm(dim, deg)
     out.terms = res
-    return out
+    return out, scale
 
 
 def format_form(form: KForm) -> str:

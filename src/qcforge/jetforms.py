@@ -148,14 +148,14 @@ def _d_plan(base, keys: tuple, moving: tuple) -> tuple:
     the jet of the derivative), then c d e^I by
     :func:`~qcforge.forms.monomial_d`."""
     n = base.dim + 1
-    generators = [*base.diff, KForm(n, 2)]
+    generators = [*base.gens, KForm(n, 2)]
     terms = []
     for r, idx in enumerate(keys):
         if moving[r]:
             merged, sign = _sort_indices((n,) + idx)
             if sign:
                 terms.append((len(keys) + r, float(sign), merged))
-        terms += [(r, float(g), merged) for merged, g in monomial_d(idx, generators)]
+        terms += [(r, g / base.scale, merged) for merged, g in monomial_d(idx, generators)]
     src, factors, out = zip(*terms) if terms else ((),) * 3
     return np.array(src, dtype=int), np.array(factors), _slots(out)
 

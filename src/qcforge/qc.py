@@ -1,25 +1,23 @@
 """Verification pipeline for quaternionic contact coframes.
 
-Given a :class:`~qcforge.algebra.QcFrameSpec` this module runs, in exact
-rational arithmetic throughout and along one path: the Reeb compatibility
-conditions, whose failure raises :class:`ReebFailure`, the
-sp(1) connection 1-forms with the normalized scalar curvature read in
-closed form from a trace identity, the decomposition of the torsion
-endomorphism into its trace-free symmetric and invariant parts (validated
-on D_l = -2(rho_l I_l + S g), since rho_l = (D_l/2 + S g) I_l with I_l
-invertible), assembly of the canonical metric connection with prescribed
-torsion, its curvature, the conformal curvature tensor, and closedness of
-the fundamental 4-forms.  Where some input can make two routes to one
-quantity disagree, both are computed and compared exactly; identities
-that the construction guarantees are not re-checked, the tests assert them.
-The hot tables (the connection, the curvature, W^qc and d of the
-fundamental 4-forms) sum in ints over one common denominator and are
-Fractions at their boundary, so every table a report reads is a dict of
-nonzero Fractions.
+Given a :class:`~qcforge.algebra.QcFrameSpec` this module runs, exactly
+and along one path: the Reeb conditions, whose failure raises
+:class:`ReebFailure`, the sp(1) connection 1-forms with the scalar
+invariant read in closed form from a trace identity, the torsion split into
+its trace-free symmetric and invariant parts (validated on D_l), the
+canonical connection with that torsion, its curvature, W^qc, and the
+closedness of the fundamental 4-forms.  Where some input can make two
+routes to one quantity disagree, both are computed and compared exactly;
+identities that the construction guarantees are not re-checked, the tests
+assert them.  Every stage runs in ints over one denominator per table, from
+the parsed structure constants on; Fractions are built only where the
+report, ``Sp1Forms``, ``TorsionData`` and the tables' accessors hand values
+out.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +25,7 @@ from fractions import Fraction
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
 from .ansatz import _CYCLIC, four_form
-from .forms import KForm, _common_denominator, _integral, _scaled, exterior_d
+from .forms import KForm, _fractions, _over, exterior_d
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
 from .scalars import NotQcError
@@ -51,14 +49,16 @@ def reeb_check(spec: QcFrameSpec) -> None:
     """Compatibility conditions singling out the Reeb frame (eta_s(xi_k) =
     delta_sk by construction): horizontal transversality of xi_s against
     d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H, with
-    d eta_s = d e^{xi_s} read from the structure equations.  Raises
-    :class:`ReebFailure` listing every violation when any fails."""
+    d eta_s = d e^{xi_s} read from the structure equations, in ints over
+    their denominator L.  Raises :class:`ReebFailure` listing every
+    violation when any fails."""
     violations = []
-    detas = [spec.algebra.diff[v - 1] for v in spec.vertical]
+    alg = spec.algebra
+    detas = [alg.gens[v - 1] for v in spec.vertical]
     for s in (1, 2, 3):
         pulled = detas[s - 1].interior(spec.xi(s)).restrict(spec.horizontal)
         if not pulled.is_zero():
-            violations.append(f"(xi_{s} . d eta_{s})|_H = {pulled} != 0")
+            violations.append(f"(xi_{s} . d eta_{s})|_H = {_over(pulled, alg.scale)} != 0")
     for s in (1, 2, 3):
         for k in range(s + 1, 4):
             lhs = detas[k - 1].interior(spec.xi(s)).restrict(spec.horizontal)
@@ -67,7 +67,8 @@ def reeb_check(spec: QcFrameSpec) -> None:
                 violations.append(
                     f"(xi_{s} . d eta_{k})|_H != -(xi_{k} . d eta_{s})|_H")
     for s in (1, 2, 3):
-        if detas[s - 1].restrict(spec.horizontal) != 2 * spec.omega[s - 1]:
+        if spec.wscale * detas[s - 1].restrict(spec.horizontal) != \
+                (2 * alg.scale) * spec.wforms[s - 1]:
             violations.append(f"d eta_{s}|_H != 2 omega_{s}")
     if violations:
         raise ReebFailure(violations)
@@ -80,36 +81,51 @@ def reeb_check(spec: QcFrameSpec) -> None:
 
 @dataclass
 class Sp1Forms:
-    alphas: tuple          # three exact 1-forms at the scalar invariant S
-    rho_h: tuple           # horizontal Ricci 2-forms, exact
+    """The sp(1) 1-forms and horizontal Ricci 2-forms at S, each triple an
+    (int forms, denominator) pair; ``alphas`` and ``rho_h`` read Fractions."""
+
+    alpha: tuple
+    rho: tuple
     S: Fraction
+    alphas = property(lambda self: tuple(_over(f, self.alpha[1]) for f in self.alpha[0]))
+    rho_h = property(lambda self: tuple(_over(f, self.rho[1]) for f in self.rho[0]))
 
 
 def _alphas(spec: QcFrameSpec, detas) -> tuple:
-    """Connection 1-forms at S = 0.
+    """Connection 1-forms at S = 0, as int forms over 2L for the int
+    L d eta_s ``detas``.
 
     Horizontal part: alpha_i(X) = d eta_k(xi_j, X); vertical part carries
     the normalization of the diagonal entries.
     """
-    shift = sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC) / 2
+    total = sum(detas[i - 1].coeff(spec.xi(j), spec.xi(k)) for i, j, k in _CYCLIC)
     alphas = []
     for i, j, k in _CYCLIC:
-        terms = {(a,): detas[k - 1].coeff(spec.xi(j), a) for a in spec.horizontal}
+        terms = {(a,): 2 * detas[k - 1].coeff(spec.xi(j), a) for a in spec.horizontal}
         for s in (1, 2, 3):
-            val = detas[s - 1].coeff(spec.xi(j), spec.xi(k))
-            terms[(spec.vertical[s - 1],)] = val - shift if s == i else val
+            val = 2 * detas[s - 1].coeff(spec.xi(j), spec.xi(k))
+            terms[(spec.vertical[s - 1],)] = val - total if s == i else val
         alphas.append(KForm(spec.dim, 1, terms))
     return tuple(alphas)
 
 
 def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
-    """Horizontal Ricci 2-forms: 2 rho_k = d alpha_k + alpha_i ^ alpha_j."""
+    """Horizontal Ricci 2-forms, 2 rho_k = d alpha_k + alpha_i ^ alpha_j, for
+    int alphas over 2L: d over the generators L d e^a is 2L^2 d alpha and
+    the wedges are 4L^2 alpha ^ alpha, so the forms are ints over 8L^2."""
     alg = spec.algebra
     rhos = []
     for k, i, j in _CYCLIC:
-        form = alg.mc_differential(alphas[k - 1]) + alphas[i - 1].wedge(alphas[j - 1])
-        rhos.append(Fraction(1, 2) * form.restrict(spec.horizontal))
-    return tuple(rhos)
+        form = 2 * exterior_d(alphas[k - 1], alg.gens) + alphas[i - 1].wedge(alphas[j - 1])
+        rhos.append(form.restrict(spec.horizontal))
+    return tuple(rhos), 8 * alg.scale * alg.scale
+
+
+def _shifted(pair: tuple, shift: Fraction, forms, den: int) -> tuple:
+    """The forms of ``pair`` plus ``shift`` times the int ``forms`` / ``den``."""
+    (base, k), p, q = pair, shift.numerator, shift.denominator * den
+    total = math.lcm(k, q)
+    return tuple((total // k) * a + (p * (total // q)) * b for a, b in zip(base, forms)), total
 
 
 def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
@@ -125,26 +141,27 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
     sum_a omega_l(e_a, I_l e_a) = 4n.  The trace identity
     sum_a rho_l(e_a, I_l e_a) = -4n S then reads t_l - 2n S = -4n S, with
     t_l the trace of rho_l^0, so S = -t_l / (2n); it must agree for
-    l = 1, 2, 3.  The forms are built once, at S = 0, and shifted:
+    l = 1, 2, 3.  The forms are built once, at S = 0, in ints, and shifted:
     alpha_l = alpha_l^0 - (S/2) eta_l and rho_l = rho_l^0 - (S/2) omega_l.
     """
-    detas = [spec.algebra.diff[v - 1] for v in spec.vertical]
-    alpha0 = _alphas(spec, detas)
+    alg = spec.algebra
+    alpha0 = _alphas(spec, [alg.gens[v - 1] for v in spec.vertical])
     rho0 = _rho_from_alpha(spec, alpha0)
     solved = None
     for l in (1, 2, 3):
-        m = spec.complex_structure(l)
-        rho = form_matrix(rho0[l - 1], spec.horizontal)
-        trace = sum((x * m[c, r] for (r, c), x in rho.items() if (c, r) in m), Fraction(0))
-        value = -trace / (2 * spec.n)
+        m, den = spec.complex_structure(l)
+        rho = form_matrix(rho0[0][l - 1], spec.horizontal)
+        trace = sum(x * m[c, r] for (r, c), x in rho.items() if (c, r) in m)
+        value = Fraction(-trace, 2 * spec.n * rho0[1] * den)
         if solved is None:
             solved = value
         elif solved != value:
             raise NotQcError(
                 f"scalar invariant differs between traces: {solved} vs {value}")
     shift = -solved / 2
-    return Sp1Forms(alphas=tuple(a + shift * spec.eta(l) for l, a in enumerate(alpha0, start=1)),
-                    rho_h=tuple(r + shift * w for r, w in zip(rho0, spec.omega)), S=solved)
+    etas = [KForm(spec.dim, 1, {(v,): 1}) for v in spec.vertical]
+    return Sp1Forms(alpha=_shifted((alpha0, 2 * alg.scale), shift, etas, 1),
+                    rho=_shifted(rho0, shift, spec.wforms, spec.wscale), S=solved)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +171,19 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 
 @dataclass
 class TorsionData:
+    """The torsion split in exact matrices (:mod:`qcforge.algebra`); ``T0``,
+    ``U`` and ``Txi`` read them as dicts of nonzero Fractions."""
+
     S: Fraction
-    T0: dict            # symmetric horizontal 2-tensor, nonzero entries by (row, column)
-    U: dict             # symmetric horizontal 2-tensor
-    Txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
+    t0: tuple           # symmetric horizontal 2-tensor, entries by (row, column)
+    u: tuple            # symmetric horizontal 2-tensor
+    txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
+    T0 = property(lambda self: _fractions(*self.t0))
+    U = property(lambda self: _fractions(*self.u))
+    Txi = property(lambda self: tuple(_fractions(*m) for m in self.txi))
 
     def is_einstein(self) -> bool:
-        return not (self.T0 or self.U)
+        return not (self.t0[0] or self.u[0])
 
 
 def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
@@ -173,12 +196,13 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     D_l = T0 + I_l^T T0 I_l + 4U.
     """
     S = sp1.S
+    rhos, den = sp1.rho
     ident = _identity(len(spec.horizontal))
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     ds = []
     for l, m in enumerate(mats, start=1):
-        d = _mat_lin((-2, _mat_mul(form_matrix(sp1.rho_h[l - 1], spec.horizontal), m)),
-                     (-2 * S, ident))
+        rho = (form_matrix(rhos[l - 1], spec.horizontal), den)
+        d = _mat_lin((-2, _mat_mul(rho, m)), (-2 * S, ident))
         if d != _mat_t(d):
             raise NotQcError(f"D_{l} is not symmetric; input is not qc")
         ds.append(d)
@@ -199,7 +223,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
             raise NotQcError(f"rho_{l} reconstruction failed; input is not qc")
         txi.append(_mat_lin((Fraction(-1, 4), p), (Fraction(-1, 4), _mat_t(p)),
                             (1, _mat_mul(m, u))))
-    return TorsionData(S=S, T0=t0, U=u, Txi=tuple(txi))
+    return TorsionData(S=S, t0=t0, u=u, txi=tuple(txi))
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +231,36 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 # ---------------------------------------------------------------------------
 
 
-def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> dict:
+def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> tuple:
     """The nonzero torsion components T^c_{ab} over the frame, keyed by
-    0-based (a, b, c).  On H, T(X, Y) = -[X, Y]_V; the mixed part is read
-    from T_xi; and T(xi_i, xi_j) = -[xi_i, xi_j]_H - S xi_k."""
+    0-based (a, b, c), as ints over one denominator: (dict, den).  On H,
+    T(X, Y) = -[X, Y]_V; the mixed part is read from T_xi; and
+    T(xi_i, xi_j) = -[xi_i, xi_j]_H - S xi_k."""
     t = {}
     hpos = {a: i for i, a in enumerate(spec.horizontal)}
+    alg, S = spec.algebra, torsion.S
+    den = math.lcm(alg.scale, S.denominator, *(d for _, d in torsion.txi))
 
     # -[X, Y]_V on H and -[xi_i, xi_j]_H: the brackets within H or within V,
     # read across the splitting
-    for c, a, b, x in spec.algebra.bracket_terms():
+    f = den // alg.scale
+    for c, a, b, x in alg.bracket_terms():
         if (a + 1 in hpos) == (b + 1 in hpos) != (c + 1 in hpos):
-            t[a, b, c] = -x
+            t[a, b, c] = -x * f
     hor = spec.horizontal
-    for v, txi in zip(spec.vertical, torsion.Txi):
+    for v, (txi, d) in zip(spec.vertical, torsion.txi):
         # T^c_{xi b} is entry (c, b) of T_xi
+        f = den // d
         for (r, q), val in txi.items():
-            t[v - 1, hor[q] - 1, hor[r] - 1] = val
-            t[hor[q] - 1, v - 1, hor[r] - 1] = -val
-    if torsion.S:
+            t[v - 1, hor[q] - 1, hor[r] - 1] = val * f
+            t[hor[q] - 1, v - 1, hor[r] - 1] = -val * f
+    if S:
+        x = S.numerator * (den // S.denominator)
         for i, j, k in _CYCLIC:
             vi, vj, vk = (spec.xi(s) - 1 for s in (i, j, k))
-            t[vi, vj, vk] = -torsion.S
-            t[vj, vi, vk] = torsion.S
-    return t
+            t[vi, vj, vk] = -x
+            t[vj, vi, vk] = x
+    return t, den
 
 
 def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
@@ -242,35 +272,37 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
                              assemble_torsion_tensor(spec, torsion))
 
     hset = {a - 1 for a in spec.horizontal}
-    for a, b, c, _ in conn.nonzeros():
+    for a, b, c in sorted(conn.num):
         if (b in hset) != (c in hset):
             raise NotQcError(
                 f"connection does not preserve the splitting: Gamma^{c + 1}_{a + 1}{b + 1} != 0")
 
+    alphas, den = sp1.alpha
+    gamma = conn.num
     for i, j, k in _CYCLIC:
-        vi, vj, vk = (spec.vertical[s - 1] for s in (i, j, k))
-        for a in range(1, spec.dim + 1):
-            aj = sp1.alphas[j - 1].coeff(a)
-            ak = sp1.alphas[k - 1].coeff(a)
-            if conn.coeff(vk, a, vi) != -aj or conn.coeff(vj, a, vi) != ak:
+        vi, vj, vk = (spec.vertical[s - 1] - 1 for s in (i, j, k))
+        for a in range(spec.dim):
+            aj = alphas[j - 1].coeff(a + 1) * conn.den
+            ak = alphas[k - 1].coeff(a + 1) * conn.den
+            if gamma.get((a, vi, vk), 0) * den != -aj or gamma.get((a, vi, vj), 0) * den != ak:
                 raise NotQcError(
-                    f"nabla_{a} xi_{i} disagrees with the sp(1) rotation rule")
+                    f"nabla_{a + 1} xi_{i} disagrees with the sp(1) rotation rule")
     return conn
 
 
 def qc_ricci_forms(spec: QcFrameSpec, curv: CurvatureTensor) -> tuple:
-    """Ricci 2-forms over the full frame: 4n rho_s(A,B) = R(A,B,e_a,I_s e_a)."""
+    """Ricci 2-forms over the full frame, 4n rho_s(A,B) = R(A,B,e_a,I_s e_a),
+    as (int forms, denominator), I_s read from the int omega_s."""
     hpos = {a - 1: i for i, a in enumerate(spec.horizontal)}
-    coef = Fraction(1, len(hpos))  # 1/(4n)
     rhos = []
-    for s in (1, 2, 3):
-        m = spec.complex_structure(s)
-        terms = defaultdict(Fraction)
-        for (a, b, c, d), x in curv.r.items():
-            if a < b and c in hpos and d in hpos and (hpos[d], hpos[c]) in m:
-                terms[a + 1, b + 1] += x * m[hpos[d], hpos[c]]
-        rhos.append(KForm(spec.dim, 2, {idx: coef * v for idx, v in terms.items()}))
-    return tuple(rhos)
+    for w in spec.wforms:
+        omega = form_matrix(w, spec.horizontal)  # omega[c, d] = I_s[d, c]
+        terms = defaultdict(int)
+        for (a, b, c, d), x in curv.num.items():
+            if a < b and c in hpos and d in hpos and (hpos[c], hpos[d]) in omega:
+                terms[a + 1, b + 1] += x * omega[hpos[c], hpos[d]]
+        rhos.append(KForm(spec.dim, 2, terms))
+    return tuple(rhos), len(hpos) * curv.den * spec.wscale
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +329,10 @@ def _add_outer(w, a, b):
             w[p, q, r, t] += x * y
 
 
-def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -> dict:
+def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -> tuple:
     """Horizontal conformal curvature 4-tensor, as a dict of its nonzero
-    entries keyed by horizontal positions (x, y, z, v), 0-based.
+    entries keyed by horizontal positions (x, y, z, v), 0-based, in ints
+    over one denominator: (dict, den).
 
     With L0 = T0/2 + U, (I_s L0)(X,Y) = -L0(X, I_s Y), A_s = T0(., I_s .) -
     T0(I_s ., .), the Kulkarni-Nomizu product . and the outer product (x):
@@ -310,15 +343,13 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
                      + (2 U(., I_s .) - A_s/2) (x) omega_s],
 
     each product summed over the nonzero entries of its factors.  The
-    factors are exact rational matrices; W is summed in ints over one
-    denominator: with k the least common multiple of the denominators of R
-    and of the factors, R is scaled by k^2 and each factor by k, and each
-    entry is divided by k^2 at the end.
+    factors are exact matrices; W is summed over the least common multiple
+    of the denominator of R and of the products of the factors'.
     """
     hor = spec.horizontal
     hpos = {a - 1: i for i, a in enumerate(hor)}
     S = torsion.S
-    t0, u = torsion.T0, torsion.U
+    t0, u = torsion.t0, torsion.u
     g = _identity(len(hor))
     l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
     products = [(_add_kn, g, _mat_lin((1, l0), (S / 4, g)))]
@@ -332,16 +363,16 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
             (_add_kn, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega))),
             (_add_outer, omega, _mat_lin((S, omega), (1, half_a))),
             (_add_outer, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)]
-    tables = [curv.r] + [mat for _, a, b in products for mat in (a, b)]
-    k = _common_denominator(x for table in tables for x in table.values())
+    den = math.lcm(curv.den, *(da * db for _, (_, da), (_, db) in products))
     w = defaultdict(int)
-    for (a, b, c, d), x in curv.r.items():
+    f = den // curv.den
+    for (a, b, c, d), x in curv.num.items():
         if a in hpos and b in hpos and c in hpos and d in hpos:
-            w[hpos[a], hpos[b], hpos[c], hpos[d]] += _scaled(x, k * k)
-    for add, a, b in products:
-        add(w, {key: _scaled(x, k) for key, x in a.items()},
-            {key: _scaled(x, k) for key, x in b.items()})
-    return {key: Fraction(v, k * k) for key, v in w.items() if v}
+            w[hpos[a], hpos[b], hpos[c], hpos[d]] += x * f
+    for add, (a, da), (b, db) in products:
+        f = den // (da * db)
+        add(w, {key: x * f for key, x in a.items()}, b)
+    return {key: v for key, v in w.items() if v}, den
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +393,15 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
     mixed combination, each wedged and differentiated in ints; in
     dimension 7 the closedness of the fundamental form is cross-checked
     against integrability of the vertical distribution read off the Ricci
-    2-forms."""
-    scale, omega = _integral(spec.omega)
-    eta = [spec.eta(s).map_coefficients(int) for s in (1, 2, 3)]
+    2-forms ``rho_full``, an (int forms, denominator) pair."""
+    scale, omega = spec.wscale, spec.wforms
+    eta = [KForm(spec.dim, 1, {(v,): 1}) for v in spec.vertical]
     big = four_form("qk", omega)  # scale^2 Omega_4
     lemma = KForm(spec.dim, 4)  # scale times the mixed combination
     for i, j, k in _CYCLIC:
         lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
     # over L d e^a, d is L d: zero exactly where d is
-    _, gens = _integral(spec.algebra.diff)
+    gens = spec.algebra.gens
     d_big, d_lemma = exterior_d(big, gens), exterior_d(lemma, gens)
     omega4_closed = d_big.is_zero()
     lemma_closed = d_lemma.is_zero()
@@ -379,7 +410,8 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
 
     vert = None
     if spec.n == 1:
-        vert = all(rho_full[t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
+        rhos = rho_full[0]
+        vert = all(rhos[t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
                    for s in (1, 2, 3) for t in (1, 2, 3) if s != t)
         if vert != omega4_closed:
             raise NotQcError(
@@ -468,27 +500,27 @@ def analyze(spec: QcFrameSpec, name: str = "") -> QcReport:
     # scalar invariant cross-check: 8n(n+2) S = sum R(e_b, e_a, e_a, e_b)
     n = spec.n
     hset = {a - 1 for a in spec.horizontal}
-    total = sum((x for (b, a, c, d), x in curv.r.items()
-                 if a == c and b == d and a in hset and b in hset), Fraction(0))
-    scalar_ok = total == 8 * n * (n + 2) * sp1.S
+    total = sum(x for (b, a, c, d), x in curv.num.items()
+                if a == c and b == d and a in hset and b in hset)
+    scalar_ok = Fraction(total, curv.den) == 8 * n * (n + 2) * sp1.S
 
     rho_full = qc_ricci_forms(spec, curv)
-    rho_ok = all(
-        rho_full[s - 1].restrict(spec.horizontal) == sp1.rho_h[s - 1]
-        for s in (1, 2, 3))
+    (rhos, den), (rho_h, hden) = rho_full, sp1.rho
+    rho_ok = all(hden * rhos[s - 1].restrict(spec.horizontal) == den * rho_h[s - 1]
+                 for s in (1, 2, 3))
 
     # sp(1) part of the curvature: R(A, B, xi_i, xi_j) = 2 rho_k(A, B); R is
     # antisymmetric in A, B (by construction), so it is compared as a 2-form
     sp1curv_ok = True
     for k, i, j in _CYCLIC:
         vij = (spec.vertical[i - 1] - 1, spec.vertical[j - 1] - 1)
-        part = {(a + 1, b + 1): x for (a, b, c, d), x in curv.r.items()
+        part = {(a + 1, b + 1): x for (a, b, c, d), x in curv.num.items()
                 if a < b and (c, d) == vij}
-        if KForm(spec.dim, 2, part) != 2 * rho_full[k - 1]:
+        if den * KForm(spec.dim, 2, part) != (2 * curv.den) * rhos[k - 1]:
             sp1curv_ok = False
 
-    w = wqc_tensor(spec, torsion, curv)
-    sample = w.get((0, 1, 2, 3), Fraction(0))  # W(e1, e2, e3, e4) on the first horizontals
+    w, wden = wqc_tensor(spec, torsion, curv)
+    sample = Fraction(w.get((0, 1, 2, 3), 0), wden)  # W(e1, e2, e3, e4) on the first horizontals
 
     fund = fundamental_forms_check(spec, rho_full)
 

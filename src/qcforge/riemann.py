@@ -4,16 +4,11 @@ Two computation paths share this module.  The exact path works over an
 invariant coframe with the identity frame metric: Koszul's formula gives
 the Levi-Civita connection from brackets, a torsion adjustment produces
 any prescribed-torsion metric connection, and curvature follows from the
-constant-coefficient commutator formula, all in exact rationals.  Every
-exact kernel runs over nonzero entries only, and every exact tensor is a
-dict of its nonzero entries keyed by 0-based index tuples: the connection
-Gamma and the torsion T are built from the nonzero brackets and torsion
-components, and the curvature contracts the nonzero connection
-coefficients with each other (indexed by the summed index) and with the
-nonzero brackets.  The contorsion and the curvature sum in ints over one
-common denominator of their inputs (``forms._common_denominator`` and
-``forms._scaled``) and build the Fractions of Gamma and R once, at the
-end; their entries are Fractions or ints, not polynomials.
+constant-coefficient commutator formula.  Every exact kernel runs over
+nonzero entries only and sums in ints: Gamma, T and R are dicts of their
+nonzero int numerators keyed by 0-based index tuples, over one denominator
+each, read from the algebra's int structure constants; the accessors hand
+out Fractions.
 
 The jet path handles orthonormal coframes rescaled by functions of one
 evolution parameter: the first structure equation is solved for the
@@ -50,7 +45,7 @@ from itertools import compress
 import numpy as np
 
 from .algebra import FrameAlgebra
-from .forms import _common_denominator, _scaled
+from .forms import _fractions
 from .scalars import Jet, NotQcError, _fail_if, worst_abs
 
 
@@ -59,27 +54,27 @@ from .scalars import Jet, NotQcError, _fail_if, worst_abs
 # ---------------------------------------------------------------------------
 
 
-_ZERO = Fraction(0)
+_ZERO = Fraction(0)  # the entry of every absent key, shared
 
 
+@dataclass(slots=True, eq=False)
 class ConnectionTable:
-    """Frame connection coefficients Gamma^c_{ab} = <e^c, nabla_{e_a} e_b>,
-    stored as a dict of the nonzero ones keyed by 0-based (a, b, c)."""
+    """Frame connection coefficients Gamma^c_{ab} = <e^c, nabla_{e_a} e_b>:
+    int numerators of the nonzero ones over ``den``, keyed by 0-based (a, b, c)."""
 
-    __slots__ = ("dim", "gamma")
-
-    def __init__(self, dim: int, gamma: dict):
-        self.dim = dim
-        self.gamma = gamma
+    dim: int
+    num: dict
+    den: int
 
     def coeff(self, c: int, a: int, b: int) -> Fraction:
         """Gamma^c_{ab}, 1-based indices."""
-        return self.gamma.get((a - 1, b - 1, c - 1), _ZERO)
+        x = self.num.get((a - 1, b - 1, c - 1))
+        return _ZERO if x is None else Fraction(x, self.den)
 
-    def nonzeros(self) -> list:
-        """(a, b, c, Gamma^c_{ab}) for every nonzero coefficient, 0-based,
-        in lexicographic order."""
-        return [(a, b, c, x) for (a, b, c), x in sorted(self.gamma.items())]
+    @property
+    def gamma(self) -> dict:
+        """The nonzero coefficients as Fractions, keyed by 0-based (a, b, c)."""
+        return _fractions(self.num, self.den)
 
     def torsion(self, alg: FrameAlgebra) -> dict:
         """The nonzero components T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} -
@@ -89,65 +84,68 @@ class ConnectionTable:
             out[a, b, c] += x
             out[b, a, c] -= x
         for c, a, b, x in alg.bracket_terms():
-            out[a, b, c] -= x
+            out[a, b, c] -= Fraction(x, alg.scale)
         return {key: x for key, x in out.items() if x}
 
 
+@dataclass(slots=True, eq=False)
 class CurvatureTensor:
-    """Fully covariant curvature R_{abcd} = g(R(e_a,e_b)e_c, e_d), stored as
-    a dict of its nonzero entries keyed by 0-based (a, b, c, d)."""
+    """Fully covariant curvature R_{abcd} = g(R(e_a,e_b)e_c, e_d): int
+    numerators of the nonzero entries over ``den``, keyed by 0-based (a, b, c, d)."""
 
-    __slots__ = ("dim", "r")
-
-    def __init__(self, dim: int, r: dict):
-        self.dim = dim
-        self.r = r
+    dim: int
+    num: dict
+    den: int
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return self.r.get((a - 1, b - 1, c - 1, d - 1), _ZERO)
+        x = self.num.get((a - 1, b - 1, c - 1, d - 1))
+        return _ZERO if x is None else Fraction(x, self.den)
+
+    @property
+    def r(self) -> dict:
+        """The nonzero entries as Fractions, keyed by 0-based (a, b, c, d)."""
+        return _fractions(self.num, self.den)
 
     def is_zero(self) -> bool:
-        return not self.r
+        return not self.num
 
 
-def _add_contorsion(gamma: dict, terms) -> dict:
-    """The nonzero entries of gamma[a, b, c] + (1/2)(X^c_{ab} - X^a_{bc} +
-    X^b_{ca}) for the nonzero components (c, a, b, X^c_{ab}) of a skew
-    frame tensor X, summed in ints over one denominator k that those of
-    gamma and twice those of X divide."""
-    terms = list(terms)
-    k = math.lcm(_common_denominator(gamma.values()),
-                 2 * _common_denominator(x for *_, x in terms))
-    out = defaultdict(int, {key: _scaled(x, k) for key, x in gamma.items()})
-    half = k // 2
+def _add_contorsion(gamma: dict, den: int, terms, tden: int) -> tuple:
+    """The nonzero entries of gamma[a, b, c] / den + (1/2)(X^c_{ab} - X^a_{bc}
+    + X^b_{ca}) / tden for the nonzero int components (c, a, b, X^c_{ab}) of
+    a skew frame tensor X, summed in ints over k = lcm(den, 2 tden): (dict, k)."""
+    k = math.lcm(den, 2 * tden)
+    f, half = k // den, k // (2 * tden)
+    out = defaultdict(int, {key: x * f for key, x in gamma.items()})
     for c, a, b, x in terms:
-        h = _scaled(x, half)
+        h = x * half
         out[a, b, c] += h
         out[c, a, b] -= h
         out[b, c, a] += h
-    return {key: Fraction(v, k) for key, v in out.items() if v}
+    return {key: v for key, v in out.items() if v}, k
 
 
 def koszul_levi_civita(alg: FrameAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the identity frame metric from brackets:
     2 g(nabla_A B, C) = g([A,B],C) - g([B,C],A) + g([C,A],B)."""
-    return ConnectionTable(alg.dim, _add_contorsion({}, alg.bracket_terms()))
+    return ConnectionTable(alg.dim, *_add_contorsion({}, 1, alg.bracket_terms(), alg.scale))
 
 
-def adjust_by_torsion(lc: ConnectionTable, torsion: dict) -> ConnectionTable:
+def adjust_by_torsion(lc: ConnectionTable, torsion: tuple) -> ConnectionTable:
     """Metric connection with prescribed torsion:
     g(nabla_A B, C) = g(nabla^g_A B, C)
                       + (1/2)[g(T(A,B),C) - g(T(B,C),A) + g(T(C,A),B)].
 
-    ``torsion`` maps 0-based (a, b, c) to the nonzero components T^c_{ab}
-    of T(e_a, e_b).
+    ``torsion`` is (T, den): T maps 0-based (a, b, c) to the nonzero int
+    numerators over ``den`` of the components T^c_{ab} of T(e_a, e_b).
     """
-    for (a, b, c), x in torsion.items():
-        if torsion.get((b, a, c)) != -x:
+    t, den = torsion
+    for (a, b, c), x in t.items():
+        if t.get((b, a, c)) != -x:
             raise NotQcError(
                 f"T(e{a + 1}, e{b + 1}) != -T(e{b + 1}, e{a + 1})")
-    return ConnectionTable(lc.dim, _add_contorsion(
-        lc.gamma, ((c, a, b, x) for (a, b, c), x in torsion.items())))
+    return ConnectionTable(lc.dim, *_add_contorsion(
+        lc.num, lc.den, ((c, a, b, x) for (a, b, c), x in t.items()), den))
 
 
 def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor:
@@ -158,12 +156,11 @@ def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor
                    - <e^m,[e_a,e_b]> Gamma^d_{mc},
 
     summed over pairs of nonzero factors only, in ints: Gamma and the
-    brackets are scaled by one common denominator k, and each entry is
-    divided by k^2 once, at the end."""
-    nonzero = conn.nonzeros()
-    brackets = list(alg.bracket_terms())
-    k = _common_denominator(x for *_, x in nonzero + brackets)
-    scaled = [(a, b, c, _scaled(x, k)) for a, b, c, x in nonzero]
+    brackets are brought to one denominator k, and R is the int table
+    over k^2."""
+    k = math.lcm(conn.den, alg.scale)
+    f, fb = k // conn.den, k // alg.scale
+    scaled = [(a, b, c, x * f) for (a, b, c), x in sorted(conn.num.items())]
     by_first = defaultdict(list)  # m -> (c, d, k Gamma^d_{mc})
     by_middle = defaultdict(list)  # m -> (a, d, k Gamma^d_{am})
     for a, b, c, x in scaled:
@@ -176,12 +173,11 @@ def frame_curvature(conn: ConnectionTable, alg: FrameAlgebra) -> CurvatureTensor
             p = g1 * g2
             r[b, a, c, d] += p
             r[a, b, c, d] -= p
-    for m, a, b, beta in brackets:
-        beta = _scaled(beta, k)
+    for m, a, b, beta in alg.bracket_terms():
+        beta *= fb
         for c, d, g in by_first[m]:
             r[a, b, c, d] -= beta * g
-    kk = k * k
-    return CurvatureTensor(conn.dim, {key: Fraction(v, kk) for key, v in r.items() if v})
+    return CurvatureTensor(conn.dim, {key: v for key, v in r.items() if v}, k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +283,11 @@ def _dhat_plan(base: FrameAlgebra, share: tuple, moving: bytes) -> tuple:
     then p c / (p_b p_c) on each term c e^{bc} of d e^a."""
     size, n = len(moving), base.dim + 1
     terms = []  # (a, p, q), numerator row, c, denominator pair, negated
-    for a, form in enumerate(base.diff):
+    for a, form in enumerate(base.gens):
         if moving[share[a]]:
             terms.append(((a, a, n - 1), size + share[a], 1.0, (0, share[a]), True))
-        terms += [((a, b - 1, c - 1), share[a], float(coeff), (share[b - 1], share[c - 1]), False)
-                  for (b, c), coeff in form.terms.items()]
+        terms += [((a, b - 1, c - 1), share[a], coeff / base.scale, (share[b - 1], share[c - 1]),
+                   False) for (b, c), coeff in form.terms.items()]
     keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
     slot = {}
     den = [slot.setdefault(pair, len(slot)) for pair in pairs]

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcforge.algebra import (AlgebraSyntaxError, FrameAlgebra, catalog, format_algebra,
-                             jacobi_check, parse_algebra)
+from qcforge.algebra import (FrameAlgebra, catalog, format_algebra, jacobi_check,
+                             parse_algebra)
 from qcforge.forms import KForm
 from qcforge.scalars import InputError
 from test_sparse_oracle import dense
@@ -104,15 +104,15 @@ def test_complex_structures_quaternionic():
 
 
 def test_parser_errors():
-    with pytest.raises(AlgebraSyntaxError) as err:
+    with pytest.raises(InputError) as err:
         parse_algebra("algebra x dim 3\nd e1 = e2 & e3\n")
     assert "line 2" in str(err.value)
-    with pytest.raises(AlgebraSyntaxError, match="line 3: d e1 defined twice"):
+    with pytest.raises(InputError, match="line 3: d e1 defined twice"):
         parse_algebra("algebra x dim 3\nd e1 = 0\nd e1 = 0\n")
-    with pytest.raises(AlgebraSyntaxError,
+    with pytest.raises(InputError,
                        match="line 2: d e7: index out of range for dim 3"):
         parse_algebra("algebra x dim 3\nd e7 = 0\n")
-    with pytest.raises(AlgebraSyntaxError):
+    with pytest.raises(InputError):
         parse_algebra("not a header\n")
     with pytest.raises(InputError, match="unknown catalog name 'l9'"):
         catalog("l9")

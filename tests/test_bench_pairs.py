@@ -42,3 +42,40 @@ def test_higher_is_better_and_ties_count_for_neither():
 
 def test_one_pair_reads_its_value_as_every_quartile():
     assert bench_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+def test_a_change_past_the_parents_spread_in_the_worse_direction_is_worse():
+    s = bench_pairs.summarize(PARENT, [x + 0.009 for x in PARENT], "lower")
+    assert s["worse"] and not s["holds"]
+    assert not bench_pairs.summarize(PARENT, [x + 0.004 for x in PARENT], "lower")["worse"]
+    assert not bench_pairs.summarize(PARENT, [x - 0.009 for x in PARENT], "lower")["worse"]
+    assert bench_pairs.summarize([1.0] * 10, [0.9] * 10, "higher")["worse"]
+
+
+@pytest.mark.parametrize("shift,claim,code", [
+    (-0.009, "pass_s", 0),
+    (0.0, None, 0),
+    (0.009, None, 1),
+    (-0.004, "pass_s", 1),
+], ids=["gain-holds", "no-claim-no-change", "worse", "claimed-gain-within-iqr"])
+def test_the_exit_code_refuses_a_worse_metric_or_a_claimed_gain_that_fails(
+        tmp_path, monkeypatch, capsys, shift, claim, code):
+    """Canned runs in place of the benchmark: the change's pass_s is the
+    parent's shifted, and ok_share stays 1."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower"},'
+        ' {"name": "ok_share", "better": "higher"}]}')
+
+    def canned(root, workload, seconds, seed):
+        value = PARENT[seed - 1] + (shift if root == change else 0.0)
+        return {"correct": True, "metrics": {"pass_s": {"value": value},
+                                             "ok_share": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    argv = [str(parent), str(change), "--workload", "exact", "--seconds", "1"]
+    assert bench_pairs.main(argv + (["--claim", claim] if claim else [])) == code
+    out = capsys.readouterr().out
+    assert ("WORSE" in out) == (shift > 0)
+    assert ("not accepted" in out) == bool(code)

@@ -173,13 +173,18 @@ class TestCheckAlgebra:
 
 
 def _adding(stage, at, literal, field=None):
-    """``stage`` with a form literal added to entry ``at`` of the tuple of
-    forms it returns, or of the tuple in its result's ``field``."""
+    """``stage`` with a form literal added to entry ``at`` of the forms it
+    returns, or of the forms in its result's ``field``: an (int forms,
+    denominator) pair, to which the literal adds its multiple of the
+    denominator."""
     def patched(spec, *args):
         result = stage(spec, *args)
-        forms = list(getattr(result, field) if field else result)
-        forms[at] = forms[at] + parse_form(literal, spec.dim, forms[at].degree)
-        return dataclasses.replace(result, **{field: tuple(forms)}) if field else tuple(forms)
+        forms, den = getattr(result, field) if field else result
+        forms = list(forms)
+        added = parse_form(literal, spec.dim, forms[at].degree)
+        forms[at] = forms[at] + added.map_coefficients(lambda c: int(c * den))
+        pair = (tuple(forms), den)
+        return dataclasses.replace(result, **{field: pair}) if field else pair
     return patched
 
 
@@ -187,7 +192,7 @@ def _leaking(stage):
     """``stage`` with Gamma^5_{11} = 1 added: nabla_{e1} e1 leaves H."""
     def patched(*args):
         conn = stage(*args)
-        conn.gamma[0, 0, 4] = Fraction(1)
+        conn.num[0, 0, 4] = conn.den
         return conn
     return patched
 
@@ -285,14 +290,14 @@ omega3 = e1^e4 + e2^e3
         # omega_1 added to rho_1 at S = 0 moves t_1 by tr(-I_1 I_1) = 4
         ("_rho_from_alpha", lambda f: _adding(f, 0, "e1^e2 + e3^e4"),
          "scalar invariant differs between traces: -5/2 vs -1/2"),
-        ("sp1_forms_and_S", lambda f: _adding(f, 0, "e1^e3", "rho_h"),
+        ("sp1_forms_and_S", lambda f: _adding(f, 0, "e1^e3", "rho"),
          "D_1 is not symmetric; input is not qc"),
         # omega_2 added to rho_2 moves D_2 by a multiple of g, so U moves and T0 does not
-        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1^e3 + e4^e2", "rho_h"),
+        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1^e3 + e4^e2", "rho"),
          "rho_1 reconstruction failed; input is not qc"),
         ("adjust_by_torsion", _leaking,
          "connection does not preserve the splitting: Gamma^5_11 != 0"),
-        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1", "alphas"),
+        ("sp1_forms_and_S", lambda f: _adding(f, 1, "e1", "alpha"),
          "nabla_1 xi_1 disagrees with the sp(1) rotation rule"),
         ("qc_ricci_forms", lambda f: _adding(f, 0, "e1^e6"),
          "dim-7 equivalence of closedness and vertical integrability failed"),
@@ -854,8 +859,8 @@ class TestExitContract:
     def test_one_exception_class_per_exit_code(self):
         """A refusal is raised as InputError, NotQcError or DomainError, whose
         exit code and stderr label ``main`` reads; the only subclasses are the
-        three whose data a caller reads (``line``, ``s`` and ``violations``).
-        Library misuse raises ValueError or TypeError."""
+        two whose data a caller reads (``s`` and ``violations``).  Library
+        misuse raises ValueError or TypeError."""
         defined = set()
         for info in pkgutil.iter_modules(qcforge.__path__):
             if info.name == "__main__":
@@ -864,8 +869,8 @@ class TestExitContract:
             defined |= {name for name, obj in vars(module).items()
                         if isinstance(obj, type) and issubclass(obj, BaseException)
                         and obj.__module__ == module.__name__}
-        assert defined == {"InputError", "NotQcError", "DomainError",
-                           "AlgebraSyntaxError", "VerticalTerm", "ReebFailure"}
+        assert defined == {"InputError", "NotQcError", "DomainError", "VerticalTerm",
+                           "ReebFailure"}
 
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         def fail(*args, **kwargs):

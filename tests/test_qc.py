@@ -6,7 +6,7 @@ from qcforge import qc
 from qcforge.algebra import (CATALOG_NAMES, catalog, form_matrix, heisenberg_source,
                              parse_algebra, require_qc)
 from qcforge.ansatz import _CYCLIC
-from qcforge.forms import KForm
+from qcforge.forms import KForm, _fractions
 from test_sparse_oracle import dense, pair_antisymmetric, rotate
 
 
@@ -191,7 +191,7 @@ class TestTorsion:
         # T(xi_1, xi_2) = -S xi_3 - [xi_1, xi_2]_H; for l1 the bracket is
         # vertical so only the scalar part remains
         rep = report("l1")
-        tensor = qc.assemble_torsion_tensor(rep.spec, rep.torsion)
+        tensor = _fractions(*qc.assemble_torsion_tensor(rep.spec, rep.torsion))
         comps = [tensor.get((4, 5, c), 0) for c in range(7)]
         assert comps[6] == Fraction(1, 2)
         assert all(comps[i] == 0 for i in range(6))
@@ -201,7 +201,7 @@ class TestTorsion:
         reps += [qc.analyze(require_qc(rotate(catalog(name)))) for name in ("heis(1)", "l1", "l3")]
         for rep in reps:
             spec = rep.spec
-            tensor = qc.assemble_torsion_tensor(spec, rep.torsion)
+            tensor = _fractions(*qc.assemble_torsion_tensor(spec, rep.torsion))
             for i, j, k in _CYCLIC:
                 xi, xj = spec.xi(i), spec.xi(j)
                 want = {c: -spec.algebra.bracket_coeff(c, xi, xj) for c in spec.horizontal}
@@ -267,7 +267,7 @@ class TestConformalCurvature:
         for name in ("l2", "l3"):
             rep = report(name)
             spec = catalog(name)
-            w = qc.wqc_tensor(spec, rep.torsion, rep.curvature)
+            w, _ = qc.wqc_tensor(spec, rep.torsion, rep.curvature)
             k = len(spec.horizontal)
             for x in range(k):
                 for y in range(k):

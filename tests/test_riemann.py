@@ -47,10 +47,10 @@ class TestExactConnection:
 
     def test_metric_means_skew_in_the_last_two_slots(self):
         # Gamma^c_{ab} = -Gamma^b_{ac}; an entry without its partner is not metric
-        assert not is_metric(ConnectionTable(3, {(0, 1, 2): Fraction(1)}))
-        skew = {(0, 1, 2): Fraction(1), (0, 2, 1): Fraction(-1)}
-        assert is_metric(ConnectionTable(3, skew))
-        assert not is_metric(ConnectionTable(3, {**skew, (1, 0, 0): Fraction(2)}))
+        assert not is_metric(ConnectionTable(3, {(0, 1, 2): 1}, 1))
+        skew = {(0, 1, 2): 1, (0, 2, 1): -1}
+        assert is_metric(ConnectionTable(3, skew, 2))
+        assert not is_metric(ConnectionTable(3, {**skew, (1, 0, 0): 2}, 3))
 
     def test_su2_sectional_curvature(self):
         alg, _ = parse_algebra(SU2)
@@ -62,7 +62,7 @@ class TestExactConnection:
     def test_zero_torsion_adjustment_is_identity(self):
         alg = catalog("l1").algebra
         lc = koszul_levi_civita(alg)
-        adjusted = adjust_by_torsion(lc, {})
+        adjusted = adjust_by_torsion(lc, ({}, 1))
         assert adjusted.gamma == lc.gamma
 
     def test_prescribed_torsion_reproduced(self):
@@ -75,7 +75,7 @@ class TestExactConnection:
             for (a, b), coeff in spec.omega[s - 1].terms.items():
                 t[a - 1, b - 1, 4 + s - 1] = 2 * coeff
                 t[b - 1, a - 1, 4 + s - 1] = -2 * coeff
-        conn = adjust_by_torsion(lc, t)
+        conn = adjust_by_torsion(lc, ({key: int(x) for key, x in t.items()}, 1))
         assert is_metric(conn)
         assert conn.torsion(alg) == t
         # this is the flat canonical connection of the Heisenberg frame
@@ -83,9 +83,9 @@ class TestExactConnection:
 
     def test_non_antisymmetric_torsion_rejected(self):
         alg = catalog("heis(1)").algebra
-        t = {(0, 1, 4): Fraction(1)}
+        t = {(0, 1, 4): 1}
         with pytest.raises(NotQcError, match=r"T\(e1, e2\) != -T\(e2, e1\)"):
-            adjust_by_torsion(koszul_levi_civita(alg), t)
+            adjust_by_torsion(koszul_levi_civita(alg), (t, 1))
 
 
 class TestCartan:

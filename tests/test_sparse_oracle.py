@@ -87,14 +87,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcforge import acceptance, evolution, jetforms, qc, riemann
 from qcforge.algebra import (CATALOG_NAMES, FrameAlgebra, JacobiReport, QcFrameSpec, _identity,
-                             _mat_lin, _mat_mul, _mat_t, catalog, form_matrix, jacobi_check,
-                             parse_algebra, require_qc)
+                             _mat_lin, _mat_mul, _mat_t, catalog, form_matrix, heisenberg_source,
+                             jacobi_check, parse_algebra, require_qc)
 from qcforge.ansatz import _CYCLIC, four_form, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
                                _ideal_matrix, _ideal_residual, _three_form_rows,
                                _triaxial_window, block_remainder, build_family, build_triaxial,
                                extended_d, require_einstein_base, verdicts)
-from qcforge.forms import KForm, _accumulate, exterior_d
+from qcforge.forms import KForm, _accumulate, _fractions, _integral, exterior_d, monomial_d
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
                              _ordered_sums, cartan_connection, curvature_forms,
@@ -129,13 +129,46 @@ def dense_mat_lin(*terms):
             for rows in zip(*(a for _, a in terms))]
 
 
-def dense(mat: dict, k: int) -> list:
+def dense(mat, k: int) -> list:
     """The k x k list of rows of a matrix held as a dict of its nonzero
-    entries, keyed by 0-based (row, column)."""
+    entries, keyed by 0-based (row, column), or as an exact (int dict,
+    denominator) pair."""
     out = [[Fraction(0)] * k for _ in range(k)]
-    for (r, c), x in mat.items():
+    for (r, c), x in (_fractions(*mat) if isinstance(mat, tuple) else mat).items():
         out[r][c] = x
     return out
+
+
+def exact(table: dict) -> tuple:
+    """A dict of nonzero Fractions as an exact (int dict, denominator) pair."""
+    den = math.lcm(*(x.denominator for x in table.values()))
+    return {key: int(x * den) for key, x in table.items()}, den
+
+
+def fraction_mat_mul(a: dict, b: dict) -> dict:
+    """Reference of ``algebra._mat_mul`` over dicts of Fractions, summing in
+    the same order."""
+    rows = {}
+    for (m, c), y in b.items():
+        rows.setdefault(m, []).append((c, y))
+    acc = defaultdict(Fraction)
+    for (r, m), x in a.items():
+        for c, y in rows.get(m, ()):
+            acc[r, c] += x * y
+    return {key: x for key, x in acc.items() if x}
+
+
+def fraction_mat_lin(*terms) -> dict:
+    """Reference of ``algebra._mat_lin`` over dicts of Fractions."""
+    acc = defaultdict(Fraction)
+    for c, a in terms:
+        for key, x in a.items():
+            acc[key] += c * x
+    return {key: x for key, x in acc.items() if x}
+
+
+def fraction_mat_t(a: dict) -> dict:
+    return {(c, r): x for (r, c), x in a.items()}
 
 
 def sparse(mat: list) -> dict:
@@ -264,7 +297,7 @@ def assert_matches_dense(spec):
     assert all(type(x) is Fraction for x in rep.curvature.r.values())
     assert all(type(x) is Fraction for x in rep.connection.gamma.values())
     assert rep.connection.torsion(alg) == nonzeros(dense_torsion(rep.connection, alg))
-    w = qc.wqc_tensor(spec, rep.torsion, rep.curvature)
+    w = _fractions(*qc.wqc_tensor(spec, rep.torsion, rep.curvature))
     assert w == dense_wqc(spec, rep.torsion, rep.curvature)
     assert rep.wqc_zero == (not w)
     assert rep.wqc_sample == w.get((0, 1, 2, 3), 0)
@@ -347,7 +380,7 @@ def test_rotated_frames_match_dense(name):
     quaternion gate and the torsion split run their general products; every
     invariant is unchanged, and T0 turns with the frame: T0' = O T0 O^T."""
     spec = require_qc(rotate(catalog(name)))
-    assert any(abs(x) != 1 for s in (1, 2, 3) for x in spec.complex_structure(s).values())
+    assert any(abs(x) != 1 for s in (1, 2, 3) for x in dense(spec.complex_structure(s), 4)[0])
     have, want = qc.analyze(spec), qc.catalog_report(name)
     kept = ("S", "einstein", "wqc_zero", "omega4_closed", "omegaQ_closed", "lemma_closed")
     assert [getattr(have, key) for key in kept] == [getattr(want, key) for key in kept]
@@ -403,7 +436,8 @@ def assert_construction_identities(spec):
         assert trace(dense(endo, k)) == trace(dense_mat_mul(dense(endo, k), m)) == 0
     # adjust_by_torsion adds the contorsion of an antisymmetric torsion
     assert is_metric(rep.connection)
-    assert rep.connection.torsion(spec.algebra) == qc.assemble_torsion_tensor(spec, rep.torsion)
+    assert rep.connection.torsion(spec.algebra) == \
+        _fractions(*qc.assemble_torsion_tensor(spec, rep.torsion))
     assert pair_antisymmetric(rep.curvature)
     # d is linear: d Omega_Q = d Omega_4 + 2 d(lemma)
     assert not rep.lemma_closed or rep.omegaQ_closed == rep.omega4_closed
@@ -436,11 +470,11 @@ def test_torsion_split_round_trip_with_nonzero_u(S):
     spec = catalog("heis(2)")
     k = len(spec.horizontal)
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
-    u = {(i, i): Fraction(1 if i < 4 else -1) for i in range(k)}
-    psi = Fraction(-1, 4) * KForm(spec.dim, 2, {(1, 2): 1, (3, 4): -1, (5, 6): 1, (7, 8): -1})
-    t0 = _mat_mul(form_matrix(psi, spec.horizontal), mats[0])
-    assert t0 and t0 == _mat_t(t0)
-    assert _mat_lin((1, t0), *((1, _mat_mul(_mat_t(m), _mat_mul(t0, m))) for m in mats)) == {}
+    u = ({(i, i): 1 if i < 4 else -1 for i in range(k)}, 1)
+    psi = KForm(spec.dim, 2, {(1, 2): -1, (3, 4): 1, (5, 6): -1, (7, 8): 1})  # 4 psi
+    t0 = _mat_mul((form_matrix(psi, spec.horizontal), 4), mats[0])
+    assert t0[0] and t0 == _mat_t(t0)
+    assert _mat_lin((1, t0), *((1, _mat_mul(_mat_t(m), _mat_mul(t0, m))) for m in mats))[0] == {}
     assert all(_mat_mul(_mat_t(m), _mat_mul(u, m)) == u for m in mats)
     rhos = []
     for m in mats:
@@ -448,9 +482,9 @@ def test_torsion_split_round_trip_with_nonzero_u(S):
         rho = _mat_mul(_mat_lin((Fraction(1, 2), d), (S, _identity(k))), m)
         assert rho == _mat_lin((-1, _mat_t(rho)))
         rhos.append(KForm(spec.dim, 2, {(spec.horizontal[p], spec.horizontal[q]): x
-                                        for (p, q), x in rho.items() if p < q}))
-    have = qc.torsion_decomposition(spec, qc.Sp1Forms((), tuple(rhos), S))
-    assert (have.S, have.T0, have.U) == (S, t0, u)
+                                        for (p, q), x in _fractions(*rho).items() if p < q}))
+    have = qc.torsion_decomposition(spec, qc.Sp1Forms(((), 1), _integral(rhos)[::-1], S))
+    assert (have.S, have.t0, have.u) == (S, t0, u)
     t0_rows, u_rows = dense(t0, k), dense(u, k)
     for m, endo in zip(mats, have.Txi):
         rows = dense(m, k)
@@ -474,7 +508,7 @@ def fraction_contorsion(gamma: dict, terms) -> dict:
 
 def fraction_curvature(conn, alg) -> dict:
     """Reference of ``riemann.frame_curvature``, summed in Fractions."""
-    nonzero = conn.nonzeros()
+    nonzero = [(a, b, c, x) for (a, b, c), x in sorted(conn.gamma.items())]
     by_first, by_middle = defaultdict(list), defaultdict(list)
     for a, b, c, x in nonzero:
         by_first[a].append((b, c, x))
@@ -485,10 +519,15 @@ def fraction_curvature(conn, alg) -> dict:
             p = g1 * g2
             r[b, a, c, d] += p
             r[a, b, c, d] -= p
-    for m, a, b, beta in alg.bracket_terms():
+    for m, a, b, beta in fraction_brackets(alg):
         for c, d, g in by_first[m]:
             r[a, b, c, d] -= beta * g
     return {key: v for key, v in r.items() if v}
+
+
+def fraction_brackets(alg):
+    """``alg.bracket_terms()`` with the brackets as Fractions."""
+    return [(c, a, b, Fraction(x, alg.scale)) for c, a, b, x in alg.bracket_terms()]
 
 
 def fraction_wqc(spec, torsion, curv) -> dict:
@@ -498,21 +537,22 @@ def fraction_wqc(spec, torsion, curv) -> dict:
     hor = spec.horizontal
     hpos = {a - 1: i for i, a in enumerate(hor)}
     S, t0, u = torsion.S, torsion.T0, torsion.U
+    mul, lin = fraction_mat_mul, fraction_mat_lin
     w = defaultdict(Fraction)
     for (a, b, c, d), x in curv.r.items():
         if a in hpos and b in hpos and c in hpos and d in hpos:
             w[hpos[a], hpos[b], hpos[c], hpos[d]] += x
-    g = _identity(len(hor))
-    l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
-    add_kn(w, g, _mat_lin((1, l0), (S / 4, g)))
-    mats = [spec.complex_structure(s) for s in (1, 2, 3)]
+    g = {(i, i): Fraction(1) for i in range(len(hor))}
+    l0 = lin((Fraction(1, 2), t0), (1, u))
+    add_kn(w, g, lin((1, l0), (S / 4, g)))
+    mats = [_fractions(*spec.complex_structure(s)) for s in (1, 2, 3)]
     for s, m in enumerate(mats, start=1):
         omega = form_matrix(spec.omega[s - 1], hor)
-        half_a = _mat_lin((Fraction(-1, 2), _mat_mul(t0, m)),
-                          (Fraction(1, 2), _mat_mul(_mat_t(m), t0)))
-        add_kn(w, omega, _mat_lin((-1, _mat_mul(l0, mats[s - 2])), (S / 4, omega)))
-        add_outer(w, omega, _mat_lin((S, omega), (1, half_a)))
-        add_outer(w, _mat_lin((2, _mat_mul(u, m)), (1, half_a)), omega)
+        p = mul(t0, m)
+        half_a = lin((Fraction(-1, 2), p), (Fraction(1, 2), fraction_mat_t(p)))
+        add_kn(w, omega, lin((-1, mul(l0, mats[s - 2])), (S / 4, omega)))
+        add_outer(w, omega, lin((S, omega), (1, half_a)))
+        add_outer(w, lin((2, mul(u, m)), (1, half_a)), omega)
     return {key: x for key, x in w.items() if x}
 
 
@@ -547,14 +587,14 @@ def assert_int_kernels_match_fractions(spec):
     alg = spec.algebra
     rep = qc.analyze(spec)
     lc = koszul_levi_civita(alg)
-    want_lc = fraction_contorsion({}, alg.bracket_terms())
+    want_lc = fraction_contorsion({}, fraction_brackets(alg))
     assert_same_table(lc.gamma, want_lc)
-    tensor = qc.assemble_torsion_tensor(spec, rep.torsion)
+    tensor = _fractions(*qc.assemble_torsion_tensor(spec, rep.torsion))
     assert_same_table(rep.connection.gamma, fraction_contorsion(
         want_lc, ((c, a, b, x) for (a, b, c), x in tensor.items())))
     assert_same_table(frame_curvature(lc, alg).r, fraction_curvature(lc, alg))
     assert_same_table(rep.curvature.r, fraction_curvature(rep.connection, alg))
-    assert_same_table(qc.wqc_tensor(spec, rep.torsion, rep.curvature),
+    assert_same_table(_fractions(*qc.wqc_tensor(spec, rep.torsion, rep.curvature)),
                       fraction_wqc(spec, rep.torsion, rep.curvature))
     assert jacobi_check(alg) == fraction_jacobi(alg)
     assert (rep.omega4_closed, rep.omegaQ_closed, rep.lemma_closed) == fraction_closedness(spec)
@@ -581,6 +621,114 @@ def test_rotated_int_kernels_match_fractions(name, rot):
     assert any(x.denominator % rot[0][0].denominator == 0
                for form in spec.algebra.diff for x in form.terms.values())
     assert_int_kernels_match_fractions(spec)
+
+
+def fraction_torsion(spec, rhos, S) -> tuple:
+    """Reference of ``qc.torsion_decomposition``: T0, U and the T_xi from the
+    Fraction forms rho_l, summed in Fractions."""
+    mul, lin, t = fraction_mat_mul, fraction_mat_lin, fraction_mat_t
+    hor = spec.horizontal
+    ident = {(i, i): Fraction(1) for i in range(len(hor))}
+    mats = [_fractions(*spec.complex_structure(s)) for s in (1, 2, 3)]
+    q = lin(*((1, lin((-2, mul(form_matrix(rho, hor), m)), (-2 * S, ident)))
+              for rho, m in zip(rhos, mats)))
+    u = lin((Fraction(1, 48), q), *((Fraction(1, 48), mul(t(m), mul(q, m))) for m in mats))
+    t0 = lin((Fraction(1, 2), q), (-6, u))
+    txi = [lin((Fraction(-1, 4), mul(t0, m)), (Fraction(-1, 4), t(mul(t0, m))), (1, mul(m, u)))
+           for m in mats]
+    return t0, u, txi
+
+
+def assert_exact_path_matches_fractions(spec):
+    """The int path from the parsed structure constants to the report
+    against the Fraction references: S and the sp(1) forms (the symbolic
+    solve), T0, U and T_xi, then Gamma, R, W^qc, the Jacobi gate and the
+    closedness flags."""
+    (S, alphas, rhos), _ = symbolic_sp1(spec)
+    rep = qc.analyze(spec)
+    assert (rep.S, rep.sp1.alphas, rep.sp1.rho_h) == (S, alphas, rhos)
+    assert (rep.torsion.T0, rep.torsion.U, list(rep.torsion.Txi)) == \
+        fraction_torsion(spec, rhos, S)
+    assert_int_kernels_match_fractions(spec)
+
+
+def homothetic(spec, t) -> QcFrameSpec:
+    """The coframe t e^a on H and t^2 e^a on V, a qc homothety: the
+    structure constant of e^a ^ e^b in d e^c is multiplied by
+    l_c / (l_a l_b), and omega_s keeps its coefficients."""
+    lam = {**{a: t for a in spec.horizontal}, **{a: t * t for a in spec.vertical}}
+    diff = [KForm(spec.dim, 2, {(a, b): lam[c] / (lam[a] * lam[b]) * x
+                                for (a, b), x in form.terms.items()})
+            for c, form in enumerate(spec.algebra.diff, start=1)]
+    return QcFrameSpec(FrameAlgebra(f"{spec.algebra.name}-h", spec.dim, diff), spec.horizontal,
+                       spec.vertical, spec.omega)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)", "l0(-2/3)", "l0(5/2)", "l0(3)"))
+def test_exact_path_matches_fractions(name):
+    assert_exact_path_matches_fractions(catalog(name))
+
+
+@pytest.mark.parametrize("rot", [ROTATION, BIG_ROTATION], ids=["3/5", "119/169"])
+@pytest.mark.parametrize("name", ("heis(1)", "l1", "l3"))
+def test_rotated_exact_path_matches_fractions(name, rot):
+    assert_exact_path_matches_fractions(require_qc(rotate(catalog(name), rot)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("l1", "l2", "l3")), st.permutations(range(1, 8)))
+def test_relabelled_exact_path_matches_fractions(name, perm):
+    assert_exact_path_matches_fractions(require_qc(relabel(catalog(name), perm)))
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(5, 3)], ids=str)
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_homothetic_exact_path_matches_fractions(name, t):
+    """Past the catalog's denominators 1, 2, 4 and 8: at t = 3/2 and 5/3
+    the structure constants of l0, l1, l2 and l3 are over an L that is no
+    power of 2; those of heis(n), all of type V <- H ^ H, do not move."""
+    spec = require_qc(homothetic(catalog(name), t))
+    scale = spec.algebra.scale
+    assert (scale & (scale - 1) != 0) == (not name.startswith("heis"))
+    assert_exact_path_matches_fractions(spec)
+
+
+def test_fractional_jacobi_violations_read_as_fractions():
+    """The digest's jacobi-fractional file: d e7 of heis(1) gains
+    1/3 e5^e6 - 2/5 e1^e5, so L = 15, and d.d e7 breaks by 2/3 and 4/5."""
+    text = heisenberg_source(1).replace(
+        "d e7 = 2 e1^e4 + 2 e2^e3", "d e7 = 2 e1^e4 + 2 e2^e3 + 1/3 e5^e6 - 2/5 e1^e5")
+    alg = parse_algebra(text)[0]
+    assert alg.scale == 15
+    have = jacobi_check(alg)
+    assert have == fraction_jacobi(alg)
+    assert {abs(value) for *_, value in have.violations} == {Fraction(2, 3), Fraction(4, 5)}
+
+
+@pytest.mark.parametrize("name", ("l1", "l2", "l0(-2/3)"))
+def test_jet_path_reads_the_rationals_bit_for_bit(name):
+    """The jet path reads d e^a as ints over L, and the triple reads omega_s
+    as Fractions: the factors of d hat-e^a and of extended d, and the
+    omega-coefficients of F_i at f = 1, are float() of the rationals."""
+    spec = catalog(name)
+    alg, n = spec.algebra, spec.dim
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    factors = riemann._dhat_plan(alg, tuple(range(n)), bytes(n + 1))[2][:, 0]
+    assert bits(factors) == bits([float(c) for form in alg.diff for c in form.terms.values()])
+    keys = tuple(spec.omega[0].terms)
+    generators = [*alg.diff, KForm(n + 1, 2)]
+    want = [float(g) for idx in keys for _, g in monomial_d(idx, generators)]
+    assert bits(jetforms._d_plan(alg, keys, (False,) * len(keys))[1]) == bits(want)
+    one = JetForm.scalar(Jet.const(1.0), n + 1, 1)
+    forms = triple("qk", one, [one] * 3, spec.omega, [KForm.basis(n, a) for a in spec.vertical],
+                   one * KForm.basis(n + 1, n + 1))
+    for form, omega in zip(forms, spec.omega):
+        row = dict(zip(*form.values()))
+        assert bits([row[idx][0] for idx in omega.terms]) == \
+            bits([float(c) for c in omega.terms.values()])
 
 
 def test_closed_omega_q_beside_open_omega_4_matches_fractions():
@@ -656,7 +804,7 @@ def symbolic_sp1(spec) -> tuple:
         rhos.append(Fraction(1, 2) * form.restrict(spec.horizontal))
     values, slopes = set(), []
     for l in (1, 2, 3):
-        m = spec.complex_structure(l)
+        m = _fractions(*spec.complex_structure(l))
         equation = 4 * spec.n * _S + sum(
             (x * m[c, a] for (a, c), x in form_matrix(rhos[l - 1], spec.horizontal).items()
              if (c, a) in m), Poly())
@@ -700,10 +848,10 @@ def assert_routes_read_once_agree(spec, sp1):
     half = Fraction(1, 2)
     for l in (1, 2, 3):
         m = spec.complex_structure(l)
-        conj = _mat_mul(_mat_t(m), _mat_mul(torsion.T0, m))
-        rebuilt = _mat_mul(_mat_lin((half, torsion.T0), (half, conj), (2, torsion.U),
+        conj = _mat_mul(_mat_t(m), _mat_mul(torsion.t0, m))
+        rebuilt = _mat_mul(_mat_lin((half, torsion.t0), (half, conj), (2, torsion.u),
                                     (sp1.S, ident)), m)
-        assert rebuilt == form_matrix(sp1.rho_h[l - 1], spec.horizontal)
+        assert _fractions(*rebuilt) == form_matrix(sp1.rho_h[l - 1], spec.horizontal)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)", "l0(-2/3)", "l0(5/2)", "l0(3)"))
@@ -766,18 +914,21 @@ def cancelling_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(cancelling_matrices())
 def test_matrix_helpers_match_dense(case):
-    """The sparse product, linear combination and transpose equal the
-    dense references and store no zero, so a zero matrix is an empty dict
-    and equal matrices are equal dicts."""
+    """The sparse product, linear combination and transpose of exact
+    matrices equal the dense references, store no zero and share no factor
+    between the denominator and every entry, so a zero matrix is an empty
+    dict and equal matrices are equal pairs."""
     a, b, x, y = case
-    sa, sb = sparse(a), sparse(b)
+    sa, sb = exact(sparse(a)), exact(sparse(b))
     pairs = [(_mat_mul(sa, sb), dense_mat_mul(a, b)),
              (_mat_mul(_mat_t(sb), sa), dense_mat_mul(_transpose(b), a)),
              (_mat_lin((x, sa), (y, sb), (-x, sa)), dense_mat_lin((x, a), (y, b), (-x, a))),
              (_mat_t(sa), _transpose(a))]
     for have, want in pairs:
-        assert have == sparse(want)
-        assert all(type(v) is Fraction and v for v in have.values())
+        assert _fractions(*have) == sparse(want)
+        assert have == exact(sparse(want))
+        assert all(type(v) is int and v for v in have[0].values())
+        assert math.gcd(have[1], *have[0].values()) == 1
 
 
 def coframe_differentials(cof) -> list:
@@ -1592,7 +1743,7 @@ def test_rotated_base_builds_the_same_verdicts(monkeypatch, name):
 
 def clear_plans():
     """Empty every cached plan of the jet path."""
-    for module in (riemann, jetforms):
+    for module in (riemann, jetforms, evolution):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()

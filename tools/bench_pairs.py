@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload jet --seconds 8 \
-        --pairs 10 --seed 11
+        --pairs 10 --seed 11 [--claim pass_s]
 
 Runs ``python3 bench/run.py --workload W --seconds S --seed k`` in the
 parent checkout and in the changed one, one run at a time, for N pairs;
@@ -11,11 +11,14 @@ pair i (1-based) runs at seed ``--seed + i - 1``, the parent first on odd
 pairs and the change first on even ones.  Each run's last line of standard
 output is the benchmark's JSON result.  The tool prints every run's
 end-to-end metrics, then per metric each side's median and quartiles, the
-change's wins (ties count for neither side) and whether a gain holds: the
+change's wins (ties count for neither side), whether a gain holds (the
 change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the distance between the parent's
-quartiles.  The metrics and their directions are read from the change's
-``BENCHMARK.json``.
+quartiles) and whether the change is worse (its median is worse than the
+parent's by more than that distance).  The metrics and their directions
+are read from the change's ``BENCHMARK.json``.  The tool exits with 1 when
+a run fails, when any metric is worse, or when the gain of the metric
+named by ``--claim`` does not hold.
 
 Each run starts in its own process group, which is killed if the run fails
 or the tool is interrupted, so no benchmark process outlives the tool.
@@ -47,16 +50,17 @@ def quartiles(values) -> tuple:
 
 def summarize(parent: list, change: list, better: str) -> dict:
     """The comparison of one metric over pairs of runs, ``parent[i]``
-    beside ``change[i]``: each side's quartiles, the change's wins, and
-    whether a gain holds (wins in at least nine tenths of the pairs, and
-    medians that differ in the better direction by more than the parent's
-    interquartile range)."""
+    beside ``change[i]``: each side's quartiles, the change's wins, whether
+    a gain holds (wins in at least nine tenths of the pairs, and medians
+    that differ in the better direction by more than the parent's
+    interquartile range) and whether the change is worse (medians that
+    differ in the worse direction by more than that range)."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
-    gain = sign * (c_q[1] - p_q[1])
+    gain, spread = sign * (c_q[1] - p_q[1]), p_q[2] - p_q[0]
     return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent),
-            "holds": wins >= 0.9 * len(parent) and gain > p_q[2] - p_q[0]}
+            "holds": wins >= 0.9 * len(parent) and gain > spread, "worse": -gain > spread}
 
 
 def run_bench(root: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -89,9 +93,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--claim", help="the end-to-end metric whose gain must hold")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    if args.claim is not None and args.claim not in dict(metrics):
+        parser.error(f"--claim: no end-to-end metric {args.claim!r}")
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed + i
@@ -107,13 +114,19 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}; quartiles q1 / median / q3")
+    failed = []
     for name, better in metrics:
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                       better)
         p, c = ("{:.6g} / {:.6g} / {:.6g}".format(*s[side]) for side in ("parent", "change"))
         print(f"{name:14s} parent {p}  change {c}  wins {s['wins']}/{s['pairs']}  "
-              f"gain {'holds' if s['holds'] else 'does not hold'}")
-    return 0
+              f"gain {'holds' if s['holds'] else 'does not hold'}"
+              f"{'  WORSE' if s['worse'] else ''}")
+        if s["worse"] or (name == args.claim and not s["holds"]):
+            failed.append(name)
+    if failed:
+        print(f"not accepted: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
