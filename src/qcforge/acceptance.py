@@ -106,9 +106,8 @@ def criterion_4():
             problems.append(f"{name}: torsion endomorphism should vanish")
     rep = qc.catalog_report("l3")
     spec = rep.spec
-    psi = KForm(7, 2, {(1, 2): -1, (3, 4): 1})  # 4 psi
-    if rep.torsion.t0 != _mat_mul((form_matrix(psi, spec.horizontal), 4),
-                                  spec.complex_structure(1)):
+    psi = (form_matrix(KForm(7, 2, {(1, 2): -1, (3, 4): 1}), spec.horizontal), 4)  # -(e12-e34)/4
+    if rep.torsion.t0 != _mat_mul(psi, spec.complex_structure(1)):
         problems.append("l3: T0 != psi(. , I_1 .)")
     if rep.torsion.U:
         problems.append("l3: U != 0")

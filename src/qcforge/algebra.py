@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import KForm, _integral, _over, exterior_d, format_form, parse_ints
+from .forms import KForm, _fractions, _integral, exterior_d, format_form, parse_ints
 from .scalars import InputError, NotQcError, parse_rational, shown_digits
 
 
@@ -35,11 +35,11 @@ class VerticalTerm(InputError):
 
 
 class FrameAlgebra:
-    """Coframe dimension plus the Maurer-Cartan differentials d e^a, held
-    once as int 2-forms over one denominator: d e^a = gens[a-1] / scale."""
+    """Coframe dimension plus the Maurer-Cartan differentials d e^a, given as
+    ``diff[a-1] / dens[a-1]`` (``dens`` all 1 by default) and held once as
+    int 2-forms over one denominator: d e^a = gens[a-1] / scale."""
 
-    def __init__(self, name: str, dim: int, diff, scale: int = 1):
-        """d e^a is ``diff[a-1] / scale``, with int or Fraction coefficients."""
+    def __init__(self, name: str, dim: int, diff, dens=None):
         self.name = name
         self.dim = dim
         diff = list(diff)
@@ -48,12 +48,9 @@ class FrameAlgebra:
         for a, form in enumerate(diff, start=1):
             if form.dim != dim or form.degree != 2:
                 raise ValueError(f"d e{a} must be a 2-form over the {dim}-dim coframe")
-        self.scale, self.gens = _integral(diff, scale)
+        self.scale, self.gens = _integral(diff, dens)
 
-    @functools.cached_property
-    def diff(self) -> list:
-        """d e^a with Fraction coefficients, built on first read."""
-        return [_over(form, self.scale) for form in self.gens]
+    diff = functools.cached_property(lambda self: _fractions(self.gens, self.scale))  # Fractions
 
     def bracket_coeff(self, c: int, a: int, b: int) -> Fraction:
         """<e^c, [e_a, e_b]> = -(d e^c)(e_a, e_b); 1-based indices."""
@@ -84,9 +81,8 @@ class JacobiReport:
 
 def jacobi_check(alg: FrameAlgebra) -> JacobiReport:
     """d(d e^a) = 0 for every coframe element, reported triple by triple.
-    Runs in ints over the generators L d e^a: d is linear in them, so d
-    over them is L d, d.d is L^2 d.d, and each violation is its int
-    divided by L^2."""
+    Runs in ints over the generators L d e^a: d over them is L d, so d.d
+    is L^2 d.d, and each violation is its int over L^2."""
     gens, scale = alg.gens, alg.scale * alg.scale
     violations = []
     for a in range(1, alg.dim + 1):
@@ -106,12 +102,11 @@ class QcFrameSpec:
 
     The frame metric is the identity; eta_s is the coframe element at the
     s-th vertical index, and the almost complex structures are read off
-    omega_s(X, Y) = g(I_s X, Y).  The omega_s are held as int forms over
-    one denominator: omega_s = wforms[s-1] / wscale.
+    omega_s(X, Y) = g(I_s X, Y).  omega_s is given as ``omega[s-1] /
+    dens[s-1]``, like d e^a, and held as ``wforms[s-1] / wscale``.
     """
 
-    def __init__(self, algebra: FrameAlgebra, horizontal, vertical, omega, scale: int = 1):
-        """omega_s is ``omega[s-1] / scale``, with int or Fraction coefficients."""
+    def __init__(self, algebra: FrameAlgebra, horizontal, vertical, omega, dens=None):
         self.algebra = algebra
         self.horizontal = tuple(horizontal)
         self.vertical = tuple(vertical)
@@ -126,13 +121,11 @@ class QcFrameSpec:
         for s, w in enumerate(omega, start=1):
             if any(set(idx) - set(self.horizontal) for idx in w.terms):
                 raise VerticalTerm(s)
-        self.wscale, self.wforms = _integral(omega, scale)
-        self._imat = None
+        self.wscale, self.wforms = _integral(omega, dens)
+        self._imat = tuple(_reduced(*_mat_t((form_matrix(w, self.horizontal), self.wscale)))
+                           for w in self.wforms)
 
-    @functools.cached_property
-    def omega(self) -> tuple:
-        """omega_s with Fraction coefficients, built on first read."""
-        return tuple(_over(w, self.wscale) for w in self.wforms)
+    omega = functools.cached_property(lambda self: _fractions(self.wforms, self.wscale))  # likewise
 
     @property
     def n(self) -> int:
@@ -155,9 +148,6 @@ class QcFrameSpec:
         below) keyed by 0-based (row, column): column a holds I_s e_a.
         Since omega_s(e_a, e_b) = <e^b, I_s e_a>, it is the transpose of
         the matrix of omega_s."""
-        if self._imat is None:
-            self._imat = tuple(_reduced(*_mat_t((form_matrix(w, self.horizontal), self.wscale)))
-                               for w in self.wforms)
         return self._imat[s - 1]
 
     def validate(self):
@@ -194,10 +184,9 @@ def violation_text(violation) -> str:
 # -- exact matrix helpers ------------------------------------------------------
 #
 # An exact matrix is a pair (entries, den): a dict from 0-based (row, column)
-# to the nonzero int numerators of its entries, over one denominator den > 0
-# that shares no factor with every numerator.  No helper stores a zero, and
-# that form is unique, so two matrices are equal exactly when their pairs
-# are, and a matrix is zero exactly when its dict is empty.
+# to the nonzero int numerators over one den > 0 that shares no factor with
+# all of them.  That form is unique, so two matrices are equal exactly when
+# their pairs are, and a matrix is zero exactly when its dict is empty.
 
 
 def form_matrix(form: KForm, indices) -> dict:
@@ -220,8 +209,7 @@ def _reduced(mat: dict, den: int) -> tuple:
 
 def _mat_mul(a: tuple, b: tuple) -> tuple:
     """Matrix product summed over the pairs of nonzero entries in which a
-    column of ``a`` meets the same row of ``b``, over the product of their
-    denominators."""
+    column of ``a`` meets the same row of ``b``."""
     (a, da), (b, db) = a, b
     rows = {}
     for (m, c), y in b.items():
@@ -234,13 +222,12 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _mat_t(a: tuple) -> tuple:
-    mat, den = a
-    return {(c, r): x for (r, c), x in mat.items()}, den
+    return {(c, r): x for (r, c), x in a[0].items()}, a[1]
 
 
 def _mat_lin(*terms) -> tuple:
-    """Linear combination sum c * A over (c, A) pairs of equal shape, each c
-    an int or a Fraction, summed over one common denominator."""
+    """Linear combination sum c * A over (c, A) pairs of equal shape, c an
+    int or a Fraction; A may be any exact table of int entries by key."""
     den = math.lcm(*(c.denominator * d for c, (_, d) in terms))
     acc = defaultdict(int)
     for c, (mat, d) in terms:
@@ -271,46 +258,38 @@ def _syntax(line: int, message) -> InputError:
     return InputError(f"line {line}: {message}")
 
 
-def _read_int(digits: str, line_no: int) -> int:
+def _read_int(digits: str) -> int:
     """A frame dimension or index of the file grammar.  Any value above
     MAX_DIM is refused before int() reads it, so a long digit string
     neither overflows int() nor sizes an allocation."""
     value = digits.lstrip("0") or "0"
     if len(value) > len(str(MAX_DIM)) or int(value) > MAX_DIM:
-        raise _syntax(line_no,
-                      f"{shown_digits(digits)} exceeds the largest frame dimension {MAX_DIM}")
+        raise ValueError(f"{shown_digits(digits)} exceeds the largest frame dimension {MAX_DIM}")
     return int(value)
 
 
-def _parse_index_list(text: str, dim: int, line_no: int):
+def _parse_index_list(text: str, dim: int):
     indices = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         m = _RANGE.match(chunk)
         if m:
-            lo, hi = _read_int(m.group(1), line_no), _read_int(m.group(2), line_no)
+            lo, hi = _read_int(m.group(1)), _read_int(m.group(2))
             if lo > hi:
-                raise _syntax(line_no, f"empty range {chunk!r}")
+                raise ValueError(f"empty range {chunk!r}")
             indices.extend(range(lo, hi + 1))
         elif chunk.startswith("e") and chunk[1:].isdecimal():
-            indices.append(_read_int(chunk[1:], line_no))
+            indices.append(_read_int(chunk[1:]))
         else:
-            raise _syntax(line_no, f"bad index {chunk!r}")
+            raise ValueError(f"bad index {chunk!r}")
     for a in indices:
         if not (1 <= a <= dim):
-            raise _syntax(line_no, f"index e{a} out of range for dim {dim}")
+            raise ValueError(f"index e{a} out of range for dim {dim}")
     return indices
 
 
-def _over_one(pairs) -> tuple:
-    """(int form, denominator) pairs as int forms over their lcm L, and L."""
-    scale = math.lcm(*(den for _, den in pairs))
-    return [form if den == scale else form * (scale // den) for form, den in pairs], scale
-
-
 def parse_algebra(source: str):
-    """Parse an algebra file; returns (FrameAlgebra, QcFrameSpec or None),
-    the coefficients read as ints over one denominator each.
+    """Parse an algebra file; returns (FrameAlgebra, QcFrameSpec or None).
 
     Grammar (line oriented, '#' comments):
         algebra <name> dim <n>
@@ -330,57 +309,52 @@ def parse_algebra(source: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if dim is None:
-            m = _HEADER.match(line)
-            if not m:
-                raise _syntax(line_no, "expected 'algebra <name> dim <n>' header")
-            alg_name = m.group(1)
-            dim = _read_int(m.group(2), line_no)
-            continue
-        m = _DLINE.match(line)
-        if m:
-            a = _read_int(m.group(1), line_no)
-            if not (1 <= a <= dim):
-                raise _syntax(line_no, f"d e{a}: index out of range for dim {dim}")
-            if a in diff:
-                raise _syntax(line_no, f"d e{a} defined twice")
-            try:
+        try:
+            if dim is None:
+                m = _HEADER.match(line)
+                if not m:
+                    raise ValueError("expected 'algebra <name> dim <n>' header")
+                alg_name, dim = m.group(1), _read_int(m.group(2))
+                continue
+            m = _DLINE.match(line)
+            if m:
+                a = _read_int(m.group(1))
+                if not (1 <= a <= dim):
+                    raise ValueError(f"d e{a}: index out of range for dim {dim}")
+                if a in diff:
+                    raise ValueError(f"d e{a} defined twice")
                 diff[a] = parse_ints(m.group(2), dim, degree=2)
-            except ValueError as exc:
-                raise _syntax(line_no, exc) from exc
-            continue
-        m = _QCLINE.match(line)
-        if m:
-            if qc_line:
-                raise _syntax(line_no, f"second qc line; the first is line {qc_line}")
-            qc_line = line_no
-            horizontal = _parse_index_list(m.group(1), dim, line_no)
-            vertical = _parse_index_list(m.group(2), dim, line_no)
-            continue
-        m = _OMEGALINE.match(line)
-        if m:
-            s = int(m.group(1))
-            if s in omegas:
-                raise _syntax(line_no, f"omega{s} defined twice")
-            try:
-                omegas[s] = parse_ints(m.group(2), dim, degree=2)
-            except ValueError as exc:
-                raise _syntax(line_no, exc) from exc
-            omega_lines[s] = line_no
-            continue
-        raise _syntax(line_no, f"unrecognized line {line!r}")
+                continue
+            m = _QCLINE.match(line)
+            if m:
+                if qc_line:
+                    raise ValueError(f"second qc line; the first is line {qc_line}")
+                qc_line = line_no
+                horizontal = _parse_index_list(m.group(1), dim)
+                vertical = _parse_index_list(m.group(2), dim)
+                continue
+            m = _OMEGALINE.match(line)
+            if m:
+                s = int(m.group(1))
+                if s in omegas:
+                    raise ValueError(f"omega{s} defined twice")
+                omegas[s], omega_lines[s] = parse_ints(m.group(2), dim, degree=2), line_no
+                continue
+            raise ValueError(f"unrecognized line {line!r}")
+        except ValueError as exc:
+            raise _syntax(line_no, exc) from exc
 
     if dim is None:
         raise _syntax(1, "missing header")
-    alg = FrameAlgebra(alg_name, dim, *_over_one(
-        [diff.get(a, (KForm(dim, 2), 1)) for a in range(1, dim + 1)]))
+    alg = FrameAlgebra(alg_name, dim, *zip(*(diff.get(a, (KForm(dim, 2), 1))
+                                             for a in range(1, dim + 1))))
 
     spec = None
     if horizontal is not None:
         if set(omegas) != {1, 2, 3}:
             raise _syntax(qc_line, "qc block needs omega1, omega2, omega3")
         try:
-            spec = QcFrameSpec(alg, horizontal, vertical, *_over_one([omegas[s] for s in (1, 2, 3)]))
+            spec = QcFrameSpec(alg, horizontal, vertical, *zip(*(omegas[s] for s in (1, 2, 3))))
         except VerticalTerm as exc:
             raise _syntax(omega_lines[exc.s], exc) from exc
         except InputError as exc:

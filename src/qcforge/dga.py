@@ -113,14 +113,12 @@ def dga_d(x: KForm, with_time: bool = True) -> KForm:
 def specialize_diagonal(x: KForm) -> KForm:
     """Substitute alpha_s -> -S eta_s, the connection forms of structures
     obeying d eta_i = 2 omega_i + S eta_j ^ eta_k with d omega diagonal."""
-    res = {}
+    out = KForm(DIM, x.degree)
     for idx, coeff in x.terms.items():
         swapped = sum(a in _ALPHAS for a in idx)
         new, sign = _sort_indices(a - 3 if a in _ALPHAS else a for a in idx)
         if sign:
-            _accumulate(res, new, sign * (-_S) ** swapped * coeff)
-    out = KForm(DIM, x.degree)
-    out.terms = res
+            _accumulate(out.terms, new, sign * (-_S) ** swapped * coeff)
     return out
 
 

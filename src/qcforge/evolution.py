@@ -39,8 +39,6 @@ that turns a build's residuals into pass/fail verdicts.
 from __future__ import annotations
 
 import contextlib
-import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -52,8 +50,8 @@ from . import qc
 from .algebra import QcFrameSpec
 from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
 from .forms import KForm
-from .jetforms import JetForm, _wedge_plan, extended_d
-from .riemann import CoframeWithJets, _frozen, block_stacks, ricci_and_rank
+from .jetforms import JetForm, _ideal_plan, _three_form_rows, extended_d
+from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
 from .scalars import DomainError, InputError, Jet, NotQcError, _fail_if, shown_digits, worst_abs
 
 TOL_RESIDUAL = 1e-10  # the default build tolerances of :func:`verdicts`
@@ -116,37 +114,11 @@ def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
     return CoframeWithJets(spec.algebra, scalings, _abs_jet(w))
 
 
-@functools.lru_cache(maxsize=None)
-def _three_form_rows(dim_ext: int) -> dict:
-    """The position of each basis 3-form, by index tuple, in lexicographic
-    order."""
-    return {t: r for r, t in enumerate(itertools.combinations(range(1, dim_ext + 1), 3))}
-
-
-@functools.lru_cache(maxsize=None)
-def _ideal_plan(dim_ext: int, keys: tuple) -> tuple:
-    """The rows, columns, source rows and negation mask of the entries of
-    :func:`_ideal_matrix` for forms with the coefficient keys ``keys``, the
-    source rows counting the forms' coefficients stacked in order."""
-    row_of = _three_form_rows(dim_ext)
-    units = tuple((m,) for m in range(1, dim_ext + 1))
-    rows, cols, src, negate = [], [], [], []
-    for j, form_keys in enumerate(keys):
-        ms, right, neg, (triples, slot) = _wedge_plan(units, form_keys)
-        rows.append(np.array([row_of[t] for t in triples], dtype=int)[slot])
-        cols.append(j * dim_ext + ms)
-        src.append(sum(map(len, keys[:j])) + right)
-        negate.append(neg)
-    return tuple(_frozen(np.concatenate(x), x[0].dtype) for x in (rows, cols, src, negate))
-
-
 def _ideal_matrix(forms: list, dim_ext: int):
     """The entries of the matrix A of the ideal test that the forms' nonzero
-    coefficients fill: row and column index arrays, and the values with
-    one column per sample.  Column j * dim_ext + m - 1 of A is
-    e^m ^ F_j over the basis 3-forms, so each entry is a coefficient of
-    F_j or its negative, placed by the wedge plan of the unit 1-forms with
-    F_j (:func:`~qcforge.jetforms._wedge_plan`), planned once per pattern."""
+    coefficients fill: row and column index arrays, planned once per pattern
+    (:func:`~qcforge.jetforms._ideal_plan`), and the values, one column per
+    sample."""
     keys, coeffs = zip(*(form.values() for form in forms))
     rows, cols, src, negate = _ideal_plan(dim_ext, keys)
     vals = np.concatenate(coeffs)[src]

@@ -38,27 +38,24 @@ def _accumulate(res: dict, idx, c):
         res[idx] = s
 
 
-def _integral(forms, scale: int = 1) -> tuple:
-    """(k, [k f / scale for f in forms]) with int coefficients over the least
-    denominator k, for forms with int or Fraction coefficients."""
-    forms = list(forms)
-    values = [c for form in forms for c in form.terms.values()]
-    k = math.lcm(*(c.denominator for c in values))
-    g = math.gcd(scale * k, *(c.numerator * (k // c.denominator) for c in values))
-    return scale * k // g, [form.map_coefficients(lambda c: c.numerator * (k // c.denominator) // g)
-                            for form in forms]
+def _integral(forms, dens=None) -> tuple:
+    """(L, [L f / d for f, d in zip(forms, dens)]) with int coefficients, for
+    forms with int or Fraction coefficients over the ints ``dens`` (all 1
+    by default): L is the lcm of d times each denominator in f."""
+    pairs = list(zip(forms, dens)) if dens else [(form, 1) for form in forms]
+    k = math.lcm(*(d * c.denominator for form, d in pairs for c in form.terms.values()))
+    return k, [form.map_coefficients(lambda c, f=k // d: c.numerator * (f // c.denominator))
+               for form, d in pairs]
 
 
-def _fractions(table: dict, den: int) -> dict:
-    """The entries of an int table over ``den``, as Fractions."""
+def _fractions(table, den: int):
+    """An int table over ``den`` with Fraction entries: a dict, a KForm, or
+    a sequence of them (as a tuple)."""
+    if isinstance(table, (tuple, list)):
+        return tuple(_fractions(t, den) for t in table)
+    if isinstance(table, KForm):
+        return table.map_coefficients(lambda x: Fraction(x, den))
     return {key: Fraction(x, den) for key, x in table.items()}
-
-
-def _over(form: "KForm", den: int) -> "KForm":
-    """An int form over the denominator ``den``, with Fraction coefficients."""
-    out = KForm(form.dim, form.degree)
-    out.terms = _fractions(form.terms, den)
-    return out
 
 
 def _sort_indices(indices):
@@ -146,11 +143,10 @@ class KForm:
         self._check(other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        res = dict(self.terms)
+        out = KForm(self.dim, self.degree)
+        res = out.terms = dict(self.terms)
         for idx, c in other.terms.items():
             _accumulate(res, idx, c)
-        out = KForm(self.dim, self.degree)
-        out.terms = res
         return out
 
     def __sub__(self, other: "KForm") -> "KForm":
@@ -162,12 +158,7 @@ class KForm:
     def __mul__(self, scalar) -> "KForm":
         if isinstance(scalar, KForm):
             raise TypeError("use wedge() for form products")
-        if is_zero_scalar(scalar):
-            return KForm(self.dim, self.degree)
-        out = KForm(self.dim, self.degree)
-        out.terms = {idx: scalar * c for idx, c in self.terms.items()}
-        out.terms = {idx: c for idx, c in out.terms.items() if not is_zero_scalar(c)}
-        return out
+        return self.map_coefficients(lambda c: scalar * c)
 
     __rmul__ = __mul__
 
@@ -178,14 +169,12 @@ class KForm:
 
     def wedge(self, other: "KForm") -> "KForm":
         self._check(other)
-        degree = self.degree + other.degree
-        out = KForm(self.dim, degree)
-        res = {}
+        out = KForm(self.dim, self.degree + other.degree)
+        res = out.terms
         ca, cb = list(self.terms.values()), list(other.terms.values())
         for r, s, idx, negate in wedge_terms(self.terms, other.terms):
             p = ca[r] * cb[s]
             _accumulate(res, idx, -p if negate else p)
-        out.terms = res
         return out
 
     def coeff(self, *indices):
@@ -230,19 +219,17 @@ class KForm:
             raise ValueError(f"orientation {orientation} is not a permutation of 1..{self.dim}")
         _, orient_sign = _sort_indices(orientation)
         out = KForm(self.dim, self.dim - self.degree)
-        res = {}
+        res = out.terms
         full = set(range(1, self.dim + 1))
         for idx, coeff in self.terms.items():
             comp = tuple(sorted(full - set(idx)))
             _, sign = _sort_indices(idx + comp)
             sign *= orient_sign
             _accumulate(res, comp, coeff if sign > 0 else -coeff)
-        out.terms = res
         return out
 
     def map_coefficients(self, fn) -> "KForm":
         out = KForm(self.dim, self.degree)
-        out.terms = {}
         for idx, c in self.terms.items():
             v = fn(c)
             if not is_zero_scalar(v):
@@ -268,7 +255,8 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
     if len(generator_d) != form.dim:
         raise ValueError(f"form lives on dim {form.dim}, "
                          f"{len(generator_d)} generator differentials given")
-    res = {}
+    out = KForm(form.dim, form.degree + 1)
+    res = out.terms
     for idx, coeff in form.terms.items():
         if coeff_d is not None:
             for didx, dc in coeff_d(coeff).terms.items():
@@ -277,8 +265,6 @@ def exterior_d(form: KForm, generator_d, coeff_d=None) -> KForm:
                     _accumulate(res, merged, dc if sign > 0 else -dc)
         for merged, g in monomial_d(idx, generator_d):
             _accumulate(res, merged, coeff * g)
-    out = KForm(form.dim, form.degree + 1)
-    out.terms = res
     return out
 
 
@@ -292,7 +278,7 @@ _NUMBER, _INDEX = 1, 2  # the token kinds, by the group of _FORM_TOKEN that matc
 
 def parse_form(text: str, dim: int, degree: int | None = None) -> KForm:
     """Parse a form literal over an ``n``-dimensional coframe, by :func:`parse_ints`."""
-    return _over(*parse_ints(text, dim, degree))
+    return _fractions(*parse_ints(text, dim, degree))
 
 
 def parse_ints(text: str, dim: int, degree: int | None = None) -> tuple:
@@ -360,15 +346,14 @@ def parse_ints(text: str, dim: int, degree: int | None = None) -> tuple:
     if degree is not None and deg != degree:
         raise ValueError(f"form has degree {deg}, expected {degree}")
     scale = math.lcm(*(den for _, den, _ in terms))
-    res = {}
+    out = KForm(dim, deg)
+    res = out.terms
     for num, den, indices in terms:
         if len(indices) != deg:
             raise ValueError("mixed-degree form literal")
         idx, sign = _sort_indices(indices)
         if sign:
             _accumulate(res, idx, sign * num * (scale // den))
-    out = KForm(dim, deg)
-    out.terms = res
     return out, scale
 
 

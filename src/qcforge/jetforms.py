@@ -12,12 +12,13 @@ Python over small tuples, cached by the tuples they read.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from .forms import KForm, _sort_indices, monomial_d, wedge_terms
-from .riemann import _ordered_sums, _slots
+from .riemann import _frozen, _ordered_sums, _slots
 from .scalars import Jet, _jet, worst_abs
 
 
@@ -138,6 +139,31 @@ def _wedge_plan(keys_a: tuple, keys_b: tuple) -> tuple:
     left, right, keys, negate = zip(*terms) if terms else ((),) * 4
     return (np.array(left, dtype=int), np.array(right, dtype=int),
             np.array(negate, dtype=bool), _slots(keys))
+
+
+@functools.lru_cache(maxsize=None)
+def _three_form_rows(dim_ext: int) -> dict:
+    """The position of each basis 3-form, by index tuple, in lexicographic
+    order."""
+    return {t: r for r, t in enumerate(itertools.combinations(range(1, dim_ext + 1), 3))}
+
+
+@functools.lru_cache(maxsize=None)
+def _ideal_plan(dim_ext: int, keys: tuple) -> tuple:
+    """The rows, columns, source rows into the stacked coefficients and the
+    negation mask of the entries of the ideal test's matrix A
+    (:func:`~qcforge.evolution._ideal_matrix`) for 2-forms F_j with the keys
+    ``keys``.  Column j * dim_ext + m - 1 of A is e^m ^ F_j over the basis
+    3-forms, so each entry is a coefficient of F_j or its negative, placed
+    by the wedge plan of the unit 1-forms with F_j."""
+    row_of, units = _three_form_rows(dim_ext), tuple((m,) for m in range(1, dim_ext + 1))
+    parts, start = [], 0
+    for j, form_keys in enumerate(keys):
+        ms, right, negate, (triples, slot) = _wedge_plan(units, form_keys)
+        rows = np.array([row_of[t] for t in triples], dtype=int)[slot]
+        parts.append((rows, j * dim_ext + ms, start + right, negate))
+        start += len(form_keys)
+    return tuple(_frozen(np.concatenate(x), x[0].dtype) for x in zip(*parts))
 
 
 @functools.lru_cache(maxsize=None)

@@ -71,11 +71,10 @@ class Poly:
         o = _as_poly(other)
         if o is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
+        out = Poly.__new__(Poly)
+        res = out.terms = dict(self.terms)
         for m, c in o.terms.items():
             _accumulate(res, m, c)
-        out = Poly.__new__(Poly)
-        out.terms = res
         return out
 
     __radd__ = __add__
@@ -106,12 +105,11 @@ class Poly:
         o = _as_poly(other)
         if o is NotImplemented:
             return NotImplemented
-        res = {}
+        out = Poly.__new__(Poly)
+        res = out.terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 _accumulate(res, _mono_mul(m1, m2), c1 * c2)
-        out = Poly.__new__(Poly)
-        out.terms = res
         return out
 
     __rmul__ = __mul__

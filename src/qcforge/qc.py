@@ -1,18 +1,15 @@
 """Verification pipeline for quaternionic contact coframes.
 
 Given a :class:`~qcforge.algebra.QcFrameSpec` this module runs, exactly
-and along one path: the Reeb conditions, whose failure raises
-:class:`ReebFailure`, the sp(1) connection 1-forms with the scalar
-invariant read in closed form from a trace identity, the torsion split into
-its trace-free symmetric and invariant parts (validated on D_l), the
-canonical connection with that torsion, its curvature, W^qc, and the
-closedness of the fundamental 4-forms.  Where some input can make two
-routes to one quantity disagree, both are computed and compared exactly;
-identities that the construction guarantees are not re-checked, the tests
-assert them.  Every stage runs in ints over one denominator per table, from
-the parsed structure constants on; Fractions are built only where the
-report, ``Sp1Forms``, ``TorsionData`` and the tables' accessors hand values
-out.
+and along one path: the Reeb conditions (:class:`ReebFailure`), the sp(1)
+connection 1-forms with the scalar invariant read in closed form from a
+trace identity, the torsion split into its trace-free symmetric and
+invariant parts (validated on D_l), the canonical connection with that
+torsion, its curvature, W^qc, and the closedness of the fundamental
+4-forms.  Where some input can make two routes to one quantity disagree,
+both are computed and compared; identities that the construction
+guarantees are left to the tests.  Every table is ints over one
+denominator; Fractions are built only where values are handed out.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from fractions import Fraction
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
 from .ansatz import _CYCLIC, four_form
-from .forms import KForm, _fractions, _over, exterior_d
+from .forms import KForm, _fractions, exterior_d
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
 from .scalars import NotQcError
@@ -49,16 +46,15 @@ def reeb_check(spec: QcFrameSpec) -> None:
     """Compatibility conditions singling out the Reeb frame (eta_s(xi_k) =
     delta_sk by construction): horizontal transversality of xi_s against
     d eta_s, the mixed antisymmetry, and d eta_s = 2 omega_s on H, with
-    d eta_s = d e^{xi_s} read from the structure equations, in ints over
-    their denominator L.  Raises :class:`ReebFailure` listing every
-    violation when any fails."""
+    d eta_s = d e^{xi_s} read from the int structure equations.  Raises
+    :class:`ReebFailure` listing every violation when any fails."""
     violations = []
     alg = spec.algebra
     detas = [alg.gens[v - 1] for v in spec.vertical]
     for s in (1, 2, 3):
         pulled = detas[s - 1].interior(spec.xi(s)).restrict(spec.horizontal)
         if not pulled.is_zero():
-            violations.append(f"(xi_{s} . d eta_{s})|_H = {_over(pulled, alg.scale)} != 0")
+            violations.append(f"(xi_{s} . d eta_{s})|_H = {_fractions(pulled, alg.scale)} != 0")
     for s in (1, 2, 3):
         for k in range(s + 1, 4):
             lhs = detas[k - 1].interior(spec.xi(s)).restrict(spec.horizontal)
@@ -66,9 +62,8 @@ def reeb_check(spec: QcFrameSpec) -> None:
             if not (lhs + rhs).is_zero():
                 violations.append(
                     f"(xi_{s} . d eta_{k})|_H != -(xi_{k} . d eta_{s})|_H")
-    for s in (1, 2, 3):
-        if spec.wscale * detas[s - 1].restrict(spec.horizontal) != \
-                (2 * alg.scale) * spec.wforms[s - 1]:
+    for s, w in enumerate(spec.wforms, start=1):
+        if spec.wscale * detas[s - 1].restrict(spec.horizontal) != 2 * alg.scale * w:
             violations.append(f"d eta_{s}|_H != 2 omega_{s}")
     if violations:
         raise ReebFailure(violations)
@@ -81,19 +76,15 @@ def reeb_check(spec: QcFrameSpec) -> None:
 
 @dataclass
 class Sp1Forms:
-    """The sp(1) 1-forms and horizontal Ricci 2-forms at S, each triple an
-    (int forms, denominator) pair; ``alphas`` and ``rho_h`` read Fractions."""
-
-    alpha: tuple
-    rho: tuple
+    alpha: tuple           # the three 1-forms at S, as (int forms, denominator)
+    rho: tuple             # the horizontal Ricci 2-forms, likewise
     S: Fraction
-    alphas = property(lambda self: tuple(_over(f, self.alpha[1]) for f in self.alpha[0]))
-    rho_h = property(lambda self: tuple(_over(f, self.rho[1]) for f in self.rho[0]))
+    alphas = property(lambda self: _fractions(*self.alpha))  # with Fractions
+    rho_h = property(lambda self: _fractions(*self.rho))
 
 
 def _alphas(spec: QcFrameSpec, detas) -> tuple:
-    """Connection 1-forms at S = 0, as int forms over 2L for the int
-    L d eta_s ``detas``.
+    """Connection 1-forms at S = 0, int forms over 2L for L d eta_s ``detas``.
 
     Horizontal part: alpha_i(X) = d eta_k(xi_j, X); vertical part carries
     the normalization of the diagonal entries.
@@ -110,9 +101,7 @@ def _alphas(spec: QcFrameSpec, detas) -> tuple:
 
 
 def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
-    """Horizontal Ricci 2-forms, 2 rho_k = d alpha_k + alpha_i ^ alpha_j, for
-    int alphas over 2L: d over the generators L d e^a is 2L^2 d alpha and
-    the wedges are 4L^2 alpha ^ alpha, so the forms are ints over 8L^2."""
+    """Horizontal Ricci 2-forms 2 rho_k = d alpha_k + alpha_i ^ alpha_j, ints over 8L^2."""
     alg = spec.algebra
     rhos = []
     for k, i, j in _CYCLIC:
@@ -123,9 +112,10 @@ def _rho_from_alpha(spec: QcFrameSpec, alphas) -> tuple:
 
 def _shifted(pair: tuple, shift: Fraction, forms, den: int) -> tuple:
     """The forms of ``pair`` plus ``shift`` times the int ``forms`` / ``den``."""
-    (base, k), p, q = pair, shift.numerator, shift.denominator * den
+    (base, k), q = pair, shift.denominator * den
     total = math.lcm(k, q)
-    return tuple((total // k) * a + (p * (total // q)) * b for a, b in zip(base, forms)), total
+    return tuple(total // k * a + shift.numerator * (total // q) * b
+                 for a, b in zip(base, forms)), total
 
 
 def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
@@ -171,14 +161,11 @@ def sp1_forms_and_S(spec: QcFrameSpec) -> Sp1Forms:
 
 @dataclass
 class TorsionData:
-    """The torsion split in exact matrices (:mod:`qcforge.algebra`); ``T0``,
-    ``U`` and ``Txi`` read them as dicts of nonzero Fractions."""
-
     S: Fraction
-    t0: tuple           # symmetric horizontal 2-tensor, entries by (row, column)
+    t0: tuple           # symmetric horizontal 2-tensor, an exact matrix (algebra)
     u: tuple            # symmetric horizontal 2-tensor
     txi: tuple          # three horizontal endomorphism matrices T_{xi_s}
-    T0 = property(lambda self: _fractions(*self.t0))
+    T0 = property(lambda self: _fractions(*self.t0))  # nonzero Fractions by (row, column)
     U = property(lambda self: _fractions(*self.u))
     Txi = property(lambda self: tuple(_fractions(*m) for m in self.txi))
 
@@ -195,8 +182,7 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
     with I_l invertible, so rho_l is reproduced exactly when
     D_l = T0 + I_l^T T0 I_l + 4U.
     """
-    S = sp1.S
-    rhos, den = sp1.rho
+    S, (rhos, den) = sp1.S, sp1.rho
     ident = _identity(len(spec.horizontal))
     mats = [spec.complex_structure(s) for s in (1, 2, 3)]
     ds = []
@@ -233,34 +219,24 @@ def torsion_decomposition(spec: QcFrameSpec, sp1: Sp1Forms) -> TorsionData:
 
 def assemble_torsion_tensor(spec: QcFrameSpec, torsion: TorsionData) -> tuple:
     """The nonzero torsion components T^c_{ab} over the frame, keyed by
-    0-based (a, b, c), as ints over one denominator: (dict, den).  On H,
+    0-based (a, b, c), summed as exact tables by ``_mat_lin``.  On H,
     T(X, Y) = -[X, Y]_V; the mixed part is read from T_xi; and
     T(xi_i, xi_j) = -[xi_i, xi_j]_H - S xi_k."""
-    t = {}
-    hpos = {a: i for i, a in enumerate(spec.horizontal)}
-    alg, S = spec.algebra, torsion.S
-    den = math.lcm(alg.scale, S.denominator, *(d for _, d in torsion.txi))
-
+    alg, hor = spec.algebra, spec.horizontal
     # -[X, Y]_V on H and -[xi_i, xi_j]_H: the brackets within H or within V,
     # read across the splitting
-    f = den // alg.scale
-    for c, a, b, x in alg.bracket_terms():
-        if (a + 1 in hpos) == (b + 1 in hpos) != (c + 1 in hpos):
-            t[a, b, c] = -x * f
-    hor = spec.horizontal
+    parts = [(1, ({(a, b, c): -x for c, a, b, x in alg.bracket_terms()
+                   if (a + 1 in hor) == (b + 1 in hor) != (c + 1 in hor)}, alg.scale))]
     for v, (txi, d) in zip(spec.vertical, torsion.txi):
-        # T^c_{xi b} is entry (c, b) of T_xi
-        f = den // d
-        for (r, q), val in txi.items():
-            t[v - 1, hor[q] - 1, hor[r] - 1] = val * f
-            t[hor[q] - 1, v - 1, hor[r] - 1] = -val * f
-    if S:
-        x = S.numerator * (den // S.denominator)
-        for i, j, k in _CYCLIC:
-            vi, vj, vk = (spec.xi(s) - 1 for s in (i, j, k))
-            t[vi, vj, vk] = -x
-            t[vj, vi, vk] = x
-    return t, den
+        mixed = {}  # T^c_{xi b} is entry (c, b) of T_xi
+        for (r, q), x in txi.items():
+            mixed[v - 1, hor[q] - 1, hor[r] - 1], mixed[hor[q] - 1, v - 1, hor[r] - 1] = x, -x
+        parts.append((1, (mixed, d)))
+    vert = {}
+    for i, j, k in _CYCLIC:
+        vi, vj, vk = (spec.xi(s) - 1 for s in (i, j, k))
+        vert[vi, vj, vk], vert[vj, vi, vk] = -1, 1
+    return _mat_lin(*parts, (torsion.S, (vert, 1)))
 
 
 def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
@@ -277,14 +253,12 @@ def biquard_connection(spec: QcFrameSpec, torsion: TorsionData,
             raise NotQcError(
                 f"connection does not preserve the splitting: Gamma^{c + 1}_{a + 1}{b + 1} != 0")
 
-    alphas, den = sp1.alpha
-    gamma = conn.num
+    (alphas, den), gamma = sp1.alpha, conn.num
     for i, j, k in _CYCLIC:
         vi, vj, vk = (spec.vertical[s - 1] - 1 for s in (i, j, k))
         for a in range(spec.dim):
-            aj = alphas[j - 1].coeff(a + 1) * conn.den
-            ak = alphas[k - 1].coeff(a + 1) * conn.den
-            if gamma.get((a, vi, vk), 0) * den != -aj or gamma.get((a, vi, vj), 0) * den != ak:
+            if (gamma.get((a, vi, vk), 0) * den != -alphas[j - 1].coeff(a + 1) * conn.den
+                    or gamma.get((a, vi, vj), 0) * den != alphas[k - 1].coeff(a + 1) * conn.den):
                 raise NotQcError(
                     f"nabla_{a + 1} xi_{i} disagrees with the sp(1) rotation rule")
     return conn
@@ -330,9 +304,8 @@ def _add_outer(w, a, b):
 
 
 def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -> tuple:
-    """Horizontal conformal curvature 4-tensor, as a dict of its nonzero
-    entries keyed by horizontal positions (x, y, z, v), 0-based, in ints
-    over one denominator: (dict, den).
+    """Horizontal conformal curvature 4-tensor, an exact table (dict, den) of
+    its nonzero entries keyed by horizontal positions (x, y, z, v), 0-based.
 
     With L0 = T0/2 + U, (I_s L0)(X,Y) = -L0(X, I_s Y), A_s = T0(., I_s .) -
     T0(I_s ., .), the Kulkarni-Nomizu product . and the outer product (x):
@@ -342,14 +315,12 @@ def wqc_tensor(spec: QcFrameSpec, torsion: TorsionData, curv: CurvatureTensor) -
                      + omega_s (x) (S omega_s - A_s/2)
                      + (2 U(., I_s .) - A_s/2) (x) omega_s],
 
-    each product summed over the nonzero entries of its factors.  The
-    factors are exact matrices; W is summed over the least common multiple
-    of the denominator of R and of the products of the factors'.
+    each product summed over the nonzero entries of its factors, over the
+    lcm of the denominators of R and of the products.
     """
     hor = spec.horizontal
     hpos = {a - 1: i for i, a in enumerate(hor)}
-    S = torsion.S
-    t0, u = torsion.t0, torsion.u
+    S, t0, u = torsion.S, torsion.t0, torsion.u
     g = _identity(len(hor))
     l0 = _mat_lin((Fraction(1, 2), t0), (1, u))
     products = [(_add_kn, g, _mat_lin((1, l0), (S / 4, g)))]
@@ -410,8 +381,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
 
     vert = None
     if spec.n == 1:
-        rhos = rho_full[0]
-        vert = all(rhos[t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
+        vert = all(rho_full[0][t - 1].interior(spec.xi(s)).restrict(spec.horizontal).is_zero()
                    for s in (1, 2, 3) for t in (1, 2, 3) if s != t)
         if vert != omega4_closed:
             raise NotQcError(
@@ -445,8 +415,6 @@ class QcReport:
     vertical_integrability: bool | None
 
     def to_dict(self) -> dict:
-        t0_form = matrix_to_entries(self.torsion.T0)
-        u_form = matrix_to_entries(self.torsion.U)
         return {
             "name": self.name,
             "n": self.spec.n,
@@ -458,8 +426,8 @@ class QcReport:
             "omega4_closed": self.omega4_closed,
             "omegaQ_closed": self.omegaQ_closed,
             "lemma_closed": self.lemma_closed,
-            "torsion_t0": t0_form,
-            "torsion_u": u_form,
+            "torsion_t0": matrix_to_entries(self.torsion.T0),
+            "torsion_u": matrix_to_entries(self.torsion.U),
             "alphas": [str(a) for a in self.sp1.alphas],
             "rho_horizontal": [str(r) for r in self.sp1.rho_h],
             "scalar_crosscheck_ok": self.scalar_crosscheck_ok,

@@ -65,16 +65,12 @@ class ConnectionTable:
     dim: int
     num: dict
     den: int
+    gamma = property(lambda self: _fractions(self.num, self.den))  # as Fractions
 
     def coeff(self, c: int, a: int, b: int) -> Fraction:
         """Gamma^c_{ab}, 1-based indices."""
         x = self.num.get((a - 1, b - 1, c - 1))
         return _ZERO if x is None else Fraction(x, self.den)
-
-    @property
-    def gamma(self) -> dict:
-        """The nonzero coefficients as Fractions, keyed by 0-based (a, b, c)."""
-        return _fractions(self.num, self.den)
 
     def torsion(self, alg: FrameAlgebra) -> dict:
         """The nonzero components T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} -
@@ -96,15 +92,11 @@ class CurvatureTensor:
     dim: int
     num: dict
     den: int
+    r = property(lambda self: _fractions(self.num, self.den))  # as Fractions
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         x = self.num.get((a - 1, b - 1, c - 1, d - 1))
         return _ZERO if x is None else Fraction(x, self.den)
-
-    @property
-    def r(self) -> dict:
-        """The nonzero entries as Fractions, keyed by 0-based (a, b, c, d)."""
-        return _fractions(self.num, self.den)
 
     def is_zero(self) -> bool:
         return not self.num
