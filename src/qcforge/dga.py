@@ -310,9 +310,9 @@ def _target_triaxial():
 
 def _target_hypo_evolution():
     hy = verify_hypo_evolution()
-    qk = verify_qk_closure()
-    ok = (hy["v_coeff"] == 3 * qk["omega_omega_dt"]
-          and all(m == qk["mixed"] for m in hy["mixed"]))
+    diagonal, triaxial = _systems(("solqk7", "erealqk"), _F, [_H] * 3)
+    ok = (hy["v_coeff"] == -12 * _F * diagonal[1]
+          and all(m == 2 * triaxial[1] for m in hy["mixed"]))
     return ok, {"v_coeff": str(hy["v_coeff"]), "mixed": [str(m) for m in hy["mixed"]]}
 
 

@@ -3,7 +3,8 @@
 Symbols are plain strings.  The ring is the coefficient ring of the
 symbolic forms of :mod:`qcforge.dga`, where the scalar invariant is the
 symbol ``S`` and derivative symbols are generated by priming
-(``f`` -> ``f'`` -> ``f''``).
+(``f`` -> ``f'`` -> ``f''``).  A coefficient is an ``int`` where whole and
+a ``Fraction`` only where a division leaves a remainder.
 """
 
 from __future__ import annotations
@@ -22,10 +23,21 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 == len(m2):  # one symbol each: no merge
+        (s1, e1), (s2, e2) = m1[0], m2[0]
+        return ((s1, e1 + e2),) if s1 == s2 else m1 + m2 if s1 < s2 else m2 + m1
     merged = dict(m1)
     for sym, e in m2:
         merged[sym] = merged.get(sym, 0) + e
     return tuple(sorted((s, e) for s, e in merged.items() if e != 0))
+
+
+def _ints(res: dict) -> dict:
+    """``res`` with each whole Fraction stored as its int numerator."""
+    for m, c in res.items():
+        if c.__class__ is Fraction and c.denominator == 1:
+            res[m] = c.numerator
+    return res
 
 
 def _mono_degree(m):
@@ -42,25 +54,26 @@ def _mono_str(m):
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, immutable by convention."""
+    """Polynomial with int or Fraction coefficients, immutable by convention."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[m] = c
+        for m, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            if c:
+                self.terms[m] = c
+        _ints(self.terms)
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({_ONE: Fraction(value)})
+        return cls({_ONE: value})
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -75,6 +88,7 @@ class Poly:
         res = out.terms = dict(self.terms)
         for m, c in o.terms.items():
             _accumulate(res, m, c)
+        _ints(res)
         return out
 
     __radd__ = __add__
@@ -97,10 +111,12 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
             # scaling by a rational keeps the monomials; 0 kills every term
+            if other.__class__ is Fraction and other.denominator == 1:
+                other = other.numerator
             out = Poly.__new__(Poly)
-            out.terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            out.terms = _ints({m: c * other for m, c in self.terms.items()}) if other else {}
             return out
         o = _as_poly(other)
         if o is NotImplemented:
@@ -110,12 +126,13 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 _accumulate(res, _mono_mul(m1, m2), c1 * c2)
+        _ints(res)
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / Fraction(other))
+        return self * Fraction(1, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -147,8 +164,9 @@ class Poly:
                     rest.pop(i)
                 else:
                     rest[i] = (sym, e - 1)
-                piece = Poly({tuple(rest): c * e}) * d
-                total = total + piece
+                for pm, pc in (Poly({tuple(rest): c * e}) * d).terms.items():
+                    _accumulate(total.terms, pm, pc)
+        _ints(total.terms)
         return total
 
     def subs(self, mapping) -> "Poly":
@@ -160,7 +178,9 @@ class Poly:
                 val = mapping.get(sym)
                 base = Poly.symbol(sym) if val is None else _as_poly(val)
                 piece = piece * base**e
-            total = total + piece
+            for pm, pc in piece.terms.items():
+                _accumulate(total.terms, pm, pc)
+        _ints(total.terms)
         return total
 
     def __str__(self):

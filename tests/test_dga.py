@@ -107,10 +107,21 @@ class TestPoly:
         f, fp = Poly.symbol("f"), Poly.symbol("f'")
         assert str(2 * f * fp - 4 * f) == "-4*f + 2*f*f'"
 
+    def test_a_float_coefficient_is_refused(self):
+        # 0.1 has no exact binary value: the ring refuses it wherever it
+        # enters, rather than storing 3602879701896397/36028797018963968
+        f = Poly.symbol("f")
+        for make in (lambda: Poly({(("f", 1),): 0.1}), lambda: Poly.const(0.1),
+                     lambda: f + 0.1, lambda: f * 0.1, lambda: 0.1 * f, lambda: f / 0.1):
+            with pytest.raises(TypeError):
+                make()
+        assert Poly.const(Fraction(1, 10)).terms == {(): Fraction(1, 10)}
+
 
 _POLY_SYMBOLS = ("f", "h", "f'", "S")
 _POLYS = st.dictionaries(st.tuples(*(st.integers(0, 2) for _ in _POLY_SYMBOLS)),
-                         st.fractions(-3, 3, max_denominator=4), max_size=4)
+                         st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                         max_size=4)
 
 
 def _poly(spec) -> Poly:
@@ -122,8 +133,10 @@ def _poly(spec) -> Poly:
 def test_poly_matches_sympy():
     """Sums, differences, products, powers 0-3, substitution of a
     polynomial for h and the formal derivative (S constant, each other
-    symbol s mapped to s') agree with sympy's expanded results, and no
-    result stores a zero coefficient."""
+    symbol s mapped to s') agree with sympy's expanded results, on int and
+    Fraction coefficients, also where halving one factor and doubling the
+    other makes a product whole; no result stores a zero coefficient or a
+    whole Fraction."""
     sympy = pytest.importorskip("sympy")
     symbol = {name: sympy.Symbol(name) for name in ("f", "h", "f'", "S", "h'", "f''")}
 
@@ -138,6 +151,8 @@ def test_poly_matches_sympy():
 
     def as_sympy(p):
         assert all(c != 0 for c in p.terms.values())
+        assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                   for c in p.terms.values()), p.terms
         return total(p.terms.items())
 
     def prime(name):
@@ -149,9 +164,14 @@ def test_poly_matches_sympy():
         p, q, x, y = _poly(a), _poly(b), reference(a), reference(b)
         derivative = sum((sympy.diff(x, symbol[s]) * symbol[s + "'"] for s in ("f", "h", "f'")),
                          sympy.Integer(0))
+        half = sympy.Rational(1, 2)
+        sub, sub_x = {"h": 2 * q, "S": Fraction(1, 2)}, {symbol["h"]: 2 * y, symbol["S"]: half}
         for got, want in ((p + q, x + y), (p - q, x - y), (p * q, x * y), (p ** n, x ** n),
+                          ((p / 2) * (2 * q), x * y), (p / 2 + p / 2, x),
                           (p.subs({"h": q}), x.subs(symbol["h"], y)),
-                          (p.derive(prime), derivative)):
+                          ((p / 2).subs(sub), half * x.subs(sub_x, simultaneous=True)),
+                          (p.derive(prime), derivative),
+                          ((p / 2).derive(prime), half * derivative)):
             assert sympy.expand(as_sympy(got) - want) == 0
 
     check()
@@ -345,6 +365,26 @@ class TestVerifications:
         assert hy["v_coeff"].subs(static).is_zero()
         assert all(m.subs(static).is_zero() for m in hy["mixed"])
 
+    @pytest.mark.parametrize("entry", [None, 0, 1, 2],
+                             ids=["v_coeff", "mixed1", "mixed2", "mixed3"])
+    def test_the_hypo_evolution_target_compares_with_the_systems(self, monkeypatch, entry):
+        # the target reads SYSTEMS, not a second run of the qk closure, and
+        # fails when v_coeff or one mixed entry gains a term
+        def rerun():
+            raise AssertionError("the hypo-evolution target reran the qk closure")
+
+        monkeypatch.setattr(dga, "verify_qk_closure", rerun)
+        target = dga.SYMBOLIC_TARGETS["hypo-evolution"]
+        assert target()[0] is True
+        hy = verify_hypo_evolution()
+        off = dict(hy, mixed=list(hy["mixed"]))
+        if entry is None:
+            off["v_coeff"] = off["v_coeff"] + sym("h") ** 5
+        else:
+            off["mixed"][entry] = off["mixed"][entry] + sym("h") ** 5
+        monkeypatch.setattr(dga, "verify_hypo_evolution", lambda: off)
+        assert target()[0] is False
+
     @pytest.mark.parametrize("stray", [
         KForm.basis(11, 1, 2) - KForm.basis(11, 3, 4),  # anti-self-dual h-part
         KForm.basis(11, 1, 2),                          # half of omega_1
@@ -359,6 +399,33 @@ class TestVerifications:
     def test_no_alpha_survives_in_obstructions(self):
         for form in (verify_qk_closure()["dphi"], verify_spin7_closure()["dphi"]):
             assert not has_alpha(form)
+
+
+def test_no_polynomial_of_the_targets_or_systems_stores_a_whole_fraction(monkeypatch):
+    """Every Poly that the ring builds while the five targets run and the
+    systems are evaluated on polynomials stores a whole coefficient as an
+    int; the Fractions left are those of a division with a remainder."""
+    built = []
+
+    def recording(name, method):
+        def wrapper(*args, **kwargs):
+            out = method(*args, **kwargs)
+            built.append(args[0] if name == "__init__" else out)
+            return out
+        return wrapper
+
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__", "__pow__", "derive", "subs"):
+        monkeypatch.setattr(Poly, name, recording(name, getattr(Poly, name)))
+    assert all(check()[0] for check in dga.SYMBOLIC_TARGETS.values())
+    f, h = sym("f"), sym("h")
+    for name in ("solqk7", "sol7", "erealqk", "ereal7", "clideal"):
+        for fs in ([h] * 3, [sym("f1"), sym("f2"), sym("f3")]):
+            SYSTEMS[name](f, fs, time_d, sym("S"))
+    coeffs = [c for p in built if isinstance(p, Poly) for c in p.terms.values()]
+    assert len(coeffs) > 1000
+    assert {type(c) for c in coeffs} == {int, Fraction}
+    assert not [c for c in coeffs if type(c) is Fraction and c.denominator == 1]
 
 
 def test_one_table_feeds_the_builds_and_the_symbolic_targets(monkeypatch):

@@ -811,7 +811,7 @@ def symbolic_sp1(spec) -> tuple:
              if (c, a) in m), Poly())
         assert set(equation.terms) <= {(), (("S", 1),)}, equation
         slope = equation.terms.get((("S", 1),), Fraction(0))
-        values.add(-equation.terms.get((), Fraction(0)) / slope)
+        values.add(Fraction(-equation.terms.get((), 0), slope))
         slopes.append(slope)
     assert len(values) == 1, values
     (value,) = values

@@ -14,11 +14,15 @@ end-to-end metrics, then per metric each side's median and quartiles, the
 change's wins (ties count for neither side), whether a gain holds (the
 change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the distance between the parent's
-quartiles) and whether the change is worse (its median is worse than the
-parent's by more than that distance).  The metrics and their directions
-are read from the change's ``BENCHMARK.json``.  The tool exits with 1 when
-a run fails, when any metric is worse, or when the gain of the metric
-named by ``--claim`` does not hold.
+quartiles), whether the change is worse (its median is worse than the
+parent's by more than the metric's ``bound`` times the parent's median)
+and whether the comparison is unresolved (the distance between the
+parent's quartiles exceeds that margin, and not every run of the change
+reads better than every run of the parent).  The metrics, their
+directions and their bounds are read from the change's
+``BENCHMARK.json``.  The tool exits with 1 when a run fails, when any
+metric is worse or unresolved, or when the gain of the metric named by
+``--claim`` does not hold.
 
 Each run starts in its own process group, which is killed if the run fails
 or the tool is interrupted, so no benchmark process outlives the tool.
@@ -48,19 +52,25 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def summarize(parent: list, change: list, better: str) -> dict:
+def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     """The comparison of one metric over pairs of runs, ``parent[i]``
     beside ``change[i]``: each side's quartiles, the change's wins, whether
     a gain holds (wins in at least nine tenths of the pairs, and medians
     that differ in the better direction by more than the parent's
-    interquartile range) and whether the change is worse (medians that
-    differ in the worse direction by more than that range)."""
+    interquartile range), whether the change is worse (medians that differ
+    in the worse direction by more than ``bound`` times the parent's
+    median) and whether the comparison is unresolved (the parent's
+    interquartile range exceeds that margin, and the change's runs do not
+    all read better than all of the parent's)."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
     gain, spread = sign * (c_q[1] - p_q[1]), p_q[2] - p_q[0]
+    margin = bound * abs(p_q[1])
+    apart = min(sign * c for c in change) > max(sign * p for p in parent)
     return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent),
-            "holds": wins >= 0.9 * len(parent) and gain > spread, "worse": -gain > spread}
+            "holds": wins >= 0.9 * len(parent) and gain > spread, "worse": -gain > margin,
+            "unresolved": spread > margin and not apart}
 
 
 def run_bench(root: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -97,6 +107,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.claim is not None and args.claim not in dict(metrics):
         parser.error(f"--claim: no end-to-end metric {args.claim!r}")
     runs = {"parent": [], "change": []}
@@ -117,12 +128,12 @@ def main(argv=None) -> int:
     failed = []
     for name, better in metrics:
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      better)
+                      better, bounds[name])
         p, c = ("{:.6g} / {:.6g} / {:.6g}".format(*s[side]) for side in ("parent", "change"))
         print(f"{name:14s} parent {p}  change {c}  wins {s['wins']}/{s['pairs']}  "
               f"gain {'holds' if s['holds'] else 'does not hold'}"
-              f"{'  WORSE' if s['worse'] else ''}")
-        if s["worse"] or (name == args.claim and not s["holds"]):
+              f"{'  WORSE' if s['worse'] else ''}{'  UNRESOLVED' if s['unresolved'] else ''}")
+        if s["worse"] or s["unresolved"] or (name == args.claim and not s["holds"]):
             failed.append(name)
     if failed:
         print(f"not accepted: {', '.join(failed)}")
