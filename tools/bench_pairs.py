@@ -106,9 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="the end-to-end metric whose gain must hold")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    if args.claim is not None and args.claim not in dict(metrics):
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim: no end-to-end metric {args.claim!r}")
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -120,15 +119,15 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1} {side} seed {seed}: failed: "
                       f"{result.get('error', 'a verdict is wrong')}")
                 return 1
-            runs[side].append({name: result["metrics"][name]["value"] for name, _ in metrics})
-            shown = " ".join(f"{name}={runs[side][-1][name]:.6g}" for name, _ in metrics)
+            runs[side].append({name: result["metrics"][name]["value"] for name in metrics})
+            shown = " ".join(f"{name}={runs[side][-1][name]:.6g}" for name in metrics)
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}; quartiles q1 / median / q3")
     failed = []
-    for name, better in metrics:
+    for name, (better, bound) in metrics.items():
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      better, bounds[name])
+                      better, bound)
         p, c = ("{:.6g} / {:.6g} / {:.6g}".format(*s[side]) for side in ("parent", "change"))
         print(f"{name:14s} parent {p}  change {c}  wins {s['wins']}/{s['pairs']}  "
               f"gain {'holds' if s['holds'] else 'does not hold'}"
