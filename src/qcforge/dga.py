@@ -52,6 +52,7 @@ def sym(name: str) -> Poly:
 
 
 _S = sym("S")
+_MINUS_S_POWERS = tuple((-_S) ** k for k in range(len(_ALPHAS) + 1))  # (-S)^k, k alphas
 _S_ZERO = {"S": Poly.const(0)}
 
 
@@ -118,7 +119,7 @@ def specialize_diagonal(x: KForm) -> KForm:
         swapped = sum(a in _ALPHAS for a in idx)
         new, sign = _sort_indices(a - 3 if a in _ALPHAS else a for a in idx)
         if sign:
-            _accumulate(out.terms, new, sign * (-_S) ** swapped * coeff)
+            _accumulate(out.terms, new, sign * _MINUS_S_POWERS[swapped] * coeff)
     return out
 
 

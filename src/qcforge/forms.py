@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 from .scalars import InputError, shown_digits
@@ -75,6 +76,21 @@ def _sort_indices(indices):
     return tuple(idx), sign
 
 
+def _merged(rest, gidx, pos: int):
+    """The sorted union of two strictly increasing index tuples and the
+    parity of the sort of ``rest[:pos] + gidx + rest[pos:]`` into it, or
+    None when an index repeats.  Each index of ``gidx`` is placed in
+    ``rest`` by bisection: at place p it passes |p - pos| indices of
+    ``rest``, and none of ``gidx``."""
+    odd = 0
+    for x in gidx:
+        p = bisect_left(rest, x)
+        if p < len(rest) and rest[p] == x:
+            return None
+        odd += abs(p - pos)
+    return tuple(sorted(rest + gidx)), odd % 2
+
+
 def wedge_terms(keys_a, keys_b):
     """The products of the monomials of two forms, by their index tuples,
     in the order a wedge sums them: (r, s, idx, negate) for the r-th
@@ -82,10 +98,11 @@ def wedge_terms(keys_a, keys_b):
     tuple and whether the sort negates; a product with a repeated index
     is left out."""
     for r, ia in enumerate(keys_a):
+        end = len(ia)
         for s, ib in enumerate(keys_b):
-            idx, sign = _sort_indices(ia + ib)
-            if sign:
-                yield r, s, idx, sign < 0
+            merged = _merged(ia, ib, end)
+            if merged:
+                yield r, s, merged[0], merged[1] == 1
 
 
 def monomial_d(idx, generator_d):
@@ -94,11 +111,11 @@ def monomial_d(idx, generator_d):
     its generator's terms; g carries the sign of the position and of the
     sort, and a term with a repeated index is left out."""
     for pos, a in enumerate(idx):
-        front, back = idx[:pos], idx[pos + 1:]
+        rest = idx[:pos] + idx[pos + 1:]
         for gidx, g in generator_d[a - 1].terms.items():
-            merged, sign = _sort_indices(front + gidx + back)
-            if sign:
-                yield merged, g if (sign > 0) == (pos % 2 == 0) else -g
+            merged = _merged(rest, gidx, pos)
+            if merged:
+                yield merged[0], -g if (merged[1] + pos) % 2 else g
 
 
 class KForm:

@@ -6,7 +6,10 @@ coefficient.  A sum, a number or a scalar times a form, a wedge and
 scaling and one scatter-add (:func:`~qcforge.riemann._ordered_sums`) in the
 order of the ``KForm`` operation, so every float is that of ``KForm`` over
 ``Jet`` bit for bit, up to the sign of a zero.  The index plans are plain
-Python over small tuples, cached by the tuples they read.
+Python over the forms' key tuples, cached by the tuples they read: a plan
+has a few to a few dozen keys, too few for numpy's call overhead to
+repay, and the d and wedge rules merge sorted index tuples by bisection
+(:func:`~qcforge.forms.monomial_d`, :func:`~qcforge.forms.wedge_terms`).
 """
 
 from __future__ import annotations

@@ -44,7 +44,14 @@ Ricci summed from it, and the dense SVDs) bit for bit: on the families,
 on one base whose scalings stop moving, under shared, permuted and
 distinct scalings, and where a structure function, Gamma rows or the
 curvature vanish at every sample; and a sweep with cold plans equals one
-with warm plans.
+with warm plans.  The Cartan, curvature, Ricci and block plans are built
+by array operations over int-coded index tuples; the tuple builders they
+replaced are their references, plan for plan, element for element and
+dtype for dtype, on the six catalog bases and heis(3), plain and rotated,
+under all-true, seeded and drawn value masks.  The d and wedge rules
+merge sorted index tuples by bisection; their references sort the
+concatenation by insertion, on drawn tuples and generators of degree 1,
+2 and 3.
 
 The spin7-triaxial window is found in one pass over the intervals cut by
 the roots; its reference collects every positive interval in a list of
@@ -77,9 +84,11 @@ Einstein frame) are asserted here on the catalog, rotated and relabelled
 frames.
 """
 
+import functools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -94,10 +103,11 @@ from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, _axes, _coframe,
                                _ideal_matrix, _ideal_residual, _three_form_rows,
                                _triaxial_window, block_remainder, build_family, build_triaxial,
                                extended_d, require_einstein_base, verdicts)
-from qcforge.forms import KForm, _accumulate, _fractions, _integral, exterior_d, monomial_d
+from qcforge.forms import (KForm, _accumulate, _fractions, _integral, exterior_d, monomial_d,
+                           wedge_terms)
 from qcforge.poly import Poly
 from qcforge.riemann import (SVD_THRESHOLD, CartanConnection, CoframeWithJets, _live, _negate,
-                             _ordered_sums, cartan_connection, curvature_forms,
+                             _ordered_sums, _slots, cartan_connection, curvature_forms,
                              frame_curvature, koszul_levi_civita, ricci_and_rank, span_rank)
 from qcforge.scalars import DomainError, Jet, worst_abs
 
@@ -1888,6 +1898,289 @@ def test_a_sweep_with_cold_plans_equals_one_with_warm_plans():
     clear_plans()
     acceptance._BUILDS.clear()
     assert acceptance.run_all() == warm
+
+
+# ---------------------------------------------------------------------------
+# Plans in int codes: the Cartan, curvature, Ricci and block plans build
+# their rows from one int per index tuple with array operations; each must
+# equal, element for element and dtype for dtype, the tuple builder it
+# replaced, kept here as its reference.  The d and wedge rules merge two
+# sorted index tuples by bisection; their references sort by insertion.
+# ---------------------------------------------------------------------------
+
+
+def insertion_sort(indices) -> tuple:
+    """(sorted tuple, sign) of an index tuple by insertion sort; sign 0 on repeats."""
+    idx, sign = list(indices), 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign, j = -sign, j - 1
+    if any(idx[i - 1] == idx[i] for i in range(1, len(idx))):
+        return tuple(idx), 0
+    return tuple(idx), sign
+
+
+def sorted_wedge_terms(keys_a, keys_b):
+    for r, ia in enumerate(keys_a):
+        for s, ib in enumerate(keys_b):
+            idx, sign = insertion_sort(ia + ib)
+            if sign:
+                yield r, s, idx, sign < 0
+
+
+def sorted_monomial_d(idx, generator_d):
+    for pos, a in enumerate(idx):
+        front, back = idx[:pos], idx[pos + 1:]
+        for gidx, g in generator_d[a - 1].terms.items():
+            merged, sign = insertion_sort(front + gidx + back)
+            if sign:
+                yield merged, g if (sign > 0) == (pos % 2 == 0) else -g
+
+
+_MERGE_DIM = 7
+_INCREASING = st.lists(st.integers(1, _MERGE_DIM), max_size=4, unique=True).map(
+    lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def generator_forms(draw) -> list:
+    """d e^a for every a: forms of degree 1, 2 or 3 with a few terms each."""
+    out = []
+    for _ in range(_MERGE_DIM):
+        degree = draw(st.integers(1, 3))
+        keys = draw(st.lists(st.lists(st.integers(1, _MERGE_DIM), min_size=degree,
+                                      max_size=degree, unique=True).map(
+            lambda xs: tuple(sorted(xs))), max_size=3, unique=True))
+        out.append(KForm(_MERGE_DIM, degree, {k: draw(st.sampled_from([1, -2, 3])) for k in keys}))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INCREASING, max_size=4), st.lists(_INCREASING, max_size=4))
+@example([(), (1, 3), (2, 4, 6)], [(), (3,), (1, 5), (5, 6, 7)])
+def test_merged_wedge_terms_match_insertion_sorts(keys_a, keys_b):
+    assert list(wedge_terms(keys_a, keys_b)) == list(sorted_wedge_terms(keys_a, keys_b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INCREASING, generator_forms())
+@example((), [KForm(_MERGE_DIM, 1, {(1,): 1})] * _MERGE_DIM)
+@example((1, 2, 4), [KForm(_MERGE_DIM, 3, {(1, 3, 5): 1, (2, 3, 6): -2})] * _MERGE_DIM)
+def test_merged_monomial_d_matches_insertion_sorts(idx, generators):
+    assert list(monomial_d(idx, generators)) == list(sorted_monomial_d(idx, generators))
+
+
+def tuple_dhat_plan(base, share: tuple, moving: bytes) -> tuple:
+    size, n = len(moving), base.dim + 1
+    terms = []
+    for a, form in enumerate(base.gens):
+        if moving[share[a]]:
+            terms.append(((a, a, n - 1), size + share[a], 1.0, (0, share[a]), True))
+        terms += [((a, b - 1, c - 1), share[a], coeff / base.scale, (share[b - 1], share[c - 1]),
+                   False) for (b, c), coeff in form.terms.items()]
+    keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
+    slot = {}
+    den = [slot.setdefault(pair, len(slot)) for pair in pairs]
+    left, right = zip(*slot) if slot else ((), ())
+    return (keys, np.array(src, dtype=int), np.array(factor, dtype=float)[:, None],
+            np.array(left, dtype=int), np.array(right, dtype=int), np.array(den, dtype=int),
+            np.array(negated, dtype=bool))
+
+
+def tuple_gamma_plan(keys: tuple, kept: bytes) -> tuple:
+    keys = tuple(compress(keys, kept))
+    t = len(keys)
+    struct = dict(zip(keys, range(t)))
+    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
+    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
+    at = np.array([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
+                   for a, b, c in triples], dtype=int).reshape(-1, 3).T
+    return keys, tuple(triples), at
+
+
+def tuple_structure_plan(keys: tuple, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
+    kept_keys, triples, _ = tuple_gamma_plan(keys, kept)
+    dhat_index, index = tuple(compress(kept_keys, live)), tuple(compress(triples, nonzero))
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
+    return (dhat_index, index, np.array(rows, dtype=int), np.array(negate, dtype=bool),
+            _slots(dhat_index + wedge_keys))
+
+
+def tuple_curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
+    by_k = [[] for _ in range(n)]
+    for row, (k, p, q) in enumerate(dhat_index):
+        by_k[k].append((row, p, q))
+    terms = [((a, b, p, q), r, s) for r, (a, b, k) in enumerate(index) for s, p, q in by_k[k]]
+    d_keys, d_rows, dhat_rows = zip(*terms) if terms else ((), (), ())
+    slope_rows = [r for r, (_, _, k) in enumerate(index) if k != n - 1]
+    into, out_of = [[] for _ in range(n)], [[] for _ in range(n)]
+    for r, (a, b, k) in enumerate(index):
+        into[b].append((r, a, k))
+        out_of[a].append((r, b, k))
+    products = [((c, a, b, min(k, l), max(k, l)), r, s, k > l)
+                for c in range(n) for r, a, k in into[c] for s, b, l in out_of[c] if k != l]
+    keys, left, right, negate = zip(*products) if products else ((), (), (), ())
+    wedge_keys, slots = _slots(keys)
+    return (d_keys, np.array(d_rows, dtype=int), np.array(dhat_rows, dtype=int),
+            tuple(index[r] + (n - 1,) for r in slope_rows), np.array(slope_rows, dtype=int),
+            np.array(left, dtype=int), np.array(right, dtype=int), np.array(negate, dtype=bool),
+            tuple(key[1:] for key in wedge_keys), (wedge_keys, slots))
+
+
+def tuple_curvature_slots(d_keys, slope_keys, slope_live, wedge_keys, wedge_live) -> tuple:
+    return _slots(d_keys + tuple(compress(slope_keys, slope_live))
+                  + tuple(compress(wedge_keys, wedge_live)))
+
+
+def tuple_ricci_plan(n: int, index: tuple) -> tuple:
+    terms = sorted((a, r, b * n + (q if a == p else p), a == q)
+                   for r, (a, b, p, q) in enumerate(index) if a in (p, q))
+    _, rows, entries, negate = zip(*terms) if terms else ((),) * 4
+    upper = [(r, a * n + b, p * n + q) for r, (a, b, p, q) in enumerate(index) if a < b]
+    forms = zip(*upper) if upper else ((),) * 3
+    return (np.array(rows, dtype=int), np.array(entries, dtype=int), np.array(negate, dtype=bool),
+            *(np.array(x, dtype=int) for x in forms))
+
+
+def tuple_block_layout(rows: bytes, cols: bytes) -> tuple:
+    """The block layout by a union-find that merges the smaller component
+    into the larger."""
+    rows, cols = np.frombuffer(rows, dtype=int).tolist(), np.frombuffer(cols, dtype=int).tolist()
+    comp = {}
+    for r, c in zip(rows, cols):
+        a, b = comp.setdefault(r, [r]), comp.setdefault(~c, [~c])
+        if a is not b:
+            if len(a) > len(b):
+                a, b = b, a
+            b += a
+            for node in a:
+                comp[node] = b
+    shapes, at = {}, {}
+    for nodes in {id(nodes): nodes for nodes in comp.values()}.values():
+        block_rows = sorted(x for x in nodes if x >= 0)
+        shape = (len(block_rows), len(nodes) - len(block_rows))
+        blocks = shapes.setdefault(shape, [])
+        for i, r in enumerate(block_rows):
+            at[r] = (shape, len(blocks), i)
+        for j, c in enumerate(sorted((x for x in nodes if x < 0), reverse=True)):
+            at[c] = j
+        blocks.append(block_rows)
+    place = {shape: ([], [], [], []) for shape in shapes}
+    for e, (r, c) in enumerate(zip(rows, cols)):
+        shape, block, i = at[r]
+        entries, in_block, row, col = place[shape]
+        entries.append(e)
+        in_block.append(block)
+        row.append(i)
+        col.append(at[~c])
+    return tuple((shape, np.array(blocks, dtype=int), np.array(place[shape][0], dtype=int),
+                  tuple(np.array(x, dtype=int) for x in place[shape][1:]))
+                 for shape, blocks in shapes.items())
+
+
+def assert_same_plan(have, want, path="plan"):
+    """Equal element for element, arrays of one dtype and shape, and
+    numbers of one type."""
+    if isinstance(have, np.ndarray) or isinstance(want, np.ndarray):
+        assert isinstance(have, np.ndarray) and isinstance(want, np.ndarray), path
+        assert (have.dtype, have.shape) == (want.dtype, want.shape), path
+        assert (have == want).all(), path
+    elif isinstance(have, (tuple, list)):
+        assert isinstance(want, (tuple, list)) and len(have) == len(want), path
+        for i, (x, y) in enumerate(zip(have, want)):
+            assert_same_plan(x, y, f"{path}[{i}]")
+    else:
+        assert type(have) is type(want) and have == want, path
+
+
+def assert_plans_match_tuple_builders(base, mask):
+    """Each array-built plan, built cold, equals its tuple builder on one
+    chain of plans over ``base``, the value masks drawn by ``mask(length)``."""
+    n = base.dim + 1
+
+    def codes(keys: bytes, width: int) -> list:
+        return riemann._tuples(np.frombuffer(keys, dtype=int), n, width)
+
+    def bits(length: int) -> bytes:
+        return np.asarray(mask(length), dtype=bool).tobytes()
+
+    for share, size in ((tuple(1 + a % 3 for a in range(base.dim)), 4),
+                        (tuple(range(1, base.dim + 1)), base.dim + 1)):
+        moving = bits(size)
+        have, want = riemann._dhat_plan.__wrapped__(base, share, moving), tuple_dhat_plan(
+            base, share, moving)
+        assert codes(have[0], 3) == list(want[0])
+        assert_same_plan(have[1:], want[1:])
+    keys, tuple_keys = have[0], want[0]
+    kept = bits(len(tuple_keys))
+    have, want = riemann._gamma_plan.__wrapped__(n, keys, kept), tuple_gamma_plan(tuple_keys, kept)
+    assert (codes(have[0].tobytes(), 3), codes(have[1].tobytes(), 3)) == tuple(map(list, want[:2]))
+    assert_same_plan(have[2], want[2])
+    live, nonzero = bits(len(want[0])), bits(len(want[1]))
+    have = riemann._structure_plan.__wrapped__(n, keys, kept, live, nonzero)
+    want = tuple_structure_plan(tuple_keys, kept, live, nonzero)
+    assert_same_plan(have[:4], (list(want[0]), list(want[1]), *want[2:4]))
+    assert codes(have[4][0].tobytes(), 3) == want[4][0]
+    assert_same_plan(have[4][1], want[4][1])
+    dhat_index, index = tuple(have[0]), tuple(have[1])
+    have = riemann._curvature_plan.__wrapped__(n, index, dhat_index)
+    want = tuple_curvature_plan(n, index, dhat_index)
+    for at in (0, 3, 8):
+        assert codes(have[at], 4) == list(want[at])
+    assert riemann._tuples(have[9][0], n, 5) == want[9][0]
+    assert_same_plan([have[x] for x in (1, 2, 4, 5, 6, 7)], [want[x] for x in (1, 2, 4, 5, 6, 7)])
+    assert_same_plan(have[9][1], want[9][1])
+    slope_live, wedge_live = bits(len(want[3])), bits(len(want[8]))
+    have = riemann._curvature_slots.__wrapped__(n, have[0], have[3], slope_live, have[8],
+                                                wedge_live)
+    assert_same_plan(have, tuple_curvature_slots(want[0], want[3], slope_live, want[8],
+                                                 wedge_live))
+    curvature = tuple(compress(have[0], bits(len(have[0]))))
+    have = riemann._ricci_plan.__wrapped__(n, curvature)
+    assert_same_plan(have, tuple_ricci_plan(n, curvature))
+    ideal = jetforms._ideal_plan(n, tuple(tuple(form.terms) for form in base.gens if form.terms))
+    for rows, cols in ((have[4], have[5]), ideal[:2]):
+        keep = np.frombuffer(bits(len(rows)), dtype=bool)
+        rows, cols = rows[keep].tobytes(), cols[keep].tobytes()
+        assert_same_plan(riemann._block_layout.__wrapped__(rows, cols),
+                         tuple_block_layout(rows, cols))
+
+
+@functools.lru_cache(maxsize=None)
+def plan_base(name: str, rotated: bool):
+    spec = catalog(name)
+    return (rotate(spec) if rotated else spec).algebra
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("heis(3)",))
+def test_array_plans_match_tuple_builders(name, rotated):
+    """Every mask set, then masks drawn at rates 0.7 and 0.3 from seeds."""
+    base = plan_base(name, rotated)
+    assert_plans_match_tuple_builders(base, lambda length: np.ones(length, dtype=bool))
+    for seed, rate in ((0, 0.7), (1, 0.3)):
+        rng = np.random.default_rng(seed)
+        assert_plans_match_tuple_builders(base, lambda length: rng.random(length) < rate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.booleans(), st.data())
+def test_array_plans_match_tuple_builders_on_drawn_masks(name, rotated, data):
+    assert_plans_match_tuple_builders(plan_base(name, rotated), lambda length: data.draw(
+        st.lists(st.booleans(), min_size=length, max_size=length)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60), st.sampled_from([41, riemann.DENSE_CODES + 1]))
+def test_first_slots_match_dict_slots(codes, space):
+    """Both the table and the sort find the slots of the dict."""
+    keys, rows = riemann._first_slots(np.array(codes, dtype=int), space)
+    want_keys, want_rows = _slots(codes)
+    assert keys.tolist() == want_keys
+    assert_same_plan(rows, want_rows)
 
 
 _SIGNED = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])
