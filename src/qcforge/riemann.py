@@ -294,9 +294,8 @@ def _join(left: np.ndarray, right: np.ndarray, n: int) -> tuple:
     order = np.argsort(right, kind="stable")
     count = np.bincount(right, minlength=n)
     per = count[left]
-    ends = np.cumsum(per)
     i = np.repeat(np.arange(len(left)), per)
-    offset = np.arange(len(i)) - np.repeat(ends - per, per)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(per) - per, per)
     return i, order[np.repeat((np.cumsum(count) - count)[left], per) + offset]
 
 
@@ -367,7 +366,7 @@ def _dhat_plan(base: FrameAlgebra, share: tuple, moving: bytes) -> tuple:
     slot = {}
     den = [slot.setdefault(pair, len(slot)) for pair in pairs]
     left, right = zip(*slot) if slot else ((), ())
-    return (_frozen(keys).tobytes(), _frozen(src), _frozen(factor, float)[:, None],
+    return (np.array(keys, dtype=int).tobytes(), _frozen(src), _frozen(factor, float)[:, None],
             _frozen(left), _frozen(right), _frozen(den), _frozen(negated, bool))
 
 
