@@ -28,20 +28,19 @@ at -0.0), so every float equals that of the jet computation bit for bit,
 except the sign of a zero left where a curvature partial sum cancels at
 every sample.  The index bookkeeping runs once per pattern: each stage's
 plan of rows, negation masks and sum slots is cached by the tuples and
-the bytes of the value masks it reads.  The Cartan, curvature, Ricci and
-block plans are array operations over int-coded keys, one int per index
-tuple; only d hat-e^a, a few dozen terms, is built in plain Python, and
-tuples are built only for the public index lists.
+the bytes of the value masks it reads.  The curvature and Ricci plans,
+a few thousand terms, are array operations over int-coded index tuples;
+the others are plain Python over a few dozen to a few hundred tuples.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 
 import numpy as np
 
@@ -220,10 +219,8 @@ def _slots(keys) -> tuple:
     return list(slot), _frozen(rows)
 
 
-# The plans below key index tuples by one int each, their digits in radix
-# n (the frame dimension): (a, b, c) is (a n + b) n + c.  They find codes
-# in tables over every code where those are small, else by numpy's stable
-# argsort; np.unique pages in about 1.5 MB more code than that sort.
+# The curvature and Ricci plans key index tuples by one int each, their
+# digits in radix n (the frame dimension): (a, b, c) is (a n + b) n + c.
 
 
 def _encode(n: int, *digits) -> np.ndarray:
@@ -234,58 +231,35 @@ def _encode(n: int, *digits) -> np.ndarray:
     return code
 
 
-def _digits(codes: np.ndarray, n: int, width: int) -> list:
-    """The ``width`` digit arrays of the codes, most significant first."""
-    out = []
-    for _ in range(width):
-        codes, digit = np.divmod(codes, n)
-        out.append(digit)
-    return out[::-1]
-
-
 def _tuples(codes: np.ndarray, n: int, width: int) -> list:
     """The index tuples of the codes, as tuples of ints."""
-    return list(zip(*(digit.tolist() for digit in _digits(codes, n, width))))
+    digits = []
+    for _ in range(width):
+        codes, digit = np.divmod(codes, n)
+        digits.append(digit.tolist())
+    return list(zip(*digits[::-1]))
 
 
 def _columns(keys, width: int) -> list:
     """The digit arrays of index tuples of length ``width``."""
-    flat = np.fromiter(itertools.chain.from_iterable(keys), int, count=width * len(keys))
+    flat = np.fromiter(chain.from_iterable(keys), int, count=width * len(keys))
     return list(flat.reshape(-1, width).T)
 
 
-def _distinct(codes: np.ndarray) -> tuple:
-    """The stable sort order of the codes, the mask of the first of each
-    run of equal codes in that order, and the sorted position's run."""
+def _first_slots(codes: np.ndarray) -> tuple:
+    """:func:`_slots` of int codes: the distinct codes in order of first
+    appearance, and the position of each code's sum among them.  A stable
+    sort puts each code's first position first among its positions."""
     order = np.argsort(codes, kind="stable")
     ordered = codes[order]
     first = np.ones(len(codes), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return order, first, np.cumsum(first) - 1
-
-
-DENSE_CODES = 1 << 16  # the largest code space searched by a table over every code
-
-
-def _first_slots(codes: np.ndarray, space: int) -> tuple:
-    """:func:`_slots` of int codes below ``space``: the distinct codes in
-    order of first appearance, and the position of each code's sum among
-    them.  Each code's first position is read from a table over every
-    code where ``space`` is at most ``DENSE_CODES``, else from a stable
-    sort, which puts it first among the code's positions."""
-    if space <= DENSE_CODES:
-        first = np.full(space, len(codes))
-        np.minimum.at(first, codes, np.arange(len(codes)))
-        at = first[codes]
-        new = at == np.arange(len(codes))
-        return _frozen(codes[new]), _frozen((np.cumsum(new) - 1)[at])
-    order, first, run = _distinct(codes)
     firsts = order[first]
     appear = np.argsort(firsts, kind="stable")
     rank = np.empty_like(appear)
     rank[appear] = np.arange(len(appear))
     rows = np.empty_like(order)
-    rows[order] = rank[run]
+    rows[order] = rank[np.cumsum(first) - 1]
     return _frozen(codes[firsts[appear]]), _frozen(rows)
 
 
@@ -352,59 +326,48 @@ def _dhat_plan(base: FrameAlgebra, share: tuple, moving: bytes) -> tuple:
     negation mask of d hat-e^a, a ascending, over the stack of
     :func:`cartan_connection` (p_a in row ``share[a]``, moving where the
     byte of ``moving`` is set): -(p'/(w p)) hat-e^{a, n} where p moves,
-    then p c / (p_b p_c) on each term c e^{bc} of d e^a.  The keys are
-    the bytes of their int codes.  A plan has a few dozen terms, fewer
-    than numpy's call overhead would repay."""
+    then p c / (p_b p_c) on each term c e^{bc} of d e^a."""
     size, n = len(moving), base.dim + 1
-    terms = []  # code of (a, p, q), numerator row, c, denominator pair, negated
+    terms = []  # (a, p, q), numerator row, c, denominator pair, negated
     for a, form in enumerate(base.gens):
         if moving[share[a]]:
-            terms.append(((a * n + a) * n + n - 1, size + share[a], 1.0, (0, share[a]), True))
-        terms += [((a * n + b - 1) * n + c - 1, share[a], coeff / base.scale,
-                   (share[b - 1], share[c - 1]), False) for (b, c), coeff in form.terms.items()]
+            terms.append(((a, a, n - 1), size + share[a], 1.0, (0, share[a]), True))
+        terms += [((a, b - 1, c - 1), share[a], coeff / base.scale, (share[b - 1], share[c - 1]),
+                   False) for (b, c), coeff in form.terms.items()]
     keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
     slot = {}
     den = [slot.setdefault(pair, len(slot)) for pair in pairs]
     left, right = zip(*slot) if slot else ((), ())
-    return (np.array(keys, dtype=int).tobytes(), _frozen(src), _frozen(factor, float)[:, None],
-            _frozen(left), _frozen(right), _frozen(den), _frozen(negated, bool))
+    return (keys, _frozen(src), _frozen(factor, float)[:, None], _frozen(left), _frozen(right),
+            _frozen(den), _frozen(negated, bool))
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_plan(n: int, keys: bytes, kept: bytes) -> tuple:
-    """The codes of the kept structure functions, those of the triples
-    (a, b, c) where one of C^a_{cb}, C^b_{ac}, C^c_{ab} is present,
-    ascending, and their rows in ``signed`` of :func:`cartan_connection`.
-    Both are read from tables over every code, n^3 entries."""
-    keys = _frozen(np.frombuffer(keys, dtype=int)[np.frombuffer(kept, dtype=bool)])
-    a, b, c = _digits(keys, n, 3)
-    # C^a_{bc} in row r, C^a_{cb} in row t + r; absent ones in row 2t
-    a, b, c = np.concatenate((a, a)), np.concatenate((b, c)), np.concatenate((c, b))
-    struct = np.full(n ** 3, len(a))
-    struct[_encode(n, a, b, c)] = np.arange(len(a))
-    present = np.zeros(n ** 3, dtype=bool)
-    for x, y, z in ((a, c, b), (b, a, c), (b, c, a)):
-        present[_encode(n, x, y, z)] = True
-    triples = _frozen(np.flatnonzero(present))
-    a, b, c = _digits(triples, n, 3)
-    return keys, triples, _frozen(np.stack([struct[_encode(n, x, y, z)]
-                                            for x, y, z in ((a, c, b), (b, a, c), (c, a, b))]))
+def _gamma_plan(keys: tuple, kept: bytes) -> tuple:
+    """The kept structure functions, the triples (a, b, c) where one of
+    C^a_{cb}, C^b_{ac}, C^c_{ab} is present, ascending, and their rows in
+    ``signed`` of :func:`cartan_connection`."""
+    keys = tuple(compress(keys, kept))
+    t = len(keys)
+    struct = dict(zip(keys, range(t)))
+    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
+    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
+    at = _frozen([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
+                  for a, b, c in triples]).reshape(-1, 3).T
+    return keys, tuple(triples), at
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_plan(n: int, keys: bytes, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
+def _structure_plan(keys: tuple, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
     """The live d hat-e^a and nonzero Gamma keys, and the rows, negation
     mask and slots of the terms omega^a_b ^ hat-e^b of the structure
     equation, b ascending: c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk}, k > b."""
-    kept_keys, triples, _ = _gamma_plan(n, keys, kept)
-    dhat = kept_keys[np.frombuffer(live, dtype=bool)]
-    index = triples[np.frombuffer(nonzero, dtype=bool)]
-    a, b, k = _digits(index, n, 3)
-    rows = np.flatnonzero(k != b)
-    a, b, k = a[rows], b[rows], k[rows]
-    wedge = _encode(n, a, np.minimum(b, k), np.maximum(b, k))
-    return (_tuples(dhat, n, 3), _tuples(index, n, 3), _frozen(rows), _frozen(k > b, bool),
-            _first_slots(np.concatenate((dhat, wedge)), n ** 3))
+    kept_keys, triples, _ = _gamma_plan(keys, kept)
+    dhat_index, index = tuple(compress(kept_keys, live)), tuple(compress(triples, nonzero))
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
+    return (dhat_index, index, _frozen(rows), _frozen(negate, bool),
+            _slots(dhat_index + wedge_keys))
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
@@ -443,11 +406,11 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     # struct[a, b, c] of ``signed``.  Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} +
     # C^c_{ab})/2, the c-th coefficient of omega^a_b, sums those present in
     # this order; an absent one is the last row, -0.0, which keeps the bits.
-    at = _gamma_plan(cof.dim, keys, kept)[2]
+    at = _gamma_plan(keys, kept)[2]
     signed = np.concatenate((-dhat, dhat, np.full((3, 1, width), -0.0)), axis=1)
     gamma = (signed[:, at[0]] + signed[:, at[1]] + signed[:, at[2]]) * 0.5
     nonzero, live = gamma.any(axis=(0, 2)), dhat[0].any(axis=1)
-    dhat_index, index, rows, negate, slots = _structure_plan(cof.dim, keys, kept, live.tobytes(),
+    dhat_index, index, rows, negate, slots = _structure_plan(keys, kept, live.tobytes(),
                                                              nonzero.tobytes())
     values, dhat_values = gamma[0, nonzero], dhat[0, live]
     _, sums = _ordered_sums(None, np.concatenate([dhat_values, _negate(values[rows], negate)]),
@@ -486,8 +449,7 @@ def _curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
     keep = k[left] != k[right]
     left, right = left[keep], right[keep]
     low, high = np.minimum(k[left], k[right]), np.maximum(k[left], k[right])
-    wedge_keys, slots = _first_slots(
-        _encode(n, b[left], a[left], b[right], low, high), n ** 5)
+    wedge_keys, slots = _first_slots(_encode(n, b[left], a[left], b[right], low, high))
     return (_encode(n, a[d_rows], b[d_rows], p[dhat_rows], q[dhat_rows]).tobytes(),
             _frozen(d_rows), _frozen(dhat_rows),
             _encode(n, a[slope_rows], b[slope_rows], k[slope_rows], n - 1).tobytes(),
@@ -503,7 +465,7 @@ def _curvature_slots(n: int, d_keys: bytes, slope_keys: bytes, slope_live: bytes
     keys, rows = _first_slots(np.concatenate((
         np.frombuffer(d_keys, dtype=int),
         np.frombuffer(slope_keys, dtype=int)[np.frombuffer(slope_live, dtype=bool)],
-        np.frombuffer(wedge_keys, dtype=int)[np.frombuffer(wedge_live, dtype=bool)])), n ** 4)
+        np.frombuffer(wedge_keys, dtype=int)[np.frombuffer(wedge_live, dtype=bool)])))
     return _tuples(keys, n, 4), rows
 
 
@@ -580,76 +542,50 @@ def _ricci_and_span(curv: CurvatureRows):
     return ric, forms, basis, curv.values[upper]
 
 
-def _nodes(values: np.ndarray) -> tuple:
-    """The distinct values ascending as nodes: each value's node, the
-    stable order of the values by node, and the start of each node's run."""
-    order, first, run = _distinct(values)
-    node = np.empty_like(order)
-    node[order] = run
-    return node, order, np.flatnonzero(first)
-
-
-def _local(group: np.ndarray, size: int) -> tuple:
-    """The position of each member among the members of its group, in
-    order, and the size of each of the ``size`` groups."""
-    order = np.argsort(group, kind="stable")
-    count = np.bincount(group, minlength=size)
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
-    return at, count, order
-
-
 @functools.lru_cache(maxsize=None)
 def _block_layout(rows: bytes, cols: bytes) -> tuple:
     """Per block shape of :func:`block_stacks` for the entries at these
     rows and columns (int array bytes): the shape, the block rows, and the
-    entries in those blocks with the block, local row and column of each.
-    Each entry takes the least entry number of its component by label
-    propagation over the rows and columns, so the blocks come in the order
-    of their first entries."""
-    rows, cols = np.frombuffer(rows, dtype=int), np.frombuffer(cols, dtype=int)
-    if not len(rows):
-        return ()
-    row, row_order, row_runs = _nodes(rows)
-    col, col_order, col_runs = _nodes(cols)
-    label = np.arange(len(rows))
-    while True:
-        new = np.minimum(np.minimum.reduceat(label[row_order], row_runs)[row],
-                         np.minimum.reduceat(label[col_order], col_runs)[col])
-        new = new[new]  # an entry's label is an entry of the same component
-        if (new == label).all():
-            break
-        label = new
-    root = np.zeros(len(rows), dtype=bool)
-    root[label] = True
-    block = (np.cumsum(root) - 1)[label]  # of each entry, in order of first entries
-    count = int(root.sum())
-    row_block, col_block = np.empty_like(row_runs), np.empty_like(col_runs)
-    row_block[row], col_block[col] = block, block
-    local_row, height, by_row = _local(row_block, count)
-    local_col, width, _ = _local(col_block, count)
-    shapes, kind = _first_slots(height * (len(col_runs) + 1) + width,
-                                (len(row_runs) + 1) * (len(col_runs) + 1))
-    in_kind, _, _ = _local(kind, len(shapes))
-    block_rows = rows[row_order[row_runs]][by_row]  # per block, ascending
-    out = []
-    for s, shape in enumerate(shapes.tolist()):
-        shape = divmod(shape, len(col_runs) + 1)
-        entries = np.flatnonzero(kind[block] == s)
-        out.append((shape, _frozen(block_rows[kind[row_block[by_row]] == s].reshape(-1, shape[0])),
-                    _frozen(entries), (_frozen(in_kind[block[entries]]),
-                                       _frozen(local_row[row[entries]]),
-                                       _frozen(local_col[col[entries]]))))
-    return tuple(out)
+    entries in those blocks with the block, local row and column of each."""
+    rows, cols = np.frombuffer(rows, dtype=int).tolist(), np.frombuffer(cols, dtype=int).tolist()
+    comp = {}  # node -> the nodes of its component: rows r >= 0, columns ~c < 0
+    for r, c in zip(rows, cols):
+        a, b = comp.setdefault(r, [r]), comp.setdefault(~c, [~c])
+        if a is not b:
+            if len(a) > len(b):
+                a, b = b, a
+            b += a
+            for node in a:
+                comp[node] = b
+    shapes, at = {}, {}  # at: row -> (shape, block, local row); ~column -> local column
+    for nodes in {id(nodes): nodes for nodes in comp.values()}.values():
+        block_rows = sorted(x for x in nodes if x >= 0)
+        shape = (len(block_rows), len(nodes) - len(block_rows))
+        blocks = shapes.setdefault(shape, [])
+        for i, r in enumerate(block_rows):
+            at[r] = (shape, len(blocks), i)
+        for j, c in enumerate(sorted((x for x in nodes if x < 0), reverse=True)):
+            at[c] = j
+        blocks.append(block_rows)
+    place = {shape: ([], [], [], []) for shape in shapes}
+    for e, (r, c) in enumerate(zip(rows, cols)):
+        shape, block, i = at[r]
+        entries, in_block, row, col = place[shape]
+        entries.append(e)
+        in_block.append(block)
+        row.append(i)
+        col.append(at[~c])
+    return tuple((shape, _frozen(blocks), _frozen(place[shape][0]),
+                  tuple(map(_frozen, place[shape][1:]))) for shape, blocks in shapes.items())
 
 
 def block_stacks(rows, cols, values: np.ndarray) -> list:
     """The diagonal blocks of the matrices, one per sample s, that hold
     ``values[e, s]`` at (``rows[e]``, ``cols[e]``) and zeros elsewhere
     (a repeated position keeps its last entry).  The blocks are the
-    connected components of the pattern of the entries, found by label
-    propagation over its rows and columns, once per pattern
-    (:func:`_block_layout`);
+    connected components of the pattern of the entries, found by a
+    union-find over its rows and columns that merges the smaller
+    component into the larger, once per pattern (:func:`_block_layout`);
     so one pattern serves every sample, and a pattern that joins blocks
     only makes them larger.  Empty rows and columns belong to no block.
 

@@ -44,10 +44,10 @@ Ricci summed from it, and the dense SVDs) bit for bit: on the families,
 on one base whose scalings stop moving, under shared, permuted and
 distinct scalings, and where a structure function, Gamma rows or the
 curvature vanish at every sample; and a sweep with cold plans equals one
-with warm plans.  The Cartan, curvature, Ricci and block plans are built
-by array operations over int-coded index tuples; the tuple builders they
-replaced are their references, plan for plan, element for element and
-dtype for dtype, on the six catalog bases and heis(3), plain and rotated,
+with warm plans.  The curvature and Ricci plans are built by array
+operations over int-coded index tuples; the tuple builders they replaced
+are their references, plan for plan, element for element and dtype for
+dtype, on the six catalog bases and heis(3), plain and rotated,
 under all-true, seeded and drawn value masks.  The d and wedge rules
 merge sorted index tuples by bisection; their references sort the
 concatenation by insertion, on drawn tuples and generators of degree 1,
@@ -1901,11 +1901,11 @@ def test_a_sweep_with_cold_plans_equals_one_with_warm_plans():
 
 
 # ---------------------------------------------------------------------------
-# Plans in int codes: the Cartan, curvature, Ricci and block plans build
-# their rows from one int per index tuple with array operations; each must
-# equal, element for element and dtype for dtype, the tuple builder it
-# replaced, kept here as its reference.  The d and wedge rules merge two
-# sorted index tuples by bisection; their references sort by insertion.
+# Plans in int codes: the curvature and Ricci plans build their rows from
+# one int per index tuple with array operations; each must equal, element
+# for element and dtype for dtype, the tuple builder it replaced, kept
+# here as its reference.  The d and wedge rules merge two sorted index
+# tuples by bisection; their references sort by insertion.
 # ---------------------------------------------------------------------------
 
 
@@ -1972,43 +1972,6 @@ def test_merged_monomial_d_matches_insertion_sorts(idx, generators):
     assert list(monomial_d(idx, generators)) == list(sorted_monomial_d(idx, generators))
 
 
-def tuple_dhat_plan(base, share: tuple, moving: bytes) -> tuple:
-    size, n = len(moving), base.dim + 1
-    terms = []
-    for a, form in enumerate(base.gens):
-        if moving[share[a]]:
-            terms.append(((a, a, n - 1), size + share[a], 1.0, (0, share[a]), True))
-        terms += [((a, b - 1, c - 1), share[a], coeff / base.scale, (share[b - 1], share[c - 1]),
-                   False) for (b, c), coeff in form.terms.items()]
-    keys, src, factor, pairs, negated = zip(*terms) if terms else ((),) * 5
-    slot = {}
-    den = [slot.setdefault(pair, len(slot)) for pair in pairs]
-    left, right = zip(*slot) if slot else ((), ())
-    return (keys, np.array(src, dtype=int), np.array(factor, dtype=float)[:, None],
-            np.array(left, dtype=int), np.array(right, dtype=int), np.array(den, dtype=int),
-            np.array(negated, dtype=bool))
-
-
-def tuple_gamma_plan(keys: tuple, kept: bytes) -> tuple:
-    keys = tuple(compress(keys, kept))
-    t = len(keys)
-    struct = dict(zip(keys, range(t)))
-    struct.update(((a, c, b), t + r) for r, (a, b, c) in enumerate(keys))
-    triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
-    at = np.array([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
-                   for a, b, c in triples], dtype=int).reshape(-1, 3).T
-    return keys, tuple(triples), at
-
-
-def tuple_structure_plan(keys: tuple, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
-    kept_keys, triples, _ = tuple_gamma_plan(keys, kept)
-    dhat_index, index = tuple(compress(kept_keys, live)), tuple(compress(triples, nonzero))
-    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
-    rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
-    return (dhat_index, index, np.array(rows, dtype=int), np.array(negate, dtype=bool),
-            _slots(dhat_index + wedge_keys))
-
-
 def tuple_curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
     by_k = [[] for _ in range(n)]
     for row, (k, p, q) in enumerate(dhat_index):
@@ -2045,42 +2008,6 @@ def tuple_ricci_plan(n: int, index: tuple) -> tuple:
             *(np.array(x, dtype=int) for x in forms))
 
 
-def tuple_block_layout(rows: bytes, cols: bytes) -> tuple:
-    """The block layout by a union-find that merges the smaller component
-    into the larger."""
-    rows, cols = np.frombuffer(rows, dtype=int).tolist(), np.frombuffer(cols, dtype=int).tolist()
-    comp = {}
-    for r, c in zip(rows, cols):
-        a, b = comp.setdefault(r, [r]), comp.setdefault(~c, [~c])
-        if a is not b:
-            if len(a) > len(b):
-                a, b = b, a
-            b += a
-            for node in a:
-                comp[node] = b
-    shapes, at = {}, {}
-    for nodes in {id(nodes): nodes for nodes in comp.values()}.values():
-        block_rows = sorted(x for x in nodes if x >= 0)
-        shape = (len(block_rows), len(nodes) - len(block_rows))
-        blocks = shapes.setdefault(shape, [])
-        for i, r in enumerate(block_rows):
-            at[r] = (shape, len(blocks), i)
-        for j, c in enumerate(sorted((x for x in nodes if x < 0), reverse=True)):
-            at[c] = j
-        blocks.append(block_rows)
-    place = {shape: ([], [], [], []) for shape in shapes}
-    for e, (r, c) in enumerate(zip(rows, cols)):
-        shape, block, i = at[r]
-        entries, in_block, row, col = place[shape]
-        entries.append(e)
-        in_block.append(block)
-        row.append(i)
-        col.append(at[~c])
-    return tuple((shape, np.array(blocks, dtype=int), np.array(place[shape][0], dtype=int),
-                  tuple(np.array(x, dtype=int) for x in place[shape][1:]))
-                 for shape, blocks in shapes.items())
-
-
 def assert_same_plan(have, want, path="plan"):
     """Equal element for element, arrays of one dtype and shape, and
     numbers of one type."""
@@ -2109,44 +2036,27 @@ def assert_plans_match_tuple_builders(base, mask):
 
     for share, size in ((tuple(1 + a % 3 for a in range(base.dim)), 4),
                         (tuple(range(1, base.dim + 1)), base.dim + 1)):
-        moving = bits(size)
-        have, want = riemann._dhat_plan.__wrapped__(base, share, moving), tuple_dhat_plan(
-            base, share, moving)
-        assert codes(have[0], 3) == list(want[0])
-        assert_same_plan(have[1:], want[1:])
-    keys, tuple_keys = have[0], want[0]
-    kept = bits(len(tuple_keys))
-    have, want = riemann._gamma_plan.__wrapped__(n, keys, kept), tuple_gamma_plan(tuple_keys, kept)
-    assert (codes(have[0].tobytes(), 3), codes(have[1].tobytes(), 3)) == tuple(map(list, want[:2]))
-    assert_same_plan(have[2], want[2])
-    live, nonzero = bits(len(want[0])), bits(len(want[1]))
-    have = riemann._structure_plan.__wrapped__(n, keys, kept, live, nonzero)
-    want = tuple_structure_plan(tuple_keys, kept, live, nonzero)
-    assert_same_plan(have[:4], (list(want[0]), list(want[1]), *want[2:4]))
-    assert codes(have[4][0].tobytes(), 3) == want[4][0]
-    assert_same_plan(have[4][1], want[4][1])
-    dhat_index, index = tuple(have[0]), tuple(have[1])
-    have = riemann._curvature_plan.__wrapped__(n, index, dhat_index)
-    want = tuple_curvature_plan(n, index, dhat_index)
-    for at in (0, 3, 8):
-        assert codes(have[at], 4) == list(want[at])
-    assert riemann._tuples(have[9][0], n, 5) == want[9][0]
-    assert_same_plan([have[x] for x in (1, 2, 4, 5, 6, 7)], [want[x] for x in (1, 2, 4, 5, 6, 7)])
-    assert_same_plan(have[9][1], want[9][1])
-    slope_live, wedge_live = bits(len(want[3])), bits(len(want[8]))
-    have = riemann._curvature_slots.__wrapped__(n, have[0], have[3], slope_live, have[8],
-                                                wedge_live)
-    assert_same_plan(have, tuple_curvature_slots(want[0], want[3], slope_live, want[8],
-                                                 wedge_live))
-    curvature = tuple(compress(have[0], bits(len(have[0]))))
-    have = riemann._ricci_plan.__wrapped__(n, curvature)
-    assert_same_plan(have, tuple_ricci_plan(n, curvature))
-    ideal = jetforms._ideal_plan(n, tuple(tuple(form.terms) for form in base.gens if form.terms))
-    for rows, cols in ((have[4], have[5]), ideal[:2]):
-        keep = np.frombuffer(bits(len(rows)), dtype=bool)
-        rows, cols = rows[keep].tobytes(), cols[keep].tobytes()
-        assert_same_plan(riemann._block_layout.__wrapped__(rows, cols),
-                         tuple_block_layout(rows, cols))
+        keys = riemann._dhat_plan.__wrapped__(base, share, bits(size))[0]
+        kept = bits(len(keys))
+        kept_keys, triples, _ = riemann._gamma_plan.__wrapped__(keys, kept)
+        dhat_index, index = riemann._structure_plan.__wrapped__(
+            keys, kept, bits(len(kept_keys)), bits(len(triples)))[:2]
+        have = riemann._curvature_plan.__wrapped__(n, index, dhat_index)
+        want = tuple_curvature_plan(n, index, dhat_index)
+        for at in (0, 3, 8):
+            assert codes(have[at], 4) == list(want[at])
+        assert riemann._tuples(have[9][0], n, 5) == want[9][0]
+        assert_same_plan([have[x] for x in (1, 2, 4, 5, 6, 7)],
+                         [want[x] for x in (1, 2, 4, 5, 6, 7)])
+        assert_same_plan(have[9][1], want[9][1])
+        slope_live, wedge_live = bits(len(want[3])), bits(len(want[8]))
+        have = riemann._curvature_slots.__wrapped__(n, have[0], have[3], slope_live, have[8],
+                                                    wedge_live)
+        assert_same_plan(have, tuple_curvature_slots(want[0], want[3], slope_live, want[8],
+                                                     wedge_live))
+        curvature = tuple(compress(have[0], bits(len(have[0]))))
+        assert_same_plan(riemann._ricci_plan.__wrapped__(n, curvature),
+                         tuple_ricci_plan(n, curvature))
 
 
 @functools.lru_cache(maxsize=None)
@@ -2174,10 +2084,9 @@ def test_array_plans_match_tuple_builders_on_drawn_masks(name, rotated, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=60), st.sampled_from([41, riemann.DENSE_CODES + 1]))
-def test_first_slots_match_dict_slots(codes, space):
-    """Both the table and the sort find the slots of the dict."""
-    keys, rows = riemann._first_slots(np.array(codes, dtype=int), space)
+@given(st.lists(st.integers(0, 40), max_size=60))
+def test_first_slots_match_dict_slots(codes):
+    keys, rows = riemann._first_slots(np.array(codes, dtype=int))
     want_keys, want_rows = _slots(codes)
     assert keys.tolist() == want_keys
     assert_same_plan(rows, want_rows)
