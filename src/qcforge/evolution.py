@@ -39,6 +39,7 @@ that turns a build's residuals into pass/fail verdicts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -271,12 +272,13 @@ def ode_residual(kind: str, jets: dict, S: Fraction) -> float:
     """Max absolute residual of the system ``kind`` of
     :data:`~qcforge.ansatz.SYSTEMS` over the samples of the jets of
     :func:`evaluate` (f, w and f1, f2, f3, or h for a diagonal family);
-    derivatives are in the arc parameter t with dt/dx = w."""
+    derivatives are in the arc parameter t with dt/dx = w, and 1/w is
+    taken once, at the first derivative the system asks for."""
     system = SYSTEMS.get(kind)
     if system is None:
         raise ValueError(f"unknown system {kind!r}")
-    w = jets["w"]
-    rows = system(jets["f"], _axes(jets), lambda j: j.derivative() / w, S)
+    inverse = functools.cache(jets["w"].reciprocal)
+    rows = system(jets["f"], _axes(jets), lambda j: j.derivative() * inverse(), S)
     return worst_abs(r.value for r in rows)
 
 

@@ -3,9 +3,11 @@ coefficients are jets, held in rows: a tuple of index tuples and one array
 of jet components, where a ``KForm`` would keep one ``Jet`` per
 coefficient.  A sum, a number or a scalar times a form, a wedge and
 :func:`extended_d` are each one gather, one stacked ``Jet`` product or
-scaling and one scatter-add (:func:`~qcforge.riemann._ordered_sums`) in the
-order of the ``KForm`` operation, so every float is that of ``KForm`` over
-``Jet`` bit for bit, up to the sign of a zero.  The index plans are plain
+scaling and one scatter-add in the order of the ``KForm`` operation, so
+every float is that of ``KForm`` over ``Jet`` bit for bit, up to the sign
+of a zero.  The scatter-add (:func:`~qcforge.riemann._ordered_sums`) is
+one 1-D ``np.add.at`` over flat indices into the (3, keys, N) layout of
+the sums, all three components at once.  The index plans are plain
 Python over the forms' key tuples, cached by the tuples they read: a plan
 has a few to a few dozen keys, too few for numpy's call overhead to
 repay, and the d and wedge rules merge sorted index tuples by bisection
@@ -120,13 +122,11 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _summed(dim: int, degree: int, terms: np.ndarray, slots: tuple) -> JetForm:
     """The form that sums the jet rows ``terms`` on the keys of ``slots``
-    (:func:`~qcforge.riemann._slots`), each monomial's rows in their order."""
+    (:func:`~qcforge.riemann._slots`), each monomial's rows in their order,
+    every component in one flat scatter-add."""
     keys, rows = slots
-    if len(keys) < len(rows):  # a monomial repeats: sum by rows of all three components
-        _, count, width = terms.shape
-        flat = terms.transpose(1, 0, 2).reshape(count, 3 * width)
-        sums = _ordered_sums(None, flat, slots)[1].reshape(len(keys), 3, width)
-        terms = np.ascontiguousarray(sums.transpose(1, 0, 2))
+    if len(keys) < len(rows):  # a monomial repeats: sum each component's rows
+        terms = _ordered_sums(None, terms, slots)[1]
     return JetForm(dim, degree, tuple(keys), terms)
 
 

@@ -23,10 +23,10 @@ axis.  The Cartan solve multiplies and inverts its terms as jets with
 curvature reads the connection's value and slope rows, keyed by index
 tuples (a, b, k).  Each kind of term is formed by one gather and
 multiply over arrays of row indices and summed in the order of the jet
-and KForm sums (:func:`_ordered_sums` scatter-adds into sums that start
-at -0.0), so every float equals that of the jet computation bit for bit,
-except the sign of a zero left where a curvature partial sum cancels at
-every sample.  The index bookkeeping runs once per pattern: each stage's
+and KForm sums (:func:`_ordered_sums` scatter-adds, by one 1-D
+``np.add.at`` over flat indices, into sums that start at -0.0), so every
+float equals that of the jet computation bit for bit, except the sign of
+a zero left where a curvature partial sum cancels at every sample.  The index bookkeeping runs once per pattern: each stage's
 plan of rows, negation masks and sum slots is cached by the tuples and
 the bytes of the value masks it reads.  The curvature and Ricci plans,
 a few thousand terms, are array operations over int-coded index tuples;
@@ -277,13 +277,19 @@ def _ordered_sums(keys, values: np.ndarray, slots: tuple | None = None):
     """Sum the rows of ``values`` that share a key, each key's rows in the
     order they come, by one scatter-add into sums that start at -0.0, so a
     key's sum has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of
-    its rows, and a key with one row keeps that row's bits.  ``slots`` is
-    :func:`_slots` of the keys, for a caller that keeps it.
+    its rows, and a key with one row keeps that row's bits.  The rows are
+    the second-to-last axis; leading axes are summed apart.  The scatter is
+    one 1-D ``np.add.at`` over flat indices, which numpy runs on its fast
+    path and in index order.  ``slots`` is :func:`_slots` of the keys, for
+    a caller that keeps it.
 
     Returns the keys, in order of first appearance, and their sums."""
     unique, rows = slots or _slots(keys)
-    sums = np.full((len(unique), values.shape[1]), -0.0)
-    np.add.at(sums, rows, values)
+    *lead, _, width = values.shape
+    sums = np.full((*lead, len(unique), width), -0.0)
+    blocks = np.arange(math.prod(lead))[:, None, None] * len(unique)
+    np.add.at(sums.reshape(-1), ((blocks + rows[:, None]) * width + np.arange(width)).reshape(-1),
+              values.reshape(-1))
     return unique, sums
 
 
@@ -536,9 +542,9 @@ def _ricci_and_span(curv: CurvatureRows):
     n = curv.dim
     width = curv.values.shape[1]
     rows, entries, negate, upper, forms, basis = _ricci_plan(n, tuple(curv.index))
-    ric = np.zeros((n * n, width))
-    np.add.at(ric, entries, _negate(curv.values[rows], negate))
-    ric = np.ascontiguousarray(ric.T).reshape(width, n, n)
+    ric = np.zeros((width, n, n))
+    np.add.at(ric.reshape(-1), (entries[:, None] + np.arange(width) * (n * n)).reshape(-1),
+              _negate(curv.values[rows], negate).reshape(-1))
     return ric, forms, basis, curv.values[upper]
 
 

@@ -12,6 +12,7 @@ first two derivatives and no more.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -71,15 +72,17 @@ def parse_float(text: str) -> float:
         raise InputError(f"could not convert string to float: {shown_digits(text)!r}") from exc
 
 
-def _each(fn, x):
-    """``fn`` on a float, or on each entry of an array of any shape through
-    Python floats: numpy's ufuncs may round differently from libm, and a
-    batch must agree bit for bit with its scalar jets.  Powers go through
-    ``math.pow``: its overflow reads ``math range error`` like that of
-    ``math.exp``, where ``float ** float`` gives an errno tuple."""
+def _each(fn, x, *args):
+    """``fn(v, *args)`` on a float, or on each entry v of an array of any
+    shape through Python floats, by ``map`` with no Python frame per entry:
+    numpy's ufuncs may round differently from libm, and a batch must agree
+    bit for bit with its scalar jets.  Powers go through ``math.pow``: its
+    overflow reads ``math range error`` like that of ``math.exp``, where
+    ``float ** float`` gives an errno tuple."""
     if not isinstance(x, np.ndarray):
-        return fn(x)
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return fn(x, *args)
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(itertools.repeat, args)), float,
+                       x.size).reshape(x.shape)
 
 
 def _fail_if(bad, value, message: str):
@@ -252,7 +255,7 @@ class Jet:
         """1/j.  Derivatives divide in numpy, so a power that underflows
         gives an infinity, for a float jet as for a batch."""
         def taylor(y):
-            p2, p3 = (_each(lambda v: math.pow(v, k), y) for k in (2, 3))
+            p2, p3 = (_each(math.pow, y, k) for k in (2, 3))
             return 1.0 / y, np.divide(-1.0, p2), np.divide(2.0, p3)
         return self._guarded(lambda y: y == 0.0, ("division by a jet with zero value",
                                                   "division by a jet with value {}"), taylor)
@@ -270,9 +273,9 @@ class Jet:
         rf = float(r)
         return self._guarded(lambda y: y <= 0.0, (f"fractional power {r} of non-positive base {{}}",
                                                   f"fractional power {r} of base {{}}"),
-                             lambda y: (_each(lambda v: math.pow(v, rf), y),
-                                        rf * _each(lambda v: math.pow(v, rf - 1.0), y),
-                                        rf * (rf - 1.0) * _each(lambda v: math.pow(v, rf - 2.0), y)))
+                             lambda y: (_each(math.pow, y, rf),
+                                        rf * _each(math.pow, y, rf - 1.0),
+                                        rf * (rf - 1.0) * _each(math.pow, y, rf - 2.0)))
 
     def exp(self) -> "Jet":
         e = _each(math.exp, self.c[0])
@@ -289,7 +292,7 @@ class Jet:
     def log(self) -> "Jet":
         return self._guarded(lambda y: y <= 0.0, ("log of non-positive value {}", "log of value {}"),
                              lambda y: (_each(math.log, y), 1.0 / y,
-                                        np.divide(-1.0, _each(lambda v: math.pow(v, 2), y))))
+                                        np.divide(-1.0, _each(math.pow, y, 2))))
 
     def sqrt(self) -> "Jet":
         return self.pow(Fraction(1, 2))

@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py`` on canned pairs of runs."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,30 @@ def test_higher_is_better_and_ties_count_for_neither():
     s = bench_pairs.summarize([1.0] * 10, [2.0] * 10, "higher", 0.02)
     assert s["wins"] == 10 and s["holds"]
     assert s["change"] == (2.0, 2.0, 2.0)
+
+
+def test_the_relative_change_of_the_medians_is_printed_in_percent(tmp_path, monkeypatch, capsys):
+    """The parent's median pass_s is 0.1265 and the change's 0.1175:
+    0.1175 / 0.1265 - 1 = -7.1%; ok_share does not move."""
+    s = bench_pairs.summarize(PARENT, [x - 0.009 for x in PARENT], "lower", BOUND)
+    assert s["relative"] == pytest.approx(0.1175 / 0.1265 - 1)
+    assert math.isnan(bench_pairs.summarize([0.0] * 3, [1.0] * 3, "lower", BOUND)["relative"])
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.05},'
+        ' {"name": "ok_share", "better": "higher", "bound": 0.02}]}')
+
+    def canned(root, workload, seconds, seed):
+        value = PARENT[seed - 1] - (0.009 if root == change else 0.0)
+        return {"correct": True, "metrics": {"pass_s": {"value": value},
+                                             "ok_share": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    bench_pairs.main([str(parent), str(change), "--workload", "jet", "--seconds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "  -7.1%  wins 10/10" in next(line for line in lines if line.startswith("pass_s "))
+    assert "  +0.0%  wins 0/10" in next(line for line in lines if line.startswith("ok_share "))
 
 
 def test_one_pair_reads_its_value_as_every_quartile():

@@ -10,12 +10,12 @@ import pytest
 
 from qcforge import algebra, cli, evolution, qc
 from qcforge.algebra import catalog
-from qcforge.ansatz import triple
+from qcforge.ansatz import SYSTEMS, triple
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, build_family,
                                build_triaxial, evaluate, extended_d, ode_residual,
                                require_einstein_base, verdicts)
 from qcforge.forms import KForm
-from qcforge.scalars import DomainError, Jet, NotQcError
+from qcforge.scalars import DomainError, Jet, NotQcError, worst_abs
 
 TOL = 1e-10
 
@@ -332,6 +332,30 @@ class TestOdeSystems:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             ode_residual("nope", evaluate(FAMILIES["qk-l1"].functions(), [1.0]), Fraction(0))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_one_reciprocal_of_w_per_system(self, name, monkeypatch):
+        """d/dt multiplies by 1/w, taken once per system call, and every
+        residual has the bits of the form that divides by w at each
+        derivative."""
+        fam = FAMILIES[name]
+        jets = evaluate(fam.functions(), fam.default_samples())
+        w, reciprocal, taken = jets["w"], Jet.reciprocal, []
+
+        def counted(jet):
+            taken.append(jet)
+            return reciprocal(jet)
+
+        for system in fam.systems:
+            rows = SYSTEMS[system](jets["f"], evolution._axes(jets),
+                                   lambda j: j.derivative() / w, fam.S)
+            want = worst_abs(r.value for r in rows)
+            taken.clear()
+            monkeypatch.setattr(Jet, "reciprocal", counted)
+            got = ode_residual(system, jets, fam.S)
+            monkeypatch.undo()
+            assert len(taken) == 1 and taken[0] is w, system
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), system
 
 
 _default_build = functools.cache(build_family)

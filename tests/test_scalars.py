@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcforge.jetforms import JetForm
-from qcforge.scalars import DomainError, Jet, parse_rational
+from qcforge.scalars import DomainError, Jet, _each, parse_rational
 
 
 def close(a, b, tol=1e-12):
@@ -274,6 +274,50 @@ class TestBatchedJets:
         j = Jet.variable([1.0, 2.0, 3.0]).take(np.array([True, False, True]))
         assert list(j.c[0]) == [1.0, 3.0] and j.c[1:] == (1.0, 0.0)
 
+
+def list_each(fn, x, *args):
+    """The per-element form ``_each`` replaced: a list comprehension with a
+    lambda frame per entry."""
+    if not isinstance(x, np.ndarray):
+        return (lambda v: fn(v, *args))(x)
+    return np.array([(lambda v: fn(v, *args))(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+_EACH_CALLS = {"pow 2": (math.pow, 2), "pow 3": (math.pow, 3), "pow 0.6": (math.pow, 0.6),
+               "pow -1.4": (math.pow, -1.4), "log": (math.log,), "exp": (math.exp,),
+               "sinh": (math.sinh,), "cosh": (math.cosh,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(4,), (3, 4)]),
+       st.lists(st.floats(min_value=1e-300, max_value=700.0), min_size=12, max_size=12))
+@example((3, 4), [5e-300, 1e-100, 0.5, 1.0, 2.0, 3.0, 7.5, 1e2, 1.5e2, 300.0, 699.0, 700.0])
+def test_each_maps_like_the_list_comprehension(shape, values):
+    """``_each(fn, x, *args)`` on (N,) and (rows, N) arrays and on a float
+    equals the list comprehension bit for bit, or raises what it raises."""
+    x = np.array(values[:math.prod(shape)]).reshape(shape)
+    for name, (fn, *args) in _EACH_CALLS.items():
+        for point in (x, values[0]):
+            try:
+                want = list_each(fn, point, *args)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError, match=str(exc)):
+                    _each(fn, point, *args)
+                continue
+            got = _each(fn, point, *args)
+            assert np.shape(got) == np.shape(want), name
+            assert (_bits(got) == _bits(want)).all(), name
+
+
+def test_a_stacked_reciprocal_overflows_before_a_later_rows_zero_guard():
+    """1e200 squared overflows in the second row, and the third row divides
+    by zero: the rows before the first failing one are evaluated first, so
+    the overflow is raised."""
+    stack = Jet((np.array([[2.0, 3.0], [1e200, 1.0], [0.0, 1.0]]), 1.0, 0.0))
+    with pytest.raises(OverflowError, match="^math range error$"):
+        stack.reciprocal()
+    with pytest.raises(DomainError, match="division by a jet with zero value"):
+        stack.take(np.array([True, False, True])).reciprocal()
 
 
 def test_jet_needs_three_components():

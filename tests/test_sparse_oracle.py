@@ -2120,6 +2120,83 @@ def test_ordered_sums_round_as_kform_accumulation(steps):
             assert not total.any(), key
 
 
+def scatter_reference(rows, count: int, values: np.ndarray, start: float) -> np.ndarray:
+    """The 2-D scatter-add that the flat one replaced: ``np.add.at`` of
+    whole rows into ``count`` sums that start at ``start``."""
+    sums = np.full((count, values.shape[1]), start)
+    np.add.at(sums, rows, values)
+    return sums
+
+
+_AWKWARD = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                     -2.5e-309, 1.0, -1.0, 1e308, -1e308])
+
+
+def assert_same_sums(got: np.ndarray, want: np.ndarray):
+    """Equal bit for bit, except that a NaN only has to stay a NaN: where
+    two NaNs meet in one sum, IEEE 754 leaves open whose sign and payload
+    the result carries, and numpy's 1-D ``np.add.at`` loop keeps the
+    running sum's NaN where its 2-D loop takes the added row's."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (_bits(got)[~nan] == _bits(want)[~nan]).all()
+
+
+def awkward_values(seed: int, shape: tuple) -> np.ndarray:
+    """Half zeros of either sign, NaNs, infinities, subnormals and huge
+    values, half normal draws of magnitude 1e-320 to 1e300."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(_AWKWARD, shape), drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 16]), st.lists(st.integers(0, 4), min_size=1, max_size=24),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, [0, 0, 0], 0)
+@example(16, [0, 1, 0, 0, 1, 1], 1)  # -inf + inf, then that NaN + NaN
+@np.errstate(all="ignore")
+def test_flat_scatter_adds_match_the_2d_scatter_bit_for_bit(width, codes, seed):
+    """``_ordered_sums`` and ``jetforms._summed`` (whose three components
+    the old scatter summed side by side in rows of 3 * width) against the
+    2-D ``np.add.at`` from -0.0, on keys that repeat and rows with zeros of
+    either sign, NaNs, infinities and subnormals: the same bits up to the
+    sign of a NaN that two NaNs make."""
+    keys = [(code,) for code in codes]
+    terms = awkward_values(seed, (3, len(keys), width))
+    unique, rows = _slots(keys)
+    got_keys, sums = _ordered_sums(keys, terms[0])
+    assert got_keys == unique
+    assert_same_sums(sums, scatter_reference(rows, len(unique), terms[0], -0.0))
+    form = jetforms._summed(5, 1, terms, (unique, rows))
+    side_by_side = terms.transpose(1, 0, 2).reshape(len(keys), 3 * width)
+    want = scatter_reference(rows, len(unique), side_by_side, -0.0)
+    want = JetForm(5, 1, tuple(unique),
+                   np.ascontiguousarray(want.reshape(len(unique), 3, width).transpose(1, 0, 2)))
+    assert form.keys == want.keys
+    assert_same_sums(form.c, want.c)
+
+
+_CURVATURE_KEYS = [(a, b, p, q) for a in range(3) for b in range(3)
+                   for p in range(3) for q in range(p + 1, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 16]),
+       st.lists(st.sampled_from(_CURVATURE_KEYS), min_size=1, max_size=27, unique=True),
+       st.integers(0, 2 ** 32 - 1))
+@np.errstate(all="ignore")
+def test_flat_ricci_scatter_matches_the_2d_scatter_bit_for_bit(width, index, seed):
+    """The Ricci sums of ``_ricci_and_span`` against the 2-D ``np.add.at``
+    from 0.0 of the Ricci plan's terms, transposed to a leading sample axis."""
+    values = awkward_values(seed, (len(index), width))
+    ric = riemann._ricci_and_span(riemann.CurvatureRows(3, index, values))[0]
+    rows, entries, negate = riemann._ricci_plan(3, tuple(index))[:3]
+    want = scatter_reference(entries, 9, _negate(values[rows], negate), 0.0)
+    assert_same_sums(ric, want.T.reshape(width, 3, 3))
+
+
 def candidate_list_window(params, S) -> tuple:
     """The spin7-triaxial window from a list of candidate intervals: every
     interval of the scan that is wide enough and positive at its middle,

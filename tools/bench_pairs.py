@@ -11,7 +11,7 @@ pair i (1-based) runs at seed ``--seed + i - 1``, the parent first on odd
 pairs and the change first on even ones.  Each run's last line of standard
 output is the benchmark's JSON result.  The tool prints every run's
 end-to-end metrics, then per metric each side's median and quartiles, the
-change's wins (ties count for neither side), whether a gain holds (the
+relative change of the medians (change / parent - 1, in %), the change's wins (ties count for neither side), whether a gain holds (the
 change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the distance between the parent's
 quartiles), whether the change is worse (its median is worse than the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import statistics
@@ -54,7 +55,9 @@ def quartiles(values) -> tuple:
 
 def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     """The comparison of one metric over pairs of runs, ``parent[i]``
-    beside ``change[i]``: each side's quartiles, the change's wins, whether
+    beside ``change[i]``: each side's quartiles, the relative change of the
+    medians (change / parent - 1; NaN on a parent median of 0), the
+    change's wins, whether
     a gain holds (wins in at least nine tenths of the pairs, and medians
     that differ in the better direction by more than the parent's
     interquartile range), whether the change is worse (medians that differ
@@ -68,7 +71,8 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     gain, spread = sign * (c_q[1] - p_q[1]), p_q[2] - p_q[0]
     margin = bound * abs(p_q[1])
     apart = min(sign * c for c in change) > max(sign * p for p in parent)
-    return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent),
+    relative = c_q[1] / p_q[1] - 1.0 if p_q[1] else math.nan
+    return {"parent": p_q, "change": c_q, "relative": relative, "wins": wins, "pairs": len(parent),
             "holds": wins >= 0.9 * len(parent) and gain > spread, "worse": -gain > margin,
             "unresolved": spread > margin and not apart}
 
@@ -129,7 +133,8 @@ def main(argv=None) -> int:
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                       better, bound)
         p, c = ("{:.6g} / {:.6g} / {:.6g}".format(*s[side]) for side in ("parent", "change"))
-        print(f"{name:14s} parent {p}  change {c}  wins {s['wins']}/{s['pairs']}  "
+        print(f"{name:14s} parent {p}  change {c}  {100 * s['relative']:+.1f}%  "
+              f"wins {s['wins']}/{s['pairs']}  "
               f"gain {'holds' if s['holds'] else 'does not hold'}"
               f"{'  WORSE' if s['worse'] else ''}{'  UNRESOLVED' if s['unresolved'] else ''}")
         if s["worse"] or s["unresolved"] or (name == args.claim and not s["holds"]):
