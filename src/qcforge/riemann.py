@@ -26,9 +26,10 @@ multiply over arrays of row indices and summed in the order of the jet
 and KForm sums (:func:`_ordered_sums` scatter-adds, by one 1-D
 ``np.add.at`` over flat indices, into sums that start at -0.0), so every
 float equals that of the jet computation bit for bit, except the sign of
-a zero left where a curvature partial sum cancels at every sample.  The index bookkeeping runs once per pattern: each stage's
-plan of rows, negation masks and sum slots is cached by the tuples and
-the bytes of the value masks it reads.  The curvature and Ricci plans,
+a zero left where a curvature partial sum cancels at every sample.  The
+index bookkeeping runs once per pattern: each stage's plan of rows,
+negation masks and sum slots is cached by the tuples and the bytes of
+the value masks it reads.  The curvature and Ricci plans,
 a few thousand terms, are array operations over int-coded index tuples;
 the others are plain Python over a few dozen to a few hundred tuples.
 """
@@ -277,19 +278,18 @@ def _ordered_sums(keys, values: np.ndarray, slots: tuple | None = None):
     """Sum the rows of ``values`` that share a key, each key's rows in the
     order they come, by one scatter-add into sums that start at -0.0, so a
     key's sum has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of
-    its rows, and a key with one row keeps that row's bits.  The rows are
-    the second-to-last axis; leading axes are summed apart.  The scatter is
-    one 1-D ``np.add.at`` over flat indices, which numpy runs on its fast
-    path and in index order.  ``slots`` is :func:`_slots` of the keys, for
-    a caller that keeps it.
+    its rows (a NaN that two NaNs make may take either's sign), and a key
+    with one row keeps that row's bits.  The rows are the second-to-last
+    axis; leading axes are summed apart.  The scatter is one 1-D
+    ``np.add.at`` over flat indices, which numpy runs on its fast path and
+    in index order.  ``slots`` is :func:`_slots` of the keys, for a caller
+    that keeps it.
 
     Returns the keys, in order of first appearance, and their sums."""
     unique, rows = slots or _slots(keys)
-    *lead, _, width = values.shape
-    sums = np.full((*lead, len(unique), width), -0.0)
-    blocks = np.arange(math.prod(lead))[:, None, None] * len(unique)
-    np.add.at(sums.reshape(-1), ((blocks + rows[:, None]) * width + np.arange(width)).reshape(-1),
-              values.reshape(-1))
+    sums = np.full((*values.shape[:-2], len(unique), values.shape[-1]), -0.0)
+    flat = np.arange(sums.size).reshape(sums.shape).take(rows, axis=-2)  # each row's sum slots
+    np.add.at(sums.reshape(-1), flat.reshape(-1), values.reshape(-1))
     return unique, sums
 
 

@@ -11,7 +11,8 @@ pair i (1-based) runs at seed ``--seed + i - 1``, the parent first on odd
 pairs and the change first on even ones.  Each run's last line of standard
 output is the benchmark's JSON result.  The tool prints every run's
 end-to-end metrics, then per metric each side's median and quartiles, the
-relative change of the medians (change / parent - 1, in %), the change's wins (ties count for neither side), whether a gain holds (the
+relative change of the medians (change / parent - 1, in %), the
+change's wins (ties count for neither side), whether a gain holds (the
 change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the distance between the parent's
 quartiles), whether the change is worse (its median is worse than the
