@@ -29,9 +29,9 @@ float equals that of the jet computation bit for bit, except the sign of
 a zero left where a curvature partial sum cancels at every sample.  The
 index bookkeeping runs once per pattern: each stage's plan of rows,
 negation masks and sum slots is cached by the tuples and the bytes of
-the value masks it reads.  The curvature and Ricci plans,
-a few thousand terms, are array operations over int-coded index tuples;
-the others are plain Python over a few dozen to a few hundred tuples.
+the value masks it reads.  The curvature and Ricci plans, a few thousand
+terms, are array operations over int-coded index tuples; the others are
+plain Python over a few dozen to a few hundred tuples.
 """
 
 from __future__ import annotations
