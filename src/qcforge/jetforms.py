@@ -126,7 +126,7 @@ def _summed(dim: int, degree: int, terms: np.ndarray, slots: tuple) -> JetForm:
     every component in one flat scatter-add."""
     keys, rows = slots
     if len(keys) < len(rows):  # a monomial repeats: sum each component's rows
-        terms = _ordered_sums(None, terms, slots)[1]
+        terms = _ordered_sums(terms, slots)
     return JetForm(dim, degree, tuple(keys), terms)
 
 

@@ -28,8 +28,12 @@ and KForm sums (:func:`_ordered_sums` scatter-adds, by one 1-D
 float equals that of the jet computation bit for bit, except the sign of
 a zero left where a curvature partial sum cancels at every sample.  The
 index bookkeeping runs once per pattern: each stage's plan of rows,
-negation masks and sum slots is cached by the tuples and the bytes of
-the value masks it reads.  The curvature and Ricci plans, a few thousand
+negation masks and sum slots is cached by the index tuples it reads, and
+by a value mask only where the mask decides the keys: ``_dhat_plan``
+(moving scalings), ``_gamma_plan`` (kept d hat-e^a), ``_ricci_plan``
+(the live curvature index) and ``_block_layout`` (the live entries);
+the structure check and the curvature plan every term, and value masks
+pick the terms added.  The curvature and Ricci plans, a few thousand
 terms, are array operations over int-coded index tuples; the others are
 plain Python over a few dozen to a few hundred tuples.
 """
@@ -45,7 +49,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .algebra import FrameAlgebra
+from .algebra import FrameAlgebra, _mat_lin
 from .forms import _fractions
 from .scalars import Jet, NotQcError, _fail_if, worst_abs
 
@@ -75,14 +79,12 @@ class ConnectionTable:
 
     def torsion(self, alg: FrameAlgebra) -> dict:
         """The nonzero components T^c_{ab} = Gamma^c_{ab} - Gamma^c_{ba} -
-        <e^c,[e_a,e_b]> of T(e_a, e_b), keyed by 0-based (a, b, c)."""
-        out = defaultdict(Fraction)
-        for (a, b, c), x in self.gamma.items():
-            out[a, b, c] += x
-            out[b, a, c] -= x
-        for c, a, b, x in alg.bracket_terms():
-            out[a, b, c] -= Fraction(x, alg.scale)
-        return {key: x for key, x in out.items() if x}
+        <e^c,[e_a,e_b]> of T(e_a, e_b), keyed by 0-based (a, b, c), summed
+        in ints by ``_mat_lin``."""
+        swapped = {(b, a, c): x for (a, b, c), x in self.num.items()}
+        brackets = {(a, b, c): -x for c, a, b, x in alg.bracket_terms()}
+        return _fractions(*_mat_lin((1, (self.num, self.den)), (-1, (swapped, self.den)),
+                                    (1, (brackets, alg.scale))))
 
 
 @dataclass(slots=True, eq=False)
@@ -274,23 +276,21 @@ def _join(left: np.ndarray, right: np.ndarray, n: int) -> tuple:
     return i, order[np.repeat((np.cumsum(count) - count)[left], per) + offset]
 
 
-def _ordered_sums(keys, values: np.ndarray, slots: tuple | None = None):
-    """Sum the rows of ``values`` that share a key, each key's rows in the
-    order they come, by one scatter-add into sums that start at -0.0, so a
-    key's sum has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of
-    its rows (a NaN that two NaNs make may take either's sign), and a key
-    with one row keeps that row's bits.  The rows are the second-to-last
-    axis; leading axes are summed apart.  The scatter is one 1-D
-    ``np.add.at`` over flat indices, which numpy runs on its fast path and
-    in index order.  ``slots`` is :func:`_slots` of the keys, for a caller
-    that keeps it.
-
-    Returns the keys, in order of first appearance, and their sums."""
-    unique, rows = slots or _slots(keys)
-    sums = np.full((*values.shape[:-2], len(unique), values.shape[-1]), -0.0)
+def _ordered_sums(values: np.ndarray, slots: tuple) -> np.ndarray:
+    """The sums of the rows of ``values``, row r into the sum of key
+    ``rows[r]`` of ``slots`` = (keys, rows), each key's rows in the order
+    they come, by one scatter-add into sums that start at -0.0: a key's sum
+    has the bits of the left fold ((-0.0 + r_1) + r_2) + ... of its rows (a
+    NaN that two NaNs make may take either's sign), and a key with no row
+    is -0.0.  The rows are the second-to-last axis; leading axes are summed
+    apart.  The scatter is one 1-D ``np.add.at`` over flat indices, which
+    numpy runs on its fast path and in index order."""
+    keys, rows = slots
+    sums = np.empty((*values.shape[:-2], len(keys), values.shape[-1]))
+    sums.fill(-0.0)
     flat = np.arange(sums.size).reshape(sums.shape).take(rows, axis=-2)  # each row's sum slots
     np.add.at(sums.reshape(-1), flat.reshape(-1), values.reshape(-1))
-    return unique, sums
+    return sums
 
 
 def _live(keys: list, sums: np.ndarray):
@@ -352,7 +352,10 @@ def _dhat_plan(base: FrameAlgebra, share: tuple, moving: bytes) -> tuple:
 def _gamma_plan(keys: tuple, kept: bytes) -> tuple:
     """The kept structure functions, the triples (a, b, c) where one of
     C^a_{cb}, C^b_{ac}, C^c_{ab} is present, ascending, and their rows in
-    ``signed`` of :func:`cartan_connection`."""
+    ``signed`` of :func:`cartan_connection`; and the rows and negation
+    mask of every term omega^a_b ^ hat-e^b of the structure equation, b
+    ascending (c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk}, k > b), with the
+    slots of every kept d hat-e^a and every such term."""
     keys = tuple(compress(keys, kept))
     t = len(keys)
     struct = dict(zip(keys, range(t)))
@@ -360,20 +363,11 @@ def _gamma_plan(keys: tuple, kept: bytes) -> tuple:
     triples = sorted({x for a, b, c in struct for x in ((a, c, b), (b, a, c), (b, c, a))})
     at = _frozen([[struct.get(x, 2 * t) for x in ((a, c, b), (b, a, c), (c, a, b))]
                   for a, b, c in triples]).reshape(-1, 3).T
-    return keys, tuple(triples), at
-
-
-@functools.lru_cache(maxsize=None)
-def _structure_plan(keys: tuple, kept: bytes, live: bytes, nonzero: bytes) -> tuple:
-    """The live d hat-e^a and nonzero Gamma keys, and the rows, negation
-    mask and slots of the terms omega^a_b ^ hat-e^b of the structure
-    equation, b ascending: c_k hat-e^k ^ hat-e^b is -c_k hat-e^{bk}, k > b."""
-    kept_keys, triples, _ = _gamma_plan(keys, kept)
-    dhat_index, index = tuple(compress(kept_keys, live)), tuple(compress(triples, nonzero))
-    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b)
+              for r, (a, b, k) in enumerate(triples) if k != b]
     rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
-    return (dhat_index, index, _frozen(rows), _frozen(negate, bool),
-            _slots(dhat_index + wedge_keys))
+    return (keys, tuple(triples), at, _frozen(rows), _frozen(negate, bool),
+            _slots(keys + wedge_keys))
 
 
 def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
@@ -399,7 +393,7 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     jets[:2, size:] = jets[1:, :size]
     row = dict(zip(distinct, range(size)))
     moving = jets[:, size:].any(axis=(0, 2))
-    keys, src, factor, left, right, den, negated = _dhat_plan(
+    dhat_keys, src, factor, left, right, den, negated = _dhat_plan(
         cof.base, tuple(row[id(p)] for p in cof.scalings), moving.tobytes())
     stacked = Jet(jets)
     recips = (stacked.take(left) * stacked.take(right)).reciprocal().take(den)
@@ -412,17 +406,16 @@ def cartan_connection(cof: CoframeWithJets) -> CartanConnection:
     # struct[a, b, c] of ``signed``.  Gamma^a_{cb} = (C^a_{cb} + C^b_{ac} +
     # C^c_{ab})/2, the c-th coefficient of omega^a_b, sums those present in
     # this order; an absent one is the last row, -0.0, which keeps the bits.
-    at = _gamma_plan(keys, kept)[2]
+    keys, triples, at, rows, negate, (sum_keys, slots) = _gamma_plan(dhat_keys, kept)
     signed = np.concatenate((-dhat, dhat, np.full((3, 1, width), -0.0)), axis=1)
     gamma = (signed[:, at[0]] + signed[:, at[1]] + signed[:, at[2]]) * 0.5
     nonzero, live = gamma.any(axis=(0, 2)), dhat[0].any(axis=1)
-    dhat_index, index, rows, negate, slots = _structure_plan(keys, kept, live.tobytes(),
-                                                             nonzero.tobytes())
-    values, dhat_values = gamma[0, nonzero], dhat[0, live]
-    _, sums = _ordered_sums(None, np.concatenate([dhat_values, _negate(values[rows], negate)]),
-                            slots)
-    return CartanConnection(cof.dim, list(index), values, gamma[1, nonzero], list(dhat_index),
-                            dhat_values, worst_abs([sums]))
+    added, dhat_values = nonzero[rows], dhat[0, live]
+    terms = np.concatenate([dhat_values, _negate(gamma[0, rows[added]], negate[added])])
+    sums = _ordered_sums(terms, (sum_keys, slots[np.concatenate((live, added))]))
+    return CartanConnection(cof.dim, list(compress(triples, nonzero.tolist())), gamma[0, nonzero],
+                            gamma[1, nonzero], list(compress(keys, live.tolist())), dhat_values,
+                            worst_abs([sums]))
 
 
 @dataclass
@@ -430,7 +423,10 @@ class CurvatureRows:
     """The curvature 2-forms Omega^a_b in values: row r of ``values`` is the
     coefficient of hat-e^p ^ hat-e^q in Omega^a_b, with (a, b, p, q) =
     ``index[r]`` 0-based and p < q.  Only the coefficients nonzero at some
-    sample are kept."""
+    sample are kept, in order of first appearance among all the plan's
+    terms, added or not; no output reads that order: Ricci sums each entry
+    over a ascending, one row per a, and the span blocks are placed by
+    form and basis label."""
 
     dim: int
     index: list
@@ -439,12 +435,12 @@ class CurvatureRows:
 
 @functools.lru_cache(maxsize=None)
 def _curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
-    """Keys and rows of the terms of :func:`curvature_forms`: c_k d hat-e^k,
+    """Rows of the terms of :func:`curvature_forms`: c_k d hat-e^k,
     k ascending per omega^a_b; -(c'_k / w) hat-e^{kn}, k < n; and each
     product c_k c_l of omega^a_c ^ omega^c_b, c ascending, on {k, l},
     negated when k > l, with the slots that sum the two products of a
-    coefficient, the (k, l) one first, as the wedge sums them.  The keys
-    are the bytes of their int codes, those of the wedges without c."""
+    coefficient, the (k, l) one first, as the wedge sums them; and the
+    slots of all d-terms, slope terms and wedge sums, keys as tuples."""
     a, b, k = _columns(index, 3)
     first, p, q = _columns(dhat_index, 3)
     d_rows, dhat_rows = _join(k, first, n)
@@ -455,24 +451,13 @@ def _curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
     keep = k[left] != k[right]
     left, right = left[keep], right[keep]
     low, high = np.minimum(k[left], k[right]), np.maximum(k[left], k[right])
-    wedge_keys, slots = _first_slots(_encode(n, b[left], a[left], b[right], low, high))
-    return (_encode(n, a[d_rows], b[d_rows], p[dhat_rows], q[dhat_rows]).tobytes(),
-            _frozen(d_rows), _frozen(dhat_rows),
-            _encode(n, a[slope_rows], b[slope_rows], k[slope_rows], n - 1).tobytes(),
-            _frozen(slope_rows), _frozen(left), _frozen(right), _frozen(k[left] > k[right], bool),
-            (wedge_keys % n ** 4).tobytes(), (wedge_keys, slots))
-
-
-@functools.lru_cache(maxsize=None)
-def _curvature_slots(n: int, d_keys: bytes, slope_keys: bytes, slope_live: bytes,
-                     wedge_keys: bytes, wedge_live: bytes) -> tuple:
-    """The slots of the d-terms, the live slope terms and the live wedge
-    sums, by the bytes of their codes, with the keys as tuples."""
-    keys, rows = _first_slots(np.concatenate((
-        np.frombuffer(d_keys, dtype=int),
-        np.frombuffer(slope_keys, dtype=int)[np.frombuffer(slope_live, dtype=bool)],
-        np.frombuffer(wedge_keys, dtype=int)[np.frombuffer(wedge_live, dtype=bool)])))
-    return _tuples(keys, n, 4), rows
+    wedge_keys, wedge_slots = _first_slots(_encode(n, b[left], a[left], b[right], low, high))
+    keys, slots = _first_slots(np.concatenate((
+        _encode(n, a[d_rows], b[d_rows], p[dhat_rows], q[dhat_rows]),
+        _encode(n, a[slope_rows], b[slope_rows], k[slope_rows], n - 1), wedge_keys % n ** 4)))
+    return (_frozen(d_rows), _frozen(dhat_rows), _frozen(slope_rows), _frozen(left),
+            _frozen(right), _frozen(k[left] > k[right], bool), (wedge_keys, wedge_slots),
+            (_tuples(keys, n, 4), slots))
 
 
 def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRows:
@@ -489,13 +474,14 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
     ``exterior_d(omega^a_b) + (1/w) hat-e^n ^ slopes + sum_c omega^a_c ^
     omega^c_b``: the d-terms, then the slope terms, then the wedges by c
     ascending, each wedge already summed over its own two products; a
-    slope term or wedge zero at every sample drops, as in KForm."""
-    (d_keys, d_rows, dhat_rows, slope_keys, slope_rows, left, right, negate, wedge_keys,
-     wedge_slots) = _curvature_plan(conn.dim, tuple(conn.index), tuple(conn.dhat_index))
+    slope term or wedge zero at every sample drops, as in KForm, and so
+    does a key that only such terms reach, whose sum is -0.0."""
+    (d_rows, dhat_rows, slope_rows, left, right, negate, wedge_slots,
+     (keys, slots)) = _curvature_plan(conn.dim, tuple(conn.index), tuple(conn.dhat_index))
     # the wedges first: their products are the largest temporaries
     prod = conn.values[left]
     prod *= conn.values[right]
-    wedges = _ordered_sums(None, _negate(prod, negate), wedge_slots)[1]
+    wedges = _ordered_sums(_negate(prod, negate), wedge_slots)
     del prod
     wedge_live = wedges.any(axis=1)
     slopes = -((1.0 / cof.w.value) * conn.slopes[slope_rows])
@@ -503,9 +489,8 @@ def curvature_forms(cof: CoframeWithJets, conn: CartanConnection) -> CurvatureRo
     values = np.concatenate((conn.values[d_rows] * conn.dhat_values[dhat_rows],
                              slopes[slope_live], wedges[wedge_live]))
     del wedges
-    slots = _curvature_slots(conn.dim, d_keys, slope_keys, slope_live.tobytes(),
-                             wedge_keys, wedge_live.tobytes())
-    return CurvatureRows(cof.dim, *_live(*_ordered_sums(None, values, slots)))
+    added = np.concatenate((np.ones(len(d_rows), dtype=bool), slope_live, wedge_live))
+    return CurvatureRows(cof.dim, *_live(keys, _ordered_sums(values, (keys, slots[added]))))
 
 
 @dataclass

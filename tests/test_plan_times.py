@@ -10,10 +10,10 @@ _SPEC = importlib.util.spec_from_file_location("plan_times", _PATH)
 plan_times = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(plan_times)
 
-BUILDERS = {"riemann._dhat_plan", "riemann._gamma_plan", "riemann._structure_plan",
-            "riemann._curvature_plan", "riemann._curvature_slots", "riemann._ricci_plan",
-            "riemann._block_layout", "jetforms._slots_of", "jetforms._wedge_plan",
-            "jetforms._three_form_rows", "jetforms._ideal_plan", "jetforms._d_plan"}
+BUILDERS = {"riemann._dhat_plan", "riemann._gamma_plan", "riemann._curvature_plan",
+            "riemann._ricci_plan", "riemann._block_layout", "jetforms._slots_of",
+            "jetforms._wedge_plan", "jetforms._three_form_rows", "jetforms._ideal_plan",
+            "jetforms._d_plan"}
 
 
 def test_one_family_lists_every_builder(capsys):

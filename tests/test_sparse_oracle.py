@@ -1002,8 +1002,8 @@ def jet_cartan_connection(cof) -> CartanConnection:
         _stack([c.value for dhat in dhats for c in dhat.terms.values()], width))
     wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
     rows, keys, negate = zip(*wedged) if wedged else ((), (), ())
-    _, sums = _ordered_sums(dhat_index + list(keys),
-                            np.concatenate([dhat_values, _negate(values[list(rows)], negate)]))
+    sums = _ordered_sums(np.concatenate([dhat_values, _negate(values[list(rows)], negate)]),
+                         _slots(dhat_index + list(keys)))
     return CartanConnection(n, index, values, _stack([c.c[1] for c in coeffs], width),
                             dhat_index, dhat_values, worst_abs([sums]))
 
@@ -1972,7 +1972,19 @@ def test_merged_monomial_d_matches_insertion_sorts(idx, generators):
     assert list(monomial_d(idx, generators)) == list(sorted_monomial_d(idx, generators))
 
 
+def tuple_structure_plan(dhat_index: tuple, index: tuple) -> tuple:
+    """The rows into ``index``, negation mask and slots of the structure
+    equation's d hat-e^a, then its terms omega^a_b ^ hat-e^b."""
+    wedged = [(r, (a, min(b, k), max(b, k)), k > b) for r, (a, b, k) in enumerate(index) if k != b]
+    rows, wedge_keys, negate = zip(*wedged) if wedged else ((), (), ())
+    return (np.array(rows, dtype=int), np.array(negate, dtype=bool),
+            _slots(tuple(dhat_index) + wedge_keys))
+
+
 def tuple_curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
+    """``riemann._curvature_plan`` with its wedge keys as tuples, then the
+    keys of the d-terms, slope terms and wedge sums, which its last slots
+    sum in this order."""
     by_k = [[] for _ in range(n)]
     for row, (k, p, q) in enumerate(dhat_index):
         by_k[k].append((row, p, q))
@@ -1987,10 +1999,12 @@ def tuple_curvature_plan(n: int, index: tuple, dhat_index: tuple) -> tuple:
                 for c in range(n) for r, a, k in into[c] for s, b, l in out_of[c] if k != l]
     keys, left, right, negate = zip(*products) if products else ((), (), (), ())
     wedge_keys, slots = _slots(keys)
-    return (d_keys, np.array(d_rows, dtype=int), np.array(dhat_rows, dtype=int),
-            tuple(index[r] + (n - 1,) for r in slope_rows), np.array(slope_rows, dtype=int),
-            np.array(left, dtype=int), np.array(right, dtype=int), np.array(negate, dtype=bool),
-            tuple(key[1:] for key in wedge_keys), (wedge_keys, slots))
+    parts = (d_keys, tuple(index[r] + (n - 1,) for r in slope_rows),
+             tuple(key[1:] for key in wedge_keys))
+    return (np.array(d_rows, dtype=int), np.array(dhat_rows, dtype=int),
+            np.array(slope_rows, dtype=int), np.array(left, dtype=int),
+            np.array(right, dtype=int), np.array(negate, dtype=bool), (wedge_keys, slots),
+            _slots(sum(parts, ())), parts)
 
 
 def tuple_curvature_slots(d_keys, slope_keys, slope_live, wedge_keys, wedge_live) -> tuple:
@@ -2023,38 +2037,51 @@ def assert_same_plan(have, want, path="plan"):
         assert type(have) is type(want) and have == want, path
 
 
+def assert_masked_slots_match(have: tuple, added: np.ndarray, want: tuple):
+    """The slots ``have`` of every term, indexed by the mask of the terms
+    added, give each added term the key that the slots ``want`` of the
+    added terms alone give it."""
+    keys, slots = have
+    assert [keys[s] for s in slots[added]] == [want[0][s] for s in want[1]]
+
+
 def assert_plans_match_tuple_builders(base, mask):
     """Each array-built plan, built cold, equals its tuple builder on one
-    chain of plans over ``base``, the value masks drawn by ``mask(length)``."""
+    chain of plans over ``base``, the value masks drawn by ``mask(length)``;
+    the slots of a plan over every term, indexed by the masks of the terms
+    added, give each added term the key that the slots of the added terms
+    alone give it."""
     n = base.dim + 1
 
-    def codes(keys: bytes, width: int) -> list:
-        return riemann._tuples(np.frombuffer(keys, dtype=int), n, width)
-
-    def bits(length: int) -> bytes:
-        return np.asarray(mask(length), dtype=bool).tobytes()
+    def bits(length: int) -> np.ndarray:
+        return np.asarray(mask(length), dtype=bool)
 
     for share, size in ((tuple(1 + a % 3 for a in range(base.dim)), 4),
                         (tuple(range(1, base.dim + 1)), base.dim + 1)):
-        keys = riemann._dhat_plan.__wrapped__(base, share, bits(size))[0]
-        kept = bits(len(keys))
-        kept_keys, triples, _ = riemann._gamma_plan.__wrapped__(keys, kept)
-        dhat_index, index = riemann._structure_plan.__wrapped__(
-            keys, kept, bits(len(kept_keys)), bits(len(triples)))[:2]
+        keys = riemann._dhat_plan.__wrapped__(base, share, bits(size).tobytes())[0]
+        kept_keys, triples, _, rows, negate, slots = riemann._gamma_plan.__wrapped__(
+            keys, bits(len(keys)).tobytes())
+        assert_same_plan((rows, negate, slots), tuple_structure_plan(kept_keys, triples))
+        live, nonzero = bits(len(kept_keys)), bits(len(triples))
+        dhat_index = tuple(compress(kept_keys, live.tolist()))
+        index = tuple(compress(triples, nonzero.tolist()))
+        want_rows, want_negate, want_slots = tuple_structure_plan(dhat_index, index)
+        added = nonzero[rows]
+        assert [triples[r] for r in rows[added]] == [index[r] for r in want_rows]
+        assert_same_plan(negate[added], want_negate)
+        assert_masked_slots_match(slots, np.concatenate((live, added)), want_slots)
+
         have = riemann._curvature_plan.__wrapped__(n, index, dhat_index)
         want = tuple_curvature_plan(n, index, dhat_index)
-        for at in (0, 3, 8):
-            assert codes(have[at], 4) == list(want[at])
-        assert riemann._tuples(have[9][0], n, 5) == want[9][0]
-        assert_same_plan([have[x] for x in (1, 2, 4, 5, 6, 7)],
-                         [want[x] for x in (1, 2, 4, 5, 6, 7)])
-        assert_same_plan(have[9][1], want[9][1])
-        slope_live, wedge_live = bits(len(want[3])), bits(len(want[8]))
-        have = riemann._curvature_slots.__wrapped__(n, have[0], have[3], slope_live, have[8],
-                                                    wedge_live)
-        assert_same_plan(have, tuple_curvature_slots(want[0], want[3], slope_live, want[8],
-                                                     wedge_live))
-        curvature = tuple(compress(have[0], bits(len(have[0]))))
+        assert riemann._tuples(have[6][0], n, 5) == want[6][0]
+        assert_same_plan(have[:6] + (have[6][1], have[7]), want[:6] + (want[6][1], want[7]))
+        d_keys, slope_keys, wedge_keys = want[8]
+        slope_live, wedge_live = bits(len(slope_keys)), bits(len(wedge_keys))
+        assert_masked_slots_match(
+            have[7], np.concatenate((np.ones(len(d_keys), dtype=bool), slope_live, wedge_live)),
+            tuple_curvature_slots(d_keys, slope_keys, slope_live.tolist(), wedge_keys,
+                                  wedge_live.tolist()))
+        curvature = tuple(compress(have[7][0], bits(len(have[7][0])).tolist()))
         assert_same_plan(riemann._ricci_plan.__wrapped__(n, curvature),
                          tuple_ricci_plan(n, curvature))
 
@@ -2109,8 +2136,11 @@ def test_ordered_sums_round_as_kform_accumulation(steps):
     for key, row in steps:
         _accumulate(want, key, Jet((np.array(row), 0.0, 0.0)))
         fold[key] = fold.get(key, -0.0) + np.array(row)
-    keys, sums = _ordered_sums([key for key, _ in steps],
-                               np.array([row for _, row in steps]).reshape(-1, 3))
+    keys, rows = _slots([key for key, _ in steps])
+    # a key that no row reaches sums to -0.0
+    sums = _ordered_sums(np.array([row for _, row in steps]).reshape(-1, 3), (keys + [3], rows))
+    assert (_bits(sums[-1]) == _bits(np.full(3, -0.0))).all()
+    sums = sums[:-1]
     assert keys == list(fold)
     for key, total in zip(keys, sums):
         assert (_bits(total) == _bits(fold[key])).all(), key
@@ -2166,8 +2196,7 @@ def test_flat_scatter_adds_match_the_2d_scatter_bit_for_bit(width, codes, seed):
     keys = [(code,) for code in codes]
     terms = awkward_values(seed, (3, len(keys), width))
     unique, rows = _slots(keys)
-    got_keys, sums = _ordered_sums(keys, terms[0])
-    assert got_keys == unique
+    sums = _ordered_sums(terms[0], (unique, rows))
     assert_same_sums(sums, scatter_reference(rows, len(unique), terms[0], -0.0))
     form = jetforms._summed(5, 1, terms, (unique, rows))
     side_by_side = terms.transpose(1, 0, 2).reshape(len(keys), 3 * width)
