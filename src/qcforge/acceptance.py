@@ -13,9 +13,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import dga, qc
 from .algebra import _mat_mul, form_matrix, jacobi_check
-from .evolution import FAMILIES, JetForm, build_family, extended_d, verdicts
+from .evolution import FAMILIES, JetForm, build_family, evaluate, extended_d, verdicts
 from .forms import KForm, _fractions
 from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet
@@ -234,6 +236,25 @@ _FD_FUNCTIONS = {
     "u^(5/3) - ln(u)": lambda u: u.pow(Fraction(5, 3)) - u.log(),
     "sinh(u) * u^(-1/2)": lambda u: u.sinh() * u.pow(Fraction(-1, 2)),
 }
+_FD_POINTS, _FD_STEP = (0.7, 1.3, 2.1), 1e-5
+
+
+def _structure_residual(samples) -> float:
+    """The structure residual of spin7-l1's Cartan solve at the samples, in one batch."""
+    jet = evaluate(FAMILIES["spin7-l1"].functions(), samples)
+    cof = CoframeWithJets(qc.catalog_report("l1").spec.algebra,
+                          [jet["f"].sqrt()] * 4 + [jet["h"]] * 3, jet["w"])
+    return cartan_connection(cof).structure_residual
+
+
+def _fd_checks() -> list:
+    """(function, point, k, central difference of the (k-1)-th derivative, k-th
+    derivative) per check, from one jet per function over each point and its neighbours."""
+    points = np.array([p for x in _FD_POINTS for p in (x, x + _FD_STEP, x - _FD_STEP)])
+    jets = {text: [np.broadcast_to(c, points.shape).reshape(-1, 3).tolist()
+                   for c in fn(Jet.variable(points)).c] for text, fn in _FD_FUNCTIONS.items()}
+    return [(text, x, k, (c[k - 1][n][1] - c[k - 1][n][2]) / (2 * _FD_STEP), c[k][n][0])
+            for text, c in jets.items() for n, x in enumerate(_FD_POINTS) for k in (1, 2)]
 
 
 def criterion_14():
@@ -285,26 +306,16 @@ def criterion_14():
     if adjust_by_torsion(lc, ({}, 1)).gamma != lc.gamma:
         problems.append("zero-torsion adjustment is not the identity")
 
-    # structure-equation residuals of the connection solver
-    fam = FAMILIES["spin7-l1"]
-    funcs = fam.functions()
-    for x in fam.default_samples():
-        u = Jet.variable(x)
-        fj, hj, wj = (funcs[k](u) for k in ("f", "h", "w"))
-        cof = CoframeWithJets(l1, [fj.sqrt()] * 4 + [hj] * 3, wj)
-        conn = cartan_connection(cof)
-        if _not_below(conn.structure_residual, TOL_STRUCTURE):
-            problems.append(f"connection solver residual at x={x}")
+    # the connection solver's structure residuals in one batch; a failure names its samples
+    samples = FAMILIES["spin7-l1"].default_samples()
+    if _not_below(_structure_residual(samples), TOL_STRUCTURE):
+        problems += [f"connection solver residual at x={x}" for x in samples
+                     if _not_below(_structure_residual([x]), TOL_STRUCTURE)]
 
     # jets against central finite differences
-    step = 1e-5
-    for text, fn in _FD_FUNCTIONS.items():
-        for x in (0.7, 1.3, 2.1):
-            base, plus, minus = (fn(Jet.variable(p)) for p in (x, x + step, x - step))
-            for k in (1, 2):
-                fd = (plus.c[k - 1] - minus.c[k - 1]) / (2 * step)
-                if _not_below(abs(fd - base.c[k]) / max(abs(base.c[k]), 1e-12), TOL_JET_FD):
-                    problems.append(f"jet/fd mismatch for {text} at {x} order {k}")
+    for text, x, k, fd, exact in _fd_checks():
+        if _not_below(abs(fd - exact) / max(abs(exact), 1e-12), TOL_JET_FD):
+            problems.append(f"jet/fd mismatch for {text} at {x} order {k}")
     return not problems, "; ".join(problems) or "all property checks hold"
 
 

@@ -18,6 +18,25 @@ from fractions import Fraction
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
+def _once(fn):
+    """``fn`` memoized on the identity of its operands, which the memo keeps alive:
+    a diagonal family's three vertical coefficients are one object, [h, h, h]."""
+    memo = {}
+
+    def call(*args):
+        key = tuple(map(id, args))
+        if key not in memo:
+            memo[key] = args, fn(*args)
+        return memo[key][1]
+    return call
+
+
+def _cyclic(row, fs) -> list:
+    """``row(f_i, f_j, f_k)`` over the cyclic (i, j, k), once per distinct operands."""
+    row = _once(row)
+    return [row(fs[i - 1], fs[j - 1], fs[k - 1]) for i, j, k in _CYCLIC]
+
+
 def triple(kind: str, f, hs, omegas, etas, dt) -> list:
     """F_1, F_2, F_3 over the 2-forms ``omegas``, the 1-forms ``etas`` and
     ``dt``, with vertical coefficients ``hs`` ([h, h, h] for a diagonal
@@ -26,9 +45,9 @@ def triple(kind: str, f, hs, omegas, etas, dt) -> list:
     to F_3."""
     if kind not in ("qk", "spin7"):
         raise ValueError(f"unknown form pattern {kind!r}")
-    forms = []
+    forms, product = [], _once(lambda a, b: a * b)
     for i, j, k in _CYCLIC:
-        eta_jk = (hs[j - 1] * hs[k - 1]) * etas[j - 1].wedge(etas[k - 1])
+        eta_jk = product(hs[j - 1], hs[k - 1]) * etas[j - 1].wedge(etas[k - 1])
         eta_dt = (hs[i - 1] * etas[i - 1]).wedge(dt)
         if kind == "qk":
             forms.append(f * omegas[i - 1] + eta_jk - eta_dt)
@@ -65,28 +84,23 @@ def _erealqk(f, fs, dt, S):
     """Triaxial quaternion-type: 3 f' = 2 (f1 + f2 + f3) and
     (f f_j f_k)' - S f (f_i - f_j - f_k) = 6 f1 f2 f3."""
     prod = fs[0] * fs[1] * fs[2]
-    return [3 * dt(f) - 2 * (fs[0] + fs[1] + fs[2])] + [
-        dt(f * fs[j - 1] * fs[k - 1]) - S * f * (fs[i - 1] - fs[j - 1] - fs[k - 1]) - 6 * prod
-        for i, j, k in _CYCLIC]
+    return [3 * dt(f) - 2 * (fs[0] + fs[1] + fs[2])] + _cyclic(
+        lambda fi, fj, fk: dt(f * fj * fk) - S * f * (fi - fj - fk) - 6 * prod, fs)
 
 
 def _ereal7(f, fs, dt, S):
     """Triaxial self-dual at S = 0: f' = 2 (f1 + f2 + f3) and
     (f f_j f_k)' = 2 f1 f2 f3."""
     prod = fs[0] * fs[1] * fs[2]
-    return [dt(f) - 2 * (fs[0] + fs[1] + fs[2])] + [
-        dt(f * fs[j - 1] * fs[k - 1]) - 2 * prod for _, j, k in _CYCLIC]
+    return [dt(f) - 2 * (fs[0] + fs[1] + fs[2])] + _cyclic(
+        lambda fi, fj, fk: dt(f * fj * fk) - 2 * prod, fs)
 
 
 def _clideal(f, fs, dt, S):
     """The triple spans a differential ideal: one relation per F_i."""
     df, prod = dt(f), fs[0] * fs[1] * fs[2]
-    rows = []
-    for i, j, k in _CYCLIC:
-        fj, fk = fs[j - 1], fs[k - 1]
-        rows.append(f * dt(fj * fk) - df * fj * fk + 2 * prod - 2 * fj * fk * (fj + fk)
-                    + S * f * (fj + fk) - S * f * fs[i - 1])
-    return rows
+    return _cyclic(lambda fi, fj, fk: f * dt(fj * fk) - df * fj * fk + 2 * prod
+                   - 2 * fj * fk * (fj + fk) + S * f * (fj + fk) - S * f * fi, fs)
 
 
 def _ideal_sys(f, fs, dt, S):

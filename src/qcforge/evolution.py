@@ -49,7 +49,7 @@ import numpy as np
 
 from . import qc
 from .algebra import QcFrameSpec
-from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
+from .ansatz import _CYCLIC, SYSTEMS, _once, four_form, triple
 from .forms import KForm
 from .jetforms import JetForm, _ideal_plan, _three_form_rows, extended_d
 from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
@@ -94,10 +94,7 @@ def _check_positive(fj: Jet, hs, w: Jet, xs: np.ndarray) -> np.ndarray:
     f_vals = np.broadcast_to(fj.value, xs.shape)
     _fail_if(np.logical_not(f_vals > 0.0), f_vals, "horizontal coefficient not positive: {}")
     _fail_if(np.logical_not(np.abs(w.value) > 0.0), w.value, "dt/dx is not a nonzero number: {}")
-    keep = np.ones(xs.shape, dtype=bool)
-    for h in hs:
-        keep &= h.value != 0.0
-    return keep
+    return np.all([np.broadcast_to(h.value != 0.0, xs.shape) for h in hs], axis=0)
 
 
 def _abs_jet(j: Jet) -> Jet:
@@ -106,12 +103,9 @@ def _abs_jet(j: Jet) -> Jet:
 
 
 def _coframe(spec: QcFrameSpec, fj: Jet, hs, w: Jet) -> CoframeWithJets:
-    scalings = [None] * spec.dim
-    root_f = fj.sqrt()
-    for a in spec.horizontal:
-        scalings[a - 1] = root_f
-    for s, a in enumerate(spec.vertical, start=1):
-        scalings[a - 1] = _abs_jet(hs[s - 1])
+    scalings, absolute = [fj.sqrt()] * spec.dim, _once(_abs_jet)  # horizontal: sqrt(f)
+    for h, a in zip(hs, spec.vertical):
+        scalings[a - 1] = absolute(h)
     return CoframeWithJets(spec.algebra, scalings, _abs_jet(w))
 
 
@@ -193,7 +187,7 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     # Ricci first: its curvature forms are the largest objects of a build,
     # so none of the forms below should be alive beside them
     ricci = _ricci_fields(spec, fj, hs, wj, keep)
-    f, w, *hs = (JetForm.scalar(j, dim_ext, len(xs)) for j in (fj, wj, *hs))
+    f, w, *hs = map(_once(lambda j: JetForm.scalar(j, dim_ext, len(xs))), (fj, wj, *hs))
     etas = [KForm.basis(spec.dim, a) for a in spec.vertical]
     dx = KForm.basis(dim_ext, dim_ext)
     forms = triple(kind, f, hs, spec.omega, etas, w * dx)
@@ -207,7 +201,7 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     }
 
     if kind == "spin7":
-        g2, star_g2 = _g2_pair(f, hs, spec.omega, etas)
+        g2, star_g2 = _g2_pair(f, hs, spec)
         two_star = 2.0 * star_g2 - (2.0 * w) * g2.wedge(dx)
         out["psi_consistency"] = (phi - two_star).max_abs()
         on_base = range(1, spec.dim + 1)
@@ -231,8 +225,8 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
         return {"einstein_const": None, "einstein_deviation": None,
                 "ricci_max_abs": None, "curvature_rank": None, "structure_residual": 0.0}
     n = spec.dim + 1
-    summary = ricci_and_rank(_coframe(spec, fj.take(keep), [h.take(keep) for h in hs],
-                                      wj.take(keep)))
+    take = (lambda j: j) if keep.all() else _once(lambda j: j.take(keep))
+    summary = ricci_and_rank(_coframe(spec, take(fj), [take(h) for h in hs], take(wj)))
     ricci = np.broadcast_to(summary.ricci, (int(keep.sum()), n, n))
     consts = np.trace(ricci, axis1=1, axis2=2) / n
     return {
@@ -244,16 +238,26 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
     }
 
 
-def _g2_pair(f: JetForm, hs, omegas, etas):
+@functools.lru_cache(maxsize=None)
+def _pair_base_forms(spec: QcFrameSpec) -> tuple:
+    """The spin7 pair's constant base forms, once per spec: omega_i ^ eta_i,
+    eta_123, omega_1 ^ omega_1 and omega_i ^ eta_j ^ eta_k, (i, j, k) cyclic."""
+    omegas, etas = spec.omega, [KForm.basis(spec.dim, a) for a in spec.vertical]
+    return ([omegas[i].wedge(etas[i]) for i in range(3)],
+            etas[0].wedge(etas[1]).wedge(etas[2]), omegas[0].wedge(omegas[0]),
+            [omegas[i - 1].wedge(etas[j - 1].wedge(etas[k - 1])) for i, j, k in _CYCLIC])
+
+
+def _g2_pair(f: JetForm, hs, spec: QcFrameSpec):
     """The 3-form and its dual 4-form of the evolved structure, from the
-    scalars f and h_i."""
-    omega_eta = [(f * hs[i - 1]) * omegas[i - 1].wedge(etas[i - 1]) for i in (1, 2, 3)]
-    g2 = (omega_eta[0] + omega_eta[1] + omega_eta[2]
-          - (hs[0] * hs[1] * hs[2]) * etas[0].wedge(etas[1]).wedge(etas[2]))
-    star = (0.5 * f * f) * omegas[0].wedge(omegas[0])
-    for i, j, k in _CYCLIC:
-        star = star - (f * hs[j - 1] * hs[k - 1]) * omegas[i - 1].wedge(
-            etas[j - 1].wedge(etas[k - 1]))
+    scalars f and h_i; each product of equal operands is taken once."""
+    omega_eta, eta_123, omega_omega, omega_eta_eta = _pair_base_forms(spec)
+    times = _once(lambda a, b: a * b)
+    g2 = (times(f, hs[0]) * omega_eta[0] + times(f, hs[1]) * omega_eta[1]
+          + times(f, hs[2]) * omega_eta[2] - times(times(hs[0], hs[1]), hs[2]) * eta_123)
+    star = (0.5 * f * f) * omega_omega
+    for (_, j, k), form in zip(_CYCLIC, omega_eta_eta):
+        star = star - times(times(f, hs[j - 1]), hs[k - 1]) * form
     return g2, star
 
 
@@ -349,6 +353,8 @@ class MetricFamily:
 # parameter values (a root, a reciprocal) is left to evaluation.
 
 _ONE = Jet.const(1)
+# a maker's sub-expression that several functions read, once per evaluation of u
+_shared = functools.lru_cache(maxsize=1)
 
 
 def _fam_qk(params, S):
@@ -358,11 +364,11 @@ def _fam_qk(params, S):
     S > 0: f = u, h = sqrt(S u/2 + a u^2), w = 1/(2h)."""
     if S > 0:
         a = Jet.const(params["a"])
-        h = lambda u: (S / 2 * u + a * u.pow(2)).sqrt()
+        h = _shared(lambda u: (S / 2 * u + a * u.pow(2)).sqrt())
         return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (2 * h(u))}
     b = Jet.const(params["b"])
     if S == 0:
-        f = lambda u: (2 * b * u).exp()
+        f = _shared(lambda u: (2 * b * u).exp())
         return {"f": f, "h": lambda u: b * f(u), "w": lambda u: _ONE}
     sigma = Jet.const(1 / (-2 * S)).sqrt()
     return {"f": lambda u: (1 + u.cosh()) / (2 * b * b),
@@ -403,7 +409,7 @@ def _fam_spin7(params, S):
     else:
         a = Jet.const(params["a"])
         num = lambda u: u.pow(Fraction(5, 3)) - a
-    h = lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt()
+    h = _shared(lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt())
     return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (6 * h(u))}
 
 
@@ -420,7 +426,7 @@ def _fam_qk_triaxial(params, S):
     a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(6) / c), Jet.const(c / 6)
-    prod = lambda u: (u + a[0]) * (u + a[1]) * (u + a[2])
+    prod = _shared(lambda u: (u + a[0]) * (u + a[1]) * (u + a[2]))
 
     def axis(i, j, k):
         return lambda u: ratio.sqrt() * (
@@ -435,7 +441,7 @@ def _fam_spin7_triaxial(params, S):
     a1, a2, a3 = (Jet.const(params[k]) for k in ("a1", "a2", "a3"))
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(2) / c), Jet.const(c**3 / 8)
-    prod = lambda u: (u + a1) * (u + a2) * (a3 - u)
+    prod = _shared(lambda u: (u + a1) * (u + a2) * (a3 - u))
     return {"f": lambda u: cj * prod(u),
             "f1": lambda u: ratio.sqrt() / (u + a1),
             "f2": lambda u: ratio.sqrt() / (u + a2),
@@ -574,11 +580,14 @@ def build_family(name: str, params=None, samples=None) -> dict:
                               "Einstein constant is below float resolution")
     try:
         funcs = fam.functions(params)
-        pts = list(samples) if samples else fam.default_samples(params)
+        pts = fam.default_samples(params) if samples is None else samples
     except ZeroDivisionError as exc:
         raise fam.refuse(params, "division by zero") from exc
     except ArithmeticError as exc:
         raise fam.refuse(params, "a value overflows") from exc
+    pts = [float(x) for x in pts]
+    if not pts:
+        raise InputError("samples needs at least one point")
     for x in pts:
         if not math.isfinite(x):
             raise DomainError(f"sample {x} is not a finite number")

@@ -159,25 +159,21 @@ class Poly:
                 d = prime(sym)
                 if d is None or (isinstance(d, Poly) and d.is_zero()):
                     continue
-                rest = list(m)
-                if e == 1:
-                    rest.pop(i)
-                else:
-                    rest[i] = (sym, e - 1)
-                for pm, pc in (Poly({tuple(rest): c * e}) * d).terms.items():
+                rest = m[:i] + ((sym, e - 1),) * (e > 1) + m[i + 1:]
+                for pm, pc in (Poly({rest: c * e}) * d).terms.items():
                     _accumulate(total.terms, pm, pc)
         _ints(total.terms)
         return total
 
     def subs(self, mapping) -> "Poly":
-        """Substitute Poly/Fraction values for symbols."""
+        """Substitute Poly or rational values for symbols, all at once; other
+        factors stay in the monomial, and a value of 0 drops it."""
         total = Poly()
         for m, c in self.terms.items():
-            piece = Poly.const(c)
+            piece = Poly({tuple(p for p in m if p[0] not in mapping): c})
             for sym, e in m:
-                val = mapping.get(sym)
-                base = Poly.symbol(sym) if val is None else _as_poly(val)
-                piece = piece * base**e
+                if sym in mapping and piece.terms:
+                    piece = piece * mapping[sym] ** e
             for pm, pc in piece.terms.items():
                 _accumulate(total.terms, pm, pc)
         _ints(total.terms)

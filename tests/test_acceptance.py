@@ -11,6 +11,7 @@ import pytest
 from qcforge import acceptance, algebra, qc
 from qcforge.acceptance import CRITERIA
 from qcforge.evolution import FAMILIES
+from qcforge.riemann import CoframeWithJets, cartan_connection
 from qcforge.scalars import JET_LEN, Jet
 
 
@@ -86,3 +87,46 @@ def test_memoized_specs_survive_a_sweep_unchanged():
     first one memoized, gives the same results."""
     _cold_caches()
     assert acceptance.run_all() == acceptance.run_all()
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def test_the_structure_batch_is_the_largest_per_sample_residual():
+    """Criterion 14's one Cartan solve over spin7-l1's default samples reads
+    the largest residual of the per-sample solves it replaced, bit for bit."""
+    fam = FAMILIES["spin7-l1"]
+    funcs, l1 = fam.functions(), qc.catalog_report("l1").spec.algebra
+    per_sample = []
+    for x in fam.default_samples():  # the loop the batch replaced
+        u = Jet.variable(x)
+        fj, hj, wj = (funcs[k](u) for k in ("f", "h", "w"))
+        cof = CoframeWithJets(l1, [fj.sqrt()] * 4 + [hj] * 3, wj)
+        per_sample.append(cartan_connection(cof).structure_residual)
+    assert len(per_sample) == 5 and max(per_sample) > 0.0
+    assert _bits(acceptance._structure_residual(fam.default_samples())) == _bits(max(per_sample))
+
+
+def test_a_failing_structure_batch_names_each_failing_sample(monkeypatch):
+    samples = FAMILIES["spin7-l1"].default_samples()
+    worst = max(samples, key=lambda x: acceptance._structure_residual([x]))
+    monkeypatch.setattr(acceptance, "TOL_STRUCTURE", acceptance._structure_residual([worst]))
+    ok, detail = acceptance.criterion_14()
+    failing = [x for x in samples if acceptance._structure_residual([x]) >= acceptance.TOL_STRUCTURE]
+    assert not ok and detail == "; ".join(f"connection solver residual at x={x}" for x in failing)
+
+
+def test_the_finite_difference_batch_equals_the_scalar_jets():
+    """Each function's one jet over its 9 points gives the central
+    differences and jet derivatives of the 36 scalar evaluations it
+    replaced, bit for bit, in the same order."""
+    step, want = 1e-5, []
+    for text, fn in acceptance._FD_FUNCTIONS.items():  # the loop the batch replaced
+        for x in (0.7, 1.3, 2.1):
+            base, plus, minus = (fn(Jet.variable(p)) for p in (x, x + step, x - step))
+            for k in (1, 2):
+                want.append((text, x, k, _bits((plus.c[k - 1] - minus.c[k - 1]) / (2 * step)),
+                             _bits(base.c[k])))
+    got = [(text, x, k, _bits(fd), _bits(d)) for text, x, k, fd, d in acceptance._fd_checks()]
+    assert len(got) == 24 and got == want

@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py`` on canned pairs of runs."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -151,3 +152,42 @@ def test_the_exit_code_refuses_an_unresolved_metric(tmp_path, monkeypatch, capsy
     assert bench_pairs.main(argv) == 1
     out = capsys.readouterr().out
     assert "UNRESOLVED" in out and "WORSE" not in out and "not accepted: pass_s" in out
+
+
+def test_an_entry_holds_every_run_and_the_quartiles_of_each_metric():
+    source = {"commit": "c" * 40, "parent": "p" * 40, "dirty": False, "src_lines": 4484}
+    runs = [{"pass_s": x, "ok_share": 1.0} for x in PARENT]
+    e = bench_pairs.entry(source, "sweep", 8.0, list(range(11, 21)), runs)
+    assert {k: e[k] for k in source} == source
+    assert e["machine"]["cores"] >= 1 and e["machine"]["python"].count(".") == 2
+    sweep = e["workloads"]["sweep"]
+    assert sweep["seeds"] == list(range(11, 21)) and sweep["seconds"] == 8.0
+    assert sweep["metrics"]["pass_s"]["runs"] == PARENT
+    assert sweep["metrics"]["pass_s"]["quartiles"] == pytest.approx([0.12425, 0.1265, 0.12875])
+    assert sweep["metrics"]["ok_share"]["quartiles"] == [1.0, 1.0, 1.0]
+
+
+def test_record_adds_a_workload_to_the_entry_of_its_commit(tmp_path):
+    path, runs = tmp_path / "BENCH_trajectory.json", [{"pass_s": 0.1}, {"pass_s": 0.3}]
+
+    def made(commit, workload):
+        source = {"commit": commit, "parent": None, "dirty": False, "src_lines": 1}
+        return bench_pairs.entry(source, workload, 1.0, [1, 2], runs)
+
+    bench_pairs.record(path, [made("a", "sweep"), made("b", "sweep")])
+    data = json.loads(path.read_text())
+    data["entries"][0]["tier1_wall_s"] = [30.0, 31.0]
+    path.write_text(json.dumps(data))
+    bench_pairs.record(path, [made("a", "jet"), made("c", "jet")])
+    entries = json.loads(path.read_text())["entries"]
+    assert [e["commit"] for e in entries] == ["a", "b", "c"]
+    assert sorted(entries[0]["workloads"]) == ["jet", "sweep"]
+    assert entries[0]["tier1_wall_s"] == [30.0, 31.0] and entries[2]["tier1_wall_s"] == []
+    assert entries[2]["workloads"]["jet"]["metrics"]["pass_s"]["quartiles"] == pytest.approx([0.15, 0.2, 0.25])
+
+
+def test_the_checkout_fields_read_git_and_count_the_source_lines(tmp_path):
+    (tmp_path / "src" / "qcforge").mkdir(parents=True)
+    (tmp_path / "src" / "qcforge" / "a.py").write_text("x = 1\ny = 2\n")
+    fields = bench_pairs.checkout(tmp_path)
+    assert fields["src_lines"] == 2 and fields["commit"] is None

@@ -12,7 +12,8 @@ from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL, dga_d,
                          verify_spin7_closure, verify_triaxial_systems)
 from qcforge.evolution import build_family, verdicts
 from qcforge.forms import KForm
-from qcforge.poly import Poly
+from qcforge.forms import _accumulate
+from qcforge.poly import Poly, _as_poly
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -175,6 +176,52 @@ def test_poly_matches_sympy():
             assert sympy.expand(as_sympy(got) - want) == 0
 
     check()
+
+
+def reference_subs(p: Poly, mapping) -> Poly:
+    """``Poly.subs`` as it was: every factor of a monomial rebuilt as a
+    product of Poly powers, a symbol not mapped as a power of itself."""
+    total = Poly()
+    for m, c in p.terms.items():
+        piece = Poly.const(c)
+        for name, e in m:
+            val = mapping.get(name)
+            piece = piece * (Poly.symbol(name) if val is None else _as_poly(val)) ** e
+        for pm, pc in piece.terms.items():
+            _accumulate(total.terms, pm, pc)
+    return Poly(total.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLYS, _POLYS, st.sampled_from(_POLY_SYMBOLS), st.sampled_from(_POLY_SYMBOLS),
+       st.sampled_from(["zero", "rational", "poly", "itself"]),
+       st.fractions(-3, 3, max_denominator=4))
+def test_subs_matches_the_rebuilt_products_and_sympy(a, b, name, other, kind, q):
+    """Substituting 0, a rational, a polynomial or a polynomial in the
+    symbol itself, alone or beside a second symbol mapped to a rational,
+    gives the old rebuilt products, term for term with their coefficient
+    types, and sympy's simultaneous substitution; a value of 0 drops every
+    monomial of its symbol."""
+    sympy = pytest.importorskip("sympy")
+    symbol = {s: sympy.Symbol(s) for s in _POLY_SYMBOLS}
+
+    def as_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(symbol[s] ** e for s, e in m)) for m, c in p.terms.items()),
+                   sympy.Integer(0))
+
+    p, value = _poly(a), {"zero": 0, "rational": q, "poly": _poly(b),
+                          "itself": _poly(b) * Poly.symbol(name) + q * Poly.symbol(name)}[kind]
+    for mapping in ({name: value}, {other: Fraction(1, 2), name: value}):
+        got = p.subs(mapping)
+        want = reference_subs(p, mapping)
+        assert ({m: (type(c), c) for m, c in got.terms.items()}
+                == {m: (type(c), c) for m, c in want.terms.items()})
+        assert all(c != 0 for c in got.terms.values())
+        pairs = {symbol[s]: as_sympy(_as_poly(v)) for s, v in mapping.items()}
+        assert sympy.expand(as_sympy(got) - as_sympy(p).subs(pairs, simultaneous=True)) == 0
+        if kind == "zero":
+            assert not any(s == name for m in got.terms for s, _ in m)
 
 
 class TestAlgebraStructure:

@@ -11,11 +11,13 @@ import pytest
 from qcforge import algebra, cli, evolution, qc
 from qcforge.algebra import catalog
 from qcforge.ansatz import SYSTEMS, triple
+from qcforge.dga import DT, ETA, OMEGA, _time_d, sym
 from qcforge.evolution import (FAMILIES, TOL_RESIDUAL, JetForm, build_family,
                                build_triaxial, evaluate, extended_d, ode_residual,
                                require_einstein_base, verdicts)
 from qcforge.forms import KForm
-from qcforge.scalars import DomainError, Jet, NotQcError, worst_abs
+from qcforge.poly import Poly
+from qcforge.scalars import DomainError, InputError, Jet, NotQcError, worst_abs
 
 TOL = 1e-10
 
@@ -480,3 +482,123 @@ class TestOrientationConvention:
             star = star - omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
         assert g2.hodge_star((2, 1, 3, 4, 5, 6, 7)) == star
         assert g2.hodge_star((1, 2, 3, 4, 5, 6, 7)) == -1 * star
+
+
+def _bits(value):
+    """A build field for a bit-for-bit comparison: floats by their hex form
+    (NaN and the sign of zero included), lists and dicts item by item."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+def _copied(jet: Jet) -> Jet:
+    """A distinct jet of equal value, its components copied."""
+    return Jet(tuple(c.copy() if isinstance(c, np.ndarray) else c for c in jet.c))
+
+
+_DIAGONAL = [name for name, fam in FAMILIES.items() if fam.kind in ("qk", "spin7") and fam.base]
+
+
+class TestEqualOperands:
+    """A diagonal family's three vertical coefficients are one object, and
+    work on equal operands runs once; distinct copies of equal value give
+    the same result bit for bit."""
+
+    def test_the_diagonal_families_are_the_seven_base_backed_ones(self):
+        assert len(_DIAGONAL) == 7
+
+    @pytest.mark.parametrize("name", _DIAGONAL)
+    def test_a_build_on_distinct_copies_equals_the_shared_build(self, name, monkeypatch):
+        shared = build_family(name)
+        axes = evolution._axes
+        monkeypatch.setattr(evolution, "_axes", lambda jets: [_copied(h) for h in axes(jets)])
+        hs = evolution._axes(evaluate(FAMILIES[name].functions(), FAMILIES[name].default_samples()))
+        assert hs[0] is not hs[1] and _bits(hs[0].c[0].tolist()) == _bits(hs[1].c[0].tolist())
+        distinct = build_family(name)
+        assert distinct.keys() == shared.keys()
+        for key, value in shared.items():
+            assert _bits(distinct[key]) == _bits(value), key
+
+    @staticmethod
+    def _polys(value):
+        """The terms of a Poly, of each coefficient of a KForm, or of each
+        entry of a list, in order and with the coefficient types."""
+        if isinstance(value, list):
+            return [TestEqualOperands._polys(v) for v in value]
+        if isinstance(value, KForm):
+            return [(idx, TestEqualOperands._polys(c)) for idx, c in value.terms.items()]
+        return [(m, type(c), c) for m, c in value.terms.items()]
+
+    def test_the_triple_and_systems_over_polys_on_distinct_copies(self):
+        f, h, S = sym("f"), sym("h"), sym("S")
+        copies = [Poly(h.terms) for _ in range(3)]
+        assert copies[0] is not copies[1]
+        for kind in ("qk", "spin7"):
+            assert (self._polys(triple(kind, f, [h] * 3, OMEGA, ETA, DT))
+                    == self._polys(triple(kind, f, copies, OMEGA, ETA, DT)))
+        for name in ("solqk7", "sol7", "erealqk", "ereal7", "clideal"):
+            shared = SYSTEMS[name](f, [h] * 3, _time_d, S)
+            assert self._polys(shared) == self._polys(SYSTEMS[name](f, copies, _time_d, S)), name
+
+    def test_the_cyclic_rows_of_equal_operands_are_computed_once(self):
+        calls = []
+
+        def dt(jet):
+            calls.append(jet)
+            return jet.derivative()
+        u = Jet.variable(np.array([0.5, 1.5]))
+        f, h = u.exp(), u * u
+        rows = SYSTEMS["erealqk"](f, [h, h, h], dt, Fraction(-1, 2))
+        assert rows[1] is rows[2] is rows[3] and len(calls) == 2
+        calls.clear()
+        rows = SYSTEMS["erealqk"](f, [h, _copied(h), h], dt, Fraction(-1, 2))
+        assert len({id(r) for r in rows[1:]}) == 3 and len(calls) == 4
+
+    def test_one_qk_heis_evaluation_calls_exp_once(self, monkeypatch):
+        calls, exp = [], Jet.exp
+        monkeypatch.setattr(Jet, "exp", lambda self: calls.append(self) or exp(self))
+        jets = evaluate(FAMILIES["qk-heis"].functions(), [0.0, 0.25, 0.5])
+        assert len(calls) == 1
+        assert _bits(jets["h"].c[0].tolist()) == _bits((1.0 * jets["f"].c[0]).tolist())
+
+    @pytest.mark.parametrize("name", ["qk-triaxial", "spin7-triaxial"])
+    def test_a_triaxial_evaluation_forms_the_product_once(self, name, monkeypatch):
+        """prod(u), which f and w both read, is made once: without the
+        sharing it would be made twice, two products each."""
+        fam, calls, mul = FAMILIES[name], [], Jet.__mul__
+        funcs = fam.functions()
+        monkeypatch.setattr(Jet, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        u = Jet.variable(np.array(fam.default_samples()))
+        funcs["f"](u)
+        first = len(calls)
+        funcs["w"](u)
+        again = len(calls) - first
+        calls.clear()
+        fam.functions()["w"](u)
+        assert again == len(calls) - 2
+
+
+class TestSamples:
+    """build_family reads its samples as a sequence of floats."""
+
+    def test_an_array_of_samples(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        result = build_family("qk-heis", samples=xs)
+        assert result["samples"] == [0.1, 0.2, 0.3]
+        assert all(type(x) is float for x in result["samples"])
+        assert _bits(result) == _bits(build_family("qk-heis", samples=[0.1, 0.2, 0.3]))
+
+    def test_a_one_element_array(self):
+        result = build_family("spin7-l1", samples=np.array([0.5]))
+        assert result["samples"] == [0.5] and type(result["samples"][0]) is float
+
+    def test_an_empty_list_is_refused(self):
+        with pytest.raises(InputError, match="needs at least one point"):
+            build_family("qk-heis", samples=[])
+        with pytest.raises(InputError, match="needs at least one point"):
+            build_family("qk-3sas", samples=np.array([]))

@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload jet --seconds 8 \
-        --pairs 10 --seed 11 [--claim pass_s]
+        --pairs 10 --seed 11 [--claim pass_s] [--record BENCH_trajectory.json]
 
 Runs ``python3 bench/run.py --workload W --seconds S --seed k`` in the
 parent checkout and in the changed one, one run at a time, for N pairs;
@@ -25,6 +25,12 @@ directions and their bounds are read from the change's
 metric is worse or unresolved, or when the gain of the metric named by
 ``--claim`` does not hold.
 
+``--record PATH`` adds the runs to the trajectory file PATH (its format is
+in README.md): one entry per side, keyed by the checkout's commit, with the
+workload's seeds, run length, and every run and the quartiles of each
+end-to-end metric.  An entry of the same commit gains the workload, or has
+it replaced; its other fields, the tier-1 wall times included, are kept.
+
 Each run starts in its own process group, which is killed if the run fails
 or the tool is interrupted, so no benchmark process outlives the tool.
 Checkouts whose paths differ in length can differ in peak RSS; use paths
@@ -34,9 +40,11 @@ of one length.
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import math
 import os
+import platform
 import signal
 import statistics
 import subprocess
@@ -100,6 +108,44 @@ def run_bench(root: Path, workload: str, seconds: float, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def _git(root: Path, *args) -> str | None:
+    proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def checkout(root: Path) -> dict:
+    """The commit of a checkout, its parent, whether its tracked files differ
+    from the commit, and the benchmark's ``repo.src_lines``."""
+    return {"commit": _git(root, "rev-parse", "HEAD"),
+            "parent": _git(root, "rev-parse", "HEAD^"),
+            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+            "src_lines": sum(len(p.read_text().splitlines())
+                             for p in sorted((root / "src" / "qcforge").rglob("*.py")))}
+
+
+def entry(source: dict, workload: str, seconds: float, seeds: list, runs: list) -> dict:
+    """The trajectory entry of one side's runs (dicts of end-to-end metric
+    values, in seed order) of ``workload``, for the checkout ``source``."""
+    metrics = {name: {"runs": [r[name] for r in runs],
+                      "quartiles": list(quartiles([r[name] for r in runs]))} for name in runs[0]}
+    return {**source, "date": datetime.date.today().isoformat(),
+            "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
+            "workloads": {workload: {"seeds": seeds, "seconds": seconds, "metrics": metrics}}}
+
+
+def record(path: Path, new: list) -> None:
+    """Merge the entries ``new`` into the trajectory file at ``path``."""
+    data = json.loads(path.read_text()) if path.exists() else {"entries": []}
+    for e in new:
+        old = next((o for o in data["entries"] if o["commit"] == e["commit"]), None)
+        if old is None:
+            data["entries"].append({**e, "tier1_wall_s": []})
+        else:
+            old.update({k: v for k, v in e.items() if k != "workloads"})
+            old["workloads"].update(e["workloads"])
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -109,6 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--claim", help="the end-to-end metric whose gain must hold")
+    parser.add_argument("--record", type=Path, help="the trajectory file to add the runs to")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
@@ -140,6 +187,10 @@ def main(argv=None) -> int:
               f"{'  WORSE' if s['worse'] else ''}{'  UNRESOLVED' if s['unresolved'] else ''}")
         if s["worse"] or s["unresolved"] or (name == args.claim and not s["holds"]):
             failed.append(name)
+    if args.record is not None:
+        seeds = list(range(args.seed, args.seed + args.pairs))
+        record(args.record, [entry(checkout(getattr(args, side)), args.workload, args.seconds,
+                                   seeds, runs[side]) for side in ("parent", "change")])
     if failed:
         print(f"not accepted: {', '.join(failed)}")
     return 1 if failed else 0
