@@ -126,8 +126,10 @@ def checkout(root: Path) -> dict:
 def entry(source: dict, workload: str, seconds: float, seeds: list, runs: list) -> dict:
     """The trajectory entry of one side's runs (dicts of end-to-end metric
     values, in seed order) of ``workload``, for the checkout ``source``."""
-    metrics = {name: {"runs": [r[name] for r in runs],
-                      "quartiles": list(quartiles([r[name] for r in runs]))} for name in runs[0]}
+    metrics = {}
+    for name in runs[0]:
+        values = [r[name] for r in runs]
+        metrics[name] = {"runs": values, "quartiles": list(quartiles(values))}
     return {**source, "date": datetime.date.today().isoformat(),
             "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
             "workloads": {workload: {"seeds": seeds, "seconds": seconds, "metrics": metrics}}}
