@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dga, qc
+from . import dga, evolution, qc
 from .algebra import _mat_mul, form_matrix, jacobi_check
 from .evolution import FAMILIES, JetForm, build_family, evaluate, extended_d, verdicts
 from .forms import KForm, _fractions
-from .riemann import CoframeWithJets, adjust_by_torsion, cartan_connection, koszul_levi_civita
+from .riemann import adjust_by_torsion, cartan_connection, koszul_levi_civita
 from .scalars import Jet
 
 TOL_STRUCTURE = 1e-12
@@ -241,9 +241,8 @@ _FD_POINTS, _FD_STEP = (0.7, 1.3, 2.1), 1e-5
 
 def _structure_residual(samples) -> float:
     """The structure residual of spin7-l1's Cartan solve at the samples, in one batch."""
-    jet = evaluate(FAMILIES["spin7-l1"].functions(), samples)
-    cof = CoframeWithJets(qc.catalog_report("l1").spec.algebra,
-                          [jet["f"].sqrt()] * 4 + [jet["h"]] * 3, jet["w"])
+    jet, spec = evaluate(FAMILIES["spin7-l1"].functions(), samples), qc.catalog_report("l1").spec
+    cof = evolution._coframe(spec, jet["f"], evolution._axes(jet), jet["w"])
     return cartan_connection(cof).structure_residual
 
 

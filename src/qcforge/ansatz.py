@@ -56,6 +56,11 @@ def triple(kind: str, f, hs, omegas, etas, dt) -> list:
     return forms
 
 
+def mixed_terms(omegas, etas) -> list:
+    """omega_i ^ eta_j ^ eta_k over the cyclic (i, j, k): the closed-qc lemma's 4-form terms."""
+    return [omegas[i - 1].wedge(etas[j - 1]).wedge(etas[k - 1]) for i, j, k in _CYCLIC]
+
+
 def four_form(kind: str, forms: list):
     """sum_i F_i^F_i for ``qk``; F_1^F_1 + F_2^F_2 - F_3^F_3 for ``spin7``."""
     total = forms[0].wedge(forms[0])

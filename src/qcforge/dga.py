@@ -24,7 +24,7 @@ of :mod:`qcforge.ansatz`, the ones the builds evaluate.
 
 from __future__ import annotations
 
-from .ansatz import _CYCLIC, SYSTEMS, four_form, triple
+from .ansatz import _CYCLIC, SYSTEMS, four_form, mixed_terms, triple
 from .forms import KForm, _accumulate, _sort_indices, exterior_d
 from .poly import Poly, _as_poly
 
@@ -45,6 +45,7 @@ ALPHA = tuple(_e(7 + s) for s in (1, 2, 3))
 DT = _e(_DT)
 OMEGA = (_e(1, 2) + _e(3, 4), _e(1, 3) + _e(4, 2), _e(1, 4) + _e(2, 3))
 VOL = OMEGA[0].wedge(OMEGA[0])  # 2 h1 h2 h3 h4
+MIXED = mixed_terms(OMEGA, ETA)  # omega_i eta_j eta_k, (i, j, k) cyclic
 
 
 def sym(name: str) -> Poly:
@@ -128,15 +129,9 @@ def specialize_diagonal(x: KForm) -> KForm:
 # ---------------------------------------------------------------------------
 
 
-def _omega_eta_eta(i: int) -> KForm:
-    """omega_i eta_j eta_k, (i, j, k) cyclic."""
-    _, j, k = _CYCLIC[i - 1]
-    return OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
-
-
 def closedqc_combination() -> KForm:
     """omega_1 eta_2 eta_3 + omega_2 eta_3 eta_1 + omega_3 eta_1 eta_2."""
-    return _omega_eta_eta(1) + _omega_eta_eta(2) + _omega_eta_eta(3)
+    return MIXED[0] + MIXED[1] + MIXED[2]
 
 
 def verify_closedqc() -> KForm:
@@ -156,10 +151,10 @@ def _extract_system(x: KForm, with_dt: bool = True):
     c_v = _as_poly(x.coeff(1, 2, 3, 4, *tail)) / 2  # V = 2 h1 h2 h3 h4
     rebuilt = c_v * VOL
     mixed = []
-    for i, j, k in _CYCLIC:
+    for (i, j, k), form in zip(_CYCLIC, MIXED):
         # omega_i carries h1 h_{i+1} with coefficient 1
         mixed.append(_as_poly(x.coeff(1, 1 + i, 4 + j, 4 + k, *tail)))
-        rebuilt = rebuilt + mixed[-1] * _omega_eta_eta(i)
+        rebuilt = rebuilt + mixed[-1] * form
     if with_dt:
         rebuilt = rebuilt.wedge(DT)
     if rebuilt != x:

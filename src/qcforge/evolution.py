@@ -49,7 +49,7 @@ import numpy as np
 
 from . import qc
 from .algebra import QcFrameSpec
-from .ansatz import _CYCLIC, SYSTEMS, _once, four_form, triple
+from .ansatz import _CYCLIC, SYSTEMS, _once, four_form, mixed_terms, triple
 from .forms import KForm
 from .jetforms import JetForm, _ideal_plan, _three_form_rows, extended_d
 from .riemann import CoframeWithJets, block_stacks, ricci_and_rank
@@ -188,8 +188,7 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     # so none of the forms below should be alive beside them
     ricci = _ricci_fields(spec, fj, hs, wj, keep)
     f, w, *hs = map(_once(lambda j: JetForm.scalar(j, dim_ext, len(xs))), (fj, wj, *hs))
-    etas = [KForm.basis(spec.dim, a) for a in spec.vertical]
-    dx = KForm.basis(dim_ext, dim_ext)
+    etas, dx, pair = _base_forms(spec)
     forms = triple(kind, f, hs, spec.omega, etas, w * dx)
     dforms = [extended_d(base, fo) for fo in forms]
     phi = four_form(kind, forms)
@@ -201,7 +200,7 @@ def build_triaxial(spec: QcFrameSpec, jets: dict, kind: str) -> dict:
     }
 
     if kind == "spin7":
-        g2, star_g2 = _g2_pair(f, hs, spec)
+        g2, star_g2 = _g2_pair(f, hs, pair)
         two_star = 2.0 * star_g2 - (2.0 * w) * g2.wedge(dx)
         out["psi_consistency"] = (phi - two_star).max_abs()
         on_base = range(1, spec.dim + 1)
@@ -239,19 +238,19 @@ def _ricci_fields(spec: QcFrameSpec, fj: Jet, hs, wj: Jet, keep: np.ndarray) -> 
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_base_forms(spec: QcFrameSpec) -> tuple:
-    """The spin7 pair's constant base forms, once per spec: omega_i ^ eta_i,
-    eta_123, omega_1 ^ omega_1 and omega_i ^ eta_j ^ eta_k, (i, j, k) cyclic."""
+def _base_forms(spec: QcFrameSpec) -> tuple:
+    """A build's constant forms, once per spec: the eta_s, dx and the spin7 pair's
+    omega_i ^ eta_i, eta_123, omega_1 ^ omega_1 and :func:`~qcforge.ansatz.mixed_terms`."""
     omegas, etas = spec.omega, [KForm.basis(spec.dim, a) for a in spec.vertical]
-    return ([omegas[i].wedge(etas[i]) for i in range(3)],
-            etas[0].wedge(etas[1]).wedge(etas[2]), omegas[0].wedge(omegas[0]),
-            [omegas[i - 1].wedge(etas[j - 1].wedge(etas[k - 1])) for i, j, k in _CYCLIC])
+    return etas, KForm.basis(spec.dim + 1, spec.dim + 1), (
+        [omegas[i].wedge(etas[i]) for i in range(3)], etas[0].wedge(etas[1]).wedge(etas[2]),
+        omegas[0].wedge(omegas[0]), mixed_terms(omegas, etas))
 
 
-def _g2_pair(f: JetForm, hs, spec: QcFrameSpec):
-    """The 3-form and its dual 4-form of the evolved structure, from the
-    scalars f and h_i; each product of equal operands is taken once."""
-    omega_eta, eta_123, omega_omega, omega_eta_eta = _pair_base_forms(spec)
+def _g2_pair(f: JetForm, hs, pair: tuple):
+    """The 3-form and its dual 4-form of the evolved structure, from the scalars
+    f and h_i and the ``pair`` of :func:`_base_forms`; equal products are taken once."""
+    omega_eta, eta_123, omega_omega, omega_eta_eta = pair
     times = _once(lambda a, b: a * b)
     g2 = (times(f, hs[0]) * omega_eta[0] + times(f, hs[1]) * omega_eta[1]
           + times(f, hs[2]) * omega_eta[2] - times(times(hs[0], hs[1]), hs[2]) * eta_123)
@@ -281,7 +280,7 @@ def ode_residual(kind: str, jets: dict, S: Fraction) -> float:
     system = SYSTEMS.get(kind)
     if system is None:
         raise ValueError(f"unknown system {kind!r}")
-    inverse = functools.cache(jets["w"].reciprocal)
+    inverse = _once(jets["w"].reciprocal)
     rows = system(jets["f"], _axes(jets), lambda j: j.derivative() * inverse(), S)
     return worst_abs(r.value for r in rows)
 
@@ -353,8 +352,6 @@ class MetricFamily:
 # parameter values (a root, a reciprocal) is left to evaluation.
 
 _ONE = Jet.const(1)
-# a maker's sub-expression that several functions read, once per evaluation of u
-_shared = functools.lru_cache(maxsize=1)
 
 
 def _fam_qk(params, S):
@@ -364,11 +361,11 @@ def _fam_qk(params, S):
     S > 0: f = u, h = sqrt(S u/2 + a u^2), w = 1/(2h)."""
     if S > 0:
         a = Jet.const(params["a"])
-        h = _shared(lambda u: (S / 2 * u + a * u.pow(2)).sqrt())
+        h = _once(lambda u: (S / 2 * u + a * u.pow(2)).sqrt())
         return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (2 * h(u))}
     b = Jet.const(params["b"])
     if S == 0:
-        f = _shared(lambda u: (2 * b * u).exp())
+        f = _once(lambda u: (2 * b * u).exp())
         return {"f": f, "h": lambda u: b * f(u), "w": lambda u: _ONE}
     sigma = Jet.const(1 / (-2 * S)).sqrt()
     return {"f": lambda u: (1 + u.cosh()) / (2 * b * b),
@@ -409,7 +406,7 @@ def _fam_spin7(params, S):
     else:
         a = Jet.const(params["a"])
         num = lambda u: u.pow(Fraction(5, 3)) - a
-    h = _shared(lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt())
+    h = _once(lambda u: (num(u) / (k * u.pow(Fraction(2, 3)))).sqrt())
     return {"f": lambda u: u, "h": h, "w": lambda u: 1 / (6 * h(u))}
 
 
@@ -426,7 +423,7 @@ def _fam_qk_triaxial(params, S):
     a = [Jet.const(params[k]) for k in ("a1", "a2", "a3")]
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(6) / c), Jet.const(c / 6)
-    prod = _shared(lambda u: (u + a[0]) * (u + a[1]) * (u + a[2]))
+    prod = _once(lambda u: (u + a[0]) * (u + a[1]) * (u + a[2]))
 
     def axis(i, j, k):
         return lambda u: ratio.sqrt() * (
@@ -441,7 +438,7 @@ def _fam_spin7_triaxial(params, S):
     a1, a2, a3 = (Jet.const(params[k]) for k in ("a1", "a2", "a3"))
     c = params["C"]
     cj, ratio, scale = Jet.const(c), Jet.const(Fraction(2) / c), Jet.const(c**3 / 8)
-    prod = _shared(lambda u: (u + a1) * (u + a2) * (a3 - u))
+    prod = _once(lambda u: (u + a1) * (u + a2) * (a3 - u))
     return {"f": lambda u: cj * prod(u),
             "f1": lambda u: ratio.sqrt() / (u + a1),
             "f2": lambda u: ratio.sqrt() / (u + a2),
@@ -585,12 +582,18 @@ def build_family(name: str, params=None, samples=None) -> dict:
         raise fam.refuse(params, "division by zero") from exc
     except ArithmeticError as exc:
         raise fam.refuse(params, "a value overflows") from exc
-    pts = [float(x) for x in pts]
+    if isinstance(pts, str) or not np.iterable(pts):
+        raise InputError(f"samples must be a sequence of numbers, not {type(pts).__name__}")
+    given, pts = pts, []
+    for x in given:
+        try:
+            pts.append(float(x))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"sample {shown_digits(str(x))!r} is not a float") from exc
+        if not math.isfinite(pts[-1]):
+            raise DomainError(f"sample {pts[-1]} is not a finite number")
     if not pts:
         raise InputError("samples needs at least one point")
-    for x in pts:
-        if not math.isfinite(x):
-            raise DomainError(f"sample {x} is not a finite number")
 
     def run(xs):
         jets = evaluate(funcs, xs)

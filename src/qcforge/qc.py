@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import (QcFrameSpec, _identity, _mat_lin, _mat_mul, _mat_t, catalog, catalog_entry,
                       form_matrix)
-from .ansatz import _CYCLIC, four_form
+from .ansatz import _CYCLIC, four_form, mixed_terms
 from .forms import KForm, _fractions, exterior_d
 from .riemann import (ConnectionTable, CurvatureTensor, adjust_by_torsion,
                       frame_curvature, koszul_levi_civita)
@@ -368,9 +368,7 @@ def fundamental_forms_check(spec: QcFrameSpec, rho_full) -> FundamentalForms:
     scale, omega = spec.wscale, spec.wforms
     eta = [KForm(spec.dim, 1, {(v,): 1}) for v in spec.vertical]
     big = four_form("qk", omega)  # scale^2 Omega_4
-    lemma = KForm(spec.dim, 4)  # scale times the mixed combination
-    for i, j, k in _CYCLIC:
-        lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
+    lemma = sum(mixed_terms(omega, eta), KForm(spec.dim, 4))  # scale times the mixed combination
     # over L d e^a, d is L d: zero exactly where d is
     gens = spec.algebra.gens
     d_big, d_lemma = exterior_d(big, gens), exterior_d(lemma, gens)

@@ -8,7 +8,7 @@ import collections
 
 import pytest
 
-from qcforge import acceptance, algebra, qc
+from qcforge import acceptance, algebra, evolution, qc
 from qcforge.acceptance import CRITERIA
 from qcforge.evolution import FAMILIES
 from qcforge.riemann import CoframeWithJets, cartan_connection
@@ -106,6 +106,18 @@ def test_the_structure_batch_is_the_largest_per_sample_residual():
         per_sample.append(cartan_connection(cof).structure_residual)
     assert len(per_sample) == 5 and max(per_sample) > 0.0
     assert _bits(acceptance._structure_residual(fam.default_samples())) == _bits(max(per_sample))
+
+
+def test_the_structure_batch_solves_the_build_coframe(monkeypatch):
+    """Criterion 14 solves the coframe a spin7-l1 build solves, made by
+    ``evolution._coframe`` from the jets of one evaluation."""
+    made, coframe = [], evolution._coframe
+    monkeypatch.setattr(evolution, "_coframe", lambda *args: made.append(args) or coframe(*args))
+    samples = FAMILIES["spin7-l1"].default_samples()
+    acceptance._structure_residual(samples)
+    (spec, f, hs, w), = made
+    assert spec is qc.catalog_report("l1").spec and hs[0] is hs[1] is hs[2]
+    assert f.value.tolist() == samples
 
 
 def test_a_failing_structure_batch_names_each_failing_sample(monkeypatch):

@@ -191,3 +191,61 @@ def test_the_checkout_fields_read_git_and_count_the_source_lines(tmp_path):
     (tmp_path / "src" / "qcforge" / "a.py").write_text("x = 1\ny = 2\n")
     fields = bench_pairs.checkout(tmp_path)
     assert fields["src_lines"] == 2 and fields["commit"] is None
+
+
+def test_the_unscaled_pass_is_read_from_the_runs_standard_output():
+    out = ("# jet: 16 verdicts in 40 passes; 3 set-ups\n"
+           "# jet: times at reference speed; unscaled medians: pass 0.0654 s, set-up 0.3012 s\n"
+           "pass_s 0.0612 s\n"
+           '{"correct": true}\n')
+    assert bench_pairs.unscaled_pass(out) == 0.0654
+    assert bench_pairs.unscaled_pass('{"correct": true}\n') is None
+
+
+def test_the_pair_ratio_is_the_median_of_each_pairs_ratio():
+    # ratios 1.1, 0.5 and 1.02: the median is 1.02, while the ratio of the
+    # medians, 1.1 / 1.0, is 1.1
+    assert bench_pairs.pair_ratio([1.0, 2.0, 0.5], [1.1, 1.0, 0.51]) == pytest.approx(1.02)
+
+
+def test_the_unscaled_passes_are_printed_and_recorded(tmp_path, monkeypatch, capsys):
+    """Canned runs whose unscaled pass is the scaled one times 1.5; the
+    change's is 2% slower in every pair."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.05}]}')
+
+    def canned(root, workload, seconds, seed):
+        value = PARENT[seed - 1]
+        return {"correct": True, "metrics": {"pass_s": {"value": value}},
+                "unscaled_pass_s": 1.5 * value * (1.02 if root == change else 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda root: {"commit": str(root)})
+    path = tmp_path / "trajectory.json"
+    argv = [str(parent), str(change), "--workload", "jet", "--seconds", "1", "--pairs", "4"]
+    assert bench_pairs.main(argv + ["--record", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"unscaled_pass_s={1.5 * PARENT[0]:.6g}")
+    summary = next(line for line in lines if line.startswith("unscaled pass "))
+    assert "pair ratio 1.0200 (+2.0%)" in summary
+    entries = json.loads(path.read_text())["entries"]
+    assert entries[0]["workloads"]["jet"]["unscaled_pass_s"] == [1.5 * x for x in PARENT[:4]]
+    assert entries[1]["workloads"]["jet"]["unscaled_pass_s"] == pytest.approx(
+        [1.5 * 1.02 * x for x in PARENT[:4]])
+
+
+def test_runs_without_an_unscaled_pass_print_and_record_none(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.05}]}')
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda root, workload, seconds, seed: {
+        "correct": True, "metrics": {"pass_s": {"value": PARENT[seed - 1]}}})
+    monkeypatch.setattr(bench_pairs, "checkout", lambda root: {"commit": str(root)})
+    path = tmp_path / "trajectory.json"
+    argv = [str(parent), str(change), "--workload", "jet", "--seconds", "1", "--pairs", "2"]
+    bench_pairs.main(argv + ["--record", str(path)])
+    assert "unscaled" not in capsys.readouterr().out
+    assert "unscaled_pass_s" not in json.loads(path.read_text())["entries"][0]["workloads"]["jet"]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcforge import dga
-from qcforge.ansatz import SYSTEMS
+from qcforge.algebra import CATALOG_NAMES, catalog
+from qcforge.ansatz import SYSTEMS, mixed_terms
 from qcforge.dga import (ALPHA, DT, ETA, OMEGA, VOL, dga_d,
                          specialize_diagonal, sym, verify_closedqc,
                          verify_hypo_evolution, verify_qk_closure,
@@ -487,3 +488,55 @@ def test_one_table_feeds_the_builds_and_the_symbolic_targets(monkeypatch):
     monkeypatch.setitem(SYSTEMS, "clideal", flipped)
     assert dga.SYMBOLIC_TARGETS["triaxial"]()[0] is False
     assert verdicts("qk-l1", build_family("qk-l1"))["ode_clideal_ok"] is False
+
+
+class TestMixedTerms:
+    """``ansatz.mixed_terms`` equals each construction of omega_i eta_j eta_k
+    it replaced, kept here as references, term for term and in the same
+    order and coefficient types."""
+
+    @staticmethod
+    def _qc_loop(omega, eta, dim):
+        """The lemma's sum as ``qc.fundamental_forms_check`` formed it."""
+        lemma = KForm(dim, 4)
+        for i, j, k in _CYCLIC:
+            lemma = lemma + omega[i - 1].wedge(eta[j - 1]).wedge(eta[k - 1])
+        return lemma
+
+    @staticmethod
+    def _omega_eta_eta(i):
+        """dga's term, over its OMEGA and ETA."""
+        _, j, k = _CYCLIC[i - 1]
+        return OMEGA[i - 1].wedge(ETA[j - 1]).wedge(ETA[k - 1])
+
+    @staticmethod
+    def _pair_terms(omegas, etas):
+        """The spin7 pair's terms, omega_i ^ (eta_j ^ eta_k)."""
+        return [omegas[i - 1].wedge(etas[j - 1].wedge(etas[k - 1])) for i, j, k in _CYCLIC]
+
+    @staticmethod
+    def _same(a, b):
+        assert a == b
+        assert [(idx, type(c), c) for idx, c in a.terms.items()] == \
+            [(idx, type(c), c) for idx, c in b.terms.items()]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_the_lemma_on_the_int_forms_of_each_catalog_spec(self, name):
+        spec = catalog(name)
+        eta = [KForm(spec.dim, 1, {(v,): 1}) for v in spec.vertical]
+        terms = mixed_terms(spec.wforms, eta)
+        self._same(sum(terms, KForm(spec.dim, 4)), self._qc_loop(spec.wforms, eta, spec.dim))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_the_pair_terms_on_each_catalog_spec(self, name):
+        spec = catalog(name)
+        etas = [KForm.basis(spec.dim, a) for a in spec.vertical]
+        for got, want in zip(mixed_terms(spec.omega, etas), self._pair_terms(spec.omega, etas)):
+            self._same(got, want)
+
+    def test_the_symbolic_terms(self):
+        for i, got in enumerate(mixed_terms(OMEGA, ETA), 1):
+            self._same(got, self._omega_eta_eta(i))
+            self._same(dga.MIXED[i - 1], got)
+        self._same(dga.closedqc_combination(),
+                   self._omega_eta_eta(1) + self._omega_eta_eta(2) + self._omega_eta_eta(3))

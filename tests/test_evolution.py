@@ -582,6 +582,28 @@ class TestEqualOperands:
         fam.functions()["w"](u)
         assert again == len(calls) - 2
 
+    @pytest.mark.parametrize("name,over", [("spin7-l1", 6), ("qk-3sas", 2)])
+    def test_one_evaluation_takes_the_square_root_of_h_once(self, name, over, monkeypatch):
+        """h is a square root that w = 1/(over h) reads again: one sqrt per
+        evaluation, and w has the bits of 1/(over h) on that h."""
+        calls, sqrt = [], Jet.sqrt
+        monkeypatch.setattr(Jet, "sqrt", lambda self: calls.append(self) or sqrt(self))
+        jets = evaluate(FAMILIES[name].functions(), FAMILIES[name].default_samples())
+        assert len(calls) == 1
+        assert _bits(jets["w"].c[0].tolist()) == _bits((1 / (over * jets["h"])).c[0].tolist())
+
+    def test_several_builds_make_the_constant_forms_once(self, monkeypatch):
+        """eta_s, dx and the spin7 pair's forms are made once per spec, in
+        ``_base_forms``, whichever family over that base builds."""
+        evolution._base_forms.cache_clear()
+        calls, basis = [], KForm.basis
+        monkeypatch.setattr(KForm, "basis", lambda *idx: calls.append(idx) or basis(*idx))
+        for name in ("spin7-l1", "qk-l1", "spin7-l1"):
+            build_family(name)
+        spec = require_einstein_base("l1", FAMILIES["spin7-l1"].S)
+        assert calls == [(7, a) for a in spec.vertical] + [(8, 8)]
+        assert evolution._base_forms.cache_info().misses == 1
+
 
 class TestSamples:
     """build_family reads its samples as a sequence of floats."""
@@ -602,3 +624,23 @@ class TestSamples:
             build_family("qk-heis", samples=[])
         with pytest.raises(InputError, match="needs at least one point"):
             build_family("qk-3sas", samples=np.array([]))
+
+    @pytest.mark.parametrize("samples,why", [
+        (["a"], "sample 'a' is not a float"),
+        ([0.5, None], "sample 'None' is not a float"),
+        ([0.5, "7a" * 20], r"sample '7a7a7a\.\.\.\(40 characters\)' is not a float"),
+        ([10 ** 400], r"sample '100000\.\.\.\(401 digits\)' is not a float"),
+    ], ids=["string", "none", "long", "past-float-range"])
+    def test_a_sample_that_is_not_a_float_is_refused(self, samples, why):
+        with pytest.raises(InputError, match=f"^{why}$"):
+            build_family("qk-heis", samples=samples)
+
+    @pytest.mark.parametrize("samples,kind", [(0.5, "float"), ("0.5", "str"),
+                                              (np.array(0.5), "ndarray")])
+    def test_samples_that_are_not_a_sequence_are_refused(self, samples, kind):
+        with pytest.raises(InputError, match=f"^samples must be a sequence of numbers, not {kind}$"):
+            build_family("qk-heis", samples=samples)
+
+    def test_numeric_strings_are_read_as_floats(self):
+        result = build_family("qk-heis", samples=["0.1", "0.2"])
+        assert _bits(result) == _bits(build_family("qk-heis", samples=[0.1, 0.2]))

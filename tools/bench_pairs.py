@@ -9,8 +9,10 @@ Runs ``python3 bench/run.py --workload W --seconds S --seed k`` in the
 parent checkout and in the changed one, one run at a time, for N pairs;
 pair i (1-based) runs at seed ``--seed + i - 1``, the parent first on odd
 pairs and the change first on even ones.  Each run's last line of standard
-output is the benchmark's JSON result.  The tool prints every run's
-end-to-end metrics, then per metric each side's median and quartiles, the
+output is the benchmark's JSON result; its unscaled pass median is read from
+the ``# W: times at reference speed; unscaled medians: pass X s`` line.  The
+tool prints every run's end-to-end metrics and unscaled pass, then per
+metric each side's median and quartiles, the
 relative change of the medians (change / parent - 1, in %), the
 change's wins (ties count for neither side), whether a gain holds (the
 change wins at least nine tenths of the pairs, and its median is better
@@ -23,12 +25,16 @@ reads better than every run of the parent).  The metrics, their
 directions and their bounds are read from the change's
 ``BENCHMARK.json``.  The tool exits with 1 when a run fails, when any
 metric is worse or unresolved, or when the gain of the metric named by
-``--claim`` does not hold.
+``--claim`` does not hold.  Below the table it prints each side's median
+unscaled pass and the median over pairs of the change/parent ratio of the
+unscaled passes; a pair's two runs are adjacent in time, so they see the
+same machine-speed phase more often than medians across pairs do.  The
+verdicts read the scaled metrics only.
 
 ``--record PATH`` adds the runs to the trajectory file PATH (its format is
 in README.md): one entry per side, keyed by the checkout's commit, with the
-workload's seeds, run length, and every run and the quartiles of each
-end-to-end metric.  An entry of the same commit gains the workload, or has
+workload's seeds, run length, every run and the quartiles of each
+end-to-end metric, and every run's unscaled pass.  An entry of the same commit gains the workload, or has
 it replaced; its other fields, the tier-1 wall times included, are kept.
 
 Each run starts in its own process group, which is killed if the run fails
@@ -45,6 +51,7 @@ import json
 import math
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -52,6 +59,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 1800
+_UNSCALED = re.compile(r"# \S+: times at reference speed; unscaled medians: pass (\S+) s")
 
 
 def quartiles(values) -> tuple:
@@ -86,9 +94,21 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
             "unresolved": spread > margin and not apart}
 
 
+def unscaled_pass(out: str) -> float | None:
+    """The unscaled pass median in s that ``bench/run.py`` prints on
+    standard output, or None when it prints none."""
+    found = _UNSCALED.search(out)
+    return None if found is None else float(found.group(1))
+
+
+def pair_ratio(parent: list, change: list) -> float:
+    """The median over pairs of ``change[i] / parent[i]``."""
+    return statistics.median(c / p for p, c in zip(parent, change))
+
+
 def run_bench(root: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run in ``root``; its JSON result, or a dict with an
-    ``error`` when it fails."""
+    """One benchmark run in ``root``; its JSON result with the run's
+    ``unscaled_pass_s``, or a dict with an ``error`` when it fails."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seconds", str(seconds), "--seed", str(seed)]
     proc = subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -105,7 +125,7 @@ def run_bench(root: Path, workload: str, seconds: float, seed: int) -> dict:
     lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {err.strip()[-300:]}"}
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "unscaled_pass_s": unscaled_pass(out)}
 
 
 def _git(root: Path, *args) -> str | None:
@@ -123,16 +143,21 @@ def checkout(root: Path) -> dict:
                              for p in sorted((root / "src" / "qcforge").rglob("*.py")))}
 
 
-def entry(source: dict, workload: str, seconds: float, seeds: list, runs: list) -> dict:
+def entry(source: dict, workload: str, seconds: float, seeds: list, runs: list,
+          unscaled: list | None = None) -> dict:
     """The trajectory entry of one side's runs (dicts of end-to-end metric
-    values, in seed order) of ``workload``, for the checkout ``source``."""
+    values, in seed order) of ``workload``, for the checkout ``source``,
+    with the runs' ``unscaled`` passes when given."""
     metrics = {}
     for name in runs[0]:
         values = [r[name] for r in runs]
         metrics[name] = {"runs": values, "quartiles": list(quartiles(values))}
+    work = {"seeds": seeds, "seconds": seconds, "metrics": metrics}
+    if unscaled is not None:
+        work["unscaled_pass_s"] = unscaled
     return {**source, "date": datetime.date.today().isoformat(),
             "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
-            "workloads": {workload: {"seeds": seeds, "seconds": seconds, "metrics": metrics}}}
+            "workloads": {workload: work}}
 
 
 def record(path: Path, new: list) -> None:
@@ -163,7 +188,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim: no end-to-end metric {args.claim!r}")
-    runs = {"parent": [], "change": []}
+    runs, unscaled = {"parent": [], "change": []}, {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -174,7 +199,10 @@ def main(argv=None) -> int:
                       f"{result.get('error', 'a verdict is wrong')}")
                 return 1
             runs[side].append({name: result["metrics"][name]["value"] for name in metrics})
+            unscaled[side].append(result.get("unscaled_pass_s"))
             shown = " ".join(f"{name}={runs[side][-1][name]:.6g}" for name in metrics)
+            if unscaled[side][-1] is not None:
+                shown += f" unscaled_pass_s={unscaled[side][-1]:.6g}"
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}; quartiles q1 / median / q3")
@@ -189,10 +217,17 @@ def main(argv=None) -> int:
               f"{'  WORSE' if s['worse'] else ''}{'  UNRESOLVED' if s['unresolved'] else ''}")
         if s["worse"] or s["unresolved"] or (name == args.claim and not s["holds"]):
             failed.append(name)
+    raw = None not in unscaled["parent"] + unscaled["change"]
+    if raw:
+        p, c = (statistics.median(unscaled[side]) for side in ("parent", "change"))
+        ratio = pair_ratio(unscaled["parent"], unscaled["change"])
+        print(f"unscaled pass  parent {p:.6g}  change {c:.6g}  {100 * (c / p - 1):+.1f}%  "
+              f"pair ratio {ratio:.4f} ({100 * (ratio - 1):+.1f}%)")
     if args.record is not None:
         seeds = list(range(args.seed, args.seed + args.pairs))
         record(args.record, [entry(checkout(getattr(args, side)), args.workload, args.seconds,
-                                   seeds, runs[side]) for side in ("parent", "change")])
+                                   seeds, runs[side], unscaled[side] if raw else None)
+                             for side in ("parent", "change")])
     if failed:
         print(f"not accepted: {', '.join(failed)}")
     return 1 if failed else 0
