@@ -638,7 +638,8 @@ class TestSamples:
     @pytest.mark.parametrize("samples,kind", [(0.5, "float"), ("0.5", "str"),
                                               (np.array(0.5), "ndarray")])
     def test_samples_that_are_not_a_sequence_are_refused(self, samples, kind):
-        with pytest.raises(InputError, match=f"^samples must be a sequence of numbers, not {kind}$"):
+        why = f"^samples must be a sequence of numbers, not {kind}$"
+        with pytest.raises(InputError, match=why):
             build_family("qk-heis", samples=samples)
 
     def test_numeric_strings_are_read_as_floats(self):

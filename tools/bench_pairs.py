@@ -34,8 +34,9 @@ verdicts read the scaled metrics only.
 ``--record PATH`` adds the runs to the trajectory file PATH (its format is
 in README.md): one entry per side, keyed by the checkout's commit, with the
 workload's seeds, run length, every run and the quartiles of each
-end-to-end metric, and every run's unscaled pass.  An entry of the same commit gains the workload, or has
-it replaced; its other fields, the tier-1 wall times included, are kept.
+end-to-end metric, and every run's unscaled pass.  An entry of the same
+commit gains the workload, or has it replaced; its other fields, the
+tier-1 wall times included, are kept.
 
 Each run starts in its own process group, which is killed if the run fails
 or the tool is interrupted, so no benchmark process outlives the tool.
